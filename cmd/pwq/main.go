@@ -276,14 +276,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		var ans *rel.Instance
 		if w != nil {
-			// Decomposition backend: the lifted evaluator produces the
-			// answer world-set in factored form; possibility/certainty of
-			// answer facts are support lookups on it.
+			// Decomposition backend, the server's evaluation path: the
+			// planned evaluator produces the answer world-set in factored
+			// form; possibility/certainty of answer facts are support
+			// lookups on it.
 			sp := tr.Root().StartChild("eval")
-			if cmd == "poss-ans" {
-				ans, err = wsdalg.PossibleAnswersObserved(w, q, cost)
-			} else {
-				ans, err = wsdalg.CertainAnswersObserved(w, q, cost)
+			var out *wsd.WSD
+			if out, _, err = wsdalg.EvalOptimized(w, q, cost); err == nil {
+				if cmd == "poss-ans" {
+					ans, err = wsdalg.PossibleAnswers(out, query.Identity{})
+				} else {
+					ans, err = wsdalg.CertainAnswers(out, query.Identity{})
+				}
 			}
 			sp.End()
 		} else {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"expvar"
+	"fmt"
 	"io"
 	"log"
 	"net/http"
@@ -207,12 +208,28 @@ func (s *Server) doHTTP(r *http.Request, req *Request) (*Response, *obs.Trace, e
 	return resp, tr, nil
 }
 
+// maxBody caps the request body of /query and /update. A larger body is
+// refused whole with 413: a write is never applied from a truncated
+// program.
+const maxBody = 1 << 20
+
+// writeBodyError reports a request body that could not be read: 413
+// when it exceeded maxBody, 400 otherwise.
+func writeBodyError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", maxBody))
+		return
+	}
+	writeError(w, 400, badRequest("body: %v", err))
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, 400, badRequest("body: %v", err))
+		writeBodyError(w, err)
 		return
 	}
 	resp, tr, err := s.doHTTP(r, &req)
@@ -233,9 +250,9 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, 400, badRequest("missing db parameter"))
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 	if err != nil {
-		writeError(w, 400, badRequest("body: %v", err))
+		writeBodyError(w, err)
 		return
 	}
 	resp, tr, err := s.doHTTP(r, &Request{DB: name, Op: "write", Update: string(body)})

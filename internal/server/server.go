@@ -1172,7 +1172,7 @@ func (s *Server) opAnswers(req *Request, v dbView, resp *Response, rc *reqCtx) (
 			defer s.acquire(rc)()
 			sp := rc.span("eval")
 			defer sp.End()
-			// EvalOptimized over EvalObserved: planning plus the plan
+			// EvalOptimized over plain Eval: planning plus the plan
 			// cost microseconds next to the evaluation they describe,
 			// and keeping the plan in the cache entry lets explain
 			// requests on cache hits answer without re-evaluating.

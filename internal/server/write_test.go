@@ -211,6 +211,53 @@ func TestUpdateHTTPEndpoint(t *testing.T) {
 	}
 }
 
+// TestUpdateBodyLimit pins that an oversized write is refused whole.
+// The program is valid and its 1 MiB mark falls on a line boundary, so
+// a reader that silently stopped there would parse and apply a shorter
+// program. Both write endpoints must answer 413, leave the version
+// alone and apply none of its facts; a program under the limit applies.
+func TestUpdateBodyLimit(t *testing.T) {
+	s, _ := newWriteServer(t)
+	const limit = 1 << 20
+	line := func(i int, pad string) string { return fmt.Sprintf("  insert: R(big%07d%s)\n", i, pad) }
+	var b strings.Builder
+	b.WriteString("@update\n")
+	n := len(line(0, ""))
+	b.WriteString(line(0, strings.Repeat("x", (limit-b.Len())%n)))
+	for i := 1; b.Len() < limit+10*n; i++ {
+		b.WriteString(line(i, ""))
+	}
+	prog := b.String()
+	if prog[limit-1] != '\n' {
+		t.Fatalf("the 1 MiB mark must end a line")
+	}
+
+	httpJSON(t, s, "POST", "/update?db=db", prog, 413, nil)
+	envelope, err := json.Marshal(server.Request{DB: "db", Op: "write", Update: prog})
+	if err != nil {
+		t.Fatal(err)
+	}
+	httpJSON(t, s, "POST", "/query", string(envelope), 413, nil)
+	var dbs []server.DBInfo
+	httpJSON(t, s, "GET", "/dbs", "", 200, &dbs)
+	if dbs[0].Version != 1 {
+		t.Fatalf("refused writes moved the version to %d", dbs[0].Version)
+	}
+	if facts := do(t, s, &server.Request{DB: "db", Op: "poss-ans"}).Facts; strings.Contains(facts, "big") {
+		t.Fatalf("a refused write applied facts:\n%s", facts)
+	}
+
+	small := prog[:strings.Index(prog, line(3, ""))]
+	var resp server.Response
+	httpJSON(t, s, "POST", "/update?db=db", small, 200, &resp)
+	if resp.Version != 2 {
+		t.Fatalf("write under the limit: version %d, want 2", resp.Version)
+	}
+	if facts := do(t, s, &server.Request{DB: "db", Op: "cert-ans"}).Facts; !strings.Contains(facts, "big0000002") {
+		t.Fatalf("write under the limit did not apply:\n%s", facts)
+	}
+}
+
 // TestUpdateHammer is the no-torn-reads proof: writers toggle a marker
 // fact, a reloader resets to the base file, and readers continuously
 // snapshot certain/possible answers. Every observed answer text must be

@@ -8,7 +8,6 @@ package wsdalg
 import (
 	"fmt"
 
-	"pw/internal/obs"
 	"pw/internal/query"
 	"pw/internal/rel"
 	"pw/internal/table"
@@ -23,13 +22,7 @@ import (
 // decomposition is ground and finite, so no domain restriction is
 // needed: the support of Eval's result is the complete answer set.
 func PossibleAnswers(w *wsd.WSD, q query.Query) (*rel.Instance, error) {
-	return PossibleAnswersObserved(w, q, nil)
-}
-
-// PossibleAnswersObserved is PossibleAnswers with a cost-accounting
-// sink threaded into the evaluation (nil c: exactly PossibleAnswers).
-func PossibleAnswersObserved(w *wsd.WSD, q query.Query, c *obs.Cost) (*rel.Instance, error) {
-	out, err := EvalObserved(w, q, c)
+	out, err := Eval(w, q)
 	if err != nil {
 		return nil, err
 	}
@@ -57,13 +50,7 @@ func PossibleAnswersObserved(w *wsd.WSD, q query.Query, c *obs.Cost) (*rel.Insta
 // answer set; the schema-shaped empty instance is reported, matching
 // decide.CertainAnswers' convention for rep(d) = ∅.
 func CertainAnswers(w *wsd.WSD, q query.Query) (*rel.Instance, error) {
-	return CertainAnswersObserved(w, q, nil)
-}
-
-// CertainAnswersObserved is CertainAnswers with a cost-accounting sink
-// threaded into the evaluation (nil c: exactly CertainAnswers).
-func CertainAnswersObserved(w *wsd.WSD, q query.Query, c *obs.Cost) (*rel.Instance, error) {
-	out, err := EvalObserved(w, q, c)
+	out, err := Eval(w, q)
 	if err != nil {
 		return nil, err
 	}

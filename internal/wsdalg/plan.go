@@ -1,24 +1,28 @@
-// Plan introspection: EvalPlanned is EvalObserved plus an
-// EXPLAIN/ANALYZE tree. Each operator node of the query expression gets
-// a PlanNode carrying *estimates* computed from the node's inputs
-// before its own work runs (parts, distinct choice units, tabulated-row
-// upper bounds, and — for ⋈ and the final assembly — the joint
-// alternative space predicted from origin-space products) and *actuals*
-// filled during evaluation (parts emitted, rows tabulated, joint
-// alternatives actually swept, wall time). The estimates are sound
-// upper bounds by construction: a join's predicted merge space is the
-// exact sum of per-part-pair origin products, and evaluation either
-// sweeps exactly that space or stops early (ErrEntangled), so
-// Est.MergeSpace ≥ Act.MergeSpace always — the property the planner the
-// ROADMAP calls for needs before it can rank plans, and the property
-// TestPlanEstimateSoundness pins across the difftest corpus.
+// Plan introspection: EvalPlanned is Eval plus an EXPLAIN/ANALYZE tree.
+// Each operator node of the query expression gets a PlanNode carrying
+// *estimates* computed from the node's inputs before its own work runs
+// (parts, distinct choice units, tabulated-row upper bounds, and — for
+// the sweeping operators and the final assembly — the joint alternative
+// space predicted from origin-space products) and *actuals* filled
+// during evaluation (parts emitted, rows tabulated, joint alternatives
+// actually swept, wall time). The estimates are sound upper bounds by
+// construction: a join's predicted merge space is the exact sum of
+// per-part-pair origin products, and evaluation either sweeps exactly
+// that space or stops early (ErrEntangled), so Est.MergeSpace ≥
+// Act.MergeSpace always — the property TestPlanEstimateSoundness pins
+// across the difftest corpus.
+//
+// The estimate functions below are the only cost formulas in the
+// package. The planner does not keep its own: it runs the same walk in
+// the bound reading (see evaluator), where every operator records these
+// estimates over bound parts, and a form's predicted cost is their sum.
 //
 // Actuals reconcile with the obs.Cost counters of the same run:
 // summing Act.MergeSpace over all plan nodes gives eval_alts_tabulated,
 // the max of Act.MaxSpace gives eval_merge_space_max, summing the out
 // nodes' Act.Parts gives eval_parts, and Plan.Components equals
 // eval_components — the plan is the per-operator decomposition of the
-// totals PR 8 already reports.
+// run's cost totals.
 package wsdalg
 
 import (
@@ -26,6 +30,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -33,7 +38,6 @@ import (
 	"pw/internal/algebra"
 	"pw/internal/obs"
 	"pw/internal/query"
-	"pw/internal/unionfind"
 	"pw/internal/wsd"
 )
 
@@ -92,17 +96,22 @@ type Plan struct {
 	DurUS      int64            `json:"us"`
 }
 
-// EvalPlanned is EvalObserved plus plan construction. The evaluation
-// runs against a private cost sink so Plan.Cost reports exactly this
-// run's counters even when c is a shared request-wide sink; the private
-// counters are folded into c afterwards (additive kinds add, high-water
-// kinds max). The plan is returned even on error, annotated with the
-// error class and truncated at the failing node.
+// EvalPlanned is Eval plus cost accounting into c and plan
+// construction. The evaluation runs against a private cost sink so
+// Plan.Cost reports exactly this run's counters even when c is a shared
+// request-wide sink; the private counters are folded into c afterwards
+// (additive kinds add, high-water kinds max; nil c: dropped). The plan
+// is returned even on error, annotated with the error class and
+// truncated at the failing node.
 func EvalPlanned(w *wsd.WSD, q query.Query, c *obs.Cost) (*wsd.WSD, *Plan, error) {
+	return newEvaluator(w).evalPlanned(q, c)
+}
+
+func (ev *evaluator) evalPlanned(q query.Query, c *obs.Cost) (*wsd.WSD, *Plan, error) {
 	ci := obs.NewCost()
 	p := &Plan{Query: q.Label()}
 	start := time.Now()
-	out, err := evalCore(w, q, ci, p)
+	out, err := ev.evalCore(q, ci, p)
 	p.DurUS = time.Since(start).Microseconds()
 	p.Cost = ci.Counters()
 	if err != nil {
@@ -160,6 +169,13 @@ func satMul(a, b int64) int64 {
 	return a * b
 }
 
+// sinceUS is an operator node's wall time in microseconds, rounded up:
+// a node that ran reports at least 1 (a cached scan takes well under a
+// microsecond), so a zero duration only ever means "not timed".
+func sinceUS(start time.Time) int64 {
+	return (time.Since(start).Nanoseconds() + 999) / 1000
+}
+
 // opName names an operator node; opDetail adds the human-facing
 // argument (relation name, projected columns, predicates).
 func opName(e algebra.Expr) string {
@@ -215,8 +231,8 @@ func opDetail(e algebra.Expr) string {
 }
 
 // originsProduct is the joint alternative count of an origin set,
-// saturating — the estimate-side mirror of evaluator.space, with no
-// guard and no cost recording.
+// saturating — evaluator.space's bound reading: no guard, no cost
+// recording.
 func (ev *evaluator) originsProduct(origins []int) int64 {
 	prod := int64(1)
 	for _, o := range origins {
@@ -227,14 +243,27 @@ func (ev *evaluator) originsProduct(origins []int) int64 {
 
 // rowsUB upper-bounds the rows a part can tabulate: the alternatives'
 // total row count for a tabulated body, the origin-space product for a
-// template body (one row per joint choice at most).
+// template body (one row per joint choice at most), the carried bound
+// for a bound part.
 func (ev *evaluator) rowsUB(p *part) int64 {
-	if p.tmpl != nil {
+	switch {
+	case p.tmpl != nil:
 		return ev.originsProduct(p.origins)
+	case p.alts == nil:
+		return p.rows
 	}
 	var n int64
 	for _, alt := range p.alts {
 		n = satAdd(n, int64(len(alt)))
+	}
+	return n
+}
+
+// rowsBound sums the row bounds of a decomposed relation's parts.
+func (ev *evaluator) rowsBound(d *dRel) int64 {
+	var n int64
+	for i := range d.parts {
+		n = satAdd(n, ev.rowsUB(&d.parts[i]))
 	}
 	return n
 }
@@ -244,33 +273,36 @@ func (ev *evaluator) rowsUB(p *part) int64 {
 // operators can only shrink all three, so the input's stats are the
 // node's estimate.
 func (ev *evaluator) drelStats(d *dRel) PlanStats {
+	return PlanStats{Parts: int64(len(d.parts)), Units: int64(len(d.origins())), Rows: ev.rowsBound(d)}
+}
+
+// sweep accounts one joint-space sweep of the given size: MergeSpace
+// sums the sweeps, MaxSpace keeps the largest.
+func (s *PlanStats) sweep(space int64) {
+	s.MergeSpace = satAdd(s.MergeSpace, space)
+	s.MaxSpace = max(s.MaxSpace, space)
+}
+
+// spaceEst predicts sweeping each origin set once: MergeSpace sums the
+// joint products, MaxSpace is the largest, Units counts the distinct
+// units.
+func (ev *evaluator) spaceEst(sets [][]int) PlanStats {
 	var s PlanStats
-	s.Parts = int64(len(d.parts))
 	var units []int
-	for i := range d.parts {
-		units = mergeOrigins(units, d.parts[i].origins)
-		s.Rows = satAdd(s.Rows, ev.rowsUB(&d.parts[i]))
+	for _, origins := range sets {
+		units = mergeOrigins(units, origins)
+		s.sweep(ev.originsProduct(origins))
 	}
 	s.Units = int64(len(units))
 	return s
 }
 
-// scanEst bounds a base-relation scan from the raw decomposition
-// without building parts: at most one part per component, every unit
-// potentially touched, and (for tabulated rows) each alternative's full
-// fact list — template components scan symbolically and tabulate
-// nothing.
-func (ev *evaluator) scanEst(name string) PlanStats {
-	s := PlanStats{Parts: int64(ev.w.Components()), Units: int64(ev.n)}
-	for ci := 0; ci < ev.w.Components(); ci++ {
-		if _, _, ok := ev.w.TemplateSlots(ci); ok {
-			continue
-		}
-		for ai := 0; ai < ev.w.AltCount(ci); ai++ {
-			s.Rows = satAdd(s.Rows, int64(len(ev.w.AltFacts(ci, ai))))
-		}
-	}
-	return s
+// scanEst bounds a base-relation scan from the raw decomposition: at
+// most one part per component, every unit potentially touched, and (for
+// tabulated rows) each alternative's full fact list — template
+// components scan symbolically and tabulate nothing.
+func (ev *evaluator) scanEst() PlanStats {
+	return PlanStats{Parts: int64(ev.w.Components()), Units: int64(ev.n), Rows: ev.scanRows}
 }
 
 // joinEst predicts a join before tabulation: every part pair tabulates
@@ -279,28 +311,21 @@ func (ev *evaluator) scanEst(name string) PlanStats {
 // stops early on ErrEntangled — which only makes the actual smaller),
 // and Rows multiplies the operands' row bounds pairwise.
 func (ev *evaluator) joinEst(l, r *dRel) PlanStats {
-	var s PlanStats
-	s.Parts = satMul(int64(len(l.parts)), int64(len(r.parts)))
-	var units []int
-	for i := range l.parts {
-		units = mergeOrigins(units, l.parts[i].origins)
-	}
-	for i := range r.parts {
-		units = mergeOrigins(units, r.parts[i].origins)
-	}
-	s.Units = int64(len(units))
+	s := PlanStats{Parts: satMul(int64(len(l.parts)), int64(len(r.parts))),
+		Units: int64(len(mergeOrigins(l.origins(), r.origins())))}
 	for li := range l.parts {
 		for ri := range r.parts {
 			origins := mergeOrigins(append([]int(nil), l.parts[li].origins...), r.parts[ri].origins)
-			prod := ev.originsProduct(origins)
-			s.MergeSpace = satAdd(s.MergeSpace, prod)
-			if prod > s.MaxSpace {
-				s.MaxSpace = prod
-			}
-			s.Rows = satAdd(s.Rows, satMul(ev.rowsUB(&l.parts[li]), ev.rowsUB(&r.parts[ri])))
+			s.sweep(ev.originsProduct(origins))
+			s.Rows = satAdd(s.Rows, ev.joinRowsUB(&l.parts[li], &r.parts[ri]))
 		}
 	}
 	return s
+}
+
+// joinRowsUB bounds the rows one pairwise part join tabulates.
+func (ev *evaluator) joinRowsUB(lp, rp *part) int64 {
+	return satMul(ev.rowsUB(lp), ev.rowsUB(rp))
 }
 
 // possibleEst predicts possible(e): the support sweep tabulates each
@@ -308,51 +333,24 @@ func (ev *evaluator) joinEst(l, r *dRel) PlanStats {
 // directly, no sweep), and the result is a single certain part bounded
 // by the operand's total row bound.
 func (ev *evaluator) possibleEst(in *dRel) PlanStats {
-	s := PlanStats{Parts: 1}
+	s := PlanStats{Parts: 1, Rows: ev.rowsBound(in)}
 	for i := range in.parts {
 		p := &in.parts[i]
-		s.Rows = satAdd(s.Rows, ev.rowsUB(p))
 		if p.tmpl != nil {
-			prod := ev.originsProduct(p.origins)
-			s.MergeSpace = satAdd(s.MergeSpace, prod)
-			if prod > s.MaxSpace {
-				s.MaxSpace = prod
-			}
+			s.sweep(ev.originsProduct(p.origins))
 		}
 	}
 	return s
 }
 
-// certainEst predicts certain(e) by mirroring the sub-decomposition
-// assembly certainRows runs: parts group by shared origins via the same
-// union-find, and each group sweeps its merged origin product (the
+// certainEst predicts certain(e) by the sub-decomposition assembly
+// certainRows runs: parts group by shared origins exactly as assemble
+// groups them, and each group sweeps its merged origin product (the
 // template fast path only makes the actual smaller).
 func (ev *evaluator) certainEst(in *dRel) PlanStats {
-	s := PlanStats{Parts: 1}
-	uf := unionfind.NewDense(ev.n)
-	for i := range in.parts {
-		o := in.parts[i].origins
-		for j := 1; j < len(o); j++ {
-			uf.Union(int32(o[0]), int32(o[j]))
-		}
-	}
-	groups := map[int32][]int{}
-	for i := range in.parts {
-		p := &in.parts[i]
-		s.Rows = satAdd(s.Rows, ev.rowsUB(p))
-		if len(p.origins) == 0 {
-			continue
-		}
-		r := uf.Find(int32(p.origins[0]))
-		groups[r] = mergeOrigins(groups[r], p.origins)
-	}
-	for _, origins := range groups {
-		prod := ev.originsProduct(origins)
-		s.MergeSpace = satAdd(s.MergeSpace, prod)
-		if prod > s.MaxSpace {
-			s.MaxSpace = prod
-		}
-	}
+	_, merged := ev.originGroups(len(in.parts), func(i int) []int { return in.parts[i].origins })
+	s := ev.spaceEst(merged)
+	s.Parts, s.Units, s.Rows = 1, 0, ev.rowsBound(in)
 	return s
 }
 
@@ -365,15 +363,9 @@ func (ev *evaluator) choiceEst(in *dRel, nSupport int) PlanStats {
 	if nSupport == 0 {
 		return s
 	}
-	var origins []int
-	for i := range in.parts {
-		origins = mergeOrigins(origins, in.parts[i].origins)
-	}
+	origins := in.origins()
 	prod := satMul(ev.originsProduct(origins), int64(nSupport))
-	s.MergeSpace = satAdd(s.MergeSpace, prod)
-	if prod > s.MaxSpace {
-		s.MaxSpace = prod
-	}
+	s.sweep(prod)
 	s.Units = int64(len(origins)) + 1
 	s.Rows = prod
 	return s
@@ -388,45 +380,46 @@ func (ev *evaluator) diffEst(l, r *dRel) PlanStats {
 	if len(l.parts) == 0 || len(r.parts) == 0 {
 		return ev.drelStats(l)
 	}
-	var rOrigins []int
-	for i := range r.parts {
-		rOrigins = mergeOrigins(rOrigins, r.parts[i].origins)
-	}
+	rOrigins := r.origins()
 	s := PlanStats{Parts: int64(len(l.parts))}
 	var units []int
 	for li := range l.parts {
 		lp := &l.parts[li]
 		origins := mergeOrigins(append([]int(nil), lp.origins...), rOrigins)
 		units = mergeOrigins(units, origins)
-		prod := ev.originsProduct(origins)
-		s.MergeSpace = satAdd(s.MergeSpace, prod)
-		if prod > s.MaxSpace {
-			s.MaxSpace = prod
-		}
-		var extra []int
-		for _, o := range rOrigins {
-			if !containsInt(lp.origins, o) {
-				extra = append(extra, o)
-			}
-		}
-		s.Rows = satAdd(s.Rows, satMul(ev.rowsUB(lp), ev.originsProduct(extra)))
+		s.sweep(ev.originsProduct(origins))
+		s.Rows = satAdd(s.Rows, ev.diffRowsUB(lp, rOrigins))
 	}
 	s.Units = int64(len(units))
 	return s
 }
 
-// containsInt reports membership in a sorted int slice.
-func containsInt(sorted []int, x int) bool {
-	i := sort.SearchInts(sorted, x)
-	return i < len(sorted) && sorted[i] == x
+// diffRowsUB bounds the rows one left part of l ∖ r tabulates: its own
+// bound repeated across the subtrahend axes it did not already depend
+// on.
+func (ev *evaluator) diffRowsUB(lp *part, rOrigins []int) int64 {
+	var extra []int
+	for _, o := range rOrigins {
+		if _, found := slices.BinarySearch(lp.origins, o); !found {
+			extra = append(extra, o)
+		}
+	}
+	return satMul(ev.rowsUB(lp), ev.originsProduct(extra))
 }
 
-// setEst records a node estimate on the current plan node (no-op when
-// not planning).
+// estimating reports whether operators should compute their estimates:
+// when explaining, and always in the bound reading.
+func (ev *evaluator) estimating() bool { return ev.cur != nil || ev.bound }
+
+// setEst records a node estimate on the current plan node and charges
+// its merge space to the walk's predicted cost. The planner's cost of a
+// form is therefore the sum of its nodes' Est.MergeSpace, plus Est.Rows
+// on joins (see join), plus the assembly's estimate.
 func (ev *evaluator) setEst(s PlanStats) {
 	if ev.cur != nil {
 		ev.cur.Est = s
 	}
+	ev.predicted = satAdd(ev.predicted, s.MergeSpace)
 }
 
 // actRows counts the rows actually tabulated across a decomposed

@@ -24,24 +24,28 @@
 //     column order. The written order is always a candidate, so the
 //     chosen plan's predicted cost never exceeds the naive plan's.
 //
-// Cost prediction runs the "dry" evaluator: the same part propagation
-// as evaluation — symbolic template narrowing included — but carrying
-// only origin sets and row bounds, never tabulating. Its per-operator
-// origin products are exactly the Est figures of plan.go (joins also
-// charge their pairwise row-match work, the term σ-pushdown shrinks),
-// so what the planner minimizes is what EXPLAIN shows. All rewrites are equivalences of the
-// world-set algebra; results are bit-identical to the naive form (the
-// differential suite races both).
+// Cost prediction is the evaluator's own walk in its bound reading: the
+// same operators propagate the same parts — symbolic template narrowing
+// included — but carry only origin sets and row bounds, never sweeping
+// a joint space. Each operator records its plan.go estimate as it goes,
+// and a form's cost is the sum of those estimates: every node's merge
+// space, plus each join's pairwise row-match work (the term σ-pushdown
+// shrinks), plus the final assembly's. So what the planner minimizes is
+// what EXPLAIN shows, by construction. One evaluator serves a query's
+// pricing walks and its evaluation, sharing one unit table and one scan
+// cache. All rewrites are equivalences of the world-set algebra; results
+// are bit-identical to the naive form (the differential suite races
+// both).
 package wsdalg
 
 import (
 	"fmt"
+	"slices"
 
 	"pw/internal/algebra"
 	"pw/internal/cond"
 	"pw/internal/obs"
 	"pw/internal/query"
-	"pw/internal/unionfind"
 	"pw/internal/wsd"
 )
 
@@ -64,11 +68,15 @@ func (pi *PlannerInfo) Changed() bool { return pi != nil && pi.Chosen != pi.Naiv
 // cost model cannot price it) plus the decision record. The returned
 // query is always equivalent to q on every world set.
 func Optimize(w *wsd.WSD, q query.Query) (query.Query, *PlannerInfo) {
+	return newEvaluator(w).optimize(q)
+}
+
+func (ev *evaluator) optimize(q query.Query) (query.Query, *PlannerInfo) {
 	a, ok := q.(query.Algebra)
-	if !ok || w.Empty() {
+	if !ok || ev.w.Empty() {
 		return q, nil
 	}
-	naiveCost, err := staticCost(w, a)
+	naiveCost, err := ev.price(a)
 	if err != nil {
 		return q, nil // un-priceable: schema errors surface at eval time
 	}
@@ -79,12 +87,12 @@ func Optimize(w *wsd.WSD, q query.Query) (query.Query, *PlannerInfo) {
 		if cols, serr := o.Expr.Schema(); serr == nil {
 			e = pruneExpr(e, cols)
 		}
-		e = reorderJoins(w, e)
+		e = reorderJoins(ev, e)
 		outs[i] = query.Out{Name: o.Name, Expr: e}
 	}
 	opt := query.Algebra{Name: a.Name, Outs: outs}
 	info := &PlannerInfo{Naive: formatOuts(a.Outs), NaiveCost: naiveCost}
-	chosenCost, err := staticCost(w, opt)
+	chosenCost, err := ev.price(opt)
 	if err != nil || chosenCost > naiveCost {
 		// Never adopt a rewrite the model prices higher than what was
 		// written (or cannot price at all).
@@ -96,12 +104,13 @@ func Optimize(w *wsd.WSD, q query.Query) (query.Query, *PlannerInfo) {
 }
 
 // EvalOptimized is EvalPlanned through the planner: the chosen form is
-// evaluated (plan and all) and the plan carries the planning record.
-// Equivalence of the rewrites means the result is identical to
-// EvalPlanned(w, q, c) world-for-world.
+// evaluated (plan and all) by the evaluator that priced it, and the plan
+// carries the planning record. Equivalence of the rewrites means the
+// result is identical to EvalPlanned(w, q, c) world-for-world.
 func EvalOptimized(w *wsd.WSD, q query.Query, c *obs.Cost) (*wsd.WSD, *Plan, error) {
-	opt, info := Optimize(w, q)
-	out, pl, err := EvalPlanned(w, opt, c)
+	ev := newEvaluator(w)
+	opt, info := ev.optimize(q)
+	out, pl, err := ev.evalPlanned(opt, c)
 	if pl != nil {
 		pl.Planner = info
 		pl.Query = q.Label() // report the query as asked, not as rewritten
@@ -140,22 +149,32 @@ func pushSelections(e algebra.Expr) algebra.Expr {
 			return child
 		}
 		return algebra.Select{E: child, Preds: kept}
+	}
+	return mapChildren(e, pushSelections)
+}
+
+// mapChildren rebuilds e with f applied to each direct operand — the
+// recursion every rewrite pass shares. Scans and constants have none.
+func mapChildren(e algebra.Expr, f func(algebra.Expr) algebra.Expr) algebra.Expr {
+	switch n := e.(type) {
+	case algebra.Select:
+		return algebra.Select{E: f(n.E), Preds: n.Preds}
 	case algebra.Project:
-		return algebra.Project{E: pushSelections(n.E), Cols: n.Cols}
+		return algebra.Project{E: f(n.E), Cols: n.Cols}
 	case algebra.Rename:
-		return algebra.Rename{E: pushSelections(n.E), From: n.From, To: n.To}
+		return algebra.Rename{E: f(n.E), From: n.From, To: n.To}
 	case algebra.Join:
-		return algebra.Join{L: pushSelections(n.L), R: pushSelections(n.R)}
+		return algebra.Join{L: f(n.L), R: f(n.R)}
 	case algebra.Union:
-		return algebra.Union{L: pushSelections(n.L), R: pushSelections(n.R)}
+		return algebra.Union{L: f(n.L), R: f(n.R)}
 	case algebra.Diff:
-		return algebra.Diff{L: pushSelections(n.L), R: pushSelections(n.R)}
+		return algebra.Diff{L: f(n.L), R: f(n.R)}
 	case algebra.Possible:
-		return algebra.Possible{E: pushSelections(n.E)}
+		return algebra.Possible{E: f(n.E)}
 	case algebra.Certain:
-		return algebra.Certain{E: pushSelections(n.E)}
+		return algebra.Certain{E: f(n.E)}
 	case algebra.ChoiceOf:
-		return algebra.ChoiceOf{E: pushSelections(n.E)}
+		return algebra.ChoiceOf{E: f(n.E)}
 	}
 	return e
 }
@@ -246,24 +265,8 @@ func foldConstRels(e algebra.Expr) algebra.Expr {
 			}
 		}
 		return algebra.Select{E: child, Preds: n.Preds}
-	case algebra.Project:
-		return algebra.Project{E: foldConstRels(n.E), Cols: n.Cols}
-	case algebra.Rename:
-		return algebra.Rename{E: foldConstRels(n.E), From: n.From, To: n.To}
-	case algebra.Join:
-		return algebra.Join{L: foldConstRels(n.L), R: foldConstRels(n.R)}
-	case algebra.Union:
-		return algebra.Union{L: foldConstRels(n.L), R: foldConstRels(n.R)}
-	case algebra.Diff:
-		return algebra.Diff{L: foldConstRels(n.L), R: foldConstRels(n.R)}
-	case algebra.Possible:
-		return algebra.Possible{E: foldConstRels(n.E)}
-	case algebra.Certain:
-		return algebra.Certain{E: foldConstRels(n.E)}
-	case algebra.ChoiceOf:
-		return algebra.ChoiceOf{E: foldConstRels(n.E)}
 	}
-	return e
+	return mapChildren(e, foldConstRels)
 }
 
 // foldSelect filters a constant relation's rows through literal
@@ -276,7 +279,7 @@ func foldSelect(c algebra.ConstRel, preds []algebra.Pred) (algebra.Expr, bool) {
 			return k, true
 		}
 		col, _ := o.Column()
-		i := indexOf(c.Cols, col)
+		i := slices.Index(c.Cols, col)
 		if i < 0 {
 			return "", false
 		}
@@ -318,7 +321,7 @@ func renamePred(p algebra.Pred, from, to []string, child []string) (algebra.Pred
 				break
 			}
 		}
-		if indexOf(child, col) < 0 {
+		if slices.Index(child, col) < 0 {
 			return o, false
 		}
 		return algebra.Col(col), true
@@ -346,7 +349,7 @@ func predColumns(p algebra.Pred) []string {
 
 func colsSubset(cols, in []string) bool {
 	for _, c := range cols {
-		if indexOf(in, c) < 0 {
+		if slices.Index(in, c) < 0 {
 			return false
 		}
 	}
@@ -400,7 +403,7 @@ func pruneExpr(e algebra.Expr, needed []string) algebra.Expr {
 		childNeeded = orderCols(child, childNeeded)
 		var from, to []string
 		for i, f := range n.From {
-			if indexOf(childNeeded, f) >= 0 {
+			if slices.Index(childNeeded, f) >= 0 {
 				from = append(from, f)
 				to = append(to, n.To[i])
 			}
@@ -412,7 +415,7 @@ func pruneExpr(e algebra.Expr, needed []string) algebra.Expr {
 		have := make([]string, len(childNeeded))
 		copy(have, childNeeded)
 		for i, c := range have {
-			if j := indexOf(from, c); j >= 0 {
+			if j := slices.Index(from, c); j >= 0 {
 				have[i] = to[j]
 			}
 		}
@@ -425,7 +428,7 @@ func pruneExpr(e algebra.Expr, needed []string) algebra.Expr {
 		}
 		var shared []string
 		for _, c := range rCols {
-			if indexOf(lCols, c) >= 0 {
+			if slices.Index(lCols, c) >= 0 {
 				shared = append(shared, c)
 			}
 		}
@@ -435,7 +438,7 @@ func pruneExpr(e algebra.Expr, needed []string) algebra.Expr {
 		out := algebra.Expr(algebra.Join{L: pruneExpr(n.L, needL), R: pruneExpr(n.R, needR)})
 		have := append([]string(nil), needL...)
 		for _, c := range needR {
-			if indexOf(needL, c) < 0 {
+			if slices.Index(needL, c) < 0 {
 				have = append(have, c)
 			}
 		}
@@ -473,7 +476,7 @@ func pruneSame(e algebra.Expr) algebra.Expr {
 }
 
 func wrapProject(e algebra.Expr, needed, have []string) algebra.Expr {
-	if sameCols(needed, have) {
+	if slices.Equal(needed, have) {
 		return e
 	}
 	return algebra.Project{E: e, Cols: needed}
@@ -481,7 +484,7 @@ func wrapProject(e algebra.Expr, needed, have []string) algebra.Expr {
 
 func addCols(dst []string, src []string) []string {
 	for _, c := range src {
-		if indexOf(dst, c) < 0 {
+		if slices.Index(dst, c) < 0 {
 			dst = append(dst, c)
 		}
 	}
@@ -493,57 +496,28 @@ func addCols(dst []string, src []string) []string {
 func orderCols(schema []string, set []string) []string {
 	out := make([]string, 0, len(set))
 	for _, c := range schema {
-		if indexOf(set, c) >= 0 {
+		if slices.Index(set, c) >= 0 {
 			out = append(out, c)
 		}
 	}
 	return out
 }
 
-func sameCols(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // ---- join reordering ----
 
 // reorderJoins rewrites every maximal nested natural-join chain into
-// its cheapest left-deep order under the dry cost model, wrapping a π
-// to restore the written column order. The written order competes, so
-// the result is never predicted costlier.
-func reorderJoins(w *wsd.WSD, e algebra.Expr) algebra.Expr {
-	switch n := e.(type) {
-	case algebra.Join:
+// its cheapest left-deep order under the bound reading's cost, wrapping
+// a π to restore the written column order. The written order competes,
+// so the result is never predicted costlier.
+func reorderJoins(ev *evaluator, e algebra.Expr) algebra.Expr {
+	if _, ok := e.(algebra.Join); ok {
 		leaves := flattenJoin(e)
 		for i := range leaves {
-			leaves[i] = reorderJoins(w, leaves[i])
+			leaves[i] = reorderJoins(ev, leaves[i])
 		}
-		return bestJoinOrder(w, e, leaves)
-	case algebra.Project:
-		return algebra.Project{E: reorderJoins(w, n.E), Cols: n.Cols}
-	case algebra.Select:
-		return algebra.Select{E: reorderJoins(w, n.E), Preds: n.Preds}
-	case algebra.Rename:
-		return algebra.Rename{E: reorderJoins(w, n.E), From: n.From, To: n.To}
-	case algebra.Union:
-		return algebra.Union{L: reorderJoins(w, n.L), R: reorderJoins(w, n.R)}
-	case algebra.Diff:
-		return algebra.Diff{L: reorderJoins(w, n.L), R: reorderJoins(w, n.R)}
-	case algebra.Possible:
-		return algebra.Possible{E: reorderJoins(w, n.E)}
-	case algebra.Certain:
-		return algebra.Certain{E: reorderJoins(w, n.E)}
-	case algebra.ChoiceOf:
-		return algebra.ChoiceOf{E: reorderJoins(w, n.E)}
+		return bestJoinOrder(ev, e, leaves)
 	}
-	return e
+	return mapChildren(e, func(c algebra.Expr) algebra.Expr { return reorderJoins(ev, c) })
 }
 
 // flattenJoin collects the leaves of a maximal nested-join tree in
@@ -567,12 +541,10 @@ func rebuildJoin(leaves []algebra.Expr, order []int) algebra.Expr {
 // bestJoinOrder prices every candidate left-deep order of the chain —
 // all permutations up to 5 leaves, greedy-cheapest beyond — against the
 // written order and returns the winner (strictly cheaper only), with a
-// π restoring the written column order.
-func bestJoinOrder(w *wsd.WSD, orig algebra.Expr, leaves []algebra.Expr) algebra.Expr {
-	written := make([]int, len(leaves))
-	for i := range written {
-		written[i] = i
-	}
+// π restoring the written column order. The leaves are walked once in
+// the bound reading; a candidate's cost is that of its join steps.
+func bestJoinOrder(ev *evaluator, orig algebra.Expr, leaves []algebra.Expr) algebra.Expr {
+	written := firstN(len(leaves))
 	if len(leaves) < 3 {
 		return rebuildJoin(leaves, written)
 	}
@@ -580,23 +552,23 @@ func bestJoinOrder(w *wsd.WSD, orig algebra.Expr, leaves []algebra.Expr) algebra
 	if err != nil {
 		return rebuildJoin(leaves, written)
 	}
-	ev := newEvaluator(w)
-	dry := make([]dryRel, len(leaves))
-	var prep int64
+	ev.begin(true, nil, nil)
+	rels := make([]dRel, len(leaves))
 	for i, l := range leaves {
-		d, err := ev.dryEval(l, &prep)
+		d, err := ev.eval(l)
 		if err != nil {
 			return rebuildJoin(leaves, written)
 		}
-		dry[i] = d
+		rels[i] = d
 	}
 	chainCost := func(order []int) int64 {
-		var cost int64
-		acc := dry[order[0]]
+		ev.predicted = 0
+		acc := rels[order[0]]
 		for _, i := range order[1:] {
-			acc = ev.dryJoin(acc, dry[i], &cost)
+			cols := addCols(append([]string(nil), acc.cols...), rels[i].cols)
+			acc, _ = ev.join(acc, rels[i], cols) // the bound reading cannot fail
 		}
-		return cost
+		return ev.predicted
 	}
 	best := append([]int(nil), written...)
 	bestCost := chainCost(written)
@@ -611,12 +583,9 @@ func bestJoinOrder(w *wsd.WSD, orig algebra.Expr, leaves []algebra.Expr) algebra
 	} else {
 		consider(greedyOrder(len(leaves), chainCost))
 	}
-	if sameIntSlices(best, firstN(len(leaves))) {
-		return rebuildJoin(leaves, best)
-	}
 	out := rebuildJoin(leaves, best)
 	cols, err := out.Schema()
-	if err != nil || sameCols(cols, origCols) {
+	if err != nil || slices.Equal(cols, origCols) {
 		return out
 	}
 	return algebra.Project{E: out, Cols: origCols}
@@ -628,18 +597,6 @@ func firstN(n int) []int {
 		out[i] = i
 	}
 	return out
-}
-
-func sameIntSlices(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // permute enumerates permutations of ord in deterministic order,
@@ -678,319 +635,4 @@ func greedyOrder(n int, cost func([]int) int64) []int {
 		remaining = append(remaining[:bestI], remaining[bestI+1:]...)
 	}
 	return order
-}
-
-// ---- the dry cost model ----
-
-// dryPart mirrors part for costing: origin set and row bound only,
-// plus the symbolic template body so π/σ narrow it exactly as
-// evaluation would.
-type dryPart struct {
-	origins []int
-	rows    int64
-	tmpl    *tmplPart
-}
-
-type dryRel struct {
-	cols  []string
-	parts []dryPart
-}
-
-// staticCost prices a whole query: per-operator tabulation products
-// plus the final assembly's, exactly the Est figures of plan.go.
-func staticCost(w *wsd.WSD, a query.Algebra) (int64, error) {
-	ev := newEvaluator(w)
-	var cost int64
-	var all []dryPart
-	for _, o := range a.Outs {
-		d, err := ev.dryEval(o.Expr, &cost)
-		if err != nil {
-			return 0, err
-		}
-		all = append(all, d.parts...)
-	}
-	cost = satAdd(cost, dryAssembleCost(ev, all))
-	return cost, nil
-}
-
-// dryAssembleCost mirrors assemble's grouping: correlated parts merge
-// their origin spaces, one product per group.
-func dryAssembleCost(ev *evaluator, parts []dryPart) int64 {
-	uf := unionfind.NewDense(ev.n)
-	for i := range parts {
-		o := parts[i].origins
-		for j := 1; j < len(o); j++ {
-			uf.Union(int32(o[0]), int32(o[j]))
-		}
-	}
-	groups := map[int32][]int{}
-	for i := range parts {
-		if len(parts[i].origins) == 0 {
-			continue
-		}
-		r := uf.Find(int32(parts[i].origins[0]))
-		groups[r] = mergeOrigins(groups[r], parts[i].origins)
-	}
-	var cost int64
-	for _, origins := range groups {
-		cost = satAdd(cost, ev.originsProduct(origins))
-	}
-	return cost
-}
-
-// dryEval propagates parts through e without tabulating anything,
-// accumulating into cost the joint-space products evaluation would
-// sweep. Synthetic choiceof axes are allocated on ev (a costing
-// evaluator is private to its planning pass).
-func (ev *evaluator) dryEval(e algebra.Expr, cost *int64) (dryRel, error) {
-	switch n := e.(type) {
-	case algebra.ConstRel:
-		cols, err := n.Schema()
-		if err != nil {
-			return dryRel{}, err
-		}
-		if len(n.Rows) == 0 {
-			return dryRel{cols: cols}, nil
-		}
-		return dryRel{cols: cols, parts: []dryPart{{rows: int64(len(n.Rows))}}}, nil
-
-	case algebra.Rel:
-		cols, err := n.Schema()
-		if err != nil {
-			return dryRel{}, err
-		}
-		real := ev.scanParts(n.Name)
-		d := dryRel{cols: cols, parts: make([]dryPart, len(real))}
-		for i := range real {
-			p := &real[i]
-			d.parts[i] = dryPart{origins: p.origins, rows: ev.rowsUB(p), tmpl: p.tmpl}
-		}
-		return d, nil
-
-	case algebra.Project:
-		in, err := ev.dryEval(n.E, cost)
-		if err != nil {
-			return dryRel{}, err
-		}
-		if _, err := n.Schema(); err != nil {
-			return dryRel{}, err
-		}
-		idx := make([]int, len(n.Cols))
-		for i, c := range n.Cols {
-			idx[i] = indexOf(in.cols, c)
-		}
-		out := dryRel{cols: n.Cols}
-		for _, p := range in.parts {
-			if t := p.tmpl; t != nil {
-				nt := &tmplPart{out: make([]tmplCol, len(idx)), preds: t.preds}
-				for i, j := range idx {
-					nt.out[i] = t.out[j]
-				}
-				origins := nt.unitsOf()
-				out.parts = append(out.parts, dryPart{origins: origins,
-					rows: ev.originsProduct(origins), tmpl: nt})
-				continue
-			}
-			out.parts = append(out.parts, p)
-		}
-		return out, nil
-
-	case algebra.Select:
-		in, err := ev.dryEval(n.E, cost)
-		if err != nil {
-			return dryRel{}, err
-		}
-		if _, err := n.Schema(); err != nil {
-			return dryRel{}, err
-		}
-		preds, err := resolvePreds(n.Preds, in.cols)
-		if err != nil {
-			return dryRel{}, err
-		}
-		out := dryRel{cols: in.cols}
-	dryParts:
-		for _, p := range in.parts {
-			if t := p.tmpl; t != nil {
-				nt := &tmplPart{out: t.out, preds: append([]tmplPred(nil), t.preds...)}
-				for _, rp := range preds {
-					tp := tmplPred{eq: rp.eq,
-						l: tmplColOf(t, rp.lIdx, rp.lConst),
-						r: tmplColOf(t, rp.rIdx, rp.rCon)}
-					if tp.l.unit < 0 && tp.r.unit < 0 {
-						if tp.eq != (tp.l.constID == tp.r.constID) {
-							continue dryParts
-						}
-						continue
-					}
-					nt.preds = append(nt.preds, tp)
-				}
-				origins := nt.unitsOf()
-				out.parts = append(out.parts, dryPart{origins: origins,
-					rows: ev.originsProduct(origins), tmpl: nt})
-				continue
-			}
-			out.parts = append(out.parts, p)
-		}
-		return out, nil
-
-	case algebra.Rename:
-		in, err := ev.dryEval(n.E, cost)
-		if err != nil {
-			return dryRel{}, err
-		}
-		cols, err := n.Schema()
-		if err != nil {
-			return dryRel{}, err
-		}
-		return dryRel{cols: cols, parts: in.parts}, nil
-
-	case algebra.Join:
-		l, err := ev.dryEval(n.L, cost)
-		if err != nil {
-			return dryRel{}, err
-		}
-		r, err := ev.dryEval(n.R, cost)
-		if err != nil {
-			return dryRel{}, err
-		}
-		if _, err := n.Schema(); err != nil {
-			return dryRel{}, err
-		}
-		return ev.dryJoin(l, r, cost), nil
-
-	case algebra.Union:
-		l, err := ev.dryEval(n.L, cost)
-		if err != nil {
-			return dryRel{}, err
-		}
-		r, err := ev.dryEval(n.R, cost)
-		if err != nil {
-			return dryRel{}, err
-		}
-		if _, err := n.Schema(); err != nil {
-			return dryRel{}, err
-		}
-		return dryRel{cols: l.cols, parts: append(append([]dryPart(nil), l.parts...), r.parts...)}, nil
-
-	case algebra.Diff:
-		l, err := ev.dryEval(n.L, cost)
-		if err != nil {
-			return dryRel{}, err
-		}
-		r, err := ev.dryEval(n.R, cost)
-		if err != nil {
-			return dryRel{}, err
-		}
-		if _, err := n.Schema(); err != nil {
-			return dryRel{}, err
-		}
-		if len(l.parts) == 0 || len(r.parts) == 0 {
-			return l, nil
-		}
-		var rOrigins []int
-		for i := range r.parts {
-			rOrigins = mergeOrigins(rOrigins, r.parts[i].origins)
-		}
-		out := dryRel{cols: l.cols}
-		for _, lp := range l.parts {
-			origins := mergeOrigins(append([]int(nil), lp.origins...), rOrigins)
-			*cost = satAdd(*cost, ev.originsProduct(origins))
-			var extra []int
-			for _, o := range rOrigins {
-				if !containsInt(lp.origins, o) {
-					extra = append(extra, o)
-				}
-			}
-			out.parts = append(out.parts, dryPart{origins: origins,
-				rows: satMul(lp.rows, ev.originsProduct(extra))})
-		}
-		return out, nil
-
-	case algebra.Possible:
-		in, err := ev.dryEval(n.E, cost)
-		if err != nil {
-			return dryRel{}, err
-		}
-		rows := drySupport(ev, &in, cost)
-		if rows == 0 {
-			return dryRel{cols: in.cols}, nil
-		}
-		return dryRel{cols: in.cols, parts: []dryPart{{rows: rows}}}, nil
-
-	case algebra.Certain:
-		in, err := ev.dryEval(n.E, cost)
-		if err != nil {
-			return dryRel{}, err
-		}
-		var rows int64
-		for i := range in.parts {
-			rows = satAdd(rows, in.parts[i].rows)
-		}
-		*cost = satAdd(*cost, dryAssembleCost(ev, in.parts))
-		if rows == 0 {
-			return dryRel{cols: in.cols}, nil
-		}
-		return dryRel{cols: in.cols, parts: []dryPart{{rows: rows}}}, nil
-
-	case algebra.ChoiceOf:
-		in, err := ev.dryEval(n.E, cost)
-		if err != nil {
-			return dryRel{}, err
-		}
-		support := drySupport(ev, &in, cost)
-		if support == 0 {
-			return dryRel{cols: in.cols}, nil
-		}
-		if support > int64(wsd.MaxMergeAlts) {
-			support = int64(wsd.MaxMergeAlts) + 1
-		}
-		u := ev.addUnit(int(support))
-		var origins []int
-		for i := range in.parts {
-			origins = mergeOrigins(origins, in.parts[i].origins)
-		}
-		all := mergeOrigins(origins, []int{u})
-		prod := ev.originsProduct(all)
-		*cost = satAdd(*cost, prod)
-		return dryRel{cols: in.cols, parts: []dryPart{{origins: all, rows: prod}}}, nil
-	}
-	return dryRel{}, fmt.Errorf("wsdalg: unknown expression %T", e)
-}
-
-// dryJoin prices one pairwise-part join round, mirroring joinRels:
-// the joint-space sweep plus the row-match work per pair (each joint
-// alternative matches the sides' row sets against each other, so a
-// selection pushed below the join shrinks this term — the quantity the
-// planner's σ-pushdown exists to reduce).
-func (ev *evaluator) dryJoin(l, r dryRel, cost *int64) dryRel {
-	cols := append([]string(nil), l.cols...)
-	for _, c := range r.cols {
-		if indexOf(l.cols, c) < 0 {
-			cols = append(cols, c)
-		}
-	}
-	out := dryRel{cols: cols}
-	for i := range l.parts {
-		for j := range r.parts {
-			origins := mergeOrigins(append([]int(nil), l.parts[i].origins...), r.parts[j].origins)
-			rows := satMul(l.parts[i].rows, r.parts[j].rows)
-			*cost = satAdd(*cost, satAdd(ev.originsProduct(origins), rows))
-			out.parts = append(out.parts, dryPart{origins: origins, rows: rows})
-		}
-	}
-	return out
-}
-
-// drySupport prices the support sweep of possible/choiceof (template
-// parts sweep their origin space) and returns the support row bound.
-func drySupport(ev *evaluator, in *dryRel, cost *int64) int64 {
-	var rows int64
-	for i := range in.parts {
-		p := &in.parts[i]
-		rows = satAdd(rows, p.rows)
-		if p.tmpl != nil {
-			*cost = satAdd(*cost, ev.originsProduct(p.origins))
-		}
-	}
-	return rows
 }

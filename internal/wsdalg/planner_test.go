@@ -189,7 +189,7 @@ func TestJoinReorderKeepsColumnOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := reorderJoins(w, e)
+	got := reorderJoins(newEvaluator(w), e)
 	cols, err := got.Schema()
 	if err != nil {
 		t.Fatalf("reordered schema: %v", err)
@@ -206,21 +206,22 @@ func TestJoinReorderKeepsColumnOrder(t *testing.T) {
 	checkOptimized(t, w, q)
 }
 
-func TestDryCostMatchesEstimateScale(t *testing.T) {
-	// The dry model must price the naive sensors query at least as high
-	// as the σ-pushed one: pushing #v=hi below the join drops the lo
-	// branches before they multiply with D.
+func TestPlannerCostMatchesEstimateScale(t *testing.T) {
+	// The bound reading must price the naive sensors query at least as
+	// high as the σ-pushed one: pushing #v=hi below the join drops the
+	// lo branches before they multiply with D.
 	w := sensorsWithDim(t)
+	ev := newEvaluator(w)
 	naive := query.NewAlgebra("q", query.Out{Name: "A",
 		Expr: algebra.Where(algebra.Join{L: scanR(), R: scanD()},
 			algebra.EqP(algebra.Col("v"), algebra.Lit("hi")))})
 	pushed := query.NewAlgebra("q", query.Out{Name: "A",
 		Expr: algebra.Join{L: selHi(scanR()), R: scanD()}})
-	cn, err := staticCost(w, naive)
+	cn, err := ev.price(naive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cp, err := staticCost(w, pushed)
+	cp, err := ev.price(pushed)
 	if err != nil {
 		t.Fatal(err)
 	}

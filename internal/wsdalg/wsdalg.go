@@ -77,7 +77,7 @@ package wsdalg
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"pw/internal/algebra"
@@ -128,25 +128,17 @@ func Supported(q query.Query) error {
 // Out). Errors: unsupported queries (ErrUnsupported), schema errors
 // from the algebra layer, and the ErrEntangled blow-up guard.
 func Eval(w *wsd.WSD, q query.Query) (*wsd.WSD, error) {
-	return EvalObserved(w, q, nil)
+	return newEvaluator(w).evalCore(q, nil, nil)
 }
 
-// EvalObserved is Eval with a cost-accounting sink: the evaluator
-// records the input component count, parts built, joint alternatives
-// tabulated by the odometer, and the largest joint space any assembly
-// needed (the MaxMergeAlts headroom) into c. A nil c makes this exactly
-// Eval.
-func EvalObserved(w *wsd.WSD, q query.Query, c *obs.Cost) (*wsd.WSD, error) {
-	return evalCore(w, q, c, nil)
-}
-
-// evalCore is the shared body of EvalObserved and EvalPlanned: the
-// evaluation proper, with an optional plan to fill (nil plan = no plan
-// bookkeeping at all on the hot path).
-func evalCore(w *wsd.WSD, q query.Query, c *obs.Cost, pl *Plan) (*wsd.WSD, error) {
+// evalCore is the shared body of Eval and EvalPlanned: the evaluation
+// proper, accounting to c (nil: unobserved), with an optional plan to
+// fill (nil plan = no plan bookkeeping at all on the hot path).
+func (ev *evaluator) evalCore(q query.Query, c *obs.Cost, pl *Plan) (*wsd.WSD, error) {
 	if err := Supported(q); err != nil {
 		return nil, err
 	}
+	w := ev.w
 	c.Add(obs.EvalComponents, int64(w.Components()))
 	if pl != nil {
 		pl.Components = int64(w.Components())
@@ -181,15 +173,63 @@ func evalCore(w *wsd.WSD, q query.Query, c *obs.Cost, pl *Plan) (*wsd.WSD, error
 		return out, out.Normalize()
 	}
 
-	ev := newEvaluator(w)
-	ev.cost = c
-	ev.plan = pl
+	ev.begin(false, c, pl)
+	parts, err := ev.walkOuts(a)
+	if err != nil {
+		return nil, err
+	}
+	c.Add(obs.EvalParts, int64(len(parts)))
+
+	var asm *PlanNode
+	var asmStart time.Time
+	if pl != nil {
+		asm = &PlanNode{Op: "assemble"}
+		pl.Assemble = asm
+		ev.cur = asm
+		asmStart = time.Now()
+	}
+	if err := ev.assemble(out, parts, asm); err != nil {
+		return nil, err
+	}
+	if asm != nil {
+		asm.Act.DurUS = sinceUS(asmStart)
+		ev.cur = nil
+	}
+	// The answer-side Normalize accounts to the same sink: its merges,
+	// splits and folds are part of this evaluation's cost. When
+	// planning, the counter deltas around the call are the Normalize
+	// node's actuals.
+	var before obs.CostSnapshot
+	var normStart time.Time
+	if pl != nil {
+		before = c.Snapshot()
+		normStart = time.Now()
+	}
+	out.SetObsCost(c)
+	err = out.Normalize()
+	out.SetObsCost(nil)
+	if pl != nil {
+		after := c.Snapshot()
+		pl.Normalize = &NormalizeStats{
+			ComponentsMerged: after.Get(obs.NormComponentsMerged) - before.Get(obs.NormComponentsMerged),
+			VerticalSplits:   after.Get(obs.NormVerticalSplits) - before.Get(obs.NormVerticalSplits),
+			CertainFolds:     after.Get(obs.NormCertainFolds) - before.Get(obs.NormCertainFolds),
+			DurUS:            time.Since(normStart).Microseconds(),
+		}
+	}
+	return out, err
+}
+
+// walkOuts evaluates every output expression of a — the walk both
+// readings share — and tags the resulting parts with their output
+// relation. When explaining, each output gets an "out" plan node.
+func (ev *evaluator) walkOuts(a query.Algebra) ([]taggedPart, error) {
 	var parts []taggedPart
 	for _, o := range a.Outs {
 		var outNode *PlanNode
-		if pl != nil {
+		if ev.plan != nil {
 			outNode = &PlanNode{Op: "out", Detail: o.Name}
-			pl.Outs = append(pl.Outs, outNode)
+			ev.plan.Outs = append(ev.plan.Outs, outNode)
 			ev.cur = outNode
 		}
 		d, err := ev.eval(o.Expr)
@@ -205,46 +245,22 @@ func evalCore(w *wsd.WSD, q query.Query, c *obs.Cost, pl *Plan) (*wsd.WSD, error
 		}
 	}
 	ev.cur = nil
-	c.Add(obs.EvalParts, int64(len(parts)))
+	return parts, nil
+}
 
-	var asm *PlanNode
-	var asmStart time.Time
-	if pl != nil {
-		asm = &PlanNode{Op: "assemble"}
-		pl.Assemble = asm
-		ev.cur = asm
-		asmStart = time.Now()
+// price runs the bound reading over a whole query and returns the
+// planner's cost of it: the node estimates setEst charges plus the
+// final assembly's.
+func (ev *evaluator) price(a query.Algebra) (int64, error) {
+	ev.begin(true, nil, nil)
+	parts, err := ev.walkOuts(a)
+	if err != nil {
+		return 0, err
 	}
-	if err := ev.assemble(out, parts, asm); err != nil {
-		return nil, err
+	if err := ev.assemble(nil, parts, nil); err != nil {
+		return 0, err
 	}
-	if asm != nil {
-		asm.Act.DurUS = time.Since(asmStart).Microseconds()
-		ev.cur = nil
-	}
-	// The answer-side Normalize accounts to the same sink: its merges,
-	// splits and folds are part of this evaluation's cost. When
-	// planning, the counter deltas around the call are the Normalize
-	// node's actuals.
-	var before obs.CostSnapshot
-	var normStart time.Time
-	if pl != nil {
-		before = c.Snapshot()
-		normStart = time.Now()
-	}
-	out.SetObsCost(c)
-	err := out.Normalize()
-	out.SetObsCost(nil)
-	if pl != nil {
-		after := c.Snapshot()
-		pl.Normalize = &NormalizeStats{
-			ComponentsMerged: after.Get(obs.NormComponentsMerged) - before.Get(obs.NormComponentsMerged),
-			VerticalSplits:   after.Get(obs.NormVerticalSplits) - before.Get(obs.NormVerticalSplits),
-			CertainFolds:     after.Get(obs.NormCertainFolds) - before.Get(obs.NormCertainFolds),
-			DurUS:            time.Since(normStart).Microseconds(),
-		}
-	}
-	return out, err
+	return ev.predicted, nil
 }
 
 // taggedPart is one answer part tagged with the output relation it
@@ -260,78 +276,57 @@ type taggedPart struct {
 // own and Normalize merges all certain components afterwards. It is the
 // shared tail of evalCore and of certain()'s private sub-decomposition;
 // asm (nil when not explaining) receives the assembly estimates and
-// actuals. Normalization is the caller's job.
+// actuals. The bound reading records the estimate and emits nothing
+// (out may be nil). Normalization is the caller's job.
 func (ev *evaluator) assemble(out *wsd.WSD, parts []taggedPart, asm *PlanNode) error {
-	// Group correlated parts: parts sharing an origin component are
-	// functions of the same input choice, so they must land in one
-	// answer component.
-	uf := unionfind.NewDense(ev.n)
-	for _, op := range parts {
-		if len(op.p.origins) == 0 {
-			continue // constant rows: handled as certain components below
-		}
-		for _, o := range op.p.origins[1:] {
-			uf.Union(int32(op.p.origins[0]), int32(o))
-		}
-	}
-	groups := map[int32][]taggedPart{}
-	var order []int32
-	zero := make([]int, ev.n)
-	for _, op := range parts {
-		if len(op.p.origins) == 0 {
-			rows := op.p.at(zero, ev) // constant rows: choice-independent
-			alt := make(wsd.Alt, 0, len(rows))
-			for _, t := range rows {
-				alt = append(alt, wsd.Fact{Rel: op.rel, Args: rel.ResolveFact(t)})
-			}
-			if err := out.AddComponent(alt); err != nil {
-				asm.markError(err)
-				return err
-			}
-			if asm != nil {
-				asm.Act.Parts++
-			}
-			continue
-		}
-		r := uf.Find(int32(op.p.origins[0]))
-		if _, ok := groups[r]; !ok {
-			order = append(order, r)
-		}
-		groups[r] = append(groups[r], op)
-	}
+	groups, merged := ev.originGroups(len(parts), func(i int) []int { return parts[i].p.origins })
 
 	// Assembly estimate, before any group tabulates: each group sweeps
 	// the joint space of its merged origins (the template fast path
 	// skips the sweep entirely, which only makes the actual smaller).
-	if asm != nil {
-		asm.Est.Parts = asm.Act.Parts + int64(len(order))
-		var units []int
-		for _, r := range order {
-			var origins []int
-			for _, op := range groups[r] {
-				origins = mergeOrigins(origins, op.p.origins)
-			}
-			units = mergeOrigins(units, origins)
-			prod := ev.originsProduct(origins)
-			asm.Est.MergeSpace = satAdd(asm.Est.MergeSpace, prod)
-			if prod > asm.Est.MaxSpace {
-				asm.Est.MaxSpace = prod
+	if asm != nil || ev.bound {
+		s := ev.spaceEst(merged)
+		s.Parts = int64(len(groups))
+		for i := range parts {
+			if len(parts[i].p.origins) == 0 {
+				s.Parts++
 			}
 		}
-		asm.Est.Units = int64(len(units))
+		ev.setEst(s)
+		if ev.bound {
+			return nil
+		}
 	}
 
-	for _, r := range order {
-		group := groups[r]
+	zero := make([]int, ev.n)
+	for _, op := range parts {
+		if len(op.p.origins) > 0 {
+			continue
+		}
+		rows := op.p.at(zero, ev) // constant rows: choice-independent
+		alt := make(wsd.Alt, 0, len(rows))
+		for _, t := range rows {
+			alt = append(alt, wsd.Fact{Rel: op.rel, Args: rel.ResolveFact(t)})
+		}
+		if err := out.AddComponent(alt); err != nil {
+			asm.markError(err)
+			return err
+		}
+		if asm != nil {
+			asm.Act.Parts++
+		}
+	}
 
+	for g, members := range groups {
 		// Template fast path: a lone predicate-free template part whose
 		// out-columns reference each origin slot exactly once is itself
 		// an attribute-level component of the answer — emit it factored,
 		// never tabulating the field product. This is what lets σ/π/ρ
 		// pipelines over 2^100-world attribute decompositions answer in
 		// decomposition size.
-		if len(group) == 1 {
-			if emitted, err := ev.emitTemplate(out, group[0].rel, &group[0].p); err != nil {
+		if len(members) == 1 {
+			op := &parts[members[0]]
+			if emitted, err := ev.emitTemplate(out, op.rel, &op.p); err != nil {
 				asm.markError(err)
 				return err
 			} else if emitted {
@@ -342,10 +337,7 @@ func (ev *evaluator) assemble(out *wsd.WSD, parts []taggedPart, asm *PlanNode) e
 			}
 		}
 
-		var origins []int
-		for _, op := range group {
-			origins = mergeOrigins(origins, op.p.origins)
-		}
+		origins := merged[g]
 		space, err := ev.space(origins)
 		if err != nil {
 			asm.markError(err)
@@ -355,7 +347,8 @@ func (ev *evaluator) assemble(out *wsd.WSD, parts []taggedPart, asm *PlanNode) e
 		choice := make([]int, ev.n)
 		ev.odometer(origins, choice, func() {
 			var alt wsd.Alt
-			for _, op := range group {
+			for _, i := range members {
+				op := &parts[i]
 				for _, t := range op.p.at(choice, ev) {
 					alt = append(alt, wsd.Fact{Rel: op.rel, Args: rel.ResolveFact(t)})
 				}
@@ -371,6 +364,62 @@ func (ev *evaluator) assemble(out *wsd.WSD, parts []taggedPart, asm *PlanNode) e
 		}
 	}
 	return nil
+}
+
+// originGroups partitions n parts (origin sets given by originsOf) into
+// correlated groups: parts sharing an origin unit are functions of the
+// same input choice, so they must land in one answer component.
+// Origin-free parts join no group. It returns each group's member
+// indices and merged origins, groups in order of first appearance; a
+// single-member group's merged origins are that part's own slice, so
+// callers only read them.
+func (ev *evaluator) originGroups(n int, originsOf func(int) []int) (groups [][]int, merged [][]int) {
+	uf := unionfind.NewDense(ev.n)
+	for i := 0; i < n; i++ {
+		o := originsOf(i)
+		for j := 1; j < len(o); j++ {
+			uf.Union(int32(o[0]), int32(o[j]))
+		}
+	}
+	index := make([]int, ev.n) // union-find root → group number + 1
+	gid := make([]int, n)
+	var size []int
+	for i := 0; i < n; i++ {
+		o := originsOf(i)
+		if len(o) == 0 {
+			gid[i] = -1
+			continue
+		}
+		r := uf.Find(int32(o[0]))
+		g := index[r] - 1
+		switch {
+		case g < 0:
+			g = len(merged)
+			index[r] = g + 1
+			merged = append(merged, o) // shared until a second member merges in
+			size = append(size, 0)
+		case size[g] == 1:
+			merged[g] = mergeOrigins(append([]int(nil), merged[g]...), o)
+		default:
+			merged[g] = mergeOrigins(merged[g], o)
+		}
+		gid[i] = g
+		size[g]++
+	}
+	// Members list group by group in one flat slice.
+	flat := make([]int, n)
+	groups = make([][]int, len(merged))
+	at := 0
+	for g := range groups {
+		groups[g] = flat[at : at : at+size[g]]
+		at += size[g]
+	}
+	for i, g := range gid {
+		if g >= 0 {
+			groups[g] = append(groups[g], i)
+		}
+	}
+	return groups, merged
 }
 
 // emitTemplate recognizes a part that is exactly an answer-side
@@ -420,7 +469,7 @@ type unit struct {
 
 // part is one factor of a decomposed relation: a deterministic function
 // from the alternative choices of its origin units to a row set. It has
-// two bodies:
+// three bodies:
 //
 //   - tabulated: alts indexed by the odometer over origins (last origin
 //     fastest), each origin digit ranging over the unit's alternative
@@ -428,7 +477,10 @@ type unit struct {
 //   - template (tmpl != nil): a symbolic single-row function — output
 //     columns referencing slot units or constants, filtered by compiled
 //     predicates — evaluated on demand and tabulated only when a join
-//     needs it.
+//     needs it;
+//   - bound (alts and tmpl nil): the bound reading's shape of a part
+//     that was never tabulated — its origins and an upper bound on the
+//     rows it would tabulate.
 //
 // origins is sorted and duplicate-free. An origin-free part (origins
 // nil, one tabulated entry) is a constant row set.
@@ -436,6 +488,7 @@ type part struct {
 	origins []int
 	alts    [][]sym.Tuple
 	tmpl    *tmplPart
+	rows    int64 // row bound of a bound part
 }
 
 // tmplPart is the symbolic body of a template-derived part: one output
@@ -520,17 +573,40 @@ type dRel struct {
 	parts []part
 }
 
-// evaluator carries the per-evaluation state: the input decomposition
+// origins is the sorted union of the parts' origins: every unit the
+// relation's value depends on.
+func (d *dRel) origins() []int {
+	var units []int
+	for i := range d.parts {
+		units = mergeOrigins(units, d.parts[i].origins)
+	}
+	return units
+}
+
+// evaluator carries the per-query state: the input decomposition
 // flattened into choice units, per-unit alternative counts and slot
 // values, and a per-relation scan cache (the same base relation scanned
 // twice shares its parts; parts are never mutated after construction).
+// One evaluator serves every walk of a query — the planner's bound
+// walks and the tabulating evaluation — so they share one unit table
+// and one scan cache.
+//
+// A walk runs in one of two readings of the same operators. The
+// tabulating reading computes each part's value under every joint
+// choice. The bound reading (the planner's) propagates only shapes:
+// origins, row bounds and symbolic template bodies, never sweeping a
+// joint space, and it sums the operators' estimates into predicted.
 type evaluator struct {
 	w         *wsd.WSD
 	n         int
+	base      int // units backed by the input; later ones are synthetic (choiceof)
 	units     []unit
 	altCounts []int
 	cells     [][]sym.ID // per unit: open-slot values (nil for tuple-level units)
 	scans     map[string][]part
+	scanRows  int64     // facts over all tuple-level alternatives, counted by the first scan
+	bound     bool      // bound reading: nothing tabulates
+	predicted int64     // bound reading: the walk's cost so far (see setEst)
 	cost      *obs.Cost // per-request sink (nil when untraced)
 	plan      *Plan     // plan under construction (nil when not explaining)
 	cur       *PlanNode // node receiving space() actuals right now
@@ -555,12 +631,27 @@ func newEvaluator(w *wsd.WSD) *evaluator {
 		ev.cells = append(ev.cells, nil)
 	}
 	ev.n = len(ev.units)
+	ev.base = ev.n
 	return ev
 }
 
+// begin starts a walk in the given reading with the given sinks. It
+// drops the synthetic units an earlier walk added; the input's units
+// and the scan cache carry over.
+func (ev *evaluator) begin(bound bool, c *obs.Cost, pl *Plan) {
+	ev.units, ev.altCounts, ev.cells = ev.units[:ev.base], ev.altCounts[:ev.base], ev.cells[:ev.base]
+	ev.n = ev.base
+	ev.bound, ev.predicted = bound, 0
+	ev.cost, ev.plan, ev.cur = c, pl, nil
+}
+
 // space returns the joint alternative count of a set of origins,
-// guarded by wsd.MaxMergeAlts.
+// guarded by wsd.MaxMergeAlts. The bound reading sweeps nothing: it
+// returns the saturating product, unguarded and unrecorded.
 func (ev *evaluator) space(origins []int) (int, error) {
+	if ev.bound {
+		return int(ev.originsProduct(origins)), nil
+	}
 	space := 1
 	for _, o := range origins {
 		space *= ev.altCounts[o]
@@ -576,10 +667,7 @@ func (ev *evaluator) space(origins []int) (int, error) {
 	ev.cost.Max(obs.EvalMergeSpaceMax, int64(space))
 	ev.cost.Add(obs.EvalAltsTabulated, int64(space))
 	if ev.cur != nil {
-		ev.cur.Act.MergeSpace = satAdd(ev.cur.Act.MergeSpace, int64(space))
-		if int64(space) > ev.cur.Act.MaxSpace {
-			ev.cur.Act.MaxSpace = int64(space)
-		}
+		ev.cur.Act.sweep(int64(space))
 	}
 	return space, nil
 }
@@ -616,6 +704,7 @@ func (ev *evaluator) scanParts(name string) []part {
 	if ps, ok := ev.scans[name]; ok {
 		return ps
 	}
+	counting := len(ev.scans) == 0
 	var ps []part
 	for ci := 0; ci < ev.w.Components(); ci++ {
 		if rel, cells, ok := ev.w.TemplateSlots(ci); ok {
@@ -637,7 +726,11 @@ func (ev *evaluator) scanParts(name string) []part {
 		alts := make([][]sym.Tuple, ev.altCounts[u])
 		any := false
 		for ai := range alts {
-			for _, f := range ev.w.AltFacts(ci, ai) {
+			facts := ev.w.AltFacts(ci, ai)
+			if counting {
+				ev.scanRows = satAdd(ev.scanRows, int64(len(facts)))
+			}
+			for _, f := range facts {
 				if f.Rel == name {
 					alts[ai] = append(alts[ai], f.Args.Intern())
 					any = true
@@ -694,26 +787,22 @@ func (ev *evaluator) eval(e algebra.Expr) (dRel, error) {
 	ev.cur = node
 	start := time.Now()
 	d, err := ev.evalExpr(e)
-	node.Act.DurUS = time.Since(start).Microseconds()
+	node.Act.DurUS = sinceUS(start)
 	ev.cur = parent
 	if err != nil {
 		node.markError(err)
 		return d, err
 	}
 	node.Act.Parts = int64(len(d.parts))
-	var units []int
-	for i := range d.parts {
-		units = mergeOrigins(units, d.parts[i].origins)
-	}
-	node.Act.Units = int64(len(units))
+	node.Act.Units = int64(len(d.origins()))
 	node.Act.Rows = actRows(&d)
 	return d, nil
 }
 
 // evalExpr is the operator dispatch. It mirrors algebra.evalInst case
 // by case, lifted from row sets to parts. Each case records its
-// estimate (via setEst, a no-op when not planning) from its inputs
-// before its own work runs.
+// estimate (via setEst, only when explaining or in the bound reading)
+// from its inputs before its own work runs.
 func (ev *evaluator) evalExpr(e algebra.Expr) (dRel, error) {
 	switch n := e.(type) {
 	case algebra.ConstRel:
@@ -721,29 +810,25 @@ func (ev *evaluator) evalExpr(e algebra.Expr) (dRel, error) {
 		if err != nil {
 			return dRel{}, err
 		}
-		ev.setEst(PlanStats{Parts: 1, Rows: int64(len(n.Rows))})
+		if ev.estimating() {
+			ev.setEst(PlanStats{Parts: 1, Rows: int64(len(n.Rows))})
+		}
+		if ev.bound {
+			return ev.certainRel(cols, nil, int64(len(n.Rows))), nil
+		}
 		rows := make([]sym.Tuple, 0, len(n.Rows))
 		for _, r := range n.Rows {
 			rows = append(rows, rel.Fact(r).Intern())
 		}
 		rows = sortDedupTuples(rows)
-		if len(rows) == 0 {
-			return dRel{cols: cols}, nil
-		}
-		return dRel{cols: cols, parts: []part{{alts: [][]sym.Tuple{rows}}}}, nil
+		return ev.certainRel(cols, rows, int64(len(rows))), nil
 
 	case algebra.Rel:
 		cols, err := n.Schema()
 		if err != nil {
 			return dRel{}, err
 		}
-		ri := -1
-		for i, s := range ev.w.Schema() {
-			if s.Name == n.Name {
-				ri = i
-				break
-			}
-		}
+		ri := slices.IndexFunc(ev.w.Schema(), func(s table.SchemaRel) bool { return s.Name == n.Name })
 		if ri < 0 {
 			return dRel{}, fmt.Errorf("wsdalg: relation %s not in decomposition", n.Name)
 		}
@@ -751,10 +836,11 @@ func (ev *evaluator) evalExpr(e algebra.Expr) (dRel, error) {
 			return dRel{}, fmt.Errorf("wsdalg: scan %s names %d columns, relation has arity %d",
 				n.Name, len(cols), ev.w.Schema()[ri].Arity)
 		}
-		if ev.cur != nil {
-			ev.setEst(ev.scanEst(n.Name))
+		parts := ev.scanParts(n.Name)
+		if ev.estimating() {
+			ev.setEst(ev.scanEst())
 		}
-		return dRel{cols: cols, parts: ev.scanParts(n.Name)}, nil
+		return dRel{cols: cols, parts: parts}, nil
 
 	case algebra.Project:
 		in, err := ev.eval(n.E)
@@ -764,12 +850,12 @@ func (ev *evaluator) evalExpr(e algebra.Expr) (dRel, error) {
 		if _, err := n.Schema(); err != nil {
 			return dRel{}, err
 		}
-		if ev.cur != nil {
+		if ev.estimating() {
 			ev.setEst(ev.drelStats(&in))
 		}
 		idx := make([]int, len(n.Cols))
 		for i, c := range n.Cols {
-			idx[i] = indexOf(in.cols, c)
+			idx[i] = slices.Index(in.cols, c)
 		}
 		out := dRel{cols: n.Cols}
 		for i := range in.parts {
@@ -786,7 +872,7 @@ func (ev *evaluator) evalExpr(e algebra.Expr) (dRel, error) {
 				out.parts = append(out.parts, part{origins: nt.unitsOf(), tmpl: nt})
 				continue
 			}
-			mapPart(&out, p, func(t sym.Tuple) (sym.Tuple, bool) {
+			ev.mapPart(&out, p, func(t sym.Tuple) (sym.Tuple, bool) {
 				g := make(sym.Tuple, len(idx))
 				for i, j := range idx {
 					g[i] = t[j]
@@ -812,7 +898,7 @@ func (ev *evaluator) evalExpr(e algebra.Expr) (dRel, error) {
 		if err != nil {
 			return dRel{}, err
 		}
-		if ev.cur != nil {
+		if ev.estimating() {
 			ev.setEst(ev.drelStats(&in))
 		}
 		out := dRel{cols: in.cols}
@@ -840,7 +926,7 @@ func (ev *evaluator) evalExpr(e algebra.Expr) (dRel, error) {
 				out.parts = append(out.parts, part{origins: nt.unitsOf(), tmpl: nt})
 				continue
 			}
-			mapPart(&out, p, func(t sym.Tuple) (sym.Tuple, bool) {
+			ev.mapPart(&out, p, func(t sym.Tuple) (sym.Tuple, bool) {
 				for _, p := range preds {
 					if !p.holds(t) {
 						return nil, false
@@ -860,7 +946,7 @@ func (ev *evaluator) evalExpr(e algebra.Expr) (dRel, error) {
 		if err != nil {
 			return dRel{}, err
 		}
-		if ev.cur != nil {
+		if ev.estimating() {
 			ev.setEst(ev.drelStats(&in))
 		}
 		return dRel{cols: cols, parts: in.parts}, nil
@@ -878,10 +964,7 @@ func (ev *evaluator) evalExpr(e algebra.Expr) (dRel, error) {
 		if err != nil {
 			return dRel{}, err
 		}
-		if ev.cur != nil {
-			ev.setEst(ev.joinEst(&l, &r))
-		}
-		return ev.joinRels(l, r, cols)
+		return ev.join(l, r, cols)
 
 	case algebra.Union:
 		l, err := ev.eval(n.L)
@@ -899,7 +982,7 @@ func (ev *evaluator) evalExpr(e algebra.Expr) (dRel, error) {
 		parts = append(parts, l.parts...)
 		parts = append(parts, r.parts...)
 		u := dRel{cols: l.cols, parts: parts}
-		if ev.cur != nil {
+		if ev.estimating() {
 			ev.setEst(ev.drelStats(&u))
 		}
 		return u, nil
@@ -916,7 +999,7 @@ func (ev *evaluator) evalExpr(e algebra.Expr) (dRel, error) {
 		if _, err := n.Schema(); err != nil {
 			return dRel{}, err
 		}
-		if ev.cur != nil {
+		if ev.estimating() {
 			ev.setEst(ev.diffEst(&l, &r))
 		}
 		return ev.diffRels(&l, &r)
@@ -926,58 +1009,76 @@ func (ev *evaluator) evalExpr(e algebra.Expr) (dRel, error) {
 		if err != nil {
 			return dRel{}, err
 		}
-		if ev.cur != nil {
+		if ev.estimating() {
 			ev.setEst(ev.possibleEst(&in))
 		}
-		rows, err := ev.supportRows(&in)
+		rows, nRows, err := ev.supportRows(&in)
 		if err != nil {
 			return dRel{}, err
 		}
-		if len(rows) == 0 {
-			return dRel{cols: in.cols}, nil
-		}
-		return dRel{cols: in.cols, parts: []part{{alts: [][]sym.Tuple{rows}}}}, nil
+		return ev.certainRel(in.cols, rows, nRows), nil
 
 	case algebra.Certain:
 		in, err := ev.eval(n.E)
 		if err != nil {
 			return dRel{}, err
 		}
-		if ev.cur != nil {
+		if ev.estimating() {
 			ev.setEst(ev.certainEst(&in))
 		}
-		rows, err := ev.certainRows(&in)
+		rows, nRows, err := ev.certainRows(&in)
 		if err != nil {
 			return dRel{}, err
 		}
-		if len(rows) == 0 {
-			return dRel{cols: in.cols}, nil
-		}
-		return dRel{cols: in.cols, parts: []part{{alts: [][]sym.Tuple{rows}}}}, nil
+		return ev.certainRel(in.cols, rows, nRows), nil
 
 	case algebra.ChoiceOf:
 		in, err := ev.eval(n.E)
 		if err != nil {
 			return dRel{}, err
 		}
-		support, err := ev.supportRows(&in)
+		support, nSupport, err := ev.supportRows(&in)
 		if err != nil {
 			return dRel{}, err
 		}
-		if ev.cur != nil {
-			ev.setEst(ev.choiceEst(&in, len(support)))
+		// A synthetic axis past MaxMergeAlts is refused by the first
+		// space() over it; capping just past the guard keeps a saturated
+		// row bound a valid alternative count.
+		if nSupport > wsd.MaxMergeAlts {
+			nSupport = wsd.MaxMergeAlts + 1
 		}
-		return ev.choiceRel(&in, support)
+		if ev.estimating() {
+			ev.setEst(ev.choiceEst(&in, int(nSupport)))
+		}
+		return ev.choiceRel(&in, support, int(nSupport))
 	}
 	return dRel{}, fmt.Errorf("wsdalg: unknown expression %T", e)
 }
 
+// certainRel is the origin-free relation holding rows — in the bound
+// reading, holding n rows at most (rows is nil there). It is empty when
+// n is 0.
+func (ev *evaluator) certainRel(cols []string, rows []sym.Tuple, n int64) dRel {
+	switch {
+	case n == 0:
+		return dRel{cols: cols}
+	case ev.bound:
+		return dRel{cols: cols, parts: []part{{rows: n}}}
+	}
+	return dRel{cols: cols, parts: []part{{alts: [][]sym.Tuple{rows}}}}
+}
+
 // supportRows computes the support of a decomposed relation: the union
-// of its value over every world. Tabulated parts contribute all their
-// alternatives directly; template parts sweep their (MaxMergeAlts-
-// guarded) origin space — the support of a wide template genuinely is
-// its field product, so the guard bounds output size, not slack.
-func (ev *evaluator) supportRows(in *dRel) ([]sym.Tuple, error) {
+// of its value over every world, and its size. Tabulated parts
+// contribute all their alternatives directly; template parts sweep
+// their (MaxMergeAlts-guarded) origin space — the support of a wide
+// template genuinely is its field product, so the guard bounds output
+// size, not slack. The bound reading returns only the operand's row
+// bound as the size.
+func (ev *evaluator) supportRows(in *dRel) ([]sym.Tuple, int64, error) {
+	if ev.bound {
+		return nil, ev.rowsBound(in), nil
+	}
 	var rows []sym.Tuple
 	choice := make([]int, ev.n)
 	for i := range in.parts {
@@ -989,23 +1090,28 @@ func (ev *evaluator) supportRows(in *dRel) ([]sym.Tuple, error) {
 			continue
 		}
 		if _, err := ev.space(p.origins); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		ev.odometer(p.origins, choice, func() {
 			rows = append(rows, p.at(choice, ev)...)
 		})
 	}
-	return sortDedupTuples(rows), nil
+	rows = sortDedupTuples(rows)
+	return rows, int64(len(rows)), nil
 }
 
 // certainRows computes the certain answer of a decomposed relation: the
-// intersection of its value over every world. The parts are assembled
-// into a private single-relation sub-decomposition and normalized —
-// Normalize's certain-fold is exactly the intersection computation —
-// and the certain facts are read back.
-func (ev *evaluator) certainRows(in *dRel) ([]sym.Tuple, error) {
+// intersection of its value over every world, and its size. The parts
+// are assembled into a private single-relation sub-decomposition and
+// normalized — Normalize's certain-fold is exactly the intersection
+// computation — and the certain facts are read back. The bound reading
+// returns only the operand's row bound as the size.
+func (ev *evaluator) certainRows(in *dRel) ([]sym.Tuple, int64, error) {
+	if ev.bound {
+		return nil, ev.rowsBound(in), nil
+	}
 	if len(in.parts) == 0 {
-		return nil, nil
+		return nil, 0, nil
 	}
 	sub := wsd.New(table.Schema{{Name: "q", Arity: len(in.cols)}})
 	tp := make([]taggedPart, len(in.parts))
@@ -1013,40 +1119,42 @@ func (ev *evaluator) certainRows(in *dRel) ([]sym.Tuple, error) {
 		tp[i] = taggedPart{rel: "q", p: p}
 	}
 	if err := ev.assemble(sub, tp, nil); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	sub.SetObsCost(ev.cost)
 	err := sub.Normalize()
 	sub.SetObsCost(nil)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	var rows []sym.Tuple
 	for _, f := range sub.CertainFacts() {
 		rows = append(rows, f.Args.Intern())
 	}
-	return sortDedupTuples(rows), nil
+	rows = sortDedupTuples(rows)
+	return rows, int64(len(rows)), nil
 }
 
-// choiceRel builds choiceof(e): a fresh synthetic unit ranges over the
-// operand's support, and in each world the value is the chosen tuple
-// when the operand offers it there. In worlds where the chosen tuple is
-// absent the value collapses onto the first available tuple — a
-// duplicate of the world another choice already produces, so the
-// represented world set is exact — and an empty operand stays empty.
-func (ev *evaluator) choiceRel(in *dRel, support []sym.Tuple) (dRel, error) {
-	if len(support) == 0 {
+// choiceRel builds choiceof(e): a fresh synthetic unit with nSupport
+// alternatives ranges over the operand's support, and in each world the
+// value is the chosen tuple when the operand offers it there. In worlds
+// where the chosen tuple is absent the value collapses onto the first
+// available tuple — a duplicate of the world another choice already
+// produces, so the represented world set is exact — and an empty
+// operand stays empty. The bound reading bounds the rows by the joint
+// space, one row per joint choice.
+func (ev *evaluator) choiceRel(in *dRel, support []sym.Tuple, nSupport int) (dRel, error) {
+	if nSupport == 0 {
 		return dRel{cols: in.cols}, nil
 	}
-	u := ev.addUnit(len(support))
-	var origins []int
-	for i := range in.parts {
-		origins = mergeOrigins(origins, in.parts[i].origins)
-	}
-	all := mergeOrigins(origins, []int{u})
+	u := ev.addUnit(nSupport)
+	all := mergeOrigins(in.origins(), []int{u})
 	space, err := ev.space(all)
 	if err != nil {
 		return dRel{}, err
+	}
+	if ev.bound {
+		return dRel{cols: in.cols, parts: []part{{origins: all, rows: int64(space)}}}, nil
 	}
 	alts := make([][]sym.Tuple, 0, space)
 	choice := make([]int, ev.n)
@@ -1078,15 +1186,16 @@ func (ev *evaluator) diffRels(l, r *dRel) (dRel, error) {
 	if len(l.parts) == 0 || len(r.parts) == 0 {
 		return dRel{cols: l.cols, parts: l.parts}, nil
 	}
-	var rOrigins []int
-	for i := range r.parts {
-		rOrigins = mergeOrigins(rOrigins, r.parts[i].origins)
-	}
+	rOrigins := r.origins()
 	out := dRel{cols: l.cols}
 	choice := make([]int, ev.n)
 	for li := range l.parts {
 		lp := &l.parts[li]
 		origins := mergeOrigins(append([]int(nil), lp.origins...), rOrigins)
+		if ev.bound {
+			out.parts = append(out.parts, part{origins: origins, rows: ev.diffRowsUB(lp, rOrigins)})
+			continue
+		}
 		space, err := ev.space(origins)
 		if err != nil {
 			return dRel{}, err
@@ -1125,8 +1234,23 @@ func subtractRows(ls, rs []sym.Tuple) []sym.Tuple {
 
 // containsTuple reports membership in a sorted duplicate-free row set.
 func containsTuple(rows []sym.Tuple, t sym.Tuple) bool {
-	i := sort.Search(len(rows), func(i int) bool { return !tupleLess(rows[i], t) })
-	return i < len(rows) && rows[i].Equal(t)
+	_, found := slices.BinarySearchFunc(rows, t, slices.Compare[sym.Tuple])
+	return found
+}
+
+// join is the ⋈ operator on evaluated operands: it records the join's
+// estimate — whose row-match work the bound reading charges on top of
+// the merge space — and distributes the join over the parts.
+func (ev *evaluator) join(l, r dRel, cols []string) (dRel, error) {
+	if ev.estimating() {
+		s := ev.joinEst(&l, &r)
+		ev.setEst(s)
+		// Each joint alternative matches the sides' row sets against
+		// each other, so a selection pushed below the join shrinks this
+		// term — the quantity the planner's σ-pushdown exists to reduce.
+		ev.predicted = satAdd(ev.predicted, s.Rows)
+	}
+	return ev.joinRels(l, r, cols)
 }
 
 // joinRels distributes the natural join over both unions of parts; each
@@ -1134,7 +1258,7 @@ func containsTuple(rows []sym.Tuple, t sym.Tuple) bool {
 func (ev *evaluator) joinRels(l, r dRel, cols []string) (dRel, error) {
 	var lShared, rShared, rExtra []int
 	for j, c := range r.cols {
-		if i := indexOf(l.cols, c); i >= 0 {
+		if i := slices.Index(l.cols, c); i >= 0 {
 			lShared = append(lShared, i)
 			rShared = append(rShared, j)
 		} else {
@@ -1147,6 +1271,10 @@ func (ev *evaluator) joinRels(l, r dRel, cols []string) (dRel, error) {
 		for ri := range r.parts {
 			lp, rp := &l.parts[li], &r.parts[ri]
 			origins := mergeOrigins(append([]int(nil), lp.origins...), rp.origins)
+			if ev.bound {
+				out.parts = append(out.parts, part{origins: origins, rows: ev.joinRowsUB(lp, rp)})
+				continue
+			}
 			space, err := ev.space(origins)
 			if err != nil {
 				return dRel{}, err
@@ -1211,9 +1339,14 @@ func joinTuples(ls, rs []sym.Tuple, lShared, rShared, rExtra []int, width int) [
 // alternative of one tabulated part, appending the result to out;
 // tuple-local operators distribute over the union of parts, so origins
 // are untouched. A part whose every alternative maps to the empty set
-// contributes nothing and is dropped. (Template parts transform
+// contributes nothing and is dropped. The bound reading keeps the part
+// as it is: a tuple-local map cannot grow it. (Template parts transform
 // symbolically at their call sites instead.)
-func mapPart(out *dRel, p *part, f func(sym.Tuple) (sym.Tuple, bool)) {
+func (ev *evaluator) mapPart(out *dRel, p *part, f func(sym.Tuple) (sym.Tuple, bool)) {
+	if ev.bound {
+		out.parts = append(out.parts, *p)
+		return
+	}
 	alts := make([][]sym.Tuple, len(p.alts))
 	any := false
 	for ai, alt := range p.alts {
@@ -1288,7 +1421,7 @@ func resolveOperand(o algebra.Operand, cols []string) (idx int, id sym.ID, err e
 		return -1, sym.Const(c), nil
 	}
 	col, _ := o.Column()
-	j := indexOf(cols, col)
+	j := slices.Index(cols, col)
 	if j < 0 {
 		return 0, 0, fmt.Errorf("wsdalg: select column %s not in %v", col, cols)
 	}
@@ -1299,45 +1432,17 @@ func resolveOperand(o algebra.Operand, cols []string) (idx int, id sym.ID, err e
 // removes duplicates in place (relations are sets; projection and join
 // can collapse rows).
 func sortDedupTuples(ts []sym.Tuple) []sym.Tuple {
-	sort.Slice(ts, func(i, j int) bool { return tupleLess(ts[i], ts[j]) })
-	out := ts[:0]
-	for i, t := range ts {
-		if i == 0 || !t.Equal(ts[i-1]) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-func tupleLess(a, b sym.Tuple) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
+	slices.SortFunc(ts, slices.Compare[sym.Tuple])
+	return slices.CompactFunc(ts, sym.Tuple.Equal)
 }
 
 // mergeOrigins unions a sorted origin list into dst (kept sorted and
 // duplicate-free).
 func mergeOrigins(dst, src []int) []int {
 	for _, o := range src {
-		i := sort.SearchInts(dst, o)
-		if i < len(dst) && dst[i] == o {
-			continue
+		if i, found := slices.BinarySearch(dst, o); !found {
+			dst = slices.Insert(dst, i, o)
 		}
-		dst = append(dst, 0)
-		copy(dst[i+1:], dst[i:])
-		dst[i] = o
 	}
 	return dst
-}
-
-func indexOf(cols []string, c string) int {
-	for i, x := range cols {
-		if x == c {
-			return i
-		}
-	}
-	return -1
 }
