@@ -4,6 +4,11 @@
 //
 //	go test -bench=. -benchmem
 //
+// The tracked perf probes are defined once, in the internal/experiments
+// registry, and run here as BenchmarkProbe/<name>:
+//
+//	go test -run x -bench '^BenchmarkProbe$' -benchtime 1x -benchmem .
+//
 // The absolute numbers are machine-dependent; what must reproduce is the
 // shape (Fig. 2): PTIME cells scale polynomially with the sub-benchmark
 // size, hard cells blow up with the reduction family parameter.
@@ -11,16 +16,12 @@ package pw
 
 import (
 	"fmt"
-	"io"
-	"math/big"
-	"net/http"
-	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"pw/internal/algebra"
 	"pw/internal/datalog"
 	"pw/internal/decide"
+	"pw/internal/experiments"
 	"pw/internal/gen"
 	"pw/internal/graph"
 	"pw/internal/matching"
@@ -28,12 +29,9 @@ import (
 	"pw/internal/reduce"
 	"pw/internal/rel"
 	"pw/internal/sat"
-	"pw/internal/server"
 	"pw/internal/table"
 	"pw/internal/value"
 	"pw/internal/worlds"
-	"pw/internal/wsd"
-	"pw/internal/wsdalg"
 )
 
 // --- Fig. 1: representation hierarchy (semantics microbenchmark) ---
@@ -51,55 +49,6 @@ func BenchmarkFig1_Hierarchy(b *testing.B) {
 		}
 	}
 }
-
-// --- Fig. 2 / Fig. 3 / Thm 3.1(1): MEMB on Codd-tables, polynomial cell ---
-
-// The unsuffixed gated benchmarks pin Workers: 1 — the sequential,
-// baseline-comparable configuration (same convention as pwbench); the
-// _w1/_w8 variants below compare engine configurations explicitly.
-func benchMembCodd(b *testing.B, rows int) {
-	tb := gen.CoddTable(int64(rows), "T", rows, 3, 2*rows, 0.3)
-	d := table.DB(tb)
-	i, ok := gen.MemberInstance(int64(rows), d)
-	if !ok {
-		b.Skip("no member instance")
-	}
-	o := decide.Options{Workers: 1}
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		yes, err := o.Membership(i, query.Identity{}, d)
-		if err != nil || !yes {
-			b.Fatalf("membership failed: %v %v", yes, err)
-		}
-	}
-}
-
-func BenchmarkFig3_MembMatching_128(b *testing.B)  { benchMembCodd(b, 128) }
-func BenchmarkFig3_MembMatching_512(b *testing.B)  { benchMembCodd(b, 512) }
-func BenchmarkFig3_MembMatching_2048(b *testing.B) { benchMembCodd(b, 2048) }
-
-// Pinned-worker variants of the gated probes: _w1 is the sequential
-// engine, _w8 the sharded one (the ≥2x-at-8-workers speedup target of
-// the parallel decision engine on multi-core hosts).
-func benchMembCoddOpt(b *testing.B, rows, workers int) {
-	tb := gen.CoddTable(int64(rows), "T", rows, 3, 2*rows, 0.3)
-	d := table.DB(tb)
-	i, ok := gen.MemberInstance(int64(rows), d)
-	if !ok {
-		b.Skip("no member instance")
-	}
-	o := decide.Options{Workers: workers}
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		yes, err := o.Membership(i, query.Identity{}, d)
-		if err != nil || !yes {
-			b.Fatalf("membership failed: %v %v", yes, err)
-		}
-	}
-}
-
-func BenchmarkFig3_MembMatching_2048_w1(b *testing.B) { benchMembCoddOpt(b, 2048, 1) }
-func BenchmarkFig3_MembMatching_2048_w8(b *testing.B) { benchMembCoddOpt(b, 2048, 8) }
 
 // --- Fig. 2 hard cells / Fig. 4 / Thm 3.1(2,3,4): MEMB reductions ---
 
@@ -165,32 +114,6 @@ func BenchmarkFig6_UniqView_K4(b *testing.B) {
 	}
 }
 
-// --- Thm 3.2(1): UNIQ on g-tables, polynomial cell ---
-
-func benchUniqGTable(b *testing.B, rows int) {
-	tb := table.New("T", 2)
-	i := rel.NewInstance()
-	r := i.EnsureRelation("T", 2)
-	for j := 0; j < rows; j++ {
-		c := fmt.Sprintf("c%d", j)
-		x := value.Var(fmt.Sprintf("x%d", j))
-		tb.AddTuple(value.Const(c), x)
-		tb.Global = append(tb.Global, Eq(x, Const(c)))
-		r.AddRow(c, c)
-	}
-	d := table.DB(tb)
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		yes, err := decide.Uniqueness(query.Identity{}, d, i)
-		if err != nil || !yes {
-			b.Fatalf("forced-ground g-table must be unique: %v %v", yes, err)
-		}
-	}
-}
-
-func BenchmarkThm32_UniqGTable_128(b *testing.B) { benchUniqGTable(b, 128) }
-func BenchmarkThm32_UniqGTable_512(b *testing.B) { benchUniqGTable(b, 512) }
-
 // --- Thm 3.2(3): UNIQ on c-tables (coNP cell) ---
 
 func BenchmarkThm32_UniqCTable_Taut(b *testing.B) {
@@ -208,45 +131,6 @@ func BenchmarkThm32_UniqCTable_Taut(b *testing.B) {
 		}
 	}
 }
-
-// --- Thm 4.1(3): CONT g-table ⊆ table, polynomial cell (freeze claim) ---
-
-func benchContFreeze(b *testing.B, rows int) {
-	t0 := gen.CoddTable(int64(rows), "T", rows, 2, rows, 0.4)
-	// Superset: same rows plus a free wildcard row (x, y): always contains.
-	t := t0.Clone()
-	t.AddTuple(value.Var("wild1"), value.Var("wild2"))
-	d0, d := table.DB(t0), table.DB(t)
-	o := decide.Options{Workers: 1}
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		yes, err := o.Containment(query.Identity{}, d0, query.Identity{}, d)
-		if err != nil || !yes {
-			b.Fatalf("superset extension must contain: %v %v", yes, err)
-		}
-	}
-}
-
-func BenchmarkThm41_ContFreeze_64(b *testing.B)  { benchContFreeze(b, 64) }
-func BenchmarkThm41_ContFreeze_256(b *testing.B) { benchContFreeze(b, 256) }
-
-func benchContFreezeOpt(b *testing.B, rows, workers int) {
-	t0 := gen.CoddTable(int64(rows), "T", rows, 2, rows, 0.4)
-	t := t0.Clone()
-	t.AddTuple(value.Var("wild1"), value.Var("wild2"))
-	d0, d := table.DB(t0), table.DB(t)
-	o := decide.Options{Workers: workers}
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		yes, err := o.Containment(query.Identity{}, d0, query.Identity{}, d)
-		if err != nil || !yes {
-			b.Fatalf("superset extension must contain: %v %v", yes, err)
-		}
-	}
-}
-
-func BenchmarkThm41_ContFreeze_256_w1(b *testing.B) { benchContFreezeOpt(b, 256, 1) }
-func BenchmarkThm41_ContFreeze_256_w8(b *testing.B) { benchContFreezeOpt(b, 256, 8) }
 
 // --- Thm 4.2 / Figs. 7-10: CONT hard cells (reduction families) ---
 
@@ -326,32 +210,12 @@ func BenchmarkFig11_PossITable_Paper(b *testing.B) {
 
 // --- Thm 5.1(1): POSS on Codd-tables, polynomial cell ---
 
-func benchPossCodd(b *testing.B, rows int) {
-	tb := gen.CoddTable(int64(rows)+5, "T", rows, 3, 2*rows, 0.3)
-	d := table.DB(tb)
-	w, ok := gen.MemberInstance(int64(rows), d)
-	if !ok {
-		b.Skip("no member instance")
-	}
-	p := rel.NewInstance()
-	pr := p.EnsureRelation("T", 3)
-	for i, f := range w.Relation("T").Facts() {
-		if i%2 == 0 {
-			pr.Add(f)
-		}
-	}
-	o := decide.Options{Workers: 1}
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		yes, err := o.Possible(p, query.Identity{}, d)
-		if err != nil || !yes {
-			b.Fatalf("half of a world must be possible: %v %v", yes, err)
-		}
-	}
-}
+// --- Thm 5.1(1): POSS on Codd-tables, polynomial cell ---
 
-func BenchmarkThm51_PossCodd_128(b *testing.B) { benchPossCodd(b, 128) }
-func BenchmarkThm51_PossCodd_512(b *testing.B) { benchPossCodd(b, 512) }
+// The tracked 128-row size is BenchmarkProbe/Thm51_PossCodd_128.
+func BenchmarkThm51_PossCodd_512(b *testing.B) {
+	experiments.ProbePossCodd(b, 512, decide.Options{Workers: 1})
+}
 
 // --- Thm 5.2(1): bounded POSS of a pos-exist query on c-tables ---
 
@@ -618,394 +482,15 @@ func BenchmarkAblation_CertBruteForce(b *testing.B) {
 	}
 }
 
-// --- WSD: the decomposition backend on a ~10^6-world world set ---
+// --- Tracked perf probes ---
 
-func BenchmarkWSD_Count_1M(b *testing.B) {
-	w := gen.MillionWorldWSD()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if c := w.Count(); !c.IsInt64() || c.Int64() != 1<<20 {
-			b.Fatalf("Count = %s, want 2^20", c)
-		}
+// BenchmarkProbe runs every probe of the internal/experiments registry as
+// BenchmarkProbe/<name>: the polynomial cells at their tracked sizes and
+// the decomposition backend, server and HTTP layers. The registry is the
+// probes' only definition (pwbench -bench and -check measure the same
+// bodies) and flags the gated subset.
+func BenchmarkProbe(b *testing.B) {
+	for _, p := range experiments.Probes() {
+		b.Run(p.Name, p.Run)
 	}
-}
-
-func BenchmarkWSD_Memb_1M(b *testing.B) {
-	w := gen.MillionWorldWSD()
-	inst := w.World(make([]int, w.Components()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !w.Member(inst) {
-			b.Fatal("materialized world must be a member")
-		}
-	}
-}
-
-func BenchmarkWSD_Poss_1M(b *testing.B) {
-	w := gen.MillionWorldWSD()
-	p := rel.NewInstance()
-	pr := p.EnsureRelation("S", 2)
-	pr.AddRow("hub", "ok")
-	pr.AddRow("s00", "lo")
-	pr.AddRow("s13", "hi")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !w.Possible(p) {
-			b.Fatal("cross-component fragment must be possible")
-		}
-	}
-}
-
-// --- wsdalg: lifted query evaluation on the same ~10^6-world set ---
-
-// The three gated WSDQuery probes run one positive-algebra operator
-// family each through wsdalg.Eval on the shared 2^20-world builder:
-// selection (answer stays 2^20 worlds), projection (answer collapses to
-// one certain world) and a cross-component natural join. No world is
-// enumerated; the asserted counts pin correctness on every iteration.
-
-func millionWorldQueries() (sel, proj, join query.Query) {
-	scan := algebra.Scan("S", "s", "v")
-	sel = query.NewAlgebra("hi", query.Out{Name: "A",
-		Expr: algebra.Where(scan, algebra.EqP(algebra.Col("v"), algebra.Lit("hi")))})
-	proj = query.NewAlgebra("sensors", query.Out{Name: "A",
-		Expr: algebra.Project{E: scan, Cols: []string{"s"}}})
-	// Dimension-table join: label every reading through a constant
-	// value→label relation. Each component joins the (origin-free)
-	// constant part locally, so the answer keeps the factored form —
-	// joining the uncertain relation with *itself on the value column*
-	// instead would correlate all 20 sensors and degenerate to a world
-	// list, which is exactly what the MaxMergeAlts guard rejects.
-	join = query.NewAlgebra("labels", query.Out{Name: "A",
-		Expr: algebra.Project{
-			E: algebra.Join{
-				L: scan,
-				R: algebra.ConstRel{Cols: []string{"v", "lab"}, Rows: [][]string{{"lo", "low"}, {"hi", "high"}}},
-			},
-			Cols: []string{"s", "lab"},
-		}})
-	return
-}
-
-func benchWSDQuery(b *testing.B, q query.Query, wantCount int64) {
-	w := gen.MillionWorldWSD()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := wsdalg.Eval(w, q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if c := out.Count(); !c.IsInt64() || c.Int64() != wantCount {
-			b.Fatalf("answer Count = %s, want %d", c, wantCount)
-		}
-	}
-}
-
-func BenchmarkWSDQuery_Select_1M(b *testing.B) {
-	sel, _, _ := millionWorldQueries()
-	benchWSDQuery(b, sel, 1<<20)
-}
-
-func BenchmarkWSDQuery_Project_1M(b *testing.B) {
-	_, proj, _ := millionWorldQueries()
-	benchWSDQuery(b, proj, 1)
-}
-
-func BenchmarkWSDQuery_Join_1M(b *testing.B) {
-	_, _, join := millionWorldQueries()
-	// Every sensor world labels differently, so the answer world-set
-	// stays at 2^20 (the certain hub reading joins nothing and drops).
-	benchWSDQuery(b, join, 1<<20)
-}
-
-// --- wsdalg: world-set algebra + planner on the same 2^20-world set ---
-
-// The three gated WSAlgebra probes exercise the compositional world-set
-// operators and the cost-based planner at the million-world scale:
-// a nested certain∘possible pipeline that collapses 2^20 worlds to one
-// certain answer without enumerating any of them, choice-of over the
-// 81-tuple possible-set (one answer world per support tuple), and a
-// σ-over-⋈ query through EvalOptimized, whose pushed form must be
-// priced strictly below the written one.
-
-func BenchmarkWSAlgebra_Possible_1M(b *testing.B) {
-	// certain(possible(σ[v=hi] S)): the possible-set of hi readings is a
-	// single world (40 tuples — both fact spellings of all 20 sensors);
-	// certain of a singleton world set is that world. Count pins the
-	// collapse to one answer world on every iteration.
-	q := query.NewAlgebra("hi-possible", query.Out{Name: "A",
-		Expr: algebra.Certain{E: algebra.Possible{
-			E: algebra.Where(algebra.Scan("S", "s", "v"),
-				algebra.EqP(algebra.Col("v"), algebra.Lit("hi"))),
-		}}})
-	benchWSDQuery(b, q, 1)
-}
-
-func BenchmarkWSAlgebra_ChoiceOf_1M(b *testing.B) {
-	// choiceof(possible(S)): the possible-set is one 81-tuple world (the
-	// hub fact plus four spellings per sensor); choice-of splits it into
-	// one singleton answer world per support tuple.
-	q := query.NewAlgebra("pick", query.Out{Name: "A",
-		Expr: algebra.ChoiceOf{E: algebra.Possible{E: algebra.Scan("S", "s", "v")}}})
-	benchWSDQuery(b, q, 81)
-}
-
-func BenchmarkWSAlgebra_Planned_1M(b *testing.B) {
-	// σ[lab=high] over the dimension-table join, written with the
-	// selection on top. The planner must push it below the join (onto the
-	// two-row constant side, leaving one row) and price the pushed form
-	// strictly below the written one; the probe runs the chosen plan.
-	q := query.NewAlgebra("high-labels", query.Out{Name: "A",
-		Expr: algebra.Project{
-			E: algebra.Where(
-				algebra.Join{
-					L: algebra.Scan("S", "s", "v"),
-					R: algebra.ConstRel{Cols: []string{"v", "lab"}, Rows: [][]string{{"lo", "low"}, {"hi", "high"}}},
-				},
-				algebra.EqP(algebra.Col("lab"), algebra.Lit("high"))),
-			Cols: []string{"s", "lab"},
-		}})
-	w := gen.MillionWorldWSD()
-	if _, info := wsdalg.Optimize(w, q); info == nil || info.ChosenCost >= info.NaiveCost {
-		b.Fatalf("planner must price the pushed form below the written one, got %+v", info)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, _, err := wsdalg.EvalOptimized(w, q, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if c := out.Count(); !c.IsInt64() || c.Int64() != 1<<20 {
-			b.Fatalf("answer Count = %s, want 2^20", c)
-		}
-	}
-}
-
-// --- WSDAttr: the attribute-level decomposition on a 2^100-world set ---
-
-// The century grid (gen.CenturyWSD) is 100 independent per-field
-// choices: a world set the tuple-level form cannot even store expanded.
-// The asserted 2^100 count pins exactness on every iteration; the three
-// probes are the acceptance criteria for the attribute-level backend —
-// MEMB, Count and a σ-π query, each well under 10ms/op on the factored
-// form.
-
-func centuryCount() *big.Int {
-	return new(big.Int).Exp(big.NewInt(2), big.NewInt(100), nil)
-}
-
-func BenchmarkWSDAttr_Count_2p100(b *testing.B) {
-	w := gen.CenturyWSD()
-	want := centuryCount()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if c := w.Count(); c.Cmp(want) != 0 {
-			b.Fatalf("Count = %s, want 2^100", c)
-		}
-	}
-}
-
-func BenchmarkWSDAttr_Memb_2p100(b *testing.B) {
-	w := gen.CenturyWSD()
-	inst := w.World(make([]int, w.Components()))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !w.Member(inst) {
-			b.Fatal("materialized world must be a member")
-		}
-	}
-}
-
-func BenchmarkWSDAttr_Query_2p100(b *testing.B) {
-	q := query.NewAlgebra("hi", query.Out{Name: "A",
-		Expr: algebra.Project{
-			E:    algebra.Where(algebra.Scan("R", "s", "v"), algebra.EqP(algebra.Col("v"), algebra.Lit("hi"))),
-			Cols: []string{"s"},
-		}})
-	w := gen.CenturyWSD()
-	want := centuryCount()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := wsdalg.Eval(w, q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if c := out.Count(); c.Cmp(want) != 0 {
-			b.Fatalf("answer Count = %s, want 2^100", c)
-		}
-	}
-}
-
-// --- WSDUpdate: incremental renormalization vs the full rebuild ---
-
-// One operation touching one of the fat builder's 21 components
-// (gen.FatMillionWorldWSD, 2^20 worlds, ~2000 facts). The incremental
-// engine re-normalizes only the touched component and shares the other
-// 20 copy-on-write; the full path re-factorizes all of them per
-// operation. Both print byte-identical canonical results (the property
-// suites pin that); the gated probe pair tracks the speed gap — the
-// incremental engine's reason to exist, ≥10x on this shape.
-func benchWSDUpdate(b *testing.B, full bool) {
-	w := gen.FatMillionWorldWSD()
-	u := &wsd.Update{Ops: []wsd.UpdateOp{
-		{Kind: wsd.OpDelete, Rel: "S", Args: []string{"s07f25", wsd.Wildcard}},
-	}}
-	apply := w.ApplyUpdate
-	if full {
-		apply = w.ApplyUpdateFull
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := apply(u)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if c := out.Count(); !c.IsInt64() || c.Int64() != 1<<20 {
-			b.Fatalf("post-update Count = %s, want 2^20", c)
-		}
-	}
-}
-
-func BenchmarkWSDUpdate_Incremental_1M(b *testing.B) { benchWSDUpdate(b, false) }
-func BenchmarkWSDUpdate_Full_1M(b *testing.B)        { benchWSDUpdate(b, true) }
-
-// --- Query server: answer cache, uncached eval, HTTP throughput ---
-
-// serverHiQuery selects the hi readings of gen.MillionWorldWSD's S
-// relation — the same shape as BenchmarkWSDQuery_Select_1M, so the
-// uncached server path is directly comparable to bare wsdalg.Eval.
-const serverHiQuery = "@query hi\n  out: Hi = select[#value = hi](S(sensor value))\n"
-
-func newBenchServer(b *testing.B, cfg server.Config) *server.Server {
-	b.Helper()
-	s := server.New(cfg)
-	if err := s.AddWSD("db", gen.MillionWorldWSD()); err != nil {
-		b.Fatal(err)
-	}
-	return s
-}
-
-func BenchmarkServerCertAns_Cached_1M(b *testing.B) {
-	s := newBenchServer(b, server.Config{Workers: 1})
-	req := &server.Request{DB: "db", Op: "cert-ans", Query: serverHiQuery}
-	if _, err := s.Do(req); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := s.Do(req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !resp.Cached {
-			b.Fatal("repeat cert-ans missed the answer cache")
-		}
-	}
-}
-
-func BenchmarkServerCertAns_Uncached_1M(b *testing.B) {
-	s := newBenchServer(b, server.Config{Workers: 1, CacheSize: -1})
-	req := &server.Request{DB: "db", Op: "cert-ans", Query: serverHiQuery}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := s.Do(req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if resp.Cached {
-			b.Fatal("cert-ans reported cached with caching disabled")
-		}
-	}
-}
-
-func BenchmarkServerHTTP_FactProbe_w8(b *testing.B) {
-	s := newBenchServer(b, server.Config{Workers: 8})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	client := &http.Client{Transport: &http.Transport{
-		MaxIdleConns:        16,
-		MaxIdleConnsPerHost: 16,
-	}}
-	body := `{"db":"db","op":"poss","facts":"@relation S(2)\n  fact: s13 hi\n"}`
-	b.SetParallelism(8)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			resp, err := client.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != 200 {
-				b.Errorf("HTTP %d", resp.StatusCode)
-				return
-			}
-		}
-	})
-}
-
-// BenchmarkServerHTTP_FactProbe_traced is the fact-probe fleet with
-// ?trace=1 on every request: each response additionally carries a span
-// tree and the engine's cost counters. The gap to the untraced probe is
-// the whole per-request price of the observability layer.
-func BenchmarkServerHTTP_FactProbe_traced(b *testing.B) {
-	s := newBenchServer(b, server.Config{Workers: 8})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	client := &http.Client{Transport: &http.Transport{
-		MaxIdleConns:        16,
-		MaxIdleConnsPerHost: 16,
-	}}
-	body := `{"db":"db","op":"poss","facts":"@relation S(2)\n  fact: s13 hi\n"}`
-	b.SetParallelism(8)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			resp, err := client.Post(ts.URL+"/query?trace=1", "application/json", strings.NewReader(body))
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != 200 {
-				b.Errorf("HTTP %d", resp.StatusCode)
-				return
-			}
-		}
-	})
-}
-
-// BenchmarkServerHTTP_FactProbe_explain is the fact-probe fleet with
-// ?explain=1 on every request: each response additionally carries the
-// probe's plan (components, world count, duration). The gap to the
-// plain probe bounds the cost of plan attachment and flight recording.
-func BenchmarkServerHTTP_FactProbe_explain(b *testing.B) {
-	s := newBenchServer(b, server.Config{Workers: 8})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	client := &http.Client{Transport: &http.Transport{
-		MaxIdleConns:        16,
-		MaxIdleConnsPerHost: 16,
-	}}
-	body := `{"db":"db","op":"poss","facts":"@relation S(2)\n  fact: s13 hi\n"}`
-	b.SetParallelism(8)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			resp, err := client.Post(ts.URL+"/query?explain=1", "application/json", strings.NewReader(body))
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != 200 {
-				b.Errorf("HTTP %d", resp.StatusCode)
-				return
-			}
-		}
-	})
 }

@@ -7,14 +7,16 @@
 //	pwbench [-full] [-only F3]          # figure reports (text)
 //	pwbench -bench [-only Fig3_...]     # perf probes (text)
 //	pwbench -bench -json                # perf probes as JSON to stdout
-//	pwbench -bench -workers 8           # probes at a fixed worker count
 //	pwbench -check BENCH_baseline.json  # regression guard on gated probes
 //
 // -full widens the sweeps (slower); -only runs a single experiment or
-// probe by id. The JSON form emits an array of {name, n, ns_per_op,
-// allocs_per_op, bytes_per_op} objects, the shape tracked across PRs in
-// BENCH_*.json files. -check re-runs the gated probes and exits nonzero
-// when any is more than 25% slower (ns/op) than the baseline file.
+// probe by id. The probes are the registry of internal/experiments
+// (experiments.Probes), each at the worker count it pins. The JSON form
+// emits an array of {name, n, ns_per_op, allocs_per_op, bytes_per_op,
+// workers} objects, the shape tracked across PRs in BENCH_*.json files.
+// -check re-runs the probes the registry flags as gated and exits
+// nonzero when any is more than 25% slower (ns/op) than the baseline
+// file.
 //
 // -history FILE appends one JSON line per run — timestamp, git commit,
 // and the probe results — to FILE (with -bench or -check). The line is
@@ -49,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	only := fs.String("only", "", "run a single experiment or probe by id (e.g. F3, Fig3_MembMatching_128)")
 	bench := fs.Bool("bench", false, "run perf probes instead of figure reports")
 	asJSON := fs.Bool("json", false, "with -bench: emit machine-readable JSON")
-	workers := fs.Int("workers", 0, "worker count for the unsuffixed probes (0 = sequential, the baseline-comparable configuration; note pwq's -workers 0 means GOMAXPROCS)")
 	check := fs.String("check", "", "baseline BENCH_*.json: run gated probes, exit 1 on >25% ns/op regression")
 	history := fs.String("history", "", "append one timestamped, git-SHA-stamped JSON line of results to this file (with -bench or -check)")
 	if err := fs.Parse(args); err != nil {
@@ -64,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *bench {
-		results := experiments.RunBenchmarks(*only, *workers)
+		results := experiments.RunBenchmarks(*only)
 		if len(results) == 0 {
 			fmt.Fprintf(stderr, "pwbench: no probe matches -only=%s\n", *only)
 			return 1
@@ -153,8 +154,7 @@ func appendHistory(path string, results []experiments.BenchResult) error {
 }
 
 // runCheck is the benchmark regression guard: re-run the gated probes
-// sequentially (their baseline-comparable configuration) and compare
-// against the committed baseline.
+// and compare against the committed baseline.
 func runCheck(baselinePath, historyPath string, stdout, stderr io.Writer) int {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -166,23 +166,18 @@ func runCheck(baselinePath, historyPath string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "pwbench: %s: %v\n", baselinePath, err)
 		return 2
 	}
-	known := experiments.KnownProbes()
 	var current []experiments.BenchResult
 	var broken []string
-	for _, name := range experiments.GatedProbes {
-		if _, ok := known[name]; !ok {
-			// A gated name with no registered probe would otherwise fall
-			// through as a silent no-op and then read as "missing from
-			// current run" — name the real problem instead.
-			broken = append(broken, fmt.Sprintf("%s: gated probe is not registered in benchProbes", name))
+	for _, p := range experiments.Probes() {
+		if !p.Gated {
 			continue
 		}
-		res := experiments.RunBenchmarks(name, 0)
-		if len(res) == 0 {
-			broken = append(broken, fmt.Sprintf("%s: probe ran zero iterations (b.Skip or b.Fatal inside the probe)", name))
+		r, ok := p.Measure()
+		if !ok {
+			broken = append(broken, fmt.Sprintf("%s: probe ran zero iterations (b.Skip or b.Fatal inside the probe)", p.Name))
 			continue
 		}
-		current = append(current, res...)
+		current = append(current, r)
 	}
 	for _, r := range current {
 		fmt.Fprintf(stdout, "%-28s %14.0f ns/op\n", r.Name, r.NsPerOp)

@@ -70,10 +70,11 @@ func TestCheckExitCodes(t *testing.T) {
 		t.Skip("runs the gated probes twice")
 	}
 	writeBaseline := func(ns float64) string {
-		known := experiments.KnownProbes()
 		var results []experiments.BenchResult
-		for _, name := range experiments.GatedProbes {
-			results = append(results, experiments.BenchResult{Name: name, N: 1, NsPerOp: ns, Workers: known[name]})
+		for _, p := range experiments.Probes() {
+			if p.Gated {
+				results = append(results, experiments.BenchResult{Name: p.Name, N: 1, NsPerOp: ns, Workers: p.Workers})
+			}
 		}
 		data, err := json.Marshal(results)
 		if err != nil {

@@ -391,7 +391,7 @@ func loadSource(path string, c *obs.Cost) (*parse.Source, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return parse.ParseSourceObserved(f, c)
+	return parse.ParseSource(c.ParseReader(f))
 }
 
 // loadQuery reads a @query file; with required=false an empty path
@@ -408,7 +408,7 @@ func loadQuery(path string, required bool, c *obs.Cost) (query.Query, error) {
 		return nil, err
 	}
 	defer f.Close()
-	src, err := parse.ParseSourceObserved(f, c)
+	src, err := parse.ParseSource(c.ParseReader(f))
 	if err != nil {
 		return nil, err
 	}
@@ -429,7 +429,7 @@ func loadUpdate(path string, c *obs.Cost) (*wsd.Update, error) {
 		return nil, err
 	}
 	defer f.Close()
-	src, err := parse.ParseSourceObserved(f, c)
+	src, err := parse.ParseSource(c.ParseReader(f))
 	if err != nil {
 		return nil, err
 	}
@@ -448,7 +448,7 @@ func loadInstance(path string, c *obs.Cost) (*rel.Instance, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return parse.ParseInstanceObserved(f, c)
+	return parse.ParseInstance(c.ParseReader(f))
 }
 
 func answer(stdout, stderr io.Writer, yes bool, err error) int {

@@ -58,7 +58,7 @@ func (o Options) enumerate(u *sym.Universe, base []sym.ID, prefix string, fn fun
 			return false
 		}
 	}
-	return valuation.EnumerateCanonicalShardedObserved(u, base, prefix, o.workers(), o.Cost, fn)
+	return valuation.EnumerateCanonicalSharded(u, base, prefix, o.workers(), o.Cost, fn)
 }
 
 // MinParallelPairs is the smallest row×fact product worth parallelizing

@@ -32,92 +32,86 @@ type BenchResult struct {
 	Workers int `json:"workers"`
 }
 
-// benchProbe is a named closure runnable under testing.Benchmark.
-type benchProbe struct {
-	name    string
-	workers int
-	fn      func(b *testing.B)
+// Probe is one tracked perf probe. The registry below is its only
+// definition: `go test -bench '^BenchmarkProbe$'` runs it as
+// BenchmarkProbe/<Name>, and `pwbench -bench` / `pwbench -check` measure
+// the same body.
+type Probe struct {
+	Name string
+	// Workers is the decide.Options worker count the probe runs at:
+	// suffix _wN pins N, the unsuffixed probes are sequential (1), the
+	// configuration BENCH_baseline.json was generated in.
+	Workers int
+	// Gated probes are held to the committed baseline by `pwbench
+	// -check`: one per polynomial cell family, at the sizes fast enough
+	// for every push.
+	Gated bool
+	Run   func(b *testing.B)
 }
 
-// benchProbes mirrors the paper-figure benchmarks of bench_test.go that
-// track the engine's polynomial cells across PRs, plus parallel variants
-// of the gated probes (suffix _wN pins decide.Options{Workers: N}; the
-// unsuffixed probes run at the given worker count, 0 meaning sequential —
-// their historical, baseline-comparable meaning). Kept deliberately
-// small: these run on every `pwbench -bench` invocation.
-func benchProbes(workers int) []benchProbe {
-	seq := decide.Options{Workers: max(workers, 1)}
+// Probes is the registry of tracked perf probes: the paper's polynomial
+// cells at a few sizes (with parallel _w8 variants) and the
+// decomposition backend at 2^20 and 2^100 worlds. Kept deliberately
+// small: every `pwbench -bench` invocation runs them all.
+func Probes() []Probe {
+	seq := decide.Options{Workers: 1}
 	par := decide.Options{Workers: 8}
-	return []benchProbe{
-		{"Fig3_MembMatching_128", seq.Workers, func(b *testing.B) { probeMembCodd(b, 128, seq) }},
-		{"Fig3_MembMatching_512", seq.Workers, func(b *testing.B) { probeMembCodd(b, 512, seq) }},
-		{"Fig3_MembMatching_2048", seq.Workers, func(b *testing.B) { probeMembCodd(b, 2048, seq) }},
-		{"Fig3_MembMatching_2048_w8", par.Workers, func(b *testing.B) { probeMembCodd(b, 2048, par) }},
-		{"Thm32_UniqGTable_128", 1, func(b *testing.B) { probeUniqGTable(b, 128) }},
-		{"Thm32_UniqGTable_512", 1, func(b *testing.B) { probeUniqGTable(b, 512) }},
-		{"Thm41_ContFreeze_64", seq.Workers, func(b *testing.B) { probeContFreeze(b, 64, seq) }},
-		{"Thm41_ContFreeze_256", seq.Workers, func(b *testing.B) { probeContFreeze(b, 256, seq) }},
-		{"Thm41_ContFreeze_256_w8", par.Workers, func(b *testing.B) { probeContFreeze(b, 256, par) }},
-		{"Thm51_PossCodd_128", seq.Workers, func(b *testing.B) { probePossCodd(b, 128, seq) }},
-		{"Thm51_PossCodd_128_w8", par.Workers, func(b *testing.B) { probePossCodd(b, 128, par) }},
+	return []Probe{
+		{"Fig3_MembMatching_128", 1, true, func(b *testing.B) { probeMembCodd(b, 128, seq) }},
+		{"Fig3_MembMatching_512", 1, false, func(b *testing.B) { probeMembCodd(b, 512, seq) }},
+		{"Fig3_MembMatching_2048", 1, false, func(b *testing.B) { probeMembCodd(b, 2048, seq) }},
+		{"Fig3_MembMatching_2048_w8", 8, false, func(b *testing.B) { probeMembCodd(b, 2048, par) }},
+		{"Thm32_UniqGTable_128", 1, true, func(b *testing.B) { probeUniqGTable(b, 128) }},
+		{"Thm32_UniqGTable_512", 1, false, func(b *testing.B) { probeUniqGTable(b, 512) }},
+		{"Thm41_ContFreeze_64", 1, true, func(b *testing.B) { probeContFreeze(b, 64, seq) }},
+		{"Thm41_ContFreeze_256", 1, false, func(b *testing.B) { probeContFreeze(b, 256, seq) }},
+		{"Thm41_ContFreeze_256_w8", 8, false, func(b *testing.B) { probeContFreeze(b, 256, par) }},
+		{"Thm51_PossCodd_128", 1, false, func(b *testing.B) { ProbePossCodd(b, 128, seq) }},
+		{"Thm51_PossCodd_128_w8", 8, false, func(b *testing.B) { ProbePossCodd(b, 128, par) }},
 		// Decomposition backend: native procedures on a ~10^6-world
 		// world-set decomposition, no enumeration anywhere. Workers is 1
 		// by construction (the procedures are sequential lookups).
-		{"WSD_Count_1M", 1, probeWSDCount},
-		{"WSD_Memb_1M", 1, probeWSDMemb},
-		{"WSD_Poss_1M", 1, probeWSDPoss},
+		{"WSD_Count_1M", 1, true, probeWSDCount},
+		{"WSD_Memb_1M", 1, true, probeWSDMemb},
+		{"WSD_Poss_1M", 1, true, probeWSDPoss},
 		// Lifted query evaluation (internal/wsdalg) on the same
 		// decomposition: selection, projection and a dimension-table
 		// join, each producing the answer world-set in factored form.
-		{"WSDQuery_Select_1M", 1, probeWSDQuerySelect},
-		{"WSDQuery_Project_1M", 1, probeWSDQueryProject},
-		{"WSDQuery_Join_1M", 1, probeWSDQueryJoin},
+		{"WSDQuery_Select_1M", 1, true, probeWSDQuerySelect},
+		{"WSDQuery_Project_1M", 1, true, probeWSDQueryProject},
+		{"WSDQuery_Join_1M", 1, true, probeWSDQueryJoin},
 		// World-set algebra + planner on the same decomposition: the
 		// certain∘possible collapse, choice-of over the possible-set, and
 		// a σ-over-⋈ query through the cost-based planner (which must
 		// price its pushed form strictly below the written one).
-		{"WSAlgebra_Possible_1M", 1, probeWSAPossible},
-		{"WSAlgebra_ChoiceOf_1M", 1, probeWSAChoiceOf},
-		{"WSAlgebra_Planned_1M", 1, probeWSAPlanned},
+		{"WSAlgebra_Possible_1M", 1, true, probeWSAPossible},
+		{"WSAlgebra_ChoiceOf_1M", 1, true, probeWSAChoiceOf},
+		{"WSAlgebra_Planned_1M", 1, true, probeWSAPlanned},
 		// Attribute-level decomposition: the 2^100-world century grid —
 		// a world set the tuple-level alternative lists cannot even
 		// store — answered from the per-slot factored form.
-		{"WSDAttr_Count_2p100", 1, probeWSDAttrCount},
-		{"WSDAttr_Memb_2p100", 1, probeWSDAttrMemb},
-		{"WSDAttr_Query_2p100", 1, probeWSDAttrQuery},
+		{"WSDAttr_Count_2p100", 1, true, probeWSDAttrCount},
+		{"WSDAttr_Memb_2p100", 1, true, probeWSDAttrMemb},
+		{"WSDAttr_Query_2p100", 1, true, probeWSDAttrQuery},
 		// The update engine on the fat 2^20-world builder (~2000 facts):
 		// one operation touching one component, applied incrementally
 		// (touched component re-normalized, the rest shared copy-on-write)
 		// vs the per-operation full re-factorization. The pair tracks the
 		// incremental engine's speed advantage — its reason to exist.
-		{"WSDUpdate_Incremental_1M", 1, probeWSDUpdateIncremental},
-		{"WSDUpdate_Full_1M", 1, probeWSDUpdateFull},
+		{"WSDUpdate_Incremental_1M", 1, true, func(b *testing.B) { probeWSDUpdate(b, false) }},
+		{"WSDUpdate_Full_1M", 1, true, func(b *testing.B) { probeWSDUpdate(b, true) }},
 		// Query server (internal/server) on the million-world WSD: the
 		// answer-cache hit path vs the uncached eval it replaces, and HTTP
 		// fact-probe throughput with an 8-worker pool and a parallel client
-		// fleet (req/s = 1e9 / ns_per_op).
-		{"ServerCertAns_Cached_1M", 1, probeServerCertAnsCached},
-		{"ServerCertAns_Uncached_1M", 1, probeServerCertAnsUncached},
-		{"ServerHTTP_FactProbe_w8", 8, probeServerHTTPFactProbe},
-		// The same fleet with ?trace=1 on every request: gates the
-		// span/cost instrumentation overhead next to the untraced path.
-		{"ServerHTTP_FactProbe_traced", 8, probeServerHTTPFactProbeTraced},
-		// And with ?explain=1: gates plan attachment + flight recording.
-		{"ServerHTTP_FactProbe_explain", 8, probeServerHTTPFactProbeExplain},
+		// fleet (req/s = 1e9 / ns_per_op) — plain, with ?trace=1 (bounds
+		// the span/cost instrumentation overhead) and with ?explain=1
+		// (bounds plan attachment + flight recording).
+		{"ServerCertAns_Cached_1M", 1, true, probeServerCertAnsCached},
+		{"ServerCertAns_Uncached_1M", 1, true, probeServerCertAnsUncached},
+		{"ServerHTTP_FactProbe_w8", 8, true, func(b *testing.B) { probeServerHTTPFactProbe(b, "") }},
+		{"ServerHTTP_FactProbe_traced", 8, true, func(b *testing.B) { probeServerHTTPFactProbe(b, "?trace=1") }},
+		{"ServerHTTP_FactProbe_explain", 8, true, func(b *testing.B) { probeServerHTTPFactProbe(b, "?explain=1") }},
 	}
-}
-
-// KnownProbes maps every registered probe name to the worker count it
-// runs at in the -check configuration (unsuffixed probes sequential).
-// The regression guard uses it to distinguish a gated name that was
-// never registered from a registered probe that failed to run.
-func KnownProbes() map[string]int {
-	probes := benchProbes(0)
-	m := make(map[string]int, len(probes))
-	for _, p := range probes {
-		m[p.name] = p.workers
-	}
-	return m
 }
 
 // centuryCount is 2^100, the exact world count of gen.CenturyWSD.
@@ -201,6 +195,12 @@ func probeWSDQueryProject(b *testing.B) {
 }
 
 func probeWSDQueryJoin(b *testing.B) {
+	// Dimension-table join: label every reading through a constant
+	// value→label relation. Each component joins the (origin-free)
+	// constant part locally, so the answer keeps the factored form —
+	// joining the uncertain relation with *itself on the value column*
+	// instead would correlate all 20 sensors and degenerate to a world
+	// list, which is exactly what the MaxMergeAlts guard rejects.
 	q := query.NewAlgebra("labels", query.Out{Name: "A",
 		Expr: algebra.Project{
 			E: algebra.Join{
@@ -209,14 +209,15 @@ func probeWSDQueryJoin(b *testing.B) {
 			},
 			Cols: []string{"s", "lab"},
 		}})
+	// Every sensor world labels differently, so the answer world-set
+	// stays at 2^20 (the certain hub reading joins nothing and drops).
 	probeWSDQuery(b, q, 1<<20)
 }
 
-// The WSAlgebra probes mirror bench_test.go's gated trio: the
-// compositional world-set operators and the planner at 2^20 worlds,
-// answer counts asserted per iteration.
-
 func probeWSAPossible(b *testing.B) {
+	// certain(possible(σ[v=hi] S)): the possible-set of hi readings is a
+	// single world (40 tuples — both fact spellings of all 20 sensors);
+	// certain of a singleton world set is that world.
 	q := query.NewAlgebra("hi-possible", query.Out{Name: "A",
 		Expr: algebra.Certain{E: algebra.Possible{
 			E: algebra.Where(algebra.Scan("S", "s", "v"),
@@ -226,12 +227,19 @@ func probeWSAPossible(b *testing.B) {
 }
 
 func probeWSAChoiceOf(b *testing.B) {
+	// choiceof(possible(S)): the possible-set is one 81-tuple world (the
+	// hub fact plus four spellings per sensor); choice-of splits it into
+	// one singleton answer world per support tuple.
 	q := query.NewAlgebra("pick", query.Out{Name: "A",
 		Expr: algebra.ChoiceOf{E: algebra.Possible{E: algebra.Scan("S", "s", "v")}}})
 	probeWSDQuery(b, q, 81)
 }
 
 func probeWSAPlanned(b *testing.B) {
+	// σ[lab=high] over the dimension-table join, written with the
+	// selection on top. The planner must push it below the join (onto the
+	// two-row constant side, leaving one row) and price the pushed form
+	// strictly below the written one; the probe runs the chosen plan.
 	q := query.NewAlgebra("high-labels", query.Out{Name: "A",
 		Expr: algebra.Project{
 			E: algebra.Where(
@@ -258,9 +266,9 @@ func probeWSAPlanned(b *testing.B) {
 	}
 }
 
-// probeWSDUpdate mirrors bench_test.go's benchWSDUpdate: one
-// single-component delete on gen.FatMillionWorldWSD, incremental vs full
-// renormalization, with the 2^20 world count asserted per iteration.
+// probeWSDUpdate applies one single-component delete on
+// gen.FatMillionWorldWSD, incremental vs full renormalization, with the
+// 2^20 world count asserted per iteration.
 func probeWSDUpdate(b *testing.B, full bool) {
 	w := gen.FatMillionWorldWSD()
 	u := &wsd.Update{Ops: []wsd.UpdateOp{
@@ -281,9 +289,6 @@ func probeWSDUpdate(b *testing.B, full bool) {
 		}
 	}
 }
-
-func probeWSDUpdateIncremental(b *testing.B) { probeWSDUpdate(b, false) }
-func probeWSDUpdateFull(b *testing.B)        { probeWSDUpdate(b, true) }
 
 func probeWSDCount(b *testing.B) {
 	w := gen.MillionWorldWSD()
@@ -360,6 +365,7 @@ func probeUniqGTable(b *testing.B, rows int) {
 
 func probeContFreeze(b *testing.B, rows int, o decide.Options) {
 	t0 := gen.CoddTable(int64(rows), "T", rows, 2, rows, 0.4)
+	// Superset: same rows plus a free wildcard row (x, y): always contains.
 	t := t0.Clone()
 	t.AddTuple(value.Var("wild1"), value.Var("wild2"))
 	d0, d := table.DB(t0), table.DB(t)
@@ -372,7 +378,10 @@ func probeContFreeze(b *testing.B, rows int, o decide.Options) {
 	}
 }
 
-func probePossCodd(b *testing.B, rows int, o decide.Options) {
+// ProbePossCodd is the Thm 5.1(1) POSS-on-Codd-tables body: half of a
+// member world must be possible. Exported for the untracked
+// BenchmarkThm51_PossCodd_512 size of the same cell.
+func ProbePossCodd(b *testing.B, rows int, o decide.Options) {
 	tb := gen.CoddTable(int64(rows)+5, "T", rows, 3, 2*rows, 0.3)
 	d := table.DB(tb)
 	w, ok := gen.MemberInstance(int64(rows), d)
@@ -395,31 +404,35 @@ func probePossCodd(b *testing.B, rows int, o decide.Options) {
 	}
 }
 
-// RunBenchmarks executes the perf probes (all of them, or the single one
-// named by only) under testing.Benchmark with allocation reporting.
-// workers sets the decide.Options worker count of the unsuffixed probes
-// (0 = sequential, keeping them comparable with the committed baselines);
-// the _wN variants pin their own counts.
-func RunBenchmarks(only string, workers int) []BenchResult {
+// Measure runs the probe under testing.Benchmark with allocation
+// reporting. ok is false when no iteration ran (b.Skip or b.Fatal inside
+// the probe): dividing would produce NaN and break JSON encoding.
+func (p Probe) Measure() (r BenchResult, ok bool) {
+	res := testing.Benchmark(p.Run)
+	if res.N == 0 {
+		return BenchResult{}, false
+	}
+	return BenchResult{
+		Name:        p.Name,
+		N:           res.N,
+		NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
+		AllocsPerOp: res.AllocsPerOp(),
+		BytesPerOp:  res.AllocedBytesPerOp(),
+		Workers:     p.Workers,
+	}, true
+}
+
+// RunBenchmarks measures the registered probes (all of them, or the
+// single one named by only), dropping any that ran no iteration.
+func RunBenchmarks(only string) []BenchResult {
 	var out []BenchResult
-	for _, p := range benchProbes(workers) {
-		if only != "" && p.name != only {
+	for _, p := range Probes() {
+		if only != "" && p.Name != only {
 			continue
 		}
-		r := testing.Benchmark(p.fn)
-		if r.N == 0 {
-			// Skipped or failed probe: no iterations ran. Dividing would
-			// produce NaN and break JSON encoding; drop the probe instead.
-			continue
+		if r, ok := p.Measure(); ok {
+			out = append(out, r)
 		}
-		out = append(out, BenchResult{
-			Name:        p.name,
-			N:           r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			Workers:     p.workers,
-		})
 	}
 	return out
 }

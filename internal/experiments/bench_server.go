@@ -66,7 +66,12 @@ func probeServerCertAnsUncached(b *testing.B) {
 	}
 }
 
-func probeServerHTTPFactProbe(b *testing.B) {
+// probeServerHTTPFactProbe drives the HTTP fact-probe fleet against
+// /query+suffix. With suffix ?trace=1 every response also carries a span
+// tree and cost counters, with ?explain=1 the probe's plan; gated next to
+// the plain fleet, those variants bound the observability layer's
+// per-request price.
+func probeServerHTTPFactProbe(b *testing.B, suffix string) {
 	s := newBenchServer(b, server.Config{Workers: 8})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -74,6 +79,7 @@ func probeServerHTTPFactProbe(b *testing.B) {
 		MaxIdleConns:        16,
 		MaxIdleConnsPerHost: 16,
 	}}
+	url := ts.URL + "/query" + suffix
 	body := `{"db":"db","op":"poss","facts":"@relation S(2)\n  fact: s13 hi\n"}`
 	// 8 client goroutines per core: the mixed-fact-probe fleet of the
 	// pwload smoke, inside the benchmark harness. ns/op is wall time per
@@ -82,73 +88,7 @@ func probeServerHTTPFactProbe(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			resp, err := client.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != 200 {
-				b.Errorf("HTTP %d", resp.StatusCode)
-				return
-			}
-		}
-	})
-}
-
-// probeServerHTTPFactProbeTraced is the FactProbe fleet with ?trace=1 on
-// every request: each response carries a span tree and cost counters.
-// Gated against probeServerHTTPFactProbe's baseline it bounds the
-// tracing overhead — the observability layer must stay cheap enough to
-// leave on per-request.
-func probeServerHTTPFactProbeTraced(b *testing.B) {
-	s := newBenchServer(b, server.Config{Workers: 8})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	client := &http.Client{Transport: &http.Transport{
-		MaxIdleConns:        16,
-		MaxIdleConnsPerHost: 16,
-	}}
-	body := `{"db":"db","op":"poss","facts":"@relation S(2)\n  fact: s13 hi\n"}`
-	b.SetParallelism(8)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			resp, err := client.Post(ts.URL+"/query?trace=1", "application/json", strings.NewReader(body))
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			if resp.StatusCode != 200 {
-				b.Errorf("HTTP %d", resp.StatusCode)
-				return
-			}
-		}
-	})
-}
-
-// probeServerHTTPFactProbeExplain is the FactProbe fleet with ?explain=1
-// on every request: each response carries the probe's plan (components,
-// world count, duration). Gated against probeServerHTTPFactProbe's
-// baseline it bounds the EXPLAIN overhead on the hot fact-probe path —
-// plan attachment and flight recording must not tax plain requests.
-func probeServerHTTPFactProbeExplain(b *testing.B) {
-	s := newBenchServer(b, server.Config{Workers: 8})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	client := &http.Client{Transport: &http.Transport{
-		MaxIdleConns:        16,
-		MaxIdleConnsPerHost: 16,
-	}}
-	body := `{"db":"db","op":"poss","facts":"@relation S(2)\n  fact: s13 hi\n"}`
-	b.SetParallelism(8)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			resp, err := client.Post(ts.URL+"/query?explain=1", "application/json", strings.NewReader(body))
+			resp, err := client.Post(url, "application/json", strings.NewReader(body))
 			if err != nil {
 				b.Error(err)
 				return

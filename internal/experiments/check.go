@@ -2,42 +2,14 @@ package experiments
 
 import "fmt"
 
-// GatedProbes are the probes the CI smoke step and the `pwbench -check`
-// regression guard track across PRs: one per polynomial cell family, at
-// the sizes fast enough for every push.
-var GatedProbes = []string{
-	"Fig3_MembMatching_128",
-	"Thm32_UniqGTable_128",
-	"Thm41_ContFreeze_64",
-	"WSD_Count_1M",
-	"WSD_Memb_1M",
-	"WSD_Poss_1M",
-	"WSDQuery_Select_1M",
-	"WSDQuery_Project_1M",
-	"WSDQuery_Join_1M",
-	"WSAlgebra_Possible_1M",
-	"WSAlgebra_ChoiceOf_1M",
-	"WSAlgebra_Planned_1M",
-	"WSDAttr_Count_2p100",
-	"WSDAttr_Memb_2p100",
-	"WSDAttr_Query_2p100",
-	"WSDUpdate_Incremental_1M",
-	"WSDUpdate_Full_1M",
-	"ServerCertAns_Cached_1M",
-	"ServerCertAns_Uncached_1M",
-	"ServerHTTP_FactProbe_w8",
-	"ServerHTTP_FactProbe_traced",
-	"ServerHTTP_FactProbe_explain",
-}
-
 // CheckTolerance is the relative ns/op slack the regression guard allows
 // before declaring a regression (0.25 = 25% slower than baseline).
 const CheckTolerance = 0.25
 
 // Check compares current probe results against a baseline and returns one
-// message per regression: a gated probe whose ns/op exceeds baseline by
-// more than tolerance, or a gated probe missing from either run. An empty
-// result means the gate passes.
+// message per regression: a gated probe (Probe.Gated) whose ns/op exceeds
+// baseline by more than tolerance, or a gated probe missing from either
+// run. An empty result means the gate passes.
 func Check(baseline, current []BenchResult, tolerance float64) []string {
 	base := make(map[string]BenchResult, len(baseline))
 	for _, r := range baseline {
@@ -48,7 +20,11 @@ func Check(baseline, current []BenchResult, tolerance float64) []string {
 		cur[r.Name] = r
 	}
 	var regressions []string
-	for _, name := range GatedProbes {
+	for _, p := range Probes() {
+		if !p.Gated {
+			continue
+		}
+		name := p.Name
 		b, okB := base[name]
 		c, okC := cur[name]
 		switch {
@@ -64,7 +40,7 @@ func Check(baseline, current []BenchResult, tolerance float64) []string {
 			// report a phantom regression. Baselines predating the
 			// workers field read as 0 and land here too.
 			regressions = append(regressions,
-				fmt.Sprintf("%s: worker-count mismatch (baseline %d, current %d) — regenerate the baseline with the default -workers",
+				fmt.Sprintf("%s: worker-count mismatch (baseline %d, current %d) — regenerate the baseline with `pwbench -bench -json`",
 					name, b.Workers, c.Workers))
 		case c.NsPerOp > b.NsPerOp*(1+tolerance):
 			regressions = append(regressions,

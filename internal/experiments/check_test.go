@@ -1,21 +1,33 @@
 package experiments
 
 import (
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
+func gatedProbes() []Probe {
+	var gated []Probe
+	for _, p := range Probes() {
+		if p.Gated {
+			gated = append(gated, p)
+		}
+	}
+	return gated
+}
+
 // results builds one BenchResult per gated probe; missing ns values
 // repeat the last given one, so the tests stay valid as probes are added.
 func results(ns ...float64) []BenchResult {
-	known := KnownProbes()
-	out := make([]BenchResult, len(GatedProbes))
-	for i, name := range GatedProbes {
+	var out []BenchResult
+	for i, p := range gatedProbes() {
 		v := ns[len(ns)-1]
 		if i < len(ns) {
 			v = ns[i]
 		}
-		out[i] = BenchResult{Name: name, N: 1, NsPerOp: v, Workers: known[name]}
+		out = append(out, BenchResult{Name: p.Name, N: 1, NsPerOp: v, Workers: p.Workers})
 	}
 	return out
 }
@@ -32,19 +44,20 @@ func TestCheckFlagsRegression(t *testing.T) {
 	base := results(1000, 2000, 3000)
 	cur := results(1000, 2600, 3000) // middle probe +30%
 	regs := Check(base, cur, CheckTolerance)
-	if len(regs) != 1 || !strings.Contains(regs[0], GatedProbes[1]) {
-		t.Fatalf("want one regression on %s, got %v", GatedProbes[1], regs)
+	if name := gatedProbes()[1].Name; len(regs) != 1 || !strings.Contains(regs[0], name) {
+		t.Fatalf("want one regression on %s, got %v", name, regs)
 	}
 }
 
 func TestCheckFlagsMissingProbes(t *testing.T) {
 	base := results(1000, 2000, 3000)
+	gated := len(base)
 	regs := Check(base[:1], results(1000, 2000, 3000), CheckTolerance)
-	if len(regs) != len(GatedProbes)-1 {
-		t.Fatalf("want %d missing-from-baseline regressions, got %v", len(GatedProbes)-1, regs)
+	if len(regs) != gated-1 {
+		t.Fatalf("want %d missing-from-baseline regressions, got %v", gated-1, regs)
 	}
 	regs = Check(base, nil, CheckTolerance)
-	if len(regs) != len(GatedProbes) {
+	if len(regs) != gated {
 		t.Fatalf("want all probes missing from current, got %v", regs)
 	}
 }
@@ -58,14 +71,41 @@ func TestCheckFlagsWorkerMismatch(t *testing.T) {
 	}
 }
 
-func TestGatedProbesExist(t *testing.T) {
-	names := map[string]bool{}
-	for _, p := range benchProbes(0) {
-		names[p.name] = true
+// b.Run silently renames a duplicate sub-benchmark to Name#01, so a
+// repeated registry name would measure under a name nothing tracks.
+func TestProbeNamesUnique(t *testing.T) {
+	seen := map[string]bool{}
+	for _, p := range Probes() {
+		if seen[p.Name] {
+			t.Errorf("probe %s registered twice", p.Name)
+		}
+		seen[p.Name] = true
 	}
-	for _, g := range GatedProbes {
-		if !names[g] {
-			t.Errorf("gated probe %s not in benchProbes", g)
+}
+
+// The committed baseline must hold every gated probe at the worker count
+// the registry runs it at, or `pwbench -check` fails on every machine —
+// caught here without running a probe.
+func TestBaselineHoldsGatedProbes(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "BENCH_baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var baseline []BenchResult
+	if err := json.Unmarshal(data, &baseline); err != nil {
+		t.Fatalf("BENCH_baseline.json: %v", err)
+	}
+	workers := make(map[string]int, len(baseline))
+	for _, r := range baseline {
+		workers[r.Name] = r.Workers
+	}
+	for _, p := range Probes() {
+		w, ok := workers[p.Name]
+		switch {
+		case !ok && p.Gated:
+			t.Errorf("gated probe %s missing from BENCH_baseline.json", p.Name)
+		case ok && w != p.Workers:
+			t.Errorf("%s: baseline workers %d, registry %d", p.Name, w, p.Workers)
 		}
 	}
 }

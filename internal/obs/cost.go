@@ -14,6 +14,7 @@ package obs
 
 import (
 	"fmt"
+	"io"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -162,6 +163,32 @@ func (c *Cost) Get(k CostKind) int64 {
 		return 0
 	}
 	return c.c[k].Load()
+}
+
+// ParseReader wraps r so every byte read from it counts toward
+// ParseBytes, the parse-side contribution to a request's cost profile
+// (parse time is linear in it). Counting at the reader covers every
+// dispatch path of the parser without threading the sink through the
+// grammar. On a nil receiver it returns r itself.
+func (c *Cost) ParseReader(r io.Reader) io.Reader {
+	if c == nil {
+		return r
+	}
+	return parseReader{r: r, c: c}
+}
+
+// parseReader records every byte read into its cost sink.
+type parseReader struct {
+	r io.Reader
+	c *Cost
+}
+
+func (pr parseReader) Read(p []byte) (int, error) {
+	n, err := pr.r.Read(p)
+	if n > 0 {
+		pr.c.Add(ParseBytes, int64(n))
+	}
+	return n, err
 }
 
 // Counters snapshots the nonzero counters as a name → value map — the

@@ -815,7 +815,7 @@ func parseInstanceText(field, text string, rc *reqCtx) (*rel.Instance, error) {
 		return nil, badRequest("missing %s", field)
 	}
 	sp := rc.span("parse")
-	inst, err := parse.ParseInstanceObserved(strings.NewReader(text), rc.cost)
+	inst, err := parse.ParseInstance(rc.cost.ParseReader(strings.NewReader(text)))
 	sp.End()
 	if err != nil {
 		return nil, badRequest("%s: %v", field, err)
@@ -981,7 +981,7 @@ func (s *Server) opWrite(req *Request, rc *reqCtx) (*Response, error) {
 		return nil, badRequest("missing update")
 	}
 	sp := rc.span("parse")
-	u, err := parse.ParseUpdateObserved(strings.NewReader(req.Update), rc.cost)
+	u, err := parse.ParseUpdate(rc.cost.ParseReader(strings.NewReader(req.Update)))
 	sp.End()
 	if err != nil {
 		return nil, badRequest("update: %v", err)
@@ -1042,7 +1042,7 @@ func (s *Server) prepare(text string, rc *reqCtx) (*preparedQuery, error) {
 	s.metrics.prepMisses.Inc()
 	sp := rc.span("prepare")
 	defer sp.End()
-	src, err := parse.ParseSourceObserved(strings.NewReader(text), rc.cost)
+	src, err := parse.ParseSource(rc.cost.ParseReader(strings.NewReader(text)))
 	if err != nil {
 		return nil, badRequest("query: %v", err)
 	}

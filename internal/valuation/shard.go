@@ -308,17 +308,12 @@ func canonSuffix(v V, base, fresh []sym.ID, i, used, k int, stop *atomic.Bool, f
 // enumerator regardless of which shard first uses a fresh constant.
 //
 // fn may be called from multiple goroutines concurrently. Workers <= 1
-// and small spaces dispatch to the sequential EnumerateCanonical.
-func EnumerateCanonicalSharded(u *sym.Universe, base []sym.ID, prefix string, workers int, fn func(V) bool) bool {
-	return EnumerateCanonicalShardedObserved(u, base, prefix, workers, nil, fn)
-}
-
-// EnumerateCanonicalShardedObserved is EnumerateCanonicalSharded with a
-// cost-accounting sink: it records the number of prefix shards spawned
-// (1 when the search dispatched to the sequential enumerator) and one
-// cancellation event when a witness aborted the remaining shards. A nil
-// sink makes it exactly EnumerateCanonicalSharded.
-func EnumerateCanonicalShardedObserved(u *sym.Universe, base []sym.ID, prefix string, workers int, c *obs.Cost, fn func(V) bool) bool {
+// and small spaces dispatch to the sequential EnumerateCanonical. The
+// cost sink c (nil: no accounting) records the number of prefix shards
+// spawned (1 when the search dispatched to the sequential enumerator)
+// and one cancellation event when a witness aborted the remaining
+// shards.
+func EnumerateCanonicalSharded(u *sym.Universe, base []sym.ID, prefix string, workers int, c *obs.Cost, fn func(V) bool) bool {
 	k := u.Len()
 	if workers <= 1 || k < 2 || canonCount(len(base), k, MinShardedSpace) < MinShardedSpace {
 		c.Add(obs.DecideShards, 1)

@@ -129,7 +129,7 @@ func TestEnumerateCanonicalShardedVisitsSameSet(t *testing.T) {
 	EnumerateCanonical(u, base, "~z", seq.add)
 	for _, workers := range []int{1, 2, 8} {
 		var par collect
-		if EnumerateCanonicalSharded(u, base, "~z", workers, par.add) {
+		if EnumerateCanonicalSharded(u, base, "~z", workers, nil, par.add) {
 			t.Fatalf("workers=%d: no-exit enumeration reported found", workers)
 		}
 		s, p := seq.sorted(), par.sorted()
@@ -152,7 +152,7 @@ func TestEnumerateCanonicalShardedEarlyExit(t *testing.T) {
 	for _, workers := range []int{2, 8} {
 		// A witness needing two distinct fresh constants: only reachable
 		// through the restricted-growth introduction order.
-		found := EnumerateCanonicalSharded(u, base, "~z", workers, func(v V) bool {
+		found := EnumerateCanonicalSharded(u, base, "~z", workers, nil, func(v V) bool {
 			return v.Vals[2] == fresh1
 		})
 		if !found {
