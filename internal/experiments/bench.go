@@ -80,6 +80,13 @@ func Probes() []Probe {
 		{"WSDQuery_Select_1M", 1, true, probeWSDQuerySelect},
 		{"WSDQuery_Project_1M", 1, true, probeWSDQueryProject},
 		{"WSDQuery_Join_1M", 1, true, probeWSDQueryJoin},
+		// The σ rung of the component-count ladder: σ[#g = group] over
+		// 1000 and 10000 tuple-level components, ten per group. The
+		// probed scan reads only the group's posting, so the two rungs
+		// should cost about the same; the gap is the per-component work
+		// left in evaluator set-up.
+		{"WSDQuery_SelectScan_1k", 1, false, func(b *testing.B) { probeWSDSelectScan(b, 1000) }},
+		{"WSDQuery_SelectScan_10k", 1, false, func(b *testing.B) { probeWSDSelectScan(b, 10000) }},
 		// World-set algebra + planner on the same decomposition: the
 		// certain∘possible collapse, choice-of over the possible-set, and
 		// a σ-over-⋈ query through the cost-based planner (which must
@@ -212,6 +219,26 @@ func probeWSDQueryJoin(b *testing.B) {
 	// Every sensor world labels differently, so the answer world-set
 	// stays at 2^20 (the certain hub reading joins nothing and drops).
 	probeWSDQuery(b, q, 1<<20)
+}
+
+// probeWSDSelectScan runs σ[#g = group](R) through the planner on
+// gen.GroupedWSD(comps, comps/10): ten components per group, 2^10
+// answer worlds.
+func probeWSDSelectScan(b *testing.B, comps int) {
+	w := gen.GroupedWSD(comps, comps/10)
+	q := query.NewAlgebra("group", query.Out{Name: "A",
+		Expr: algebra.Where(algebra.Scan("R", "k", "g", "v"),
+			algebra.EqP(algebra.Col("g"), algebra.Lit(gen.GroupName(7))))})
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		out, _, err := wsdalg.EvalOptimized(w, q, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if c := out.Count(); !c.IsInt64() || c.Int64() != 1<<10 {
+			b.Fatalf("answer Count = %s, want 2^10", c)
+		}
+	}
 }
 
 func probeWSAPossible(b *testing.B) {

@@ -581,3 +581,35 @@ func CenturyWSD() *wsd.WSD {
 	}
 	return w
 }
+
+// GroupedWSD builds the σ-ladder decomposition: comps tuple-level
+// components over R(k g v), component i in group g%04d (i mod groups).
+// Each component has two alternatives of two facts sharing a value
+// ({R(kNa g lo), R(kNb g lo)} or the same pair with hi), so it stays one
+// tuple-level component with two choices. A σ[#g = group] reads
+// comps/groups components whatever comps is, which is what a ladder
+// over comps at a fixed group size measures. The world count is
+// 2^comps.
+func GroupedWSD(comps, groups int) *wsd.WSD {
+	w := wsd.New(table.Schema{{Name: "R", Arity: 3}})
+	for i := 0; i < comps; i++ {
+		g := GroupName(i % groups)
+		alt := func(v string) wsd.Alt {
+			return wsd.Alt{
+				{Rel: "R", Args: rel.Fact{fmt.Sprintf("k%06da", i), g, v}},
+				{Rel: "R", Args: rel.Fact{fmt.Sprintf("k%06db", i), g, v}},
+			}
+		}
+		if err := w.AddComponent(alt("lo"), alt("hi")); err != nil {
+			panic("gen: " + err.Error())
+		}
+	}
+	// Distinct keys: supports are disjoint, normalization cannot fail.
+	if err := w.Normalize(); err != nil {
+		panic("gen: " + err.Error())
+	}
+	return w
+}
+
+// GroupName is the g column constant of group j in GroupedWSD.
+func GroupName(j int) string { return fmt.Sprintf("g%04d", j) }

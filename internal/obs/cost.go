@@ -65,6 +65,9 @@ const (
 	// single assembly needed (max semantics — record via Max). The
 	// headroom against wsd.MaxMergeAlts is the distance to ErrEntangled.
 	EvalMergeSpaceMax
+	// EvalScanComps counts input components read by scans: the
+	// relation's posting, or with a σ probe the constant's posting.
+	EvalScanComps
 
 	// DecideShards counts enumeration shards spawned by the parallel
 	// valuation searches; DecideCancels counts searches that were
@@ -103,6 +106,7 @@ var costNames = [numCostKinds]string{
 	"eval_parts",
 	"eval_alts_tabulated",
 	"eval_merge_space_max",
+	"eval_scan_comps",
 	"decide_shards",
 	"decide_cancels",
 	"decide_valuations",

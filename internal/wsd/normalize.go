@@ -165,6 +165,7 @@ func (w *WSD) clearToEmpty() {
 	w.factComp = nil
 	w.certain = nil
 	w.attrByRel = nil
+	w.post.Store(nil)
 	w.empty = true
 	w.normalized = true
 	w.factsShared = false
@@ -713,6 +714,7 @@ func (w *WSD) buildIndexes() {
 	}
 	w.certain = make([]bool, len(w.facts))
 	w.attrByRel = nil
+	w.post.Store(nil)
 	for ci := range w.comps {
 		c := &w.comps[ci]
 		if a := c.attr; a != nil {

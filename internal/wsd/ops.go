@@ -108,9 +108,16 @@ func (w *WSD) Member(i *rel.Instance) bool {
 }
 
 // attrOwner resolves a tuple outside the stored fact table to the
-// attribute-level component whose template can instantiate it.
+// attribute-level component whose template can instantiate it. Only the
+// templates posted under t's value in the relation's owner column are
+// tested: a template that can instantiate t holds t[j] in every cell j.
 func (w *WSD) attrOwner(relIdx int32, t sym.Tuple) (int32, bool) {
-	for _, ci := range w.attrByRel[relIdx] {
+	if len(w.attrByRel[relIdx]) == 0 {
+		return 0, false // no template to find; do not build the index for that
+	}
+	p := w.postingIndex()
+	j := p.rels[relIdx].ownerCol
+	for _, ci := range w.column(p, int(relIdx), j, true).lookup(t[j]) {
 		if w.comps[ci].attr.contains(t) {
 			return ci, true
 		}

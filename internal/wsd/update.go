@@ -338,7 +338,9 @@ func (w *WSD) ApplyUpdateFull(u *Update) (*WSD, error) {
 // alternative lists, alternative indexes, the fact table and the fact
 // index are shared with the receiver. The update engine treats every
 // shared structure as immutable — touched components are rebuilt into
-// fresh slices, and intern copies the fact table first (cowFacts).
+// fresh slices, and intern copies the fact table first (cowFacts). The
+// posting index is not carried: the successor builds its own on first
+// use.
 func (w *WSD) snapshotClone() *WSD {
 	c := &WSD{
 		schema:      w.schema,
@@ -988,6 +990,7 @@ func (w *WSD) rebuildDerived() {
 	}
 	w.certain = make([]bool, len(w.facts))
 	w.attrByRel = nil
+	w.post.Store(nil)
 	for ci := range w.comps {
 		c := &w.comps[ci]
 		if a := c.attr; a != nil {

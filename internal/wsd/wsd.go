@@ -39,6 +39,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"pw/internal/obs"
 	"pw/internal/rel"
@@ -106,6 +107,10 @@ type WSD struct {
 	factComp   []int32           // fact ID -> component index (derived)
 	certain    []bool            // fact ID -> present in every alternative (derived)
 	attrByRel  map[int32][]int32 // relation -> attribute-level component indices (derived)
+	// post is the lazily built posting index of this normalized version
+	// (postings.go); nil until first use and whenever the derived arrays
+	// above are rebuilt.
+	post atomic.Pointer[postings]
 
 	// Incremental-update state (see update.go). factsShared marks the
 	// fact table and index as shared with a snapshot parent (copied on

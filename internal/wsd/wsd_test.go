@@ -1,6 +1,7 @@
 package wsd
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -246,5 +247,27 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 	if got := w.Count().Int64(); got != 4 {
 		t.Fatalf("original count = %d, want 4", got)
+	}
+}
+
+// TestAttrOwnerProbesSelectiveColumn: the template probe reads the
+// column with the shortest postings on average — here the unique id
+// column, not the two-valued kind column that comes first.
+func TestAttrOwnerProbesSelectiveColumn(t *testing.T) {
+	w := New(table.Schema{{Name: "R", Arity: 2}})
+	for i := 0; i < 50; i++ {
+		kind := []string{"a", "b"}[i%2]
+		if err := w.AddTemplateComponent("R", []string{kind}, []string{fmt.Sprintf("x%02d", i), fmt.Sprintf("y%02d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.postingIndex().rels[0].ownerCol; got != 1 {
+		t.Fatalf("owner column = %d, want the id column 1", got)
+	}
+	if !w.PossibleFact("R", rel.Fact{"b", "y07"}) || w.PossibleFact("R", rel.Fact{"a", "y07"}) {
+		t.Fatal("template probe through the owner column answers wrongly")
 	}
 }

@@ -20,9 +20,9 @@
 // Actuals reconcile with the obs.Cost counters of the same run:
 // summing Act.MergeSpace over all plan nodes gives eval_alts_tabulated,
 // the max of Act.MaxSpace gives eval_merge_space_max, summing the out
-// nodes' Act.Parts gives eval_parts, and Plan.Components equals
-// eval_components — the plan is the per-operator decomposition of the
-// run's cost totals.
+// nodes' Act.Parts gives eval_parts, summing Act.Comps gives
+// eval_scan_comps, and Plan.Components equals eval_components — the
+// plan is the per-operator decomposition of the run's cost totals.
 package wsdalg
 
 import (
@@ -43,12 +43,14 @@ import (
 
 // PlanStats is one side (estimate or actual) of a plan node's numbers.
 // Zero fields are omitted from JSON; MergeSpace/MaxSpace only apply to
-// nodes that sweep joint alternative spaces (join, assemble), DurUS
-// only to actuals. Values saturate at math.MaxInt64 instead of
-// overflowing — a saturated estimate still upper-bounds every actual.
+// nodes that sweep joint alternative spaces (join, assemble), Comps
+// (input components read) to scan actuals, DurUS only to actuals.
+// Values saturate at math.MaxInt64 instead of overflowing — a saturated
+// estimate still upper-bounds every actual.
 type PlanStats struct {
 	Parts      int64 `json:"parts,omitempty"`
 	Units      int64 `json:"units,omitempty"`
+	Comps      int64 `json:"comps,omitempty"`
 	Rows       int64 `json:"rows,omitempty"`
 	MergeSpace int64 `json:"merge,omitempty"`
 	MaxSpace   int64 `json:"max_space,omitempty"`
@@ -302,7 +304,16 @@ func (ev *evaluator) spaceEst(sets [][]int) PlanStats {
 // tabulated rows) each alternative's full fact list — template
 // components scan symbolically and tabulate nothing.
 func (ev *evaluator) scanEst() PlanStats {
-	return PlanStats{Parts: int64(ev.w.Components()), Units: int64(ev.n), Rows: ev.scanRows}
+	return PlanStats{Parts: int64(ev.w.Components()), Units: int64(ev.n), Rows: ev.w.AltFactCount()}
+}
+
+// probeScanEst is a probed scan's estimate: the posting names exactly
+// the components the scan reads, one part each, so the estimate is the
+// shape of what it read — parts, units and (as in scanEst, templates
+// tabulating nothing) the tuple-level rows.
+func (ev *evaluator) probeScanEst(parts []part) PlanStats {
+	d := dRel{parts: parts}
+	return PlanStats{Parts: int64(len(parts)), Units: int64(len(d.origins())), Rows: actRows(&d)}
 }
 
 // joinEst predicts a join before tabulation: every part pair tabulates
@@ -452,6 +463,7 @@ func statsLine(s PlanStats, withDur bool) string {
 	}
 	add("parts", s.Parts)
 	add("units", s.Units)
+	add("comps", s.Comps)
 	add("merge", s.MergeSpace)
 	add("max", s.MaxSpace)
 	add("rows", s.Rows)

@@ -82,8 +82,9 @@ func TestPlanEstimateSoundness(t *testing.T) {
 
 		// Soundness: every node's estimate dominates its actual.
 		var actSpaceTotal, actSpaceMax int64
-		var outParts int64
+		var outParts, scanComps int64
 		walkPlan(plan, func(n *wsdalg.PlanNode) {
+			scanComps += n.Act.Comps
 			if n.Op == "join" || n.Op == "assemble" {
 				if n.Op == "join" {
 					joins++
@@ -134,6 +135,9 @@ func TestPlanEstimateSoundness(t *testing.T) {
 			if got := plan.Cost["eval_parts"]; got != outParts {
 				t.Errorf("%s: Σ out act parts = %d, eval_parts = %d", tag, outParts, got)
 			}
+		}
+		if got := plan.Cost["eval_scan_comps"]; got != scanComps {
+			t.Errorf("%s: Σ node act comps = %d, eval_scan_comps = %d", tag, scanComps, got)
 		}
 		if got := plan.Cost["eval_components"]; got != plan.Components {
 			t.Errorf("%s: plan components = %d, eval_components = %d", tag, plan.Components, got)

@@ -23,7 +23,11 @@
 //   - scans split a relation along the input components that mention
 //     it: one tabulated single-origin part per tuple-level component,
 //     and one symbolic template part per attribute-level component
-//     (out-columns referencing slots, no materialization);
+//     (out-columns referencing slots, no materialization). The
+//     decomposition's posting index names those components, so a scan
+//     reads only them; a σ with a col = const conjunct directly above a
+//     scan hands the conjunct down as a probe, and the scan reads only
+//     the components posted under that constant;
 //   - selection, projection and renaming are tuple-local, so they map
 //     tabulated parts' alternatives pointwise; on template parts they
 //     stay symbolic — selection compiles its predicates against the
@@ -603,8 +607,8 @@ type evaluator struct {
 	units     []unit
 	altCounts []int
 	cells     [][]sym.ID // per unit: open-slot values (nil for tuple-level units)
-	scans     map[string][]part
-	scanRows  int64     // facts over all tuple-level alternatives, counted by the first scan
+	firstUnit []int      // per input component: index of its first unit
+	scans     map[scanKey][]part
 	bound     bool      // bound reading: nothing tabulates
 	predicted int64     // bound reading: the walk's cost so far (see setEst)
 	cost      *obs.Cost // per-request sink (nil when untraced)
@@ -613,8 +617,9 @@ type evaluator struct {
 }
 
 func newEvaluator(w *wsd.WSD) *evaluator {
-	ev := &evaluator{w: w, scans: map[string][]part{}}
-	for ci := 0; ci < w.Components(); ci++ {
+	ev := &evaluator{w: w, scans: map[scanKey][]part{}, firstUnit: make([]int, w.Components())}
+	for ci := range ev.firstUnit {
+		ev.firstUnit[ci] = len(ev.units)
 		if _, cells, ok := w.TemplateSlots(ci); ok {
 			for si, cell := range cells {
 				if len(cell) < 2 {
@@ -696,60 +701,110 @@ func (ev *evaluator) odometer(origins []int, choice []int, fn func()) {
 	}
 }
 
-// scanParts builds (and caches) the parts of a base relation: one
-// tabulated part per tuple-level component whose support mentions the
-// relation, and one symbolic template part per attribute-level
-// component over it — the template's field product is never expanded.
-func (ev *evaluator) scanParts(name string) []part {
-	if ps, ok := ev.scans[name]; ok {
-		return ps
+// scanProbe is a σ conjunct col = const handed down to the scan below
+// the σ: the scan reads only the components posted under the constant.
+// The σ still applies every conjunct, this one included.
+type scanProbe struct {
+	col   int    // column position in the scanned relation
+	val   sym.ID // the constant; sym.None when never interned (nothing is posted)
+	label string // the conjunct as written, for EXPLAIN
+}
+
+// probeOf returns the probe a σ hands its input: its first col = const
+// conjunct, when the input is a scan. Nil otherwise — a σ over any other
+// operator (ρ included) leaves its input to read in full.
+func probeOf(n algebra.Select) *scanProbe {
+	r, ok := n.E.(algebra.Rel)
+	if !ok {
+		return nil
 	}
-	counting := len(ev.scans) == 0
-	var ps []part
-	for ci := 0; ci < ev.w.Components(); ci++ {
-		if rel, cells, ok := ev.w.TemplateSlots(ci); ok {
-			if rel != name {
-				continue
-			}
-			t := &tmplPart{out: make([]tmplCol, len(cells))}
-			for si, cell := range cells {
-				if len(cell) == 1 {
-					t.out[si] = tmplCol{unit: -1, constID: cell[0]}
-					continue
-				}
-				t.out[si] = tmplCol{unit: ev.unitOf(ci, si)}
-			}
-			ps = append(ps, part{origins: t.unitsOf(), tmpl: t})
+	for _, p := range n.Preds {
+		if p.Op != cond.Eq {
 			continue
 		}
-		u := ev.unitOf(ci, -1)
-		alts := make([][]sym.Tuple, ev.altCounts[u])
-		any := false
-		for ai := range alts {
-			facts := ev.w.AltFacts(ci, ai)
-			if counting {
-				ev.scanRows = satAdd(ev.scanRows, int64(len(facts)))
-			}
-			for _, f := range facts {
-				if f.Rel == name {
-					alts[ai] = append(alts[ai], f.Args.Intern())
-					any = true
-				}
-			}
+		col, isCol := p.L.Column()
+		c, isConst := p.R.Const()
+		if !isCol {
+			col, isCol = p.R.Column()
+			c, isConst = p.L.Const()
 		}
-		if any {
-			ps = append(ps, part{origins: []int{u}, alts: alts})
+		j := slices.Index(r.Cols, col)
+		if !isCol || !isConst || j < 0 {
+			continue
 		}
+		val, ok := sym.LookupConst(c)
+		if !ok {
+			val = sym.None
+		}
+		return &scanProbe{col: j, val: val, label: p.String()}
 	}
-	ev.scans[name] = ps
+	return nil
+}
+
+// scanKey keys the scan cache: a relation read in full (col < 0) or
+// through the posting of one (column, constant).
+type scanKey struct {
+	rel, col int
+	val      sym.ID
+}
+
+// scanParts builds (and caches) the parts of base relation ri (a schema
+// position): one tabulated part per tuple-level component whose support
+// mentions the relation, and one symbolic template part per
+// attribute-level component over it — the template's field product is
+// never expanded. The components come from the posting index: all of
+// the relation's, or with a probe only those posted under its constant
+// — one part per component read. Rows are the decomposition's interned
+// tuples, shared, not copied.
+func (ev *evaluator) scanParts(ri int, probe *scanProbe) []part {
+	key := scanKey{rel: ri, col: -1}
+	if probe != nil {
+		key.col, key.val = probe.col, probe.val
+	}
+	if ps, ok := ev.scans[key]; ok {
+		return ps
+	}
+	comps, tmpls := ev.w.RelComponents(ri), ev.w.RelTemplates(ri)
+	if probe != nil {
+		comps, tmpls = ev.w.Posting(ri, probe.col, probe.val)
+	}
+	// Both lists ascend; merging them keeps the parts in component order.
+	ps := make([]part, 0, len(comps)+len(tmpls))
+	for len(comps) > 0 || len(tmpls) > 0 {
+		if len(tmpls) == 0 || (len(comps) > 0 && comps[0] < tmpls[0]) {
+			ci := int(comps[0])
+			comps = comps[1:]
+			u := ev.unitOf(ci, -1)
+			alts := make([][]sym.Tuple, ev.altCounts[u])
+			for ai := range alts {
+				alts[ai] = ev.w.AltTuples(ci, ai, ri)
+			}
+			ps = append(ps, part{origins: []int{u}, alts: alts})
+			continue
+		}
+		ci := int(tmpls[0])
+		tmpls = tmpls[1:]
+		_, cells, _ := ev.w.TemplateSlots(ci)
+		t := &tmplPart{out: make([]tmplCol, len(cells))}
+		for si, cell := range cells {
+			if len(cell) == 1 {
+				t.out[si] = tmplCol{unit: -1, constID: cell[0]}
+				continue
+			}
+			t.out[si] = tmplCol{unit: ev.unitOf(ci, si)}
+		}
+		ps = append(ps, part{origins: t.unitsOf(), tmpl: t})
+	}
+	ev.scans[key] = ps
 	return ps
 }
 
-// unitOf resolves a (component, slot) pair to its unit index. Panics on
-// a pair that is not a choice axis (programming error).
+// unitOf resolves an input (component, slot) pair to its unit index,
+// searching only the component's own units. Panics on a pair that is
+// not a choice axis (programming error).
 func (ev *evaluator) unitOf(ci, slot int) int {
-	for u, un := range ev.units {
-		if un.comp == ci && un.slot == slot {
+	for u := ev.firstUnit[ci]; u < ev.base && ev.units[u].comp == ci; u++ {
+		if ev.units[u].slot == slot {
 			return u
 		}
 	}
@@ -776,17 +831,27 @@ func (ev *evaluator) addUnit(altCount int) int {
 // and is closed with parts/units/rows actuals and wall time afterwards.
 // Without a plan it is evalExpr with zero overhead.
 func (ev *evaluator) eval(e algebra.Expr) (dRel, error) {
+	return ev.evalProbed(e, nil)
+}
+
+// evalProbed is eval with a scan probe: when e is a scan and probe is
+// non-nil, the scan reads only the probe's posting, and its plan node
+// names the probe.
+func (ev *evaluator) evalProbed(e algebra.Expr, probe *scanProbe) (dRel, error) {
 	if ev.plan == nil {
-		return ev.evalExpr(e)
+		return ev.evalExpr(e, probe)
 	}
 	node := &PlanNode{Op: opName(e), Detail: opDetail(e)}
+	if probe != nil {
+		node.Detail += " probe[" + probe.label + "]"
+	}
 	parent := ev.cur
 	if parent != nil {
 		parent.Children = append(parent.Children, node)
 	}
 	ev.cur = node
 	start := time.Now()
-	d, err := ev.evalExpr(e)
+	d, err := ev.evalExpr(e, probe)
 	node.Act.DurUS = sinceUS(start)
 	ev.cur = parent
 	if err != nil {
@@ -802,8 +867,9 @@ func (ev *evaluator) eval(e algebra.Expr) (dRel, error) {
 // evalExpr is the operator dispatch. It mirrors algebra.evalInst case
 // by case, lifted from row sets to parts. Each case records its
 // estimate (via setEst, only when explaining or in the bound reading)
-// from its inputs before its own work runs.
-func (ev *evaluator) evalExpr(e algebra.Expr) (dRel, error) {
+// from its inputs before its own work runs. probe applies to a scan
+// only (see evalProbed).
+func (ev *evaluator) evalExpr(e algebra.Expr, probe *scanProbe) (dRel, error) {
 	switch n := e.(type) {
 	case algebra.ConstRel:
 		cols, err := n.Schema()
@@ -836,9 +902,17 @@ func (ev *evaluator) evalExpr(e algebra.Expr) (dRel, error) {
 			return dRel{}, fmt.Errorf("wsdalg: scan %s names %d columns, relation has arity %d",
 				n.Name, len(cols), ev.w.Schema()[ri].Arity)
 		}
-		parts := ev.scanParts(n.Name)
+		parts := ev.scanParts(ri, probe)
 		if ev.estimating() {
-			ev.setEst(ev.scanEst())
+			if probe != nil {
+				ev.setEst(ev.probeScanEst(parts))
+			} else {
+				ev.setEst(ev.scanEst())
+			}
+		}
+		ev.cost.Add(obs.EvalScanComps, int64(len(parts)))
+		if ev.cur != nil {
+			ev.cur.Act.Comps = int64(len(parts))
 		}
 		return dRel{cols: cols, parts: parts}, nil
 
@@ -883,7 +957,7 @@ func (ev *evaluator) evalExpr(e algebra.Expr) (dRel, error) {
 		return out, nil
 
 	case algebra.Select:
-		in, err := ev.eval(n.E)
+		in, err := ev.evalProbed(n.E, probeOf(n))
 		if err != nil {
 			return dRel{}, err
 		}
