@@ -84,9 +84,13 @@ func Probes() []Probe {
 		// 1000 and 10000 tuple-level components, ten per group. The
 		// probed scan reads only the group's posting, so the two rungs
 		// should cost about the same; the gap is the per-component work
-		// left in evaluator set-up.
-		{"WSDQuery_SelectScan_1k", 1, false, func(b *testing.B) { probeWSDSelectScan(b, 1000) }},
-		{"WSDQuery_SelectScan_10k", 1, false, func(b *testing.B) { probeWSDSelectScan(b, 10000) }},
+		// left in evaluator set-up. The π∘σ rung is the same read under
+		// a π, which the planner's column pruning rewrites to σ over a π
+		// on the scan: the probe must survive the rewrite.
+		{"WSDQuery_SelectScan_1k", 1, false, func(b *testing.B) { probeWSDSelectScan(b, 1000, false) }},
+		{"WSDQuery_SelectScan_10k", 1, false, func(b *testing.B) { probeWSDSelectScan(b, 10000, false) }},
+		{"WSDQuery_ProjectSelectScan_1k", 1, false, func(b *testing.B) { probeWSDSelectScan(b, 1000, true) }},
+		{"WSDQuery_ProjectSelectScan_10k", 1, false, func(b *testing.B) { probeWSDSelectScan(b, 10000, true) }},
 		// World-set algebra + planner on the same decomposition: the
 		// certain∘possible collapse, choice-of over the possible-set, and
 		// a σ-over-⋈ query through the cost-based planner (which must
@@ -223,20 +227,25 @@ func probeWSDQueryJoin(b *testing.B) {
 
 // probeWSDSelectScan runs σ[#g = group](R) through the planner on
 // gen.GroupedWSD(comps, comps/10): ten components per group, 2^10
-// answer worlds.
-func probeWSDSelectScan(b *testing.B, comps int) {
+// answer worlds. With project it runs π[k] over that σ: the keys do not
+// depend on the lo/hi choice, so the answer is one world.
+func probeWSDSelectScan(b *testing.B, comps int, project bool) {
 	w := gen.GroupedWSD(comps, comps/10)
-	q := query.NewAlgebra("group", query.Out{Name: "A",
-		Expr: algebra.Where(algebra.Scan("R", "k", "g", "v"),
-			algebra.EqP(algebra.Col("g"), algebra.Lit(gen.GroupName(7))))})
+	e := algebra.Expr(algebra.Where(algebra.Scan("R", "k", "g", "v"),
+		algebra.EqP(algebra.Col("g"), algebra.Lit(gen.GroupName(7)))))
+	worlds := int64(1 << 10)
+	if project {
+		e, worlds = algebra.Project{E: e, Cols: []string{"k"}}, 1
+	}
+	q := query.NewAlgebra("group", query.Out{Name: "A", Expr: e})
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		out, _, err := wsdalg.EvalOptimized(w, q, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if c := out.Count(); !c.IsInt64() || c.Int64() != 1<<10 {
-			b.Fatalf("answer Count = %s, want 2^10", c)
+		if c := out.Count(); !c.IsInt64() || c.Int64() != worlds {
+			b.Fatalf("answer Count = %s, want %d", c, worlds)
 		}
 	}
 }

@@ -166,6 +166,7 @@ func (w *WSD) clearToEmpty() {
 	w.certain = nil
 	w.attrByRel = nil
 	w.post.Store(nil)
+	w.axes.Store(nil)
 	w.empty = true
 	w.normalized = true
 	w.factsShared = false
@@ -715,6 +716,7 @@ func (w *WSD) buildIndexes() {
 	w.certain = make([]bool, len(w.facts))
 	w.attrByRel = nil
 	w.post.Store(nil)
+	w.axes.Store(nil)
 	for ci := range w.comps {
 		c := &w.comps[ci]
 		if a := c.attr; a != nil {

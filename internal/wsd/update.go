@@ -991,6 +991,7 @@ func (w *WSD) rebuildDerived() {
 	w.certain = make([]bool, len(w.facts))
 	w.attrByRel = nil
 	w.post.Store(nil)
+	w.axes.Store(nil)
 	for ci := range w.comps {
 		c := &w.comps[ci]
 		if a := c.attr; a != nil {

@@ -111,6 +111,9 @@ type WSD struct {
 	// (postings.go); nil until first use and whenever the derived arrays
 	// above are rebuilt.
 	post atomic.Pointer[postings]
+	// axes is the lazily built choice-axis table (axes.go), with the
+	// posting index's lifecycle.
+	axes atomic.Pointer[Axes]
 
 	// Incremental-update state (see update.go). factsShared marks the
 	// fact table and index as shared with a snapshot parent (copied on

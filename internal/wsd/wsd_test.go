@@ -3,6 +3,7 @@ package wsd
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -269,5 +270,33 @@ func TestAttrOwnerProbesSelectiveColumn(t *testing.T) {
 	}
 	if !w.PossibleFact("R", rel.Fact{"b", "y07"}) || w.PossibleFact("R", rel.Fact{"a", "y07"}) {
 		t.Fatal("template probe through the owner column answers wrongly")
+	}
+}
+
+// TestAxesDroppedByIncrementalInstall builds the axis table on an update
+// snapshot mid-update, then applies an operation: the install must drop
+// the table, so the next read sees the successor's axes, not the stale
+// ones.
+func TestAxesDroppedByIncrementalInstall(t *testing.T) {
+	w := New(schemaR())
+	mustAdd(t, w, alt([2]string{"a", "x"}), alt([2]string{"a", "y"}))
+	mustAdd(t, w, alt([2]string{"b", "x"}), alt([2]string{"b", "y"}), alt([2]string{"b", "z"}))
+	if err := w.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	out := w.snapshotClone()
+	before := out.Axes()
+	if err := out.applyOp(&UpdateOp{Kind: OpInsert, Rel: "R", Args: []string{"c", "w"}}, false); err != nil {
+		t.Fatal(err)
+	}
+	after := out.Axes()
+	if after == before || after.Len() == before.Len() {
+		t.Fatalf("install kept the table: %d axes before, %d after", before.Len(), after.Len())
+	}
+	if !reflect.DeepEqual(after, out.buildAxes()) {
+		t.Fatalf("table after install differs from a fresh build")
+	}
+	if w.Axes().Len() != 2 {
+		t.Fatalf("parent has %d axes, want 2", w.Axes().Len())
 	}
 }

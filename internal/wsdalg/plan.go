@@ -304,7 +304,7 @@ func (ev *evaluator) spaceEst(sets [][]int) PlanStats {
 // tabulated rows) each alternative's full fact list — template
 // components scan symbolically and tabulate nothing.
 func (ev *evaluator) scanEst() PlanStats {
-	return PlanStats{Parts: int64(ev.w.Components()), Units: int64(ev.n), Rows: ev.w.AltFactCount()}
+	return PlanStats{Parts: int64(ev.w.Components()), Units: int64(ev.units()), Rows: ev.w.AltFactCount()}
 }
 
 // probeScanEst is a probed scan's estimate: the posting names exactly
@@ -359,7 +359,7 @@ func (ev *evaluator) possibleEst(in *dRel) PlanStats {
 // groups them, and each group sweeps its merged origin product (the
 // template fast path only makes the actual smaller).
 func (ev *evaluator) certainEst(in *dRel) PlanStats {
-	_, merged := ev.originGroups(len(in.parts), func(i int) []int { return in.parts[i].origins })
+	_, merged := originGroups(len(in.parts), func(i int) []int { return in.parts[i].origins })
 	s := ev.spaceEst(merged)
 	s.Parts, s.Units, s.Rows = 1, 0, ev.rowsBound(in)
 	return s

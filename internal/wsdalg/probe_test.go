@@ -29,6 +29,9 @@ import (
 //	        cache must key on the probe);
 //	attr    a probe on a constant of a template cell;
 //	rename  σ over ρ: no probe, the scan reads in full.
+//
+// probeShapeQuery also builds "project", σ over a π on the scan that
+// keeps the probed column (TestDifferentialProjectProbe).
 var probeShapes = []string{"absent", "neq", "twice", "attr", "rename"}
 
 func probeShapeQuery(shape string, c1, c2, cell string) query.Algebra {
@@ -46,6 +49,8 @@ func probeShapeQuery(shape string, c1, c2, cell string) query.Algebra {
 		e = algebra.Where(scan, eq("b", cell))
 	case "rename":
 		e = algebra.Where(algebra.Rename{E: scan, From: []string{"a"}, To: []string{"c"}}, eq("c", c1))
+	case "project":
+		e = algebra.Where(algebra.Project{E: scan, Cols: []string{"a"}}, eq("a", c1))
 	}
 	return query.NewAlgebra(shape, query.Out{Name: "A", Expr: e})
 }
@@ -84,17 +89,30 @@ func probedScans(t *testing.T, w *wsd.WSD, q query.Query) int {
 // per-world oracle. Each shape must also really probe (or, for σ over
 // ρ, really not).
 func TestDifferentialScanProbes(t *testing.T) {
+	runProbeShapes(t, "wsdalg-probe", 150, probeShapes)
+}
+
+// TestDifferentialProjectProbe runs σ over a π on the scan — the shape
+// the planner's column pruning writes — the same way: the π hands the
+// probe through, so the scan reads the posting.
+func TestDifferentialProjectProbe(t *testing.T) {
+	runProbeShapes(t, "wsdalg-project-probe", 60, []string{"project"})
+}
+
+// runProbeShapes cross-validates cases of the given shapes, seed by
+// seed in rotation, and requires at least ten cases of each shape.
+func runProbeShapes(t *testing.T, tag string, cases int, shapes []string) {
 	probed := map[string]int{}
 	difftest.Run(t, difftest.Config{
-		Tag:   "wsdalg-probe",
-		Cases: 150,
+		Tag:   tag,
+		Cases: cases,
 		Gen: func(seed int64) (*difftest.Case, bool) {
 			consts := 4 + int(seed)%3
 			w, err := gen.RandomWSD(seed, 4+int(seed)%2, 3, 2, consts)
 			if err != nil || !w.Count().IsInt64() || w.Count().Int64() > 400 {
 				return nil, false
 			}
-			shape := probeShapes[int(seed)%len(probeShapes)]
+			shape := shapes[int(seed)%len(shapes)]
 			cell := templateCell(w)
 			if shape == "attr" && cell == "" {
 				return nil, false
@@ -116,7 +134,7 @@ func TestDifferentialScanProbes(t *testing.T) {
 			}
 			probed[shape]++
 			return &difftest.Case{
-				Tag:    fmt.Sprintf("wsdalg-probe seed %d (%s)", seed, q.Outs[0].Expr),
+				Tag:    fmt.Sprintf("%s seed %d (%s)", tag, seed, q.Outs[0].Expr),
 				Worlds: w.Expand(0),
 				WSD:    w,
 				Query:  q,
@@ -128,7 +146,7 @@ func TestDifferentialScanProbes(t *testing.T) {
 			difftest.ServerBackend("server", 2),
 		},
 	})
-	for _, s := range probeShapes {
+	for _, s := range shapes {
 		if probed[s] < 10 {
 			t.Errorf("shape %s ran %d cases, want >= 10", s, probed[s])
 		}

@@ -26,8 +26,10 @@
 //     (out-columns referencing slots, no materialization). The
 //     decomposition's posting index names those components, so a scan
 //     reads only them; a σ with a col = const conjunct directly above a
-//     scan hands the conjunct down as a probe, and the scan reads only
-//     the components posted under that constant;
+//     scan — or above a π on a scan that keeps the column, the shape the
+//     planner's column pruning writes — hands the conjunct down as a
+//     probe, and the scan reads only the components posted under that
+//     constant;
 //   - selection, projection and renaming are tuple-local, so they map
 //     tabulated parts' alternatives pointwise; on template parts they
 //     stay symbolic — selection compiles its predicates against the
@@ -283,7 +285,7 @@ type taggedPart struct {
 // actuals. The bound reading records the estimate and emits nothing
 // (out may be nil). Normalization is the caller's job.
 func (ev *evaluator) assemble(out *wsd.WSD, parts []taggedPart, asm *PlanNode) error {
-	groups, merged := ev.originGroups(len(parts), func(i int) []int { return parts[i].p.origins })
+	groups, merged := originGroups(len(parts), func(i int) []int { return parts[i].p.origins })
 
 	// Assembly estimate, before any group tabulates: each group sweeps
 	// the joint space of its merged origins (the template fast path
@@ -302,12 +304,11 @@ func (ev *evaluator) assemble(out *wsd.WSD, parts []taggedPart, asm *PlanNode) e
 		}
 	}
 
-	zero := make([]int, ev.n)
 	for _, op := range parts {
 		if len(op.p.origins) > 0 {
 			continue
 		}
-		rows := op.p.at(zero, ev) // constant rows: choice-independent
+		rows := op.p.at(nil, ev) // constant rows: no choice is read
 		alt := make(wsd.Alt, 0, len(rows))
 		for _, t := range rows {
 			alt = append(alt, wsd.Fact{Rel: op.rel, Args: rel.ResolveFact(t)})
@@ -348,8 +349,7 @@ func (ev *evaluator) assemble(out *wsd.WSD, parts []taggedPart, asm *PlanNode) e
 			return err
 		}
 		alts := make([]wsd.Alt, 0, space)
-		choice := make([]int, ev.n)
-		ev.odometer(origins, choice, func() {
+		ev.odometer(origins, func(choice []int) {
 			var alt wsd.Alt
 			for _, i := range members {
 				op := &parts[i]
@@ -376,16 +376,27 @@ func (ev *evaluator) assemble(out *wsd.WSD, parts []taggedPart, asm *PlanNode) e
 // Origin-free parts join no group. It returns each group's member
 // indices and merged origins, groups in order of first appearance; a
 // single-member group's merged origins are that part's own slice, so
-// callers only read them.
-func (ev *evaluator) originGroups(n int, originsOf func(int) []int) (groups [][]int, merged [][]int) {
-	uf := unionfind.NewDense(ev.n)
+// callers only read them. The union-find runs over a local index of the
+// touched units only, so the work follows the parts, not the input.
+func originGroups(n int, originsOf func(int) []int) (groups [][]int, merged [][]int) {
+	var touched []int
+	for i := 0; i < n; i++ {
+		touched = append(touched, originsOf(i)...)
+	}
+	slices.Sort(touched)
+	touched = slices.Compact(touched)
+	local := func(u int) int32 {
+		i, _ := slices.BinarySearch(touched, u)
+		return int32(i)
+	}
+	uf := unionfind.NewDense(len(touched))
 	for i := 0; i < n; i++ {
 		o := originsOf(i)
 		for j := 1; j < len(o); j++ {
-			uf.Union(int32(o[0]), int32(o[j]))
+			uf.Union(local(o[0]), local(o[j]))
 		}
 	}
-	index := make([]int, ev.n) // union-find root → group number + 1
+	index := make([]int, len(touched)) // union-find root → group number + 1
 	gid := make([]int, n)
 	var size []int
 	for i := 0; i < n; i++ {
@@ -394,7 +405,7 @@ func (ev *evaluator) originGroups(n int, originsOf func(int) []int) (groups [][]
 			gid[i] = -1
 			continue
 		}
-		r := uf.Find(int32(o[0]))
+		r := uf.Find(local(o[0]))
 		g := index[r] - 1
 		switch {
 		case g < 0:
@@ -461,16 +472,6 @@ func (ev *evaluator) emitTemplate(out *wsd.WSD, relName string, p *part) (bool, 
 	return true, out.AddTemplateComponent(relName, cells...)
 }
 
-// unit is one independent choice axis of the input decomposition: a
-// whole tuple-level component (slot == -1) or one open slot (two or
-// more values) of an attribute-level template. Distinct slots of one
-// template are independent by construction, so treating them as
-// separate axes is exact.
-type unit struct {
-	comp int
-	slot int
-}
-
 // part is one factor of a decomposed relation: a deterministic function
 // from the alternative choices of its origin units to a row set. It has
 // three bodies:
@@ -522,7 +523,7 @@ func (p *part) at(choice []int, ev *evaluator) []sym.Tuple {
 	}
 	idx := 0
 	for _, o := range p.origins {
-		idx = idx*ev.altCounts[o] + choice[o]
+		idx = idx*int(ev.altCounts[o]) + choice[o]
 	}
 	return p.alts[idx]
 }
@@ -587,13 +588,14 @@ func (d *dRel) origins() []int {
 	return units
 }
 
-// evaluator carries the per-query state: the input decomposition
-// flattened into choice units, per-unit alternative counts and slot
-// values, and a per-relation scan cache (the same base relation scanned
+// evaluator carries the per-query state: the input decomposition's
+// choice units — its per-version axis table (wsd.Axes), shared read-only
+// with every other evaluator of the version, plus this query's synthetic
+// units — and a per-relation scan cache (the same base relation scanned
 // twice shares its parts; parts are never mutated after construction).
 // One evaluator serves every walk of a query — the planner's bound
-// walks and the tabulating evaluation — so they share one unit table
-// and one scan cache.
+// walks and the tabulating evaluation — so they share one scan cache
+// and one scratch choice vector.
 //
 // A walk runs in one of two readings of the same operators. The
 // tabulating reading computes each part's value under every joint
@@ -601,13 +603,15 @@ func (d *dRel) origins() []int {
 // origins, row bounds and symbolic template bodies, never sweeping a
 // joint space, and it sums the operators' estimates into predicted.
 type evaluator struct {
-	w         *wsd.WSD
-	n         int
-	base      int // units backed by the input; later ones are synthetic (choiceof)
-	units     []unit
-	altCounts []int
-	cells     [][]sym.ID // per unit: open-slot values (nil for tuple-level units)
-	firstUnit []int      // per input component: index of its first unit
+	w    *wsd.WSD
+	axes *wsd.Axes
+	base int // units backed by the input; later ones are synthetic (choiceof)
+	// altCounts is the alternative count per unit: the axis table's
+	// capacity-clipped slice, so the first synthetic unit appended
+	// copies it and the shared table is never written.
+	altCounts []int32
+	cells     [][]sym.ID // per input unit: open-slot values (the axis table's)
+	choice    []int      // scratch choice vector every sweep shares (see odometer)
 	scans     map[scanKey][]part
 	bound     bool      // bound reading: nothing tabulates
 	predicted int64     // bound reading: the walk's cost so far (see setEst)
@@ -617,35 +621,24 @@ type evaluator struct {
 }
 
 func newEvaluator(w *wsd.WSD) *evaluator {
-	ev := &evaluator{w: w, scans: map[scanKey][]part{}, firstUnit: make([]int, w.Components())}
-	for ci := range ev.firstUnit {
-		ev.firstUnit[ci] = len(ev.units)
-		if _, cells, ok := w.TemplateSlots(ci); ok {
-			for si, cell := range cells {
-				if len(cell) < 2 {
-					continue // fixed slot: a constant, not a choice axis
-				}
-				ev.units = append(ev.units, unit{comp: ci, slot: si})
-				ev.altCounts = append(ev.altCounts, len(cell))
-				ev.cells = append(ev.cells, cell)
-			}
-			continue
-		}
-		ev.units = append(ev.units, unit{comp: ci, slot: -1})
-		ev.altCounts = append(ev.altCounts, w.AltCount(ci))
-		ev.cells = append(ev.cells, nil)
-	}
-	ev.n = len(ev.units)
-	ev.base = ev.n
-	return ev
+	return &evaluator{w: w, scans: map[scanKey][]part{}}
 }
 
-// begin starts a walk in the given reading with the given sinks. It
-// drops the synthetic units an earlier walk added; the input's units
-// and the scan cache carry over.
+// units returns the number of choice units, synthetic ones included.
+func (ev *evaluator) units() int { return len(ev.altCounts) }
+
+// begin starts a walk in the given reading with the given sinks. The
+// first walk loads the input's axis table — an evaluation that never
+// walks (the identity query, the empty world set) never builds one; a
+// later walk drops the synthetic units an earlier one added. The
+// input's units and the scan cache carry over.
 func (ev *evaluator) begin(bound bool, c *obs.Cost, pl *Plan) {
-	ev.units, ev.altCounts, ev.cells = ev.units[:ev.base], ev.altCounts[:ev.base], ev.cells[:ev.base]
-	ev.n = ev.base
+	if ev.axes == nil {
+		ev.axes = ev.w.Axes()
+		ev.base = ev.axes.Len()
+		ev.altCounts, ev.cells = ev.axes.Counts(), ev.axes.Cells()
+	}
+	ev.altCounts = ev.altCounts[:ev.base]
 	ev.bound, ev.predicted = bound, 0
 	ev.cost, ev.plan, ev.cur = c, pl, nil
 }
@@ -659,7 +652,7 @@ func (ev *evaluator) space(origins []int) (int, error) {
 	}
 	space := 1
 	for _, o := range origins {
-		space *= ev.altCounts[o]
+		space *= int(ev.altCounts[o])
 		if space > wsd.MaxMergeAlts {
 			return 0, fmt.Errorf("%w: %d correlated components need %d+ joint alternatives (limit %d)",
 				ErrEntangled, len(origins), space, wsd.MaxMergeAlts)
@@ -678,19 +671,25 @@ func (ev *evaluator) space(origins []int) (int, error) {
 }
 
 // odometer enumerates every choice vector over the given origins (last
-// origin fastest, matching part.at's indexing), writing digits into
-// choice and calling fn once per combination.
-func (ev *evaluator) odometer(origins []int, choice []int, fn func()) {
+// origin fastest, matching part.at's indexing), calling fn once per
+// combination. The vector is the evaluator's scratch, sized for every
+// unit that exists now: sweeps never nest, and each writes the digits
+// of its own origins before any read.
+func (ev *evaluator) odometer(origins []int, fn func(choice []int)) {
+	if len(ev.choice) < ev.units() {
+		ev.choice = make([]int, ev.units())
+	}
+	choice := ev.choice
 	for _, o := range origins {
 		choice[o] = 0
 	}
 	for {
-		fn()
+		fn(choice)
 		i := len(origins) - 1
 		for ; i >= 0; i-- {
 			o := origins[i]
 			choice[o]++
-			if choice[o] < ev.altCounts[o] {
+			if choice[o] < int(ev.altCounts[o]) {
 				break
 			}
 			choice[o] = 0
@@ -711,10 +710,17 @@ type scanProbe struct {
 }
 
 // probeOf returns the probe a σ hands its input: its first col = const
-// conjunct, when the input is a scan. Nil otherwise — a σ over any other
-// operator (ρ included) leaves its input to read in full.
+// conjunct, when the input is a scan or a π directly on a scan that
+// keeps the column (the planner's column pruning writes σ(π(R))). Nil
+// otherwise — a σ over any other operator (ρ included) leaves its input
+// to read in full.
 func probeOf(n algebra.Select) *scanProbe {
-	r, ok := n.E.(algebra.Rel)
+	e := n.E
+	pi, isProject := e.(algebra.Project)
+	if isProject {
+		e = pi.E
+	}
+	r, ok := e.(algebra.Rel)
 	if !ok {
 		return nil
 	}
@@ -729,7 +735,7 @@ func probeOf(n algebra.Select) *scanProbe {
 			c, isConst = p.L.Const()
 		}
 		j := slices.Index(r.Cols, col)
-		if !isCol || !isConst || j < 0 {
+		if !isCol || !isConst || j < 0 || (isProject && !slices.Contains(pi.Cols, col)) {
 			continue
 		}
 		val, ok := sym.LookupConst(c)
@@ -799,28 +805,25 @@ func (ev *evaluator) scanParts(ri int, probe *scanProbe) []part {
 	return ps
 }
 
-// unitOf resolves an input (component, slot) pair to its unit index,
-// searching only the component's own units. Panics on a pair that is
-// not a choice axis (programming error).
+// unitOf resolves an input (component, slot) pair to its unit index:
+// the axis table's. Panics on a pair that is not a choice axis
+// (programming error).
 func (ev *evaluator) unitOf(ci, slot int) int {
-	for u := ev.firstUnit[ci]; u < ev.base && ev.units[u].comp == ci; u++ {
-		if ev.units[u].slot == slot {
-			return u
-		}
+	if u := ev.axes.Axis(ci, slot); u >= 0 {
+		return u
 	}
 	panic("wsdalg: no unit for component slot")
 }
 
 // addUnit appends a synthetic choice unit — a fresh independent axis
 // that is not backed by any input component (choiceof's nondeterministic
-// pick). Safe mid-evaluation: choice vectors are sized per sweep and the
-// assembly's union-find is built after all units exist.
+// pick) — to this evaluator's overlay; the shared axis table is never
+// written. Safe mid-evaluation: the odometer's vector grows to the
+// units that exist at each sweep, and the assembly indexes only the
+// units its parts touch.
 func (ev *evaluator) addUnit(altCount int) int {
-	u := ev.n
-	ev.units = append(ev.units, unit{comp: -1, slot: -1})
-	ev.altCounts = append(ev.altCounts, altCount)
-	ev.cells = append(ev.cells, nil)
-	ev.n = len(ev.units)
+	u := ev.units()
+	ev.altCounts = append(ev.altCounts, int32(altCount))
 	return u
 }
 
@@ -834,15 +837,15 @@ func (ev *evaluator) eval(e algebra.Expr) (dRel, error) {
 	return ev.evalProbed(e, nil)
 }
 
-// evalProbed is eval with a scan probe: when e is a scan and probe is
-// non-nil, the scan reads only the probe's posting, and its plan node
-// names the probe.
+// evalProbed is eval with a scan probe (see probeOf): when probe is
+// non-nil, e is a scan or a π directly on one, the scan reads only the
+// probe's posting, and the scan's plan node names the probe.
 func (ev *evaluator) evalProbed(e algebra.Expr, probe *scanProbe) (dRel, error) {
 	if ev.plan == nil {
 		return ev.evalExpr(e, probe)
 	}
 	node := &PlanNode{Op: opName(e), Detail: opDetail(e)}
-	if probe != nil {
+	if _, isScan := e.(algebra.Rel); isScan && probe != nil {
 		node.Detail += " probe[" + probe.label + "]"
 	}
 	parent := ev.cur
@@ -867,8 +870,8 @@ func (ev *evaluator) evalProbed(e algebra.Expr, probe *scanProbe) (dRel, error) 
 // evalExpr is the operator dispatch. It mirrors algebra.evalInst case
 // by case, lifted from row sets to parts. Each case records its
 // estimate (via setEst, only when explaining or in the bound reading)
-// from its inputs before its own work runs. probe applies to a scan
-// only (see evalProbed).
+// from its inputs before its own work runs. probe applies to a scan; a
+// π passes it to the scan below (see probeOf).
 func (ev *evaluator) evalExpr(e algebra.Expr, probe *scanProbe) (dRel, error) {
 	switch n := e.(type) {
 	case algebra.ConstRel:
@@ -917,7 +920,7 @@ func (ev *evaluator) evalExpr(e algebra.Expr, probe *scanProbe) (dRel, error) {
 		return dRel{cols: cols, parts: parts}, nil
 
 	case algebra.Project:
-		in, err := ev.eval(n.E)
+		in, err := ev.evalProbed(n.E, probe)
 		if err != nil {
 			return dRel{}, err
 		}
@@ -1154,7 +1157,6 @@ func (ev *evaluator) supportRows(in *dRel) ([]sym.Tuple, int64, error) {
 		return nil, ev.rowsBound(in), nil
 	}
 	var rows []sym.Tuple
-	choice := make([]int, ev.n)
 	for i := range in.parts {
 		p := &in.parts[i]
 		if p.tmpl == nil {
@@ -1166,7 +1168,7 @@ func (ev *evaluator) supportRows(in *dRel) ([]sym.Tuple, int64, error) {
 		if _, err := ev.space(p.origins); err != nil {
 			return nil, 0, err
 		}
-		ev.odometer(p.origins, choice, func() {
+		ev.odometer(p.origins, func(choice []int) {
 			rows = append(rows, p.at(choice, ev)...)
 		})
 	}
@@ -1231,8 +1233,7 @@ func (ev *evaluator) choiceRel(in *dRel, support []sym.Tuple, nSupport int) (dRe
 		return dRel{cols: in.cols, parts: []part{{origins: all, rows: int64(space)}}}, nil
 	}
 	alts := make([][]sym.Tuple, 0, space)
-	choice := make([]int, ev.n)
-	ev.odometer(all, choice, func() {
+	ev.odometer(all, func(choice []int) {
 		var avail []sym.Tuple
 		for i := range in.parts {
 			avail = append(avail, in.parts[i].at(choice, ev)...)
@@ -1262,7 +1263,6 @@ func (ev *evaluator) diffRels(l, r *dRel) (dRel, error) {
 	}
 	rOrigins := r.origins()
 	out := dRel{cols: l.cols}
-	choice := make([]int, ev.n)
 	for li := range l.parts {
 		lp := &l.parts[li]
 		origins := mergeOrigins(append([]int(nil), lp.origins...), rOrigins)
@@ -1276,7 +1276,7 @@ func (ev *evaluator) diffRels(l, r *dRel) (dRel, error) {
 		}
 		alts := make([][]sym.Tuple, 0, space)
 		any := false
-		ev.odometer(origins, choice, func() {
+		ev.odometer(origins, func(choice []int) {
 			var sub []sym.Tuple
 			for ri := range r.parts {
 				sub = append(sub, r.parts[ri].at(choice, ev)...)
@@ -1340,7 +1340,6 @@ func (ev *evaluator) joinRels(l, r dRel, cols []string) (dRel, error) {
 		}
 	}
 	out := dRel{cols: cols}
-	choice := make([]int, ev.n)
 	for li := range l.parts {
 		for ri := range r.parts {
 			lp, rp := &l.parts[li], &r.parts[ri]
@@ -1355,7 +1354,7 @@ func (ev *evaluator) joinRels(l, r dRel, cols []string) (dRel, error) {
 			}
 			alts := make([][]sym.Tuple, 0, space)
 			any := false
-			ev.odometer(origins, choice, func() {
+			ev.odometer(origins, func(choice []int) {
 				joined := joinTuples(lp.at(choice, ev), rp.at(choice, ev),
 					lShared, rShared, rExtra, len(cols))
 				if len(joined) > 0 {
