@@ -11,6 +11,7 @@ import (
 	"pw/internal/gen"
 	"pw/internal/query"
 	"pw/internal/rel"
+	"pw/internal/sym"
 	"pw/internal/table"
 	"pw/internal/value"
 	"pw/internal/wsd"
@@ -111,6 +112,14 @@ func Probes() []Probe {
 		// incremental engine's speed advantage — its reason to exist.
 		{"WSDUpdate_Incremental_1M", 1, true, func(b *testing.B) { probeWSDUpdate(b, false) }},
 		{"WSDUpdate_Full_1M", 1, true, func(b *testing.B) { probeWSDUpdate(b, true) }},
+		// The write ladder: a write-mix-style write touching one
+		// component, then the next σ read's posting lookup, at 200, 2000
+		// and 20000 components. The successor inherits its parent's
+		// display order and posting index, so what grows with the rung is
+		// flat array passes, not a sort or an index rebuild.
+		{"WSDUpdate_Ladder_200", 1, false, func(b *testing.B) { probeWSDUpdateLadder(b, 200) }},
+		{"WSDUpdate_Ladder_2k", 1, false, func(b *testing.B) { probeWSDUpdateLadder(b, 2000) }},
+		{"WSDUpdate_Ladder_20k", 1, false, func(b *testing.B) { probeWSDUpdateLadder(b, 20000) }},
 		// Query server (internal/server) on the million-world WSD: the
 		// answer-cache hit path vs the uncached eval it replaces, and HTTP
 		// fact-probe throughput with an 8-worker pool and a parallel client
@@ -323,6 +332,38 @@ func probeWSDUpdate(b *testing.B, full bool) {
 		if c := out.Count(); !c.IsInt64() || c.Int64() != 1<<20 {
 			b.Fatalf("post-update Count = %s, want 2^20", c)
 		}
+	}
+}
+
+// probeWSDUpdateLadder alternates inserting and deleting one certain
+// fact of group 7 on gen.GroupedWSD(comps, comps/10), so the
+// decomposition returns to its initial shape every two writes, and
+// after each write looks up the group's posting on the successor, as
+// the σ[#g = group] read that follows a write in write-mix does. The
+// parent is indexed before timing, as a served version is.
+func probeWSDUpdateLadder(b *testing.B, comps int) {
+	w := gen.GroupedWSD(comps, comps/10)
+	group := gen.GroupName(7)
+	writes := []*wsd.Update{
+		{Ops: []wsd.UpdateOp{{Kind: wsd.OpInsert, Rel: "R", Args: []string{"w00001", group, "on"}}}},
+		{Ops: []wsd.UpdateOp{{Kind: wsd.OpDelete, Rel: "R", Args: []string{"w00001", wsd.Wildcard, wsd.Wildcard}}}},
+	}
+	g := sym.Const(group)
+	w.Posting(0, 1, g)
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		next, err := w.ApplyUpdate(writes[n%2])
+		if err != nil {
+			b.Fatal(err)
+		}
+		want := 10 // the group's components, plus the certain one while it holds the fact
+		if n%2 == 0 {
+			want++
+		}
+		if comps, _ := next.Posting(0, 1, g); len(comps) != want {
+			b.Fatalf("write %d: posting of %s names %d components, want %d", n, group, len(comps), want)
+		}
+		w = next
 	}
 }
 

@@ -1009,15 +1009,17 @@ func (s *Server) opWrite(req *Request, rc *reqCtx) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
+	count := next.Count().String()
 	db.mu.Lock()
 	db.wsd = next
 	db.version++
 	live := db.version
 	db.mu.Unlock()
+	// Seed the count memo: the first count read of the new version
+	// finds it instead of redoing the big-int product.
+	db.count.Store(&countCache{version: live, count: count})
 	s.purgeStale(req.DB, live)
-	resp := &Response{DB: req.DB, Op: "write", Version: live}
-	resp.Count = next.Count().String()
-	return resp, nil
+	return &Response{DB: req.DB, Op: "write", Version: live, Count: count}, nil
 }
 
 // prepared is one compiled query: the parsed algebra plan plus its

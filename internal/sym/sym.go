@@ -10,11 +10,17 @@
 // and stored freely. The var/const partition is encoded in the ID itself
 // (the top bit), keeping the two namespaces of the paper disjoint by
 // construction.
+//
+// Interning takes a lock; resolving does not. Each namespace publishes
+// its name table through an atomic pointer after every append, so Name —
+// and with it Compare, the display order every sort and printer uses —
+// is one atomic load and an index, never a lock acquisition.
 package sym
 
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // ID is an interned symbol: a constant or variable name plus its kind.
@@ -29,10 +35,15 @@ const VarBit ID = 1 << 31
 // None is a reserved sentinel: no interned symbol ever receives it.
 const None ID = 1<<32 - 1
 
-// space is one append-only intern namespace.
+// space is one append-only intern namespace. ids and names are written
+// under mu; published is the name table as of the last intern, read
+// without a lock. Appends never overwrite an element a published table
+// covers (a grown table copies to a new array), so a reader indexing its
+// snapshot never races a writer.
 type space struct {
-	ids   map[string]uint32
-	names []string
+	ids       map[string]uint32
+	names     []string
+	published atomic.Pointer[[]string]
 }
 
 func (s *space) intern(name string) uint32 {
@@ -45,8 +56,14 @@ func (s *space) intern(name string) uint32 {
 	}
 	s.ids[name] = id
 	s.names = append(s.names, name)
+	names := s.names
+	s.published.Store(&names)
 	return id
 }
+
+// name resolves a serial handed out by intern. The ID reached the
+// caller after intern published it, so the loaded table covers it.
+func (s *space) name(serial int) string { return (*s.published.Load())[serial] }
 
 var (
 	mu     sync.RWMutex
@@ -106,16 +123,12 @@ func (id ID) IsVar() bool { return id&VarBit != 0 }
 // Serial returns the dense index of id within its namespace.
 func (id ID) Serial() int { return int(id &^ VarBit) }
 
-// Name resolves id back to its interned name.
+// Name resolves id back to its interned name. It takes no lock.
 func (id ID) Name() string {
-	s := &consts
 	if id.IsVar() {
-		s = &vars
+		return vars.name(id.Serial())
 	}
-	mu.RLock()
-	name := s.names[id.Serial()]
-	mu.RUnlock()
-	return name
+	return consts.name(id.Serial())
 }
 
 // String renders constants bare and variables with a leading '?', matching
@@ -155,15 +168,7 @@ func SortByName(ids []ID) {
 }
 
 // ConstCount returns the number of interned constants (diagnostics).
-func ConstCount() int {
-	mu.RLock()
-	defer mu.RUnlock()
-	return len(consts.names)
-}
+func ConstCount() int { return len(*consts.published.Load()) }
 
 // VarCount returns the number of interned variables (diagnostics).
-func VarCount() int {
-	mu.RLock()
-	defer mu.RUnlock()
-	return len(vars.names)
-}
+func VarCount() int { return len(*vars.published.Load()) }

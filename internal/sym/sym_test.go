@@ -3,6 +3,9 @@ package sym
 import (
 	"fmt"
 	"math/rand"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -136,4 +139,60 @@ func TestUniverseRejectsConstants(t *testing.T) {
 		}
 	}()
 	NewUniverse([]ID{Const("1")})
+}
+
+// TestConcurrentInternName has 8 goroutines intern fresh names while 8
+// others resolve the IDs the interners hand them. Name reads the
+// published table without the intern lock; under -race this checks
+// that every handed-out ID resolves, and to its own name.
+func TestConcurrentInternName(t *testing.T) {
+	const writers, readers, perWriter = 8, 8, 500
+	type named struct {
+		id   ID
+		name string
+	}
+	anchor := Const("race-3")
+	// Buffered so interners run ahead of readers and the two sides overlap
+	// in time; the size is otherwise arbitrary.
+	ch := make(chan named, 64)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				name := fmt.Sprintf("race-%d-%d", w, i)
+				id := Const(name)
+				if i%2 == 1 {
+					id = Var(name)
+				}
+				ch <- named{id, name}
+			}
+		}(w)
+	}
+	go func() {
+		wg.Wait()
+		close(ch)
+	}()
+	var rg sync.WaitGroup
+	var resolved atomic.Int64
+	for r := 0; r < readers; r++ {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			for n := range ch {
+				if got := n.id.Name(); got != n.name {
+					t.Errorf("ID %d resolves to %q, want %q", n.id, got, n.name)
+				}
+				if !n.id.IsVar() && Compare(n.id, anchor) != strings.Compare(n.name, anchor.Name()) {
+					t.Errorf("Compare(%q, %q) disagrees with the names", n.name, anchor.Name())
+				}
+				resolved.Add(1)
+			}
+		}()
+	}
+	rg.Wait()
+	if got := resolved.Load(); got != writers*perWriter {
+		t.Fatalf("resolved %d names, want %d", got, writers*perWriter)
+	}
 }

@@ -16,9 +16,10 @@
 // Lifecycle. The table is derived state of one normalized version, with
 // the posting index's discipline: built on first use, published with a
 // compare-and-swap (concurrent readers of a shared normalized WSD may
-// race the first build; the loser's copy is dropped), dropped wherever
-// the posting index is (buildIndexes, rebuildDerived, clearToEmpty),
-// and never carried into clones or snapshots. Readers share it; every
+// race the first build; the loser's copy is dropped), dropped by every
+// derivation of a new version (buildIndexes, an incremental install,
+// clearToEmpty) and never carried into clones or snapshots: rebuilding
+// it is O(n) int work, cheap beside the reads that use it. Readers share it; every
 // slice it hands out is capacity-clipped, so a caller's append copies
 // instead of writing into the table.
 package wsd

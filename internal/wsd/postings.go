@@ -22,9 +22,14 @@
 // first use, each column posting on its first lookup. Every piece is
 // published with a compare-and-swap, so concurrent readers of a shared
 // normalized WSD may race a first build safely (the loser's copy is
-// dropped). Every rebuild of the other derived arrays (buildIndexes,
-// rebuildDerived, clearToEmpty) drops the whole index; clones and
-// snapshots start without one.
+// dropped). An incremental update carries the index into its successor
+// (carryPostings): the pieces the parent had built are remapped to the
+// new component numbering and the added components merged in, so the
+// first read after a write does not rebuild what the reads before it
+// built; an update that installs nothing shares the parent's index.
+// Only a from-scratch derivation drops it — full normalization
+// (buildIndexes), clearToEmpty, and compaction, which renormalizes.
+// Clones start without one.
 package wsd
 
 import (
@@ -67,11 +72,15 @@ type colPosting struct {
 // lookup returns the components posted under val (nil when none). The
 // slice is capacity-clipped: callers cannot append into the index.
 func (p *colPosting) lookup(val sym.ID) []int32 {
-	i, found := slices.BinarySearch(p.vals, val)
-	switch {
-	case !found:
-		return nil
-	case p.off == nil:
+	if i, found := slices.BinarySearch(p.vals, val); found {
+		return p.group(i)
+	}
+	return nil
+}
+
+// group returns the components posted under vals[i], capacity-clipped.
+func (p *colPosting) group(i int) []int32 {
+	if p.off == nil {
 		return p.comps[i : i+1 : i+1]
 	}
 	return p.comps[p.off[i]:p.off[i+1]:p.off[i+1]]
@@ -141,28 +150,186 @@ func (w *WSD) buildPostings() *postings {
 			}
 		}
 	}
-	var vals []sym.ID
 	for ri := range p.rels {
 		rp := &p.rels[ri]
 		rp.comps = slices.Clip(rp.comps)
-		tmpls := w.attrByRel[int32(ri)]
-		if len(tmpls) == 0 {
+		rp.ownerCol = w.ownerColumn(ri)
+	}
+	return p
+}
+
+// ownerColumn picks relation ri's owner column: the template column
+// whose postings are shortest on average (entries per distinct
+// constant). It is 0 when the relation has no templates.
+func (w *WSD) ownerColumn(ri int) int {
+	tmpls := w.attrByRel[int32(ri)]
+	if len(tmpls) == 0 {
+		return 0
+	}
+	var vals []sym.ID
+	best, bestEntries, bestDistinct := 0, 0, 0
+	for j := range w.schema[ri].Arity {
+		vals = vals[:0]
+		for _, ci := range tmpls {
+			vals = append(vals, w.comps[ci].attr.cells[j]...)
+		}
+		slices.Sort(vals)
+		distinct := len(slices.Compact(vals))
+		if j == 0 || len(vals)*bestDistinct < bestEntries*distinct {
+			best, bestEntries, bestDistinct = j, len(vals), distinct
+		}
+	}
+	return best
+}
+
+// carryPostings derives the successor's index from the parent's across
+// an incremental install (see patchDerived for remap, added and
+// addedAt): only the pieces the parent had built are carried, each
+// remapped through the monotone remap — so every list stays sorted —
+// with the added components' entries merged in. Columns the parent
+// never built stay unbuilt. ownerCol is recomputed only for the
+// relations whose templates changed. A nil parent index carries
+// nothing: the successor builds its own on first use.
+func (w *WSD) carryPostings(parent *postings, old []component, remap []int32, added []component, addedAt []int32) *postings {
+	if parent == nil {
+		return nil
+	}
+	p := &postings{rels: make([]relPostings, len(parent.rels)), altFacts: parent.altFacts}
+	tmplsChanged := make(map[int32]bool)
+	for ci, nc := range remap {
+		if nc >= 0 {
 			continue
 		}
-		bestEntries, bestDistinct := 0, 0
-		for j := range rp.tmpls {
-			vals = vals[:0]
-			for _, ci := range tmpls {
-				vals = append(vals, w.comps[ci].attr.cells[j]...)
+		if a := old[ci].attr; a != nil {
+			tmplsChanged[a.rel] = true
+		}
+		for _, alt := range old[ci].alts {
+			p.altFacts -= int64(len(alt))
+		}
+	}
+	for k := range added {
+		if a := added[k].attr; a != nil {
+			tmplsChanged[a.rel] = true
+		}
+		for _, alt := range added[k].alts {
+			p.altFacts += int64(len(alt))
+		}
+	}
+	var addComps []int32
+	var pairs []uint64
+	for ri := range p.rels {
+		prp, rp := &parent.rels[ri], &p.rels[ri]
+		addComps = addComps[:0]
+		for k := range added {
+			if added[k].attr == nil && w.mentions(&added[k], int32(ri)) {
+				addComps = append(addComps, addedAt[k])
 			}
-			slices.Sort(vals)
-			distinct := len(slices.Compact(vals))
-			if j == 0 || len(vals)*bestDistinct < bestEntries*distinct {
-				rp.ownerCol, bestEntries, bestDistinct = j, len(vals), distinct
+		}
+		rp.comps = slices.Clip(remapSorted(prp.comps, remap, addComps))
+		rp.cols = make([]atomic.Pointer[colPosting], len(prp.cols))
+		rp.tmpls = make([]atomic.Pointer[colPosting], len(prp.tmpls))
+		for j := range prp.cols {
+			if c := prp.cols[j].Load(); c != nil {
+				pairs = pairs[:0]
+				for k := range added {
+					for _, alt := range added[k].alts {
+						for _, id := range alt {
+							if f := w.facts[id]; f.rel == int32(ri) {
+								pairs = append(pairs, uint64(f.tuple[j])<<32|uint64(addedAt[k]))
+							}
+						}
+					}
+				}
+				rp.cols[j].Store(c.carried(remap, pairs))
 			}
+			if c := prp.tmpls[j].Load(); c != nil {
+				pairs = pairs[:0]
+				for k := range added {
+					if a := added[k].attr; a != nil && a.rel == int32(ri) {
+						for _, v := range a.cells[j] {
+							pairs = append(pairs, uint64(v)<<32|uint64(addedAt[k]))
+						}
+					}
+				}
+				rp.tmpls[j].Store(c.carried(remap, pairs))
+			}
+		}
+		rp.ownerCol = prp.ownerCol
+		if tmplsChanged[int32(ri)] {
+			rp.ownerCol = w.ownerColumn(ri)
 		}
 	}
 	return p
+}
+
+// mentions reports whether a tuple-level component has a fact of
+// relation ri in some alternative.
+func (w *WSD) mentions(c *component, ri int32) bool {
+	for _, alt := range c.alts {
+		for _, id := range alt {
+			if w.facts[id].rel == ri {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// carried returns the posting with every component index mapped
+// through the monotone remap (entries mapped to -1 dropped) and the
+// added (constant, component) pairs, packed as in newColPosting and
+// naming no component of the parent, merged in. Remapped groups stay
+// ascending, so only the added pairs are sorted — the parent's entries
+// are copied in one merge pass. The layout (offsets omitted for a
+// key-like result) is exactly newColPosting's.
+func (p *colPosting) carried(remap []int32, added []uint64) *colPosting {
+	slices.Sort(added)
+	added = slices.Compact(added)
+	out := &colPosting{
+		vals:  make([]sym.ID, 0, len(p.vals)+len(added)),
+		off:   make([]int32, 0, len(p.vals)+len(added)+1),
+		comps: make([]int32, 0, len(p.comps)+len(added)),
+	}
+	// Walk the union of the two constant lists in order; under each
+	// constant, merge the parent's remapped group with the added one.
+	i, a := 0, 0
+	for i < len(p.vals) || a < len(added) {
+		var val sym.ID
+		if a == len(added) || (i < len(p.vals) && p.vals[i] <= sym.ID(added[a]>>32)) {
+			val = p.vals[i]
+		} else {
+			val = sym.ID(added[a] >> 32)
+		}
+		var group []int32
+		if i < len(p.vals) && p.vals[i] == val {
+			group = p.group(i)
+			i++
+		}
+		start := len(out.comps)
+		for _, ci := range group {
+			nc := remap[ci]
+			if nc < 0 {
+				continue
+			}
+			for ; a < len(added) && sym.ID(added[a]>>32) == val && int32(uint32(added[a])) < nc; a++ {
+				out.comps = append(out.comps, int32(uint32(added[a])))
+			}
+			out.comps = append(out.comps, nc)
+		}
+		for ; a < len(added) && sym.ID(added[a]>>32) == val; a++ {
+			out.comps = append(out.comps, int32(uint32(added[a])))
+		}
+		if len(out.comps) > start {
+			out.vals = append(out.vals, val)
+			out.off = append(out.off, int32(start))
+		}
+	}
+	if len(out.vals) == len(out.comps) {
+		out.off = nil
+	} else {
+		out.off = append(out.off, int32(len(out.comps)))
+	}
+	return out
 }
 
 // column returns column j's posting of relation ri, the template side

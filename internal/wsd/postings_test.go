@@ -176,9 +176,10 @@ func TestPostingsMatchBruteForce(t *testing.T) {
 }
 
 // TestPostingsAcrossUpdates walks random update chains. Before each
-// step the parent's index is built; after it, the successor, a clone
-// of it, and the parent (whose index must not have been shared into
-// the successor, nor disturbed by it) must all match brute force.
+// step the parent's index is built; after it, the successor (which
+// carries the parent's index, remapped, or shares it when the update
+// installed nothing), a clone of it, and the parent (whose index the
+// carry must not disturb) must all match brute force.
 func TestPostingsAcrossUpdates(t *testing.T) {
 	pool := constPool(5)
 	for seed := int64(0); seed < 40; seed++ {

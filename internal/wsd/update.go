@@ -24,6 +24,14 @@
 // copied lazily, only when an operation interns a fact the snapshot has
 // never seen (copy-on-write).
 //
+// The install costs what the update touches plus flat array passes.
+// Survivors keep their relative order, so the old-to-new component
+// index map is monotone: added components are placed among the
+// survivors by binary search on their display keys, and the derived
+// arrays and every built piece of the posting index are the parent's,
+// remapped through that map, plus the added components' entries — no
+// per-component key scan, no sort of the whole list, no index rebuild.
+//
 // The incremental result satisfies every normalized invariant the query
 // methods rely on (distinct alternatives, disjoint supports, maximal
 // factoring, at most one certain component) and prints identically to a
@@ -36,6 +44,7 @@ package wsd
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -298,6 +307,16 @@ func (w *WSD) ApplyUpdateObserved(u *Update, c *obs.Cost) (*WSD, error) {
 	if err := w.Normalize(); err != nil {
 		return nil, err
 	}
+	// Delete and update patterns find their targets through the posting
+	// index (rewriteTargets). Build it on the parent, where reads of that
+	// version and later updates from it find it too; the snapshot
+	// carries it.
+	for i := range u.Ops {
+		if k := u.Ops[i].Kind; k == OpDelete || k == OpSet {
+			w.postingIndex()
+			break
+		}
+	}
 	out := w.snapshotClone()
 	out.obsCost = c
 	for i := range u.Ops {
@@ -333,14 +352,18 @@ func (w *WSD) ApplyUpdateFull(u *Update) (*WSD, error) {
 	return out, nil
 }
 
-// snapshotClone returns the copy the incremental path mutates:
-// component headers, factComp/certain and attrByRel are copied, while
-// alternative lists, alternative indexes, the fact table and the fact
-// index are shared with the receiver. The update engine treats every
-// shared structure as immutable — touched components are rebuilt into
-// fresh slices, and intern copies the fact table first (cowFacts). The
-// posting index is not carried: the successor builds its own on first
-// use.
+// snapshotClone returns the copy the incremental path mutates. It
+// shares everything with the receiver: the component list (capacity-
+// clipped), alternative lists and indexes, the fact table and index,
+// the derived arrays (factComp, certain, attrByRel) and the posting
+// index. The update engine treats every shared structure as immutable:
+// an install splices a fresh component list whose touched components
+// are fresh slices, intern copies the fact table first (cowFacts), and
+// the derived arrays and the carried posting index are written fresh
+// (patchDerived). An update that installs nothing — every operation a
+// no-op — therefore shares the parent's posting index; both versions
+// hold the same components, so a column either one builds is valid for
+// the other.
 func (w *WSD) snapshotClone() *WSD {
 	c := &WSD{
 		schema:      w.schema,
@@ -349,20 +372,16 @@ func (w *WSD) snapshotClone() *WSD {
 		factIndex:   w.factIndex,
 		factsShared: true,
 		compsShared: true,
-		comps:       append([]component(nil), w.comps...),
+		comps:       w.comps[:len(w.comps):len(w.comps)],
 		empty:       w.empty,
 		normalized:  true,
-		factComp:    append([]int32(nil), w.factComp...),
-		certain:     append([]bool(nil), w.certain...),
+		factComp:    w.factComp,
+		certain:     w.certain,
+		attrByRel:   w.attrByRel,
 		holes:       w.holes,
 		factsLoose:  w.factsLoose,
 	}
-	if w.attrByRel != nil {
-		c.attrByRel = make(map[int32][]int32, len(w.attrByRel))
-		for r, bucket := range w.attrByRel {
-			c.attrByRel[r] = append([]int32(nil), bucket...)
-		}
-	}
+	c.post.Store(w.post.Load())
 	return c
 }
 
@@ -422,7 +441,7 @@ func (w *WSD) applyOp(op *UpdateOp, full bool) error {
 	case OpInsert:
 		err = w.planInsert(ri, op, &p)
 	case OpDelete, OpSet:
-		err = w.planRewrite(ri, op, &p)
+		err = w.planRewrite(ri, op, full, &p)
 	case OpAssume:
 		err = w.planAssume(ri, op, true, &p)
 	case OpAssumeNot:
@@ -590,7 +609,9 @@ func (w *WSD) planAssume(ri int32, op *UpdateOp, keep bool, p *opPlan) error {
 // whose support matches the pattern is rewritten alternative-wise.
 // Conditional updates may intern new facts; collisions with other
 // components' supports are resolved by the install's overlap merge.
-func (w *WSD) planRewrite(ri int32, op *UpdateOp, p *opPlan) error {
+// The incremental path finds the matching components through the
+// posting index, the full reference path by a scan.
+func (w *WSD) planRewrite(ri int32, op *UpdateOp, full bool, p *opPlan) error {
 	pat, live := resolveArgsPattern(op.Args)
 	if !live {
 		p.noop = true
@@ -600,30 +621,16 @@ func (w *WSD) planRewrite(ri int32, op *UpdateOp, p *opPlan) error {
 	if op.Kind == OpSet {
 		assigns = op.Set
 	}
-	matched := make(map[int32]bool)
-	for id := range w.facts {
-		ci := w.factComp[id]
-		if ci < 0 || w.facts[id].rel != ri {
-			continue
-		}
-		if pat.matches(w.facts[id].tuple) {
-			matched[ci] = true
-		}
+	var order []int32
+	if full {
+		order = w.scanTargets(ri, pat)
+	} else {
+		order = w.rewriteTargets(ri, pat)
 	}
-	for _, ci := range w.attrByRel[ri] {
-		if pat.matchesTemplate(w.comps[ci].attr) {
-			matched[ci] = true
-		}
-	}
-	if len(matched) == 0 {
+	if len(order) == 0 {
 		p.noop = true
 		return nil
 	}
-	order := make([]int32, 0, len(matched))
-	for ci := range matched {
-		order = append(order, ci)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
 	for _, ci := range order {
 		c := &w.comps[ci]
 		src := c.alts
@@ -641,6 +648,78 @@ func (w *WSD) planRewrite(ri int32, op *UpdateOp, p *opPlan) error {
 		p.groups = append(p.groups, dst)
 	}
 	return nil
+}
+
+// rewriteTargets returns the components holding a fact of relation ri
+// that matches the pattern, ascending. A pattern with a constant slot
+// reads that column's postings — the tuple-level components with a fact
+// carrying the constant there, and the templates whose cell holds it —
+// instead of the whole fact table; an all-wildcard pattern reads the
+// relation's component and template lists. Every candidate is then
+// checked against the full pattern.
+func (w *WSD) rewriteTargets(ri int32, pat symPattern) []int32 {
+	p := w.postingIndex()
+	comps, tmpls := p.rels[ri].comps, w.attrByRel[ri]
+	for j, wild := range pat.anys {
+		if wild {
+			continue
+		}
+		comps = w.column(p, int(ri), j, false).lookup(pat.slots[j])
+		if len(tmpls) > 0 {
+			tmpls = w.column(p, int(ri), j, true).lookup(pat.slots[j])
+		}
+		break
+	}
+	var out []int32
+	for _, ci := range comps {
+		if w.holdsMatch(&w.comps[ci], ri, pat) {
+			out = append(out, ci)
+		}
+	}
+	for _, ci := range tmpls {
+		if pat.matchesTemplate(w.comps[ci].attr) {
+			out = append(out, ci)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// scanTargets is rewriteTargets by a scan of every stored fact and
+// every template of the relation, independent of the posting index: the
+// reference path (ApplyUpdateFull) finds its targets this way, so the
+// incremental-vs-full differential tests check the index lookups too.
+func (w *WSD) scanTargets(ri int32, pat symPattern) []int32 {
+	matched := make(map[int32]bool)
+	for id, f := range w.facts {
+		if ci := w.factComp[id]; ci >= 0 && f.rel == ri && pat.matches(f.tuple) {
+			matched[ci] = true
+		}
+	}
+	for _, ci := range w.attrByRel[ri] {
+		if pat.matchesTemplate(w.comps[ci].attr) {
+			matched[ci] = true
+		}
+	}
+	out := make([]int32, 0, len(matched))
+	for ci := range matched {
+		out = append(out, ci)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// holdsMatch reports whether some alternative of a tuple-level
+// component holds a fact of relation ri matching the pattern.
+func (w *WSD) holdsMatch(c *component, ri int32, pat symPattern) bool {
+	for _, alt := range c.alts {
+		for _, id := range alt {
+			if f := w.facts[id]; f.rel == ri && pat.matches(f.tuple) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // rewriteAlt maps one alternative through the delete/update image,
@@ -713,9 +792,10 @@ func (w *WSD) installFull(p *opPlan) error {
 // only the plan's groups: overlap closure pulls in any component whose
 // support a rewritten fact collided with, each independent class is
 // merged and locally re-factored (dedup, horizontal split, vertical
-// split, certain fold), and only the cheap derived arrays are rebuilt
-// globally. Untouched components pass through by value, alternative
-// lists and indexes shared.
+// split, certain fold), and the result is spliced into the surviving
+// components (splice), whose derived state is patched by the delta
+// rather than rebuilt. Untouched components pass through by value,
+// alternative lists and indexes shared.
 func (w *WSD) installIncremental(p *opPlan) error {
 	drop := make(map[int32]bool, len(p.drop))
 	for _, ci := range p.drop {
@@ -867,51 +947,110 @@ func (w *WSD) installIncremental(p *opPlan) error {
 		newComps = append(newComps, w.finishComponent([][]int32{sortDedupIDs(certainIDs)}))
 	}
 
-	// Assemble: survivors by value (alternative lists and indexes
-	// shared), new components, canonical component order.
-	final := make([]component, 0, len(w.comps)+len(newComps))
-	for ci := range w.comps {
-		if !drop[int32(ci)] {
-			final = append(final, w.comps[ci])
+	w.splice(drop, newComps)
+	return nil
+}
+
+// dispKey is a component's position in the canonical component order:
+// its display-least support fact (see minSupportFact). Supports are
+// disjoint, so no two components of one version share a key.
+type dispKey struct {
+	ok  bool // false: the component has no facts (sorts last)
+	rel int32
+	t   sym.Tuple
+}
+
+// dispKeyOf mirrors minSupportFact under non-canonical fact IDs: the
+// display-least support fact, found by scanning the alternatives.
+func (w *WSD) dispKeyOf(c *component) dispKey {
+	if c.attr != nil {
+		return dispKey{ok: true, rel: c.attr.rel, t: c.attr.minTuple()}
+	}
+	best := int32(-1)
+	for _, alt := range c.alts {
+		for _, f := range alt {
+			if best < 0 || w.factLess(f, best) {
+				best = f
+			}
 		}
 	}
-	w.obsCost.Add(obs.UpdateTouchedComponents, int64(len(drop)))
-	w.obsCost.Add(obs.UpdateSurvivorComponents, int64(len(final)))
-	final = append(final, newComps...)
-	// Decorate-sort: the display key is a full support scan with symbol
-	// lookups, so compute it once per component, not once per comparison.
-	type dispKey struct {
-		ok  bool
-		rel int32
-		t   sym.Tuple
+	if best < 0 {
+		return dispKey{}
 	}
-	keys := make([]dispKey, len(final))
-	ord := make([]int, len(final))
-	for i := range final {
-		ri, ti, oki := w.displayMinSupportFact(&final[i])
-		keys[i] = dispKey{ok: oki, rel: ri, t: ti}
+	f := w.facts[best]
+	return dispKey{ok: true, rel: f.rel, t: f.tuple}
+}
+
+func (a dispKey) less(b dispKey) bool {
+	if a.ok != b.ok {
+		return a.ok
+	}
+	if !a.ok {
+		return false
+	}
+	if a.rel != b.rel {
+		return a.rel < b.rel
+	}
+	return a.t.Compare(b.t) < 0
+}
+
+// splice installs the new component list: the survivors (every
+// component not in drop) keep their relative order, which is already
+// canonical, and each added component is placed among them by binary
+// search on the display key — O(k·log n) key computations for k added
+// components instead of a key per component and a full sort. The map
+// from old to new component index is then monotone, which is what lets
+// patchDerived and carryPostings update every per-version list without
+// re-sorting it.
+func (w *WSD) splice(drop map[int32]bool, added []component) {
+	old := w.comps
+	keys := make([]dispKey, len(added))
+	for i := range added {
+		keys[i] = w.dispKeyOf(&added[i])
+	}
+	ord := make([]int, len(added))
+	for i := range ord {
 		ord[i] = i
 	}
-	sort.Slice(ord, func(i, j int) bool {
-		a, b := keys[ord[i]], keys[ord[j]]
-		if a.ok != b.ok {
-			return a.ok
+	sort.Slice(ord, func(i, j int) bool { return keys[ord[i]].less(keys[ord[j]]) })
+
+	surv := make([]int32, 0, len(old))
+	for ci := range old {
+		if !drop[int32(ci)] {
+			surv = append(surv, int32(ci))
 		}
-		if !a.ok {
-			return false
-		}
-		if a.rel != b.rel {
-			return a.rel < b.rel
-		}
-		return a.t.Compare(b.t) < 0
-	})
-	sorted := make([]component, len(final))
-	for i, o := range ord {
-		sorted[i] = final[o]
 	}
-	w.comps = sorted
-	w.rebuildDerived()
-	return nil
+	w.obsCost.Add(obs.UpdateTouchedComponents, int64(len(old)-len(surv)))
+	w.obsCost.Add(obs.UpdateSurvivorComponents, int64(len(surv)))
+
+	comps := make([]component, 0, len(surv)+len(added))
+	remap := make([]int32, len(old))
+	for ci := range remap {
+		remap[ci] = -1
+	}
+	sorted := make([]component, len(added))
+	addedAt := make([]int32, len(added))
+	next := 0 // survivors surv[:next] are placed
+	for k, o := range ord {
+		// The added keys ascend, so each search starts where the last
+		// one ended.
+		at := next + sort.Search(len(surv)-next, func(i int) bool {
+			return keys[o].less(w.dispKeyOf(&old[surv[next+i]]))
+		})
+		for ; next < at; next++ {
+			remap[surv[next]] = int32(len(comps))
+			comps = append(comps, old[surv[next]])
+		}
+		sorted[k] = added[o]
+		addedAt[k] = int32(len(comps))
+		comps = append(comps, added[o])
+	}
+	for ; next < len(surv); next++ {
+		remap[surv[next]] = int32(len(comps))
+		comps = append(comps, old[surv[next]])
+	}
+	w.comps = comps
+	w.patchDerived(old, remap, sorted, addedAt)
 }
 
 // finishComponent builds a fresh tuple-level component: alternatives in
@@ -956,64 +1095,105 @@ func (w *WSD) altDisplayLess(a, b []int32) bool {
 	return false
 }
 
-// displayMinSupportFact mirrors minSupportFact under non-canonical IDs:
-// the display-least support fact found by scanning the alternatives.
-func (w *WSD) displayMinSupportFact(c *component) (relIdx int32, t sym.Tuple, ok bool) {
-	if c.attr != nil {
-		return c.attr.rel, c.attr.minTuple(), true
-	}
-	best := int32(-1)
-	for _, alt := range c.alts {
-		for _, f := range alt {
-			if best < 0 || w.factLess(f, best) {
-				best = f
-			}
+// patchDerived brings the derived state of the previous component list
+// old up to date with the spliced one: remap sends each old component
+// index to its new index (-1: dropped) and is monotone, and added[k]
+// now sits at index addedAt[k] (ascending). factComp, certain,
+// attrByRel and the hole count are the parent's, mapped through remap,
+// plus the added components' facts — a flat pass over the arrays
+// instead of a walk of every alternative. Facts no longer in any
+// component become holes. Certainty needs no counting: after the local
+// split, a multi-alternative component has no all-alternative fact, so
+// the certain facts are exactly the facts of the single-alternative
+// component. The arrays are written fresh, never in place: the parent
+// snapshot may share them.
+func (w *WSD) patchDerived(old []component, remap []int32, added []component, addedAt []int32) {
+	factComp := make([]int32, len(w.facts))
+	certain := make([]bool, len(w.facts))
+	copy(certain, w.certain)
+	holes := w.holes + len(w.facts) - len(w.factComp) // new facts start as holes
+	for f, ci := range w.factComp {
+		if ci < 0 {
+			factComp[f] = -1
+			continue
+		}
+		if factComp[f] = remap[ci]; factComp[f] < 0 {
+			certain[f] = false
+			holes++
 		}
 	}
-	if best < 0 {
-		return 0, nil, false
+	for f := len(w.factComp); f < len(factComp); f++ {
+		factComp[f] = -1
 	}
-	f := w.facts[best]
-	return f.rel, f.tuple, true
-}
-
-// rebuildDerived recomputes the cheap derived arrays (factComp,
-// certain, attrByRel, hole count) after an incremental install. Facts
-// no longer in any component become holes. Certainty needs no
-// counting: after the local split, a multi-alternative component has no
-// all-alternative fact, so the certain facts are exactly the facts of
-// the single-alternative component.
-func (w *WSD) rebuildDerived() {
-	w.factComp = make([]int32, len(w.facts))
-	for i := range w.factComp {
-		w.factComp[i] = -1
-	}
-	w.certain = make([]bool, len(w.facts))
-	w.attrByRel = nil
-	w.post.Store(nil)
-	w.axes.Store(nil)
-	for ci := range w.comps {
-		c := &w.comps[ci]
-		if a := c.attr; a != nil {
-			if w.attrByRel == nil {
-				w.attrByRel = make(map[int32][]int32)
-			}
-			w.attrByRel[a.rel] = append(w.attrByRel[a.rel], int32(ci))
+	for k := range added {
+		c := &added[k]
+		if c.attr != nil {
 			continue
 		}
 		isCertain := len(c.alts) == 1
 		for _, alt := range c.alts {
 			for _, f := range alt {
-				w.factComp[f] = int32(ci)
-				w.certain[f] = isCertain
+				if factComp[f] < 0 {
+					holes--
+				}
+				factComp[f] = addedAt[k]
+				certain[f] = isCertain
 			}
 		}
 	}
-	w.holes = 0
-	for _, ci := range w.factComp {
-		if ci < 0 {
-			w.holes++
+	var attrByRel map[int32][]int32 // nil when no relation has templates, as buildIndexes leaves it
+	bucket := func(r int32) {
+		if _, done := attrByRel[r]; done {
+			return
+		}
+		if b := remapSorted(w.attrByRel[r], remap, addedTemplates(added, addedAt, r)); len(b) > 0 {
+			if attrByRel == nil {
+				attrByRel = make(map[int32][]int32)
+			}
+			attrByRel[r] = b
 		}
 	}
+	for r := range w.attrByRel {
+		bucket(r)
+	}
+	for k := range added {
+		if a := added[k].attr; a != nil {
+			bucket(a.rel)
+		}
+	}
+	w.factComp, w.certain, w.attrByRel, w.holes = factComp, certain, attrByRel, holes
 	w.factsLoose = true
+	w.post.Store(w.carryPostings(w.post.Load(), old, remap, added, addedAt))
+	w.axes.Store(nil)
+}
+
+// addedTemplates returns the new indices of the added templates over
+// relation r, ascending.
+func addedTemplates(added []component, addedAt []int32, r int32) []int32 {
+	var out []int32
+	for k := range added {
+		if a := added[k].attr; a != nil && a.rel == r {
+			out = append(out, addedAt[k])
+		}
+	}
+	return out
+}
+
+// remapSorted maps an ascending list of old component indices through
+// the monotone remap, dropping removed ones, and merges in the
+// ascending list of added indices. The result is ascending and fresh.
+func remapSorted(list, remap, add []int32) []int32 {
+	out := make([]int32, 0, len(list)+len(add))
+	for _, ci := range list {
+		nc := remap[ci]
+		if nc < 0 {
+			continue
+		}
+		for len(add) > 0 && add[0] < nc {
+			out = append(out, add[0])
+			add = add[1:]
+		}
+		out = append(out, nc)
+	}
+	return append(out, add...)
 }

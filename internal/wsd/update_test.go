@@ -163,6 +163,67 @@ func TestIncrementalMatchesFullRenormalization(t *testing.T) {
 	}
 }
 
+// constSlotUpdate builds a seeded delete/conditional-update program
+// whose patterns each carry at least one constant slot, so the rewrite
+// finds its targets through that column's postings.
+func constSlotUpdate(rng *rand.Rand, arity, consts int) *wsd.Update {
+	u := &wsd.Update{}
+	for n := 1 + rng.Intn(3); n > 0; n-- {
+		args := make([]string, arity)
+		for j := range args {
+			args[j] = wsd.Wildcard
+			if rng.Intn(2) == 0 {
+				args[j] = fmt.Sprintf("c%d", rng.Intn(consts))
+			}
+		}
+		args[rng.Intn(arity)] = fmt.Sprintf("c%d", rng.Intn(consts))
+		op := wsd.UpdateOp{Kind: wsd.OpDelete, Rel: "R", Args: args}
+		if rng.Intn(2) == 0 {
+			op.Kind = wsd.OpSet
+			op.Set = []wsd.SlotAssign{{Slot: rng.Intn(arity), Value: fmt.Sprintf("c%d", rng.Intn(consts))}}
+		}
+		u.Ops = append(u.Ops, op)
+	}
+	return u
+}
+
+// TestIncrementalMatchesFullConstSlots runs chains of constant-slot
+// delete/update programs: each step's incremental result must print as
+// the full renormalization of the same parent, and the chain continues
+// from the incremental result, so later steps read postings carried
+// across earlier installs.
+func TestIncrementalMatchesFullConstSlots(t *testing.T) {
+	cases := 0
+	for seed := int64(0); seed < 200; seed++ {
+		arity := 2 + int(seed%2)
+		cur, err := gen.RandomWSD(seed, 6, 3, arity, 5)
+		if err != nil {
+			continue
+		}
+		rng := rand.New(rand.NewSource(seed ^ 0xc0175))
+		for step := 0; step < 5 && !cur.Empty(); step++ {
+			u := constSlotUpdate(rng, arity, 5)
+			incr, errI := cur.ApplyUpdate(u)
+			full, errF := cur.ApplyUpdateFull(u)
+			if (errI == nil) != (errF == nil) {
+				t.Fatalf("seed %d step %d: incremental err %v, full err %v", seed, step, errI, errF)
+			}
+			if errI != nil {
+				break
+			}
+			if gi, gf := incr.String(), full.String(); gi != gf {
+				t.Fatalf("seed %d step %d: update %q: incremental form is not Normalize-canonical\nincremental:\n%s\nfull:\n%s\nparent:\n%s",
+					seed, step, u, gi, gf, cur)
+			}
+			cur = incr
+			cases++
+		}
+	}
+	if cases < 900 {
+		t.Fatalf("only %d constant-slot cases; want >= 900", cases)
+	}
+}
+
 func TestApplyUpdateLeavesSnapshotIntact(t *testing.T) {
 	base, err := gen.RandomWSD(7, 4, 3, 2, 5)
 	if err != nil {

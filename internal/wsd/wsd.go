@@ -108,8 +108,8 @@ type WSD struct {
 	certain    []bool            // fact ID -> present in every alternative (derived)
 	attrByRel  map[int32][]int32 // relation -> attribute-level component indices (derived)
 	// post is the lazily built posting index of this normalized version
-	// (postings.go); nil until first use and whenever the derived arrays
-	// above are rebuilt.
+	// (postings.go); nil until first use and after a from-scratch
+	// derivation, carried across an incremental update.
 	post atomic.Pointer[postings]
 	// axes is the lazily built choice-axis table (axes.go), with the
 	// posting index's lifecycle.

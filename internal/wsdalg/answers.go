@@ -22,7 +22,7 @@ import (
 // decomposition is ground and finite, so no domain restriction is
 // needed: the support of Eval's result is the complete answer set.
 func PossibleAnswers(w *wsd.WSD, q query.Query) (*rel.Instance, error) {
-	out, err := Eval(w, q)
+	out, err := answerSet(w, q)
 	if err != nil {
 		return nil, err
 	}
@@ -50,7 +50,7 @@ func PossibleAnswers(w *wsd.WSD, q query.Query) (*rel.Instance, error) {
 // answer set; the schema-shaped empty instance is reported, matching
 // decide.CertainAnswers' convention for rep(d) = ∅.
 func CertainAnswers(w *wsd.WSD, q query.Query) (*rel.Instance, error) {
-	out, err := Eval(w, q)
+	out, err := answerSet(w, q)
 	if err != nil {
 		return nil, err
 	}
@@ -62,6 +62,17 @@ func CertainAnswers(w *wsd.WSD, q query.Query) (*rel.Instance, error) {
 		inst.Relation(f.Rel).Add(f.Args)
 	}
 	return inst, nil
+}
+
+// answerSet returns the answer world-set the readouts read: Eval's
+// result, except for the identity query, whose answer world-set is the
+// input itself — read in place rather than through Eval's deep clone,
+// since the readouts never mutate it.
+func answerSet(w *wsd.WSD, q query.Query) (*wsd.WSD, error) {
+	if query.IsIdentity(q) {
+		return w, nil
+	}
+	return Eval(w, q)
 }
 
 // shapedInstance builds an empty instance with one relation per schema
