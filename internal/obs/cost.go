@@ -83,11 +83,14 @@ const (
 	// CacheHits/CacheMisses count answer-cache outcomes for this
 	// request; CoalescedWaits counts evaluations this request
 	// piggybacked on instead of running; SemWaitNanos is time spent
-	// queued on the admission semaphore.
+	// queued on the admission semaphore; PlanReused counts evaluations
+	// that ran a planning decision the prepared query kept for the same
+	// database version instead of planning again.
 	CacheHits
 	CacheMisses
 	CoalescedWaits
 	SemWaitNanos
+	PlanReused
 
 	numCostKinds
 )
@@ -115,6 +118,7 @@ var costNames = [numCostKinds]string{
 	"cache_misses",
 	"coalesced_waits",
 	"sem_wait_ns",
+	"plan_reused",
 }
 
 // String returns the counter's canonical name.

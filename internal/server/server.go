@@ -1022,12 +1022,43 @@ func (s *Server) opWrite(req *Request, rc *reqCtx) (*Response, error) {
 	return &Response{DB: req.DB, Op: "write", Version: live, Count: count}, nil
 }
 
-// prepared is one compiled query: the parsed algebra plan plus its
-// canonical fingerprint (the plan's printed form, so equivalent
-// spellings share one answer-cache line).
+// preparedQuery is one compiled query: the parsed algebra plan plus
+// its canonical fingerprint (the plan's printed form, so equivalent
+// spellings share one answer-cache line), and the planner's last
+// decision for it.
 type preparedQuery struct {
-	q  query.Algebra
+	q  query.Query
 	fp string
+	// kept is the last planning decision an evaluation of this query
+	// made, with the (database, version) it was made on. A later answer
+	// miss at the same key evaluates the kept form without planning
+	// again; a write or reload bumps the version, so the next miss
+	// re-plans. It lives and dies with the prepared-cache entry.
+	kept atomic.Pointer[keptDecision]
+}
+
+// keptDecision is a planning decision keyed by the database and the
+// version it was made on. The key holds no decomposition: the version
+// pins the decision to the WSD that version installed without keeping
+// that WSD reachable once a write replaces it.
+type keptDecision struct {
+	db      *database
+	version uint64
+	dec     *wsdalg.Decision
+}
+
+// decision returns the decision kept for v's database and version, or
+// nil when the last one was made elsewhere (or none was made).
+func (p *preparedQuery) decision(v dbView) *wsdalg.Decision {
+	if k := p.kept.Load(); k != nil && k.db == v.db && k.version == v.version {
+		return k.dec
+	}
+	return nil
+}
+
+// keep records d as the decision for v's database and version.
+func (p *preparedQuery) keep(v dbView, d *wsdalg.Decision) {
+	p.kept.Store(&keptDecision{db: v.db, version: v.version, dec: d})
 }
 
 // prepare compiles @query text through the prepared-query cache.
@@ -1062,17 +1093,14 @@ func (s *Server) prepare(text string, rc *reqCtx) (*preparedQuery, error) {
 	return p, nil
 }
 
-// prepareOrIdentity resolves optional query text (cont's views): empty
-// text is the identity query with a reserved fingerprint.
-func (s *Server) prepareOrIdentity(text string, rc *reqCtx) (query.Query, string, error) {
+// prepareOrIdentity resolves optional query text (cont's views, the
+// answer ops' query): empty text is the identity query with a reserved
+// fingerprint, prepared afresh each time (it never plans).
+func (s *Server) prepareOrIdentity(text string, rc *reqCtx) (*preparedQuery, error) {
 	if text == "" {
-		return query.Identity{}, "~identity", nil
+		return &preparedQuery{q: query.Identity{}, fp: "~identity"}, nil
 	}
-	p, err := s.prepare(text, rc)
-	if err != nil {
-		return nil, "", err
-	}
-	return p.q, p.fp, nil
+	return s.prepare(text, rc)
 }
 
 func cacheKey(kind, db string, version uint64, rest string) string {
@@ -1119,70 +1147,85 @@ func (s *Server) cachedEval(db *database, key string, rc *reqCtx, fn func() (any
 	return val, false, coalesced, err
 }
 
-// evalEntry is one cached answer decomposition plus the answer
-// instances read off it, derived at most once each, and the EXPLAIN
-// plan recorded by the evaluation that populated the entry.
+// evalEntry is one cached answer decomposition plus the answer texts
+// printed off it, each rendered at most once, and the EXPLAIN plan
+// recorded by the evaluation that populated the entry. A cache hit
+// reads a rendered text: it neither reads the decomposition out nor
+// prints.
 type evalEntry struct {
 	out  *wsd.WSD
 	plan *wsdalg.Plan
-
-	possOnce sync.Once
-	poss     *rel.Instance
-	possErr  error
-
-	certOnce sync.Once
-	cert     *rel.Instance
-	certErr  error
+	poss answerText
+	cert answerText
 }
 
-// possAnswers reads the possible answers off the cached decomposition.
-func (e *evalEntry) possAnswers() (*rel.Instance, error) {
-	e.possOnce.Do(func() {
-		// Identity on the already-evaluated decomposition: reuse the
-		// plan output, skip re-evaluation.
-		e.poss, e.possErr = wsdalg.PossibleAnswers(e.out, query.Identity{})
-	})
-	return e.poss, e.possErr
+// answerText is one printed answer set and the error reading or
+// printing it failed with, computed once.
+type answerText struct {
+	once sync.Once
+	text string
+	err  error
 }
 
-func (e *evalEntry) certAnswers() (*rel.Instance, error) {
-	e.certOnce.Do(func() {
-		e.cert, e.certErr = wsdalg.CertainAnswers(e.out, query.Identity{})
-	})
-	return e.cert, e.certErr
+// set prints inst (or keeps the error that prevented reading it).
+func (a *answerText) set(inst *rel.Instance, err error) {
+	if err == nil {
+		a.text, err = printInstance(inst)
+	}
+	a.err = err
 }
 
-// ansEntry caches a final answer instance (the c-table engine path,
+// answers returns the printed possible (poss-ans) or certain (cert-ans)
+// answers of the cached decomposition, reading them off it — the
+// identity query on the already-evaluated answer — on first use.
+func (e *evalEntry) answers(op string) (string, error) {
+	if op == "poss-ans" {
+		e.poss.once.Do(func() { e.poss.set(wsdalg.PossibleAnswers(e.out, query.Identity{})) })
+		return e.poss.text, e.poss.err
+	}
+	e.cert.once.Do(func() { e.cert.set(wsdalg.CertainAnswers(e.out, query.Identity{})) })
+	return e.cert.text, e.cert.err
+}
+
+// ansEntry caches a final printed answer (the c-table engine path,
 // which has no reusable intermediate decomposition).
-type ansEntry struct{ inst *rel.Instance }
+type ansEntry struct{ text string }
 
 func (s *Server) opAnswers(req *Request, v dbView, resp *Response, rc *reqCtx) (*Response, error) {
 	// An empty query is the identity: the possible/certain facts of the
 	// database's own world set.
-	q, fp, err := s.prepareOrIdentity(req.Query, rc)
+	p, err := s.prepareOrIdentity(req.Query, rc)
 	if err != nil {
 		return nil, err
 	}
-	rc.fp = fp
-	var inst *rel.Instance
+	q := p.q
+	rc.fp = p.fp
 	if v.wsd != nil {
 		// One cache line per (db-version, fingerprint) holds the
 		// evaluated answer decomposition; poss-ans and cert-ans on the
 		// same query share it.
-		key := cacheKey("eval", v.name, v.version, fp)
+		key := cacheKey("eval", v.name, v.version, p.fp)
 		val, cached, coalesced, err := s.cachedEval(v.db, key, rc, func() (any, error) {
 			defer s.acquire(rc)()
 			sp := rc.span("eval")
 			defer sp.End()
-			// EvalOptimized over plain Eval: planning plus the plan
-			// cost microseconds next to the evaluation they describe,
-			// and keeping the plan in the cache entry lets explain
-			// requests on cache hits answer without re-evaluating.
-			out, plan, err := wsdalg.EvalOptimized(v.wsd, q, rc.cost)
+			// Planning plus the plan: the planner's microseconds sit
+			// next to the evaluation they describe, and keeping the plan
+			// in the cache entry lets explain requests on cache hits
+			// answer without re-evaluating. A decision kept from an
+			// earlier miss at this version skips the planning.
+			prior := p.decision(v)
+			if prior != nil {
+				rc.cost.Add(obs.PlanReused, 1)
+			}
+			out, plan, dec, err := wsdalg.EvalWithDecision(v.wsd, q, prior, rc.cost)
 			if err != nil {
 				sp.SetError(errorClass(err))
 				rc.plan = plan // partial, error-marked: flight/slow log still see it
 				return nil, err
+			}
+			if prior == nil {
+				p.keep(v, dec)
 			}
 			return &evalEntry{out: out, plan: plan}, nil
 		})
@@ -1192,45 +1235,40 @@ func (s *Server) opAnswers(req *Request, v dbView, resp *Response, rc *reqCtx) (
 		entry := val.(*evalEntry)
 		rc.plan = entry.plan
 		sp := rc.span("answers")
-		if req.Op == "poss-ans" {
-			inst, err = entry.possAnswers()
-		} else {
-			inst, err = entry.certAnswers()
-		}
+		resp.Facts, err = entry.answers(req.Op)
 		sp.End()
 		if err != nil {
 			return nil, err
 		}
 		resp.Cached, resp.Coalesced = cached, coalesced
-	} else {
-		key := cacheKey("tans:"+req.Op, v.name, v.version, fp)
-		val, cached, coalesced, err := s.cachedEval(v.db, key, rc, func() (any, error) {
-			defer s.acquire(rc)()
-			sp := rc.span("decide")
-			defer sp.End()
-			var a *rel.Instance
-			var err error
-			if req.Op == "poss-ans" {
-				a, err = s.opts(rc).PossibleAnswers(q, v.tab)
-			} else {
-				a, err = s.opts(rc).CertainAnswers(q, v.tab)
-			}
-			if err != nil {
-				return nil, err
-			}
-			return &ansEntry{inst: a}, nil
-		})
+		return resp, nil
+	}
+	key := cacheKey("tans:"+req.Op, v.name, v.version, p.fp)
+	val, cached, coalesced, err := s.cachedEval(v.db, key, rc, func() (any, error) {
+		defer s.acquire(rc)()
+		sp := rc.span("decide")
+		defer sp.End()
+		var a *rel.Instance
+		var err error
+		if req.Op == "poss-ans" {
+			a, err = s.opts(rc).PossibleAnswers(q, v.tab)
+		} else {
+			a, err = s.opts(rc).CertainAnswers(q, v.tab)
+		}
 		if err != nil {
 			return nil, err
 		}
-		inst = val.(*ansEntry).inst
-		resp.Cached, resp.Coalesced = cached, coalesced
-	}
-	text, err := printInstance(inst)
+		text, err := printInstance(a)
+		if err != nil {
+			return nil, err
+		}
+		return &ansEntry{text: text}, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	resp.Facts = text
+	resp.Facts = val.(*ansEntry).text
+	resp.Cached, resp.Coalesced = cached, coalesced
 	return resp, nil
 }
 
@@ -1242,22 +1280,22 @@ func (s *Server) opCont(req *Request, v dbView, resp *Response, rc *reqCtx) (*Re
 	if err != nil {
 		return nil, err
 	}
-	q0, fp0, err := s.prepareOrIdentity(req.Query, rc)
+	p0, err := s.prepareOrIdentity(req.Query, rc)
 	if err != nil {
 		return nil, err
 	}
-	q1, fp1, err := s.prepareOrIdentity(req.Query2, rc)
+	p1, err := s.prepareOrIdentity(req.Query2, rc)
 	if err != nil {
 		return nil, err
 	}
-	rc.fp = fp0 + " ⊆ " + fp1
-	rest := v2.name + "\x00" + strconv.FormatUint(v2.version, 10) + "\x00" + fp0 + "\x00" + fp1
+	rc.fp = p0.fp + " ⊆ " + p1.fp
+	rest := v2.name + "\x00" + strconv.FormatUint(v2.version, 10) + "\x00" + p0.fp + "\x00" + p1.fp
 	key := cacheKey("cont", v.name, v.version, rest)
 	val, cached, coalesced, err := s.cachedEval(v.db, key, rc, func() (any, error) {
 		defer s.acquire(rc)()
 		sp := rc.span("decide")
 		defer sp.End()
-		return contDecide(q0, v, q1, v2, s.opts(rc))
+		return contDecide(p0.q, v, p1.q, v2, s.opts(rc))
 	})
 	if err != nil {
 		return nil, err

@@ -11,6 +11,7 @@
 package wsd
 
 import (
+	"iter"
 	"math"
 	"sort"
 
@@ -24,33 +25,54 @@ import (
 // alternative, every template instantiation in some slot choice, and
 // the other components are independent. Attribute-level components
 // contribute their full instantiation sets, so the result is
-// output-sized — Π|slot| facts per template.
+// output-sized — Π|slot| facts per template. It is SupportTuples with
+// names resolved.
 func (w *WSD) Support() []Fact {
 	w.ensure()
-	out := make([]Fact, 0, len(w.facts))
-	for id := range w.facts {
-		if w.factComp[id] < 0 {
-			continue // hole left by an update: outside the support
-		}
-		out = append(out, w.resolve(int32(id)))
-	}
-	for _, c := range w.comps {
-		a := c.attr
-		if a == nil {
-			continue
-		}
-		n, ok := a.countInt()
-		if !ok {
-			panic("wsd: Support on a template with more instantiations than fit an int")
-		}
-		for ai := 0; ai < n; ai++ {
-			out = append(out, Fact{Rel: w.schema[a.rel].Name, Args: rel.ResolveFact(a.tupleAt(ai))})
-		}
+	out := make([]Fact, 0, len(w.facts)-w.holes)
+	for f := range w.SupportTuples() {
+		out = append(out, w.boundary(int32(f.Rel), f.Tuple))
 	}
 	if w.attrByRel != nil || w.factsLoose {
 		sort.Slice(out, func(i, j int) bool { return factBoundaryLess(out[i], out[j], w.schemaIdx) })
 	}
 	return out
+}
+
+// SupportTuples yields the support in interned form: the stored facts
+// in fact-ID order, then each template's instantiations in odometer
+// order (display order only when the decomposition has no template and
+// no update reordered its facts; Support sorts). Stored tuples are the
+// decomposition's own, shared: callers must not mutate them. A
+// template with more instantiations than fit an int panics, as in
+// Support; check SupportSize first.
+func (w *WSD) SupportTuples() iter.Seq[TupleFact] {
+	w.ensure()
+	return func(yield func(TupleFact) bool) {
+		for id, f := range w.facts {
+			if w.factComp[id] < 0 {
+				continue // hole left by an update: outside the support
+			}
+			if !yield(TupleFact{Rel: int(f.rel), Tuple: f.tuple}) {
+				return
+			}
+		}
+		for _, c := range w.comps {
+			a := c.attr
+			if a == nil {
+				continue
+			}
+			n, ok := a.countInt()
+			if !ok {
+				panic("wsd: Support on a template with more instantiations than fit an int")
+			}
+			for ai := 0; ai < n; ai++ {
+				if !yield(TupleFact{Rel: int(a.rel), Tuple: a.tupleAt(ai)}) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // SupportSize returns the number of facts Support would enumerate; ok
@@ -86,19 +108,32 @@ func factBoundaryLess(a, b Fact, schemaIdx map[string]int) bool {
 // display order. Template instantiations are never certain (a
 // normalized template keeps at least two alternatives). On the empty
 // world set it returns nil (there is no canonical certain set; callers
-// that want the vacuous reading check Empty themselves).
+// that want the vacuous reading check Empty themselves). It is
+// CertainTuples with names resolved.
 func (w *WSD) CertainFacts() []Fact {
-	w.ensure()
 	var out []Fact
-	for id := range w.facts {
-		if w.certain[id] {
-			out = append(out, w.resolve(int32(id)))
-		}
+	for f := range w.CertainTuples() {
+		out = append(out, w.boundary(int32(f.Rel), f.Tuple))
 	}
 	if w.factsLoose {
 		sort.Slice(out, func(i, j int) bool { return factBoundaryLess(out[i], out[j], w.schemaIdx) })
 	}
 	return out
+}
+
+// CertainTuples yields the certain facts in interned form, in fact-ID
+// order (display order unless an update reordered the facts;
+// CertainFacts sorts). The tuples are the decomposition's own, shared:
+// callers must not mutate them.
+func (w *WSD) CertainTuples() iter.Seq[TupleFact] {
+	w.ensure()
+	return func(yield func(TupleFact) bool) {
+		for id, f := range w.facts {
+			if w.certain[id] && !yield(TupleFact{Rel: int(f.rel), Tuple: f.tuple}) {
+				return
+			}
+		}
+	}
 }
 
 // AltCount returns the number of alternatives of component ci. For an
@@ -116,7 +151,7 @@ func (w *WSD) AltCount(ci int) int {
 func (w *WSD) AltFacts(ci, ai int) []Fact {
 	w.ensure()
 	if a := w.comps[ci].attr; a != nil {
-		return []Fact{{Rel: w.schema[a.rel].Name, Args: rel.ResolveFact(a.tupleAt(ai))}}
+		return []Fact{w.boundary(a.rel, a.tupleAt(ai))}
 	}
 	alt := w.comps[ci].alts[ai]
 	out := make([]Fact, len(alt))

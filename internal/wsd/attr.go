@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 	"sort"
 	"strings"
 
@@ -163,27 +164,60 @@ func sortDedupCell(cell []sym.ID) []sym.ID {
 // (String / PrintWSD) always re-parses to the same world set; a value
 // like "hi|lo" would print as a braced list of two values and silently
 // denote a different set.
+//
+// AddTemplateComponent is the boundary form of AddTemplateCells: it
+// resolves the relation name and interns the values, then builds
+// through the same validating constructor.
 func (w *WSD) AddTemplateComponent(relName string, cells ...[]string) error {
-	ri, ok := w.schemaIdx[relName]
+	ri, ok := w.RelIndex(relName)
 	if !ok {
 		return fmt.Errorf("wsd: template references unknown relation %s", relName)
 	}
-	if len(cells) != w.schema[ri].Arity {
-		return fmt.Errorf("wsd: template for %s has %d slots, relation expects %d",
-			relName, len(cells), w.schema[ri].Arity)
-	}
-	a := &attrComp{rel: int32(ri), cells: make([][]sym.ID, len(cells))}
+	ids := make([][]sym.ID, len(cells))
 	for i, cell := range cells {
-		ids := make([]sym.ID, len(cell))
+		ids[i] = make([]sym.ID, len(cell))
 		for j, v := range cell {
-			if !plainCellValue(v) {
-				return fmt.Errorf("wsd: template for %s: slot %d value %q is empty or uses a reserved character of the slot grammar", relName, i, v)
-			}
-			ids[j] = sym.Const(v)
+			ids[i][j] = sym.Const(v)
 		}
-		a.cells[i] = ids
 	}
-	w.comps = append(w.comps, component{attr: a})
+	return w.addTemplate(ri, ids)
+}
+
+// AddTemplateCells is AddTemplateComponent over interned values: the
+// template's relation is schema position ri and slot i ranges over
+// cells[i]. A relation index outside the schema, a slot count other
+// than the arity, and a slot value that is not a plain constant are
+// errors and leave the decomposition unchanged. The cells are copied.
+func (w *WSD) AddTemplateCells(ri int, cells ...[]sym.ID) error {
+	own := make([][]sym.ID, len(cells))
+	for i, cell := range cells {
+		own[i] = slices.Clone(cell)
+	}
+	return w.addTemplate(ri, own)
+}
+
+// addTemplate validates a template and appends it, keeping cells (the
+// caller hands them over).
+func (w *WSD) addTemplate(ri int, cells [][]sym.ID) error {
+	if ri < 0 || ri >= len(w.schema) {
+		return fmt.Errorf("wsd: template relation index %d outside the schema's %d relations", ri, len(w.schema))
+	}
+	r := w.schema[ri]
+	if len(cells) != r.Arity {
+		return fmt.Errorf("wsd: template for %s has %d slots, relation expects %d",
+			r.Name, len(cells), r.Arity)
+	}
+	for i, cell := range cells {
+		for _, id := range cell {
+			if id.IsVar() { // a variable, or the None sentinel
+				return fmt.Errorf("wsd: template for %s: slot %d holds a non-constant symbol", r.Name, i)
+			}
+			if !plainCellValue(id.Name()) {
+				return fmt.Errorf("wsd: template for %s: slot %d value %q is empty or uses a reserved character of the slot grammar", r.Name, i, id.Name())
+			}
+		}
+	}
+	w.comps = append(w.comps, component{attr: &attrComp{rel: int32(ri), cells: cells}})
 	w.normalized = false
 	return nil
 }

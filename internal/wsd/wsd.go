@@ -37,6 +37,7 @@ package wsd
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -213,6 +214,23 @@ func (w *WSD) Size() int {
 // Empty reports whether the decomposition denotes the empty world set.
 func (w *WSD) Empty() bool { w.ensure(); return w.empty }
 
+// TupleFact is one ground fact in interned form: a relation's schema
+// position (see RelIndex) and its tuple of interned constants. It is
+// the builder and reader currency of callers that already hold
+// interned tuples (the wsdalg evaluator), so no name is resolved and
+// re-interned on the way through.
+type TupleFact struct {
+	Rel   int
+	Tuple sym.Tuple
+}
+
+// RelIndex returns the schema position of relation name; ok is false
+// when the schema has no such relation.
+func (w *WSD) RelIndex(name string) (int, bool) {
+	ri, ok := w.schemaIdx[name]
+	return ri, ok
+}
+
 // AddComponent appends a component with the given alternatives. The facts
 // are interned against the schema; unknown relations and arity mismatches
 // are errors. Alternatives may repeat and may overlap other components'
@@ -221,35 +239,70 @@ func (w *WSD) Empty() bool { w.ensure(); return w.empty }
 //
 // A component with zero alternatives is legal and collapses the whole
 // decomposition to the empty world set.
+//
+// AddComponent is the boundary form of AddComponentTuples: it resolves
+// relation names and interns the constants, then builds through it.
 func (w *WSD) AddComponent(alts ...Alt) error {
-	c := component{alts: make([][]int32, 0, len(alts))}
+	talts := make([][]TupleFact, len(alts))
+	for i, alt := range alts {
+		ts := make([]TupleFact, len(alt))
+		for k, f := range alt {
+			ri, ok := w.RelIndex(f.Rel)
+			if !ok {
+				return fmt.Errorf("wsd: fact %s references unknown relation %s", f, f.Rel)
+			}
+			ts[k] = TupleFact{Rel: ri, Tuple: f.Args.Intern()}
+		}
+		talts[i] = ts
+	}
+	return w.AddComponentTuples(talts...)
+}
+
+// AddComponentTuples appends a component whose alternatives are given
+// as interned facts. Every fact is validated before any is stored: a
+// relation index outside the schema, an arity mismatch or a
+// non-constant symbol in the tuple is an error and leaves the
+// decomposition unchanged.
+// Tuples are copied when first stored, so callers keep ownership of
+// theirs. Otherwise it is AddComponent: the decomposition is left
+// denormalized, and zero alternatives denote the empty world set.
+func (w *WSD) AddComponentTuples(alts ...[]TupleFact) error {
 	for _, alt := range alts {
-		ids := make([]int32, 0, len(alt))
 		for _, f := range alt {
-			id, err := w.internBoundary(f)
-			if err != nil {
+			if err := w.checkTupleFact(f); err != nil {
 				return err
 			}
-			ids = append(ids, id)
 		}
-		c.alts = append(c.alts, sortDedupIDs(ids))
+	}
+	c := component{alts: make([][]int32, len(alts))}
+	for i, alt := range alts {
+		ids := make([]int32, len(alt))
+		for k, f := range alt {
+			ids[k] = w.intern(int32(f.Rel), f.Tuple)
+		}
+		c.alts[i] = sortDedupIDs(ids)
 	}
 	w.comps = append(w.comps, c)
 	w.normalized = false
 	return nil
 }
 
-// internBoundary interns a boundary fact, validating it against the schema.
-func (w *WSD) internBoundary(f Fact) (int32, error) {
-	ri, ok := w.schemaIdx[f.Rel]
-	if !ok {
-		return 0, fmt.Errorf("wsd: fact %s references unknown relation %s", f, f.Rel)
+// checkTupleFact validates an interned fact against the schema.
+func (w *WSD) checkTupleFact(f TupleFact) error {
+	if f.Rel < 0 || f.Rel >= len(w.schema) {
+		return fmt.Errorf("wsd: fact relation index %d outside the schema's %d relations", f.Rel, len(w.schema))
 	}
-	if len(f.Args) != w.schema[ri].Arity {
-		return 0, fmt.Errorf("wsd: fact %s has arity %d, relation %s expects %d",
-			f, len(f.Args), f.Rel, w.schema[ri].Arity)
+	r := w.schema[f.Rel]
+	if len(f.Tuple) != r.Arity {
+		return fmt.Errorf("wsd: fact %s has arity %d, relation %s expects %d",
+			w.boundary(int32(f.Rel), f.Tuple), len(f.Tuple), r.Name, r.Arity)
 	}
-	return w.intern(int32(ri), f.Args.Intern()), nil
+	for i, id := range f.Tuple {
+		if id.IsVar() { // a variable, or the None sentinel
+			return fmt.Errorf("wsd: fact of %s holds a non-constant symbol at position %d; facts must be ground", r.Name, i)
+		}
+	}
+	return nil
 }
 
 // intern stores (or finds) a fact, returning its dense ID. The tuple is
@@ -311,7 +364,12 @@ func (w *WSD) lookupBoundary(relName string, f rel.Fact) (int32, bool) {
 // resolve converts a stored fact back to boundary form.
 func (w *WSD) resolve(id int32) Fact {
 	f := w.facts[id]
-	return Fact{Rel: w.schema[f.rel].Name, Args: rel.ResolveFact(f.tuple)}
+	return w.boundary(f.rel, f.tuple)
+}
+
+// boundary resolves an interned fact to its names.
+func (w *WSD) boundary(ri int32, t sym.Tuple) Fact {
+	return Fact{Rel: w.schema[ri].Name, Args: rel.ResolveFact(t)}
 }
 
 // factLess is the canonical display order of stored facts: schema
@@ -429,14 +487,8 @@ func (w *WSD) String() string {
 
 // sortDedupIDs sorts ids ascending and removes duplicates in place.
 func sortDedupIDs(ids []int32) []int32 {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := ids[:0]
-	for i, id := range ids {
-		if i == 0 || id != ids[i-1] {
-			out = append(out, id)
-		}
-	}
-	return out
+	slices.Sort(ids)
+	return slices.Compact(ids)
 }
 
 // idsEqual reports element-wise equality of sorted ID lists.

@@ -2,7 +2,9 @@
 // world-set as a decomposition, possibility and certainty of answer
 // facts are support lookups — the normalized invariants make the
 // support exactly the possible facts and the every-alternative facts
-// exactly the certain ones. No world is ever expanded.
+// exactly the certain ones. No world is ever expanded, and the answer
+// stays interned: the readouts copy the decomposition's tuples into the
+// answer instance, and names resolve only when it is printed.
 package wsdalg
 
 import (
@@ -38,8 +40,9 @@ func PossibleAnswers(w *wsd.WSD, q query.Query) (*rel.Instance, error) {
 		return nil, fmt.Errorf("%w: the possible-answer set of %s has more facts than fit in memory (an answer template's field product overflows)",
 			ErrEntangled, q.Label())
 	}
-	for _, f := range out.Support() {
-		inst.Relation(f.Rel).Add(f.Args)
+	rels := inst.Relations()
+	for f := range out.SupportTuples() {
+		rels[f.Rel].Insert(f.Tuple)
 	}
 	return inst, nil
 }
@@ -58,8 +61,9 @@ func CertainAnswers(w *wsd.WSD, q query.Query) (*rel.Instance, error) {
 	if out.Empty() {
 		return inst, nil
 	}
-	for _, f := range out.CertainFacts() {
-		inst.Relation(f.Rel).Add(f.Args)
+	rels := inst.Relations()
+	for f := range out.CertainTuples() {
+		rels[f.Rel].Insert(f.Tuple)
 	}
 	return inst, nil
 }
@@ -76,7 +80,8 @@ func answerSet(w *wsd.WSD, q query.Query) (*wsd.WSD, error) {
 }
 
 // shapedInstance builds an empty instance with one relation per schema
-// entry.
+// entry, in schema order: relation i of the instance is schema position
+// i, the index the tuple iterators yield.
 func shapedInstance(s table.Schema) *rel.Instance {
 	inst := rel.NewInstance()
 	for _, r := range s {

@@ -103,18 +103,41 @@ func (ev *evaluator) optimize(q query.Query) (query.Query, *PlannerInfo) {
 	return opt, info
 }
 
-// EvalOptimized is EvalPlanned through the planner: the chosen form is
-// evaluated (plan and all) by the evaluator that priced it, and the plan
-// carries the planning record. Equivalence of the rewrites means the
-// result is identical to EvalPlanned(w, q, c) world-for-world.
-func EvalOptimized(w *wsd.WSD, q query.Query, c *obs.Cost) (*wsd.WSD, *Plan, error) {
+// Decision is a planning decision kept for reuse: the form the planner
+// chose for one query on one version of a decomposition, with its
+// record. It holds the query form, never the decomposition, so keeping
+// one does not keep a version alive. A decision is valid only for the
+// query and decomposition version it was made on; pricing is a pure
+// function of both, so re-planning there would choose the same form.
+type Decision struct {
+	form query.Query
+	info *PlannerInfo // nil when the planner did not price q
+}
+
+// EvalWithDecision is EvalPlanned through the planner, with the plan
+// carrying the planning record. Without a prior decision one evaluator
+// prices the query and evaluates the chosen form, so pricing and
+// evaluation share its scan cache. With one — returned by an earlier
+// call for the same q on the same version of w — its form is evaluated
+// directly and nothing is priced. It returns the decision it used.
+// Equivalence of the rewrites means the result is identical to
+// EvalPlanned(w, q, c) world-for-world.
+func EvalWithDecision(w *wsd.WSD, q query.Query, prior *Decision, c *obs.Cost) (*wsd.WSD, *Plan, *Decision, error) {
 	ev := newEvaluator(w)
-	opt, info := ev.optimize(q)
-	out, pl, err := ev.evalPlanned(opt, c)
-	if pl != nil {
-		pl.Planner = info
-		pl.Query = q.Label() // report the query as asked, not as rewritten
+	d := prior
+	if d == nil {
+		d = &Decision{}
+		d.form, d.info = ev.optimize(q)
 	}
+	out, pl, err := ev.evalPlanned(d.form, c)
+	pl.Planner = d.info
+	pl.Query = q.Label() // report the query as asked, not as rewritten
+	return out, pl, d, err
+}
+
+// EvalOptimized is EvalWithDecision without a prior decision.
+func EvalOptimized(w *wsd.WSD, q query.Query, c *obs.Cost) (*wsd.WSD, *Plan, error) {
+	out, pl, _, err := EvalWithDecision(w, q, nil, c)
 	return out, pl, err
 }
 

@@ -231,7 +231,7 @@ func (ev *evaluator) evalCore(q query.Query, c *obs.Cost, pl *Plan) (*wsd.WSD, e
 // relation. When explaining, each output gets an "out" plan node.
 func (ev *evaluator) walkOuts(a query.Algebra) ([]taggedPart, error) {
 	var parts []taggedPart
-	for _, o := range a.Outs {
+	for ri, o := range a.Outs {
 		var outNode *PlanNode
 		if ev.plan != nil {
 			outNode = &PlanNode{Op: "out", Detail: o.Name}
@@ -247,7 +247,7 @@ func (ev *evaluator) walkOuts(a query.Algebra) ([]taggedPart, error) {
 			outNode.Act.Parts = int64(len(d.parts))
 		}
 		for _, p := range d.parts {
-			parts = append(parts, taggedPart{rel: o.Name, p: p})
+			parts = append(parts, taggedPart{rel: ri, p: p})
 		}
 	}
 	ev.cur = nil
@@ -270,9 +270,10 @@ func (ev *evaluator) price(a query.Algebra) (int64, error) {
 }
 
 // taggedPart is one answer part tagged with the output relation it
-// feeds — the unit of work the component assembly groups.
+// feeds (a schema position of the answer decomposition) — the unit of
+// work the component assembly groups.
 type taggedPart struct {
-	rel string
+	rel int
 	p   part
 }
 
@@ -309,11 +310,11 @@ func (ev *evaluator) assemble(out *wsd.WSD, parts []taggedPart, asm *PlanNode) e
 			continue
 		}
 		rows := op.p.at(nil, ev) // constant rows: no choice is read
-		alt := make(wsd.Alt, 0, len(rows))
-		for _, t := range rows {
-			alt = append(alt, wsd.Fact{Rel: op.rel, Args: rel.ResolveFact(t)})
+		alt := make([]wsd.TupleFact, len(rows))
+		for k, t := range rows {
+			alt[k] = wsd.TupleFact{Rel: op.rel, Tuple: t}
 		}
-		if err := out.AddComponent(alt); err != nil {
+		if err := out.AddComponentTuples(alt); err != nil {
 			asm.markError(err)
 			return err
 		}
@@ -348,18 +349,18 @@ func (ev *evaluator) assemble(out *wsd.WSD, parts []taggedPart, asm *PlanNode) e
 			asm.markError(err)
 			return err
 		}
-		alts := make([]wsd.Alt, 0, space)
+		alts := make([][]wsd.TupleFact, 0, space)
 		ev.odometer(origins, func(choice []int) {
-			var alt wsd.Alt
+			var alt []wsd.TupleFact
 			for _, i := range members {
 				op := &parts[i]
 				for _, t := range op.p.at(choice, ev) {
-					alt = append(alt, wsd.Fact{Rel: op.rel, Args: rel.ResolveFact(t)})
+					alt = append(alt, wsd.TupleFact{Rel: op.rel, Tuple: t})
 				}
 			}
 			alts = append(alts, alt)
 		})
-		if err := out.AddComponent(alts...); err != nil {
+		if err := out.AddComponentTuples(alts...); err != nil {
 			asm.markError(err)
 			return err
 		}
@@ -443,33 +444,28 @@ func originGroups(n int, originsOf func(int) []int) (groups [][]int, merged [][]
 // to the answer decomposition in factored (per-slot) form. Repeated
 // slot references or predicates correlate the columns, which the
 // template form cannot express; those parts fall back to tabulation.
-func (ev *evaluator) emitTemplate(out *wsd.WSD, relName string, p *part) (bool, error) {
+func (ev *evaluator) emitTemplate(out *wsd.WSD, ri int, p *part) (bool, error) {
 	t := p.tmpl
 	if t == nil || len(t.preds) > 0 {
 		return false, nil
 	}
 	seen := map[int]bool{}
-	cells := make([][]string, len(t.out))
+	cells := make([][]sym.ID, len(t.out))
 	for j, c := range t.out {
 		if c.unit < 0 {
-			cells[j] = []string{c.constID.Name()}
+			cells[j] = []sym.ID{c.constID}
 			continue
 		}
 		if seen[c.unit] {
 			return false, nil
 		}
 		seen[c.unit] = true
-		vals := ev.cells[c.unit]
-		names := make([]string, len(vals))
-		for k, id := range vals {
-			names[k] = id.Name()
-		}
-		cells[j] = names
+		cells[j] = ev.cells[c.unit]
 	}
 	if len(seen) != len(p.origins) {
 		return false, nil
 	}
-	return true, out.AddTemplateComponent(relName, cells...)
+	return true, out.AddTemplateCells(ri, cells...)
 }
 
 // part is one factor of a decomposed relation: a deterministic function
@@ -1192,7 +1188,7 @@ func (ev *evaluator) certainRows(in *dRel) ([]sym.Tuple, int64, error) {
 	sub := wsd.New(table.Schema{{Name: "q", Arity: len(in.cols)}})
 	tp := make([]taggedPart, len(in.parts))
 	for i, p := range in.parts {
-		tp[i] = taggedPart{rel: "q", p: p}
+		tp[i] = taggedPart{rel: 0, p: p}
 	}
 	if err := ev.assemble(sub, tp, nil); err != nil {
 		return nil, 0, err
@@ -1204,8 +1200,8 @@ func (ev *evaluator) certainRows(in *dRel) ([]sym.Tuple, int64, error) {
 		return nil, 0, err
 	}
 	var rows []sym.Tuple
-	for _, f := range sub.CertainFacts() {
-		rows = append(rows, f.Args.Intern())
+	for f := range sub.CertainTuples() {
+		rows = append(rows, f.Tuple)
 	}
 	rows = sortDedupTuples(rows)
 	return rows, int64(len(rows)), nil
