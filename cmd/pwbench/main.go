@@ -16,7 +16,8 @@
 // workers} objects, the shape tracked across PRs in BENCH_*.json files.
 // -check re-runs the probes the registry flags as gated and exits
 // nonzero when any is more than 25% slower (ns/op) than the baseline
-// file.
+// file, or when a single-worker one allocates more (allocs/op, an exact
+// gate) than the baseline records.
 //
 // -history FILE appends one JSON line per run — timestamp, git commit,
 // and the probe results — to FILE (with -bench or -check). The line is
@@ -180,7 +181,7 @@ func runCheck(baselinePath, historyPath string, stdout, stderr io.Writer) int {
 		current = append(current, r)
 	}
 	for _, r := range current {
-		fmt.Fprintf(stdout, "%-28s %14.0f ns/op\n", r.Name, r.NsPerOp)
+		fmt.Fprintf(stdout, "%-28s %14.0f ns/op %8d allocs/op\n", r.Name, r.NsPerOp, r.AllocsPerOp)
 	}
 	if err := appendHistory(historyPath, current); err != nil {
 		fmt.Fprintf(stderr, "pwbench: %v\n", err)

@@ -63,8 +63,9 @@ func TestBenchJSONGolden(t *testing.T) {
 
 // TestCheckExitCodes exercises the regression guard with synthetic
 // baselines, so the test is insensitive to machine speed: an enormous
-// baseline can never regress (exit 0), a tiny one always does (exit 1),
-// and unreadable baselines are usage errors (exit 2).
+// baseline (ns/op and allocs/op) can never regress (exit 0), a tiny one
+// always does (exit 1), and unreadable baselines are usage errors
+// (exit 2).
 func TestCheckExitCodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the gated probes twice")
@@ -73,7 +74,7 @@ func TestCheckExitCodes(t *testing.T) {
 		var results []experiments.BenchResult
 		for _, p := range experiments.Probes() {
 			if p.Gated {
-				results = append(results, experiments.BenchResult{Name: p.Name, N: 1, NsPerOp: ns, Workers: p.Workers})
+				results = append(results, experiments.BenchResult{Name: p.Name, N: 1, NsPerOp: ns, AllocsPerOp: int64(ns), Workers: p.Workers})
 			}
 		}
 		data, err := json.Marshal(results)

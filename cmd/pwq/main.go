@@ -72,6 +72,7 @@ import (
 	"math/big"
 	"math/rand"
 	"os"
+	"strings"
 
 	"pw/internal/decide"
 	"pw/internal/gen"
@@ -274,35 +275,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fatal(stderr, err)
 		}
-		var ans *rel.Instance
+		var text strings.Builder
 		if w != nil {
 			// Decomposition backend, the server's evaluation path: the
-			// planned evaluator produces the answer world-set in factored
-			// form; possibility/certainty of answer facts are support
-			// lookups on it.
+			// planned evaluator runs once and the possible or certain
+			// answer facts are read straight off its parts.
 			sp := tr.Root().StartChild("eval")
-			var out *wsd.WSD
-			if out, _, err = wsdalg.EvalOptimized(w, q, cost); err == nil {
-				if cmd == "poss-ans" {
-					ans, err = wsdalg.PossibleAnswers(out, query.Identity{})
-				} else {
-					ans, err = wsdalg.CertainAnswers(out, query.Identity{})
-				}
+			var ans *wsdalg.Answers
+			if ans, _, _, err = wsdalg.Readout(w, q, nil, cost); err == nil {
+				err = parse.PrintAnswers(&text, ans, cmd == "poss-ans")
 			}
 			sp.End()
 		} else {
+			var ans *rel.Instance
 			if cmd == "poss-ans" {
 				ans, err = o.PossibleAnswers(q, d)
 			} else {
 				ans, err = o.CertainAnswers(q, d)
 			}
+			if err == nil {
+				err = parse.PrintInstance(&text, ans)
+			}
 		}
 		if err != nil {
 			return fatal(stderr, err)
 		}
-		if err := parse.PrintInstance(stdout, ans); err != nil {
-			return fatal(stderr, err)
-		}
+		io.WriteString(stdout, text.String())
 	case "explain":
 		if w == nil {
 			return fatal(stderr, fmt.Errorf("explain applies to decompositions; %s is table-backed (compile with wsd first)", *dbPath))
@@ -311,7 +309,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fatal(stderr, err)
 		}
-		_, plan, evalErr := wsdalg.EvalOptimized(w, q, cost)
+		_, plan, _, evalErr := wsdalg.Readout(w, q, nil, cost)
 		if *jsonOut {
 			enc := json.NewEncoder(stdout)
 			enc.SetIndent("", "  ")

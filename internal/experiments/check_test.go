@@ -71,6 +71,38 @@ func TestCheckFlagsWorkerMismatch(t *testing.T) {
 	}
 }
 
+// TestCheckFlagsAllocRise: allocs/op are gated exactly on single-worker
+// probes — one allocation over the baseline fails, fewer passes — and
+// not on parallel ones, whose counts depend on scheduling.
+func TestCheckFlagsAllocRise(t *testing.T) {
+	base := results(1000)
+	for i := range base {
+		base[i].AllocsPerOp = 100
+	}
+	cur := results(1000)
+	seq, par := -1, -1
+	for i := range cur {
+		cur[i].AllocsPerOp = 90 // a drop never fails
+		switch {
+		case cur[i].Workers == 1 && seq < 0:
+			seq = i
+		case cur[i].Workers > 1 && par < 0:
+			par = i
+		}
+	}
+	if seq < 0 || par < 0 {
+		t.Fatal("need a gated single-worker and a gated parallel probe")
+	}
+	if regs := Check(base, cur, CheckTolerance); len(regs) != 0 {
+		t.Fatalf("fewer allocations flagged: %v", regs)
+	}
+	cur[seq].AllocsPerOp, cur[par].AllocsPerOp = 101, 500
+	regs := Check(base, cur, CheckTolerance)
+	if len(regs) != 1 || !strings.Contains(regs[0], cur[seq].Name) || !strings.Contains(regs[0], "allocs/op") {
+		t.Fatalf("want one allocs regression on %s, got %v", cur[seq].Name, regs)
+	}
+}
+
 // b.Run silently renames a duplicate sub-benchmark to Name#01, so a
 // repeated registry name would measure under a name nothing tracks.
 func TestProbeNamesUnique(t *testing.T) {

@@ -18,13 +18,16 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
 	"pw/internal/cond"
 	"pw/internal/rel"
+	"pw/internal/sym"
 	"pw/internal/table"
 	"pw/internal/value"
+	"pw/internal/wsdalg"
 )
 
 // ParseDatabase reads a .pw database (a sequence of @table blocks).
@@ -237,13 +240,62 @@ func PrintInstance(w io.Writer, inst *rel.Instance) error {
 				return err
 			}
 		}
-		if _, err := fmt.Fprintf(w, "@relation %s(%d)\n", r.Name, r.Arity); err != nil {
+		if err := PrintRelation(w, r.Name, r.Arity, r.Tuples()); err != nil {
 			return err
 		}
-		for _, f := range r.Facts() {
-			if _, err := fmt.Fprintf(w, "  fact: %s\n", strings.Join(f, " ")); err != nil {
+	}
+	return nil
+}
+
+// PrintAnswers renders one answer set of a readout — the possible or
+// the certain rows of every output relation — exactly as PrintInstance
+// renders the instance holding them.
+func PrintAnswers(w io.Writer, a *wsdalg.Answers, possible bool) error {
+	for ri, r := range a.Schema() {
+		if ri > 0 {
+			if _, err := fmt.Fprintln(w); err != nil {
 				return err
 			}
+		}
+		rows := a.Certain(ri)
+		if possible {
+			var err error
+			if rows, err = a.Possible(ri); err != nil {
+				return err
+			}
+		}
+		if err := PrintRelation(w, r.Name, r.Arity, rows); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// PrintRelation writes one @relation block of PrintInstance's output:
+// the header, then one fact line per row in canonical (by-name) order.
+// The rows are interned and duplicate-free, in any order; they are read,
+// never mutated.
+func PrintRelation(w io.Writer, name string, arity int, rows []sym.Tuple) error {
+	if _, err := fmt.Fprintf(w, "@relation %s(%d)\n", name, arity); err != nil {
+		return err
+	}
+	facts := make([]rel.Fact, len(rows))
+	for i, t := range rows {
+		facts[i] = rel.ResolveFact(t)
+	}
+	slices.SortFunc(facts, rel.Fact.Compare)
+	var line []byte
+	for _, f := range facts {
+		line = append(line[:0], "  fact: "...)
+		for i, c := range f {
+			if i > 0 {
+				line = append(line, ' ')
+			}
+			line = append(line, c...)
+		}
+		line = append(line, '\n')
+		if _, err := w.Write(line); err != nil {
+			return err
 		}
 	}
 	return nil

@@ -1,8 +1,17 @@
 package parse
 
 import (
+	"errors"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
+
+	"pw/internal/algebra"
+	"pw/internal/query"
+	"pw/internal/table"
+	"pw/internal/wsd"
+	"pw/internal/wsdalg"
 )
 
 const sampleWSD = `# two uncertain assignments, one certain department
@@ -115,5 +124,64 @@ func TestParseSourceDispatch(t *testing.T) {
 	}
 	if _, err := ParseSource(strings.NewReader("nonsense\n")); err == nil {
 		t.Fatal("garbage accepted")
+	}
+}
+
+// TestPrintAnswersMatchesPrintInstance: a readout prints exactly as the
+// instance holding the same answer set, for both sets and a two-relation
+// answer; a possible set too large to materialize is an error.
+func TestPrintAnswersMatchesPrintInstance(t *testing.T) {
+	w, err := ParseWSD(strings.NewReader(sampleWSD))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := query.NewAlgebra("q",
+		query.Out{Name: "A", Expr: algebra.Project{E: algebra.Scan("Emp", "e", "d"), Cols: []string{"d"}}},
+		query.Out{Name: "B", Expr: algebra.Scan("Dept", "d", "n")})
+	a, _, _, err := wsdalg.Readout(w, q, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, possible := range []bool{true, false} {
+		inst, err := wsdalg.CertainAnswers(w, q)
+		if possible {
+			inst, err = wsdalg.PossibleAnswers(w, q)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, want strings.Builder
+		if err := PrintAnswers(&got, a, possible); err != nil {
+			t.Fatal(err)
+		}
+		if err := PrintInstance(&want, inst); err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("possible=%v: PrintAnswers\n%s\nPrintInstance\n%s", possible, got.String(), want.String())
+		}
+	}
+
+	wide := wsd.New(table.Schema{{Name: "R", Arity: 64}})
+	cells := make([][]string, 64)
+	for i := range cells {
+		cells[i] = []string{"a", "b"}
+	}
+	if err := wide.AddTemplateComponent("R", cells...); err != nil {
+		t.Fatal(err)
+	}
+	cols := make([]string, 64)
+	for i := range cols {
+		cols[i] = fmt.Sprintf("c%d", i)
+	}
+	a, _, _, err = wsdalg.Readout(wide, query.NewAlgebra("all", query.Out{Name: "A", Expr: algebra.Scan("R", cols...)}), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := PrintAnswers(io.Discard, a, true); !errors.Is(err, wsdalg.ErrEntangled) {
+		t.Errorf("overflowing possible set: err = %v, want ErrEntangled", err)
+	}
+	if err := PrintAnswers(io.Discard, a, false); err != nil {
+		t.Errorf("certain set of a wide template: %v", err)
 	}
 }

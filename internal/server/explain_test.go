@@ -41,8 +41,8 @@ func TestExplainQuery(t *testing.T) {
 	if resp.Plan.Components <= 0 || resp.Plan.WorldCount == "" {
 		t.Errorf("plan header incomplete: components=%d worlds=%q", resp.Plan.Components, resp.Plan.WorldCount)
 	}
-	if len(resp.Plan.Outs) != 1 || resp.Plan.Normalize == nil {
-		t.Errorf("plan missing out tree or normalize stats: %+v", resp.Plan)
+	if len(resp.Plan.Outs) != 1 || resp.Plan.Readout == nil {
+		t.Errorf("plan missing out tree or readout stats: %+v", resp.Plan)
 	}
 	var units int64
 	for _, n := range resp.Plan.Outs {

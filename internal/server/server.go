@@ -11,10 +11,10 @@
 //     per distinct text (an LRU keyed by the raw text) and the compiled
 //     plan's canonical printed form is the query fingerprint, so two
 //     spellings of the same algebra share everything downstream;
-//  2. an answer cache — normalized answer decompositions (and the
-//     answer instances read off them) are cached in an LRU keyed by
-//     (database version, query fingerprint), so a repeated cert-ans or
-//     poss-ans skips wsdalg.Eval entirely;
+//  2. an answer cache — the possible and certain answer rows read off
+//     one evaluation (and the answer texts printed from them) are
+//     cached in an LRU keyed by (database version, query fingerprint),
+//     so a repeated cert-ans or poss-ans skips evaluation entirely;
 //  3. request batching + admission control — concurrent identical
 //     uncached queries coalesce into one evaluation (a singleflight
 //     group keyed like the cache), and all heavy evaluations pass
@@ -1147,13 +1147,14 @@ func (s *Server) cachedEval(db *database, key string, rc *reqCtx, fn func() (any
 	return val, false, coalesced, err
 }
 
-// evalEntry is one cached answer decomposition plus the answer texts
-// printed off it, each rendered at most once, and the EXPLAIN plan
-// recorded by the evaluation that populated the entry. A cache hit
-// reads a rendered text: it neither reads the decomposition out nor
+// evalEntry is one cached readout — the possible and certain answer
+// rows of one evaluation, interned — plus the answer texts printed off
+// it, each rendered at most once, and the EXPLAIN plan recorded by the
+// evaluation that populated the entry. It holds no decomposition. A
+// cache hit reads a rendered text: it neither reads the rows out nor
 // prints.
 type evalEntry struct {
-	out  *wsd.WSD
+	ans  *wsdalg.Answers
 	plan *wsdalg.Plan
 	poss answerText
 	cert answerText
@@ -1167,24 +1168,20 @@ type answerText struct {
 	err  error
 }
 
-// set prints inst (or keeps the error that prevented reading it).
-func (a *answerText) set(inst *rel.Instance, err error) {
-	if err == nil {
-		a.text, err = printInstance(inst)
-	}
-	a.err = err
-}
-
 // answers returns the printed possible (poss-ans) or certain (cert-ans)
-// answers of the cached decomposition, reading them off it — the
-// identity query on the already-evaluated answer — on first use.
+// answers of the cached readout, printing them on first use.
 func (e *evalEntry) answers(op string) (string, error) {
-	if op == "poss-ans" {
-		e.poss.once.Do(func() { e.poss.set(wsdalg.PossibleAnswers(e.out, query.Identity{})) })
-		return e.poss.text, e.poss.err
+	t, possible := &e.cert, op == "poss-ans"
+	if possible {
+		t = &e.poss
 	}
-	e.cert.once.Do(func() { e.cert.set(wsdalg.CertainAnswers(e.out, query.Identity{})) })
-	return e.cert.text, e.cert.err
+	t.once.Do(func() {
+		var b strings.Builder
+		if t.err = parse.PrintAnswers(&b, e.ans, possible); t.err == nil {
+			t.text = b.String()
+		}
+	})
+	return t.text, t.err
 }
 
 // ansEntry caches a final printed answer (the c-table engine path,
@@ -1202,8 +1199,8 @@ func (s *Server) opAnswers(req *Request, v dbView, resp *Response, rc *reqCtx) (
 	rc.fp = p.fp
 	if v.wsd != nil {
 		// One cache line per (db-version, fingerprint) holds the
-		// evaluated answer decomposition; poss-ans and cert-ans on the
-		// same query share it.
+		// readout of one evaluation; poss-ans and cert-ans on the same
+		// query share it.
 		key := cacheKey("eval", v.name, v.version, p.fp)
 		val, cached, coalesced, err := s.cachedEval(v.db, key, rc, func() (any, error) {
 			defer s.acquire(rc)()
@@ -1218,7 +1215,7 @@ func (s *Server) opAnswers(req *Request, v dbView, resp *Response, rc *reqCtx) (
 			if prior != nil {
 				rc.cost.Add(obs.PlanReused, 1)
 			}
-			out, plan, dec, err := wsdalg.EvalWithDecision(v.wsd, q, prior, rc.cost)
+			ans, plan, dec, err := wsdalg.Readout(v.wsd, q, prior, rc.cost)
 			if err != nil {
 				sp.SetError(errorClass(err))
 				rc.plan = plan // partial, error-marked: flight/slow log still see it
@@ -1227,7 +1224,7 @@ func (s *Server) opAnswers(req *Request, v dbView, resp *Response, rc *reqCtx) (
 			if prior == nil {
 				p.keep(v, dec)
 			}
-			return &evalEntry{out: out, plan: plan}, nil
+			return &evalEntry{ans: ans, plan: plan}, nil
 		})
 		if err != nil {
 			return nil, err

@@ -2,6 +2,7 @@ package wsd
 
 import (
 	"fmt"
+	"math/big"
 	"reflect"
 	"slices"
 )
@@ -121,3 +122,8 @@ func SharesPostings(a, b *WSD) bool {
 	p := a.post.Load()
 	return p != nil && p == b.post.Load()
 }
+
+// MemoCount returns the world count memoized on w — carried across an
+// update or stored by a first Count — without computing one; nil when
+// none is held.
+func MemoCount(w *WSD) *big.Int { return w.count.Load() }

@@ -26,8 +26,9 @@
 package wsd
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pw/internal/obs"
 	"pw/internal/sym"
@@ -161,12 +162,13 @@ func (w *WSD) Normalize() error {
 func (w *WSD) clearToEmpty() {
 	w.comps = nil
 	w.facts = nil
-	w.factIndex = make(map[uint64][]int32)
+	w.factIndex = factSet{}
 	w.factComp = nil
 	w.certain = nil
 	w.attrByRel = nil
 	w.post.Store(nil)
 	w.axes.Store(nil)
+	w.count.Store(nil)
 	w.empty = true
 	w.normalized = true
 	w.factsShared = false
@@ -608,29 +610,32 @@ func traceKey(tr []uint64) string {
 // their slot value lists are already sorted, and they order among the
 // tuple-level components by their minimal instantiation.
 func (w *WSD) canonicalize() {
-	used := make(map[int32]bool)
+	// remap is the dense old→new fact ID map; -1 marks a fact no
+	// alternative uses (dropped).
+	remap := make([]int32, len(w.facts))
+	for i := range remap {
+		remap[i] = -1
+	}
+	var old []int32
 	for _, c := range w.comps {
 		for _, alt := range c.alts {
 			for _, f := range alt {
-				used[f] = true
+				if remap[f] < 0 {
+					remap[f] = 0
+					old = append(old, f)
+				}
 			}
 		}
 	}
-	old := make([]int32, 0, len(used))
-	for f := range used {
-		old = append(old, f)
-	}
-	sort.Slice(old, func(i, j int) bool { return w.factLess(old[i], old[j]) })
+	w.sortDisplay(old)
 
-	remap := make(map[int32]int32, len(old))
 	facts := make([]storedFact, len(old))
-	index := make(map[uint64][]int32, len(old))
+	index := newFactSet(len(old))
 	for newID, oldID := range old {
 		remap[oldID] = int32(newID)
 		f := w.facts[oldID]
 		facts[newID] = f
-		h := factHash(f.rel, f.tuple)
-		index[h] = append(index[h], int32(newID))
+		index.add(factHash(f.rel, f.tuple), int32(newID))
 	}
 	w.facts = facts
 	w.factIndex = index
@@ -646,25 +651,80 @@ func (w *WSD) canonicalize() {
 			}
 			c.alts[ai] = sortDedupIDs(alt)
 		}
-		sort.Slice(c.alts, func(i, j int) bool { return altLess(c.alts[i], c.alts[j]) })
+		slices.SortFunc(c.alts, compareAlts)
 	}
 	// Supports are disjoint, so the smallest support fact of each
 	// component — for a template, its minimal instantiation — is a
-	// unique sort key.
-	sort.Slice(w.comps, func(i, j int) bool {
-		ri, ti, oki := w.minSupportFact(&w.comps[i])
-		rj, tj, okj := w.minSupportFact(&w.comps[j])
-		if oki != okj {
-			return oki // fact-less components sort last
+	// unique sort key, computed once per component. Fact IDs are now in
+	// display order, so two tuple-level components compare by ID.
+	type keyed struct {
+		c   component
+		min int32 // smallest fact ID; -1 for a template
+		key dispKey
+	}
+	ks := make([]keyed, len(w.comps))
+	for i := range w.comps {
+		c := &w.comps[i]
+		ks[i] = keyed{c: *c, min: -1}
+		if c.attr == nil {
+			ks[i].min = minSupport(*c)
 		}
-		if !oki {
-			return false
+		rel, t, ok := w.minSupportFact(c)
+		ks[i].key = dispKey{ok: ok, rel: rel, t: t}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		if a.min >= 0 && b.min >= 0 && a.key.ok && b.key.ok {
+			return cmp.Compare(a.min, b.min)
 		}
-		if ri != rj {
-			return ri < rj
-		}
-		return ti.Compare(tj) < 0
+		return a.key.compare(b.key)
 	})
+	for i := range ks {
+		w.comps[i] = ks[i].c
+	}
+}
+
+// sortDisplay sorts fact IDs into the canonical display order of
+// factLess — schema position, then tuple by symbol name — comparing
+// integers only: every distinct symbol of the facts is ranked by name
+// once, and each fact's key is its relation and its symbols' ranks.
+func (w *WSD) sortDisplay(ids []int32) {
+	var syms []sym.ID
+	for _, id := range ids {
+		syms = append(syms, w.facts[id].tuple...)
+	}
+	slices.Sort(syms)
+	syms = slices.Compact(syms)
+	byName := slices.Clone(syms)
+	slices.SortFunc(byName, sym.Compare)
+	rank := make([]int32, len(syms)) // position in syms → name rank
+	for r, s := range byName {
+		i, _ := slices.BinarySearch(syms, s)
+		rank[i] = int32(r)
+	}
+	type ranked struct {
+		id, rel int32
+		key     []int32
+	}
+	rs := make([]ranked, len(ids))
+	var flat []int32
+	for i, id := range ids {
+		f := w.facts[id]
+		at := len(flat)
+		for _, s := range f.tuple {
+			j, _ := slices.BinarySearch(syms, s)
+			flat = append(flat, rank[j])
+		}
+		rs[i] = ranked{id: id, rel: f.rel, key: flat[at:len(flat):len(flat)]}
+	}
+	slices.SortFunc(rs, func(a, b ranked) int {
+		if c := cmp.Compare(a.rel, b.rel); c != 0 {
+			return c
+		}
+		return slices.Compare(a.key, b.key)
+	})
+	for i := range rs {
+		ids[i] = rs[i].id
+	}
 }
 
 // minSupportFact returns a component's smallest support fact as a
@@ -682,17 +742,13 @@ func (w *WSD) minSupportFact(c *component) (relIdx int32, t sym.Tuple, ok bool) 
 	return f.rel, f.tuple, true
 }
 
-// altLess orders alternatives by length, then lexicographically by IDs.
-func altLess(a, b []int32) bool {
-	if len(a) != len(b) {
-		return len(a) < len(b)
+// compareAlts orders alternatives by length, then lexicographically by
+// IDs.
+func compareAlts(a, b []int32) int {
+	if c := cmp.Compare(len(a), len(b)); c != 0 {
+		return c
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
+	return slices.Compare(a, b)
 }
 
 // minSupport returns the smallest fact ID of a component's support.
@@ -717,6 +773,7 @@ func (w *WSD) buildIndexes() {
 	w.attrByRel = nil
 	w.post.Store(nil)
 	w.axes.Store(nil)
+	w.count.Store(nil)
 	for ci := range w.comps {
 		c := &w.comps[ci]
 		if a := c.attr; a != nil {

@@ -21,20 +21,32 @@ import (
 // hundred template slots counts 2^100+ worlds exactly. Exactness relies
 // on the normalized invariants (disjoint supports, distinct
 // alternatives), which make the choice-vector → world map injective.
-func (w *WSD) Count() *big.Int {
+func (w *WSD) Count() *big.Int { return new(big.Int).Set(w.countMemo()) }
+
+// countMemo is Count without the copy: the value memoized for this
+// normalized version, computed on first use. Callers must not mutate it.
+func (w *WSD) countMemo() *big.Int {
 	w.ensure()
 	if w.empty {
-		return big.NewInt(0)
+		return new(big.Int)
 	}
-	n := big.NewInt(1)
-	for _, c := range w.comps {
-		if c.attr != nil {
-			n.Mul(n, c.attr.count())
-			continue
+	n := w.count.Load()
+	if n == nil {
+		n = big.NewInt(1)
+		for i := range w.comps {
+			n.Mul(n, w.comps[i].bigCount())
 		}
-		n.Mul(n, big.NewInt(int64(len(c.alts))))
+		w.count.Store(n)
 	}
 	return n
+}
+
+// bigCount is a component's exact alternative count.
+func (c *component) bigCount() *big.Int {
+	if c.attr != nil {
+		return c.attr.count()
+	}
+	return big.NewInt(int64(len(c.alts)))
 }
 
 // schemaMatches reports whether the instance has exactly the

@@ -43,7 +43,10 @@
 package wsd
 
 import (
+	"cmp"
 	"fmt"
+	"math/big"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -307,6 +310,9 @@ func (w *WSD) ApplyUpdateObserved(u *Update, c *obs.Cost) (*WSD, error) {
 	if err := w.Normalize(); err != nil {
 		return nil, err
 	}
+	// The successor's world count is the parent's carried by delta
+	// through every install (installIncremental); count the parent once.
+	w.countMemo()
 	// Delete and update patterns find their targets through the posting
 	// index (rewriteTargets). Build it on the parent, where reads of that
 	// version and later updates from it find it too; the snapshot
@@ -382,22 +388,18 @@ func (w *WSD) snapshotClone() *WSD {
 		factsLoose:  w.factsLoose,
 	}
 	c.post.Store(w.post.Load())
+	c.count.Store(w.count.Load())
 	return c
 }
 
 // cowFacts un-shares the fact table and fact index before the first
-// intern into a snapshot clone (copy-on-write; bucket slices stay
-// shared but capacity-pinned, so an append reallocates).
+// intern into a snapshot clone (copy-on-write).
 func (w *WSD) cowFacts() {
 	if !w.factsShared {
 		return
 	}
 	w.facts = append(make([]storedFact, 0, len(w.facts)+8), w.facts...)
-	idx := make(map[uint64][]int32, len(w.factIndex))
-	for h, b := range w.factIndex {
-		idx[h] = b[:len(b):len(b)]
-	}
-	w.factIndex = idx
+	w.factIndex = w.factIndex.clone()
 	w.factsShared = false
 	w.obsCost.Add(obs.UpdateCOWUnshares, 1)
 }
@@ -413,6 +415,7 @@ func (w *WSD) compacted() *WSD {
 		return w
 	}
 	c.holes, c.factsLoose = 0, false
+	c.count.Store(w.count.Load()) // the same world set
 	return c
 }
 
@@ -947,8 +950,56 @@ func (w *WSD) installIncremental(p *opPlan) error {
 		newComps = append(newComps, w.finishComponent([][]int32{sortDedupIDs(certainIDs)}))
 	}
 
+	// Carry the world count by delta: survivors keep their alternative
+	// counts, so the new count is the old one times the added
+	// components' counts over the dropped ones' — exact, since the
+	// dropped counts divide the old product.
+	var count *big.Int
+	if old := w.count.Load(); old != nil {
+		count = w.carryCount(old, drop, newComps)
+	}
 	w.splice(drop, newComps)
+	w.count.Store(count)
 	return nil
+}
+
+// carryCount is old × Π added alternative counts / Π dropped ones. The
+// common case — every factor and the result within uint64 — is plain
+// integer arithmetic and one allocation; anything larger (a template's
+// field product, an astronomical world count) takes the big-int path.
+func (w *WSD) carryCount(old *big.Int, drop map[int32]bool, added []component) *big.Int {
+	num, den, small := uint64(1), uint64(1), old.IsUint64()
+	scale := func(acc *uint64, c *component) {
+		n, ok := uint64(len(c.alts)), c.attr == nil
+		if !ok {
+			var k int
+			k, ok = c.attr.countInt()
+			n = uint64(k)
+		}
+		hi, lo := bits.Mul64(*acc, n)
+		small = small && ok && hi == 0
+		*acc = lo
+	}
+	for i := range added {
+		scale(&num, &added[i])
+	}
+	for ci := range drop {
+		scale(&den, &w.comps[ci])
+	}
+	if small && den != 0 {
+		if hi, lo := bits.Mul64(old.Uint64()/den, num); hi == 0 {
+			return new(big.Int).SetUint64(lo)
+		}
+	}
+	count := new(big.Int).Set(old)
+	for i := range added {
+		count.Mul(count, added[i].bigCount())
+	}
+	d := big.NewInt(1)
+	for ci := range drop {
+		d.Mul(d, w.comps[ci].bigCount())
+	}
+	return count.Quo(count, d)
 }
 
 // dispKey is a component's position in the canonical component order:
@@ -981,17 +1032,21 @@ func (w *WSD) dispKeyOf(c *component) dispKey {
 	return dispKey{ok: true, rel: f.rel, t: f.tuple}
 }
 
-func (a dispKey) less(b dispKey) bool {
-	if a.ok != b.ok {
-		return a.ok
+// compare orders display keys: fact-less components last, then by
+// relation, then by tuple name.
+func (a dispKey) compare(b dispKey) int {
+	switch {
+	case a.ok != b.ok:
+		if a.ok {
+			return -1
+		}
+		return 1
+	case !a.ok:
+		return 0
+	case a.rel != b.rel:
+		return cmp.Compare(a.rel, b.rel)
 	}
-	if !a.ok {
-		return false
-	}
-	if a.rel != b.rel {
-		return a.rel < b.rel
-	}
-	return a.t.Compare(b.t) < 0
+	return a.t.Compare(b.t)
 }
 
 // splice installs the new component list: the survivors (every
@@ -1012,7 +1067,7 @@ func (w *WSD) splice(drop map[int32]bool, added []component) {
 	for i := range ord {
 		ord[i] = i
 	}
-	sort.Slice(ord, func(i, j int) bool { return keys[ord[i]].less(keys[ord[j]]) })
+	sort.Slice(ord, func(i, j int) bool { return keys[ord[i]].compare(keys[ord[j]]) < 0 })
 
 	surv := make([]int32, 0, len(old))
 	for ci := range old {
@@ -1035,7 +1090,7 @@ func (w *WSD) splice(drop map[int32]bool, added []component) {
 		// The added keys ascend, so each search starts where the last
 		// one ended.
 		at := next + sort.Search(len(surv)-next, func(i int) bool {
-			return keys[o].less(w.dispKeyOf(&old[surv[next+i]]))
+			return keys[o].compare(w.dispKeyOf(&old[surv[next+i]])) < 0
 		})
 		for ; next < at; next++ {
 			remap[surv[next]] = int32(len(comps))
@@ -1082,7 +1137,7 @@ func (w *WSD) finishComponent(alts [][]int32) component {
 
 // altDisplayLess orders display-sorted alternative fact lists by
 // length, then lexicographically by fact display order — the order
-// altLess produces when fact IDs are display-canonical.
+// compareAlts produces when fact IDs are display-canonical.
 func (w *WSD) altDisplayLess(a, b []int32) bool {
 	if len(a) != len(b) {
 		return len(a) < len(b)

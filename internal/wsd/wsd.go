@@ -37,6 +37,7 @@ package wsd
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"slices"
 	"sort"
 	"strings"
@@ -96,7 +97,7 @@ type WSD struct {
 	schema    table.Schema
 	schemaIdx map[string]int
 	facts     []storedFact
-	factIndex map[uint64][]int32 // fact fingerprint -> fact IDs
+	factIndex factSet // fact fingerprint -> fact ID
 	comps     []component
 
 	// empty marks the decomposition that denotes the empty world set ∅
@@ -115,6 +116,11 @@ type WSD struct {
 	// axes is the lazily built choice-axis table (axes.go), with the
 	// posting index's lifecycle.
 	axes atomic.Pointer[Axes]
+	// count memoizes Count for this normalized version: computed on
+	// first use, carried across an incremental update by delta
+	// (installIncremental), dropped with the other derived state. The
+	// stored value is never mutated.
+	count atomic.Pointer[big.Int]
 
 	// Incremental-update state (see update.go). factsShared marks the
 	// fact table and index as shared with a snapshot parent (copied on
@@ -148,7 +154,6 @@ func New(schema table.Schema) *WSD {
 	w := &WSD{
 		schema:     append(table.Schema(nil), schema...),
 		schemaIdx:  make(map[string]int, len(schema)),
-		factIndex:  make(map[uint64][]int32),
 		normalized: true,
 	}
 	for i, r := range w.schema {
@@ -310,36 +315,83 @@ func (w *WSD) checkTupleFact(f TupleFact) error {
 // index are un-shared first (copy-on-write; see update.go).
 func (w *WSD) intern(relIdx int32, t sym.Tuple) int32 {
 	h := factHash(relIdx, t)
-	if w.factsShared {
-		for _, id := range w.factIndex[h] {
-			f := w.facts[id]
-			if f.rel == relIdx && f.tuple.Equal(t) {
-				return id
-			}
-		}
-		w.cowFacts()
+	if id, ok := w.find(h, relIdx, t); ok {
+		return id
 	}
-	for _, id := range w.factIndex[h] {
-		f := w.facts[id]
-		if f.rel == relIdx && f.tuple.Equal(t) {
-			return id
-		}
-	}
+	w.cowFacts()
 	id := int32(len(w.facts))
 	w.facts = append(w.facts, storedFact{rel: relIdx, tuple: t.Clone()})
-	w.factIndex[h] = append(w.factIndex[h], id)
+	w.factIndex.add(h, id)
 	return id
 }
 
 // lookup finds an already-interned fact without growing the fact table.
 func (w *WSD) lookup(relIdx int32, t sym.Tuple) (int32, bool) {
-	for _, id := range w.factIndex[factHash(relIdx, t)] {
-		f := w.facts[id]
-		if f.rel == relIdx && f.tuple.Equal(t) {
+	return w.find(factHash(relIdx, t), relIdx, t)
+}
+
+// find probes the fact index for (relIdx, t), whose fingerprint is h.
+func (w *WSD) find(h uint64, relIdx int32, t sym.Tuple) (int32, bool) {
+	x := &w.factIndex
+	if len(x.ids) == 0 {
+		return 0, false
+	}
+	mask := uint64(len(x.ids) - 1)
+	for i := h & mask; x.ids[i] != 0; i = (i + 1) & mask {
+		if x.hashes[i] != h {
+			continue
+		}
+		id := x.ids[i] - 1
+		if f := w.facts[id]; f.rel == relIdx && f.tuple.Equal(t) {
 			return id, true
 		}
 	}
 	return 0, false
+}
+
+// factSet is the fact table's index: an open-addressing hash table of
+// fact IDs keyed by fingerprint (linear probing, at most half full),
+// held in two dense arrays. Facts are never removed from it — a deleted
+// fact stays a hole in the table — so it needs no tombstones, and a copy
+// (copy-on-write, Clone) is two slice copies.
+type factSet struct {
+	hashes []uint64 // slot -> fingerprint of the fact it holds
+	ids    []int32  // slot -> fact ID + 1; 0 marks an empty slot
+	n      int      // facts held
+}
+
+// newFactSet returns an empty index sized for n facts.
+func newFactSet(n int) factSet {
+	size := 16
+	for size < 2*n {
+		size *= 2
+	}
+	return factSet{hashes: make([]uint64, size), ids: make([]int32, size)}
+}
+
+// add inserts fact id with fingerprint h (absent by contract).
+func (s *factSet) add(h uint64, id int32) {
+	if 2*(s.n+1) > len(s.ids) {
+		grown := newFactSet(s.n + 1)
+		for i, old := range s.ids {
+			if old != 0 {
+				grown.add(s.hashes[i], old-1)
+			}
+		}
+		*s = grown
+	}
+	mask := uint64(len(s.ids) - 1)
+	i := h & mask
+	for s.ids[i] != 0 {
+		i = (i + 1) & mask
+	}
+	s.hashes[i], s.ids[i] = h, id+1
+	s.n++
+}
+
+// clone returns an independent copy.
+func (s *factSet) clone() factSet {
+	return factSet{hashes: slices.Clone(s.hashes), ids: slices.Clone(s.ids), n: s.n}
 }
 
 // lookupBoundary resolves a boundary fact to its ID without growing any
@@ -412,9 +464,7 @@ func (w *WSD) Clone() *WSD {
 	for i, f := range w.facts {
 		c.facts[i] = storedFact{rel: f.rel, tuple: f.tuple.Clone()}
 	}
-	for h, bucket := range w.factIndex {
-		c.factIndex[h] = append([]int32(nil), bucket...)
-	}
+	c.factIndex = w.factIndex.clone()
 	c.comps = make([]component, len(w.comps))
 	for i, comp := range w.comps {
 		if comp.attr != nil {

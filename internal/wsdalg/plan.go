@@ -81,16 +81,31 @@ type NormalizeStats struct {
 	DurUS            int64 `json:"us"`
 }
 
+// ReadoutStats is a readout's share of the run, where an assembled
+// answer has its Normalize: the sizes of the two answer sets it read
+// (possible rows count template products unexpanded, saturating) and
+// its wall time, group sweeps included.
+type ReadoutStats struct {
+	Possible int64 `json:"possible"`
+	Certain  int64 `json:"certain"`
+	DurUS    int64 `json:"us"`
+}
+
 // Plan is one evaluation's EXPLAIN/ANALYZE record: the input size, one
-// node tree per output relation, the final component assembly, the
-// answer-side Normalize, the exact world count of the result, and the
-// run's full cost counters (the same obs.Cost names ?trace=1 reports).
+// node tree per output relation, the final grouping of the parts (the
+// "assemble" node), then either the answer-side Normalize (an assembled
+// answer) or the readout (answer sets read off the parts), a world
+// count, and the run's full cost counters (the same obs.Cost names
+// ?trace=1 reports). WorldCount is the exact world count of the
+// assembled answer; a readout builds no answer world set, so its plan
+// reports the input's — the worlds its answer sets range over.
 type Plan struct {
 	Query      string           `json:"query"`
 	Components int64            `json:"components"`
 	Outs       []*PlanNode      `json:"outs,omitempty"`
 	Assemble   *PlanNode        `json:"assemble,omitempty"`
 	Normalize  *NormalizeStats  `json:"normalize,omitempty"`
+	Readout    *ReadoutStats    `json:"readout,omitempty"`
 	WorldCount string           `json:"worlds,omitempty"`
 	Cost       map[string]int64 `json:"cost,omitempty"`
 	Error      string           `json:"error,omitempty"`
@@ -110,19 +125,40 @@ func EvalPlanned(w *wsd.WSD, q query.Query, c *obs.Cost) (*wsd.WSD, *Plan, error
 }
 
 func (ev *evaluator) evalPlanned(q query.Query, c *obs.Cost) (*wsd.WSD, *Plan, error) {
+	var out *wsd.WSD
+	p, err := ev.planned(q, c, func(ci *obs.Cost, p *Plan) (err error) {
+		if out, err = ev.evalCore(q, ci, p); err == nil {
+			p.WorldCount = out.Count().String()
+		}
+		return err
+	})
+	return out, p, err
+}
+
+// readoutPlanned is readoutCore with EvalPlanned's accounting and plan.
+func (ev *evaluator) readoutPlanned(q query.Query, c *obs.Cost) (*Answers, *Plan, error) {
+	var ans *Answers
+	p, err := ev.planned(q, c, func(ci *obs.Cost, p *Plan) (err error) {
+		if ans, err = ev.readoutCore(q, ci, p); err == nil {
+			p.WorldCount = ev.w.Count().String()
+		}
+		return err
+	})
+	return ans, p, err
+}
+
+// planned runs one planned evaluation against a private cost sink and
+// folds the sink into c afterwards.
+func (ev *evaluator) planned(q query.Query, c *obs.Cost, run func(*obs.Cost, *Plan) error) (*Plan, error) {
 	ci := obs.NewCost()
 	p := &Plan{Query: q.Label()}
 	start := time.Now()
-	out, err := ev.evalCore(q, ci, p)
+	err := run(ci, p)
 	p.DurUS = time.Since(start).Microseconds()
 	p.Cost = ci.Counters()
-	if err != nil {
-		p.Error = ErrorClass(err)
-	} else {
-		p.WorldCount = out.Count().String()
-	}
+	p.Error = ErrorClass(err)
 	c.AddSnapshot(ci.Snapshot())
-	return out, p, err
+	return p, err
 }
 
 // ErrorClass maps an evaluation error to its stable class name — the
@@ -354,10 +390,10 @@ func (ev *evaluator) possibleEst(in *dRel) PlanStats {
 	return s
 }
 
-// certainEst predicts certain(e) by the sub-decomposition assembly
-// certainRows runs: parts group by shared origins exactly as assemble
-// groups them, and each group sweeps its merged origin product (the
-// template fast path only makes the actual smaller).
+// certainEst predicts certain(e) by the group sweep certainRows runs:
+// parts group by shared origins exactly as assemble groups them, and
+// each group sweeps its merged origin product (the template fast path
+// and the sweep's early stop only make the actual smaller).
 func (ev *evaluator) certainEst(in *dRel) PlanStats {
 	_, merged := originGroups(len(in.parts), func(i int) []int { return in.parts[i].origins })
 	s := ev.spaceEst(merged)
@@ -503,6 +539,9 @@ func (p *Plan) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "  normalize  merged=%d splits=%d folds=%d  %dus\n",
 			p.Normalize.ComponentsMerged, p.Normalize.VerticalSplits,
 			p.Normalize.CertainFolds, p.Normalize.DurUS)
+	}
+	if r := p.Readout; r != nil {
+		fmt.Fprintf(w, "  readout  possible=%d certain=%d  %dus\n", r.Possible, r.Certain, r.DurUS)
 	}
 	if len(p.Cost) > 0 {
 		names := make([]string, 0, len(p.Cost))

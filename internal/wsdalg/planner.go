@@ -114,30 +114,39 @@ type Decision struct {
 	info *PlannerInfo // nil when the planner did not price q
 }
 
-// EvalWithDecision is EvalPlanned through the planner, with the plan
-// carrying the planning record. Without a prior decision one evaluator
-// prices the query and evaluates the chosen form, so pricing and
-// evaluation share its scan cache. With one — returned by an earlier
-// call for the same q on the same version of w — its form is evaluated
-// directly and nothing is priced. It returns the decision it used.
-// Equivalence of the rewrites means the result is identical to
-// EvalPlanned(w, q, c) world-for-world.
-func EvalWithDecision(w *wsd.WSD, q query.Query, prior *Decision, c *obs.Cost) (*wsd.WSD, *Plan, *Decision, error) {
+// Readout answers q on w through the planner: it evaluates the chosen
+// form once and reads the possible and certain answer facts straight
+// off the evaluated parts (see Answers), with EvalPlanned's accounting
+// into c and a plan carrying the planning record. No answer
+// decomposition is assembled or normalized. Without a prior decision
+// one evaluator prices the query and evaluates the chosen form, so
+// pricing and evaluation share its scan cache. With one — returned by
+// an earlier call for the same q on the same version of w — its form is
+// evaluated directly and nothing is priced. It returns the decision it
+// used. Equivalence of the rewrites means the answer sets are those of
+// EvalPlanned(w, q, c)'s result.
+func Readout(w *wsd.WSD, q query.Query, prior *Decision, c *obs.Cost) (*Answers, *Plan, *Decision, error) {
 	ev := newEvaluator(w)
 	d := prior
 	if d == nil {
 		d = &Decision{}
 		d.form, d.info = ev.optimize(q)
 	}
-	out, pl, err := ev.evalPlanned(d.form, c)
+	ans, pl, err := ev.readoutPlanned(d.form, c)
 	pl.Planner = d.info
 	pl.Query = q.Label() // report the query as asked, not as rewritten
-	return out, pl, d, err
+	return ans, pl, d, err
 }
 
-// EvalOptimized is EvalWithDecision without a prior decision.
+// EvalOptimized is EvalPlanned through the planner: the form Optimize
+// chooses is evaluated and assembled, and the plan carries the planning
+// record.
 func EvalOptimized(w *wsd.WSD, q query.Query, c *obs.Cost) (*wsd.WSD, *Plan, error) {
-	out, pl, _, err := EvalWithDecision(w, q, nil, c)
+	ev := newEvaluator(w)
+	form, info := ev.optimize(q)
+	out, pl, err := ev.evalPlanned(form, c)
+	pl.Planner = info
+	pl.Query = q.Label()
 	return out, pl, err
 }
 

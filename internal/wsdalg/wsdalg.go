@@ -51,10 +51,11 @@
 //     the "where decidable on the decomposition" rule;
 //   - the world-set operators (Koch's compositional algebra): possible
 //     collapses the operand into its support — the union of its value
-//     over every world, a certain origin-free part; certain assembles
-//     the operand's parts into a private sub-decomposition, normalizes
-//     it and reads off CertainFacts — the intersection over every
-//     world; choiceof appends a synthetic choice unit ranging over the
+//     over every world, a certain origin-free part; certain keeps the
+//     rows one group of the operand's parts yields under every joint
+//     choice of its units (the readout's tuple-certainty test, see
+//     answers.go) — the intersection over every world; choiceof
+//     appends a synthetic choice unit ranging over the
 //     operand's support and restricts the value to the chosen tuple in
 //     the worlds where it is available (empty stays empty, and in
 //     worlds where the chosen tuple is absent the value collapses onto
@@ -67,7 +68,10 @@
 // answer components whose fact supports collide (the same answer fact
 // produced along different paths) and re-splits whatever became
 // independent, so the returned WSD satisfies all decomposition
-// invariants and Count is the exact number of distinct answers.
+// invariants and Count is the exact number of distinct answers. The
+// possible and certain answer facts need none of that: Readout and
+// PossibleAnswers/CertainAnswers read them straight off the grouped
+// parts (answers.go).
 //
 // Every step is exact — parts tabulate per-choice values, never
 // approximations — so rep(Eval(D, q)) = q(rep(D)) world-for-world. The
@@ -139,34 +143,21 @@ func Eval(w *wsd.WSD, q query.Query) (*wsd.WSD, error) {
 
 // evalCore is the shared body of Eval and EvalPlanned: the evaluation
 // proper, accounting to c (nil: unobserved), with an optional plan to
-// fill (nil plan = no plan bookkeeping at all on the hot path).
+// fill (nil plan = no plan bookkeeping at all on the hot path). It
+// assembles the answer decomposition and normalizes it; readoutCore is
+// the same walk read out without either.
 func (ev *evaluator) evalCore(q query.Query, c *obs.Cost, pl *Plan) (*wsd.WSD, error) {
-	if err := Supported(q); err != nil {
+	if err := ev.start(q, c, pl); err != nil {
 		return nil, err
 	}
 	w := ev.w
-	c.Add(obs.EvalComponents, int64(w.Components()))
-	if pl != nil {
-		pl.Components = int64(w.Components())
-	}
 	if query.IsIdentity(q) {
 		return w.Clone(), nil
 	}
 	a := q.(query.Algebra)
-
-	// Output schema: one relation per Out, arity from the expression.
-	outSchema := make(table.Schema, 0, len(a.Outs))
-	seen := map[string]bool{}
-	for _, o := range a.Outs {
-		cols, err := o.Expr.Schema()
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", a.Label(), err)
-		}
-		if seen[o.Name] {
-			return nil, fmt.Errorf("%s: duplicate output relation %s", a.Label(), o.Name)
-		}
-		seen[o.Name] = true
-		outSchema = append(outSchema, table.SchemaRel{Name: o.Name, Arity: len(cols)})
+	outSchema, err := outputSchema(a)
+	if err != nil {
+		return nil, err
 	}
 	out := wsd.New(outSchema)
 
@@ -226,6 +217,36 @@ func (ev *evaluator) evalCore(q query.Query, c *obs.Cost, pl *Plan) (*wsd.WSD, e
 	return out, err
 }
 
+// start opens an evaluation: it gates the fragment and records the
+// input's size on the cost sink and the plan.
+func (ev *evaluator) start(q query.Query, c *obs.Cost, pl *Plan) error {
+	if err := Supported(q); err != nil {
+		return err
+	}
+	c.Add(obs.EvalComponents, int64(ev.w.Components()))
+	if pl != nil {
+		pl.Components = int64(ev.w.Components())
+	}
+	return nil
+}
+
+// outputSchema is the answer's schema: one relation per Out, arity from
+// the expression.
+func outputSchema(a query.Algebra) (table.Schema, error) {
+	s := make(table.Schema, 0, len(a.Outs))
+	for i, o := range a.Outs {
+		cols, err := o.Expr.Schema()
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", a.Label(), err)
+		}
+		if slices.ContainsFunc(a.Outs[:i], func(p query.Out) bool { return p.Name == o.Name }) {
+			return nil, fmt.Errorf("%s: duplicate output relation %s", a.Label(), o.Name)
+		}
+		s = append(s, table.SchemaRel{Name: o.Name, Arity: len(cols)})
+	}
+	return s, nil
+}
+
 // walkOuts evaluates every output expression of a — the walk both
 // readings share — and tags the resulting parts with their output
 // relation. When explaining, each output gets an "out" plan node.
@@ -280,26 +301,14 @@ type taggedPart struct {
 // assemble groups correlated parts (shared origins) into components of
 // out, one alternative per joint choice. Origin-free parts (constant
 // rows) are certain; each becomes a single-alternative component of its
-// own and Normalize merges all certain components afterwards. It is the
-// shared tail of evalCore and of certain()'s private sub-decomposition;
-// asm (nil when not explaining) receives the assembly estimates and
-// actuals. The bound reading records the estimate and emits nothing
-// (out may be nil). Normalization is the caller's job.
+// own and Normalize merges all certain components afterwards. asm (nil
+// when not explaining) receives the assembly estimates and actuals. The
+// bound reading records the estimate and emits nothing (out may be nil).
+// Normalization is the caller's job.
 func (ev *evaluator) assemble(out *wsd.WSD, parts []taggedPart, asm *PlanNode) error {
 	groups, merged := originGroups(len(parts), func(i int) []int { return parts[i].p.origins })
-
-	// Assembly estimate, before any group tabulates: each group sweeps
-	// the joint space of its merged origins (the template fast path
-	// skips the sweep entirely, which only makes the actual smaller).
 	if asm != nil || ev.bound {
-		s := ev.spaceEst(merged)
-		s.Parts = int64(len(groups))
-		for i := range parts {
-			if len(parts[i].p.origins) == 0 {
-				s.Parts++
-			}
-		}
-		ev.setEst(s)
+		ev.setEst(ev.groupEst(parts, groups, merged))
 		if ev.bound {
 			return nil
 		}
@@ -324,18 +333,18 @@ func (ev *evaluator) assemble(out *wsd.WSD, parts []taggedPart, asm *PlanNode) e
 	}
 
 	for g, members := range groups {
-		// Template fast path: a lone predicate-free template part whose
-		// out-columns reference each origin slot exactly once is itself
-		// an attribute-level component of the answer — emit it factored,
+		// Template fast path: a lone answer template is itself an
+		// attribute-level component of the answer — emit it factored,
 		// never tabulating the field product. This is what lets σ/π/ρ
 		// pipelines over 2^100-world attribute decompositions answer in
 		// decomposition size.
 		if len(members) == 1 {
 			op := &parts[members[0]]
-			if emitted, err := ev.emitTemplate(out, op.rel, &op.p); err != nil {
-				asm.markError(err)
-				return err
-			} else if emitted {
+			if cells, ok := ev.templateCells(&op.p); ok {
+				if err := out.AddTemplateCells(op.rel, cells...); err != nil {
+					asm.markError(err)
+					return err
+				}
 				if asm != nil {
 					asm.Act.Parts++
 				}
@@ -350,7 +359,7 @@ func (ev *evaluator) assemble(out *wsd.WSD, parts []taggedPart, asm *PlanNode) e
 			return err
 		}
 		alts := make([][]wsd.TupleFact, 0, space)
-		ev.odometer(origins, func(choice []int) {
+		ev.odometer(origins, func(choice []int) bool {
 			var alt []wsd.TupleFact
 			for _, i := range members {
 				op := &parts[i]
@@ -359,6 +368,7 @@ func (ev *evaluator) assemble(out *wsd.WSD, parts []taggedPart, asm *PlanNode) e
 				}
 			}
 			alts = append(alts, alt)
+			return true
 		})
 		if err := out.AddComponentTuples(alts...); err != nil {
 			asm.markError(err)
@@ -436,36 +446,6 @@ func originGroups(n int, originsOf func(int) []int) (groups [][]int, merged [][]
 		}
 	}
 	return groups, merged
-}
-
-// emitTemplate recognizes a part that is exactly an answer-side
-// attribute-level component — template body, no surviving predicates,
-// every origin unit referenced by exactly one out-column — and adds it
-// to the answer decomposition in factored (per-slot) form. Repeated
-// slot references or predicates correlate the columns, which the
-// template form cannot express; those parts fall back to tabulation.
-func (ev *evaluator) emitTemplate(out *wsd.WSD, ri int, p *part) (bool, error) {
-	t := p.tmpl
-	if t == nil || len(t.preds) > 0 {
-		return false, nil
-	}
-	seen := map[int]bool{}
-	cells := make([][]sym.ID, len(t.out))
-	for j, c := range t.out {
-		if c.unit < 0 {
-			cells[j] = []sym.ID{c.constID}
-			continue
-		}
-		if seen[c.unit] {
-			return false, nil
-		}
-		seen[c.unit] = true
-		cells[j] = ev.cells[c.unit]
-	}
-	if len(seen) != len(p.origins) {
-		return false, nil
-	}
-	return true, out.AddTemplateCells(ri, cells...)
 }
 
 // part is one factor of a decomposed relation: a deterministic function
@@ -614,6 +594,8 @@ type evaluator struct {
 	cost      *obs.Cost // per-request sink (nil when untraced)
 	plan      *Plan     // plan under construction (nil when not explaining)
 	cur       *PlanNode // node receiving space() actuals right now
+	// cands and facts are the certain sweep's scratch (groupCertain).
+	cands, facts []wsd.TupleFact
 }
 
 func newEvaluator(w *wsd.WSD) *evaluator {
@@ -668,10 +650,10 @@ func (ev *evaluator) space(origins []int) (int, error) {
 
 // odometer enumerates every choice vector over the given origins (last
 // origin fastest, matching part.at's indexing), calling fn once per
-// combination. The vector is the evaluator's scratch, sized for every
-// unit that exists now: sweeps never nest, and each writes the digits
-// of its own origins before any read.
-func (ev *evaluator) odometer(origins []int, fn func(choice []int)) {
+// combination until fn returns false. The vector is the evaluator's
+// scratch, sized for every unit that exists now: sweeps never nest, and
+// each writes the digits of its own origins before any read.
+func (ev *evaluator) odometer(origins []int, fn func(choice []int) bool) {
 	if len(ev.choice) < ev.units() {
 		ev.choice = make([]int, ev.units())
 	}
@@ -680,7 +662,9 @@ func (ev *evaluator) odometer(origins []int, fn func(choice []int)) {
 		choice[o] = 0
 	}
 	for {
-		fn(choice)
+		if !fn(choice) {
+			return
+		}
 		i := len(origins) - 1
 		for ; i >= 0; i-- {
 			o := origins[i]
@@ -1155,56 +1139,35 @@ func (ev *evaluator) supportRows(in *dRel) ([]sym.Tuple, int64, error) {
 	var rows []sym.Tuple
 	for i := range in.parts {
 		p := &in.parts[i]
-		if p.tmpl == nil {
-			for _, alt := range p.alts {
-				rows = append(rows, alt...)
+		if p.tmpl != nil {
+			if _, err := ev.space(p.origins); err != nil {
+				return nil, 0, err
 			}
-			continue
 		}
-		if _, err := ev.space(p.origins); err != nil {
-			return nil, 0, err
-		}
-		ev.odometer(p.origins, func(choice []int) {
-			rows = append(rows, p.at(choice, ev)...)
-		})
+		rows = ev.appendSupport(rows, p)
 	}
 	rows = sortDedupTuples(rows)
 	return rows, int64(len(rows)), nil
 }
 
 // certainRows computes the certain answer of a decomposed relation: the
-// intersection of its value over every world, and its size. The parts
-// are assembled into a private single-relation sub-decomposition and
-// normalized — Normalize's certain-fold is exactly the intersection
-// computation — and the certain facts are read back. The bound reading
-// returns only the operand's row bound as the size.
+// intersection of its value over every world, and its size — the
+// readout's per-group tuple-certainty test (readRows) on the operand's
+// parts, with no possible set gathered. The bound reading returns only
+// the operand's row bound as the size.
 func (ev *evaluator) certainRows(in *dRel) ([]sym.Tuple, int64, error) {
 	if ev.bound {
 		return nil, ev.rowsBound(in), nil
 	}
-	if len(in.parts) == 0 {
-		return nil, 0, nil
-	}
-	sub := wsd.New(table.Schema{{Name: "q", Arity: len(in.cols)}})
 	tp := make([]taggedPart, len(in.parts))
 	for i, p := range in.parts {
-		tp[i] = taggedPart{rel: 0, p: p}
+		tp[i] = taggedPart{p: p}
 	}
-	if err := ev.assemble(sub, tp, nil); err != nil {
-		return nil, 0, err
-	}
-	sub.SetObsCost(ev.cost)
-	err := sub.Normalize()
-	sub.SetObsCost(nil)
+	_, cert, _, err := ev.readRows(tp, 1, false, nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	var rows []sym.Tuple
-	for f := range sub.CertainTuples() {
-		rows = append(rows, f.Tuple)
-	}
-	rows = sortDedupTuples(rows)
-	return rows, int64(len(rows)), nil
+	return cert[0], int64(len(cert[0])), nil
 }
 
 // choiceRel builds choiceof(e): a fresh synthetic unit with nSupport
@@ -1229,7 +1192,7 @@ func (ev *evaluator) choiceRel(in *dRel, support []sym.Tuple, nSupport int) (dRe
 		return dRel{cols: in.cols, parts: []part{{origins: all, rows: int64(space)}}}, nil
 	}
 	alts := make([][]sym.Tuple, 0, space)
-	ev.odometer(all, func(choice []int) {
+	ev.odometer(all, func(choice []int) bool {
 		var avail []sym.Tuple
 		for i := range in.parts {
 			avail = append(avail, in.parts[i].at(choice, ev)...)
@@ -1244,6 +1207,7 @@ func (ev *evaluator) choiceRel(in *dRel, support []sym.Tuple, nSupport int) (dRe
 			}
 		}
 		alts = append(alts, rows)
+		return true
 	})
 	return dRel{cols: in.cols, parts: []part{{origins: all, alts: alts}}}, nil
 }
@@ -1272,7 +1236,7 @@ func (ev *evaluator) diffRels(l, r *dRel) (dRel, error) {
 		}
 		alts := make([][]sym.Tuple, 0, space)
 		any := false
-		ev.odometer(origins, func(choice []int) {
+		ev.odometer(origins, func(choice []int) bool {
 			var sub []sym.Tuple
 			for ri := range r.parts {
 				sub = append(sub, r.parts[ri].at(choice, ev)...)
@@ -1282,6 +1246,7 @@ func (ev *evaluator) diffRels(l, r *dRel) (dRel, error) {
 				any = true
 			}
 			alts = append(alts, rows)
+			return true
 		})
 		if any {
 			out.parts = append(out.parts, part{origins: origins, alts: alts})
@@ -1350,13 +1315,14 @@ func (ev *evaluator) joinRels(l, r dRel, cols []string) (dRel, error) {
 			}
 			alts := make([][]sym.Tuple, 0, space)
 			any := false
-			ev.odometer(origins, func(choice []int) {
+			ev.odometer(origins, func(choice []int) bool {
 				joined := joinTuples(lp.at(choice, ev), rp.at(choice, ev),
 					lShared, rShared, rExtra, len(cols))
 				if len(joined) > 0 {
 					any = true
 				}
 				alts = append(alts, joined)
+				return true
 			})
 			if any {
 				out.parts = append(out.parts, part{origins: origins, alts: alts})
