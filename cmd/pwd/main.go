@@ -24,19 +24,19 @@
 //	GET  /metrics        Prometheus text exposition of every counter,
 //	                     gauge and histogram (per-op latency, cache
 //	                     traffic, per-db versions and backend kinds)
-//	GET  /debug/requests flight recorder: the last -flightsize requests
-//	                     (newest first) with ids, durations, statuses,
-//	                     cost counters and plan summaries
+//	GET  /debug/requests flight recorder: the last -flightsize request
+//	                     records (newest first): ids, durations, statuses,
+//	                     error classes, cost counters, plan summaries
 //	POST /reload?db=X    re-read a database file
 //	POST /update?db=X    apply an @update program (request body) to a
 //	                     decomposition-backed database; installs a new
 //	                     version while readers keep the old snapshot
 //	GET  /healthz        liveness
-//	GET  /debug/pprof/   profiles; GET /debug/vars for expvar
+//	GET  /debug/pprof/   profiles; GET /debug/vars: the stdlib's expvar only
 //
 // -slowquery DUR logs every request slower than DUR to stderr as one
-// JSON line with its request id, op, database, canonical query
-// fingerprint, plan summary and cost counters.
+// JSON line, its flight record: request id, op, database, canonical
+// query fingerprint, error class, plan summary and cost counters.
 //
 // pwd prints "pwd: listening on ADDR" once the socket is bound (ADDR is
 // the resolved address, so -addr :0 is usable by harnesses) and shuts
@@ -53,14 +53,11 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"pw/internal/server"
 )
-
-var publishOnce sync.Once
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, nil))
@@ -108,17 +105,12 @@ func run(args []string, stdout, stderr io.Writer, shutdown <-chan struct{}) int 
 			return 2
 		}
 	}
-	// expvar.Publish panics on duplicate names; guard so tests can start
-	// pwd more than once per process (only the first server's counters
-	// are published — each pwd process has exactly one anyway).
-	publishOnce.Do(s.PublishExpvar)
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(stderr, "pwd:", err)
 		return 2
 	}
-	srv := &http.Server{Handler: s.Handler()}
+	srv := httpServer(s.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	fmt.Fprintf(stdout, "pwd: listening on %s\n", ln.Addr())
@@ -141,4 +133,11 @@ func run(args []string, stdout, stderr io.Writer, shutdown <-chan struct{}) int 
 		return 1
 	}
 	return 0
+}
+
+// httpServer bounds slow request headers and idle keep-alive
+// connections with constant timeouts. It sets no write timeout:
+// evaluation is not yet bounded, so one would cut a long answer mid-body.
+func httpServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second, IdleTimeout: 2 * time.Minute}
 }

@@ -106,16 +106,32 @@ func TestPWDServesQueriesOverHTTP(t *testing.T) {
 		t.Fatalf("poss answer = %v, want yes", out.Answer)
 	}
 
-	// expvar endpoint carries the published counters.
-	ev, err := http.Get(base + "/debug/vars")
+	// /stats carries the server counters.
+	st, err := http.Get(base + "/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	evBody := new(bytes.Buffer)
-	evBody.ReadFrom(ev.Body)
-	ev.Body.Close()
-	if !strings.Contains(evBody.String(), `"pwd"`) {
-		t.Fatalf("/debug/vars missing pwd counters: %s", evBody.String())
+	defer st.Body.Close()
+	var stats struct {
+		Requests int64 `json:"requests"`
+	}
+	if err := json.NewDecoder(st.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Requests < 1 {
+		t.Fatalf("/stats requests = %d, want ≥ 1", stats.Requests)
+	}
+}
+
+// TestHTTPServerTimeouts pins the listener's header and idle timeouts
+// and the absence of a write timeout, which would cut long answers.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := httpServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout = %v, IdleTimeout = %v; want both set", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want none", srv.WriteTimeout)
 	}
 }
 

@@ -1,20 +1,21 @@
-// The flight recorder: a bounded ring of the last N requests the server
-// answered, served at GET /debug/requests. Each slot stores the
-// request's identity (request id, op, db, version, fingerprint), its
-// outcome (status, error, cache/coalesce flags, duration), a cost
-// snapshot, and — for slow or failed requests with a plan — a one-line
-// plan summary. The ring is the "what just happened" complement to the
-// cumulative /metrics surface: when a dashboard shows a latency spike,
-// the recorder names the requests inside it, correlated to client logs
-// by X-Request-Id.
+// The request record and the flight recorder. DoCall fills one
+// requestRecord per request; finish derives every observability surface
+// from it — the per-op metrics, the trace root's error mark, the
+// flight-ring slot and the slow-query line — so no surface keeps its
+// own copy of the request's facts. The ring is a bounded buffer of the
+// last N records, served at GET /debug/requests: the "what just
+// happened" complement to the cumulative /metrics surface, correlated
+// to client logs by X-Request-Id.
 //
-// Storage discipline: slots hold plain values (obs.CostSnapshot, not a
-// map) so steady-state recording allocates nothing per request beyond
-// the strings the request already owns; the JSON shape is materialized
-// only when /debug/requests is scraped.
+// Storage discipline: a record is a plain value (obs.CostSnapshot, not
+// a map), so filling it and copying it into its slot allocates nothing
+// beyond the strings the request already owns; the JSON shape is
+// materialized only when /debug/requests is scraped or a slow line is
+// written.
 package server
 
 import (
+	"encoding/json"
 	"sync"
 	"time"
 
@@ -23,8 +24,11 @@ import (
 
 const defaultFlightSize = 128
 
-// flightEntry is one ring slot (internal, value-typed).
-type flightEntry struct {
+// requestRecord is the one record of a request: identity (request id,
+// op, db, version, fingerprint), outcome (status, error and its class,
+// cache/coalesce/slow flags, duration), a cost snapshot and — for slow
+// or failed requests with a plan — a one-line plan summary.
+type requestRecord struct {
 	id        string
 	t         time.Time
 	op        string
@@ -34,6 +38,7 @@ type flightEntry struct {
 	dur       time.Duration
 	status    int
 	errMsg    string
+	errClass  string
 	cached    bool
 	coalesced bool
 	slow      bool
@@ -41,30 +46,84 @@ type flightEntry struct {
 	plan      string
 }
 
-// FlightRecord is the JSON shape of one recorded request, newest first
-// in the GET /debug/requests array.
+// FlightRecord is the JSON shape of one request record: an element of
+// the GET /debug/requests array (newest first) and, verbatim, one line
+// of the slow-query log.
 type FlightRecord struct {
-	RequestID string           `json:"request_id,omitempty"`
-	Time      time.Time        `json:"time"`
-	Op        string           `json:"op"`
-	DB        string           `json:"db,omitempty"`
-	Version   uint64           `json:"version,omitempty"`
-	Fp        string           `json:"fp,omitempty"`
-	DurUS     int64            `json:"us"`
-	Status    int              `json:"status"`
-	Error     string           `json:"error,omitempty"`
-	Cached    bool             `json:"cached,omitempty"`
-	Coalesced bool             `json:"coalesced,omitempty"`
-	Slow      bool             `json:"slow,omitempty"`
-	Cost      map[string]int64 `json:"cost,omitempty"`
-	Plan      string           `json:"plan,omitempty"`
+	RequestID  string           `json:"request_id,omitempty"`
+	Time       time.Time        `json:"time"`
+	Op         string           `json:"op"`
+	DB         string           `json:"db,omitempty"`
+	Version    uint64           `json:"version,omitempty"`
+	Fp         string           `json:"fp,omitempty"`
+	DurUS      int64            `json:"us"`
+	Status     int              `json:"status"`
+	Error      string           `json:"error,omitempty"`
+	ErrorClass string           `json:"error_class,omitempty"`
+	Cached     bool             `json:"cached,omitempty"`
+	Coalesced  bool             `json:"coalesced,omitempty"`
+	Slow       bool             `json:"slow,omitempty"`
+	Cost       map[string]int64 `json:"cost,omitempty"`
+	Plan       string           `json:"plan,omitempty"`
+}
+
+func (r *requestRecord) flightRecord() FlightRecord {
+	return FlightRecord{
+		RequestID:  r.id,
+		Time:       r.t,
+		Op:         r.op,
+		DB:         r.db,
+		Version:    r.version,
+		Fp:         r.fp,
+		DurUS:      r.dur.Microseconds(),
+		Status:     r.status,
+		Error:      r.errMsg,
+		ErrorClass: r.errClass,
+		Cached:     r.cached,
+		Coalesced:  r.coalesced,
+		Slow:       r.slow,
+		Cost:       r.cost.Counters(),
+		Plan:       r.plan,
+	}
+}
+
+// finish derives every observability surface from one request record:
+// the per-op request, error and latency metrics, the trace root's error
+// mark, the flight-ring slot and, past the threshold, the slow-query
+// line. The slow line is written under slowMu as one Write, so
+// concurrent requests neither race on the configured writer nor
+// interleave their lines.
+func (s *Server) finish(r *requestRecord, tr *obs.Trace) {
+	op := s.metrics.op(r.op)
+	s.metrics.requests[op].Inc()
+	s.metrics.latency[op].Observe(r.dur.Seconds())
+	if r.errClass != "" {
+		s.metrics.errors[op].Inc()
+		tr.Root().SetError(r.errClass)
+	}
+	if s.recorder != nil {
+		s.recorder.record(r)
+		s.metrics.flightRecords.Inc()
+	}
+	if !r.slow {
+		return
+	}
+	s.metrics.slow.Inc()
+	line, err := json.Marshal(r.flightRecord())
+	if err != nil {
+		return
+	}
+	s.slowMu.Lock()
+	s.slowLog.Write(append(line, '\n'))
+	s.slowMu.Unlock()
 }
 
 // flightRecorder is the mutex-guarded ring. A nil recorder (FlightSize
-// < 0) records nothing; all methods are nil-safe.
+// < 0) is disabled: finish skips it, and len and snapshot read it as
+// empty.
 type flightRecorder struct {
 	mu   sync.Mutex
-	ring []flightEntry
+	ring []requestRecord
 	next int // slot the next record lands in
 	n    int // live entries (≤ len(ring))
 }
@@ -76,15 +135,12 @@ func newFlightRecorder(size int) *flightRecorder {
 	if size == 0 {
 		size = defaultFlightSize
 	}
-	return &flightRecorder{ring: make([]flightEntry, size)}
+	return &flightRecorder{ring: make([]requestRecord, size)}
 }
 
-func (f *flightRecorder) record(e flightEntry) {
-	if f == nil {
-		return
-	}
+func (f *flightRecorder) record(r *requestRecord) {
 	f.mu.Lock()
-	f.ring[f.next] = e
+	f.ring[f.next] = *r
 	f.next = (f.next + 1) % len(f.ring)
 	if f.n < len(f.ring) {
 		f.n++
@@ -110,23 +166,7 @@ func (f *flightRecorder) snapshot() []FlightRecord {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	for i := 0; i < f.n; i++ {
-		e := &f.ring[(f.next-1-i+len(f.ring))%len(f.ring)]
-		out = append(out, FlightRecord{
-			RequestID: e.id,
-			Time:      e.t,
-			Op:        e.op,
-			DB:        e.db,
-			Version:   e.version,
-			Fp:        e.fp,
-			DurUS:     e.dur.Microseconds(),
-			Status:    e.status,
-			Error:     e.errMsg,
-			Cached:    e.cached,
-			Coalesced: e.coalesced,
-			Slow:      e.slow,
-			Cost:      e.cost.Counters(),
-			Plan:      e.plan,
-		})
+		out = append(out, f.ring[(f.next-1-i+len(f.ring))%len(f.ring)].flightRecord())
 	}
 	return out
 }

@@ -28,15 +28,18 @@ import (
 //	                    decomposition database, bumping its version
 //	                    (?trace=1 as above)
 //	GET  /dbs           loaded databases (name, backend, kind, version, count)
-//	GET  /stats         cache hit/miss, coalescing, in-flight and per-db counters
+//	GET  /stats         cache hit/miss, coalescing, in-flight and per-db
+//	                    counters, read off the registry behind /metrics
 //	GET  /metrics       Prometheus text exposition of every counter,
 //	                    gauge and histogram, including per-db families
 //	POST /reload?db=X   re-read a file-backed database, bumping its version
 //	GET  /healthz       liveness ("ok")
-//	GET  /debug/requests flight recorder: the last N answered requests
-//	                    (id, op, db, duration, status, cost), newest first
+//	GET  /debug/requests flight recorder: the last N request records
+//	                    (id, op, db, duration, status, error class, cost),
+//	                    newest first; a slow-query line is the same record
 //	GET  /debug/pprof/  CPU/heap/goroutine profiles (net/http/pprof)
-//	GET  /debug/vars    expvar (includes pwd's published counters)
+//	GET  /debug/vars    expvar: the standard library's variables only;
+//	                    the server's counters are at /stats and /metrics
 //
 // Every response carries an X-Request-Id header, and every request is
 // counted into pwd_http_requests_total{path,code} (unknown paths are
@@ -291,13 +294,4 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, 200, s.Databases())
-}
-
-// PublishExpvar publishes the server's counters as expvar variables
-// (visible at /debug/vars). expvar.Publish panics on duplicate names,
-// so this must be called at most once per process — cmd/pwd calls it;
-// tests and embedded servers read /stats instead.
-func (s *Server) PublishExpvar() {
-	expvar.Publish("pwd", expvar.Func(func() any { return s.Stats() }))
-	expvar.Publish("pwd_dbs", expvar.Func(func() any { return s.Databases() }))
 }

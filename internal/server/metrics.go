@@ -1,7 +1,7 @@
 // Server-side observability: the Prometheus-style metric families
-// behind GET /metrics, the per-request context (trace + cost sink +
-// query fingerprint) threaded through dispatch, request-ID generation,
-// and the slow-query log.
+// behind GET /metrics (also the only store of the counters /stats
+// reports), the per-request context (trace + cost sink + query
+// fingerprint) threaded through dispatch, and request-ID generation.
 //
 // Hot-path discipline: every per-op counter and histogram handle is
 // resolved once at construction into plain maps that are read-only
@@ -11,10 +11,8 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 
 	"pw/internal/obs"
 	"pw/internal/wsdalg"
@@ -139,15 +137,14 @@ func (s *Server) WriteMetrics(w io.Writer) {
 
 // reqCtx is the per-request observability context threaded through
 // dispatch: the trace (nil when untraced), the cost sink (always
-// non-nil — the slow-query log needs counters even for untraced
-// requests), the canonical query fingerprint once resolved, the
-// request ID (empty for direct Do callers), whether the caller asked
-// for an EXPLAIN plan, and the plan the dispatched op produced.
+// non-nil — the request record needs counters even for untraced
+// requests), the canonical query fingerprint once resolved, whether the
+// caller asked for an EXPLAIN plan, and the plan the dispatched op
+// produced.
 type reqCtx struct {
 	tr      *obs.Trace
 	cost    *obs.Cost
 	fp      string
-	id      string
 	explain bool
 	plan    *wsdalg.Plan
 }
@@ -169,56 +166,4 @@ func (rc *reqCtx) span(name string) *obs.Span { return rc.tr.Root().StartChild(n
 // (X-Request-Id) and traced responses embed it.
 func (s *Server) RequestID() string {
 	return fmt.Sprintf("%s-%d", s.idBase, s.idSeq.Add(1))
-}
-
-// slowLogLine is the JSON shape of one slow-query log line. The
-// request_id field matches the X-Request-Id header the HTTP layer sent
-// back, so a client-observed slow call can be joined to its server-side
-// cost breakdown (and flight-recorder entry) by grepping one token.
-type slowLogLine struct {
-	Time      string           `json:"time"`
-	RequestID string           `json:"request_id,omitempty"`
-	Op        string           `json:"op"`
-	DB        string           `json:"db,omitempty"`
-	Fp        string           `json:"fp,omitempty"`
-	DurUS     int64            `json:"us"`
-	Status    int              `json:"status"`
-	Error     string           `json:"error,omitempty"`
-	ErrClass  string           `json:"error_class,omitempty"`
-	Plan      string           `json:"plan,omitempty"`
-	Cost      map[string]int64 `json:"cost,omitempty"`
-}
-
-// maybeLogSlow emits one JSON line per request that exceeded the
-// configured threshold: op, db, canonical query fingerprint, duration,
-// outcome, plan summary and the request's nonzero cost counters —
-// enough to explain the request without re-running it, and structured
-// so log pipelines need no bespoke parser.
-func (s *Server) maybeLogSlow(req *Request, rc *reqCtx, dur time.Duration, err error) {
-	if s.slowThreshold <= 0 || dur < s.slowThreshold || s.slowLog == nil {
-		return
-	}
-	s.metrics.slow.Inc()
-	line := slowLogLine{
-		Time:      time.Now().UTC().Format(time.RFC3339Nano),
-		RequestID: rc.id,
-		Op:        req.Op,
-		DB:        req.DB,
-		Fp:        rc.fp,
-		DurUS:     dur.Microseconds(),
-		Status:    200,
-		Plan:      planSummary(rc.plan),
-		Cost:      rc.cost.Counters(),
-	}
-	if err != nil {
-		line.Status = statusFor(err)
-		line.Error = err.Error()
-		line.ErrClass = errorClass(err)
-	}
-	b, merr := json.Marshal(line)
-	if merr != nil {
-		return
-	}
-	b = append(b, '\n')
-	s.slowLog.Write(b)
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -256,5 +258,76 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 	if !strings.Contains(entry.Plan, "components=") {
 		t.Errorf("slow-query plan summary missing components: %q", entry.Plan)
+	}
+}
+
+// TestSlowLogConcurrent: concurrent slow requests share the configured
+// writer, which need not be safe for concurrent use; every request must
+// land as exactly one whole line.
+func TestSlowLogConcurrent(t *testing.T) {
+	var buf bytes.Buffer
+	s := newTestServer(t, server.Config{
+		Workers:            2,
+		SlowQueryThreshold: time.Nanosecond,
+		SlowQueryLog:       &buf,
+	})
+	const goroutines, each = 4, 20
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if _, err := s.Do(&server.Request{DB: "sensors", Op: "count"}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != goroutines*each {
+		t.Fatalf("slow log has %d lines, want %d", len(lines), goroutines*each)
+	}
+	for i, line := range lines {
+		var r server.FlightRecord
+		if err := json.Unmarshal([]byte(line), &r); err != nil || r.Op != "count" {
+			t.Fatalf("line %d does not decode to a count record (%v):\n%s", i, err, line)
+		}
+	}
+}
+
+// TestSlowLineIsFlightRecord: a slow-query line is the request's flight
+// record, field for field, on success and on failure.
+func TestSlowLineIsFlightRecord(t *testing.T) {
+	var buf bytes.Buffer
+	s := newTestServer(t, server.Config{
+		Workers:            2,
+		SlowQueryThreshold: time.Nanosecond,
+		SlowQueryLog:       &buf,
+	})
+	for _, req := range []*server.Request{
+		{DB: "sensors", Op: "cert-ans", Query: mustRead(t, hiQueryPath)},
+		{DB: "nope", Op: "count"},
+	} {
+		buf.Reset()
+		postRaw(t, s, "/query", req)
+		var line server.FlightRecord
+		if err := json.Unmarshal(buf.Bytes(), &line); err != nil {
+			t.Fatalf("%s: slow line does not decode: %v\n%s", req.Op, err, buf.String())
+		}
+		var records []server.FlightRecord
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/requests", nil))
+		if err := json.Unmarshal(rec.Body.Bytes(), &records); err != nil || len(records) == 0 {
+			t.Fatalf("%s: /debug/requests = %v (%v)", req.Op, rec.Body.String(), err)
+		}
+		if !reflect.DeepEqual(line, records[0]) {
+			t.Errorf("%s: slow line and flight record differ:\n%+v\n%+v", req.Op, line, records[0])
+		}
+		if wantClass := req.DB == "nope"; (line.ErrorClass != "") != wantClass {
+			t.Errorf("%s: error_class = %q", req.Op, line.ErrorClass)
+		}
 	}
 }

@@ -81,11 +81,13 @@ type Config struct {
 	// 512; a negative value disables it (every request re-parses).
 	PreparedSize int
 	// SlowQueryThreshold enables the slow-query log: every request
-	// taking at least this long is logged with its op, database,
-	// canonical query fingerprint and cost counters. 0 disables it.
+	// taking at least this long is logged as its flight record (op,
+	// database, canonical query fingerprint, outcome, plan summary and
+	// cost counters). 0 disables it.
 	SlowQueryThreshold time.Duration
-	// SlowQueryLog receives slow-query lines (os.Stderr when nil and a
-	// threshold is set).
+	// SlowQueryLog receives slow-query lines, one Write per line,
+	// serialized across requests (os.Stderr when nil and a threshold is
+	// set).
 	SlowQueryLog io.Writer
 	// FlightSize bounds the flight recorder, the ring of recently
 	// answered requests served at GET /debug/requests. 0 means 128; a
@@ -112,10 +114,10 @@ type Server struct {
 	answers  *lruCache
 
 	flight flightGroup
-	stats  stats
 
 	metrics       *serverMetrics
 	slowThreshold time.Duration
+	slowMu        sync.Mutex // serializes slow-query lines onto slowLog
 	slowLog       io.Writer
 	recorder      *flightRecorder
 	idBase        string
@@ -168,21 +170,9 @@ type dbView struct {
 	db      *database // for per-db cache attribution; never nil from view()
 }
 
-// stats are the server's own counters, exposed at /stats and (in pwd)
-// through expvar.
-type stats struct {
-	Requests       atomic.Int64
-	Errors         atomic.Int64
-	PreparedHits   atomic.Int64
-	PreparedMisses atomic.Int64
-	AnswerHits     atomic.Int64
-	AnswerMisses   atomic.Int64
-	Coalesced      atomic.Int64
-	InFlightEvals  atomic.Int64
-}
-
 // Stats is a point-in-time snapshot of the server counters, including
-// the per-database breakdown.
+// the per-database breakdown. Its counters are the ones /metrics
+// exposes, read from the same store, so the two cannot disagree.
 type Stats struct {
 	Requests       int64     `json:"requests"`
 	Errors         int64     `json:"errors"`
@@ -307,15 +297,21 @@ func (s *Server) Stats() Stats {
 	s.cacheMu.Lock()
 	ansN, prepN := s.answers.len(), s.prepared.len()
 	s.cacheMu.Unlock()
+	m := s.metrics
+	var requests, errs uint64
+	for _, op := range metricOps {
+		requests += m.requests[op].Value()
+		errs += m.errors[op].Value()
+	}
 	return Stats{
-		Requests:       s.stats.Requests.Load(),
-		Errors:         s.stats.Errors.Load(),
-		PreparedHits:   s.stats.PreparedHits.Load(),
-		PreparedMisses: s.stats.PreparedMisses.Load(),
-		AnswerHits:     s.stats.AnswerHits.Load(),
-		AnswerMisses:   s.stats.AnswerMisses.Load(),
-		Coalesced:      s.stats.Coalesced.Load(),
-		InFlightEvals:  s.stats.InFlightEvals.Load(),
+		Requests:       int64(requests),
+		Errors:         int64(errs),
+		PreparedHits:   int64(m.prepHits.Value()),
+		PreparedMisses: int64(m.prepMisses.Value()),
+		AnswerHits:     int64(m.ansHits.Value()),
+		AnswerMisses:   int64(m.ansMisses.Value()),
+		Coalesced:      int64(m.coalesced.Value()),
+		InFlightEvals:  m.inflight.Value(),
 		AnswerEntries:  ansN,
 		PreparedCached: prepN,
 		DBs:            s.DBStats(),
@@ -570,9 +566,9 @@ type Response struct {
 
 // CallOptions modulate one Do call: an optional trace to record spans
 // and cost into, whether to attach an EXPLAIN plan to the response, and
-// the request ID to correlate the flight-recorder entry and slow-query
-// line with (the HTTP layer passes the X-Request-Id it minted; direct
-// callers may leave it empty).
+// the request ID to stamp on the request's record (the HTTP layer
+// passes the X-Request-Id it minted; direct callers may leave it
+// empty).
 type CallOptions struct {
 	Trace     *obs.Trace
 	Explain   bool
@@ -585,42 +581,43 @@ func (s *Server) Do(req *Request) (*Response, error) {
 	return s.DoCall(req, CallOptions{})
 }
 
-// DoTraced answers one request with an optional trace attached: spans
-// and cost counters record into tr (nil tr: exactly Do, except that
-// cost counters still accumulate into a request-local sink so the
-// slow-query log can report them).
-func (s *Server) DoTraced(req *Request, tr *obs.Trace) (*Response, error) {
-	return s.DoCall(req, CallOptions{Trace: tr})
-}
-
 // DoCall answers one request under explicit CallOptions. Every request
-// lands one entry in the flight recorder; failures additionally mark
-// the trace root with the error class so an error response still
-// carries a complete, annotated span tree.
+// fills one record, from which finish derives its metrics, flight-ring
+// slot and slow-query line; failures additionally mark the trace root
+// with the error class so an error response still carries a complete,
+// annotated span tree.
 func (s *Server) DoCall(req *Request, opts CallOptions) (*Response, error) {
 	rc := newReqCtx(opts.Trace)
 	rc.explain = opts.Explain
-	rc.id = opts.RequestID
-	start := time.Now()
-	s.stats.Requests.Add(1)
-	op := s.metrics.op(req.Op)
-	s.metrics.requests[op].Inc()
 	if opts.Explain {
 		s.metrics.explain.Inc()
 	}
+	start := time.Now()
 	resp, err := s.dispatch(req, rc)
+	r := requestRecord{
+		id:     opts.RequestID,
+		t:      time.Now().UTC(),
+		op:     req.Op,
+		db:     req.DB,
+		fp:     rc.fp,
+		dur:    time.Since(start),
+		status: 200,
+		cost:   rc.cost.Snapshot(),
+	}
+	if resp != nil {
+		r.version, r.cached, r.coalesced = resp.Version, resp.Cached, resp.Coalesced
+		if rc.explain {
+			resp.Plan = rc.plan
+		}
+	}
 	if err != nil {
-		s.stats.Errors.Add(1)
-		s.metrics.errors[op].Inc()
-		rc.tr.Root().SetError(errorClass(err))
+		r.status, r.errMsg, r.errClass = statusFor(err), err.Error(), errorClass(err)
 	}
-	dur := time.Since(start)
-	s.metrics.latency[op].Observe(dur.Seconds())
-	if rc.explain && resp != nil {
-		resp.Plan = rc.plan
+	r.slow = s.slowThreshold > 0 && r.dur >= s.slowThreshold
+	if r.slow || err != nil {
+		r.plan = planSummary(rc.plan)
 	}
-	s.recordFlight(req, rc, dur, err, resp)
-	s.maybeLogSlow(req, rc, dur, err)
+	s.finish(&r, rc.tr)
 	if err != nil && rc.explain && rc.plan != nil {
 		// ?explain=1 parity on the error path: the partial plan (error
 		// class marked at the failing node) rides the error the same
@@ -640,9 +637,9 @@ type PlanError struct {
 func (e *PlanError) Error() string { return e.Err.Error() }
 func (e *PlanError) Unwrap() error { return e.Err }
 
-// errorClass names an error for span annotations, flight records and
-// the slow-query log: the evaluator's refusal classes, the
-// representation-system limit, or the HTTP status family.
+// errorClass names an error for span annotations and request records:
+// the evaluator's refusal classes, the representation-system limit, or
+// the HTTP status family.
 func errorClass(err error) string {
 	if err == nil {
 		return ""
@@ -658,37 +655,6 @@ func errorClass(err error) string {
 		return fmt.Sprintf("http_%d", se.Status)
 	}
 	return "error"
-}
-
-// recordFlight lands one entry in the flight recorder (no-op when
-// recording is disabled). Slow and failed requests keep a one-line plan
-// summary when evaluation produced one.
-func (s *Server) recordFlight(req *Request, rc *reqCtx, dur time.Duration, err error, resp *Response) {
-	if s.recorder == nil {
-		return
-	}
-	e := flightEntry{
-		id:     rc.id,
-		t:      time.Now(),
-		op:     req.Op,
-		db:     req.DB,
-		fp:     rc.fp,
-		dur:    dur,
-		status: 200,
-		cost:   rc.cost.Snapshot(),
-	}
-	if resp != nil {
-		e.version, e.cached, e.coalesced = resp.Version, resp.Cached, resp.Coalesced
-	}
-	if err != nil {
-		e.status, e.errMsg = statusFor(err), err.Error()
-	}
-	e.slow = s.slowThreshold > 0 && dur >= s.slowThreshold
-	if e.slow || err != nil {
-		e.plan = planSummary(rc.plan)
-	}
-	s.recorder.record(e)
-	s.metrics.flightRecords.Inc()
 }
 
 // planSummary compresses a plan to one line for ring slots and log
@@ -797,10 +763,8 @@ func (s *Server) acquire(rc *reqCtx) func() {
 	sp.End()
 	rc.cost.Add(obs.SemWaitNanos, wait.Nanoseconds())
 	s.metrics.semWait.Observe(wait.Seconds())
-	s.stats.InFlightEvals.Add(1)
 	s.metrics.inflight.Add(1)
 	return func() {
-		s.stats.InFlightEvals.Add(-1)
 		s.metrics.inflight.Add(-1)
 		<-s.sem
 	}
@@ -1066,12 +1030,10 @@ func (s *Server) prepare(text string, rc *reqCtx) (*preparedQuery, error) {
 	s.cacheMu.Lock()
 	if v, ok := s.prepared.get(text); ok {
 		s.cacheMu.Unlock()
-		s.stats.PreparedHits.Add(1)
 		s.metrics.prepHits.Inc()
 		return v.(*preparedQuery), nil
 	}
 	s.cacheMu.Unlock()
-	s.stats.PreparedMisses.Add(1)
 	s.metrics.prepMisses.Inc()
 	sp := rc.span("prepare")
 	defer sp.End()
@@ -1118,14 +1080,12 @@ func (s *Server) cachedEval(db *database, key string, rc *reqCtx, fn func() (any
 	s.cacheMu.Lock()
 	if v, ok := s.answers.get(key); ok {
 		s.cacheMu.Unlock()
-		s.stats.AnswerHits.Add(1)
 		s.metrics.ansHits.Inc()
 		db.ansHits.Add(1)
 		rc.cost.Add(obs.CacheHits, 1)
 		return v, true, false, nil
 	}
 	s.cacheMu.Unlock()
-	s.stats.AnswerMisses.Add(1)
 	s.metrics.ansMisses.Inc()
 	db.ansMisses.Add(1)
 	rc.cost.Add(obs.CacheMisses, 1)
@@ -1140,7 +1100,6 @@ func (s *Server) cachedEval(db *database, key string, rc *reqCtx, fn func() (any
 		return v, nil
 	})
 	if coalesced {
-		s.stats.Coalesced.Add(1)
 		s.metrics.coalesced.Inc()
 		rc.cost.Add(obs.CoalescedWaits, 1)
 	}
@@ -1218,7 +1177,7 @@ func (s *Server) opAnswers(req *Request, v dbView, resp *Response, rc *reqCtx) (
 			ans, plan, dec, err := wsdalg.Readout(v.wsd, q, prior, rc.cost)
 			if err != nil {
 				sp.SetError(errorClass(err))
-				rc.plan = plan // partial, error-marked: flight/slow log still see it
+				rc.plan = plan // partial, error-marked: the request record still sees it
 				return nil, err
 			}
 			if prior == nil {
