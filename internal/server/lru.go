@@ -57,16 +57,16 @@ func (c *lruCache) add(key string, val any) {
 // len reports the live entry count.
 func (c *lruCache) len() int { return c.ll.Len() }
 
-// purge removes every entry whose key satisfies drop, returning the
-// number removed. Used on version bumps to reclaim answers cached
+// purge removes every entry whose key and value satisfy drop, returning
+// the number removed. Used on version bumps to reclaim answers cached
 // against versions that can never be requested again (their keys embed
 // the dead version, so they would otherwise squat in the LRU until
 // capacity pressure evicts them).
-func (c *lruCache) purge(drop func(key string) bool) int {
+func (c *lruCache) purge(drop func(key string, val any) bool) int {
 	n := 0
 	for e := c.ll.Front(); e != nil; {
 		next := e.Next()
-		if ent := e.Value.(*lruEntry); drop(ent.key) {
+		if ent := e.Value.(*lruEntry); drop(ent.key, ent.val) {
 			c.ll.Remove(e)
 			delete(c.m, ent.key)
 			n++

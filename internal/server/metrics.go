@@ -43,6 +43,7 @@ type serverMetrics struct {
 	prepHits   *obs.Counter
 	prepMisses *obs.Counter
 	coalesced  *obs.Counter
+	planReused *obs.Counter
 	semWait    *obs.Histogram
 	inflight   *obs.Gauge
 	slow       *obs.Counter
@@ -74,6 +75,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.prepHits = reg.Counter("pwd_prepared_hits_total", "Prepared-query cache hits.")
 	m.prepMisses = reg.Counter("pwd_prepared_misses_total", "Prepared-query cache misses.")
 	m.coalesced = reg.Counter("pwd_coalesced_total", "Requests that piggybacked on an identical in-flight evaluation.")
+	m.planReused = reg.Counter("pwd_plan_reused_total", "Answer misses that evaluated a kept planning decision instead of planning.")
 	m.semWait = reg.Histogram("pwd_sem_wait_seconds", "Time heavy evaluations spent queued on the admission semaphore.", nil)
 	m.inflight = reg.Gauge("pwd_inflight_evals", "Heavy evaluations currently holding an admission slot.")
 	m.slow = reg.Counter("pwd_slow_queries_total", "Requests that exceeded the slow-query threshold.")

@@ -1,8 +1,8 @@
 // Plan reuse: a prepared query keeps the planner's decision for the
-// (database, version) it was made on, and a later answer miss there
-// evaluates the kept form without planning. Every test runs with the
-// answer cache disabled, so each repeat is a miss that reaches the
-// evaluator.
+// database and effective version it was made at, and a later answer
+// miss there evaluates the kept form without planning. The tests run
+// with the answer cache disabled, so each repeat is a miss that reaches
+// the evaluator (one test also checks the cache beside it).
 package server_test
 
 import (
@@ -119,6 +119,49 @@ func TestPlanReplannedAfterWriteAndReload(t *testing.T) {
 		t.Fatalf("read after reload at version %d:\n%s", afterReload.Version, afterReload.Facts)
 	}
 	wantReuse(t, "second miss after reload", explainMiss(t, s, "a", "poss-ans"), 1)
+}
+
+// TestWriteToUnscannedRelationKeepsAnswerAndPlan: chainQuery scans R,
+// S and T, so a write to C leaves its cached answer in place and, with
+// the answer cache off, lets the next miss reuse the kept plan; a write
+// to R does neither.
+func TestWriteToUnscannedRelationKeepsAnswerAndPlan(t *testing.T) {
+	db := strings.Replace(chainDB(6, 1), "  relation: T(2)\n", "  relation: T(2)\n  relation: C(1)\n", 1) +
+		"  component:\n    alt: C(on)\n    alt: C(off)\n"
+	path := filepath.Join(t.TempDir(), "c.pw")
+	if err := os.WriteFile(path, []byte(db), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const writeC = "@update\n  update: C(on) set 1 = off\n"
+	const writeR = "@update\n  insert: R(mark k)\n"
+
+	cached := server.New(server.Config{Workers: 1})
+	if err := cached.Open("a", path); err != nil {
+		t.Fatal(err)
+	}
+	first := do(t, cached, &server.Request{DB: "a", Op: "poss-ans", Query: chainQuery})
+	do(t, cached, &server.Request{DB: "a", Op: "write", Update: writeC})
+	afterC := do(t, cached, &server.Request{DB: "a", Op: "poss-ans", Query: chainQuery})
+	if !afterC.Cached || afterC.Version != 2 || afterC.Facts != first.Facts {
+		t.Errorf("after a write to C: cached=%v version %d, want a cache hit at version 2 with the same answers", afterC.Cached, afterC.Version)
+	}
+	do(t, cached, &server.Request{DB: "a", Op: "write", Update: writeR})
+	if afterR := do(t, cached, &server.Request{DB: "a", Op: "poss-ans", Query: chainQuery}); afterR.Cached {
+		t.Error("after a write to R: answered from the cache")
+	}
+
+	uncached := server.New(server.Config{Workers: 1, CacheSize: -1})
+	if err := uncached.Open("a", path); err != nil {
+		t.Fatal(err)
+	}
+	explainMiss(t, uncached, "a", "poss-ans")
+	do(t, uncached, &server.Request{DB: "a", Op: "write", Update: writeC})
+	wantReuse(t, "first miss after a write to C", explainMiss(t, uncached, "a", "poss-ans"), 1)
+	do(t, uncached, &server.Request{DB: "a", Op: "write", Update: writeR})
+	wantReuse(t, "first miss after a write to R", explainMiss(t, uncached, "a", "poss-ans"), 0)
+	if n := uncached.Stats().PlanReused; n != 1 {
+		t.Errorf("Stats().PlanReused = %d, want 1", n)
+	}
 }
 
 func TestPlanNotSharedAcrossDatabases(t *testing.T) {

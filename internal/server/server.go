@@ -13,8 +13,11 @@
 //     spellings of the same algebra share everything downstream;
 //  2. an answer cache — the possible and certain answer rows read off
 //     one evaluation (and the answer texts printed from them) are
-//     cached in an LRU keyed by (database version, query fingerprint),
-//     so a repeated cert-ans or poss-ans skips evaluation entirely;
+//     cached in an LRU keyed by (effective version, query fingerprint),
+//     so a repeated cert-ans or poss-ans skips evaluation entirely. A
+//     query's effective version is the last version that wrote a
+//     relation it scans, so a write to other relations leaves its
+//     answers (and its kept plan decision) in place;
 //  3. request batching + admission control — concurrent identical
 //     uncached queries coalesce into one evaluation (a singleflight
 //     group keyed like the cache), and all heavy evaluations pass
@@ -31,20 +34,26 @@
 // immutable after normalization, and the write path preserves that:
 // an @update is applied copy-on-write against the snapshot (readers
 // keep serving the old version throughout) and the result is installed
-// as a new version in one short critical section. Because every cache
-// and singleflight key embeds the version, stale answers are never
-// served after a reload or write; entries keyed on dead versions are
-// purged from the answer cache at install time.
+// as a new version in one short critical section, together with the
+// per-relation write stamps of that version. Every cache and
+// singleflight key embeds the version (answer keys: the effective
+// version of the relations the query scans), so stale answers are never
+// served after a reload or write; entries whose key can no longer be
+// requested — for answers, those whose query reads a relation in the
+// write's footprint — are purged from the answer cache at install time.
 package server
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"math/big"
 	"math/rand"
 	"os"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -139,6 +148,7 @@ type database struct {
 
 	mu      sync.RWMutex
 	version uint64
+	stamps  *relStamps
 	wsd     *wsd.WSD
 	tab     *table.Database
 
@@ -160,11 +170,56 @@ type countCache struct {
 	count   string
 }
 
+// relStamps records, for one installed version, the version that last
+// wrote each relation: base is the version of the last install that
+// wrote every relation (registration, reload, assume), rel the versions
+// of the relation-scoped writes since. Every install stamps with the
+// new version, so the largest stamp is the installed version itself.
+// Replaced copy-on-write at install, never mutated.
+type relStamps struct {
+	base uint64
+	rel  map[string]uint64
+}
+
+// after returns the stamps of the install at version whose footprint is
+// rels (every relation when all).
+func (st *relStamps) after(version uint64, rels []string, all bool) *relStamps {
+	if all {
+		return &relStamps{base: version}
+	}
+	next := &relStamps{base: st.base, rel: make(map[string]uint64, len(st.rel)+len(rels))}
+	for r, v := range st.rel {
+		next.rel[r] = v
+	}
+	for _, r := range rels {
+		next.rel[r] = version
+	}
+	return next
+}
+
+// effective is the version a query reading reads answers at: the
+// largest stamp over the relations it scans (the installed version
+// itself when it may read every relation). It changes exactly when an
+// install writes one of those relations.
+func (st *relStamps) effective(reads *readSet, version uint64) uint64 {
+	if reads.all {
+		return version
+	}
+	e := st.base
+	for _, r := range reads.rels {
+		if v := st.rel[r]; v > e {
+			e = v
+		}
+	}
+	return e
+}
+
 // dbView is an immutable snapshot of a database taken under its read
 // lock; evaluation happens against the snapshot, outside any lock.
 type dbView struct {
 	name    string
 	version uint64
+	stamps  *relStamps
 	wsd     *wsd.WSD
 	tab     *table.Database
 	db      *database // for per-db cache attribution; never nil from view()
@@ -181,6 +236,7 @@ type Stats struct {
 	AnswerHits     int64     `json:"answer_hits"`
 	AnswerMisses   int64     `json:"answer_misses"`
 	Coalesced      int64     `json:"coalesced"`
+	PlanReused     int64     `json:"plan_reused"`
 	InFlightEvals  int64     `json:"in_flight_evals"`
 	AnswerEntries  int       `json:"answer_entries"`
 	PreparedCached int       `json:"prepared_entries"`
@@ -229,10 +285,7 @@ func (s *Server) DBStats() []DBStats {
 	entries := make(map[string]int, len(dbs))
 	s.cacheMu.Lock()
 	s.answers.each(func(key string) {
-		parts := strings.SplitN(key, "\x00", 3)
-		if len(parts) >= 2 {
-			entries[parts[1]]++
-		}
+		entries[splitKey(key).db]++
 	})
 	s.cacheMu.Unlock()
 
@@ -311,6 +364,7 @@ func (s *Server) Stats() Stats {
 		AnswerHits:     int64(m.ansHits.Value()),
 		AnswerMisses:   int64(m.ansMisses.Value()),
 		Coalesced:      int64(m.coalesced.Value()),
+		PlanReused:     int64(m.planReused.Value()),
 		InFlightEvals:  m.inflight.Value(),
 		AnswerEntries:  ansN,
 		PreparedCached: prepN,
@@ -350,12 +404,13 @@ func (s *Server) Open(name, path string) error {
 var testHookReloadAfterRead func(name string)
 
 // Reload re-reads a file-backed database and installs the fresh backend
-// under the write lock, bumping the version. Every answer cached
-// against the old version becomes unreachable at that instant and is
-// purged from the answer cache. Concurrent reloads of one database are
-// serialized by its writeMu: without it, two reloads could each read
-// the file and then install in the opposite order, leaving the older
-// file content live at the higher version.
+// under the write lock, bumping the version. A reload writes every
+// relation: every answer cached against the old version becomes
+// unreachable at that instant and is purged from the answer cache.
+// Concurrent reloads of one database are serialized by its writeMu:
+// without it, two reloads could each read the file and then install in
+// the opposite order, leaving the older file content live at the
+// higher version.
 func (s *Server) Reload(name string) error {
 	s.mu.RLock()
 	db := s.dbs[name]
@@ -379,32 +434,55 @@ func (s *Server) Reload(name string) error {
 	db.wsd, db.tab = fresh.wsd, fresh.tab
 	db.version++
 	live := db.version
+	db.stamps = &relStamps{base: live}
+	stamps := db.stamps
 	db.mu.Unlock()
-	s.purgeStale(name, live)
+	s.purgeStale(name, live, stamps)
 	return nil
 }
 
-// purgeStale drops every answer-cache entry that references database
-// name at a version other than live — both entries keyed directly on
-// the database and cont entries embedding it as the superset side.
-func (s *Server) purgeStale(name string, live uint64) {
+// cacheKeyParts is an answer-cache key split at its first three \x00
+// separators: kind \x00 db \x00 version \x00 rest. The fields alias the
+// key, so splitting allocates nothing.
+type cacheKeyParts struct {
+	kind, db, version, rest string
+}
+
+func splitKey(key string) cacheKeyParts {
+	var p cacheKeyParts
+	p.kind, key, _ = strings.Cut(key, "\x00")
+	p.db, key, _ = strings.Cut(key, "\x00")
+	p.version, p.rest, _ = strings.Cut(key, "\x00")
+	return p
+}
+
+// purgeStale drops every answer-cache entry of database name that no
+// request can reach after the install of version live with the given
+// stamps: an eval entry whose key version is no longer its query's
+// effective version (its query reads a relation the install wrote),
+// any other entry keyed on the database at a version other than live,
+// and cont entries embedding the database as the superset side at
+// another version. Callers hold the database's writeMu, so stamps are
+// the latest.
+func (s *Server) purgeStale(name string, live uint64, stamps *relStamps) {
 	current := strconv.FormatUint(live, 10)
 	s.cacheMu.Lock()
-	purged := s.answers.purge(func(key string) bool {
-		// Key layout: kind \x00 db \x00 version \x00 rest; cont keys embed
-		// db2 \x00 version2 at the head of rest.
-		parts := strings.SplitN(key, "\x00", 4)
-		if len(parts) < 4 {
-			return false
-		}
-		if parts[1] == name && parts[2] != current {
-			return true
-		}
-		if parts[0] == "cont" {
-			rest := strings.SplitN(parts[3], "\x00", 3)
-			if len(rest) >= 2 && rest[0] == name && rest[1] != current {
+	purged := s.answers.purge(func(key string, val any) bool {
+		// cont keys embed db2 \x00 version2 at the head of rest.
+		k := splitKey(key)
+		if k.db == name {
+			if k.kind == "eval" {
+				v, err := strconv.ParseUint(k.version, 10, 64)
+				return err != nil || v != stamps.effective(val.(*evalEntry).reads, live)
+			}
+			if k.version != current {
 				return true
 			}
+		}
+		if k.kind == "cont" {
+			db2, rest, _ := strings.Cut(k.rest, "\x00")
+			version2, _, _ := strings.Cut(rest, "\x00")
+			return db2 == name && version2 != current
 		}
 		return false
 	})
@@ -444,6 +522,7 @@ func (s *Server) register(db *database) error {
 	if _, dup := s.dbs[db.name]; dup {
 		return fmt.Errorf("database %q already loaded", db.name)
 	}
+	db.stamps = &relStamps{base: db.version} // a registration writes every relation
 	s.dbs[db.name] = db
 	return nil
 }
@@ -457,7 +536,7 @@ func (s *Server) view(name string) (dbView, error) {
 		return dbView{}, &Error{Status: 404, Err: fmt.Errorf("unknown database %q", name)}
 	}
 	db.mu.RLock()
-	v := dbView{name: db.name, version: db.version, wsd: db.wsd, tab: db.tab, db: db}
+	v := dbView{name: db.name, version: db.version, stamps: db.stamps, wsd: db.wsd, tab: db.tab, db: db}
 	db.mu.RUnlock()
 	return v, nil
 }
@@ -585,7 +664,8 @@ func (s *Server) Do(req *Request) (*Response, error) {
 // fills one record, from which finish derives its metrics, flight-ring
 // slot and slow-query line; failures additionally mark the trace root
 // with the error class so an error response still carries a complete,
-// annotated span tree.
+// annotated span tree. A request whose dispatch panics is recorded too:
+// it fails with status 500 and error class "panic".
 func (s *Server) DoCall(req *Request, opts CallOptions) (*Response, error) {
 	rc := newReqCtx(opts.Trace)
 	rc.explain = opts.Explain
@@ -593,7 +673,7 @@ func (s *Server) DoCall(req *Request, opts CallOptions) (*Response, error) {
 		s.metrics.explain.Inc()
 	}
 	start := time.Now()
-	resp, err := s.dispatch(req, rc)
+	resp, err := s.dispatchRecovered(req, rc)
 	r := requestRecord{
 		id:     opts.RequestID,
 		t:      time.Now().UTC(),
@@ -637,12 +717,39 @@ type PlanError struct {
 func (e *PlanError) Error() string { return e.Err.Error() }
 func (e *PlanError) Unwrap() error { return e.Err }
 
+// testHookDispatch, when non-nil, runs at the start of every dispatch.
+// Tests use it to make a request panic.
+var testHookDispatch func(req *Request)
+
+// errPanic marks the error of a request whose dispatch panicked.
+var errPanic = errors.New("internal error")
+
+// dispatchRecovered is dispatch with a panic turned into a 500 error,
+// so the request still reaches finish (and the HTTP layer answers it
+// instead of dropping the connection). The stack goes to the standard
+// logger, as net/http would have logged it.
+func (s *Server) dispatchRecovered(req *Request, rc *reqCtx) (resp *Response, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			log.Printf("server: panic answering %s on %q: %v\n%s", req.Op, req.DB, p, debug.Stack())
+			resp, err = nil, &Error{Status: 500, Err: fmt.Errorf("%w: panic: %v", errPanic, p)}
+		}
+	}()
+	if testHookDispatch != nil {
+		testHookDispatch(req)
+	}
+	return s.dispatch(req, rc)
+}
+
 // errorClass names an error for span annotations and request records:
-// the evaluator's refusal classes, the representation-system limit, or
-// the HTTP status family.
+// a recovered panic, the evaluator's refusal classes, the
+// representation-system limit, or the HTTP status family.
 func errorClass(err error) string {
 	if err == nil {
 		return ""
+	}
+	if errors.Is(err, errPanic) {
+		return "panic"
 	}
 	if errors.Is(err, wsd.ErrInfiniteRep) {
 		return "infinite_rep"
@@ -939,7 +1046,10 @@ func (s *Server) opSample(req *Request, v dbView, resp *Response, rc *reqCtx) (*
 // the pre-update snapshot (ApplyUpdate is copy-on-write: the installed
 // result shares untouched components with the old version, which is
 // never mutated). The install itself is one short critical section
-// under db.mu, after which cache entries for dead versions are purged.
+// under db.mu that also stamps the update's footprint (the relations it
+// can change, wsd.Update.Footprint) with the new version; afterwards
+// the cache entries no request can reach are purged, which leaves the
+// answers of queries reading no relation in the footprint in place.
 func (s *Server) opWrite(req *Request, rc *reqCtx) (*Response, error) {
 	if req.Update == "" {
 		return nil, badRequest("missing update")
@@ -974,55 +1084,122 @@ func (s *Server) opWrite(req *Request, rc *reqCtx) (*Response, error) {
 		return nil, err
 	}
 	count := next.Count().String()
+	rels, all := u.Footprint()
 	db.mu.Lock()
 	db.wsd = next
 	db.version++
 	live := db.version
+	db.stamps = db.stamps.after(live, rels, all)
+	stamps := db.stamps
 	db.mu.Unlock()
 	// Seed the count memo: the first count read of the new version
 	// finds it instead of redoing the big-int product.
 	db.count.Store(&countCache{version: live, count: count})
-	s.purgeStale(req.DB, live)
+	s.purgeStale(req.DB, live, stamps)
 	return &Response{DB: req.DB, Op: "write", Version: live, Count: count}, nil
 }
 
 // preparedQuery is one compiled query: the parsed algebra plan plus
 // its canonical fingerprint (the plan's printed form, so equivalent
-// spellings share one answer-cache line), and the planner's last
-// decision for it.
+// spellings share one answer-cache line), the relations it scans, and
+// the planner's last decision for it.
 type preparedQuery struct {
-	q  query.Query
-	fp string
+	q     query.Query
+	fp    string
+	reads *readSet
 	// kept is the last planning decision an evaluation of this query
-	// made, with the (database, version) it was made on. A later answer
-	// miss at the same key evaluates the kept form without planning
-	// again; a write or reload bumps the version, so the next miss
-	// re-plans. It lives and dies with the prepared-cache entry.
+	// made, with the database and effective version it was made at. A
+	// later answer miss at the same key evaluates the kept form without
+	// planning again; a write to a relation the query scans, or a
+	// reload, moves the effective version, so the next miss re-plans. It
+	// lives and dies with the prepared-cache entry.
 	kept atomic.Pointer[keptDecision]
 }
 
+// readSet is the set of relations a prepared query scans; all marks a
+// query that may read any relation.
+type readSet struct {
+	rels []string
+	all  bool
+}
+
+// readAll is the read set of the identity query, FO and Datalog.
+var readAll = &readSet{all: true}
+
+// scannedRels walks q's algebra for its base-relation scans. The
+// identity query, FO, Datalog and any algebra node the walk does not
+// know read every relation.
+func scannedRels(q query.Query) *readSet {
+	a, ok := q.(query.Algebra)
+	if !ok {
+		return readAll
+	}
+	rs := &readSet{}
+	var walk func(e algebra.Expr) bool
+	walk = func(e algebra.Expr) bool {
+		switch n := e.(type) {
+		case algebra.Rel:
+			if !slices.Contains(rs.rels, n.Name) {
+				rs.rels = append(rs.rels, n.Name)
+			}
+			return true
+		case algebra.ConstRel:
+			return true
+		case algebra.Project:
+			return walk(n.E)
+		case algebra.Select:
+			return walk(n.E)
+		case algebra.Rename:
+			return walk(n.E)
+		case algebra.Possible:
+			return walk(n.E)
+		case algebra.Certain:
+			return walk(n.E)
+		case algebra.ChoiceOf:
+			return walk(n.E)
+		case algebra.Join:
+			return walk(n.L) && walk(n.R)
+		case algebra.Union:
+			return walk(n.L) && walk(n.R)
+		case algebra.Diff:
+			return walk(n.L) && walk(n.R)
+		}
+		return false
+	}
+	for _, o := range a.Outs {
+		if !walk(o.Expr) {
+			return readAll
+		}
+	}
+	return rs
+}
+
 // keptDecision is a planning decision keyed by the database and the
-// version it was made on. The key holds no decomposition: the version
-// pins the decision to the WSD that version installed without keeping
-// that WSD reachable once a write replaces it.
+// effective version it was made at. The key holds no decomposition: the
+// version pins the decision without keeping the WSD it was made on
+// reachable once a write replaces it. A write to relations the query
+// does not scan keeps the decision: its form is equivalent to the query
+// on every world set, so reusing it never changes an answer.
 type keptDecision struct {
 	db      *database
 	version uint64
 	dec     *wsdalg.Decision
 }
 
-// decision returns the decision kept for v's database and version, or
-// nil when the last one was made elsewhere (or none was made).
-func (p *preparedQuery) decision(v dbView) *wsdalg.Decision {
-	if k := p.kept.Load(); k != nil && k.db == v.db && k.version == v.version {
+// decision returns the decision kept for v's database at effective
+// version eff, or nil when the last one was made elsewhere (or none was
+// made).
+func (p *preparedQuery) decision(v dbView, eff uint64) *wsdalg.Decision {
+	if k := p.kept.Load(); k != nil && k.db == v.db && k.version == eff {
 		return k.dec
 	}
 	return nil
 }
 
-// keep records d as the decision for v's database and version.
-func (p *preparedQuery) keep(v dbView, d *wsdalg.Decision) {
-	p.kept.Store(&keptDecision{db: v.db, version: v.version, dec: d})
+// keep records d as the decision for v's database at effective version
+// eff.
+func (p *preparedQuery) keep(v dbView, eff uint64, d *wsdalg.Decision) {
+	p.kept.Store(&keptDecision{db: v.db, version: eff, dec: d})
 }
 
 // prepare compiles @query text through the prepared-query cache.
@@ -1048,7 +1225,7 @@ func (s *Server) prepare(text string, rc *reqCtx) (*preparedQuery, error) {
 	if err := parse.PrintQuery(&b, *src.Query); err != nil {
 		return nil, badRequest("query: %v", err)
 	}
-	p := &preparedQuery{q: *src.Query, fp: b.String()}
+	p := &preparedQuery{q: *src.Query, fp: b.String(), reads: scannedRels(*src.Query)}
 	s.cacheMu.Lock()
 	s.prepared.add(text, p)
 	s.cacheMu.Unlock()
@@ -1060,7 +1237,7 @@ func (s *Server) prepare(text string, rc *reqCtx) (*preparedQuery, error) {
 // fingerprint, prepared afresh each time (it never plans).
 func (s *Server) prepareOrIdentity(text string, rc *reqCtx) (*preparedQuery, error) {
 	if text == "" {
-		return &preparedQuery{q: query.Identity{}, fp: "~identity"}, nil
+		return &preparedQuery{q: query.Identity{}, fp: "~identity", reads: readAll}, nil
 	}
 	return s.prepare(text, rc)
 }
@@ -1108,15 +1285,16 @@ func (s *Server) cachedEval(db *database, key string, rc *reqCtx, fn func() (any
 
 // evalEntry is one cached readout — the possible and certain answer
 // rows of one evaluation, interned — plus the answer texts printed off
-// it, each rendered at most once, and the EXPLAIN plan recorded by the
-// evaluation that populated the entry. It holds no decomposition. A
-// cache hit reads a rendered text: it neither reads the rows out nor
-// prints.
+// it, each rendered at most once, the EXPLAIN plan recorded by the
+// evaluation that populated the entry, and the relations its query
+// scans (purgeStale reads them). It holds no decomposition. A cache hit
+// reads a rendered text: it neither reads the rows out nor prints.
 type evalEntry struct {
-	ans  *wsdalg.Answers
-	plan *wsdalg.Plan
-	poss answerText
-	cert answerText
+	ans   *wsdalg.Answers
+	plan  *wsdalg.Plan
+	reads *readSet
+	poss  answerText
+	cert  answerText
 }
 
 // answerText is one printed answer set and the error reading or
@@ -1157,10 +1335,13 @@ func (s *Server) opAnswers(req *Request, v dbView, resp *Response, rc *reqCtx) (
 	q := p.q
 	rc.fp = p.fp
 	if v.wsd != nil {
-		// One cache line per (db-version, fingerprint) holds the
-		// readout of one evaluation; poss-ans and cert-ans on the same
-		// query share it.
-		key := cacheKey("eval", v.name, v.version, p.fp)
+		// One cache line per (db, effective version, fingerprint) holds
+		// the readout of one evaluation; poss-ans and cert-ans on the
+		// same query share it. Versions that wrote only relations the
+		// query does not scan share its effective version: the answers
+		// read at any of them are equal.
+		eff := v.stamps.effective(p.reads, v.version)
+		key := cacheKey("eval", v.name, eff, p.fp)
 		val, cached, coalesced, err := s.cachedEval(v.db, key, rc, func() (any, error) {
 			defer s.acquire(rc)()
 			sp := rc.span("eval")
@@ -1169,10 +1350,11 @@ func (s *Server) opAnswers(req *Request, v dbView, resp *Response, rc *reqCtx) (
 			// next to the evaluation they describe, and keeping the plan
 			// in the cache entry lets explain requests on cache hits
 			// answer without re-evaluating. A decision kept from an
-			// earlier miss at this version skips the planning.
-			prior := p.decision(v)
+			// earlier miss at this effective version skips the planning.
+			prior := p.decision(v, eff)
 			if prior != nil {
 				rc.cost.Add(obs.PlanReused, 1)
+				s.metrics.planReused.Inc()
 			}
 			ans, plan, dec, err := wsdalg.Readout(v.wsd, q, prior, rc.cost)
 			if err != nil {
@@ -1181,9 +1363,9 @@ func (s *Server) opAnswers(req *Request, v dbView, resp *Response, rc *reqCtx) (
 				return nil, err
 			}
 			if prior == nil {
-				p.keep(v, dec)
+				p.keep(v, eff, dec)
 			}
-			return &evalEntry{ans: ans, plan: plan}, nil
+			return &evalEntry{ans: ans, plan: plan, reads: p.reads}, nil
 		})
 		if err != nil {
 			return nil, err

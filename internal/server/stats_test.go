@@ -12,10 +12,12 @@ import (
 
 // TestStatsMatchMetrics: /stats reads the counters /metrics exposes, so
 // after mixed traffic — prepared hit and miss, answer hit and miss, a
-// coalesced pair of concurrent identical misses, and an error — every
-// Stats counter equals its /metrics series.
+// miss that reuses a kept plan, a coalesced pair of concurrent
+// identical misses, and an error — every Stats counter equals its
+// /metrics series. A one-entry answer cache lets a query's answer be
+// evicted while its prepared query keeps the plan.
 func TestStatsMatchMetrics(t *testing.T) {
-	s := New(Config{Workers: 1})
+	s := New(Config{Workers: 1, CacheSize: 1})
 	if err := s.Open("sensors", "../../examples/data/sensors.pw"); err != nil {
 		t.Fatal(err)
 	}
@@ -23,8 +25,8 @@ func TestStatsMatchMetrics(t *testing.T) {
 		return &Request{DB: "sensors", Op: "cert-ans",
 			Query: "@query q\n  out: A = select[#value = " + v + "](Reading(sensor value))\n"}
 	}
-	for i := 0; i < 2; i++ {
-		if _, err := s.Do(query("hi")); err != nil {
+	for _, v := range []string{"hi", "hi", "lo", "hi"} {
+		if _, err := s.Do(query(v)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,6 +77,7 @@ func TestStatsMatchMetrics(t *testing.T) {
 		{"pwd_answer_cache_hits_total", st.AnswerHits},
 		{"pwd_answer_cache_misses_total", st.AnswerMisses},
 		{"pwd_coalesced_total", st.Coalesced},
+		{"pwd_plan_reused_total", st.PlanReused},
 		{"pwd_inflight_evals", st.InFlightEvals},
 		{"pwd_answer_cache_entries", int64(st.AnswerEntries)},
 		{"pwd_prepared_entries", int64(st.PreparedCached)},
@@ -88,7 +91,7 @@ func TestStatsMatchMetrics(t *testing.T) {
 		}
 	}
 	if st.Errors != 1 || st.PreparedHits == 0 || st.PreparedMisses == 0 ||
-		st.AnswerHits == 0 || st.AnswerMisses == 0 || st.Coalesced == 0 {
+		st.AnswerHits == 0 || st.AnswerMisses == 0 || st.Coalesced == 0 || st.PlanReused == 0 {
 		t.Errorf("traffic did not cover every counter: %+v", st)
 	}
 }

@@ -205,6 +205,32 @@ func (u *Update) ApplyToWorld(w *rel.Instance) (out *rel.Instance, ok bool) {
 	return cur, true
 }
 
+// Footprint names the relations whose contents the update can change:
+// the projection of the world set onto any relation set disjoint from
+// rels is the same before and after the update (when all is false).
+//
+// Insert, delete and conditional update on relation R rewrite R and
+// nothing else in every world (ApplyToWorld), and never drop a world. A
+// world set maps onto its image world by world, so its projection onto
+// relations other than R is unchanged; so is every answer of a query
+// that scans only those relations. Assume and assume-not filter worlds:
+// dropping a world can drop its projection onto any relation, so their
+// footprint is every relation.
+func (u *Update) Footprint() (rels []string, all bool) {
+	for i := range u.Ops {
+		op := &u.Ops[i]
+		switch op.Kind {
+		case OpInsert, OpDelete, OpSet:
+			if !slices.Contains(rels, op.Rel) {
+				rels = append(rels, op.Rel)
+			}
+		default:
+			return nil, true
+		}
+	}
+	return rels, false
+}
+
 // ApplyUpdateToWorlds is the world-wise reference semantics shared by
 // the differential tests: the update applied to each explicit world
 // separately, non-surviving worlds (failed assumptions) dropped, and

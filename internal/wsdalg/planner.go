@@ -92,6 +92,13 @@ func (ev *evaluator) optimize(q query.Query) (query.Query, *PlannerInfo) {
 	}
 	opt := query.Algebra{Name: a.Name, Outs: outs}
 	info := &PlannerInfo{Naive: formatOuts(a.Outs), NaiveCost: naiveCost}
+	chosen := formatOuts(outs)
+	if chosen == info.Naive {
+		// The rewrite is the written form: pricing it again would
+		// return the naive cost.
+		info.Chosen, info.ChosenCost = chosen, naiveCost
+		return opt, info
+	}
 	chosenCost, err := ev.price(opt)
 	if err != nil || chosenCost > naiveCost {
 		// Never adopt a rewrite the model prices higher than what was
@@ -99,16 +106,18 @@ func (ev *evaluator) optimize(q query.Query) (query.Query, *PlannerInfo) {
 		info.Chosen, info.ChosenCost = info.Naive, info.NaiveCost
 		return q, info
 	}
-	info.Chosen, info.ChosenCost = formatOuts(outs), chosenCost
+	info.Chosen, info.ChosenCost = chosen, chosenCost
 	return opt, info
 }
 
 // Decision is a planning decision kept for reuse: the form the planner
 // chose for one query on one version of a decomposition, with its
 // record. It holds the query form, never the decomposition, so keeping
-// one does not keep a version alive. A decision is valid only for the
-// query and decomposition version it was made on; pricing is a pure
-// function of both, so re-planning there would choose the same form.
+// one does not keep a version alive. The form is equivalent to the
+// query on every world set, so evaluating it on another version gives
+// the same answers; pricing is a pure function of the query and the
+// decomposition, so re-planning on the version it was made on would
+// choose the same form.
 type Decision struct {
 	form query.Query
 	info *PlannerInfo // nil when the planner did not price q
@@ -121,8 +130,8 @@ type Decision struct {
 // decomposition is assembled or normalized. Without a prior decision
 // one evaluator prices the query and evaluates the chosen form, so
 // pricing and evaluation share its scan cache. With one — returned by
-// an earlier call for the same q on the same version of w — its form is
-// evaluated directly and nothing is priced. It returns the decision it
+// an earlier call for the same q, possibly on another version of w —
+// its form is evaluated directly and nothing is priced. It returns the decision it
 // used. Equivalence of the rewrites means the answer sets are those of
 // EvalPlanned(w, q, c)'s result.
 func Readout(w *wsd.WSD, q query.Query, prior *Decision, c *obs.Cost) (*Answers, *Plan, *Decision, error) {
