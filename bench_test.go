@@ -57,7 +57,7 @@ func benchMembReduction(b *testing.B, build func(*graph.G) reduce.MembInstance, 
 	inst := build(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		yes, err := decide.Membership(inst.I0, inst.Q0(), inst.D)
+		yes, err := decide.Options{}.Membership(inst.I0, inst.Q0(), inst.D)
 		if err != nil || !yes {
 			b.Fatalf("cycle is 3-colorable: %v %v", yes, err)
 		}
@@ -81,7 +81,7 @@ func BenchmarkFig4_MembView_Paper(b *testing.B) {
 	inst := reduce.MembViewFrom3Col(graph.Paper())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		yes, err := decide.Membership(inst.I0, inst.Q, inst.D)
+		yes, err := decide.Options{}.Membership(inst.I0, inst.Q, inst.D)
 		if err != nil || !yes {
 			b.Fatalf("paper graph is 3-colorable: %v %v", yes, err)
 		}
@@ -107,7 +107,7 @@ func BenchmarkFig6_UniqView_K4(b *testing.B) {
 	inst := reduce.UniqViewFromGraph(graph.Complete(4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		yes, err := decide.Uniqueness(inst.Q0, inst.D0, inst.I)
+		yes, err := decide.Options{}.Uniqueness(inst.Q0, inst.D0, inst.I)
 		if err != nil || !yes {
 			b.Fatalf("K4 is not 3-colorable: %v %v", yes, err)
 		}
@@ -125,7 +125,7 @@ func BenchmarkThm32_UniqCTable_Taut(b *testing.B) {
 	inst := reduce.UniqCTableFromDNF(f)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		yes, err := decide.Uniqueness(inst.Q0, inst.D0, inst.I)
+		yes, err := decide.Options{}.Uniqueness(inst.Q0, inst.D0, inst.I)
 		if err != nil || !yes {
 			b.Fatalf("tautology must be unique: %v %v", yes, err)
 		}
@@ -138,7 +138,7 @@ func benchContReduction(b *testing.B, inst reduce.ContInstance, want bool) {
 	b.Helper()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		yes, err := decide.Containment(inst.Q0, inst.D0, inst.Q, inst.D)
+		yes, err := decide.Options{}.Containment(inst.Q0, inst.D0, inst.Q, inst.D)
 		if err != nil || yes != want {
 			b.Fatalf("containment = %v (err %v), want %v", yes, err, want)
 		}
@@ -190,7 +190,7 @@ func BenchmarkFig11_PossETable_Paper(b *testing.B) {
 	inst := reduce.PossETableFrom3SAT(sat.PaperCNF())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		yes, err := decide.Possible(inst.P, inst.Q, inst.D)
+		yes, err := decide.Options{}.Possible(inst.P, inst.Q, inst.D)
 		if err != nil || !yes {
 			b.Fatalf("paper CNF is satisfiable: %v %v", yes, err)
 		}
@@ -201,7 +201,7 @@ func BenchmarkFig11_PossITable_Paper(b *testing.B) {
 	inst := reduce.PossITableFrom3SAT(sat.PaperCNF())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		yes, err := decide.Possible(inst.P, inst.Q, inst.D)
+		yes, err := decide.Options{}.Possible(inst.P, inst.Q, inst.D)
 		if err != nil || !yes {
 			b.Fatalf("paper CNF is satisfiable: %v %v", yes, err)
 		}
@@ -231,7 +231,7 @@ func benchPossLifted(b *testing.B, rows int) {
 	p.EnsureRelation("Q", 1).AddRow("c1")
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		if _, err := decide.Possible(p, q, d); err != nil {
+		if _, err := (decide.Options{}).Possible(p, q, d); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -247,7 +247,7 @@ func BenchmarkFig12_PossDatalog(b *testing.B) {
 	inst := reduce.PossDatalogFrom3SAT(f)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		yes, err := decide.Possible(inst.P, inst.Q, inst.D)
+		yes, err := decide.Options{}.Possible(inst.P, inst.Q, inst.D)
 		if err != nil || !yes {
 			b.Fatalf("satisfiable CNF must be possible: %v %v", yes, err)
 		}
@@ -261,7 +261,7 @@ func BenchmarkThm52_PossFO_Tiny(b *testing.B) {
 	inst := reduce.PossFOFromDNF(f)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		yes, err := decide.Possible(inst.P, inst.Q, inst.D)
+		yes, err := decide.Options{}.Possible(inst.P, inst.Q, inst.D)
 		if err != nil || !yes {
 			b.Fatalf("non-tautology must be possible: %v %v", yes, err)
 		}
@@ -276,7 +276,7 @@ func BenchmarkThm53_CertFO_Tiny(b *testing.B) {
 	inst := reduce.CertFOFromDNF(f)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		yes, err := decide.Certain(inst.P, inst.Q, inst.D)
+		yes, err := decide.Options{}.Certain(inst.P, inst.Q, inst.D)
 		if err != nil || !yes {
 			b.Fatalf("tautology must be certain: %v %v", yes, err)
 		}
@@ -306,7 +306,7 @@ func benchCertFrozen(b *testing.B, rows int) {
 	p.EnsureRelation("TC", 2).AddRow("c0", fmt.Sprintf("c%d", rows))
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		yes, err := decide.Certain(p, q, d)
+		yes, err := decide.Options{}.Certain(p, q, d)
 		if err != nil || !yes {
 			b.Fatalf("chain closure must be certain: %v %v", yes, err)
 		}
@@ -356,7 +356,7 @@ func BenchmarkAblation_MembBacktracking(b *testing.B) {
 	i, d := a2Instance()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		if _, err := decide.Membership(i, query.Identity{}, d); err != nil {
+		if _, err := (decide.Options{}).Membership(i, query.Identity{}, d); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -383,7 +383,7 @@ func BenchmarkAblation_PossSearch(b *testing.B) {
 	p, d := a3Instance()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		if _, err := decide.Possible(p, query.Identity{}, d); err != nil {
+		if _, err := (decide.Options{}).Possible(p, query.Identity{}, d); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -452,7 +452,7 @@ func BenchmarkAblation_CertFrozen(b *testing.B) {
 	p, q, d := a5Instance()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		yes, err := decide.Certain(p, q, d)
+		yes, err := decide.Options{}.Certain(p, q, d)
 		if err != nil || !yes {
 			b.Fatal("chain closure must be certain")
 		}

@@ -282,7 +282,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			// answer facts are read straight off its parts.
 			sp := tr.Root().StartChild("eval")
 			var ans *wsdalg.Answers
-			if ans, _, _, err = wsdalg.Readout(w, q, nil, cost); err == nil {
+			if ans, _, _, err = wsdalg.Eval(w, q, wsdalg.Options{Cost: cost}); err == nil {
 				err = parse.PrintAnswers(&text, ans, cmd == "poss-ans")
 			}
 			sp.End()
@@ -309,7 +309,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fatal(stderr, err)
 		}
-		_, plan, _, evalErr := wsdalg.Readout(w, q, nil, cost)
+		// An observed run returns the plan; untraced, a private sink
+		// observes it.
+		c := cost
+		if c == nil {
+			c = obs.NewCost()
+		}
+		_, plan, _, evalErr := wsdalg.Eval(w, q, wsdalg.Options{Cost: c})
 		if *jsonOut {
 			enc := json.NewEncoder(stdout)
 			enc.SetIndent("", "  ")

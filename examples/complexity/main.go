@@ -52,7 +52,7 @@ func main() {
 		}
 		inst := reduce.MembETableFrom3Col(grown)
 		start := time.Now()
-		yes, err := decide.Membership(inst.I0, query.Identity{}, inst.D)
+		yes, err := decide.Options{}.Membership(inst.I0, query.Identity{}, inst.D)
 		if err != nil {
 			panic(err)
 		}

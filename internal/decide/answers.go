@@ -25,12 +25,7 @@ import (
 //
 // For homomorphism-preserved queries on g-tables, every candidate passes
 // immediately (Theorem 5.3(1)); the refutation step is what extends the
-// computation soundly to ≠-conditions and local conditions.
-func CertainAnswers(q query.Query, d *table.Database) (*rel.Instance, error) {
-	return Options{}.CertainAnswers(q, d)
-}
-
-// CertainAnswers is the Options-aware certain-answer computation: the
+// computation soundly to ≠-conditions and local conditions. The
 // per-candidate confirmations are independent equality-logic systems, so
 // they run across the worker pool; answers are inserted in candidate
 // order afterwards, making the result identical at every worker count.
@@ -100,12 +95,8 @@ func (o Options) CertainAnswers(q query.Query, d *table.Database) (*rel.Instance
 // those are never enumerable; the restricted set is the canonical one
 // (genericity: any possible fact over the inputs' constants is possible
 // within them).
-func PossibleAnswers(q query.Query, d *table.Database) (*rel.Instance, error) {
-	return Options{}.PossibleAnswers(q, d)
-}
-
-// PossibleAnswers is the Options-aware possible-answer computation. The
-// candidate set comes from the rows of the normalized lifted view:
+//
+// The candidate set comes from the rows of the normalized lifted view:
 // every assignment of a row's variables to allowed constants names one
 // candidate fact, and each candidate is confirmed or refuted by the
 // single-fact possibility test (an independent search per candidate, so

@@ -68,7 +68,7 @@ func TestCertainAnswersMatchesBruteForce(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(1200 + qi)))
 		for trial := 0; trial < 30; trial++ {
 			d := randomDB(rng, rng.Intn(5), 1+rng.Intn(3))
-			got, err := CertainAnswers(q, d)
+			got, err := Options{}.CertainAnswers(q, d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +91,7 @@ func TestCertainAnswersMatchesBruteForce(t *testing.T) {
 
 func TestCertainAnswersRequiresLiftable(t *testing.T) {
 	d := randomDB(rand.New(rand.NewSource(1)), 0, 2)
-	if _, err := CertainAnswers(foQuery(), d); err == nil {
+	if _, err := (Options{}).CertainAnswers(foQuery(), d); err == nil {
 		t.Error("first-order queries must be rejected")
 	}
 }
@@ -142,7 +142,7 @@ func TestPossibleAnswersMatchesBruteForce(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(3400 + qi)))
 		for trial := 0; trial < 30; trial++ {
 			d := randomDB(rng, rng.Intn(5), 1+rng.Intn(3))
-			got, err := PossibleAnswers(q, d)
+			got, err := Options{}.PossibleAnswers(q, d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -183,7 +183,7 @@ func TestPossibleAnswersStableAcrossWorkers(t *testing.T) {
 
 func TestPossibleAnswersRequiresLiftable(t *testing.T) {
 	d := randomDB(rand.New(rand.NewSource(1)), 0, 2)
-	if _, err := PossibleAnswers(foQuery(), d); err == nil {
+	if _, err := (Options{}).PossibleAnswers(foQuery(), d); err == nil {
 		t.Error("first-order queries must be rejected")
 	}
 }

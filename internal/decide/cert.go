@@ -23,11 +23,6 @@ import (
 //     (the coNP procedure matching Theorem 5.3(3)).
 //   - otherwise (first-order — the coNP-hard case of Theorem 5.3(2)):
 //     exhaustive valuation search for a violating world.
-func Certain(p *rel.Instance, q query.Query, d *table.Database) (bool, error) {
-	return Options{}.Certain(p, q, d)
-}
-
-// Certain is the Options-aware CERT(∗, q) entry point.
 func (o Options) Certain(p *rel.Instance, q query.Query, d *table.Database) (bool, error) {
 	if query.IsHomPreserved(q) && !hasLocalConds(d) {
 		return certainFrozen(p, q, d)
@@ -117,11 +112,6 @@ func (o Options) certainGeneric(p *rel.Instance, q query.Query, d *table.Databas
 
 // CertainFact decides CERT(1, q) for a single fact (the primitive that
 // CERT(∗, q) reduces to, Proposition 2.1(6)).
-func CertainFact(relName string, f rel.Fact, q query.Query, d *table.Database) (bool, error) {
-	return Options{}.CertainFact(relName, f, q, d)
-}
-
-// CertainFact is the Options-aware CERT(1, q).
 func (o Options) CertainFact(relName string, f rel.Fact, q query.Query, d *table.Database) (bool, error) {
 	p := rel.NewInstance()
 	r := rel.NewRelation(relName, len(f))

@@ -22,11 +22,6 @@ import (
 //     valuation σ0 over Δ0 ∪ Δ0′, test q0(σ0(d0)) ∈ q(rep(d)) with the
 //     membership machinery (coNP with a matching inner test when d is
 //     Codd, Theorem 4.1(1)).
-func Containment(q0 query.Query, d0 *table.Database, q query.Query, d *table.Database) (bool, error) {
-	return Options{}.Containment(q0, d0, q, d)
-}
-
-// Containment is the Options-aware CONT(q0, q) entry point.
 func (o Options) Containment(q0 query.Query, d0 *table.Database, q query.Query, d *table.Database) (bool, error) {
 	l0, ok0 := query.AsLiftable(q0)
 	l, ok := query.AsLiftable(q)
@@ -199,7 +194,7 @@ func ContainmentCounterexample(q0 query.Query, d0 *table.Database, q query.Query
 			innerErr = err
 			return true
 		}
-		in, err := Membership(img, q, d)
+		in, err := Options{}.Membership(img, q, d)
 		if err != nil {
 			innerErr = err
 			return true

@@ -35,7 +35,7 @@ func TestDecideAgreesWithWorldsOnGenDatabases(t *testing.T) {
 				continue
 			}
 			// MEMB: the sampled world and a perturbed near-miss.
-			got, err := Membership(i0, id, d)
+			got, err := Options{}.Membership(i0, id, d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,7 +44,7 @@ func TestDecideAgreesWithWorldsOnGenDatabases(t *testing.T) {
 					kind, seed, got, want, d, i0)
 			}
 			if pert, ok := gen.PerturbedInstance(seed, i0); ok {
-				got, err := Membership(pert, id, d)
+				got, err := Options{}.Membership(pert, id, d)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -54,7 +54,7 @@ func TestDecideAgreesWithWorldsOnGenDatabases(t *testing.T) {
 				}
 			}
 			// UNIQ against brute-force singleton check.
-			gotU, err := Uniqueness(id, d, i0)
+			gotU, err := Options{}.Uniqueness(id, d, i0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +64,7 @@ func TestDecideAgreesWithWorldsOnGenDatabases(t *testing.T) {
 					kind, seed, gotU, wantU, d, i0)
 			}
 			// POSS and CERT on the sampled world's facts.
-			gotP, err := Possible(i0, id, d)
+			gotP, err := Options{}.Possible(i0, id, d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,7 +72,7 @@ func TestDecideAgreesWithWorldsOnGenDatabases(t *testing.T) {
 				t.Fatalf("kind %d seed %d POSS: decide=%v worlds=%v\n%s\n%s",
 					kind, seed, gotP, want, d, i0)
 			}
-			gotC, err := Certain(i0, id, d)
+			gotC, err := Options{}.Certain(i0, id, d)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -98,7 +98,7 @@ func TestMembershipCoddPaperExample(t *testing.T) {
 	r2.AddRow("3", "2", "3")
 	r2.AddRow("1", "4", "5")
 	r2.AddRow("1", "2", "3")
-	got, err := Membership(i02, query.Identity{}, table.DB(tb2))
+	got, err := Options{}.Membership(i02, query.Identity{}, table.DB(tb2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestMembershipCoddPaperExample(t *testing.T) {
 	i03 := rel.NewInstance()
 	r3 := i03.EnsureRelation("T", 3)
 	r3.AddRow("9", "9", "9")
-	got, err = Membership(i03, query.Identity{}, table.DB(tb2))
+	got, err = Options{}.Membership(i03, query.Identity{}, table.DB(tb2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestMembershipMatchingNeedsAugmenting(t *testing.T) {
 	r := i0.EnsureRelation("T", 2)
 	r.AddRow("1", "1")
 	r.AddRow("1", "2")
-	got, err := Membership(i0, query.Identity{}, table.DB(tb))
+	got, err := Options{}.Membership(i0, query.Identity{}, table.DB(tb))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestMembershipMatchesBruteForce(t *testing.T) {
 				d := randomDB(rng, flavor, 1+rng.Intn(3))
 				i0 := randomInstance2(rng, 3)
 				want := worlds.Member(i0, d)
-				got, err := Membership(i0, query.Identity{}, d)
+				got, err := Options{}.Membership(i0, query.Identity{}, d)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -174,7 +174,7 @@ func TestUniquenessMatchesBruteForce(t *testing.T) {
 				d := randomDB(rng, flavor, 1+rng.Intn(2))
 				i0 := randomInstance2(rng, 2)
 				want := bruteUnique(d, i0)
-				got, err := Uniqueness(query.Identity{}, d, i0)
+				got, err := Options{}.Uniqueness(query.Identity{}, d, i0)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -227,7 +227,7 @@ func TestPossibleMatchesBruteForce(t *testing.T) {
 				d := randomDB(rng, flavor, 1+rng.Intn(3))
 				p := randomInstance2(rng, 2)
 				want := worlds.Possible(p, d)
-				got, err := Possible(p, query.Identity{}, d)
+				got, err := Options{}.Possible(p, query.Identity{}, d)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -250,7 +250,7 @@ func TestCertainMatchesBruteForce(t *testing.T) {
 				d := randomDB(rng, flavor, 1+rng.Intn(3))
 				p := randomInstance2(rng, 2)
 				want := worlds.Certain(p, d)
-				got, err := Certain(p, query.Identity{}, d)
+				got, err := Options{}.Certain(p, query.Identity{}, d)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -272,7 +272,7 @@ func TestContainmentMatchesBruteForce(t *testing.T) {
 		d0 := randomDB(rng, f0, 1+rng.Intn(2))
 		d := randomDB(rng, f, 1+rng.Intn(2))
 		want := bruteContained(d0, d)
-		got, err := Containment(query.Identity{}, d0, query.Identity{}, d)
+		got, err := Options{}.Containment(query.Identity{}, d0, query.Identity{}, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +310,7 @@ func TestContainmentUnsatisfiableSubset(t *testing.T) {
 	t0.Global = cond.Conj(cond.NeqAtom(v("x"), v("x")))
 	t0.AddTuple(v("x"))
 	d := randomDB(rand.New(rand.NewSource(1)), 0, 2)
-	got, err := Containment(query.Identity{}, table.DB(t0), query.Identity{}, d)
+	got, err := Options{}.Containment(query.Identity{}, table.DB(t0), query.Identity{}, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +326,7 @@ func TestFreezeContainmentDirections(t *testing.T) {
 	t0.AddTuple(v("x"))
 	tS := table.New("T", 1)
 	tS.AddTuple(v("y"))
-	got, err := Containment(query.Identity{}, table.DB(t0), query.Identity{}, table.DB(tS))
+	got, err := Options{}.Containment(query.Identity{}, table.DB(t0), query.Identity{}, table.DB(tS))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestFreezeContainmentDirections(t *testing.T) {
 	// Superset ground {(1)}: containment must fail ({(2)} escapes).
 	tg := table.New("T", 1)
 	tg.AddTuple(k("1"))
-	got, err = Containment(query.Identity{}, table.DB(t0), query.Identity{}, table.DB(tg))
+	got, err = Options{}.Containment(query.Identity{}, table.DB(t0), query.Identity{}, table.DB(tg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestContainmentNeedsSupersetConstants(t *testing.T) {
 	ti := table.New("T", 1)
 	ti.Global = cond.Conj(cond.NeqAtom(v("x"), k("1")))
 	ti.AddTuple(v("x"))
-	got, err := Containment(query.Identity{}, table.DB(t0), query.Identity{}, table.DB(ti))
+	got, err := Options{}.Containment(query.Identity{}, table.DB(t0), query.Identity{}, table.DB(ti))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,17 +398,17 @@ func TestSchemaCheckErrors(t *testing.T) {
 	d := randomDB(rand.New(rand.NewSource(2)), 0, 1)
 	bad := rel.NewInstance()
 	bad.EnsureRelation("Other", 2)
-	if _, err := Membership(bad, query.Identity{}, d); err == nil {
+	if _, err := (Options{}).Membership(bad, query.Identity{}, d); err == nil {
 		t.Error("schema mismatch must error")
 	}
 	bad2 := rel.NewInstance()
 	bad2.EnsureRelation("T", 3)
-	if _, err := Membership(bad2, query.Identity{}, d); err == nil {
+	if _, err := (Options{}).Membership(bad2, query.Identity{}, d); err == nil {
 		t.Error("arity mismatch must error")
 	}
 	badP := rel.NewInstance()
 	badP.EnsureRelation("Nope", 1).AddRow("1")
-	if _, err := Possible(badP, query.Identity{}, d); err == nil {
+	if _, err := (Options{}).Possible(badP, query.Identity{}, d); err == nil {
 		t.Error("possibility fact set naming unknown relation must error")
 	}
 }
@@ -419,19 +419,19 @@ func TestCertainFactAndPossibleFact(t *testing.T) {
 	tb.AddTuple(v("x"))
 	tb.AddTuple(k("1"))
 	d := table.DB(tb)
-	c, err := CertainFact("T", rel.Fact{"1"}, query.Identity{}, d)
+	c, err := Options{}.CertainFact("T", rel.Fact{"1"}, query.Identity{}, d)
 	if err != nil || !c {
 		t.Errorf("(1) must be certain: %v %v", c, err)
 	}
-	c, err = CertainFact("T", rel.Fact{"3"}, query.Identity{}, d)
+	c, err = Options{}.CertainFact("T", rel.Fact{"3"}, query.Identity{}, d)
 	if err != nil || c {
 		t.Errorf("(3) must not be certain: %v %v", c, err)
 	}
-	p, err := PossibleFact("T", rel.Fact{"3"}, query.Identity{}, d)
+	p, err := Options{}.PossibleFact("T", rel.Fact{"3"}, query.Identity{}, d)
 	if err != nil || !p {
 		t.Errorf("(3) must be possible: %v %v", p, err)
 	}
-	p, err = PossibleFact("T", rel.Fact{"2"}, query.Identity{}, d)
+	p, err = Options{}.PossibleFact("T", rel.Fact{"2"}, query.Identity{}, d)
 	if err != nil || p {
 		t.Errorf("(2) must be impossible: %v %v", p, err)
 	}
@@ -441,7 +441,7 @@ func TestCertainOnEmptyRep(t *testing.T) {
 	tb := table.New("T", 1)
 	tb.Global = cond.Conj(cond.NeqAtom(v("x"), v("x")))
 	tb.AddTuple(v("x"))
-	got, err := Certain(inst1("anything"), query.Identity{}, table.DB(tb))
+	got, err := Options{}.Certain(inst1("anything"), query.Identity{}, table.DB(tb))
 	if err != nil {
 		t.Fatal(err)
 	}

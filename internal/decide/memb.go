@@ -23,11 +23,6 @@ import (
 //     residual (NP as Theorem 3.1(2,3) and Proposition 2.1(2) require);
 //   - otherwise (first-order, DATALOG): exhaustive valuation search over
 //     Δ ∪ Δ′ comparing q(σ(d)) with i0.
-func Membership(i0 *rel.Instance, q query.Query, d *table.Database) (bool, error) {
-	return Options{}.Membership(i0, q, d)
-}
-
-// Membership is the Options-aware MEMB(q) entry point.
 func (o Options) Membership(i0 *rel.Instance, q query.Query, d *table.Database) (bool, error) {
 	if l, ok := query.AsLiftable(q); ok {
 		lifted, err := l.EvalLifted(d)

@@ -27,11 +27,6 @@ import (
 //     is the NP search of Theorem 5.1(2,3).
 //   - otherwise (first-order, DATALOG — the NP-hard cases of Theorem
 //     5.2(2,3)): exhaustive valuation search over Δ ∪ Δ′.
-func Possible(p *rel.Instance, q query.Query, d *table.Database) (bool, error) {
-	return Options{}.Possible(p, q, d)
-}
-
-// Possible is the Options-aware POSS(∗, q) entry point.
 func (o Options) Possible(p *rel.Instance, q query.Query, d *table.Database) (bool, error) {
 	if l, ok := query.AsLiftable(q); ok {
 		lifted, err := l.EvalLifted(d)
@@ -177,11 +172,6 @@ func (o Options) possibleGeneric(p *rel.Instance, q query.Query, d *table.Databa
 }
 
 // PossibleFact decides POSS(1, q) for a single fact.
-func PossibleFact(relName string, f rel.Fact, q query.Query, d *table.Database) (bool, error) {
-	return Options{}.PossibleFact(relName, f, q, d)
-}
-
-// PossibleFact is the Options-aware POSS(1, q).
 func (o Options) PossibleFact(relName string, f rel.Fact, q query.Query, d *table.Database) (bool, error) {
 	p := rel.NewInstance()
 	r := rel.NewRelation(relName, len(f))

@@ -163,7 +163,7 @@ func TestMembershipWithQueriesMatchesBruteForce(t *testing.T) {
 			d := randomDB(rng, rng.Intn(5), 1+rng.Intn(2))
 			i0 := randomOutInstance(rng, outArity(q), 2)
 			want := bruteMembView(i0, q, d)
-			got, err := Membership(i0, q, d)
+			got, err := Options{}.Membership(i0, q, d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -190,7 +190,7 @@ func TestPossCertWithQueriesMatchesBruteForce(t *testing.T) {
 			d := randomDB(rng, rng.Intn(5), 1+rng.Intn(2))
 			p := randomOutInstance(rng, outArity(q), 1)
 			wantP := brutePossView(p, q, d)
-			gotP, err := Possible(p, q, d)
+			gotP, err := Options{}.Possible(p, q, d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -199,7 +199,7 @@ func TestPossCertWithQueriesMatchesBruteForce(t *testing.T) {
 					q.Label(), trial, gotP, wantP, d, p)
 			}
 			wantC := bruteCertView(p, q, d)
-			gotC, err := Certain(p, q, d)
+			gotC, err := Options{}.Certain(p, q, d)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -233,7 +233,7 @@ func TestUniquenessWithQueriesMatchesBruteForce(t *testing.T) {
 				return false
 			})
 			want := n > 0 && same
-			got, err := Uniqueness(q, d, i0)
+			got, err := Options{}.Uniqueness(q, d, i0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -255,7 +255,7 @@ func TestCertainFrozenAgainstEnumerated(t *testing.T) {
 		d := randomDB(rng, rng.Intn(4), 1+rng.Intn(3))
 		p := randomOutInstance(rng, 2, 1)
 		want := bruteCertView(p, q, d)
-		got, err := Certain(p, q, d)
+		got, err := Options{}.Certain(p, q, d)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -23,11 +23,6 @@ import (
 //     in general it is the coNP procedure matching Theorem 3.2(3,4).
 //   - otherwise (first-order, DATALOG): exhaustive comparison of every
 //     world's image with i.
-func Uniqueness(q0 query.Query, d0 *table.Database, i *rel.Instance) (bool, error) {
-	return Options{}.Uniqueness(q0, d0, i)
-}
-
-// Uniqueness is the Options-aware UNIQ(q0) entry point.
 func (o Options) Uniqueness(q0 query.Query, d0 *table.Database, i *rel.Instance) (bool, error) {
 	if l, ok := query.AsLiftable(q0); ok {
 		lifted, err := l.EvalLifted(d0)

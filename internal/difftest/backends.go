@@ -165,13 +165,22 @@ func PlannedWSDBackend() Backend {
 	}
 }
 
+// answerSet reads one answer set of q as written off the evaluated parts.
+func answerSet(w *wsd.WSD, q query.Query, possible bool) (*rel.Instance, error) {
+	a, _, _, err := wsdalg.Eval(w, q, wsdalg.Options{Decision: wsdalg.Written(q)})
+	if err != nil {
+		return nil, err
+	}
+	return a.Instance(possible)
+}
+
 // wsdOps wires a decomposition (after pushing the case's query through
 // the lifted evaluator) into the full operation set.
 func wsdOps(w *wsd.WSD, q query.Query) (*Ops, error) {
 	res := w
 	if !query.IsIdentity(q) {
 		var err error
-		if res, err = wsdalg.Eval(w, q); err != nil {
+		if res, _, _, err = wsdalg.Apply(w, q, wsdalg.Options{Decision: wsdalg.Written(q)}); err != nil {
 			return nil, err
 		}
 	}
@@ -184,7 +193,7 @@ func wsdOps(w *wsd.WSD, q query.Query) (*Ops, error) {
 		},
 		Count:   func() (*big.Int, error) { return res.Count(), nil },
 		Expand:  func() ([]*rel.Instance, error) { return res.Expand(0), nil },
-		PossAns: func() (*rel.Instance, error) { return wsdalg.PossibleAnswers(w, q) },
-		CertAns: func() (*rel.Instance, error) { return wsdalg.CertainAnswers(w, q) },
+		PossAns: func() (*rel.Instance, error) { return answerSet(w, q, true) },
+		CertAns: func() (*rel.Instance, error) { return answerSet(w, q, false) },
 	}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"pw/internal/cond"
 	"pw/internal/decide"
 	"pw/internal/gen"
+	"pw/internal/obs"
 	"pw/internal/query"
 	"pw/internal/rel"
 	"pw/internal/sym"
@@ -173,9 +174,10 @@ func probeWSDAttrQuery(b *testing.B) {
 		}})
 	w := gen.CenturyWSD()
 	want := centuryCount()
+	as := wsdalg.Options{Decision: wsdalg.Written(q)}
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		out, err := wsdalg.Eval(w, q)
+		out, _, _, err := wsdalg.Apply(w, q, as)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -187,9 +189,10 @@ func probeWSDAttrQuery(b *testing.B) {
 
 func probeWSDQuery(b *testing.B, q query.Query, wantCount int64) {
 	w := gen.MillionWorldWSD()
+	as := wsdalg.Options{Decision: wsdalg.Written(q)}
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		out, err := wsdalg.Eval(w, q)
+		out, _, _, err := wsdalg.Apply(w, q, as)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -247,9 +250,10 @@ func probeWSDSelectScan(b *testing.B, comps int, project bool) {
 		e, worlds = algebra.Project{E: e, Cols: []string{"k"}}, 1
 	}
 	q := query.NewAlgebra("group", query.Out{Name: "A", Expr: e})
+	planned := wsdalg.Options{Cost: obs.NewCost()}
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		out, _, err := wsdalg.EvalOptimized(w, q, nil)
+		out, _, _, err := wsdalg.Apply(w, q, planned)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -299,9 +303,10 @@ func probeWSAPlanned(b *testing.B) {
 	if _, info := wsdalg.Optimize(w, q); info == nil || info.ChosenCost >= info.NaiveCost {
 		b.Fatalf("planner must price the pushed form below the written one, got %+v", info)
 	}
+	planned := wsdalg.Options{Cost: obs.NewCost()}
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		out, _, err := wsdalg.EvalOptimized(w, q, nil)
+		out, _, _, err := wsdalg.Apply(w, q, planned)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -433,7 +438,7 @@ func probeUniqGTable(b *testing.B, rows int) {
 	d := table.DB(tb)
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		yes, err := decide.Uniqueness(query.Identity{}, d, i)
+		yes, err := decide.Options{}.Uniqueness(query.Identity{}, d, i)
 		if err != nil || !yes {
 			b.Fatalf("forced-ground g-table must be unique: %v %v", yes, err)
 		}

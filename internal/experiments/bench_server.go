@@ -19,7 +19,10 @@ import (
 
 // serverHiQuery selects the hi readings of gen.MillionWorldWSD's S
 // relation — the same shape as the WSDQuery_Select_1M probe, so the
-// uncached server path is directly comparable to bare wsdalg.Eval.
+// uncached server path is comparable to the bare evaluation (the probe
+// applies the written form and assembles the answer world set; the
+// server evaluates the planned form and reads the answer sets off the
+// parts).
 const serverHiQuery = "@query hi\n  out: Hi = select[#value = hi](S(sensor value))\n"
 
 func newBenchServer(b *testing.B, cfg server.Config) *server.Server {
@@ -51,7 +54,8 @@ func probeServerCertAnsCached(b *testing.B) {
 
 func probeServerCertAnsUncached(b *testing.B) {
 	// CacheSize < 0 disables the answer cache: every request pays
-	// prepared-query lookup + wsdalg.Eval + certain-fact readout.
+	// prepared-query lookup + wsdalg.Eval (observed, the kept plan
+	// reused) + printing the certain set.
 	s := newBenchServer(b, server.Config{Workers: 1, CacheSize: -1})
 	req := &server.Request{DB: "db", Op: "cert-ans", Query: serverHiQuery}
 	b.ResetTimer()

@@ -73,7 +73,7 @@ func Fig1() *Report {
 	rr.AddRow("0", "1", "2")
 	rr.AddRow("3", "0", "1")
 	rr.AddRow("2", "0", "5")
-	member, err := decide.Membership(ia, query.Identity{}, table.DB(ts["Ta"]))
+	member, err := decide.Options{}.Membership(ia, query.Identity{}, table.DB(ts["Ta"]))
 	if err != nil {
 		r.AddNote("example 2.1 error: %v", err)
 	} else {
@@ -101,7 +101,7 @@ func Fig3(full bool) *Report {
 			continue
 		}
 		var ans bool
-		dur := timeIt(func() { ans, _ = decide.Membership(i, query.Identity{}, d) })
+		dur := timeIt(func() { ans, _ = decide.Options{}.Membership(i, query.Identity{}, d) })
 		r.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", i.Size()),
 			fmt.Sprintf("%v", ans), fmtDur(dur))
 		if last > 0 {
@@ -134,9 +134,9 @@ func Fig4() *Report {
 		e := reduce.MembETableFrom3Col(tc.g)
 		i := reduce.MembITableFrom3Col(tc.g)
 		v := reduce.MembViewFrom3Col(tc.g)
-		ea, _ := decide.Membership(e.I0, e.Q0(), e.D)
-		ia, _ := decide.Membership(i.I0, i.Q0(), i.D)
-		va, _ := decide.Membership(v.I0, v.Q, v.D)
+		ea, _ := decide.Options{}.Membership(e.I0, e.Q0(), e.D)
+		ia, _ := decide.Options{}.Membership(i.I0, i.Q0(), i.D)
+		va, _ := decide.Options{}.Membership(v.I0, v.Q, v.D)
 		r.AddRow(tc.name, fmt.Sprintf("%v", tc.g.Colorable3()),
 			fmt.Sprintf("%v", ea), fmt.Sprintf("%v", ia), fmt.Sprintf("%v", va))
 	}
@@ -178,7 +178,7 @@ func Fig6(full bool) *Report {
 	for _, tc := range gs {
 		inst := reduce.UniqViewFromGraph(tc.g)
 		var ans bool
-		dur := timeIt(func() { ans, _ = decide.Uniqueness(inst.Q0, inst.D0, inst.I) })
+		dur := timeIt(func() { ans, _ = decide.Options{}.Uniqueness(inst.Q0, inst.D0, inst.I) })
 		r.AddRow(tc.name, fmt.Sprintf("%v", !tc.g.Colorable3()),
 			fmt.Sprintf("%v", ans), fmtDur(dur))
 	}
@@ -227,7 +227,7 @@ func contReport(r *Report, build func(sat.ForallExists) reduce.ContInstance, ful
 	for _, tc := range qs {
 		inst := build(tc.q)
 		var ans bool
-		dur := timeIt(func() { ans, _ = decide.Containment(inst.Q0, inst.D0, inst.Q, inst.D) })
+		dur := timeIt(func() { ans, _ = decide.Options{}.Containment(inst.Q0, inst.D0, inst.Q, inst.D) })
 		r.AddRow(tc.name, fmt.Sprintf("%v", tc.q.Valid()), fmt.Sprintf("%v", ans), fmtDur(dur))
 	}
 	r.AddNote("CONT must equal the validity column; growth across sizes is exponential (Π₂ᵖ-hard)")
@@ -257,7 +257,7 @@ func Fig9(full bool) *Report {
 	for _, tc := range fs {
 		inst := reduce.ContQoFromDNF(tc.f)
 		var ans bool
-		dur := timeIt(func() { ans, _ = decide.Containment(inst.Q0, inst.D0, inst.Q, inst.D) })
+		dur := timeIt(func() { ans, _ = decide.Options{}.Containment(inst.Q0, inst.D0, inst.Q, inst.D) })
 		r.AddRow(tc.name, fmt.Sprintf("%v", tc.f.Tautology()), fmt.Sprintf("%v", ans), fmtDur(dur))
 	}
 	return r
@@ -287,8 +287,8 @@ func Fig11(full bool) *Report {
 		e := reduce.PossETableFrom3SAT(tc.f)
 		i := reduce.PossITableFrom3SAT(tc.f)
 		var ea, ia bool
-		de := timeIt(func() { ea, _ = decide.Possible(e.P, e.Q, e.D) })
-		di := timeIt(func() { ia, _ = decide.Possible(i.P, i.Q, i.D) })
+		de := timeIt(func() { ea, _ = decide.Options{}.Possible(e.P, e.Q, e.D) })
+		di := timeIt(func() { ia, _ = decide.Options{}.Possible(i.P, i.Q, i.D) })
 		r.AddRow(tc.name, fmt.Sprintf("%v", tc.f.Satisfiable()),
 			fmt.Sprintf("%v", ea), fmt.Sprintf("%v", ia), fmtDur(de), fmtDur(di))
 	}
@@ -318,7 +318,7 @@ func Fig12(full bool) *Report {
 	for _, tc := range fs {
 		inst := reduce.PossDatalogFrom3SAT(tc.f)
 		var ans bool
-		dur := timeIt(func() { ans, _ = decide.Possible(inst.P, inst.Q, inst.D) })
+		dur := timeIt(func() { ans, _ = decide.Options{}.Possible(inst.P, inst.Q, inst.D) })
 		r.AddRow(tc.name, fmt.Sprintf("%v", tc.f.Satisfiable()), fmt.Sprintf("%v", ans), fmtDur(dur))
 	}
 	r.AddNote("the datalog query is fixed; blow-up comes from the nulls x_i choosing t_i/f_i")

@@ -135,7 +135,7 @@ func probeMemb(kd table.Kind, rows int) time.Duration {
 	if !ok {
 		i = d.EmptyInstance()
 	}
-	return timeIt(func() { _, _ = decide.Membership(i, query.Identity{}, d) })
+	return timeIt(func() { _, _ = decide.Options{}.Membership(i, query.Identity{}, d) })
 }
 
 func probeUniq(kd table.Kind, rows int) time.Duration {
@@ -144,11 +144,11 @@ func probeUniq(kd table.Kind, rows int) time.Duration {
 	if !ok {
 		i = d.EmptyInstance()
 	}
-	return timeIt(func() { _, _ = decide.Uniqueness(query.Identity{}, d, i) })
+	return timeIt(func() { _, _ = decide.Options{}.Uniqueness(query.Identity{}, d, i) })
 }
 
 func probeCont(sub, super table.Kind, rows int) time.Duration {
 	d0 := buildKind(sub, rows, int64(rows)*17+int64(sub))
 	d := buildKind(super, rows, int64(rows)*19+int64(super))
-	return timeIt(func() { _, _ = decide.Containment(query.Identity{}, d0, query.Identity{}, d) })
+	return timeIt(func() { _, _ = decide.Options{}.Containment(query.Identity{}, d0, query.Identity{}, d) })
 }

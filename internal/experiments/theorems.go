@@ -38,7 +38,7 @@ func Thm51Codd(full bool) *Report {
 			}
 		}
 		var ans bool
-		dur := timeIt(func() { ans, _ = decide.Possible(p, query.Identity{}, d) })
+		dur := timeIt(func() { ans, _ = decide.Options{}.Possible(p, query.Identity{}, d) })
 		r.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%d", p.Size()),
 			fmt.Sprintf("%v", ans), fmtDur(dur))
 	}
@@ -66,7 +66,7 @@ func Thm52Bounded(full bool) *Report {
 		p := rel.NewInstance()
 		p.EnsureRelation("Q", 1).AddRow("c1")
 		var ans bool
-		dur := timeIt(func() { ans, _ = decide.Possible(p, q, d) })
+		dur := timeIt(func() { ans, _ = decide.Options{}.Possible(p, q, d) })
 		r.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%v", ans), fmtDur(dur))
 	}
 	r.AddNote("k = 1 fixed; the c-table grows — Theorem 5.2(1) predicts polynomial time")
@@ -105,7 +105,7 @@ func Thm53Frozen(full bool) *Report {
 		p := rel.NewInstance()
 		p.EnsureRelation("TC", 2).AddRow("c0", fmt.Sprintf("c%d", n))
 		var ans bool
-		dur := timeIt(func() { ans, _ = decide.Certain(p, q, d) })
+		dur := timeIt(func() { ans, _ = decide.Options{}.Certain(p, q, d) })
 		r.AddRow(fmt.Sprintf("%d", n), fmt.Sprintf("%v", ans), fmtDur(dur))
 	}
 	r.AddNote("the number of worlds is infinite; the frozen evaluation never enumerates them")

@@ -22,7 +22,7 @@ import (
 
 // CostKind names one per-request cost counter. The counters form the
 // engine's structured cost model: each hot layer (parse, wsd.Normalize,
-// wsd.ApplyUpdate, wsdalg.Eval, decide, the server's cache and
+// wsd.ApplyUpdate, wsdalg's Eval/Apply, decide, the server's cache and
 // admission layers) records the quantities its asymptotics depend on,
 // so a slow request explains itself without a profiler.
 type CostKind int
@@ -53,7 +53,8 @@ const (
 	UpdateCOWUnshares
 
 	// EvalComponents is the input decomposition's component count seen
-	// by wsdalg.Eval (the components visited to build choice units).
+	// by a wsdalg evaluation (the components visited to build choice
+	// units).
 	EvalComponents
 	// EvalParts counts decomposed-relation parts built while evaluating
 	// the algebra expression tree.

@@ -95,8 +95,8 @@ func TestCostConcurrent(t *testing.T) {
 
 // TestCostSnapshot: Snapshot/AddSnapshot fold a private run's counters
 // into a shared sink, preserving Max semantics for high-water kinds —
-// the mechanism EvalPlanned uses to give each plan an exact private
-// cost breakdown under a request-wide sink.
+// the mechanism an observed wsdalg evaluation uses to give each plan an
+// exact private cost breakdown under a request-wide sink.
 func TestCostSnapshot(t *testing.T) {
 	var nilCost *Cost
 	if s := nilCost.Snapshot(); s.Counters() != nil {

@@ -138,15 +138,16 @@ func TestPrintAnswersMatchesPrintInstance(t *testing.T) {
 	q := query.NewAlgebra("q",
 		query.Out{Name: "A", Expr: algebra.Project{E: algebra.Scan("Emp", "e", "d"), Cols: []string{"d"}}},
 		query.Out{Name: "B", Expr: algebra.Scan("Dept", "d", "n")})
-	a, _, _, err := wsdalg.Readout(w, q, nil, nil)
+	a, _, _, err := wsdalg.Eval(w, q, wsdalg.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	written, _, _, err := wsdalg.Eval(w, q, wsdalg.Options{Decision: wsdalg.Written(q)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, possible := range []bool{true, false} {
-		inst, err := wsdalg.CertainAnswers(w, q)
-		if possible {
-			inst, err = wsdalg.PossibleAnswers(w, q)
-		}
+		inst, err := written.Instance(possible)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,7 +175,7 @@ func TestPrintAnswersMatchesPrintInstance(t *testing.T) {
 	for i := range cols {
 		cols[i] = fmt.Sprintf("c%d", i)
 	}
-	a, _, _, err = wsdalg.Readout(wide, query.NewAlgebra("all", query.Out{Name: "A", Expr: algebra.Scan("R", cols...)}), nil, nil)
+	a, _, _, err = wsdalg.Eval(wide, query.NewAlgebra("all", query.Out{Name: "A", Expr: algebra.Scan("R", cols...)}), wsdalg.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func TestMembETableFrom3Col(t *testing.T) {
 		if k := inst.D.Kind(); k != table.KindE && k != table.KindCodd {
 			t.Fatalf("graph %d: reduction must build an e-table, got %v", i, k)
 		}
-		got, err := decide.Membership(inst.I0, inst.Q0(), inst.D)
+		got, err := decide.Options{}.Membership(inst.I0, inst.Q0(), inst.D)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ func TestMembITableFrom3Col(t *testing.T) {
 		if k := inst.D.Kind(); k != table.KindI && k != table.KindCodd {
 			t.Fatalf("graph %d: reduction must build an i-table, got %v", i, k)
 		}
-		got, err := decide.Membership(inst.I0, inst.Q0(), inst.D)
+		got, err := decide.Options{}.Membership(inst.I0, inst.Q0(), inst.D)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestMembViewFrom3Col(t *testing.T) {
 		if inst.D.Kind() != table.KindCodd {
 			t.Fatalf("graph %d: base must be Codd tables, got %v", i, inst.D.Kind())
 		}
-		got, err := decide.Membership(inst.I0, inst.Q, inst.D)
+		got, err := decide.Options{}.Membership(inst.I0, inst.Q, inst.D)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func smallCNFs(seed int64, count int) []sat.CNF {
 func TestUniqCTableFromDNF(t *testing.T) {
 	for i, f := range smallDNFs(4, 10) {
 		inst := UniqCTableFromDNF(f)
-		got, err := decide.Uniqueness(inst.Q0, inst.D0, inst.I)
+		got, err := decide.Options{}.Uniqueness(inst.Q0, inst.D0, inst.I)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestUniqViewFromGraph(t *testing.T) {
 			continue
 		}
 		inst := UniqViewFromGraph(g)
-		got, err := decide.Uniqueness(inst.Q0, inst.D0, inst.I)
+		got, err := decide.Options{}.Uniqueness(inst.Q0, inst.D0, inst.I)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func smallForallExists(seed int64, count int) []sat.ForallExists {
 func TestContITableFromForallExists(t *testing.T) {
 	for i, q := range smallForallExists(6, 6) {
 		inst := ContITableFromForallExists(q)
-		got, err := decide.Containment(inst.Q0, inst.D0, inst.Q, inst.D)
+		got, err := decide.Options{}.Containment(inst.Q0, inst.D0, inst.Q, inst.D)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -176,7 +176,7 @@ func TestContITableFromForallExists(t *testing.T) {
 func TestContViewFromForallExists(t *testing.T) {
 	for i, q := range smallForallExists(7, 6) {
 		inst := ContViewFromForallExists(q)
-		got, err := decide.Containment(inst.Q0, inst.D0, inst.Q, inst.D)
+		got, err := decide.Options{}.Containment(inst.Q0, inst.D0, inst.Q, inst.D)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestContViewFromForallExists(t *testing.T) {
 func TestContQoFromDNF(t *testing.T) {
 	for i, f := range smallDNFs(8, 8) {
 		inst := ContQoFromDNF(f)
-		got, err := decide.Containment(inst.Q0, inst.D0, inst.Q, inst.D)
+		got, err := decide.Options{}.Containment(inst.Q0, inst.D0, inst.Q, inst.D)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func TestContQoFromDNF(t *testing.T) {
 func TestContQoETableFromForallExists(t *testing.T) {
 	for i, q := range smallForallExists(9, 5) {
 		inst := ContQoETableFromForallExists(q)
-		got, err := decide.Containment(inst.Q0, inst.D0, inst.Q, inst.D)
+		got, err := decide.Options{}.Containment(inst.Q0, inst.D0, inst.Q, inst.D)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func TestContCTableFromForallExists(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := decide.Containment(inst.Q0, inst.D0, inst.Q, inst.D)
+		got, err := decide.Options{}.Containment(inst.Q0, inst.D0, inst.Q, inst.D)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,7 +234,7 @@ func TestPossETableFrom3SAT(t *testing.T) {
 		if k := inst.D.Kind(); k != table.KindE && k != table.KindCodd {
 			t.Fatalf("formula %d: reduction must build an e-table, got %v", i, k)
 		}
-		got, err := decide.Possible(inst.P, inst.Q, inst.D)
+		got, err := decide.Options{}.Possible(inst.P, inst.Q, inst.D)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,7 +247,7 @@ func TestPossETableFrom3SAT(t *testing.T) {
 func TestPossITableFrom3SAT(t *testing.T) {
 	for i, f := range smallCNFs(12, 10) {
 		inst := PossITableFrom3SAT(f)
-		got, err := decide.Possible(inst.P, inst.Q, inst.D)
+		got, err := decide.Options{}.Possible(inst.P, inst.Q, inst.D)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +297,7 @@ func tinyCNFs(seed int64, count int) []sat.CNF {
 func TestPossFOFromDNF(t *testing.T) {
 	for i, f := range tinyDNFs(13, 5) {
 		inst := PossFOFromDNF(f)
-		got, err := decide.Possible(inst.P, inst.Q, inst.D)
+		got, err := decide.Options{}.Possible(inst.P, inst.Q, inst.D)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +310,7 @@ func TestPossFOFromDNF(t *testing.T) {
 func TestCertFOFromDNF(t *testing.T) {
 	for i, f := range tinyDNFs(14, 5) {
 		inst := CertFOFromDNF(f)
-		got, err := decide.Certain(inst.P, inst.Q, inst.D)
+		got, err := decide.Options{}.Certain(inst.P, inst.Q, inst.D)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,7 +323,7 @@ func TestCertFOFromDNF(t *testing.T) {
 func TestCertCTableFromDNF(t *testing.T) {
 	for i, f := range smallDNFs(15, 10) {
 		inst := CertCTableFromDNF(f)
-		got, err := decide.Certain(inst.P, inst.Q, inst.D)
+		got, err := decide.Options{}.Certain(inst.P, inst.Q, inst.D)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,7 +336,7 @@ func TestCertCTableFromDNF(t *testing.T) {
 func TestPossDatalogFrom3SAT(t *testing.T) {
 	for i, f := range tinyCNFs(16, 6) {
 		inst := PossDatalogFrom3SAT(f)
-		got, err := decide.Possible(inst.P, inst.Q, inst.D)
+		got, err := decide.Options{}.Possible(inst.P, inst.Q, inst.D)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,7 +352,7 @@ func TestPossViewFrom3Col(t *testing.T) {
 			continue
 		}
 		inst := PossViewFrom3Col(g)
-		got, err := decide.Possible(inst.P, inst.Q, inst.D)
+		got, err := decide.Options{}.Possible(inst.P, inst.Q, inst.D)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -99,28 +99,19 @@ func buildShots(t *testing.T) []hammerShot {
 			t.Fatal(err)
 		}
 		for _, op := range []string{"poss-ans", "cert-ans"} {
-			var want string
-			if op == "poss-ans" {
-				inst, err := wsdalg.PossibleAnswers(sensors, *src.Query)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var sb strings.Builder
-				if err := parse.PrintInstance(&sb, inst); err != nil {
-					t.Fatal(err)
-				}
-				want = sb.String()
-			} else {
-				inst, err := wsdalg.CertainAnswers(sensors, *src.Query)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var sb strings.Builder
-				if err := parse.PrintInstance(&sb, inst); err != nil {
-					t.Fatal(err)
-				}
-				want = sb.String()
+			a, _, _, err := wsdalg.Eval(sensors, *src.Query, wsdalg.Options{Decision: wsdalg.Written(*src.Query)})
+			if err != nil {
+				t.Fatal(err)
 			}
+			inst, err := a.Instance(op == "poss-ans")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sb strings.Builder
+			if err := parse.PrintInstance(&sb, inst); err != nil {
+				t.Fatal(err)
+			}
+			want := sb.String()
 			shots = append(shots, hammerShot{
 				name:      fmt.Sprintf("sensors %s %s", op, sel),
 				req:       server.Request{DB: "sensors", Op: op, Query: q},

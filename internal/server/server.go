@@ -1287,7 +1287,10 @@ func (s *Server) cachedEval(db *database, key string, rc *reqCtx, fn func() (any
 // rows of one evaluation, interned — plus the answer texts printed off
 // it, each rendered at most once, the EXPLAIN plan recorded by the
 // evaluation that populated the entry, and the relations its query
-// scans (purgeStale reads them). It holds no decomposition. A cache hit
+// scans (purgeStale reads them). It holds no decomposition but one: the
+// identity query's readout reads its possible set off the version it
+// answers, and that is always the live version — the identity query
+// reads every relation, so any install purges its entry. A cache hit
 // reads a rendered text: it neither reads the rows out nor prints.
 type evalEntry struct {
 	ans   *wsdalg.Answers
@@ -1356,7 +1359,7 @@ func (s *Server) opAnswers(req *Request, v dbView, resp *Response, rc *reqCtx) (
 				rc.cost.Add(obs.PlanReused, 1)
 				s.metrics.planReused.Inc()
 			}
-			ans, plan, dec, err := wsdalg.Readout(v.wsd, q, prior, rc.cost)
+			ans, plan, dec, err := wsdalg.Eval(v.wsd, q, wsdalg.Options{Decision: prior, Cost: rc.cost})
 			if err != nil {
 				sp.SetError(errorClass(err))
 				rc.plan = plan // partial, error-marked: the request record still sees it

@@ -8,7 +8,7 @@ import (
 // flightGroup coalesces concurrent calls with the same key into one
 // execution: the first caller runs fn, the rest block until it finishes
 // and share its result. This is the request-batching layer — a burst of
-// identical uncached queries costs one wsdalg.Eval, not one per client.
+// identical uncached queries costs one evaluation, not one per client.
 // (A deliberately minimal re-implementation of the x/sync singleflight
 // idea; the repository vendors nothing.)
 type flightGroup struct {

@@ -39,6 +39,23 @@ func (w *WSD) Support() []Fact {
 	return out
 }
 
+// StoredTuples yields the stored facts of the support — SupportTuples
+// without the template instantiations — in fact-ID order. Stored tuples
+// are the decomposition's own, shared: callers must not mutate them.
+func (w *WSD) StoredTuples() iter.Seq[TupleFact] {
+	w.ensure()
+	return func(yield func(TupleFact) bool) {
+		for id, f := range w.facts {
+			if w.factComp[id] < 0 {
+				continue // hole left by an update: outside the support
+			}
+			if !yield(TupleFact{Rel: int(f.rel), Tuple: f.tuple}) {
+				return
+			}
+		}
+	}
+}
+
 // SupportTuples yields the support in interned form: the stored facts
 // in fact-ID order, then each template's instantiations in odometer
 // order (display order only when the decomposition has no template and

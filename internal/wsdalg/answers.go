@@ -16,8 +16,13 @@
 //     it is certain iff one group — or an origin-free part — yields it
 //     under every joint choice of that group's units.
 //
-// Rows stay interned throughout: the sets hold the parts' own tuples,
-// sorted by ID and duplicate-free, and names resolve only when printed.
+// The identity query has no parts to read: its answer world set is the
+// input, so its sets are the input's certain facts and support, read in
+// place (readInput).
+//
+// Rows stay interned throughout: the sets hold the parts' (or the
+// input's) own tuples, duplicate-free, and names resolve only when
+// printed.
 package wsdalg
 
 import (
@@ -27,7 +32,6 @@ import (
 	"slices"
 	"time"
 
-	"pw/internal/obs"
 	"pw/internal/query"
 	"pw/internal/rel"
 	"pw/internal/sym"
@@ -37,14 +41,20 @@ import (
 
 // Answers is the readout of one evaluation: per output relation (a
 // schema position), the certain answer rows and the possible answer
-// rows, interned, sorted by ID and duplicate-free. On the empty world
-// set both are empty: no world, no possible fact, and certainty has no
-// canonical answer set (decide.CertainAnswers' convention).
+// rows, interned and duplicate-free. On the empty world set both are
+// empty: no world, no possible fact, and certainty has no canonical
+// answer set (decide.CertainAnswers' convention).
 type Answers struct {
 	schema table.Schema
 	cert   [][]sym.Tuple
 	poss   [][]sym.Tuple // swept rows; the template products below are not yet in
 	tmpls  []tmplRows
+	// in is set on the identity query's answer, whose answer world set
+	// is the input: its possible rows are the input's stored facts, read
+	// in place whenever the possible set is read, plus the products of
+	// the input's templates (tmpls). Such an answer keeps its input
+	// alive.
+	in *wsd.WSD
 }
 
 // tmplRows is one answer part that is exactly a template — the lone
@@ -70,9 +80,16 @@ func (a *Answers) Certain(ri int) []sym.Tuple { return a.cert[ri] }
 // Possible returns the possible rows of relation ri, expanding any
 // template products of ri. It fails with ErrEntangled when a product's
 // instantiation count overflows int: such a set cannot be materialized.
-// Without products the slice is shared; callers must not mutate it.
+// Without products the slice may be shared; callers must not mutate it.
 func (a *Answers) Possible(ri int) ([]sym.Tuple, error) {
 	rows := a.poss[ri]
+	if a.in != nil {
+		for f := range a.in.StoredTuples() {
+			if f.Rel == ri {
+				rows = append(rows, f.Tuple)
+			}
+		}
+	}
 	expanded := false
 	for _, t := range a.tmpls {
 		if t.rel != ri {
@@ -95,22 +112,31 @@ func (a *Answers) Possible(ri int) ([]sym.Tuple, error) {
 	return rows, nil
 }
 
-// sizes returns the number of possible rows (template products counted,
-// saturating) and certain rows over every relation — the readout
-// record's figures.
-func (a *Answers) sizes() (poss, cert int64) {
+// stats is the readout record: the number of possible rows (template
+// products counted, saturating) and certain rows over every relation,
+// and the readout's wall time.
+func (a *Answers) stats(durUS int64) *ReadoutStats {
+	r := &ReadoutStats{DurUS: durUS}
 	for ri := range a.schema {
-		poss = satAdd(poss, int64(len(a.poss[ri])))
-		cert += int64(len(a.cert[ri]))
+		r.Possible = satAdd(r.Possible, int64(len(a.poss[ri])))
+		r.Certain += int64(len(a.cert[ri]))
+	}
+	if a.in != nil {
+		n, ok := a.in.SupportSize() // the stored facts and the template products
+		if !ok {
+			n = math.MaxInt
+		}
+		r.Possible = int64(n)
+		return r
 	}
 	for _, t := range a.tmpls {
 		n, ok := productSize(t.cells)
 		if !ok {
-			return math.MaxInt64, cert
+			n = math.MaxInt
 		}
-		poss = satAdd(poss, int64(n))
+		r.Possible = satAdd(r.Possible, int64(n))
 	}
-	return poss, cert
+	return r
 }
 
 // productSize is the number of rows a cross product of value lists
@@ -336,143 +362,80 @@ func intersectFacts(a, b []wsd.TupleFact) []wsd.TupleFact {
 	return out
 }
 
-// PossibleAnswers computes every possible answer fact of q over the
-// decomposition: the facts present in at least one world of
-// {q(W) : W ∈ rep(D)}. The result instance is shaped by the query's
-// output schema; on the empty world set it is empty (no world, no
-// possible fact). Unlike the c-table engines, the answer space of a
-// decomposition is ground and finite, so no domain restriction is
-// needed. The identity query reads w's own support in place; any other
-// query is read off its evaluated parts (see Answers).
-func PossibleAnswers(w *wsd.WSD, q query.Query) (*rel.Instance, error) {
-	if query.IsIdentity(q) {
-		return identityAnswers(w, true)
-	}
-	a, err := newEvaluator(w).readoutCore(q, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return a.instance(a.Possible)
-}
-
-// CertainAnswers computes every certain answer fact of q over the
-// decomposition: the facts present in all worlds of {q(W) : W ∈ rep(D)}.
-// On the empty world set certainty is vacuous and there is no canonical
-// answer set; the schema-shaped empty instance is reported, matching
-// decide.CertainAnswers' convention for rep(d) = ∅.
-func CertainAnswers(w *wsd.WSD, q query.Query) (*rel.Instance, error) {
-	if query.IsIdentity(q) {
-		return identityAnswers(w, false)
-	}
-	a, err := newEvaluator(w).readoutCore(q, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	return a.instance(func(ri int) ([]sym.Tuple, error) { return a.Certain(ri), nil })
-}
-
-// instance copies one answer set into a schema-shaped instance.
-func (a *Answers) instance(rowsOf func(int) ([]sym.Tuple, error)) (*rel.Instance, error) {
-	inst := shapedInstance(a.schema)
-	for ri, r := range inst.Relations() {
-		rows, err := rowsOf(ri)
-		if err != nil {
-			return nil, err
-		}
-		for _, t := range rows {
-			r.Insert(t)
-		}
-	}
-	return inst, nil
-}
-
-// identityAnswers reads the possible (support) or certain facts of w
-// itself, in place — the identity query's answer world-set is the input.
-func identityAnswers(w *wsd.WSD, possible bool) (*rel.Instance, error) {
-	inst := shapedInstance(w.Schema())
-	if w.Empty() {
-		return inst, nil
-	}
-	facts := w.CertainTuples()
-	if possible {
-		// The support is output-sized, but a template whose instantiation
-		// count overflows int cannot be materialized at all: report the
-		// blow-up instead of letting SupportTuples panic.
-		if _, ok := w.SupportSize(); !ok {
-			return nil, fmt.Errorf("%w: the possible-answer set of the identity query has more facts than fit in memory (a template's field product overflows)",
-				ErrEntangled)
-		}
-		facts = w.SupportTuples()
-	}
-	rels := inst.Relations()
-	for f := range facts {
-		rels[f.Rel].Insert(f.Tuple)
-	}
-	return inst, nil
-}
-
-// shapedInstance builds an empty instance with one relation per schema
-// entry, in schema order: relation i of the instance is schema position
-// i, the index the tuple iterators yield.
-func shapedInstance(s table.Schema) *rel.Instance {
+// Instance copies the possible set (possible) or the certain set into an
+// instance shaped by the answer's schema — one relation per output, in
+// schema order. Reading the possible set fails as Possible does.
+func (a *Answers) Instance(possible bool) (*rel.Instance, error) {
 	inst := rel.NewInstance()
-	for _, r := range s {
+	for _, r := range a.schema {
 		inst.AddRelation(rel.NewRelation(r.Name, r.Arity))
 	}
-	return inst
+	rels := inst.Relations()
+	if possible && a.in != nil {
+		// The identity query's possible set is the input's support:
+		// insert it in one pass, with no per-relation row slices. An
+		// overflowing template falls through to Possible's error.
+		if _, ok := a.in.SupportSize(); ok {
+			for f := range a.in.SupportTuples() {
+				rels[f.Rel].Insert(f.Tuple)
+			}
+			return inst, nil
+		}
+	}
+	for ri, out := range rels {
+		rows := a.cert[ri]
+		if possible {
+			var err error
+			if rows, err = a.Possible(ri); err != nil {
+				return nil, err
+			}
+		}
+		for _, t := range rows {
+			out.Insert(t)
+		}
+	}
+	return inst, nil
 }
 
-// readoutCore is the readout form of the one evaluation: the walk
-// evalCore runs, then readout instead of assembly and Normalize. The
-// identity query reads every relation's scan parts — the input's own
-// components, one group each.
-func (ev *evaluator) readoutCore(q query.Query, c *obs.Cost, pl *Plan) (*Answers, error) {
-	if err := ev.start(q, c, pl); err != nil {
+// answerSet evaluates q as written, unobserved, and copies one answer
+// set into an instance.
+func answerSet(w *wsd.WSD, q query.Query, possible bool) (*rel.Instance, error) {
+	a, _, _, err := Eval(w, q, Options{Decision: Written(q)})
+	if err != nil {
 		return nil, err
 	}
-	schema := ev.w.Schema()
-	a, isAlgebra := q.(query.Algebra)
-	if isAlgebra {
-		var err error
-		if schema, err = outputSchema(a); err != nil {
-			return nil, err
+	return a.Instance(possible)
+}
+
+// newAnswers returns the empty answer sets of a schema — the answer on
+// the empty world set.
+func newAnswers(schema table.Schema) *Answers {
+	return &Answers{schema: schema, poss: make([][]sym.Tuple, len(schema)), cert: make([][]sym.Tuple, len(schema))}
+}
+
+// readInput reads the identity query's answer sets in place: its answer
+// world set is the input, so they are the input's certain facts and its
+// support. The possible set is left to be read off the input when it is
+// read (see Answers.in), each template kept as its unexpanded product.
+// pl (nil when not explaining) receives the readout record.
+func (ev *evaluator) readInput(pl *Plan) *Answers {
+	start := time.Now()
+	w := ev.w
+	a := newAnswers(w.Schema())
+	if !w.Empty() {
+		a.in = w
+		for f := range w.CertainTuples() {
+			a.cert[f.Rel] = append(a.cert[f.Rel], f.Tuple)
 		}
-	}
-	if ev.w.Empty() {
-		return &Answers{schema: schema, poss: make([][]sym.Tuple, len(schema)), cert: make([][]sym.Tuple, len(schema))}, nil
-	}
-	ev.begin(false, c, pl)
-	var parts []taggedPart
-	if isAlgebra {
-		var err error
-		if parts, err = ev.walkOuts(a); err != nil {
-			return nil, err
-		}
-	} else {
-		for ri := range schema {
-			for _, p := range ev.scanParts(ri, nil) {
-				parts = append(parts, taggedPart{rel: ri, p: p})
+		for ri := range a.schema {
+			for _, ci := range w.RelTemplates(ri) {
+				_, cells, _ := w.TemplateSlots(int(ci))
+				a.tmpls = append(a.tmpls, tmplRows{rel: ri, cells: cells})
 			}
 		}
 	}
-	c.Add(obs.EvalParts, int64(len(parts)))
-
-	var asm *PlanNode
-	var start time.Time
 	if pl != nil {
-		asm = &PlanNode{Op: "assemble"}
-		pl.Assemble = asm
-		ev.cur = asm
-		start = time.Now()
+		pl.Readout = a.stats(sinceUS(start))
 	}
-	ans, err := ev.readout(schema, parts, asm)
-	if pl != nil {
-		asm.Act.DurUS = sinceUS(start)
-		ev.cur = nil
-		if err == nil {
-			p, c := ans.sizes()
-			pl.Readout = &ReadoutStats{Possible: p, Certain: c, DurUS: asm.Act.DurUS}
-		}
-	}
-	return ans, err
+	return a
 }

@@ -115,17 +115,17 @@ func TestContainsSpreadTemplateRefuses(t *testing.T) {
 }
 
 // TestPossibleAnswersOverflowErrors: a 64-slot template's instantiation
-// count overflows int; PossibleAnswers must return the entanglement
+// count overflows int; the possible set must return the entanglement
 // error through its error path, not panic inside Support.
 func TestPossibleAnswersOverflowErrors(t *testing.T) {
 	w := wideTemplate(t, 64)
-	_, err := wsdalg.PossibleAnswers(w, query.Identity{})
+	_, err := answerSet(w, query.Identity{}, true)
 	if !errors.Is(err, wsdalg.ErrEntangled) {
 		t.Fatalf("err = %v, want ErrEntangled", err)
 	}
-	// CertainAnswers reads only the certain facts (templates are never
+	// The certain set reads only the certain facts (templates are never
 	// certain) and must keep working at any width.
-	if _, err := wsdalg.CertainAnswers(w, query.Identity{}); err != nil {
-		t.Fatalf("CertainAnswers: %v", err)
+	if _, err := answerSet(w, query.Identity{}, false); err != nil {
+		t.Fatalf("certain set: %v", err)
 	}
 }

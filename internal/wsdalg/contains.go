@@ -19,7 +19,7 @@
 //     from any sub world, so ∅ must be among their alternatives.
 //
 // ContainmentViews lifts this to CONT(q0, q) over query answers by
-// evaluating both sides with Eval first.
+// applying both queries first.
 package wsdalg
 
 import (
@@ -57,7 +57,7 @@ func Contains(sub, sup *wsd.WSD) (bool, error) {
 	// pairing so step (3) can skip tabulating them); a template whose
 	// instantiations spread across sup components falls back to bounded
 	// enumeration, and one too wide even for that is the same
-	// entanglement refusal Normalize and Eval give.
+	// entanglement refusal Normalize and Apply give.
 	type factRef struct {
 		subComp int
 		supComp int
@@ -283,14 +283,14 @@ func cellSubset(a, b []sym.ID) bool {
 
 // ContainmentViews decides CONT(q0, q) natively on decompositions:
 // q0(rep(d0)) ⊆ q(rep(d))? Both queries must lie in the supported
-// fragment (Supported); both answer world-sets are produced by Eval and
-// compared with Contains.
+// fragment (Supported); both answer world-sets are produced by Apply, as
+// written, and compared with Contains.
 func ContainmentViews(q0 query.Query, d0 *wsd.WSD, q query.Query, d *wsd.WSD) (bool, error) {
-	a0, err := Eval(d0, q0)
+	a0, _, _, err := Apply(d0, q0, Options{Decision: Written(q0)})
 	if err != nil {
 		return false, err
 	}
-	a, err := Eval(d, q)
+	a, _, _, err := Apply(d, q, Options{Decision: Written(q)})
 	if err != nil {
 		return false, err
 	}

@@ -89,7 +89,7 @@ func TestDifferentialWSAlgebra(t *testing.T) {
 			if !query.HasExtendedOps(q) {
 				return nil, false // plain positive roll: TestDifferentialWSDAlg's ground
 			}
-			if _, err := wsdalg.Eval(w, q); err != nil {
+			if _, err := apply(w, q); err != nil {
 				return nil, false
 			}
 			ws := w.Expand(0)
@@ -100,7 +100,7 @@ func TestDifferentialWSAlgebra(t *testing.T) {
 			if err != nil {
 				return nil, false
 			}
-			if _, err := wsdalg.Eval(wf, q); err != nil {
+			if _, err := apply(wf, q); err != nil {
 				return nil, false // the refactorized provenance entangles differently
 			}
 			return &difftest.Case{
@@ -141,11 +141,11 @@ func TestPlannerNeverExceedsNaive(t *testing.T) {
 			t.Fatalf("seed %d: chosen cost %d exceeds naive %d\nchosen: %s\nnaive:  %s",
 				seed, info.ChosenCost, info.NaiveCost, info.Chosen, info.Naive)
 		}
-		naive, err := wsdalg.Eval(w, q)
+		naive, err := apply(w, q)
 		if err != nil {
 			continue // refused queries have their own coverage
 		}
-		got, err := wsdalg.Eval(w, opt)
+		got, err := apply(w, opt)
 		if err != nil {
 			t.Fatalf("seed %d: chosen plan fails where the naive form succeeds: %v\nchosen: %s",
 				seed, err, info.Chosen)

@@ -1,6 +1,7 @@
-// Plan introspection: EvalPlanned is Eval plus an EXPLAIN/ANALYZE tree.
-// Each operator node of the query expression gets a PlanNode carrying
-// *estimates* computed from the node's inputs before its own work runs
+// Plan introspection: an observed Eval or Apply (Options.Cost set)
+// returns an EXPLAIN/ANALYZE tree. Each operator node of the query
+// expression gets a PlanNode carrying *estimates* computed from the
+// node's inputs before its own work runs
 // (parts, distinct choice units, tabulated-row upper bounds, and — for
 // the sweeping operators and the final assembly — the joint alternative
 // space predicted from origin-space products) and *actuals* filled
@@ -36,9 +37,6 @@ import (
 	"time"
 
 	"pw/internal/algebra"
-	"pw/internal/obs"
-	"pw/internal/query"
-	"pw/internal/wsd"
 )
 
 // PlanStats is one side (estimate or actual) of a plan node's numbers.
@@ -111,54 +109,6 @@ type Plan struct {
 	Error      string           `json:"error,omitempty"`
 	Planner    *PlannerInfo     `json:"planner,omitempty"`
 	DurUS      int64            `json:"us"`
-}
-
-// EvalPlanned is Eval plus cost accounting into c and plan
-// construction. The evaluation runs against a private cost sink so
-// Plan.Cost reports exactly this run's counters even when c is a shared
-// request-wide sink; the private counters are folded into c afterwards
-// (additive kinds add, high-water kinds max; nil c: dropped). The plan
-// is returned even on error, annotated with the error class and
-// truncated at the failing node.
-func EvalPlanned(w *wsd.WSD, q query.Query, c *obs.Cost) (*wsd.WSD, *Plan, error) {
-	return newEvaluator(w).evalPlanned(q, c)
-}
-
-func (ev *evaluator) evalPlanned(q query.Query, c *obs.Cost) (*wsd.WSD, *Plan, error) {
-	var out *wsd.WSD
-	p, err := ev.planned(q, c, func(ci *obs.Cost, p *Plan) (err error) {
-		if out, err = ev.evalCore(q, ci, p); err == nil {
-			p.WorldCount = out.Count().String()
-		}
-		return err
-	})
-	return out, p, err
-}
-
-// readoutPlanned is readoutCore with EvalPlanned's accounting and plan.
-func (ev *evaluator) readoutPlanned(q query.Query, c *obs.Cost) (*Answers, *Plan, error) {
-	var ans *Answers
-	p, err := ev.planned(q, c, func(ci *obs.Cost, p *Plan) (err error) {
-		if ans, err = ev.readoutCore(q, ci, p); err == nil {
-			p.WorldCount = ev.w.Count().String()
-		}
-		return err
-	})
-	return ans, p, err
-}
-
-// planned runs one planned evaluation against a private cost sink and
-// folds the sink into c afterwards.
-func (ev *evaluator) planned(q query.Query, c *obs.Cost, run func(*obs.Cost, *Plan) error) (*Plan, error) {
-	ci := obs.NewCost()
-	p := &Plan{Query: q.Label()}
-	start := time.Now()
-	err := run(ci, p)
-	p.DurUS = time.Since(start).Microseconds()
-	p.Cost = ci.Counters()
-	p.Error = ErrorClass(err)
-	c.AddSnapshot(ci.Snapshot())
-	return p, err
 }
 
 // ErrorClass maps an evaluation error to its stable class name — the

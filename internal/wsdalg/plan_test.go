@@ -65,9 +65,9 @@ func TestPlanEstimateSoundness(t *testing.T) {
 		tag := fmt.Sprintf("seed %d (%s)", seed, q.Label())
 
 		c := obs.NewCost()
-		out, plan, evalErr := wsdalg.EvalPlanned(w, q, c)
+		out, plan, _, evalErr := wsdalg.Apply(w, q, wsdalg.Options{Decision: wsdalg.Written(q), Cost: c})
 		if plan == nil {
-			t.Fatalf("%s: EvalPlanned returned a nil plan", tag)
+			t.Fatalf("%s: observed Apply returned a nil plan", tag)
 		}
 		if evalErr != nil {
 			errs++
@@ -164,7 +164,7 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := gen.RandomPositiveQuery(7, table.Schema{{Name: "R", Arity: 2}}, 5, 3)
-	_, plan, _ := wsdalg.EvalPlanned(w, q, nil)
+	_, plan, _, _ := wsdalg.Apply(w, q, wsdalg.Options{Decision: wsdalg.Written(q), Cost: obs.NewCost()})
 	if plan == nil {
 		t.Fatal("nil plan")
 	}
@@ -192,7 +192,7 @@ func TestPlanWriteText(t *testing.T) {
 			E:    algebra.Where(algebra.Scan("S", "s", "v"), algebra.EqP(algebra.Col("v"), algebra.Lit("hi"))),
 			Cols: []string{"s"},
 		}})
-	_, plan, evalErr := wsdalg.EvalPlanned(w, q, nil)
+	_, plan, _, evalErr := wsdalg.Apply(w, q, wsdalg.Options{Decision: wsdalg.Written(q), Cost: obs.NewCost()})
 	if evalErr != nil {
 		t.Fatal(evalErr)
 	}

@@ -44,7 +44,6 @@ import (
 
 	"pw/internal/algebra"
 	"pw/internal/cond"
-	"pw/internal/obs"
 	"pw/internal/query"
 	"pw/internal/wsd"
 )
@@ -65,20 +64,49 @@ func (pi *PlannerInfo) Changed() bool { return pi != nil && pi.Chosen != pi.Naiv
 
 // Optimize plans q against w: the rewritten query (or q itself when the
 // rewrite does not lower the predicted cost, q is not algebra, or the
-// cost model cannot price it) plus the decision record. The returned
-// query is always equivalent to q on every world set.
+// cost model cannot price it) plus the decision record (nil when q was
+// not priced). The returned query is always equivalent to q on every
+// world set.
 func Optimize(w *wsd.WSD, q query.Query) (query.Query, *PlannerInfo) {
-	return newEvaluator(w).optimize(q)
+	d := newEvaluator(w).decide(q)
+	return d.form, d.planner()
 }
 
-func (ev *evaluator) optimize(q query.Query) (query.Query, *PlannerInfo) {
+// Decision is a planning decision kept for reuse: the form chosen for
+// one query on one version of a decomposition, with its record. It
+// holds the query form, never the decomposition, so keeping one does not
+// keep a version alive. The form is equivalent to the query on every
+// world set, so evaluating it on another version gives the same answers;
+// pricing is a pure function of the query and the decomposition, so
+// re-planning on the version it was made on would choose the same form.
+type Decision struct {
+	form   query.Query
+	info   PlannerInfo
+	priced bool // info is set: the planner priced the query
+}
+
+// Written is the decision to evaluate q as written, without pricing it.
+func Written(q query.Query) *Decision { return &Decision{form: q} }
+
+// planner returns the decision's planning record, nil when q was not
+// priced.
+func (d *Decision) planner() *PlannerInfo {
+	if !d.priced {
+		return nil
+	}
+	return &d.info
+}
+
+// decide prices q and its rewrite and keeps the cheaper form.
+func (ev *evaluator) decide(q query.Query) *Decision {
+	d := &Decision{form: q}
 	a, ok := q.(query.Algebra)
 	if !ok || ev.w.Empty() {
-		return q, nil
+		return d
 	}
 	naiveCost, err := ev.price(a)
 	if err != nil {
-		return q, nil // un-priceable: schema errors surface at eval time
+		return d // un-priceable: schema errors surface at eval time
 	}
 	outs := make([]query.Out, len(a.Outs))
 	for i, o := range a.Outs {
@@ -91,72 +119,24 @@ func (ev *evaluator) optimize(q query.Query) (query.Query, *PlannerInfo) {
 		outs[i] = query.Out{Name: o.Name, Expr: e}
 	}
 	opt := query.Algebra{Name: a.Name, Outs: outs}
-	info := &PlannerInfo{Naive: formatOuts(a.Outs), NaiveCost: naiveCost}
+	d.priced = true
+	d.info = PlannerInfo{Naive: formatOuts(a.Outs), NaiveCost: naiveCost}
 	chosen := formatOuts(outs)
-	if chosen == info.Naive {
+	if chosen == d.info.Naive {
 		// The rewrite is the written form: pricing it again would
 		// return the naive cost.
-		info.Chosen, info.ChosenCost = chosen, naiveCost
-		return opt, info
+		d.form, d.info.Chosen, d.info.ChosenCost = opt, chosen, naiveCost
+		return d
 	}
 	chosenCost, err := ev.price(opt)
 	if err != nil || chosenCost > naiveCost {
 		// Never adopt a rewrite the model prices higher than what was
 		// written (or cannot price at all).
-		info.Chosen, info.ChosenCost = info.Naive, info.NaiveCost
-		return q, info
+		d.info.Chosen, d.info.ChosenCost = d.info.Naive, naiveCost
+		return d
 	}
-	info.Chosen, info.ChosenCost = chosen, chosenCost
-	return opt, info
-}
-
-// Decision is a planning decision kept for reuse: the form the planner
-// chose for one query on one version of a decomposition, with its
-// record. It holds the query form, never the decomposition, so keeping
-// one does not keep a version alive. The form is equivalent to the
-// query on every world set, so evaluating it on another version gives
-// the same answers; pricing is a pure function of the query and the
-// decomposition, so re-planning on the version it was made on would
-// choose the same form.
-type Decision struct {
-	form query.Query
-	info *PlannerInfo // nil when the planner did not price q
-}
-
-// Readout answers q on w through the planner: it evaluates the chosen
-// form once and reads the possible and certain answer facts straight
-// off the evaluated parts (see Answers), with EvalPlanned's accounting
-// into c and a plan carrying the planning record. No answer
-// decomposition is assembled or normalized. Without a prior decision
-// one evaluator prices the query and evaluates the chosen form, so
-// pricing and evaluation share its scan cache. With one — returned by
-// an earlier call for the same q, possibly on another version of w —
-// its form is evaluated directly and nothing is priced. It returns the decision it
-// used. Equivalence of the rewrites means the answer sets are those of
-// EvalPlanned(w, q, c)'s result.
-func Readout(w *wsd.WSD, q query.Query, prior *Decision, c *obs.Cost) (*Answers, *Plan, *Decision, error) {
-	ev := newEvaluator(w)
-	d := prior
-	if d == nil {
-		d = &Decision{}
-		d.form, d.info = ev.optimize(q)
-	}
-	ans, pl, err := ev.readoutPlanned(d.form, c)
-	pl.Planner = d.info
-	pl.Query = q.Label() // report the query as asked, not as rewritten
-	return ans, pl, d, err
-}
-
-// EvalOptimized is EvalPlanned through the planner: the form Optimize
-// chooses is evaluated and assembled, and the plan carries the planning
-// record.
-func EvalOptimized(w *wsd.WSD, q query.Query, c *obs.Cost) (*wsd.WSD, *Plan, error) {
-	ev := newEvaluator(w)
-	form, info := ev.optimize(q)
-	out, pl, err := ev.evalPlanned(form, c)
-	pl.Planner = info
-	pl.Query = q.Label()
-	return out, pl, err
+	d.form, d.info.Chosen, d.info.ChosenCost = opt, chosen, chosenCost
+	return d
 }
 
 func formatOuts(outs []query.Out) string {

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"pw/internal/gen"
+	"pw/internal/obs"
 	"pw/internal/parse"
 	"pw/internal/query"
 	"pw/internal/table"
@@ -36,7 +37,7 @@ func plannerCorpus(t *testing.T, fn func(seed int64, w *wsd.WSD, q query.Algebra
 			continue
 		}
 		q := gen.RandomWSAQuery(seed, schema, 4, 2+int(seed)%2)
-		_, err = wsdalg.Eval(w, q)
+		_, err = apply(w, q)
 		fn(seed, w, q, err == nil)
 		if err == nil {
 			checked++
@@ -115,7 +116,7 @@ func TestPlannerCostsGolden(t *testing.T) {
 // TestPlannerCostBoundsSweep checks that the planner's prediction is an
 // upper bound on the work evaluation performs: for every corpus query
 // that evaluates without refusal, the chosen form's predicted cost is at
-// least the joint alternatives EvalOptimized actually swept, summed over
+// least the joint alternatives the observed Apply actually swept, summed over
 // every plan node, assembly included.
 func TestPlannerCostBoundsSweep(t *testing.T) {
 	cases := 0
@@ -123,13 +124,13 @@ func TestPlannerCostBoundsSweep(t *testing.T) {
 		if !evaluates {
 			return
 		}
-		_, plan, err := wsdalg.EvalOptimized(w, q, nil)
+		_, plan, _, err := wsdalg.Apply(w, q, wsdalg.Options{Cost: obs.NewCost()})
 		if err != nil {
-			t.Errorf("seed %d: EvalOptimized refused a query the naive form evaluates: %v", seed, err)
+			t.Errorf("seed %d: Apply refused a query the naive form evaluates: %v", seed, err)
 			return
 		}
 		if plan.Planner == nil {
-			t.Errorf("seed %d: EvalOptimized plan carries no planning record", seed)
+			t.Errorf("seed %d: Apply's plan carries no planning record", seed)
 			return
 		}
 		var swept int64

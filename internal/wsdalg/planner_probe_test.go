@@ -14,6 +14,7 @@ import (
 
 	"pw/internal/algebra"
 	"pw/internal/gen"
+	"pw/internal/obs"
 	"pw/internal/query"
 	"pw/internal/rel"
 	"pw/internal/sym"
@@ -47,7 +48,7 @@ func groupedProbeQueries() map[string]algebra.Expr {
 }
 
 // TestOptimizeKeepsScanProbes pins that planning never turns a posting
-// read into a full scan: after optimize, the evaluator's scan cache —
+// read into a full scan: after decide, the evaluator's scan cache —
 // every scan the naive and the rewritten form's pricing walks ran —
 // holds no full-relation key for a query whose written form probes. On
 // 10 000 components a full read would cost the planner the whole
@@ -62,7 +63,7 @@ func TestOptimizeKeepsScanProbes(t *testing.T) {
 	for name, e := range groupedProbeQueries() {
 		q := query.NewAlgebra(name, query.Out{Name: "A", Expr: e})
 		ev := newEvaluator(w)
-		opt, _ := ev.optimize(q)
+		opt := ev.decide(q).form
 		for key, parts := range ev.scans {
 			if key.col < 0 {
 				t.Errorf("%s: planning read R in full (%d parts); chosen %s", name, len(parts), opt.(query.Algebra).Outs[0].Expr)
@@ -76,7 +77,7 @@ func TestOptimizeKeepsScanProbes(t *testing.T) {
 	// EXPLAIN of π[k](σ[#g = c](R(k g v))): the planner prunes the scan
 	// to π[k,g](R) under the σ, and the scan still reads the posting.
 	q := query.NewAlgebra("project", query.Out{Name: "A", Expr: groupedProbeQueries()["project"]})
-	_, pl, err := EvalOptimized(w, q, nil)
+	_, pl, _, err := Apply(w, q, Options{Cost: obs.NewCost()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestChoiceOfSharedTableRace(t *testing.T) {
 				defer wg.Done()
 				for k := range qs {
 					i := (g + k) % len(qs)
-					got, err := Eval(w, qs[i])
+					got, err := apply(w, qs[i])
 					if err != nil {
 						t.Errorf("seed %d goroutine %d %s: %v", seed, g, qs[i].Label(), err)
 						continue

@@ -30,9 +30,9 @@ func scanD() algebra.Expr { return algebra.Scan("D", "s", "loc") }
 // callers can inspect the planning record.
 func checkOptimized(t *testing.T, w *wsd.WSD, q query.Query) *Plan {
 	t.Helper()
-	got, pl, err := EvalOptimized(w, q, obs.NewCost())
+	got, pl, _, err := Apply(w, q, Options{Cost: obs.NewCost()})
 	if err != nil {
-		t.Fatalf("EvalOptimized: %v", err)
+		t.Fatalf("Apply: %v", err)
 	}
 	want := oracleWSAnswers(t, w, q)
 	if c := got.Count(); !c.IsInt64() || c.Int64() != int64(len(want)) {
@@ -40,7 +40,7 @@ func checkOptimized(t *testing.T, w *wsd.WSD, q query.Query) *Plan {
 	}
 	for wi, a := range want {
 		if !got.Member(a) {
-			t.Fatalf("oracle answer %d not in rep(EvalOptimized):\n%s\nresult:\n%s", wi, a, got)
+			t.Fatalf("oracle answer %d not in rep(Apply):\n%s\nresult:\n%s", wi, a, got)
 		}
 	}
 	return pl
@@ -246,13 +246,13 @@ func TestOptimizedMatchesNaiveEverywhere(t *testing.T) {
 	}
 	for i, e := range exprs {
 		q := query.NewAlgebra("q", query.Out{Name: "A", Expr: e})
-		naive, err := Eval(w, q)
+		naive, err := apply(w, q)
 		if err != nil {
 			t.Fatalf("case %d: naive Eval: %v", i, err)
 		}
-		opt, pl, err := EvalOptimized(w, q, obs.NewCost())
+		opt, pl, _, err := Apply(w, q, Options{Cost: obs.NewCost()})
 		if err != nil {
-			t.Fatalf("case %d: EvalOptimized: %v", i, err)
+			t.Fatalf("case %d: Apply: %v", i, err)
 		}
 		if pl == nil || pl.Planner == nil {
 			t.Fatalf("case %d: missing planning record", i)

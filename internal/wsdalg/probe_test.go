@@ -70,7 +70,7 @@ func templateCell(w *wsd.WSD) string {
 // a probe.
 func probedScans(t *testing.T, w *wsd.WSD, q query.Query) int {
 	t.Helper()
-	_, plan, err := wsdalg.EvalPlanned(w, q, nil)
+	_, plan, _, err := wsdalg.Apply(w, q, wsdalg.Options{Decision: wsdalg.Written(q), Cost: obs.NewCost()})
 	if err != nil {
 		t.Fatalf("%s: %v", q.Label(), err)
 	}
@@ -173,7 +173,7 @@ func TestSelectScanReadsPosting(t *testing.T) {
 		q := query.NewAlgebra("group", query.Out{Name: "A",
 			Expr: algebra.Where(algebra.Scan("R", "k", "g", "v"), algebra.EqP(algebra.Col("g"), algebra.Lit(g)))})
 		c := obs.NewCost()
-		out, plan, err := wsdalg.EvalOptimized(w, q, c)
+		out, plan, _, err := wsdalg.Apply(w, q, wsdalg.Options{Cost: c})
 		if err != nil {
 			t.Fatalf("%d: %v", n, err)
 		}

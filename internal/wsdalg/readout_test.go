@@ -1,9 +1,10 @@
 // Readout property tests: the possible and certain answer sets read
 // straight off the evaluated parts must be exactly the support and the
-// certain facts of Eval's normalized answer decomposition.
+// certain facts of Apply's normalized answer decomposition.
 package wsdalg_test
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -11,6 +12,7 @@ import (
 
 	"pw/internal/algebra"
 	"pw/internal/gen"
+	"pw/internal/obs"
 	"pw/internal/query"
 	"pw/internal/rel"
 	"pw/internal/sym"
@@ -54,20 +56,19 @@ func instanceOf(s table.Schema, rows [][]sym.Tuple) *rel.Instance {
 	return inst
 }
 
-// checkReadout compares both readout forms — the planned Readout and the
-// naive PossibleAnswers/CertainAnswers wrappers — with Eval's normalized
-// answer. It reports whether Eval answered; a query Eval refuses is not
-// compared.
+// checkReadout compares both readout forms — the planned Eval and the
+// written one read into instances — with Apply's normalized answer. It
+// reports whether Apply answered; a query Apply refuses is not compared.
 func checkReadout(t *testing.T, tag string, w *wsd.WSD, q query.Query) bool {
 	t.Helper()
-	out, err := wsdalg.Eval(w, q)
+	out, err := apply(w, q)
 	if err != nil {
 		return false
 	}
 	wantPoss, wantCert := normalizedSets(out)
-	a, _, _, err := wsdalg.Readout(w, q, nil, nil)
+	a, _, _, err := wsdalg.Eval(w, q, wsdalg.Options{})
 	if err != nil {
-		t.Fatalf("%s: Readout: %v (Eval answered)", tag, err)
+		t.Fatalf("%s: Eval: %v (Apply answered)", tag, err)
 	}
 	for ri, r := range out.Schema() {
 		got, err := a.Possible(ri)
@@ -81,13 +82,13 @@ func checkReadout(t *testing.T, tag string, w *wsd.WSD, q query.Query) bool {
 			t.Errorf("%s: certain %s = %v, normalized certain %v", tag, r.Name, a.Certain(ri), wantCert[ri])
 		}
 	}
-	poss, err := wsdalg.PossibleAnswers(w, q)
+	poss, err := answerSet(w, q, true)
 	if err != nil || !poss.Equal(instanceOf(out.Schema(), wantPoss)) {
-		t.Errorf("%s: PossibleAnswers = %v, %v; want the normalized support", tag, poss, err)
+		t.Errorf("%s: written possible set = %v, %v; want the normalized support", tag, poss, err)
 	}
-	cert, err := wsdalg.CertainAnswers(w, q)
+	cert, err := answerSet(w, q, false)
 	if err != nil || !cert.Equal(instanceOf(out.Schema(), wantCert)) {
-		t.Errorf("%s: CertainAnswers = %v, %v; want the normalized certain facts", tag, cert, err)
+		t.Errorf("%s: written certain set = %v, %v; want the normalized certain facts", tag, cert, err)
 	}
 	return true
 }
@@ -192,7 +193,7 @@ func TestReadoutMatchesNormalized(t *testing.T) {
 		if !checkReadout(t, c.name, c.w, q) {
 			t.Fatalf("%s: Eval refused", c.name)
 		}
-		a, _, _, _ := wsdalg.Readout(c.w, q, nil, nil)
+		a, _, _, _ := wsdalg.Eval(c.w, q, wsdalg.Options{})
 		poss, _ := a.Possible(0)
 		if got := rowNames(poss); got != c.poss {
 			t.Errorf("%s: possible = %q, want %q", c.name, got, c.poss)
@@ -228,16 +229,16 @@ func TestReadoutAnswersWhereNormalizeRefuses(t *testing.T) {
 	}
 	w := readoutDB(t, a, b)
 	q := outA(algebra.Project{E: algebra.Scan("R", "k", "v"), Cols: []string{"v"}})
-	if _, err := wsdalg.Eval(w, q); err == nil || !strings.Contains(err.Error(), "too entangled to normalize") {
+	if _, err := apply(w, q); err == nil || !strings.Contains(err.Error(), "too entangled to normalize") {
 		t.Fatalf("Eval err = %v, want the answer-side Normalize's merge refusal", err)
 	}
-	poss, err := wsdalg.PossibleAnswers(w, q)
+	poss, err := answerSet(w, q, true)
 	if err != nil {
-		t.Fatalf("PossibleAnswers: %v", err)
+		t.Fatalf("possible set: %v", err)
 	}
-	cert, err := wsdalg.CertainAnswers(w, q)
+	cert, err := answerSet(w, q, false)
 	if err != nil {
-		t.Fatalf("CertainAnswers: %v", err)
+		t.Fatalf("certain set: %v", err)
 	}
 	// Possible: c and every v_i; certain: c alone (in every choice of
 	// the first group; each v_i is missing from the world a=v_j, b=v_k
@@ -255,4 +256,109 @@ func TestReadoutAnswersWhereNormalizeRefuses(t *testing.T) {
 	if got := cert.Relation("A"); !got.Equal(wantCert) {
 		t.Errorf("certain answers = %v, want %v", got, wantCert)
 	}
+}
+
+// apply is Apply as written and unobserved: the answer world set alone.
+func apply(w *wsd.WSD, q query.Query) (*wsd.WSD, error) {
+	out, _, _, err := wsdalg.Apply(w, q, wsdalg.Options{Decision: wsdalg.Written(q)})
+	return out, err
+}
+
+// answerSet is Eval as written and unobserved, one answer set read into
+// an instance.
+func answerSet(w *wsd.WSD, q query.Query, possible bool) (*rel.Instance, error) {
+	a, _, _, err := wsdalg.Eval(w, q, wsdalg.Options{Decision: wsdalg.Written(q)})
+	if err != nil {
+		return nil, err
+	}
+	return a.Instance(possible)
+}
+
+// TestIdentityReadoutMatchesSupport: the identity query's answer sets,
+// read in place off the input, are its SupportTuples and CertainTuples —
+// on tuple- and attribute-level decompositions, a two-relation one, and
+// the empty world set — through Possible/Certain, Instance and the
+// readout record. A template whose product overflows int fails only the
+// possible set, with ErrEntangled.
+func TestIdentityReadoutMatchesSupport(t *testing.T) {
+	two := wsd.New(table.Schema{{Name: "R", Arity: 2}, {Name: "S", Arity: 1}})
+	for _, alts := range [][]wsd.Alt{
+		{{{Rel: "R", Args: rel.Fact{"a", "b"}}, {Rel: "S", Args: rel.Fact{"a"}}}},
+		{{{Rel: "R", Args: rel.Fact{"c", "d"}}}, {{Rel: "S", Args: rel.Fact{"c"}}}},
+	} {
+		if err := two.AddComponent(alts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := two.AddTemplateComponent("R", []string{"e"}, []string{"f", "g"}); err != nil {
+		t.Fatal(err)
+	}
+	empty := wsd.New(table.Schema{{Name: "R", Arity: 2}})
+	if err := empty.AddComponent(); err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]*wsd.WSD{
+		"two relations": two, "empty": empty,
+		"million": gen.MillionWorldWSD(), "century": gen.CenturyWSD(), "grouped": gen.GroupedWSD(200, 20),
+	}
+	for seed := int64(1); seed <= 60; seed++ {
+		if w, err := gen.RandomWSD(seed, 4, 3, 2, 5); err == nil {
+			cases[fmt.Sprintf("random seed %d", seed)] = w
+		}
+	}
+	for name, w := range cases {
+		if err := w.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		a, pl, _, err := wsdalg.Eval(w, query.Identity{}, wsdalg.Options{Cost: obs.NewCost()})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		wantPoss, wantCert := normalizedSets(w)
+		var nPoss, nCert int64
+		for ri, r := range w.Schema() {
+			poss, err := a.Possible(ri)
+			if err != nil {
+				t.Fatalf("%s: Possible(%s): %v", name, r.Name, err)
+			}
+			if got := sortedRows(poss); !equalRows(got, wantPoss[ri]) {
+				t.Errorf("%s: possible %s = %v, support %v", name, r.Name, got, wantPoss[ri])
+			}
+			if got := sortedRows(a.Certain(ri)); !equalRows(got, wantCert[ri]) {
+				t.Errorf("%s: certain %s = %v, certain tuples %v", name, r.Name, got, wantCert[ri])
+			}
+			nPoss, nCert = nPoss+int64(len(wantPoss[ri])), nCert+int64(len(wantCert[ri]))
+		}
+		for possible, want := range map[bool][][]sym.Tuple{true: wantPoss, false: wantCert} {
+			inst, err := a.Instance(possible)
+			if err != nil || !inst.Equal(instanceOf(w.Schema(), want)) {
+				t.Errorf("%s: Instance(%v) = %v, %v; want %v", name, possible, inst, err, want)
+			}
+		}
+		if r := pl.Readout; r == nil || r.Possible != nPoss || r.Certain != nCert {
+			t.Errorf("%s: readout record %+v, want possible=%d certain=%d", name, r, nPoss, nCert)
+		}
+	}
+
+	wide := wideTemplate(t, 64)
+	a, _, _, err := wsdalg.Eval(wide, query.Identity{}, wsdalg.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Possible(0); !errors.Is(err, wsdalg.ErrEntangled) {
+		t.Errorf("overflowing template: Possible err = %v, want ErrEntangled", err)
+	}
+	if _, err := a.Instance(true); !errors.Is(err, wsdalg.ErrEntangled) {
+		t.Errorf("overflowing template: Instance(true) err = %v, want ErrEntangled", err)
+	}
+	if inst, err := a.Instance(false); err != nil || inst.Relation("R").Len() != 0 {
+		t.Errorf("overflowing template: certain set = %v, %v; want empty", inst, err)
+	}
+}
+
+// sortedRows returns a sorted copy of rows, the order normalizedSets uses.
+func sortedRows(rows []sym.Tuple) []sym.Tuple {
+	rows = slices.Clone(rows)
+	slices.SortFunc(rows, slices.Compare[sym.Tuple])
+	return rows
 }

@@ -48,7 +48,7 @@ func TestCountPreservedByIdentityOperators(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		for _, q := range identityShaped(arity) {
-			got, err := Eval(w, q)
+			got, err := apply(w, q)
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, q.Label(), err)
 			}
@@ -122,7 +122,7 @@ func TestNormalizeRoundTripThroughUnion(t *testing.T) {
 		}
 		scan := algebra.Scan("R", "x", "y")
 		q := query.NewAlgebra("self-union", query.Out{Name: "R", Expr: algebra.Union{L: scan, R: scan}})
-		got, err := Eval(w, q)
+		got, err := apply(w, q)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -53,7 +53,7 @@ func oracleWSAnswers(t *testing.T, w *wsd.WSD, q query.Query) []*rel.Instance {
 // oracle's answer set world-for-world.
 func checkEvalWS(t *testing.T, w *wsd.WSD, q query.Query) *wsd.WSD {
 	t.Helper()
-	got, err := Eval(w, q)
+	got, err := apply(w, q)
 	if err != nil {
 		t.Fatalf("Eval: %v", err)
 	}
@@ -285,7 +285,7 @@ func TestEvalDiffEntangledGuard(t *testing.T) {
 	}
 	q := query.NewAlgebra("big", query.Out{Name: "A",
 		Expr: algebra.Diff{L: algebra.Scan("R", "c"), R: algebra.Scan("S", "c")}})
-	if _, err := Eval(w, q); !errors.Is(err, ErrEntangled) {
+	if _, err := apply(w, q); !errors.Is(err, ErrEntangled) {
 		t.Fatalf("want ErrEntangled, got %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 // Package wsdalg evaluates positive relational-algebra queries directly
-// on world-set decompositions: Eval maps a wsd.WSD D and a query q to a
-// new decomposition denoting exactly {q(W) : W ∈ rep(D)}, without ever
+// on world-set decompositions: Apply maps a wsd.WSD D and a query q to a
+// new decomposition denoting exactly {q(W) : W ∈ rep(D)}, and Eval reads
+// the possible and certain answer facts of that world set, without ever
 // enumerating worlds. It is the query-engine layer on top of the
 // decomposition backend, following the world-set-decomposition line of
 // work (Olteanu, Koch & Antova, "World-set decompositions:
@@ -69,12 +70,13 @@
 // produced along different paths) and re-splits whatever became
 // independent, so the returned WSD satisfies all decomposition
 // invariants and Count is the exact number of distinct answers. The
-// possible and certain answer facts need none of that: Readout and
-// PossibleAnswers/CertainAnswers read them straight off the grouped
-// parts (answers.go).
+// possible and certain answer facts need none of that: Eval reads them
+// straight off the grouped parts (answers.go). Both run one walk — the
+// same operators, the same grouping, the same accounting — and differ
+// only in that last step.
 //
 // Every step is exact — parts tabulate per-choice values, never
-// approximations — so rep(Eval(D, q)) = q(rep(D)) world-for-world. The
+// approximations — so rep(Apply(D, q)) = q(rep(D)) world-for-world. The
 // supported fragment is the full extended relational algebra of
 // internal/algebra — positive operators, ≠ selections, per-world
 // difference and the world-set operators — plus the identity query;
@@ -113,11 +115,12 @@ var ErrUnsupported = errors.New("query outside the algebra fragment evaluable on
 // build without degenerating into a world list.
 var ErrEntangled = errors.New("answer decomposition too entangled")
 
-// Supported reports whether q lies in the fragment Eval handles: nil
-// for the identity query and for relational-algebra queries (the whole
-// extended grammar — ≠ selections, diff and the world-set operators
-// evaluate natively; blow-ups are a per-evaluation ErrEntangled, not a
-// fragment refusal), an ErrUnsupported-wrapping error otherwise.
+// Supported reports whether q lies in the fragment Eval and Apply
+// handle: nil for the identity query and for relational-algebra queries
+// (the whole extended grammar — ≠ selections, diff and the world-set
+// operators evaluate natively; blow-ups are a per-evaluation
+// ErrEntangled, not a fragment refusal), an ErrUnsupported-wrapping
+// error otherwise.
 func Supported(q query.Query) error {
 	switch q.(type) {
 	case query.Identity:
@@ -129,51 +132,125 @@ func Supported(q query.Query) error {
 	}
 }
 
-// Eval evaluates a supported query on a decomposition, returning a
-// normalized decomposition of the answer world-set:
-//
-//	rep(Eval(D, q)) = { q(W) : W ∈ rep(D) }.
-//
-// The result's schema is the query's output vector (one relation per
-// Out). Errors: unsupported queries (ErrUnsupported), schema errors
-// from the algebra layer, and the ErrEntangled blow-up guard.
-func Eval(w *wsd.WSD, q query.Query) (*wsd.WSD, error) {
-	return newEvaluator(w).evalCore(q, nil, nil)
+// Options selects how Eval and Apply evaluate a query.
+type Options struct {
+	// Decision picks the form evaluated. Nil prices q and evaluates the
+	// form the planner chooses; Written(q) evaluates q as written; a
+	// decision an earlier call returned — for the same q, possibly on
+	// another version of the decomposition — is evaluated without
+	// pricing.
+	Decision *Decision
+	// Cost, when non-nil, makes the run observed: it receives the run's
+	// counters, and the call returns a Plan whose Cost holds exactly this
+	// run's. A nil sink returns a nil plan and does no plan bookkeeping.
+	Cost *obs.Cost
 }
 
-// evalCore is the shared body of Eval and EvalPlanned: the evaluation
-// proper, accounting to c (nil: unobserved), with an optional plan to
-// fill (nil plan = no plan bookkeeping at all on the hot path). It
-// assembles the answer decomposition and normalizes it; readoutCore is
-// the same walk read out without either.
-func (ev *evaluator) evalCore(q query.Query, c *obs.Cost, pl *Plan) (*wsd.WSD, error) {
-	if err := ev.start(q, c, pl); err != nil {
-		return nil, err
+// Eval evaluates a supported query on a decomposition and reads the
+// possible and certain answer facts of {q(W) : W ∈ rep(D)} straight off
+// the evaluated parts (see Answers): no answer decomposition is assembled
+// or normalized. It returns the plan (nil unless o.Cost is set) and the
+// decision it evaluated, which a later call for the same q may reuse.
+// Errors: unsupported queries (ErrUnsupported), schema errors from the
+// algebra layer, and the ErrEntangled blow-up guard; on error an
+// observed run's plan is still returned, annotated with the error class
+// and truncated at the failing node.
+func Eval(w *wsd.WSD, q query.Query, o Options) (*Answers, *Plan, *Decision, error) {
+	r, pl, d, err := newEvaluator(w).run(q, o, false)
+	return r.ans, pl, d, err
+}
+
+// Apply is Eval returning the answer world set itself: a normalized
+// decomposition with
+//
+//	rep(Apply(D, q)) = { q(W) : W ∈ rep(D) },
+//
+// whose schema is the query's output vector (one relation per Out).
+func Apply(w *wsd.WSD, q query.Query, o Options) (*wsd.WSD, *Plan, *Decision, error) {
+	r, pl, d, err := newEvaluator(w).run(q, o, true)
+	return r.out, pl, d, err
+}
+
+// result is one run's output: the answer sets (Eval) or the answer world
+// set (Apply).
+type result struct {
+	ans *Answers
+	out *wsd.WSD
+}
+
+// run is the one evaluation behind Eval and Apply: it settles the form
+// (pricing q when no decision is given), then walks it — observed
+// against a private cost sink that is folded into o.Cost afterwards, so
+// Plan.Cost reports exactly this run even when o.Cost is a shared
+// request-wide sink (additive kinds add, high-water kinds max).
+func (ev *evaluator) run(q query.Query, o Options, assemble bool) (result, *Plan, *Decision, error) {
+	d := o.Decision
+	if d == nil {
+		d = ev.decide(q)
 	}
-	w := ev.w
+	if o.Cost == nil {
+		r, err := ev.walk(d.form, assemble, nil, nil)
+		return r, nil, d, err
+	}
+	ci := obs.NewCost()
+	pl := &Plan{Query: q.Label(), Planner: d.planner()} // the query as asked, not as rewritten
+	start := time.Now()
+	r, err := ev.walk(d.form, assemble, ci, pl)
+	switch {
+	case err != nil:
+	case assemble:
+		pl.WorldCount = r.out.Count().String()
+	default:
+		// No answer world set is built: the answer sets range over the
+		// input's worlds.
+		pl.WorldCount = ev.w.Count().String()
+	}
+	pl.DurUS = time.Since(start).Microseconds()
+	pl.Cost = ci.Counters()
+	pl.Error = ErrorClass(err)
+	o.Cost.AddSnapshot(ci.Snapshot())
+	return r, pl, d, err
+}
+
+// walk evaluates q, accounting to c (nil: unobserved) and filling pl
+// (nil: no plan bookkeeping at all on the hot path): every output
+// expression is walked, the parts are grouped under the assemble node,
+// and then either the answer sets are read off the groups or they are
+// assembled into an answer decomposition and normalized. The identity
+// query needs no walk: its answer world set is the input.
+func (ev *evaluator) walk(q query.Query, assemble bool, c *obs.Cost, pl *Plan) (result, error) {
+	if err := ev.start(q, c, pl); err != nil {
+		return result{}, err
+	}
 	if query.IsIdentity(q) {
-		return w.Clone(), nil
+		if assemble {
+			return result{out: ev.w.Clone()}, nil
+		}
+		return result{ans: ev.readInput(pl)}, nil
 	}
 	a := q.(query.Algebra)
-	outSchema, err := outputSchema(a)
+	schema, err := outputSchema(a)
 	if err != nil {
-		return nil, err
+		return result{}, err
 	}
-	out := wsd.New(outSchema)
-
-	// rep(D) = ∅ ⇒ the answer world-set is ∅ too (there is no world to
-	// query). A component with zero alternatives is its canonical form.
-	if w.Empty() {
-		if err := out.AddComponent(); err != nil {
-			return nil, err
+	if ev.w.Empty() {
+		// rep(D) = ∅ ⇒ the answer world-set is ∅ too (there is no world
+		// to query). A component with zero alternatives is its canonical
+		// form; the answer sets are empty.
+		if !assemble {
+			return result{ans: newAnswers(schema)}, nil
 		}
-		return out, out.Normalize()
+		out := wsd.New(schema)
+		if err := out.AddComponent(); err != nil {
+			return result{}, err
+		}
+		return result{out: out}, out.Normalize()
 	}
 
 	ev.begin(false, c, pl)
 	parts, err := ev.walkOuts(a)
 	if err != nil {
-		return nil, err
+		return result{}, err
 	}
 	c.Add(obs.EvalParts, int64(len(parts)))
 
@@ -185,25 +262,42 @@ func (ev *evaluator) evalCore(q query.Query, c *obs.Cost, pl *Plan) (*wsd.WSD, e
 		ev.cur = asm
 		asmStart = time.Now()
 	}
-	if err := ev.assemble(out, parts, asm); err != nil {
-		return nil, err
+	var r result
+	if assemble {
+		r.out = wsd.New(schema)
+		err = ev.assemble(r.out, parts, asm)
+	} else {
+		r.ans, err = ev.readout(schema, parts, asm)
 	}
 	if asm != nil {
 		asm.Act.DurUS = sinceUS(asmStart)
 		ev.cur = nil
+		if r.ans != nil {
+			pl.Readout = r.ans.stats(asm.Act.DurUS)
+		}
 	}
-	// The answer-side Normalize accounts to the same sink: its merges,
-	// splits and folds are part of this evaluation's cost. When
-	// planning, the counter deltas around the call are the Normalize
-	// node's actuals.
+	if err != nil {
+		return result{}, err
+	}
+	if assemble {
+		err = ev.normalize(r.out, c, pl)
+	}
+	return r, err
+}
+
+// normalize runs the answer-side Normalize, accounting to the same sink:
+// its merges, splits and folds are part of this evaluation's cost. When
+// planning, the counter deltas around the call are the Normalize
+// record's actuals.
+func (ev *evaluator) normalize(out *wsd.WSD, c *obs.Cost, pl *Plan) error {
 	var before obs.CostSnapshot
-	var normStart time.Time
+	var start time.Time
 	if pl != nil {
 		before = c.Snapshot()
-		normStart = time.Now()
+		start = time.Now()
 	}
 	out.SetObsCost(c)
-	err = out.Normalize()
+	err := out.Normalize()
 	out.SetObsCost(nil)
 	if pl != nil {
 		after := c.Snapshot()
@@ -211,10 +305,10 @@ func (ev *evaluator) evalCore(q query.Query, c *obs.Cost, pl *Plan) (*wsd.WSD, e
 			ComponentsMerged: after.Get(obs.NormComponentsMerged) - before.Get(obs.NormComponentsMerged),
 			VerticalSplits:   after.Get(obs.NormVerticalSplits) - before.Get(obs.NormVerticalSplits),
 			CertainFolds:     after.Get(obs.NormCertainFolds) - before.Get(obs.NormCertainFolds),
-			DurUS:            time.Since(normStart).Microseconds(),
+			DurUS:            time.Since(start).Microseconds(),
 		}
 	}
-	return out, err
+	return err
 }
 
 // start opens an evaluation: it gates the fragment and records the

@@ -62,7 +62,7 @@ func oracleAnswers(t *testing.T, w *wsd.WSD, q query.Query) []*rel.Instance {
 // world-for-world.
 func checkEval(t *testing.T, w *wsd.WSD, q query.Query) *wsd.WSD {
 	t.Helper()
-	got, err := Eval(w, q)
+	got, err := apply(w, q)
 	if err != nil {
 		t.Fatalf("Eval: %v", err)
 	}
@@ -179,7 +179,7 @@ func TestEvalSelfJoinSharedComponent(t *testing.T) {
 
 func TestEvalIdentity(t *testing.T) {
 	w := sensorsWSD(t)
-	got, err := Eval(w, query.Identity{})
+	got, err := apply(w, query.Identity{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestEvalEmptyWorldSet(t *testing.T) {
 		t.Fatal("setup: want the empty world set")
 	}
 	q := query.NewAlgebra("q", query.Out{Name: "A", Expr: algebra.Scan("R", "c")})
-	got, err := Eval(w, q)
+	got, err := apply(w, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestSupportedGate(t *testing.T) {
 	if got.Empty() {
 		t.Fatal("≠ selection answer world-set must be non-empty")
 	}
-	if _, err := Eval(w, foq); !errors.Is(err, ErrUnsupported) {
+	if _, err := apply(w, foq); !errors.Is(err, ErrUnsupported) {
 		t.Fatalf("Eval must reject the unsupported fragment, got %v", err)
 	}
 }
@@ -251,11 +251,11 @@ func TestPossibleAndCertainAnswers(t *testing.T) {
 		[]wsd.Alt{alt(f("R", "s0", "lo")), alt(f("R", "s0", "hi"))},
 	)
 	q := query.NewAlgebra("all", query.Out{Name: "A", Expr: algebra.Scan("R", "s", "v")})
-	poss, err := PossibleAnswers(w, q)
+	poss, err := answerSet(w, q, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cert, err := CertainAnswers(w, q)
+	cert, err := answerSet(w, q, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,4 +401,10 @@ func TestEvalConstRelOutputs(t *testing.T) {
 	if !got.CertainFact("A", rel.Fact{"x"}) {
 		t.Error("A(x) must be certain through the values branch")
 	}
+}
+
+// apply is Apply as written and unobserved: the answer world set alone.
+func apply(w *wsd.WSD, q query.Query) (*wsd.WSD, error) {
+	out, _, _, err := Apply(w, q, Options{Decision: Written(q)})
+	return out, err
 }

@@ -272,55 +272,55 @@ func CountWorlds(d *Database) int { return worlds.Count(d) }
 // Member decides MEMB(−): is i ∈ rep(d)? Polynomial for Codd-tables
 // (Theorem 3.1(1)), NP search otherwise.
 func Member(i *Instance, d *Database) (bool, error) {
-	return decide.Membership(i, query.Identity{}, d)
+	return decide.Options{}.Membership(i, query.Identity{}, d)
 }
 
 // MemberOfView decides MEMB(q): is i ∈ q(rep(d))?
 func MemberOfView(i *Instance, q Query, d *Database) (bool, error) {
-	return decide.Membership(i, q, d)
+	return decide.Options{}.Membership(i, q, d)
 }
 
 // Unique decides UNIQ(−): is rep(d) = {i}?
 func Unique(i *Instance, d *Database) (bool, error) {
-	return decide.Uniqueness(query.Identity{}, d, i)
+	return decide.Options{}.Uniqueness(query.Identity{}, d, i)
 }
 
 // UniqueView decides UNIQ(q0): is q0(rep(d)) = {i}?
 func UniqueView(i *Instance, q0 Query, d *Database) (bool, error) {
-	return decide.Uniqueness(q0, d, i)
+	return decide.Options{}.Uniqueness(q0, d, i)
 }
 
 // Contained decides CONT(−,−): is rep(d0) ⊆ rep(d)?
 func Contained(d0, d *Database) (bool, error) {
-	return decide.Containment(query.Identity{}, d0, query.Identity{}, d)
+	return decide.Options{}.Containment(query.Identity{}, d0, query.Identity{}, d)
 }
 
 // ContainedViews decides CONT(q0,q): is q0(rep(d0)) ⊆ q(rep(d))?
 func ContainedViews(q0 Query, d0 *Database, q Query, d *Database) (bool, error) {
-	return decide.Containment(q0, d0, q, d)
+	return decide.Options{}.Containment(q0, d0, q, d)
 }
 
 // Possible decides POSS(∗,q): does some world of q(rep(d)) contain all
 // facts of p? Pass Identity() for the view-free question.
 func Possible(p *Instance, q Query, d *Database) (bool, error) {
-	return decide.Possible(p, q, d)
+	return decide.Options{}.Possible(p, q, d)
 }
 
 // Certain decides CERT(∗,q): do all worlds of q(rep(d)) contain all facts
 // of p?
 func Certain(p *Instance, q Query, d *Database) (bool, error) {
-	return decide.Certain(p, q, d)
+	return decide.Options{}.Certain(p, q, d)
 }
 
 // PossibleFact and CertainFact are the single-fact forms (POSS(1,q) and
 // CERT(1,q), the primitive CERT(∗,q) reduces to, Proposition 2.1(6)).
 func PossibleFact(relName string, f Fact, q Query, d *Database) (bool, error) {
-	return decide.PossibleFact(relName, f, q, d)
+	return decide.Options{}.PossibleFact(relName, f, q, d)
 }
 
 // CertainFact decides CERT(1, q) for a single fact.
 func CertainFact(relName string, f Fact, q Query, d *Database) (bool, error) {
-	return decide.CertainFact(relName, f, q, d)
+	return decide.Options{}.CertainFact(relName, f, q, d)
 }
 
 // Normalize incorporates implied equalities into the tables and leaves a
@@ -391,7 +391,7 @@ func Apply(q AlgebraQuery, d *Database) (*Database, error) { return q.EvalLifted
 // polynomial certain-answer computation of Theorem 5.3(1); with ≠ or
 // local conditions each candidate is confirmed by refutation.
 func CertainAnswers(q Query, d *Database) (*Instance, error) {
-	return decide.CertainAnswers(q, d)
+	return decide.Options{}.CertainAnswers(q, d)
 }
 
 // PossibleAnswers computes every possible fact of q(rep(d)) over the
@@ -400,7 +400,7 @@ func CertainAnswers(q Query, d *Database) (*Instance, error) {
 // possible but form an infinite family; the restriction to the inputs'
 // constants is the canonical finite answer set.)
 func PossibleAnswers(q Query, d *Database) (*Instance, error) {
-	return decide.PossibleAnswers(q, d)
+	return decide.Options{}.PossibleAnswers(q, d)
 }
 
 // ApplyWSD evaluates a positive relational-algebra query directly on a
@@ -410,19 +410,30 @@ func PossibleAnswers(q Query, d *Database) (*Instance, error) {
 // and cross-component joins recombine only the components they touch.
 // Queries outside the fragment (FO, DATALOG, algebra with ≠) error with
 // ErrUnsupportedQuery.
-func ApplyWSD(q Query, w *WSD) (*WSD, error) { return wsdalg.Eval(w, q) }
+func ApplyWSD(q Query, w *WSD) (*WSD, error) {
+	out, _, _, err := wsdalg.Apply(w, q, wsdalg.Options{Decision: wsdalg.Written(q)})
+	return out, err
+}
 
 // PossibleAnswersWSD computes every possible answer fact of q over the
 // decomposition — the union of the answer world-set, read off the
-// support of the evaluated decomposition.
+// evaluated parts without assembling it.
 func PossibleAnswersWSD(q Query, w *WSD) (*Instance, error) {
-	return wsdalg.PossibleAnswers(w, q)
+	return answerSetWSD(q, w, true)
 }
 
 // CertainAnswersWSD computes every certain answer fact of q over the
 // decomposition — the intersection of the answer world-set.
 func CertainAnswersWSD(q Query, w *WSD) (*Instance, error) {
-	return wsdalg.CertainAnswers(w, q)
+	return answerSetWSD(q, w, false)
+}
+
+func answerSetWSD(q Query, w *WSD, possible bool) (*Instance, error) {
+	a, _, _, err := wsdalg.Eval(w, q, wsdalg.Options{Decision: wsdalg.Written(q)})
+	if err != nil {
+		return nil, err
+	}
+	return a.Instance(possible)
 }
 
 // ContainedWSD decides CONT(−,−) natively on decompositions:
