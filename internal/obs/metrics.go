@@ -30,9 +30,9 @@ func (c *Counter) Value() uint64 { return c.v.Load() }
 type Gauge struct{ v atomic.Int64 }
 
 // Set stores n; Add adjusts by delta; Value reads.
-func (g *Gauge) Set(n int64)   { g.v.Store(n) }
-func (g *Gauge) Add(n int64)   { g.v.Add(n) }
-func (g *Gauge) Value() int64  { return g.v.Load() }
+func (g *Gauge) Set(n int64)  { g.v.Store(n) }
+func (g *Gauge) Add(n int64)  { g.v.Add(n) }
+func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram is a fixed-bucket histogram: counts per upper bound (le,
 // inclusive — an observation equal to a boundary lands in that bucket)

@@ -258,13 +258,14 @@ type DBStats struct {
 
 // backendKind classifies a database's resident representation: "table"
 // for conditioned tables, and for decompositions "attr" when any
-// component is an attribute-level template, else "tuple".
+// relation has an attribute-level template, else "tuple" — read off
+// the per-relation template lists, O(relations).
 func backendKind(w *wsd.WSD, tab *table.Database) (backend, kind string) {
 	if w == nil {
 		return "table", "table"
 	}
-	for ci := 0; ci < w.Components(); ci++ {
-		if _, _, ok := w.TemplateSlots(ci); ok {
+	for ri := range w.Schema() {
+		if w.HasTemplates(ri) {
 			return "wsd", "attr"
 		}
 	}
@@ -834,7 +835,7 @@ func (s *Server) dispatch(req *Request, rc *reqCtx) (*Response, error) {
 func probePlan(op string, v dbView, dur time.Duration) *wsdalg.Plan {
 	return &wsdalg.Plan{
 		Query:      op,
-		Components: int64(v.wsd.Components()),
+		Components: int64(v.wsd.LiveComponents()),
 		WorldCount: v.worldCount(),
 		DurUS:      dur.Microseconds(),
 	}

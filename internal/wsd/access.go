@@ -7,7 +7,8 @@
 // their templates; accessors that genuinely enumerate (Support,
 // AltFacts over every index) cost output size, while the template
 // accessors (IsTemplate, TemplateSlots) let slot-aware consumers avoid
-// the product entirely.
+// the product entirely. Components are addressed by their stable IDs
+// (see WSD); Order lists the live ones in display order.
 package wsd
 
 import (
@@ -29,11 +30,11 @@ import (
 // names resolved.
 func (w *WSD) Support() []Fact {
 	w.ensure()
-	out := make([]Fact, 0, len(w.facts)-w.holes)
+	out := make([]Fact, 0, w.facts.len()-w.holes)
 	for f := range w.SupportTuples() {
 		out = append(out, w.boundary(int32(f.Rel), f.Tuple))
 	}
-	if w.attrByRel != nil || w.factsLoose {
+	if w.hasTemplates() || w.factsLoose {
 		sort.Slice(out, func(i, j int) bool { return factBoundaryLess(out[i], out[j], w.schemaIdx) })
 	}
 	return out
@@ -44,16 +45,21 @@ func (w *WSD) Support() []Fact {
 // are the decomposition's own, shared: callers must not mutate them.
 func (w *WSD) StoredTuples() iter.Seq[TupleFact] {
 	w.ensure()
-	return func(yield func(TupleFact) bool) {
-		for id, f := range w.facts {
-			if w.factComp[id] < 0 {
-				continue // hole left by an update: outside the support
-			}
-			if !yield(TupleFact{Rel: int(f.rel), Tuple: f.tuple}) {
-				return
-			}
+	return func(yield func(TupleFact) bool) { w.eachStored(yield) }
+}
+
+// eachStored yields the stored facts of the support in fact-ID order;
+// it reports whether the walk ran to the end.
+func (w *WSD) eachStored(yield func(TupleFact) bool) bool {
+	done := true
+	w.facts.each(func(id int, f *storedFact) bool {
+		if w.compOf(int32(id)) < 0 {
+			return true // hole left by an update: outside the support
 		}
-	}
+		done = yield(TupleFact{Rel: int(f.rel), Tuple: f.tuple})
+		return done
+	})
+	return done
 }
 
 // SupportTuples yields the support in interned form: the stored facts
@@ -66,30 +72,32 @@ func (w *WSD) StoredTuples() iter.Seq[TupleFact] {
 func (w *WSD) SupportTuples() iter.Seq[TupleFact] {
 	w.ensure()
 	return func(yield func(TupleFact) bool) {
-		for id, f := range w.facts {
-			if w.factComp[id] < 0 {
-				continue // hole left by an update: outside the support
-			}
-			if !yield(TupleFact{Rel: int(f.rel), Tuple: f.tuple}) {
-				return
-			}
+		if !w.eachStored(yield) {
+			return
 		}
-		for _, c := range w.comps {
-			a := c.attr
-			if a == nil {
-				continue
-			}
-			n, ok := a.countInt()
-			if !ok {
-				panic("wsd: Support on a template with more instantiations than fit an int")
-			}
-			for ai := 0; ai < n; ai++ {
-				if !yield(TupleFact{Rel: int(a.rel), Tuple: a.tupleAt(ai)}) {
+		for ri := range w.attrByRel {
+			for _, ci := range w.attrByRel[ri].view() {
+				if !w.yieldInstantiations(w.comp(int(ci)).attr, yield) {
 					return
 				}
 			}
 		}
 	}
+}
+
+// yieldInstantiations yields a template's instantiations in odometer
+// order; it reports whether the walk ran to the end.
+func (w *WSD) yieldInstantiations(a *attrComp, yield func(TupleFact) bool) bool {
+	n, ok := a.countInt()
+	if !ok {
+		panic("wsd: Support on a template with more instantiations than fit an int")
+	}
+	for ai := 0; ai < n; ai++ {
+		if !yield(TupleFact{Rel: int(a.rel), Tuple: a.tupleAt(ai)}) {
+			return false
+		}
+	}
+	return true
 }
 
 // SupportSize returns the number of facts Support would enumerate; ok
@@ -98,16 +106,15 @@ func (w *WSD) SupportTuples() iter.Seq[TupleFact] {
 // support check this first and surface an error instead.
 func (w *WSD) SupportSize() (n int, ok bool) {
 	w.ensure()
-	n = len(w.facts) - w.holes
-	for _, c := range w.comps {
-		if c.attr == nil {
-			continue
+	n = w.facts.len() - w.holes
+	for ri := range w.attrByRel {
+		for _, ci := range w.attrByRel[ri].view() {
+			k, kOK := w.comp(int(ci)).attr.countInt()
+			if !kOK || n > math.MaxInt-k {
+				return math.MaxInt, false
+			}
+			n += k
 		}
-		k, kOK := c.attr.countInt()
-		if !kOK || n > math.MaxInt-k {
-			return math.MaxInt, false
-		}
-		n += k
 	}
 	return n, true
 }
@@ -145,20 +152,19 @@ func (w *WSD) CertainFacts() []Fact {
 func (w *WSD) CertainTuples() iter.Seq[TupleFact] {
 	w.ensure()
 	return func(yield func(TupleFact) bool) {
-		for id, f := range w.facts {
-			if w.certain[id] && !yield(TupleFact{Rel: int(f.rel), Tuple: f.tuple}) {
-				return
-			}
-		}
+		w.facts.each(func(id int, f *storedFact) bool {
+			return !w.isCertain(int32(id)) || yield(TupleFact{Rel: int(f.rel), Tuple: f.tuple})
+		})
 	}
 }
 
-// AltCount returns the number of alternatives of component ci. For an
+// AltCount returns the number of alternatives of component ci (0 for a
+// tombstone). For an
 // attribute-level component this is the product of its slot domain
 // sizes, saturating at the int maximum (see Count for exactness).
 func (w *WSD) AltCount(ci int) int {
 	w.ensure()
-	return w.comps[ci].altCount()
+	return w.comp(ci).altCount()
 }
 
 // AltFacts returns alternative ai of component ci as a fresh fact slice
@@ -167,10 +173,10 @@ func (w *WSD) AltCount(ci int) int {
 // selected by ai in odometer order over its slots.
 func (w *WSD) AltFacts(ci, ai int) []Fact {
 	w.ensure()
-	if a := w.comps[ci].attr; a != nil {
+	if a := w.comp(ci).attr; a != nil {
 		return []Fact{w.boundary(a.rel, a.tupleAt(ai))}
 	}
-	alt := w.comps[ci].alts[ai]
+	alt := w.comp(ci).alts[ai]
 	out := make([]Fact, len(alt))
 	for k, id := range alt {
 		out[k] = w.resolve(id)
@@ -183,7 +189,7 @@ func (w *WSD) AltFacts(ci, ai int) []Fact {
 // lists.
 func (w *WSD) IsTemplate(ci int) bool {
 	w.ensure()
-	return w.comps[ci].attr != nil
+	return w.comp(ci).attr != nil
 }
 
 // TemplateSlots returns the template of an attribute-level component:
@@ -194,14 +200,14 @@ func (w *WSD) IsTemplate(ci int) bool {
 // expanding the field product.
 func (w *WSD) TemplateSlots(ci int) (relName string, cells [][]sym.ID, ok bool) {
 	w.ensure()
-	a := w.comps[ci].attr
+	a := w.comp(ci).attr
 	if a == nil {
 		return "", nil, false
 	}
 	return w.schema[a.rel].Name, a.cells, true
 }
 
-// FactComponent returns the index of the component whose support
+// FactComponent returns the ID of the component whose support
 // contains the given fact, or ok=false when the fact is outside the
 // support (equivalently: impossible). Never grows the intern tables.
 func (w *WSD) FactComponent(relName string, f rel.Fact) (int, bool) {
@@ -209,8 +215,8 @@ func (w *WSD) FactComponent(relName string, f rel.Fact) (int, bool) {
 	if w.empty {
 		return 0, false
 	}
-	if id, ok := w.lookupBoundary(relName, f); ok && w.factComp[id] >= 0 {
-		return int(w.factComp[id]), true
+	if id, ok := w.lookupBoundary(relName, f); ok && w.compOf(id) >= 0 {
+		return int(w.compOf(id)), true
 	}
 	ci, ok := w.attrOwnerBoundary(relName, f)
 	return int(ci), ok
@@ -223,7 +229,7 @@ func (w *WSD) FactComponent(relName string, f rel.Fact) (int, bool) {
 // exactly the singleton instantiations of its template.
 func (w *WSD) HasAlternative(ci int, facts []Fact) bool {
 	w.ensure()
-	if a := w.comps[ci].attr; a != nil {
+	if a := w.comp(ci).attr; a != nil {
 		if len(facts) == 0 {
 			return false
 		}
@@ -254,5 +260,5 @@ func (w *WSD) HasAlternative(ci int, facts []Fact) bool {
 		}
 		ids = append(ids, id)
 	}
-	return w.comps[ci].hasAlt(sortDedupIDs(ids))
+	return w.comp(ci).hasAlt(sortDedupIDs(ids))
 }

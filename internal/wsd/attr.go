@@ -217,8 +217,7 @@ func (w *WSD) addTemplate(ri int, cells [][]sym.ID) error {
 			}
 		}
 	}
-	w.comps = append(w.comps, component{attr: &attrComp{rel: int32(ri), cells: cells}})
-	w.normalized = false
+	w.addPending(component{attr: &attrComp{rel: int32(ri), cells: cells}})
 	return nil
 }
 

@@ -172,7 +172,7 @@ func compile(d *table.Database, dom []sym.ID) (*WSD, error) {
 		}
 	}
 	if len(certainIDs) > 0 {
-		w.comps = append(w.comps, component{alts: [][]int32{sortDedupIDs(certainIDs)}})
+		w.pending = append(w.pending, component{alts: [][]int32{sortDedupIDs(certainIDs)}})
 	}
 
 	// Deterministic group order: by smallest variable name.
@@ -216,7 +216,7 @@ func compile(d *table.Database, dom []sym.ID) (*WSD, error) {
 		// Zero surviving valuations mean the global condition is
 		// unsatisfiable over the domain: a component with no
 		// alternatives, which Normalize collapses to ∅.
-		w.comps = append(w.comps, component{alts: alts})
+		w.pending = append(w.pending, component{alts: alts})
 	}
 
 	w.normalized = false

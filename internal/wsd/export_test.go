@@ -3,49 +3,56 @@ package wsd
 import (
 	"fmt"
 	"math/big"
-	"reflect"
 	"slices"
+
+	"pw/internal/sym"
 )
 
 // CheckDerivedState compares the decomposition's derived state with a
-// from-scratch derivation over a clone: factComp, certain, attrByRel
-// and the hole count against buildIndexes (the derivation every full
-// Normalize runs), and every posting-index piece the decomposition
-// holds — the per-relation lists, the fact total, the owner columns and
-// each built column posting — against a fresh build. It returns the
-// first difference, or nil.
+// from-scratch derivation over a clone (which keeps the component IDs):
+// factComp, certain, the certain component, the template lists, the
+// choice-axis and fact totals and the hole count against rederive (the
+// derivation every full Normalize runs), the display order against a
+// fresh sort, and every posting-index piece the decomposition holds —
+// the per-relation lists, the owner columns and each built column
+// posting, base and delta read together — against a fresh build. It
+// returns the first difference, or nil.
 func (w *WSD) CheckDerivedState() error {
 	ref := w.Clone()
-	ref.buildIndexes()
+	ref.rederive()
+	ref.dense = w.dense
 	switch {
-	case !slices.Equal(w.factComp, ref.factComp):
-		return fmt.Errorf("factComp %v, rebuild %v", w.factComp, ref.factComp)
-	case !slices.Equal(w.certain, ref.certain):
-		return fmt.Errorf("certain %v, rebuild %v", w.certain, ref.certain)
-	case !reflect.DeepEqual(w.attrByRel, ref.attrByRel):
-		return fmt.Errorf("attrByRel %v, rebuild %v", w.attrByRel, ref.attrByRel)
+	case !slices.Equal(w.factState.slice(), ref.factState.slice()):
+		return fmt.Errorf("fact states %v, rebuild %v", w.factState.slice(), ref.factState.slice())
+	case w.certainComp != ref.certainComp:
+		return fmt.Errorf("certain component %d, rebuild %d", w.certainComp, ref.certainComp)
+	case w.live != ref.live:
+		return fmt.Errorf("live components %d, rebuild %d", w.live, ref.live)
+	case w.units != ref.units:
+		return fmt.Errorf("choice axes %d, rebuild %d", w.units, ref.units)
+	case w.altFacts != ref.altFacts:
+		return fmt.Errorf("altFacts %d, rebuild %d", w.altFacts, ref.altFacts)
+	case w.holes != ref.holes:
+		return fmt.Errorf("holes %d, rebuild %d", w.holes, ref.holes)
+	case !slices.Equal(w.free, ref.free):
+		return fmt.Errorf("tombstones %v, rebuild %v", w.free, ref.free)
+	case !slices.Equal(w.displayOrder(), ref.displayOrder()):
+		return fmt.Errorf("display order %v, rebuild %v", w.displayOrder(), ref.displayOrder())
 	}
-	holes := 0
-	for _, ci := range ref.factComp {
-		if ci < 0 {
-			holes++
+	for ri := range w.schema {
+		if got, want := w.tmplsOf(int32(ri)).view(), ref.tmplsOf(int32(ri)).view(); !slices.Equal(got, want) {
+			return fmt.Errorf("relation %d templates %v, rebuild %v", ri, got, want)
 		}
-	}
-	if w.holes != holes {
-		return fmt.Errorf("holes %d, rebuild %d", w.holes, holes)
 	}
 	p := w.post.Load()
 	if p == nil {
 		return nil
 	}
 	rp := ref.buildPostings()
-	if p.altFacts != rp.altFacts {
-		return fmt.Errorf("altFacts %d, rebuild %d", p.altFacts, rp.altFacts)
-	}
 	for ri := range p.rels {
 		got, want := &p.rels[ri], &rp.rels[ri]
-		if !slices.Equal(got.comps, want.comps) {
-			return fmt.Errorf("relation %d components %v, rebuild %v", ri, got.comps, want.comps)
+		if !slices.Equal(got.comps.view(), want.comps.view()) {
+			return fmt.Errorf("relation %d components %v, rebuild %v", ri, got.comps.view(), want.comps.view())
 		}
 		if got.ownerCol != want.ownerCol {
 			return fmt.Errorf("relation %d owner column %d, rebuild %d", ri, got.ownerCol, want.ownerCol)
@@ -69,16 +76,15 @@ func (w *WSD) CheckDerivedState() error {
 	return nil
 }
 
-// equal reports the first difference between two column postings,
-// layout included: a key-like posting stores no offsets.
+// equal reports the first difference between the lookups of two column
+// postings, over every constant either one posts.
 func (p *colPosting) equal(q *colPosting) error {
-	switch {
-	case !slices.Equal(p.vals, q.vals):
-		return fmt.Errorf("constants %v, rebuild %v", p.vals, q.vals)
-	case (p.off == nil) != (q.off == nil) || !slices.Equal(p.off, q.off):
-		return fmt.Errorf("offsets %v, rebuild %v", p.off, q.off)
-	case !slices.Equal(p.comps, q.comps):
-		return fmt.Errorf("components %v, rebuild %v", p.comps, q.comps)
+	vals := slices.Concat(p.vals, p.dvals, q.vals, q.dvals)
+	slices.Sort(vals)
+	for _, v := range slices.Compact(vals) {
+		if got, want := p.lookup(v), q.lookup(v); !slices.Equal(got, want) {
+			return fmt.Errorf("constant %s: components %v, rebuild %v", sym.ID(v).Name(), got, want)
+		}
 	}
 	return nil
 }
@@ -127,3 +133,32 @@ func SharesPostings(a, b *WSD) bool {
 // update or stored by a first Count — without computing one; nil when
 // none is held.
 func MemoCount(w *WSD) *big.Int { return w.count.Load() }
+
+// DeltaEntries counts the entries w holds in deltas rather than bases:
+// the removed and added IDs of the template and relation lists and the
+// replacement-group entries of every built column posting. A fold shows
+// as a drop.
+func DeltaEntries(w *WSD) int {
+	n := 0
+	list := func(l *idList) { n += len(l.gone) + len(l.added) }
+	for ri := range w.attrByRel {
+		list(&w.attrByRel[ri])
+	}
+	p := w.post.Load()
+	if p == nil {
+		return n
+	}
+	for ri := range p.rels {
+		list(&p.rels[ri].comps)
+		for j := range p.rels[ri].cols {
+			for _, c := range []*colPosting{p.rels[ri].cols[j].Load(), p.rels[ri].tmpls[j].Load()} {
+				if c != nil {
+					for _, g := range c.dgroups {
+						n += len(g)
+					}
+				}
+			}
+		}
+	}
+	return n
+}

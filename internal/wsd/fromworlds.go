@@ -46,7 +46,7 @@ func FromWorlds(ws []*rel.Instance) (*WSD, error) {
 		}
 		alts = append(alts, sortDedupIDs(ids))
 	}
-	w.comps = []component{{alts: alts}}
+	w.pending = []component{{alts: alts}}
 	w.normalized = false
 	if err := w.Normalize(); err != nil {
 		return nil, err

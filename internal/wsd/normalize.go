@@ -62,19 +62,19 @@ func (w *WSD) Normalize() error {
 	// (1) Deduplicate alternatives within each tuple-level component and
 	// canonicalize attribute-level slot value lists (sorted, distinct —
 	// the template's cross product is then automatically duplicate-free).
-	for i := range w.comps {
-		if a := w.comps[i].attr; a != nil {
+	for i := range w.pending {
+		if a := w.pending[i].attr; a != nil {
 			for j := range a.cells {
 				a.cells[j] = sortDedupCell(a.cells[j])
 			}
 			continue
 		}
-		w.comps[i].alts = dedupAlts(w.comps[i].alts)
+		w.pending[i].alts = dedupAlts(w.pending[i].alts)
 	}
 
 	// A component with no alternatives offers no choice at all: the
 	// product is empty. For a template that means an empty slot domain.
-	for _, c := range w.comps {
+	for _, c := range w.pending {
 		if c.attr != nil {
 			for _, cell := range c.attr.cells {
 				if len(cell) == 0 {
@@ -107,7 +107,7 @@ func (w *WSD) Normalize() error {
 	// already maximally factored (their alternatives share the
 	// one-fact-per-world structure, so no horizontal split applies).
 	var split []component
-	for _, c := range w.comps {
+	for _, c := range w.pending {
 		if c.attr != nil {
 			split = append(split, c)
 			continue
@@ -116,7 +116,7 @@ func (w *WSD) Normalize() error {
 			split = append(split, w.tryVerticalSplit(component{alts: alts}))
 		}
 	}
-	w.comps = split
+	w.pending = split
 
 	// (3) Drop trivial {∅} components; (re-)merge all certain components
 	// (single alternative — including all-fixed templates) into one, so
@@ -124,7 +124,7 @@ func (w *WSD) Normalize() error {
 	// built.
 	var kept []component
 	var certainFacts []int32
-	for _, c := range w.comps {
+	for _, c := range w.pending {
 		if c.attr != nil {
 			if n, _ := c.attr.countInt(); n == 1 {
 				certainFacts = append(certainFacts, w.intern(c.attr.rel, c.attr.tupleAt(0)))
@@ -144,7 +144,7 @@ func (w *WSD) Normalize() error {
 	if len(certainFacts) > 0 {
 		kept = append(kept, component{alts: [][]int32{sortDedupIDs(certainFacts)}})
 	}
-	w.comps = kept
+	w.pending = kept
 
 	// (5) Canonical rebuild: fact table in display order, alternatives
 	// sorted, components ordered by smallest support fact.
@@ -153,25 +153,32 @@ func (w *WSD) Normalize() error {
 	w.normalized = true
 	// The canonical rebuild dropped unused facts and restored display
 	// order, clearing any incremental-update residue (see update.go).
-	w.holes = 0
+	w.dense = true
 	w.factsLoose = false
 	return nil
 }
 
 // clearToEmpty rewrites w into the canonical representation of ∅.
 func (w *WSD) clearToEmpty() {
-	w.comps = nil
-	w.facts = nil
+	w.pending = nil
+	w.comps = chunked[component]{}
+	w.live = 0
+	w.facts = chunked[storedFact]{}
 	w.factIndex = factSet{}
-	w.factComp = nil
-	w.certain = nil
+	w.factDelta = factSet{}
+	w.factState = chunked[factState]{}
+	w.certainComp = -1
 	w.attrByRel = nil
+	w.free = nil
+	w.units, w.altFacts = 0, 0
+	w.dense = true
+	w.order.Store(nil)
 	w.post.Store(nil)
-	w.axes.Store(nil)
 	w.count.Store(nil)
 	w.empty = true
 	w.normalized = true
 	w.factsShared = false
+	w.indexShared = false
 	w.compsShared = false
 	w.holes = 0
 	w.factsLoose = false
@@ -184,19 +191,10 @@ func (w *WSD) unshareAll() {
 	if !w.compsShared {
 		return
 	}
-	comps := make([]component, len(w.comps))
-	for i, c := range w.comps {
-		if c.attr != nil {
-			comps[i] = component{attr: c.attr.clone()}
-			continue
-		}
-		alts := make([][]int32, len(c.alts))
-		for j, a := range c.alts {
-			alts[j] = append([]int32(nil), a...)
-		}
-		comps[i] = component{alts: alts}
+	for i := range w.pending {
+		w.pending[i] = w.pending[i].clone()
+		w.pending[i].altIndex = nil
 	}
-	w.comps = comps
 	w.compsShared = false
 	w.obsCost.Add(obs.UpdateCOWUnshares, 1)
 }
@@ -234,11 +232,11 @@ func dedupAlts(alts [][]int32) [][]int32 {
 // multi-component group are the degenerate case: they expand to tuple
 // level (bounded by MaxMergeAlts) before the cross product.
 func (w *WSD) mergeOverlapping() error {
-	uf := unionfind.NewDense(len(w.comps))
-	owner := make(map[int32]int, len(w.facts))
+	uf := unionfind.NewDense(len(w.pending))
+	owner := make(map[int32]int, w.facts.len())
 	var attrIdx []int
-	for ci := range w.comps {
-		c := &w.comps[ci]
+	for ci := range w.pending {
+		c := &w.pending[ci]
 		if c.attr != nil {
 			attrIdx = append(attrIdx, ci)
 			continue
@@ -256,7 +254,7 @@ func (w *WSD) mergeOverlapping() error {
 	// Template vs template: shared instantiation.
 	for i, ai := range attrIdx {
 		for _, bi := range attrIdx[i+1:] {
-			if !uf.Same(int32(ai), int32(bi)) && attrOverlap(w.comps[ai].attr, w.comps[bi].attr) {
+			if !uf.Same(int32(ai), int32(bi)) && attrOverlap(w.pending[ai].attr, w.pending[bi].attr) {
 				uf.Union(int32(ai), int32(bi))
 			}
 		}
@@ -264,9 +262,9 @@ func (w *WSD) mergeOverlapping() error {
 	// Template vs tuple-level: a stored fact the template can produce.
 	if len(attrIdx) > 0 {
 		for f, ci := range owner {
-			sf := w.facts[f]
+			sf := w.fact(f)
 			for _, ai := range attrIdx {
-				a := w.comps[ai].attr
+				a := w.pending[ai].attr
 				if a.rel == sf.rel && !uf.Same(int32(ai), int32(ci)) && a.contains(sf.tuple) {
 					uf.Union(int32(ai), int32(ci))
 				}
@@ -275,8 +273,8 @@ func (w *WSD) mergeOverlapping() error {
 	}
 
 	groups := make(map[int32][]int)
-	order := make([]int32, 0, len(w.comps))
-	for ci := range w.comps {
+	order := make([]int32, 0, len(w.pending))
+	for ci := range w.pending {
 		r := uf.Find(int32(ci))
 		if _, seen := groups[r]; !seen {
 			order = append(order, r)
@@ -288,15 +286,15 @@ func (w *WSD) mergeOverlapping() error {
 	for _, r := range order {
 		members := groups[r]
 		if len(members) == 1 {
-			merged = append(merged, w.comps[members[0]])
+			merged = append(merged, w.pending[members[0]])
 			continue
 		}
 		w.obsCost.Add(obs.NormComponentsMerged, int64(len(members)))
 		product := 1
 		memberAlts := make([][][]int32, len(members))
 		for k, ci := range members {
-			alts := w.comps[ci].alts
-			if a := w.comps[ci].attr; a != nil {
+			alts := w.pending[ci].alts
+			if a := w.pending[ci].attr; a != nil {
 				var err error
 				if alts, err = w.expandAttr(a); err != nil {
 					return err
@@ -325,7 +323,7 @@ func (w *WSD) mergeOverlapping() error {
 		}
 		merged = append(merged, component{alts: dedupAlts(acc)})
 	}
-	w.comps = merged
+	w.pending = merged
 	return nil
 }
 
@@ -351,7 +349,7 @@ func (w *WSD) tryVerticalSplit(c component) component {
 		if len(alt) != 1 {
 			return c
 		}
-		f := w.facts[alt[0]]
+		f := w.fact(alt[0])
 		if relIdx < 0 {
 			relIdx = f.rel
 		} else if f.rel != relIdx {
@@ -368,7 +366,7 @@ func (w *WSD) tryVerticalSplit(c component) component {
 		seen[i] = make(map[sym.ID]bool)
 	}
 	for _, alt := range c.alts {
-		t := w.facts[alt[0]].tuple
+		t := w.fact(alt[0]).tuple
 		for i, id := range t {
 			if !seen[i][id] {
 				seen[i][id] = true
@@ -612,12 +610,12 @@ func traceKey(tr []uint64) string {
 func (w *WSD) canonicalize() {
 	// remap is the dense old→new fact ID map; -1 marks a fact no
 	// alternative uses (dropped).
-	remap := make([]int32, len(w.facts))
+	remap := make([]int32, w.facts.len())
 	for i := range remap {
 		remap[i] = -1
 	}
 	var old []int32
-	for _, c := range w.comps {
+	for _, c := range w.pending {
 		for _, alt := range c.alts {
 			for _, f := range alt {
 				if remap[f] < 0 {
@@ -633,15 +631,17 @@ func (w *WSD) canonicalize() {
 	index := newFactSet(len(old))
 	for newID, oldID := range old {
 		remap[oldID] = int32(newID)
-		f := w.facts[oldID]
+		f := w.fact(oldID)
 		facts[newID] = f
 		index.add(factHash(f.rel, f.tuple), int32(newID))
 	}
-	w.facts = facts
+	w.facts = chunkedOf(facts)
 	w.factIndex = index
+	w.factDelta = factSet{}
+	w.indexShared, w.factsShared = false, false
 
-	for ci := range w.comps {
-		c := &w.comps[ci]
+	for ci := range w.pending {
+		c := &w.pending[ci]
 		if c.attr != nil {
 			continue
 		}
@@ -662,9 +662,9 @@ func (w *WSD) canonicalize() {
 		min int32 // smallest fact ID; -1 for a template
 		key dispKey
 	}
-	ks := make([]keyed, len(w.comps))
-	for i := range w.comps {
-		c := &w.comps[i]
+	ks := make([]keyed, len(w.pending))
+	for i := range w.pending {
+		c := &w.pending[i]
 		ks[i] = keyed{c: *c, min: -1}
 		if c.attr == nil {
 			ks[i].min = minSupport(*c)
@@ -679,7 +679,7 @@ func (w *WSD) canonicalize() {
 		return a.key.compare(b.key)
 	})
 	for i := range ks {
-		w.comps[i] = ks[i].c
+		w.pending[i] = ks[i].c
 	}
 }
 
@@ -690,7 +690,7 @@ func (w *WSD) canonicalize() {
 func (w *WSD) sortDisplay(ids []int32) {
 	var syms []sym.ID
 	for _, id := range ids {
-		syms = append(syms, w.facts[id].tuple...)
+		syms = append(syms, w.fact(id).tuple...)
 	}
 	slices.Sort(syms)
 	syms = slices.Compact(syms)
@@ -708,7 +708,7 @@ func (w *WSD) sortDisplay(ids []int32) {
 	rs := make([]ranked, len(ids))
 	var flat []int32
 	for i, id := range ids {
-		f := w.facts[id]
+		f := w.fact(id)
 		at := len(flat)
 		for _, s := range f.tuple {
 			j, _ := slices.BinarySearch(syms, s)
@@ -738,7 +738,7 @@ func (w *WSD) minSupportFact(c *component) (relIdx int32, t sym.Tuple, ok bool) 
 	if id == int32(1<<31-1) {
 		return 0, nil, false
 	}
-	f := w.facts[id]
+	f := w.fact(id)
 	return f.rel, f.tuple, true
 }
 
@@ -762,44 +762,101 @@ func minSupport(c component) int32 {
 	return min
 }
 
-// buildIndexes derives the query-path acceleration structures and checks
-// the disjoint-support invariant.
+// buildIndexes moves the canonical pending components into the store —
+// IDs are display positions — and derives the query-path acceleration
+// structures, checking the disjoint-support invariant.
 func (w *WSD) buildIndexes() {
-	w.factComp = make([]int32, len(w.facts))
-	for i := range w.factComp {
-		w.factComp[i] = -1
+	w.comps = chunkedOf(w.pending)
+	w.pending = nil
+	w.rederive()
+}
+
+// rederive derives the per-fact state, the template lists and the
+// per-version counters from the component store, from scratch.
+func (w *WSD) rederive() {
+	facts := make([]factState, w.facts.len())
+	for i := range facts {
+		facts[i].comp = -1
 	}
-	w.certain = make([]bool, len(w.facts))
+	w.certainComp = -1
 	w.attrByRel = nil
+	w.free = nil
+	w.live, w.units, w.altFacts = 0, 0, 0
+	w.order.Store(nil)
 	w.post.Store(nil)
-	w.axes.Store(nil)
 	w.count.Store(nil)
-	for ci := range w.comps {
-		c := &w.comps[ci]
-		if a := c.attr; a != nil {
-			if w.attrByRel == nil {
-				w.attrByRel = make(map[int32][]int32)
-			}
-			w.attrByRel[a.rel] = append(w.attrByRel[a.rel], int32(ci))
+	for ci := 0; ci < w.comps.len(); ci++ {
+		c := w.comps.ref(ci)
+		if c.dead() {
+			w.free = append(w.free, int32(ci))
 			continue
 		}
-		c.altIndex = make(map[uint64][]int32, len(c.alts))
-		inAll := make(map[int32]int)
-		for ai, alt := range c.alts {
-			h := altHash(alt)
-			c.altIndex[h] = append(c.altIndex[h], int32(ai))
+		w.live++
+		w.units += c.units()
+		if a := c.attr; a != nil {
+			if w.attrByRel == nil {
+				w.attrByRel = make([]idList, len(w.schema))
+			}
+			l := &w.attrByRel[a.rel]
+			l.base = append(l.base, int32(ci))
+			continue
+		}
+		if c.altIndex == nil {
+			c = w.comps.slot(ci)
+			c.altIndex = make(map[uint64][]int32, len(c.alts))
+			for ai, alt := range c.alts {
+				h := altHash(alt)
+				c.altIndex[h] = append(c.altIndex[h], int32(ai))
+			}
+		}
+		if len(c.alts) == 1 {
+			w.certainComp = int32(ci)
+		}
+		for _, alt := range c.alts {
+			w.altFacts += int64(len(alt))
 			for _, f := range alt {
-				if w.factComp[f] >= 0 && w.factComp[f] != int32(ci) {
+				if facts[f].comp >= 0 && facts[f].comp != int32(ci) {
 					panic("wsd: internal error: overlapping component supports after normalize")
 				}
-				w.factComp[f] = int32(ci)
-				inAll[f]++
+				facts[f].comp = int32(ci)
 			}
 		}
-		for f, n := range inAll {
-			if n == len(c.alts) {
-				w.certain[f] = true
+		// A fact is certain iff every alternative holds it; alternatives
+		// are sorted ID lists, so probe the others for each of the first's.
+		for _, f := range c.alts[0] {
+			inAll := true
+			for _, alt := range c.alts[1:] {
+				if _, ok := slices.BinarySearch(alt, f); !ok {
+					inAll = false
+					break
+				}
 			}
+			facts[f].certain = inAll
 		}
 	}
+	w.holes = 0
+	for _, s := range facts {
+		if s.comp < 0 {
+			w.holes++
+		}
+	}
+	w.factState = chunkedOf(facts)
+}
+
+// units returns the component's choice-axis count: 1 for a tuple-level
+// component, the open-slot count for a template, 0 for a tombstone.
+func (c *component) units() int64 {
+	if c.attr == nil {
+		if c.alts == nil {
+			return 0
+		}
+		return 1
+	}
+	n := int64(0)
+	for _, cell := range c.attr.cells {
+		if len(cell) > 1 {
+			n++
+		}
+	}
+	return n
 }

@@ -8,7 +8,7 @@ package wsd
 import (
 	"math/big"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"pw/internal/rel"
 	"pw/internal/sym"
@@ -33,9 +33,12 @@ func (w *WSD) countMemo() *big.Int {
 	n := w.count.Load()
 	if n == nil {
 		n = big.NewInt(1)
-		for i := range w.comps {
-			n.Mul(n, w.comps[i].bigCount())
-		}
+		w.comps.each(func(_ int, c *component) bool {
+			if !c.dead() {
+				n.Mul(n, c.bigCount())
+			}
+			return true
+		})
 		w.count.Store(n)
 	}
 	return n
@@ -80,15 +83,15 @@ func (w *WSD) Member(i *rel.Instance) bool {
 	}
 	// Partition the instance's facts by component; a fact outside the
 	// support can appear in no world.
-	perComp := make([][]int32, len(w.comps))
-	attrHits := make([]int, len(w.comps))
+	perComp := make([][]int32, w.comps.len())
+	attrHits := make([]int, w.comps.len())
 	for _, r := range i.Relations() {
 		ri := int32(w.schemaIdx[r.Name])
 		for _, t := range r.Tuples() {
 			// A stored fact without a component is a hole left by an
 			// update: outside the support unless a template covers it.
-			if id, ok := w.lookup(ri, t); ok && w.factComp[id] >= 0 {
-				ci := w.factComp[id]
+			if id, ok := w.lookup(ri, t); ok && w.compOf(id) >= 0 {
+				ci := w.compOf(id)
 				perComp[ci] = append(perComp[ci], id)
 				continue
 			}
@@ -103,20 +106,20 @@ func (w *WSD) Member(i *rel.Instance) bool {
 	// support is one of that component's alternatives (including the
 	// empty restriction matching an empty alternative) — for a template,
 	// iff exactly one instance fact instantiates it.
-	for ci := range w.comps {
-		if w.comps[ci].attr != nil {
-			if attrHits[ci] != 1 {
-				return false
-			}
-			continue
+	member := true
+	w.comps.each(func(ci int, c *component) bool {
+		switch {
+		case c.dead():
+		case c.attr != nil:
+			member = attrHits[ci] == 1
+		default:
+			ids := perComp[ci]
+			slices.Sort(ids)
+			member = c.hasAlt(ids)
 		}
-		ids := perComp[ci]
-		sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-		if !w.comps[ci].hasAlt(ids) {
-			return false
-		}
-	}
-	return true
+		return member
+	})
+	return member
 }
 
 // attrOwner resolves a tuple outside the stored fact table to the
@@ -124,13 +127,13 @@ func (w *WSD) Member(i *rel.Instance) bool {
 // templates posted under t's value in the relation's owner column are
 // tested: a template that can instantiate t holds t[j] in every cell j.
 func (w *WSD) attrOwner(relIdx int32, t sym.Tuple) (int32, bool) {
-	if len(w.attrByRel[relIdx]) == 0 {
+	if w.tmplsOf(relIdx).len() == 0 {
 		return 0, false // no template to find; do not build the index for that
 	}
 	p := w.postingIndex()
 	j := p.rels[relIdx].ownerCol
 	for _, ci := range w.column(p, int(relIdx), j, true).lookup(t[j]) {
-		if w.comps[ci].attr.contains(t) {
+		if w.comp(int(ci)).attr.contains(t) {
 			return ci, true
 		}
 	}
@@ -159,7 +162,7 @@ func (w *WSD) PossibleFact(relName string, f rel.Fact) bool {
 	if w.empty {
 		return false
 	}
-	if id, ok := w.lookupBoundary(relName, f); ok && w.factComp[id] >= 0 {
+	if id, ok := w.lookupBoundary(relName, f); ok && w.compOf(id) >= 0 {
 		return true
 	}
 	_, ok := w.attrOwnerBoundary(relName, f)
@@ -170,7 +173,7 @@ func (w *WSD) PossibleFact(relName string, f rel.Fact) bool {
 // component that can instantiate it, without growing any intern table.
 func (w *WSD) attrOwnerBoundary(relName string, f rel.Fact) (int32, bool) {
 	ri, ok := w.schemaIdx[relName]
-	if !ok || len(f) != w.schema[ri].Arity || len(w.attrByRel[int32(ri)]) == 0 {
+	if !ok || len(f) != w.schema[ri].Arity || w.tmplsOf(int32(ri)).len() == 0 {
 		return 0, false
 	}
 	t := make(sym.Tuple, len(f))
@@ -193,7 +196,7 @@ func (w *WSD) CertainFact(relName string, f rel.Fact) bool {
 		return true
 	}
 	id, ok := w.lookupBoundary(relName, f)
-	return ok && w.certain[id]
+	return ok && w.isCertain(id)
 }
 
 // Possible decides POSS(∗,−): does some world contain every fact of p?
@@ -219,7 +222,7 @@ func (w *WSD) Possible(p *rel.Instance) bool {
 		}
 		for _, t := range r.Tuples() {
 			id, found := w.lookup(int32(ri), t)
-			if !found || w.factComp[id] < 0 {
+			if !found || w.compOf(id) < 0 {
 				ci, ok := w.attrOwner(int32(ri), t)
 				if !ok {
 					return false
@@ -229,14 +232,14 @@ func (w *WSD) Possible(p *rel.Instance) bool {
 				}
 				continue
 			}
-			ci := w.factComp[id]
+			ci := w.compOf(id)
 			perComp[ci] = append(perComp[ci], id)
 		}
 	}
 	for ci, need := range perComp {
-		sort.Slice(need, func(a, b int) bool { return need[a] < need[b] })
+		slices.Sort(need)
 		found := false
-		for _, alt := range w.comps[ci].alts {
+		for _, alt := range w.comp(int(ci)).alts {
 			if containsSorted(alt, need) {
 				found = true
 				break
@@ -266,7 +269,7 @@ func (w *WSD) Certain(p *rel.Instance) bool {
 		}
 		for _, t := range r.Tuples() {
 			id, found := w.lookup(int32(ri), t)
-			if !found || !w.certain[id] {
+			if !found || !w.isCertain(id) {
 				return false
 			}
 		}
@@ -291,29 +294,33 @@ func containsSorted(sup, sub []int32) bool {
 }
 
 // World materializes the world selected by one alternative index per
-// component. It panics on a malformed choice vector (programming error).
+// component, in display order (choice[p] picks an alternative of
+// component Order()[p]). It panics on a malformed choice vector
+// (programming error).
 func (w *WSD) World(choice []int) *rel.Instance {
 	w.ensure()
 	if w.empty {
 		panic("wsd: World on the empty world set")
 	}
-	if len(choice) != len(w.comps) {
+	order := w.displayOrder()
+	if len(choice) != len(order) {
 		panic("wsd: choice vector length mismatch")
 	}
 	inst := rel.NewInstance()
 	for _, s := range w.schema {
 		inst.AddRelation(rel.NewRelation(s.Name, s.Arity))
 	}
-	for ci, ai := range choice {
-		if a := w.comps[ci].attr; a != nil {
+	for p, ai := range choice {
+		c := w.comp(int(order[p]))
+		if a := c.attr; a != nil {
 			if _, ok := a.countInt(); !ok {
 				panic("wsd: World on a template with more alternatives than fit an int; enumerate with Count/Sample instead")
 			}
 			inst.Relations()[a.rel].Insert(a.tupleAt(ai))
 			continue
 		}
-		for _, id := range w.comps[ci].alts[ai] {
-			f := w.facts[id]
+		for _, id := range c.alts[ai] {
+			f := w.fact(id)
 			inst.Relations()[f.rel].Insert(f.tuple)
 		}
 	}
@@ -331,7 +338,8 @@ func (w *WSD) Each(fn func(*rel.Instance) bool) bool {
 	if w.empty {
 		return false
 	}
-	choice := make([]int, len(w.comps))
+	order := w.displayOrder()
+	choice := make([]int, len(order))
 	for {
 		if fn(w.World(choice)) {
 			return true
@@ -339,7 +347,7 @@ func (w *WSD) Each(fn func(*rel.Instance) bool) bool {
 		i := len(choice) - 1
 		for ; i >= 0; i-- {
 			choice[i]++
-			if choice[i] < w.comps[i].altCount() {
+			if choice[i] < w.comp(int(order[i])).altCount() {
 				break
 			}
 			choice[i] = 0
@@ -376,8 +384,8 @@ func (w *WSD) Sample(rng *rand.Rand) *rel.Instance {
 	for _, s := range w.schema {
 		inst.AddRelation(rel.NewRelation(s.Name, s.Arity))
 	}
-	for ci := range w.comps {
-		c := &w.comps[ci]
+	for _, ci := range w.displayOrder() {
+		c := w.comp(int(ci))
 		if a := c.attr; a != nil {
 			t := make(sym.Tuple, len(a.cells))
 			for i, cell := range a.cells {
@@ -391,7 +399,7 @@ func (w *WSD) Sample(rng *rand.Rand) *rel.Instance {
 			continue
 		}
 		for _, id := range c.alts[rng.Intn(len(c.alts))] {
-			f := w.facts[id]
+			f := w.fact(id)
 			inst.Relations()[f.rel].Insert(f.tuple)
 		}
 	}

@@ -20,17 +20,20 @@
 // indexes — and the fact table itself are structurally shared with the
 // input decomposition, which is never mutated: the pre-update WSD stays
 // a valid consistent snapshot, so a server can keep answering reads
-// from it while the update builds its successor. The fact table is
-// copied lazily, only when an operation interns a fact the snapshot has
-// never seen (copy-on-write).
+// from it while the update builds its successor.
 //
-// The install costs what the update touches plus flat array passes.
-// Survivors keep their relative order, so the old-to-new component
-// index map is monotone: added components are placed among the
-// survivors by binary search on their display keys, and the derived
-// arrays and every built piece of the posting index are the parent's,
-// remapped through that map, plus the added components' entries — no
-// per-component key scan, no sort of the whole list, no index rebuild.
+// The install costs what the update touches. Component IDs are stable:
+// survivors keep theirs, a rewritten component keeps its ID, other
+// added components take a dropped ID or a fresh one above every
+// existing ID, and dropped IDs nobody takes become tombstones, so
+// nothing is renumbered. Every per-version structure is the parent's
+// plus the write's delta (store.go): the component store, the fact
+// table and the per-fact state are chunked copy-on-write arrays, of
+// which a write copies the chunks it touches; the fact index, the
+// template and relation lists and the built column postings keep their
+// base and record the change. The display order is not maintained at
+// all: the few positional readers (printing, World, Sample) build it on
+// first use.
 //
 // The incremental result satisfies every normalized invariant the query
 // methods rely on (distinct alternatives, disjoint supports, maximal
@@ -39,7 +42,8 @@
 // IDs are not display-ordered. Deleted facts leave holes in the shared
 // table (they cannot be removed without breaking the snapshot); the
 // query paths treat a fact without a component as outside the support,
-// and ApplyUpdate compacts the table once holes outnumber live facts.
+// and ApplyUpdate compacts the table once holes outnumber live facts —
+// or tombstones the live components.
 package wsd
 
 import (
@@ -356,10 +360,12 @@ func (w *WSD) ApplyUpdateObserved(u *Update, c *obs.Cost) (*WSD, error) {
 			return nil, err
 		}
 	}
-	// Deleted facts accumulate as holes in the shared table; once they
-	// outnumber the live facts, pay for one canonical rebuild so a
-	// long-running update stream cannot leak.
-	if out.holes > 64 && out.holes > len(out.facts)-out.holes {
+	// Deleted facts accumulate as holes in the shared table and dropped
+	// components as tombstones in the store; once either outnumbers the
+	// live entries, pay for one canonical rebuild so a long-running
+	// update stream cannot leak.
+	dead := len(out.free)
+	if (out.holes > 64 && out.holes > out.facts.len()-out.holes) || (dead > 64 && dead > out.live) {
 		out = out.compacted()
 	}
 	out.obsCost = nil
@@ -385,57 +391,64 @@ func (w *WSD) ApplyUpdateFull(u *Update) (*WSD, error) {
 }
 
 // snapshotClone returns the copy the incremental path mutates. It
-// shares everything with the receiver: the component list (capacity-
-// clipped), alternative lists and indexes, the fact table and index,
-// the derived arrays (factComp, certain, attrByRel) and the posting
-// index. The update engine treats every shared structure as immutable:
-// an install splices a fresh component list whose touched components
-// are fresh slices, intern copies the fact table first (cowFacts), and
-// the derived arrays and the carried posting index are written fresh
-// (patchDerived). An update that installs nothing — every operation a
-// no-op — therefore shares the parent's posting index; both versions
-// hold the same components, so a column either one builds is valid for
-// the other.
+// shares everything with the receiver: the chunked arrays are forked
+// (a write copies the chunks it touches), the fact index, the template
+// lists and the posting index are shared as immutable bases, and every
+// component is shared by value. The update engine treats every shared
+// structure as immutable: an install writes fresh components into
+// forked chunks, intern adds to its own copy of the fact index delta
+// (cowFacts), and the template lists and the carried posting index are
+// replaced, never edited (carryPostings). An update that installs
+// nothing — every operation a no-op — therefore shares the parent's
+// posting index; both versions hold the same components, so a column
+// either one builds is valid for the other.
 func (w *WSD) snapshotClone() *WSD {
 	c := &WSD{
 		schema:      w.schema,
 		schemaIdx:   w.schemaIdx,
-		facts:       w.facts[:len(w.facts):len(w.facts)],
+		facts:       w.facts.fork(),
 		factIndex:   w.factIndex,
+		factDelta:   w.factDelta,
+		indexShared: true,
 		factsShared: true,
-		compsShared: true,
-		comps:       w.comps[:len(w.comps):len(w.comps)],
+		comps:       w.comps.fork(),
+		live:        w.live,
 		empty:       w.empty,
 		normalized:  true,
-		factComp:    w.factComp,
-		certain:     w.certain,
+		factState:   w.factState.fork(),
+		certainComp: w.certainComp,
 		attrByRel:   w.attrByRel,
+		free:        w.free,
+		units:       w.units,
+		altFacts:    w.altFacts,
+		dense:       w.dense,
 		holes:       w.holes,
 		factsLoose:  w.factsLoose,
 	}
+	c.order.Store(w.order.Load())
 	c.post.Store(w.post.Load())
 	c.count.Store(w.count.Load())
 	return c
 }
 
-// cowFacts un-shares the fact table and fact index before the first
-// intern into a snapshot clone (copy-on-write).
+// cowFacts un-shares the fact index delta before the first intern into
+// a snapshot clone (copy-on-write); the fact table itself is chunked.
 func (w *WSD) cowFacts() {
 	if !w.factsShared {
 		return
 	}
-	w.facts = append(make([]storedFact, 0, len(w.facts)+8), w.facts...)
-	w.factIndex = w.factIndex.clone()
+	w.factDelta = w.factDelta.clone()
 	w.factsShared = false
 	w.obsCost.Add(obs.UpdateCOWUnshares, 1)
 }
 
-// compacted returns a fully re-canonicalized copy (fact-table holes
-// dropped, IDs back in display order). Normalization of an
+// compacted returns a fully re-canonicalized copy (fact-table holes and
+// tombstones dropped, IDs back in display order). Normalization of an
 // already-valid decomposition cannot hit the merge guard; if it ever
 // errored the un-compacted decomposition is returned unchanged.
 func (w *WSD) compacted() *WSD {
 	c := w.Clone()
+	c.pending = c.liveComponents()
 	c.normalized = false
 	if err := c.Normalize(); err != nil {
 		return w
@@ -481,17 +494,26 @@ func (w *WSD) applyOp(op *UpdateOp, full bool) error {
 	if err != nil {
 		return err
 	}
-	if p.noop {
-		return nil
-	}
-	if p.empty {
+	switch {
+	case p.empty:
 		w.clearToEmpty()
-		return nil
+	case full && !p.noop:
+		err = w.installFull(&p)
+	case !p.noop:
+		err = w.installIncremental(&p)
 	}
-	if full {
-		return w.installFull(&p)
+	if err == nil && !w.empty && !full {
+		w.padDerived()
 	}
-	return w.installIncremental(&p)
+	return err
+}
+
+// padDerived extends the per-fact arrays over the facts interned since
+// they were derived: a fact no installed component holds is a hole.
+func (w *WSD) padDerived() {
+	for n := w.facts.len(); w.factState.len() < n; w.holes++ {
+		w.factState.push(factState{comp: -1})
+	}
 }
 
 // opRelIndex validates the operation against the schema.
@@ -534,13 +556,13 @@ func (w *WSD) opRelIndex(op *UpdateOp) (int32, error) {
 // a new certain component when it is outside the support.
 func (w *WSD) planInsert(ri int32, op *UpdateOp, p *opPlan) error {
 	t := rel.Fact(op.Args).Intern()
-	if id, ok := w.lookup(ri, t); ok && w.factComp[id] >= 0 {
-		if w.certain[id] {
+	if id, ok := w.lookup(ri, t); ok && w.compOf(id) >= 0 {
+		if w.isCertain(id) {
 			p.noop = true
 			return nil
 		}
-		ci := w.factComp[id]
-		c := &w.comps[ci]
+		ci := w.compOf(id)
+		c := w.comp(int(ci))
 		alts := make([][]int32, len(c.alts))
 		for i, alt := range c.alts {
 			alts[i] = insertSorted(alt, id)
@@ -550,7 +572,7 @@ func (w *WSD) planInsert(ri int32, op *UpdateOp, p *opPlan) error {
 		return nil
 	}
 	if ci, ok := w.attrOwner(ri, t); ok {
-		alts, err := w.expandAttr(w.comps[ci].attr)
+		alts, err := w.expandAttr(w.comp(int(ci)).attr)
 		if err != nil {
 			return err
 		}
@@ -574,8 +596,8 @@ func (w *WSD) planInsert(ri int32, op *UpdateOp, p *opPlan) error {
 func (w *WSD) planAssume(ri int32, op *UpdateOp, keep bool, p *opPlan) error {
 	id, ci := int32(-1), int32(-1)
 	if t, known := lookupArgs(op.Args); known {
-		if sid, ok := w.lookup(ri, t); ok && w.factComp[sid] >= 0 {
-			id, ci = sid, w.factComp[sid]
+		if sid, ok := w.lookup(ri, t); ok && w.compOf(sid) >= 0 {
+			id, ci = sid, w.compOf(sid)
 		} else if aci, ok := w.attrOwner(ri, t); ok {
 			ci = aci
 			// The template owns the fact; materialize its ID lazily below.
@@ -590,7 +612,7 @@ func (w *WSD) planAssume(ri int32, op *UpdateOp, keep bool, p *opPlan) error {
 		}
 		return nil
 	}
-	c := &w.comps[ci]
+	c := w.comp(int(ci))
 	if a := c.attr; a != nil {
 		t, _ := lookupArgs(op.Args)
 		if keep {
@@ -615,7 +637,7 @@ func (w *WSD) planAssume(ri int32, op *UpdateOp, keep bool, p *opPlan) error {
 		p.groups = [][][]int32{kept}
 		return nil
 	}
-	if w.certain[id] {
+	if w.isCertain(id) {
 		if keep {
 			p.noop = true
 		} else {
@@ -661,7 +683,7 @@ func (w *WSD) planRewrite(ri int32, op *UpdateOp, full bool, p *opPlan) error {
 		return nil
 	}
 	for _, ci := range order {
-		c := &w.comps[ci]
+		c := w.comp(int(ci))
 		src := c.alts
 		if c.attr != nil {
 			var err error
@@ -688,25 +710,30 @@ func (w *WSD) planRewrite(ri int32, op *UpdateOp, full bool, p *opPlan) error {
 // checked against the full pattern.
 func (w *WSD) rewriteTargets(ri int32, pat symPattern) []int32 {
 	p := w.postingIndex()
-	comps, tmpls := p.rels[ri].comps, w.attrByRel[ri]
+	var comps, tmpls []int32
+	probed := false
 	for j, wild := range pat.anys {
 		if wild {
 			continue
 		}
 		comps = w.column(p, int(ri), j, false).lookup(pat.slots[j])
-		if len(tmpls) > 0 {
+		if w.tmplsOf(ri).len() > 0 {
 			tmpls = w.column(p, int(ri), j, true).lookup(pat.slots[j])
 		}
+		probed = true
 		break
+	}
+	if !probed {
+		comps, tmpls = p.rels[ri].comps.view(), w.tmplsOf(ri).view()
 	}
 	var out []int32
 	for _, ci := range comps {
-		if w.holdsMatch(&w.comps[ci], ri, pat) {
+		if w.holdsMatch(w.comp(int(ci)), ri, pat) {
 			out = append(out, ci)
 		}
 	}
 	for _, ci := range tmpls {
-		if pat.matchesTemplate(w.comps[ci].attr) {
+		if pat.matchesTemplate(w.comp(int(ci)).attr) {
 			out = append(out, ci)
 		}
 	}
@@ -720,13 +747,14 @@ func (w *WSD) rewriteTargets(ri int32, pat symPattern) []int32 {
 // incremental-vs-full differential tests check the index lookups too.
 func (w *WSD) scanTargets(ri int32, pat symPattern) []int32 {
 	matched := make(map[int32]bool)
-	for id, f := range w.facts {
-		if ci := w.factComp[id]; ci >= 0 && f.rel == ri && pat.matches(f.tuple) {
+	w.facts.each(func(id int, f *storedFact) bool {
+		if ci := w.compOf(int32(id)); ci >= 0 && f.rel == ri && pat.matches(f.tuple) {
 			matched[ci] = true
 		}
-	}
-	for _, ci := range w.attrByRel[ri] {
-		if pat.matchesTemplate(w.comps[ci].attr) {
+		return true
+	})
+	for _, ci := range w.tmplsOf(ri).view() {
+		if pat.matchesTemplate(w.comp(int(ci)).attr) {
 			matched[ci] = true
 		}
 	}
@@ -743,7 +771,7 @@ func (w *WSD) scanTargets(ri int32, pat symPattern) []int32 {
 func (w *WSD) holdsMatch(c *component, ri int32, pat symPattern) bool {
 	for _, alt := range c.alts {
 		for _, id := range alt {
-			if f := w.facts[id]; f.rel == ri && pat.matches(f.tuple) {
+			if f := w.fact(id); f.rel == ri && pat.matches(f.tuple) {
 				return true
 			}
 		}
@@ -756,7 +784,7 @@ func (w *WSD) holdsMatch(c *component, ri int32, pat symPattern) bool {
 func (w *WSD) rewriteAlt(alt []int32, ri int32, pat symPattern, del bool, assigns []SlotAssign) []int32 {
 	out := make([]int32, 0, len(alt))
 	for _, id := range alt {
-		f := w.facts[id]
+		f := w.fact(id)
 		if f.rel != ri || !pat.matches(f.tuple) {
 			out = append(out, id)
 			continue
@@ -799,16 +827,18 @@ func (w *WSD) installFull(p *opPlan) error {
 	for _, ci := range p.drop {
 		drop[ci] = true
 	}
-	kept := make([]component, 0, len(w.comps)+len(p.groups))
-	for ci := range w.comps {
-		if !drop[int32(ci)] {
-			kept = append(kept, w.comps[ci])
+	kept := make([]component, 0, w.live+len(p.groups))
+	w.comps.each(func(ci int, c *component) bool {
+		if !c.dead() && !drop[int32(ci)] {
+			kept = append(kept, *c)
 		}
-	}
+		return true
+	})
 	for _, g := range p.groups {
 		kept = append(kept, component{alts: g})
 	}
-	w.comps = kept
+	w.pending = kept
+	w.compsShared = true
 	w.normalized = false
 	if err := w.Normalize(); err != nil {
 		return err
@@ -821,10 +851,9 @@ func (w *WSD) installFull(p *opPlan) error {
 // only the plan's groups: overlap closure pulls in any component whose
 // support a rewritten fact collided with, each independent class is
 // merged and locally re-factored (dedup, horizontal split, vertical
-// split, certain fold), and the result is spliced into the surviving
-// components (splice), whose derived state is patched by the delta
-// rather than rebuilt. Untouched components pass through by value,
-// alternative lists and indexes shared.
+// split, certain fold), and the result is installed under fresh IDs
+// while the dropped IDs become tombstones (install). Untouched
+// components keep their IDs and their storage.
 func (w *WSD) installIncremental(p *opPlan) error {
 	drop := make(map[int32]bool, len(p.drop))
 	for _, ci := range p.drop {
@@ -857,8 +886,13 @@ func (w *WSD) installIncremental(p *opPlan) error {
 			parent[rb] = ra
 		}
 	}
+	pull := func(qi int, ci int32, alts [][]int32) {
+		drop[ci] = true
+		slots = append(slots, alts)
+		parent = append(parent, len(slots)-1)
+		union(qi, len(slots)-1)
+	}
 	factGroup := make(map[int32]int)
-	pulled := make(map[int32]int)
 	for qi := 0; qi < len(slots); qi++ {
 		for _, alt := range slots[qi] {
 			for _, f := range alt {
@@ -867,33 +901,19 @@ func (w *WSD) installIncremental(p *opPlan) error {
 				} else {
 					factGroup[f] = qi
 				}
-				if int(f) < len(w.factComp) {
-					if ci := w.factComp[f]; ci >= 0 && !drop[ci] {
-						if slot, ok := pulled[ci]; ok {
-							union(qi, slot)
-						} else {
-							drop[ci] = true
-							slots = append(slots, w.comps[ci].alts)
-							parent = append(parent, len(slots)-1)
-							pulled[ci] = len(slots) - 1
-							union(qi, len(slots)-1)
-						}
-					}
+				if ci := w.compOf(f); ci >= 0 && !drop[ci] {
+					pull(qi, ci, w.comp(int(ci)).alts)
 				}
-				sf := w.facts[f]
-				for _, ci := range w.attrByRel[sf.rel] {
-					if drop[ci] || !w.comps[ci].attr.contains(sf.tuple) {
-						continue
-					}
-					alts, err := w.expandAttr(w.comps[ci].attr)
+				// A template that can instantiate the fact owns it: at most
+				// one does (supports are disjoint), found through the
+				// relation's owner-column posting.
+				sf := w.fact(f)
+				if ci, ok := w.attrOwner(sf.rel, sf.tuple); ok && !drop[ci] {
+					alts, err := w.expandAttr(w.comp(int(ci)).attr)
 					if err != nil {
 						return err
 					}
-					drop[ci] = true
-					slots = append(slots, alts)
-					parent = append(parent, len(slots)-1)
-					pulled[ci] = len(slots) - 1
-					union(qi, len(slots)-1)
+					pull(qi, ci, alts)
 				}
 			}
 		}
@@ -965,16 +985,31 @@ func (w *WSD) installIncremental(p *opPlan) error {
 
 	// Fold new certain facts into the (single) certain component.
 	if len(certainIDs) > 0 {
-		for ci := range w.comps {
-			if drop[int32(ci)] || w.comps[ci].attr != nil || len(w.comps[ci].alts) != 1 {
-				continue
-			}
-			drop[int32(ci)] = true
-			certainIDs = append(certainIDs, w.comps[ci].alts[0]...)
-			break
+		if ci := w.certainComp; ci >= 0 && !drop[ci] {
+			drop[ci] = true
+			certainIDs = append(certainIDs, w.comp(int(ci)).alts[0]...)
 		}
 		newComps = append(newComps, w.finishComponent([][]int32{sortDedupIDs(certainIDs)}))
 	}
+	w.install(drop, newComps)
+	return nil
+}
+
+// install replaces the components in drop with the added ones. IDs are
+// stable: an added component takes over the ID of the dropped component
+// its first fact came from (a rewritten component keeps its ID), else
+// the smallest spare ID — a dropped one nobody took, or a tombstone —
+// else a fresh one; dropped IDs nobody takes become tombstones. Every piece of derived state takes the
+// delta — the per-fact state of the dropped and added components'
+// facts, the hole count, the certain component, the template lists, the
+// choice-axis and fact totals, the world count and the posting index
+// (carryPostings). Certainty needs no counting: after the local split,
+// a multi-alternative component has no all-alternative fact, so the
+// certain facts are exactly the facts of the single-alternative
+// component.
+func (w *WSD) install(drop map[int32]bool, added []component) {
+	w.obsCost.Add(obs.UpdateTouchedComponents, int64(len(drop)))
+	w.obsCost.Add(obs.UpdateSurvivorComponents, int64(w.live-len(drop)))
 
 	// Carry the world count by delta: survivors keep their alternative
 	// counts, so the new count is the old one times the added
@@ -982,11 +1017,140 @@ func (w *WSD) installIncremental(p *opPlan) error {
 	// dropped counts divide the old product.
 	var count *big.Int
 	if old := w.count.Load(); old != nil {
-		count = w.carryCount(old, drop, newComps)
+		count = w.carryCount(old, drop, added)
 	}
-	w.splice(drop, newComps)
+	w.padDerived()
+
+	// Assign IDs while the per-fact state still names the predecessors.
+	ids := make([]int32, 0, len(drop))
+	for ci := range drop {
+		ids = append(ids, ci)
+	}
+	slices.Sort(ids)
+	taken := make([]bool, len(ids))
+	at := make([]int32, len(added))
+	for k := range added {
+		at[k] = -1
+		if alts := added[k].alts; len(alts) > 0 && len(alts[len(alts)-1]) > 0 {
+			if i, ok := slices.BinarySearch(ids, w.compOf(alts[len(alts)-1][0])); ok && !taken[i] {
+				at[k], taken[i] = ids[i], true
+			}
+		}
+	}
+	// The rest take spare IDs — dropped ones nobody took, then
+	// tombstones, smallest first — or fresh ones; spares left over are
+	// the successor's tombstones.
+	spare := w.free // shared with the parent: read, never written
+	for i, ci := range ids {
+		if !taken[i] {
+			spare = insertID(slices.Clip(spare), ci)
+		}
+	}
+	for k := range added {
+		switch {
+		case at[k] >= 0:
+		case len(spare) > 0:
+			at[k], spare = spare[0], spare[1:]
+		default:
+			at[k] = int32(w.comps.push(component{}))
+		}
+	}
+	w.free = spare
+
+	// The changes, by ID: each dropped ID with its old component (copied:
+	// the slot is overwritten) and what replaces it, then the IDs that
+	// held no component.
+	changes := make([]compChange, 0, len(ids)+len(added))
+	olds := make([]component, len(ids))
+	for i, ci := range ids {
+		olds[i] = *w.comp(int(ci))
+		changes = append(changes, compChange{id: ci, old: &olds[i]})
+	}
+	for k := range added {
+		if i, ok := slices.BinarySearch(ids, at[k]); ok {
+			changes[i].new = &added[k]
+			continue
+		}
+		changes = append(changes, compChange{id: at[k], new: &added[k]})
+	}
+
+	// Facts of the old components leave the support; facts of the new
+	// ones then (re-)enter it under their component's ID.
+	tmplsChanged := false
+	for _, ch := range changes {
+		if c := ch.old; c != nil {
+			w.units -= c.units()
+			tmplsChanged = tmplsChanged || c.attr != nil
+			for _, alt := range c.alts {
+				w.altFacts -= int64(len(alt))
+				for _, f := range alt {
+					if w.compOf(f) >= 0 {
+						w.factState.set(int(f), factState{comp: -1})
+						w.holes++
+					}
+				}
+			}
+			if ch.id == w.certainComp {
+				w.certainComp = -1
+			}
+		}
+	}
+	for _, ch := range changes {
+		c := ch.new
+		if c == nil {
+			w.comps.set(int(ch.id), component{})
+			w.live--
+			continue
+		}
+		w.comps.set(int(ch.id), *c)
+		if ch.old == nil {
+			w.live++
+		}
+		w.units += c.units()
+		tmplsChanged = tmplsChanged || c.attr != nil
+		isCertain := c.attr == nil && len(c.alts) == 1
+		if isCertain {
+			w.certainComp = ch.id
+		}
+		for _, alt := range c.alts {
+			w.altFacts += int64(len(alt))
+			for _, f := range alt {
+				if w.compOf(f) < 0 {
+					w.holes--
+				}
+				w.factState.set(int(f), factState{comp: ch.id, certain: isCertain})
+			}
+		}
+	}
+	if tmplsChanged {
+		w.attrByRel = w.carryTemplates(changes)
+	}
+	w.dense, w.factsLoose = false, true
+	w.order.Store(nil)
 	w.count.Store(count)
-	return nil
+	w.post.Store(w.carryPostings(w.post.Load(), changes))
+}
+
+// carryTemplates returns the template lists with the install's changes
+// applied: per relation, the IDs that stopped being one of its
+// templates removed and those that started added.
+func (w *WSD) carryTemplates(changes []compChange) []idList {
+	lists := make([]idList, len(w.schema))
+	for ri := range lists {
+		rel := int32(ri)
+		var rem, add []int32
+		for _, ch := range changes {
+			was, is := templateOf(ch.old, rel), templateOf(ch.new, rel)
+			switch {
+			case was && !is:
+				rem = append(rem, ch.id)
+			case is && !was:
+				add = append(add, ch.id)
+			}
+		}
+		lists[ri] = w.tmplsOf(rel).with(rem, add)
+	}
+	return lists
 }
 
 // carryCount is old × Π added alternative counts / Π dropped ones. The
@@ -1010,7 +1174,7 @@ func (w *WSD) carryCount(old *big.Int, drop map[int32]bool, added []component) *
 		scale(&num, &added[i])
 	}
 	for ci := range drop {
-		scale(&den, &w.comps[ci])
+		scale(&den, w.comp(int(ci)))
 	}
 	if small && den != 0 {
 		if hi, lo := bits.Mul64(old.Uint64()/den, num); hi == 0 {
@@ -1023,7 +1187,7 @@ func (w *WSD) carryCount(old *big.Int, drop map[int32]bool, added []component) *
 	}
 	d := big.NewInt(1)
 	for ci := range drop {
-		d.Mul(d, w.comps[ci].bigCount())
+		d.Mul(d, w.comp(int(ci)).bigCount())
 	}
 	return count.Quo(count, d)
 }
@@ -1054,7 +1218,7 @@ func (w *WSD) dispKeyOf(c *component) dispKey {
 	if best < 0 {
 		return dispKey{}
 	}
-	f := w.facts[best]
+	f := w.fact(best)
 	return dispKey{ok: true, rel: f.rel, t: f.tuple}
 }
 
@@ -1073,65 +1237,6 @@ func (a dispKey) compare(b dispKey) int {
 		return cmp.Compare(a.rel, b.rel)
 	}
 	return a.t.Compare(b.t)
-}
-
-// splice installs the new component list: the survivors (every
-// component not in drop) keep their relative order, which is already
-// canonical, and each added component is placed among them by binary
-// search on the display key — O(k·log n) key computations for k added
-// components instead of a key per component and a full sort. The map
-// from old to new component index is then monotone, which is what lets
-// patchDerived and carryPostings update every per-version list without
-// re-sorting it.
-func (w *WSD) splice(drop map[int32]bool, added []component) {
-	old := w.comps
-	keys := make([]dispKey, len(added))
-	for i := range added {
-		keys[i] = w.dispKeyOf(&added[i])
-	}
-	ord := make([]int, len(added))
-	for i := range ord {
-		ord[i] = i
-	}
-	sort.Slice(ord, func(i, j int) bool { return keys[ord[i]].compare(keys[ord[j]]) < 0 })
-
-	surv := make([]int32, 0, len(old))
-	for ci := range old {
-		if !drop[int32(ci)] {
-			surv = append(surv, int32(ci))
-		}
-	}
-	w.obsCost.Add(obs.UpdateTouchedComponents, int64(len(old)-len(surv)))
-	w.obsCost.Add(obs.UpdateSurvivorComponents, int64(len(surv)))
-
-	comps := make([]component, 0, len(surv)+len(added))
-	remap := make([]int32, len(old))
-	for ci := range remap {
-		remap[ci] = -1
-	}
-	sorted := make([]component, len(added))
-	addedAt := make([]int32, len(added))
-	next := 0 // survivors surv[:next] are placed
-	for k, o := range ord {
-		// The added keys ascend, so each search starts where the last
-		// one ended.
-		at := next + sort.Search(len(surv)-next, func(i int) bool {
-			return keys[o].compare(w.dispKeyOf(&old[surv[next+i]])) < 0
-		})
-		for ; next < at; next++ {
-			remap[surv[next]] = int32(len(comps))
-			comps = append(comps, old[surv[next]])
-		}
-		sorted[k] = added[o]
-		addedAt[k] = int32(len(comps))
-		comps = append(comps, added[o])
-	}
-	for ; next < len(surv); next++ {
-		remap[surv[next]] = int32(len(comps))
-		comps = append(comps, old[surv[next]])
-	}
-	w.comps = comps
-	w.patchDerived(old, remap, sorted, addedAt)
 }
 
 // finishComponent builds a fresh tuple-level component: alternatives in
@@ -1174,107 +1279,4 @@ func (w *WSD) altDisplayLess(a, b []int32) bool {
 		}
 	}
 	return false
-}
-
-// patchDerived brings the derived state of the previous component list
-// old up to date with the spliced one: remap sends each old component
-// index to its new index (-1: dropped) and is monotone, and added[k]
-// now sits at index addedAt[k] (ascending). factComp, certain,
-// attrByRel and the hole count are the parent's, mapped through remap,
-// plus the added components' facts — a flat pass over the arrays
-// instead of a walk of every alternative. Facts no longer in any
-// component become holes. Certainty needs no counting: after the local
-// split, a multi-alternative component has no all-alternative fact, so
-// the certain facts are exactly the facts of the single-alternative
-// component. The arrays are written fresh, never in place: the parent
-// snapshot may share them.
-func (w *WSD) patchDerived(old []component, remap []int32, added []component, addedAt []int32) {
-	factComp := make([]int32, len(w.facts))
-	certain := make([]bool, len(w.facts))
-	copy(certain, w.certain)
-	holes := w.holes + len(w.facts) - len(w.factComp) // new facts start as holes
-	for f, ci := range w.factComp {
-		if ci < 0 {
-			factComp[f] = -1
-			continue
-		}
-		if factComp[f] = remap[ci]; factComp[f] < 0 {
-			certain[f] = false
-			holes++
-		}
-	}
-	for f := len(w.factComp); f < len(factComp); f++ {
-		factComp[f] = -1
-	}
-	for k := range added {
-		c := &added[k]
-		if c.attr != nil {
-			continue
-		}
-		isCertain := len(c.alts) == 1
-		for _, alt := range c.alts {
-			for _, f := range alt {
-				if factComp[f] < 0 {
-					holes--
-				}
-				factComp[f] = addedAt[k]
-				certain[f] = isCertain
-			}
-		}
-	}
-	var attrByRel map[int32][]int32 // nil when no relation has templates, as buildIndexes leaves it
-	bucket := func(r int32) {
-		if _, done := attrByRel[r]; done {
-			return
-		}
-		if b := remapSorted(w.attrByRel[r], remap, addedTemplates(added, addedAt, r)); len(b) > 0 {
-			if attrByRel == nil {
-				attrByRel = make(map[int32][]int32)
-			}
-			attrByRel[r] = b
-		}
-	}
-	for r := range w.attrByRel {
-		bucket(r)
-	}
-	for k := range added {
-		if a := added[k].attr; a != nil {
-			bucket(a.rel)
-		}
-	}
-	w.factComp, w.certain, w.attrByRel, w.holes = factComp, certain, attrByRel, holes
-	w.factsLoose = true
-	w.post.Store(w.carryPostings(w.post.Load(), old, remap, added, addedAt))
-	w.axes.Store(nil)
-}
-
-// addedTemplates returns the new indices of the added templates over
-// relation r, ascending.
-func addedTemplates(added []component, addedAt []int32, r int32) []int32 {
-	var out []int32
-	for k := range added {
-		if a := added[k].attr; a != nil && a.rel == r {
-			out = append(out, addedAt[k])
-		}
-	}
-	return out
-}
-
-// remapSorted maps an ascending list of old component indices through
-// the monotone remap, dropping removed ones, and merges in the
-// ascending list of added indices. The result is ascending and fresh.
-func remapSorted(list, remap, add []int32) []int32 {
-	out := make([]int32, 0, len(list)+len(add))
-	for _, ci := range list {
-		nc := remap[ci]
-		if nc < 0 {
-			continue
-		}
-		for len(add) > 0 && add[0] < nc {
-			out = append(out, add[0])
-			add = add[1:]
-		}
-		out = append(out, nc)
-	}
-	return append(out, add...)
 }

@@ -36,7 +36,6 @@ package wsd
 
 import (
 	"fmt"
-	"math"
 	"math/big"
 	"slices"
 	"sort"
@@ -64,6 +63,13 @@ func (f Fact) String() string { return f.Rel + "(" + strings.Join(f.Args, " ") +
 // contributes nothing in this world".
 type Alt []Fact
 
+// factState is a stored fact's derived state: the component owning it
+// (-1 outside the support) and whether it is in every alternative.
+type factState struct {
+	comp    int32
+	certain bool
+}
+
 // storedFact is the interned form: a schema-relation index plus an
 // interned constant tuple.
 type storedFact struct {
@@ -85,6 +91,10 @@ type component struct {
 	attr     *attrComp          // non-nil: attribute-level form; alts/altIndex unused
 }
 
+// dead reports whether the component is a tombstone: an ID an update
+// dropped. A live tuple-level component always has alternatives.
+func (c *component) dead() bool { return c.alts == nil && c.attr == nil }
+
 // WSD is a world-set decomposition. The zero value is not usable; build
 // with New (or FromWorlds / ToWSD / the .pw parser).
 //
@@ -93,44 +103,81 @@ type component struct {
 // callers never need to call Normalize explicitly. Call Normalize once
 // before sharing a WSD between goroutines: after it returns, all query
 // methods are read-only and safe for concurrent use.
+//
+// Component IDs. A normalized decomposition stores its components by
+// ID, in [0, Components()). Normalize numbers them densely in display
+// order; an incremental update (update.go) never renumbers: survivors
+// keep their IDs, dropped IDs stay behind as tombstones (a tombstone
+// reads as a component with no alternatives and is in no list, posting
+// or world), and added components take fresh IDs above every existing
+// one. The display order — the order String prints and the positional
+// accessors (World, Each, Sample, Alternatives, Order) walk — is a
+// per-version permutation of the live IDs, built on first use.
 type WSD struct {
 	schema    table.Schema
 	schemaIdx map[string]int
-	facts     []storedFact
-	factIndex factSet // fact fingerprint -> fact ID
-	comps     []component
+	facts     chunked[storedFact]
+	// factIndex indexes the facts interned when it was last built;
+	// factDelta the ones interned since. The delta is folded into a
+	// fresh base once it outgrows 1/foldDiv of it (see store.go).
+	factIndex factSet
+	factDelta factSet
+
+	// pending holds the components while the decomposition is being
+	// built (denormalized); Normalize turns it into comps.
+	pending []component
+	// comps is the normalized component store, indexed by component ID;
+	// live counts its non-tombstone entries.
+	comps chunked[component]
+	live  int
 
 	// empty marks the decomposition that denotes the empty world set ∅
 	// (distinct from the zero-component WSD, which denotes exactly one
 	// world: every relation empty).
 	empty bool
 
-	normalized bool
-	factComp   []int32           // fact ID -> component index (derived)
-	certain    []bool            // fact ID -> present in every alternative (derived)
-	attrByRel  map[int32][]int32 // relation -> attribute-level component indices (derived)
+	normalized  bool
+	factState   chunked[factState] // fact ID -> owning component and certainty (derived)
+	certainComp int32              // the single-alternative component's ID, -1 when none (derived)
+	// attrByRel holds per schema position the attribute-level component
+	// IDs (derived); nil when there is no template at all.
+	attrByRel []idList
+	// free lists the tombstoned IDs, ascending (derived; shared, never
+	// written): an install reuses them before it grows the store.
+	free []int32
+	// units counts the choice axes — tuple-level components plus open
+	// template slots — and altFacts the facts over every alternative of
+	// every tuple-level component (a fact in k alternatives counts k
+	// times). Both are carried across an incremental update by delta.
+	units    int64
+	altFacts int64
+	// dense marks a store whose IDs are exactly the display positions
+	// (no tombstones, canonical order): what Normalize leaves.
+	dense bool
+	// order is the display order of the live IDs, built on first use by
+	// a positional reader and published with a compare-and-swap.
+	order atomic.Pointer[[]int32]
 	// post is the lazily built posting index of this normalized version
 	// (postings.go); nil until first use and after a from-scratch
 	// derivation, carried across an incremental update.
 	post atomic.Pointer[postings]
-	// axes is the lazily built choice-axis table (axes.go), with the
-	// posting index's lifecycle.
-	axes atomic.Pointer[Axes]
 	// count memoizes Count for this normalized version: computed on
 	// first use, carried across an incremental update by delta
 	// (installIncremental), dropped with the other derived state. The
 	// stored value is never mutated.
 	count atomic.Pointer[big.Int]
 
-	// Incremental-update state (see update.go). factsShared marks the
-	// fact table and index as shared with a snapshot parent (copied on
-	// the first intern); compsShared marks component alternative slices
-	// as shared (deep-copied before any full normalization, which
+	// Incremental-update state (see update.go). indexShared marks the
+	// fact index base as shared with a snapshot parent (interns then go
+	// to the delta), factsShared the delta (copied on the first intern);
+	// compsShared marks pending components' alternative
+	// slices as shared (deep-copied before any full normalization, which
 	// mutates them in place); holes counts fact-table entries outside
-	// every component's support (factComp < 0); factsLoose records that
-	// fact IDs are no longer in display order, so accessors that
-	// promise display order must sort.
+	// every component's support; factsLoose records that fact IDs are
+	// no longer in display order, so accessors that promise display
+	// order must sort.
 	factsShared bool
+	indexShared bool
 	compsShared bool
 	holes       int
 	factsLoose  bool
@@ -152,9 +199,11 @@ func (w *WSD) SetObsCost(c *obs.Cost) { w.obsCost = c }
 // components, denoting the single world in which every relation is empty.
 func New(schema table.Schema) *WSD {
 	w := &WSD{
-		schema:     append(table.Schema(nil), schema...),
-		schemaIdx:  make(map[string]int, len(schema)),
-		normalized: true,
+		schema:      append(table.Schema(nil), schema...),
+		schemaIdx:   make(map[string]int, len(schema)),
+		normalized:  true,
+		dense:       true,
+		certainComp: -1,
 	}
 	for i, r := range w.schema {
 		if _, dup := w.schemaIdx[r.Name]; dup {
@@ -169,21 +218,106 @@ func New(schema table.Schema) *WSD {
 // slice is owned by the WSD; callers must not mutate it.
 func (w *WSD) Schema() table.Schema { return w.schema }
 
-// Components returns the number of components (0 for the empty world set
-// and for the single-empty-world decomposition; Empty distinguishes them).
-func (w *WSD) Components() int { w.ensure(); return len(w.comps) }
+// Components returns the bound of the component ID space: IDs range
+// over [0, Components()). On a freshly normalized decomposition every ID
+// is live and the IDs are the display positions, so this is the
+// component count (0 for the empty world set and for the
+// single-empty-world decomposition; Empty distinguishes them); after
+// incremental updates it also counts tombstones (see WSD).
+func (w *WSD) Components() int { w.ensure(); return w.comps.len() }
 
-// Alternatives returns the per-component alternative counts. For an
-// attribute-level component the count is the product of its slot domain
-// sizes, saturating at the int maximum (Count is exact; use it for
-// astronomically factored templates).
+// LiveComponents returns the number of components.
+func (w *WSD) LiveComponents() int { w.ensure(); return w.live }
+
+// Alternatives returns the alternative counts of the components in
+// display order. For an attribute-level component the count is the
+// product of its slot domain sizes, saturating at the int maximum
+// (Count is exact; use it for astronomically factored templates).
 func (w *WSD) Alternatives() []int {
 	w.ensure()
-	out := make([]int, len(w.comps))
-	for i, c := range w.comps {
-		out[i] = c.altCount()
+	order := w.displayOrder()
+	out := make([]int, len(order))
+	for i, ci := range order {
+		out[i] = w.comps.ref(int(ci)).altCount()
 	}
 	return out
+}
+
+// Order returns the live component IDs in display order: position p of
+// the printed form, of World's choice vector and of Alternatives is
+// component Order()[p]. The slice is shared; callers must not mutate it.
+func (w *WSD) Order() []int32 { w.ensure(); return w.displayOrder() }
+
+// displayOrder returns the live IDs in display order, building the
+// permutation on first use: the identity on a dense store, else the
+// live IDs sorted by display key (see dispKey). Concurrent first builds
+// race safely; the loser's copy is dropped.
+func (w *WSD) displayOrder() []int32 {
+	if o := w.order.Load(); o != nil {
+		return *o
+	}
+	ids := make([]int32, 0, w.live)
+	w.comps.each(func(ci int, c *component) bool {
+		if !c.dead() {
+			ids = append(ids, int32(ci))
+		}
+		return true
+	})
+	if !w.dense {
+		keys := make([]dispKey, w.comps.len())
+		for _, ci := range ids {
+			keys[ci] = w.dispKeyOf(w.comps.ref(int(ci)))
+		}
+		slices.SortFunc(ids, func(a, b int32) int { return keys[a].compare(keys[b]) })
+	}
+	if w.order.CompareAndSwap(nil, &ids) {
+		return ids
+	}
+	return *w.order.Load()
+}
+
+// comp returns component ci (a tombstone reads as having no
+// alternatives). Callers must not mutate it.
+func (w *WSD) comp(ci int) *component { return w.comps.ref(ci) }
+
+// fact returns the stored fact with the given ID.
+func (w *WSD) fact(id int32) storedFact { return w.facts.at(int(id)) }
+
+// compOf returns the component owning fact id, -1 when the fact is
+// outside the support (a hole, or interned after the derived state).
+func (w *WSD) compOf(id int32) int32 {
+	if int(id) >= w.factState.len() {
+		return -1
+	}
+	return w.factState.ref(int(id)).comp
+}
+
+// isCertain reports whether fact id is in every alternative of its
+// component.
+func (w *WSD) isCertain(id int32) bool {
+	return int(id) < w.factState.len() && w.factState.ref(int(id)).certain
+}
+
+// noTemplates is the template list of every relation of a
+// decomposition without templates. It is never written.
+var noTemplates idList
+
+// tmplsOf returns relation ri's template list.
+func (w *WSD) tmplsOf(ri int32) *idList {
+	if w.attrByRel == nil {
+		return &noTemplates
+	}
+	return &w.attrByRel[ri]
+}
+
+// hasTemplates reports whether any component is attribute-level.
+func (w *WSD) hasTemplates() bool {
+	for i := range w.attrByRel {
+		if w.attrByRel[i].len() > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // altCount returns a component's alternative count, saturating at the
@@ -201,18 +335,7 @@ func (c *component) altCount() int {
 // count (the product of their slot domains) without materializing it;
 // the total saturates at the int maximum.
 func (w *WSD) Size() int {
-	w.ensure()
-	n := len(w.facts) - w.holes
-	for _, c := range w.comps {
-		if c.attr == nil {
-			continue
-		}
-		k, ok := c.attr.countInt()
-		if !ok || n > math.MaxInt-k {
-			return math.MaxInt
-		}
-		n += k
-	}
+	n, _ := w.SupportSize()
 	return n
 }
 
@@ -287,9 +410,32 @@ func (w *WSD) AddComponentTuples(alts ...[]TupleFact) error {
 		}
 		c.alts[i] = sortDedupIDs(ids)
 	}
-	w.comps = append(w.comps, c)
-	w.normalized = false
+	w.addPending(c)
 	return nil
+}
+
+// addPending appends a built component, moving a normalized
+// decomposition back to the builder form first.
+func (w *WSD) addPending(c component) {
+	if w.normalized && w.live > 0 {
+		w.pending = w.liveComponents()
+		w.compsShared = true
+	}
+	w.pending = append(w.pending, c)
+	w.normalized = false
+}
+
+// liveComponents returns the store's live components, by value (their
+// alternative slices and templates stay shared).
+func (w *WSD) liveComponents() []component {
+	out := make([]component, 0, w.live)
+	w.comps.each(func(_ int, c *component) bool {
+		if !c.dead() {
+			out = append(out, *c)
+		}
+		return true
+	})
+	return out
 }
 
 // checkTupleFact validates an interned fact against the schema.
@@ -319,9 +465,23 @@ func (w *WSD) intern(relIdx int32, t sym.Tuple) int32 {
 		return id
 	}
 	w.cowFacts()
-	id := int32(len(w.facts))
-	w.facts = append(w.facts, storedFact{rel: relIdx, tuple: t.Clone()})
-	w.factIndex.add(h, id)
+	id := int32(w.facts.push(storedFact{rel: relIdx, tuple: t.Clone()}))
+	if !w.indexShared {
+		w.factIndex.add(h, id)
+		return id
+	}
+	if foldDiv*(w.factDelta.n+1) > w.factIndex.n {
+		// Fold: one fresh index over every fact.
+		w.factIndex = newFactSet(w.facts.len())
+		w.factDelta = factSet{}
+		w.indexShared = false
+		w.facts.each(func(i int, f *storedFact) bool {
+			w.factIndex.add(factHash(f.rel, f.tuple), int32(i))
+			return true
+		})
+		return id
+	}
+	w.factDelta.add(h, id)
 	return id
 }
 
@@ -330,9 +490,20 @@ func (w *WSD) lookup(relIdx int32, t sym.Tuple) (int32, bool) {
 	return w.find(factHash(relIdx, t), relIdx, t)
 }
 
-// find probes the fact index for (relIdx, t), whose fingerprint is h.
+// find probes the fact index — its base, then its delta — for
+// (relIdx, t), whose fingerprint is h.
 func (w *WSD) find(h uint64, relIdx int32, t sym.Tuple) (int32, bool) {
-	x := &w.factIndex
+	if id, ok := w.findIn(&w.factIndex, h, relIdx, t); ok {
+		return id, true
+	}
+	if w.factDelta.n == 0 {
+		return 0, false
+	}
+	return w.findIn(&w.factDelta, h, relIdx, t)
+}
+
+// findIn probes one fact set.
+func (w *WSD) findIn(x *factSet, h uint64, relIdx int32, t sym.Tuple) (int32, bool) {
 	if len(x.ids) == 0 {
 		return 0, false
 	}
@@ -342,7 +513,7 @@ func (w *WSD) find(h uint64, relIdx int32, t sym.Tuple) (int32, bool) {
 			continue
 		}
 		id := x.ids[i] - 1
-		if f := w.facts[id]; f.rel == relIdx && f.tuple.Equal(t) {
+		if f := w.facts.ref(int(id)); f.rel == relIdx && f.tuple.Equal(t) {
 			return id, true
 		}
 	}
@@ -415,7 +586,7 @@ func (w *WSD) lookupBoundary(relName string, f rel.Fact) (int32, bool) {
 
 // resolve converts a stored fact back to boundary form.
 func (w *WSD) resolve(id int32) Fact {
-	f := w.facts[id]
+	f := w.fact(id)
 	return w.boundary(f.rel, f.tuple)
 }
 
@@ -427,7 +598,7 @@ func (w *WSD) boundary(ri int32, t sym.Tuple) Fact {
 // factLess is the canonical display order of stored facts: schema
 // position first, then tuple by symbol name.
 func (w *WSD) factLess(a, b int32) bool {
-	fa, fb := w.facts[a], w.facts[b]
+	fa, fb := w.fact(a), w.fact(b)
 	if fa.rel != fb.rel {
 		return fa.rel < fb.rel
 	}
@@ -453,45 +624,66 @@ func (w *WSD) ensure() {
 	}
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy, with the same component IDs.
 func (w *WSD) Clone() *WSD {
 	c := New(w.schema)
 	c.empty = w.empty
 	c.normalized = w.normalized
 	c.holes = w.holes
 	c.factsLoose = w.factsLoose
-	c.facts = make([]storedFact, len(w.facts))
-	for i, f := range w.facts {
-		c.facts[i] = storedFact{rel: f.rel, tuple: f.tuple.Clone()}
+	facts := w.facts.slice()
+	for i, f := range facts {
+		facts[i].tuple = f.tuple.Clone()
 	}
+	c.facts = chunkedOf(facts)
 	c.factIndex = w.factIndex.clone()
-	c.comps = make([]component, len(w.comps))
-	for i, comp := range w.comps {
-		if comp.attr != nil {
-			c.comps[i] = component{attr: comp.attr.clone()}
-			continue
-		}
-		cc := component{alts: make([][]int32, len(comp.alts))}
-		for j, a := range comp.alts {
-			cc.alts[j] = append([]int32(nil), a...)
-		}
-		if comp.altIndex != nil {
-			cc.altIndex = make(map[uint64][]int32, len(comp.altIndex))
-			for h, bucket := range comp.altIndex {
-				cc.altIndex[h] = append([]int32(nil), bucket...)
-			}
-		}
-		c.comps[i] = cc
+	c.factDelta = w.factDelta.clone()
+	c.pending = make([]component, len(w.pending))
+	for i := range w.pending {
+		c.pending[i] = w.pending[i].clone()
 	}
-	c.factComp = append([]int32(nil), w.factComp...)
-	c.certain = append([]bool(nil), w.certain...)
+	if !w.normalized {
+		return c
+	}
+	comps := w.comps.slice()
+	for i := range comps {
+		comps[i] = comps[i].clone()
+	}
+	c.comps = chunkedOf(comps)
+	c.live = w.live
+	c.dense = w.dense
+	c.factState = chunkedOf(w.factState.slice())
+	c.certainComp = w.certainComp
 	if w.attrByRel != nil {
-		c.attrByRel = make(map[int32][]int32, len(w.attrByRel))
-		for r, bucket := range w.attrByRel {
-			c.attrByRel[r] = append([]int32(nil), bucket...)
+		c.attrByRel = make([]idList, len(w.attrByRel))
+		for ri := range w.attrByRel {
+			c.attrByRel[ri] = listOf(slices.Clone(w.attrByRel[ri].view()))
 		}
 	}
+	c.units, c.altFacts = w.units, w.altFacts
+	c.free = slices.Clone(w.free)
 	return c
+}
+
+// clone deep-copies a component (a tombstone stays one).
+func (c *component) clone() component {
+	if c.attr != nil {
+		return component{attr: c.attr.clone()}
+	}
+	if c.alts == nil {
+		return component{}
+	}
+	cc := component{alts: make([][]int32, len(c.alts))}
+	for j, a := range c.alts {
+		cc.alts[j] = append([]int32(nil), a...)
+	}
+	if c.altIndex != nil {
+		cc.altIndex = make(map[uint64][]int32, len(c.altIndex))
+		for h, bucket := range c.altIndex {
+			cc.altIndex[h] = append([]int32(nil), bucket...)
+		}
+	}
+	return cc
 }
 
 // String renders the decomposition in .pw @wsd syntax (parsable by
@@ -508,7 +700,14 @@ func (w *WSD) String() string {
 		b.WriteString("\n  component:")
 		return b.String()
 	}
-	for _, c := range w.comps {
+	comps := w.pending
+	if w.normalized {
+		comps = make([]component, 0, w.live)
+		for _, ci := range w.displayOrder() {
+			comps = append(comps, *w.comp(int(ci)))
+		}
+	}
+	for _, c := range comps {
 		b.WriteString("\n  component:")
 		if c.attr != nil {
 			b.WriteString("\n    tmpl: " + w.templateString(c.attr))

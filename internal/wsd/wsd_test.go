@@ -3,7 +3,6 @@ package wsd
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -273,11 +272,12 @@ func TestAttrOwnerProbesSelectiveColumn(t *testing.T) {
 	}
 }
 
-// TestAxesDroppedByIncrementalInstall builds the axis table on an update
-// snapshot mid-update, then applies an operation: the install must drop
-// the table, so the next read sees the successor's axes, not the stale
-// ones.
-func TestAxesDroppedByIncrementalInstall(t *testing.T) {
+// TestOrderDroppedByIncrementalInstall builds the display order on an
+// update snapshot mid-update, then applies an operation: the install
+// must drop the order, so the next positional read sees the successor's
+// components, not the stale permutation. The choice-axis count is
+// carried by delta and must equal a recount.
+func TestOrderDroppedByIncrementalInstall(t *testing.T) {
 	w := New(schemaR())
 	mustAdd(t, w, alt([2]string{"a", "x"}), alt([2]string{"a", "y"}))
 	mustAdd(t, w, alt([2]string{"b", "x"}), alt([2]string{"b", "y"}), alt([2]string{"b", "z"}))
@@ -285,18 +285,57 @@ func TestAxesDroppedByIncrementalInstall(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := w.snapshotClone()
-	before := out.Axes()
+	before := out.Order()
 	if err := out.applyOp(&UpdateOp{Kind: OpInsert, Rel: "R", Args: []string{"c", "w"}}, false); err != nil {
 		t.Fatal(err)
 	}
-	after := out.Axes()
-	if after == before || after.Len() == before.Len() {
-		t.Fatalf("install kept the table: %d axes before, %d after", before.Len(), after.Len())
+	after := out.Order()
+	if len(after) != len(before)+1 {
+		t.Fatalf("install kept the order: %v before, %v after", before, after)
 	}
-	if !reflect.DeepEqual(after, out.buildAxes()) {
-		t.Fatalf("table after install differs from a fresh build")
+	if got := len(out.World(make([]int, len(after))).Relations()[0].Tuples()); got != 3 {
+		t.Fatalf("first world of the successor holds %d facts, want 3", got)
 	}
-	if w.Axes().Len() != 2 {
-		t.Fatalf("parent has %d axes, want 2", w.Axes().Len())
+	if out.UnitCount() != 3 || w.UnitCount() != 2 {
+		t.Fatalf("unit counts %d (successor), %d (parent); want 3, 2", out.UnitCount(), w.UnitCount())
+	}
+	if err := out.CheckDerivedState(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestChunkedCopyOnWrite pins the chunked array's contract: a fork
+// shares its parent's chunks, writes into the fork copy only the chunks
+// they touch, and the parent reads as before; a fork of the empty array
+// grows in full-size chunks.
+func TestChunkedCopyOnWrite(t *testing.T) {
+	var empty chunked[int32]
+	grown := empty.fork()
+	for i := 0; i < 5000; i++ {
+		grown.push(int32(i))
+	}
+	if want := (5000 + grown.size() - 1) / grown.size(); len(grown.chunks) != want || grown.size() < 128 {
+		t.Fatalf("a fork of the empty array holds %d chunks of %d, want %d of at least 128", len(grown.chunks), grown.size(), want)
+	}
+	parent := chunkedOf(grown.slice())
+	child := parent.fork()
+	child.set(3, -3)
+	child.push(5000)
+	for i := 0; i < parent.len(); i++ {
+		if parent.at(i) != int32(i) {
+			t.Fatalf("parent element %d reads %d after the fork's writes", i, parent.at(i))
+		}
+	}
+	if child.at(3) != -3 || child.at(5000) != 5000 || child.len() != 5001 || parent.len() != 5000 {
+		t.Fatalf("fork reads %d, %d (len %d); parent len %d", child.at(3), child.at(5000), child.len(), parent.len())
+	}
+	shared := 0
+	for k := range parent.chunks {
+		if parent.chunks[k] == child.chunks[k] {
+			shared++
+		}
+	}
+	if shared != len(parent.chunks)-2 {
+		t.Fatalf("fork shares %d of %d chunks, want all but the two it wrote", shared, len(parent.chunks))
 	}
 }

@@ -306,7 +306,7 @@ func (ev *evaluator) groupCertain(cert [][]sym.Tuple, parts []taggedPart, member
 // template body, no surviving predicates, every origin unit referenced
 // by exactly one out-column — and returns its per-column value lists:
 // a constant column's one value, a unit column's open-slot values
-// (shared with the axis table, never written). Repeated slot references
+// (shared with the input template, never written). Repeated slot references
 // or predicates correlate the columns; those parts are swept instead.
 func (ev *evaluator) templateCells(p *part) ([][]sym.ID, bool) {
 	t := p.tmpl
@@ -326,7 +326,7 @@ func (ev *evaluator) templateCells(p *part) ([][]sym.ID, bool) {
 			}
 		}
 		read++
-		cells[j] = ev.cells[c.unit]
+		cells[j] = c.cell
 	}
 	return cells, read == len(p.origins)
 }

@@ -62,10 +62,11 @@ func Contains(sub, sup *wsd.WSD) (bool, error) {
 		subComp int
 		supComp int
 	}
-	nSub := sub.Components()
+	subOrder := sub.Order()
 	var refs []factRef
 	templateMapped := map[int]int{} // sub component -> sup template it maps into
-	for ci := 0; ci < nSub; ci++ {
+	for _, id := range subOrder {
+		ci := int(id)
 		if sj, resolved := templateInto(sub, ci, sup); resolved {
 			if sj < 0 {
 				return false, nil // an instantiation outside sup's support
@@ -95,7 +96,7 @@ func Contains(sub, sup *wsd.WSD) (bool, error) {
 	}
 
 	// (2) Cluster sub components that touch a common sup component.
-	uf := unionfind.NewDense(nSub)
+	uf := unionfind.NewDense(sub.Components())
 	supTouch := map[int]int{} // sup component -> first touching sub component
 	for _, r := range refs {
 		if prev, ok := supTouch[r.supComp]; ok {
@@ -106,8 +107,9 @@ func Contains(sub, sup *wsd.WSD) (bool, error) {
 	}
 	clusters := map[int32][]int{}
 	var order []int32
-	for ci := 0; ci < nSub; ci++ {
-		r := uf.Find(int32(ci))
+	for _, id := range subOrder {
+		ci := int(id)
+		r := uf.Find(id)
 		if _, ok := clusters[r]; !ok {
 			order = append(order, r)
 		}
@@ -126,8 +128,8 @@ func Contains(sub, sup *wsd.WSD) (bool, error) {
 	}
 
 	// (4) Untouched sup components must offer the empty alternative.
-	for sj := 0; sj < sup.Components(); sj++ {
-		if !seenSup[sj] && !sup.HasAlternative(sj, nil) {
+	for _, id := range sup.Order() {
+		if sj := int(id); !seenSup[sj] && !sup.HasAlternative(sj, nil) {
 			return false, nil
 		}
 	}

@@ -285,12 +285,13 @@ func (ev *evaluator) spaceEst(sets [][]int) PlanStats {
 	return s
 }
 
-// scanEst bounds a base-relation scan from the raw decomposition: at
-// most one part per component, every unit potentially touched, and (for
-// tabulated rows) each alternative's full fact list — template
-// components scan symbolically and tabulate nothing.
+// scanEst bounds a base-relation scan from the raw decomposition's
+// per-version totals, each O(1) to read: at most one part per
+// component, every choice axis potentially touched, and (for tabulated
+// rows) each alternative's full fact list — template components scan
+// symbolically and tabulate nothing.
 func (ev *evaluator) scanEst() PlanStats {
-	return PlanStats{Parts: int64(ev.w.Components()), Units: int64(ev.units()), Rows: ev.w.AltFactCount()}
+	return PlanStats{Parts: int64(ev.w.LiveComponents()), Units: ev.w.UnitCount(), Rows: ev.w.AltFactCount()}
 }
 
 // probeScanEst is a probed scan's estimate: the posting names exactly

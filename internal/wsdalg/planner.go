@@ -32,8 +32,8 @@
 // space, plus each join's pairwise row-match work (the term σ-pushdown
 // shrinks), plus the final assembly's. So what the planner minimizes is
 // what EXPLAIN shows, by construction. One evaluator serves a query's
-// pricing walks and its evaluation, sharing one scan cache; every
-// evaluator of a version shares its axis table. All rewrites are
+// pricing walks and its evaluation, sharing one scan cache and the
+// choice units it numbered. All rewrites are
 // equivalences of the world-set algebra; results are bit-identical to
 // the naive form (the differential suite races both).
 package wsdalg

@@ -3,7 +3,7 @@ package wsdalg
 // Tests that per-query evaluator work follows what the query touches:
 // the planner's rewrites keep a written probe (no pricing walk reads a
 // probed relation in full), and choiceof's synthetic units stay in the
-// evaluator's overlay, never in the version's shared axis table.
+// evaluator that numbers them, never touching the shared input.
 
 import (
 	"fmt"
@@ -64,9 +64,9 @@ func TestOptimizeKeepsScanProbes(t *testing.T) {
 		q := query.NewAlgebra(name, query.Out{Name: "A", Expr: e})
 		ev := newEvaluator(w)
 		opt := ev.decide(q).form
-		for key, parts := range ev.scans {
+		for key, sc := range ev.scans {
 			if key.col < 0 {
-				t.Errorf("%s: planning read R in full (%d parts); chosen %s", name, len(parts), opt.(query.Algebra).Outs[0].Expr)
+				t.Errorf("%s: planning read R in full (%d parts); chosen %s", name, len(sc.parts), opt.(query.Algebra).Outs[0].Expr)
 			}
 		}
 		if len(ev.scans) == 0 {
@@ -108,9 +108,10 @@ func TestOptimizeKeepsScanProbes(t *testing.T) {
 // TestChoiceOfSharedTableRace evaluates choiceof queries from 8
 // goroutines on one shared normalized decomposition — mixed tuple-level
 // components and templates — and checks every answer against the worlds
-// oracle: the synthetic units each evaluation appends must land in its
-// own overlay, never in the version's shared axis table (the race
-// detector flags a write, the oracle a corrupted read).
+// oracle: each evaluation numbers its units, synthetic ones included, in
+// its own evaluator and writes nothing of the shared input (the race
+// detector flags a write, the oracle a corrupted read, and the input's
+// printed form, alternative counts and unit count must not move).
 func TestChoiceOfSharedTableRace(t *testing.T) {
 	scan := algebra.Scan("R", "a", "b")
 	pick := func(e algebra.Expr) algebra.Expr { return algebra.ChoiceOf{E: e} }
@@ -136,7 +137,7 @@ func TestChoiceOfSharedTableRace(t *testing.T) {
 			continue
 		}
 		cases++
-		base := slices.Clone(w.Axes().Counts())
+		base, baseAlts, baseUnits := w.String(), w.Alternatives(), w.UnitCount()
 		var qs []query.Query
 		var want [][]*rel.Instance
 		for i, e := range exprs {
@@ -161,8 +162,8 @@ func TestChoiceOfSharedTableRace(t *testing.T) {
 			}(g)
 		}
 		wg.Wait()
-		if got := w.Axes().Counts(); !slices.Equal(got, base) {
-			t.Errorf("seed %d: shared axis table changed: %v, was %v", seed, got, base)
+		if got := w.String(); got != base || !slices.Equal(w.Alternatives(), baseAlts) || w.UnitCount() != baseUnits {
+			t.Errorf("seed %d: shared input changed:\n%s\nwas:\n%s", seed, got, base)
 		}
 	}
 	if cases < 3 {

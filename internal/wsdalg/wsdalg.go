@@ -19,7 +19,9 @@
 // template — slot granularity is what keeps field products unexpanded:
 // the slots of one template are independent axes, so parts touching
 // different slots recombine freely without ever tabulating the
-// template's cross product. Operators act as follows:
+// template's cross product. Units are numbered per evaluation, only for
+// the components its scans read (see evaluator). Operators act as
+// follows:
 //
 //   - scans split a relation along the input components that mention
 //     it: one tabulated single-origin part per tuple-level component,
@@ -317,9 +319,9 @@ func (ev *evaluator) start(q query.Query, c *obs.Cost, pl *Plan) error {
 	if err := Supported(q); err != nil {
 		return err
 	}
-	c.Add(obs.EvalComponents, int64(ev.w.Components()))
+	c.Add(obs.EvalComponents, int64(ev.w.LiveComponents()))
 	if pl != nil {
-		pl.Components = int64(ev.w.Components())
+		pl.Components = int64(ev.w.LiveComponents())
 	}
 	return nil
 }
@@ -578,6 +580,7 @@ type tmplPart struct {
 type tmplCol struct {
 	unit    int
 	constID sym.ID
+	cell    []sym.ID // the unit's open-slot values (nil for a constant)
 }
 
 type tmplPred struct {
@@ -603,7 +606,7 @@ func (c tmplCol) val(choice []int, ev *evaluator) sym.ID {
 	if c.unit < 0 {
 		return c.constID
 	}
-	return ev.cells[c.unit][choice[c.unit]]
+	return c.cell[choice[c.unit]]
 }
 
 // at evaluates the template body: nil when a predicate fails, otherwise
@@ -658,14 +661,18 @@ func (d *dRel) origins() []int {
 	return units
 }
 
-// evaluator carries the per-query state: the input decomposition's
-// choice units — its per-version axis table (wsd.Axes), shared read-only
-// with every other evaluator of the version, plus this query's synthetic
-// units — and a per-relation scan cache (the same base relation scanned
-// twice shares its parts; parts are never mutated after construction).
-// One evaluator serves every walk of a query — the planner's bound
-// walks and the tabulating evaluation — so they share one scan cache
-// and one scratch choice vector.
+// evaluator carries the per-query state: this query's choice units and
+// a per-relation scan cache (the same base relation scanned twice
+// shares its parts; parts are never mutated after construction). Units
+// are numbered per query, in the order the scans first touch them: an
+// input unit is a (component, slot) pair a scan reads — slot -1 for a
+// whole tuple-level component — and two scans reading one component
+// share its units; a synthetic unit is choiceof's pick, appended when
+// the operator runs. So the unit vectors grow with what the query
+// touches, never with the decomposition. One evaluator serves every
+// walk of a query — the planner's bound walks and the tabulating
+// evaluation — so they share one scan cache, its units and one scratch
+// choice vector.
 //
 // A walk runs in one of two readings of the same operators. The
 // tabulating reading computes each part's value under every joint
@@ -673,16 +680,15 @@ func (d *dRel) origins() []int {
 // origins, row bounds and symbolic template bodies, never sweeping a
 // joint space, and it sums the operators' estimates into predicted.
 type evaluator struct {
-	w    *wsd.WSD
-	axes *wsd.Axes
-	base int // units backed by the input; later ones are synthetic (choiceof)
-	// altCounts is the alternative count per unit: the axis table's
-	// capacity-clipped slice, so the first synthetic unit appended
-	// copies it and the shared table is never written.
+	w *wsd.WSD
+	// altCounts is the alternative count per unit; choice is the scratch
+	// choice vector every sweep shares (see odometer). Both start in the
+	// inline buffers, so a query touching few units allocates neither.
 	altCounts []int32
-	cells     [][]sym.ID // per input unit: open-slot values (the axis table's)
-	choice    []int      // scratch choice vector every sweep shares (see odometer)
-	scans     map[scanKey][]part
+	choice    []int
+	unitBuf   [32]int32
+	choiceBuf [32]int
+	scans     map[scanKey]scanned
 	bound     bool      // bound reading: nothing tabulates
 	predicted int64     // bound reading: the walk's cost so far (see setEst)
 	cost      *obs.Cost // per-request sink (nil when untraced)
@@ -693,24 +699,19 @@ type evaluator struct {
 }
 
 func newEvaluator(w *wsd.WSD) *evaluator {
-	return &evaluator{w: w, scans: map[scanKey][]part{}}
+	ev := &evaluator{w: w, scans: map[scanKey]scanned{}}
+	ev.altCounts, ev.choice = ev.unitBuf[:0], ev.choiceBuf[:]
+	return ev
 }
 
 // units returns the number of choice units, synthetic ones included.
 func (ev *evaluator) units() int { return len(ev.altCounts) }
 
 // begin starts a walk in the given reading with the given sinks. The
-// first walk loads the input's axis table — an evaluation that never
-// walks (the identity query, the empty world set) never builds one; a
-// later walk drops the synthetic units an earlier one added. The
-// input's units and the scan cache carry over.
+// scan cache and the units its parts reference carry over from earlier
+// walks; so do an earlier walk's synthetic units, which no part of this
+// walk references.
 func (ev *evaluator) begin(bound bool, c *obs.Cost, pl *Plan) {
-	if ev.axes == nil {
-		ev.axes = ev.w.Axes()
-		ev.base = ev.axes.Len()
-		ev.altCounts, ev.cells = ev.axes.Counts(), ev.axes.Cells()
-	}
-	ev.altCounts = ev.altCounts[:ev.base]
 	ev.bound, ev.predicted = bound, 0
 	ev.cost, ev.plan, ev.cur = c, pl, nil
 }
@@ -749,7 +750,7 @@ func (ev *evaluator) space(origins []int) (int, error) {
 // each writes the digits of its own origins before any read.
 func (ev *evaluator) odometer(origins []int, fn func(choice []int) bool) {
 	if len(ev.choice) < ev.units() {
-		ev.choice = make([]int, ev.units())
+		ev.choice = make([]int, cap(ev.altCounts))
 	}
 	choice := ev.choice
 	for _, o := range origins {
@@ -828,6 +829,13 @@ type scanKey struct {
 	val      sym.ID
 }
 
+// scanned is one cached scan: the component IDs it read (tuple-level
+// and templates, each ascending) and its parts, in ascending ID order.
+type scanned struct {
+	comps, tmpls []int32
+	parts        []part
+}
+
 // scanParts builds (and caches) the parts of base relation ri (a schema
 // position): one tabulated part per tuple-level component whose support
 // mentions the relation, and one symbolic template part per
@@ -841,25 +849,33 @@ func (ev *evaluator) scanParts(ri int, probe *scanProbe) []part {
 	if probe != nil {
 		key.col, key.val = probe.col, probe.val
 	}
-	if ps, ok := ev.scans[key]; ok {
-		return ps
+	if sc, ok := ev.scans[key]; ok {
+		return sc.parts
 	}
 	comps, tmpls := ev.w.RelComponents(ri), ev.w.RelTemplates(ri)
 	if probe != nil {
 		comps, tmpls = ev.w.Posting(ri, probe.col, probe.val)
 	}
+	// Size the unit vectors once for every unit this scan can add.
+	fresh := len(comps)
+	for _, ci := range tmpls {
+		_, cells, _ := ev.w.TemplateSlots(int(ci))
+		fresh += len(cells)
+	}
+	ev.altCounts = slices.Grow(ev.altCounts, fresh)
+	sc := scanned{comps: comps, tmpls: tmpls, parts: make([]part, 0, len(comps)+len(tmpls))}
 	// Both lists ascend; merging them keeps the parts in component order.
-	ps := make([]part, 0, len(comps)+len(tmpls))
 	for len(comps) > 0 || len(tmpls) > 0 {
 		if len(tmpls) == 0 || (len(comps) > 0 && comps[0] < tmpls[0]) {
 			ci := int(comps[0])
 			comps = comps[1:]
-			u := ev.unitOf(ci, -1)
-			alts := make([][]sym.Tuple, ev.altCounts[u])
+			n := ev.w.AltCount(ci)
+			u := ev.unitOf(ci, -1, n)
+			alts := make([][]sym.Tuple, n)
 			for ai := range alts {
 				alts[ai] = ev.w.AltTuples(ci, ai, ri)
 			}
-			ps = append(ps, part{origins: []int{u}, alts: alts})
+			sc.parts = append(sc.parts, part{origins: []int{u}, alts: alts})
 			continue
 		}
 		ci := int(tmpls[0])
@@ -871,30 +887,54 @@ func (ev *evaluator) scanParts(ri int, probe *scanProbe) []part {
 				t.out[si] = tmplCol{unit: -1, constID: cell[0]}
 				continue
 			}
-			t.out[si] = tmplCol{unit: ev.unitOf(ci, si)}
+			t.out[si] = tmplCol{unit: ev.unitOf(ci, si, len(cell)), cell: cell[:len(cell):len(cell)]}
 		}
-		ps = append(ps, part{origins: t.unitsOf(), tmpl: t})
+		sc.parts = append(sc.parts, part{origins: t.unitsOf(), tmpl: t})
 	}
-	ev.scans[key] = ps
-	return ps
+	ev.scans[key] = sc
+	return sc.parts
 }
 
-// unitOf resolves an input (component, slot) pair to its unit index:
-// the axis table's. Panics on a pair that is not a choice axis
-// (programming error).
-func (ev *evaluator) unitOf(ci, slot int) int {
-	if u := ev.axes.Axis(ci, slot); u >= 0 {
-		return u
+// unitOf returns the unit of an input (component, slot) pair — slot -1
+// for a whole tuple-level component — with n alternatives: the unit an
+// earlier scan gave it, or a fresh one.
+func (ev *evaluator) unitOf(ci, slot, n int) int {
+	if len(ev.scans) > 0 {
+		for _, sc := range ev.scans {
+			if u, ok := sc.unitOf(ci, slot); ok {
+				return u
+			}
+		}
 	}
-	panic("wsdalg: no unit for component slot")
+	u := ev.units()
+	ev.altCounts = append(ev.altCounts, int32(n))
+	return u
+}
+
+// unitOf finds the unit this scan gave (component, slot), if it read
+// the component: its part sits after the scan's parts of smaller IDs.
+func (sc *scanned) unitOf(ci, slot int) (int, bool) {
+	own, other := sc.comps, sc.tmpls
+	if slot >= 0 {
+		own, other = sc.tmpls, sc.comps
+	}
+	k, found := slices.BinarySearch(own, int32(ci))
+	if !found {
+		return 0, false
+	}
+	j, _ := slices.BinarySearch(other, int32(ci))
+	p := &sc.parts[k+j]
+	if slot < 0 {
+		return p.origins[0], true
+	}
+	return p.tmpl.out[slot].unit, true
 }
 
 // addUnit appends a synthetic choice unit — a fresh independent axis
 // that is not backed by any input component (choiceof's nondeterministic
-// pick) — to this evaluator's overlay; the shared axis table is never
-// written. Safe mid-evaluation: the odometer's vector grows to the
-// units that exist at each sweep, and the assembly indexes only the
-// units its parts touch.
+// pick). Safe mid-evaluation: the odometer's vector grows to the units
+// that exist at each sweep, and the assembly indexes only the units its
+// parts touch.
 func (ev *evaluator) addUnit(altCount int) int {
 	u := ev.units()
 	ev.altCounts = append(ev.altCounts, int32(altCount))
