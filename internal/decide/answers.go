@@ -38,8 +38,8 @@ func (o Options) CertainAnswers(q query.Query, d *table.Database) (*rel.Instance
 	if err != nil {
 		return nil, err
 	}
-	nd, okN := table.Normalize(lifted)
-	if !okN {
+	nd := lifted.Compiled().Norm
+	if nd == nil {
 		// rep(d) = ∅: certainty is vacuous; there is no canonical answer
 		// set. Report the empty schema-shaped instance.
 		return lifted.EmptyInstance(), nil
@@ -111,8 +111,8 @@ func (o Options) PossibleAnswers(q query.Query, d *table.Database) (*rel.Instanc
 	if err != nil {
 		return nil, err
 	}
-	nd, okN := table.Normalize(lifted)
-	if !okN {
+	nd := lifted.Compiled().Norm
+	if nd == nil {
 		// rep(d) = ∅: no world, no possible fact.
 		return lifted.EmptyInstance(), nil
 	}

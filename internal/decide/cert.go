@@ -24,7 +24,7 @@ import (
 //   - otherwise (first-order — the coNP-hard case of Theorem 5.3(2)):
 //     exhaustive valuation search for a violating world.
 func (o Options) Certain(p *rel.Instance, q query.Query, d *table.Database) (bool, error) {
-	if query.IsHomPreserved(q) && !hasLocalConds(d) {
+	if query.IsHomPreserved(q) && !d.Compiled().Local {
 		return certainFrozen(p, q, d)
 	}
 	if l, ok := query.AsLiftable(q); ok {
@@ -46,9 +46,13 @@ func (o Options) Certain(p *rel.Instance, q query.Query, d *table.Database) (boo
 // u = h(u) ∈ q(σ(d)). Completeness: a certain fact in particular holds in
 // the world K0.
 func certainFrozen(p *rel.Instance, q query.Query, d *table.Database) (bool, error) {
-	nd, ok := table.Normalize(d)
-	if !ok {
+	c := d.Compiled()
+	nd := c.Norm
+	if nd == nil {
 		return true, nil // rep(d) = ∅: vacuously certain
+	}
+	if query.IsIdentity(q) {
+		return frozenContains(p, c), nil
 	}
 	seen := map[sym.ID]bool{}
 	pool := nd.ConstIDs(nil, seen)
@@ -68,6 +72,28 @@ func certainFrozen(p *rel.Instance, q query.Query, d *table.Database) (bool, err
 	return p.SubsetOf(out), nil
 }
 
+// frozenContains is certainFrozen for the identity query, p ⊆ K₀,
+// without building K₀: a fact of p is in K₀ iff it equals a
+// variable-free row of the normal form, because every other row of K₀
+// carries a frozen constant, whose prefix no constant of p has.
+func frozenContains(p *rel.Instance, c *table.Compiled) bool {
+	for _, r := range p.Relations() {
+		ix := c.Index(r.Name)
+		if ix == nil {
+			if r.Len() > 0 {
+				return false
+			}
+			continue
+		}
+		for _, u := range r.Tuples() {
+			if !ix.HasGround(u) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // certainIdentity decides whether every world of rep(d) contains all facts
 // of p, one equality-logic refutation per fact — the per-fact checks are
 // independent (Proposition 2.1(6)), so they fan out across the pool and
@@ -76,8 +102,8 @@ func (o Options) certainIdentity(p *rel.Instance, d *table.Database) (bool, erro
 	if err := factsCheck(p, d); err != nil {
 		return false, err
 	}
-	nd, ok := table.Normalize(d)
-	if !ok {
+	nd := d.Compiled().Norm
+	if nd == nil {
 		return true, nil // rep(d) = ∅: vacuously certain
 	}
 	refs := factRefs(nd, p)

@@ -41,8 +41,9 @@ func (o Options) Containment(q0 query.Query, d0 *table.Database, q query.Query, 
 
 // containmentIdentity decides rep(d0) ⊆ rep(d).
 func (o Options) containmentIdentity(d0, d *table.Database) (bool, error) {
-	nd0, ok := table.Normalize(d0)
-	if !ok {
+	c0 := d0.Compiled()
+	nd0 := c0.Norm
+	if nd0 == nil {
 		return true, nil // rep(d0) = ∅ ⊆ anything
 	}
 	// The freeze claim needs: no local conditions on the subset side (so
@@ -52,7 +53,7 @@ func (o Options) containmentIdentity(d0, d *table.Database) (bool, error) {
 	// argument: composing with the fresh-constant-collapsing map p can
 	// turn a falsified (dropped) local condition into a satisfied one,
 	// adding facts to the world.
-	if !hasLocalConds(nd0) && noInequalities(d) && !hasLocalConds(d) {
+	if !c0.NormLocal && noInequalities(d) && !d.Compiled().Local {
 		return o.freezeContainment(nd0, d)
 	}
 	// General case: for every valuation σ0 of d0 over Δ ∪ Δ′, the world
@@ -119,8 +120,6 @@ func (o Options) freezeContainment(nd0, d *table.Database) (bool, error) {
 	pool := nd0.ConstIDs(nil, seen)
 	pool = d.ConstIDs(pool, seen)
 	k0 := table.Freeze(nd0, table.FreshPrefixIDs(pool))
-	// The single membership test is the whole cost of the freeze cell, so
-	// it inherits the full worker budget (parallel matching-graph build).
 	return o.membershipIdentity(k0, d)
 }
 

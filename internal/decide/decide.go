@@ -19,6 +19,14 @@
 //
 // All row↔fact unification, binding bookkeeping and fact comparison run on
 // interned symbol IDs (internal/sym); strings never enter these paths.
+//
+// What a decision needs of the database alone — its normal form, that
+// form's kind, and per table a row-pattern index — comes from the
+// database's compiled form (table.Database.Compiled), built by the first
+// decision and reused by every later one. The matching builds and the
+// search candidate lists take each fact's candidate rows from the index
+// and confirm them with rowMatchesFact, so they see exactly the rows an
+// n·m sweep would, in the same order, without running it.
 package decide
 
 import (

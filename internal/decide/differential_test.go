@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"pw/internal/algebra"
-	"pw/internal/decide"
 	"pw/internal/difftest"
 	"pw/internal/fo"
 	"pw/internal/gen"
@@ -30,11 +29,9 @@ import (
 
 func forceParallel(t *testing.T) {
 	t.Helper()
-	oldSpace, oldPairs := valuation.MinShardedSpace, decide.MinParallelPairs
-	valuation.MinShardedSpace, decide.MinParallelPairs = 1, 1
-	t.Cleanup(func() {
-		valuation.MinShardedSpace, decide.MinParallelPairs = oldSpace, oldPairs
-	})
+	old := valuation.MinShardedSpace
+	valuation.MinShardedSpace = 1
+	t.Cleanup(func() { valuation.MinShardedSpace = old })
 }
 
 // workerSweep is the determinism contract: the same engine at three

@@ -7,6 +7,7 @@ import (
 	"pw/internal/cond"
 	"pw/internal/eqlogic"
 	"pw/internal/matching"
+	"pw/internal/obs"
 	"pw/internal/query"
 	"pw/internal/rel"
 	"pw/internal/sym"
@@ -39,14 +40,14 @@ func (o Options) membershipIdentity(i0 *rel.Instance, d *table.Database) (bool, 
 	if err := SchemaCheck(i0, d); err != nil {
 		return false, err
 	}
-	nd, ok := table.Normalize(d)
-	if !ok {
+	c := d.Compiled()
+	if c.Norm == nil {
 		return false, nil // rep(d) = ∅
 	}
-	if nd.Kind() == table.KindCodd {
-		return membCodd(i0, nd, o.workers()), nil
+	if c.Kind == table.KindCodd {
+		return membCodd(i0, c, o.Cost), nil
 	}
-	return membSearch(i0, nd), nil
+	return membSearch(i0, c, o.Cost), nil
 }
 
 // membCodd implements the algorithm of Theorem 3.1(1): for each table,
@@ -54,13 +55,13 @@ func (o Options) membershipIdentity(i0 *rel.Instance, d *table.Database) (bool, 
 // the table (right); answer yes iff every row is connected to some fact
 // and a maximum matching saturates all facts. Tables in a vector have
 // pairwise disjoint variables, so per-relation tests are independent.
-func membCodd(i0 *rel.Instance, d *table.Database, workers int) bool {
-	for _, t := range d.Tables() {
+func membCodd(i0 *rel.Instance, c *table.Compiled, cost *obs.Cost) bool {
+	for _, t := range c.Norm.Tables() {
 		facts := i0.Relation(t.Name).Tuples()
 		n, m := len(facts), len(t.Rows)
 		g := matching.NewGraph(n, m)
 		deg := make([]int, m)
-		buildMatchGraph(g, deg, facts, t.Rows, workers)
+		buildMatchGraph(g, deg, facts, t, c, cost)
 		// Step (c): a row that can produce no fact of i0 makes σ(T) ⊄ i0.
 		for _, dg := range deg {
 			if dg == 0 {
@@ -76,44 +77,52 @@ func membCodd(i0 *rel.Instance, d *table.Database, workers int) bool {
 }
 
 // buildMatchGraph fills the fact→row candidate graph (and, when deg is
-// non-nil, the per-row candidate counts). The O(n·m) rowMatchesFact sweep
-// dominates the matching-based MEMB/POSS algorithms on large Codd-tables
-// and is embarrassingly parallel across facts: each worker owns a
-// contiguous fact range and writes only that range's adjacency lists, so
-// the resulting graph is identical to the sequential build at any worker
-// count.
-func buildMatchGraph(g *matching.Graph, deg []int, facts []sym.Tuple, rows []table.Row, workers int) {
-	n, m := len(facts), len(rows)
-	if workers > 1 && n > 1 && n*m >= MinParallelPairs {
-		forRanges(workers, n, func(lo, hi int) {
-			for ai := lo; ai < hi; ai++ {
-				for bj := 0; bj < m; bj++ {
-					if rowMatchesFact(rows[bj], facts[ai]) {
-						g.Adj[ai] = append(g.Adj[ai], bj)
-					}
-				}
-			}
-		})
-		if deg != nil {
-			for _, adj := range g.Adj {
-				for _, bj := range adj {
-					deg[bj]++
-				}
-			}
-		}
-		return
-	}
+// non-nil, the per-row candidate counts). Each fact's rows come from the
+// table's pattern index, in row order, so the adjacency lists are those
+// of the full n·m rowMatchesFact sweep at a fraction of the tests.
+func buildMatchGraph(g *matching.Graph, deg []int, facts []sym.Tuple, t *table.Table, c *table.Compiled, cost *obs.Cost) {
+	m := newMatcher(t, c)
 	for ai, u := range facts {
-		for bj := range rows {
-			if rowMatchesFact(rows[bj], u) {
-				g.AddEdge(ai, bj)
-				if deg != nil {
-					deg[bj]++
-				}
+		for _, bj := range m.rows(u) {
+			g.AddEdge(ai, int(bj))
+			if deg != nil {
+				deg[bj]++
 			}
 		}
 	}
+	m.done(cost)
 }
+
+// matcher lists the rows of one table that match a fact: the candidates
+// of the table's pattern index, confirmed by rowMatchesFact (which also
+// rejects hash collisions and rows whose repeated variables disagree).
+type matcher struct {
+	t     *table.Table
+	ix    *table.RowIndex
+	buf   []int32
+	tests int64
+}
+
+func newMatcher(t *table.Table, c *table.Compiled) *matcher {
+	return &matcher{t: t, ix: c.Index(t.Name)}
+}
+
+// rows returns the rows matching u in ascending order. The slice is
+// reused by the next call.
+func (m *matcher) rows(u sym.Tuple) []int32 {
+	m.buf = m.ix.Candidates(m.buf[:0], u)
+	m.tests += int64(len(m.buf))
+	out := m.buf[:0]
+	for _, r := range m.buf {
+		if rowMatchesFact(m.t.Rows[r], u) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// done records the tests run into the request's cost sink.
+func (m *matcher) done(cost *obs.Cost) { cost.Add(obs.DecideMatchTests, m.tests) }
 
 // rowMatchesFact reports whether some valuation maps the row onto the
 // fact in isolation: constants agree positionally and repeated variables
@@ -163,8 +172,8 @@ func rowMatchesFact(row table.Row, f sym.Tuple) bool {
 // local condition must hold) or dropped (its local condition must fail);
 // every fact must be covered by at least one mapped row; the residual
 // condition system is discharged by internal/eqlogic.
-func membSearch(i0 *rel.Instance, d *table.Database) bool {
-	s := newMembState(i0, d)
+func membSearch(i0 *rel.Instance, c *table.Compiled, cost *obs.Cost) bool {
+	s := newMembState(i0, c, cost)
 	if s == nil {
 		return false
 	}
@@ -190,7 +199,8 @@ type membState struct {
 	mustFalse []cond.Conjunction
 }
 
-func newMembState(i0 *rel.Instance, d *table.Database) *membState {
+func newMembState(i0 *rel.Instance, c *table.Compiled, cost *obs.Cost) *membState {
+	d := c.Norm
 	s := &membState{
 		global: d.GlobalConjunction(),
 		bind:   map[sym.ID]sym.ID{},
@@ -201,18 +211,24 @@ func newMembState(i0 *rel.Instance, d *table.Database) *membState {
 		s.coverCnt = append(s.coverCnt, make([]int, len(fs)))
 		s.remaining = append(s.remaining, make([]int, len(fs)))
 		s.uncovered += len(fs)
+		base := len(s.rows)
 		for _, row := range t.Rows {
-			mr := membRow{row: row, relIdx: ri, canDrop: len(row.Cond) > 0}
-			for fi, f := range fs {
-				if rowMatchesFact(row, f) {
-					mr.candidates = append(mr.candidates, fi)
-					s.remaining[ri][fi]++
-				}
+			s.rows = append(s.rows, membRow{row: row, relIdx: ri, canDrop: len(row.Cond) > 0})
+		}
+		// Facts in order, so each row's candidates come out in fact order.
+		m := newMatcher(t, c)
+		for fi, f := range fs {
+			for _, r := range m.rows(f) {
+				mr := &s.rows[base+int(r)]
+				mr.candidates = append(mr.candidates, fi)
+				s.remaining[ri][fi]++
 			}
+		}
+		m.done(cost)
+		for _, mr := range s.rows[base:] {
 			if len(mr.candidates) == 0 && !mr.canDrop {
 				return nil // unconditioned row that fits no fact: immediate no
 			}
-			s.rows = append(s.rows, mr)
 		}
 	}
 	// Most-constrained-first: rows with the fewest options fail fast and

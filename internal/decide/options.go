@@ -16,15 +16,17 @@ import (
 // internal visit order differs under parallelism.
 type Options struct {
 	// Workers is the goroutine budget for the exponential valuation
-	// searches of the NP/coNP/Π₂ᵖ cells and for the large matching-graph
-	// builds of the polynomial cells. 0 means GOMAXPROCS; 1 reproduces
-	// the sequential engine bit-for-bit (visit order, witness choice).
+	// searches of the NP/coNP/Π₂ᵖ cells and for their per-fact and
+	// per-candidate fan-outs. 0 means GOMAXPROCS; 1 reproduces the
+	// sequential engine bit-for-bit (visit order, witness choice).
 	Workers int
 
 	// Cost, when non-nil, receives the search's cost counters: shards
-	// spawned, early cancellations, valuations visited, and the visit
-	// count at which the first witness was found. Counting is attached
-	// only when a sink is present, so the untraced path is unchanged.
+	// spawned, early cancellations, valuations visited, the visit count
+	// at which the first witness was found, and the row↔fact tests of
+	// the matching builds and search candidate lists. Counting is
+	// attached only when a sink is present, so the untraced path is
+	// unchanged.
 	Cost *obs.Cost
 }
 
@@ -60,17 +62,6 @@ func (o Options) enumerate(u *sym.Universe, base []sym.ID, prefix string, fn fun
 	}
 	return valuation.EnumerateCanonicalSharded(u, base, prefix, o.workers(), o.Cost, fn)
 }
-
-// MinParallelPairs is the smallest row×fact product worth parallelizing
-// in the matching-graph builds; below it one core wins. The build is
-// memory-bandwidth-bound (a cheap predicate per pair, adjacency append
-// per hit), so the fan-out only pays for itself well past the point
-// where the pair sweep outweighs per-worker graph stitching: measured
-// on the gated Fig3_MembMatching_2048 probe (2048×2048 facts×rows =
-// 2^22 pairs), the workers=8 build ran ~10–35% slower than sequential,
-// so the cutoff sits one doubling above it. Tests lower it to force the
-// parallel build onto small inputs.
-var MinParallelPairs = 1 << 23
 
 // errOnce retains the first error any worker reports.
 type errOnce struct {
@@ -112,31 +103,4 @@ func eachIndex(workers, n int, body func(int)) {
 		body(i)
 		return false
 	})
-}
-
-// forRanges runs body over a static contiguous partition of [0, n) —
-// the no-early-exit fan-out used by the matching-graph builds and the
-// certain-answer confirmation sweep. body must be safe for concurrent
-// calls on disjoint ranges.
-func forRanges(workers, n int, body func(lo, hi int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		if n > 0 {
-			body(0, n)
-		}
-		return
-	}
-	size := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += size {
-		hi := min(lo+size, n)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }

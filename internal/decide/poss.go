@@ -1,11 +1,13 @@
 package decide
 
 import (
+	"slices"
 	"sort"
 
 	"pw/internal/cond"
 	"pw/internal/eqlogic"
 	"pw/internal/matching"
+	"pw/internal/obs"
 	"pw/internal/query"
 	"pw/internal/rel"
 	"pw/internal/sym"
@@ -43,26 +45,26 @@ func (o Options) possibleIdentity(p *rel.Instance, d *table.Database) (bool, err
 	if err := factsCheck(p, d); err != nil {
 		return false, err
 	}
-	nd, ok := table.Normalize(d)
-	if !ok {
+	c := d.Compiled()
+	if c.Norm == nil {
 		return false, nil // rep(d) = ∅
 	}
-	if nd.Kind() == table.KindCodd {
-		return possCodd(p, nd, o.workers()), nil
+	if c.Kind == table.KindCodd {
+		return possCodd(p, c, o.Cost), nil
 	}
-	return possSearch(p, nd), nil
+	return possSearch(p, c, o.Cost), nil
 }
 
 // possCodd is the Theorem 5.1(1) variation of the matching algorithm:
 // since σ(T) ⊇ p (not equality), only the facts of p need to be matched —
 // injectively, because one row instantiates to exactly one fact — and
 // every row is free to produce extra facts.
-func possCodd(p *rel.Instance, d *table.Database, workers int) bool {
+func possCodd(p *rel.Instance, c *table.Compiled, cost *obs.Cost) bool {
 	for _, r := range p.Relations() {
-		t := d.Table(r.Name)
+		t := c.Norm.Table(r.Name)
 		facts := r.Tuples()
 		g := matching.NewGraph(len(facts), len(t.Rows))
-		buildMatchGraph(g, nil, facts, t.Rows, workers)
+		buildMatchGraph(g, nil, facts, t, c, cost)
 		if !matching.Perfect(g) {
 			return false
 		}
@@ -73,27 +75,26 @@ func possCodd(p *rel.Instance, d *table.Database, workers int) bool {
 // possSearch assigns each fact of p to a distinct row of its table
 // (backtracking with eager bindings); chosen rows' local conditions join
 // the global condition in the final equality-logic check.
-func possSearch(p *rel.Instance, d *table.Database) bool {
+func possSearch(p *rel.Instance, c *table.Compiled, cost *obs.Cost) bool {
+	d := c.Norm
 	type need struct {
 		fact sym.Tuple
 		t    *table.Table
-		cand []int // candidate row indices in t
+		cand []int32 // candidate row indices in t
 	}
 	var needs []need
 	for _, r := range p.Relations() {
 		t := d.Table(r.Name)
+		m := newMatcher(t, c)
 		for _, u := range r.Tuples() {
-			n := need{fact: u, t: t}
-			for ri := range t.Rows {
-				if rowMatchesFact(t.Rows[ri], u) {
-					n.cand = append(n.cand, ri)
-				}
-			}
-			if len(n.cand) == 0 {
+			cand := m.rows(u)
+			if len(cand) == 0 {
+				m.done(cost)
 				return false
 			}
-			needs = append(needs, n)
+			needs = append(needs, need{fact: u, t: t, cand: slices.Clone(cand)})
 		}
+		m.done(cost)
 	}
 	// Most-constrained-first: facts with the fewest compatible rows first.
 	sort.SliceStable(needs, func(i, j int) bool {

@@ -48,14 +48,15 @@ func (o Options) uniqueIdentity(d *table.Database, i *rel.Instance) (bool, error
 	if err := SchemaCheck(i, d); err != nil {
 		return false, err
 	}
-	nd, ok := table.Normalize(d)
-	if !ok {
+	c := d.Compiled()
+	nd := c.Norm
+	if nd == nil {
 		return false, nil // rep(d) = ∅ ≠ {i}
 	}
 	// Fast path of Theorem 3.2(1): a g-table (no local conditions) is
 	// unique iff its normalized matrix is ground and equals i.
-	if !hasLocalConds(nd) {
-		return groundEquals(nd, i), nil
+	if !c.NormLocal {
+		return groundEquals(c, i), nil
 	}
 	if escapes, _ := rowEscapes(nd, i); escapes {
 		return false, nil
@@ -102,42 +103,38 @@ func omittableFact(d *table.Database, i *rel.Instance, workers int) bool {
 	})
 }
 
-func hasLocalConds(d *table.Database) bool {
-	for _, t := range d.Tables() {
-		if t.HasLocalConds() {
-			return true
-		}
-	}
-	return false
-}
-
 // groundEquals implements the core of Theorem 3.2(1): after normalization
 // a local-condition-free database represents exactly {i} iff every row is
 // ground and the resulting instance equals i. (A surviving variable ranges
 // over infinitely many constants — the residual global inequalities
 // exclude only finitely many — so it always produces a second world.)
-// The matrix instance is assembled and compared entirely on interned IDs.
-func groundEquals(d *table.Database, i *rel.Instance) bool {
-	w := rel.NewInstance()
-	var scratch sym.Tuple
-	for _, t := range d.Tables() {
-		r := rel.NewRelation(t.Name, t.Arity)
-		for _, row := range t.Rows {
-			if cap(scratch) < len(row.Values) {
-				scratch = make(sym.Tuple, len(row.Values))
-			}
-			f := scratch[:len(row.Values)]
-			for j, v := range row.Values {
-				if v.IsVar() {
-					return false
-				}
-				f[j] = v.ID()
-			}
-			r.Insert(f)
+// i has the database's schema (SchemaCheck), so equality is two
+// inclusions per table, both lookups: every row is a fact of i, and
+// every fact of i is a row, found through the row index.
+func groundEquals(c *table.Compiled, i *rel.Instance) bool {
+	var f sym.Tuple
+	for _, t := range c.Norm.Tables() {
+		ix := c.Index(t.Name)
+		if !ix.AllGround() {
+			return false
 		}
-		w.AddRelation(r)
+		r := i.Relation(t.Name)
+		for _, row := range t.Rows {
+			f = f[:0]
+			for _, v := range row.Values {
+				f = append(f, v.ID())
+			}
+			if !r.Contains(f) {
+				return false
+			}
+		}
+		for _, u := range r.Tuples() {
+			if !ix.HasGround(u) {
+				return false
+			}
+		}
 	}
-	return w.Equal(i)
+	return true
 }
 
 // rowEscapes reports whether some valuation makes some row produce a fact
@@ -234,11 +231,11 @@ func UniquenessOfGTable(d *table.Database, i *rel.Instance) (bool, error) {
 	if err := SchemaCheck(i, d); err != nil {
 		return false, err
 	}
-	nd, ok := table.Normalize(d)
-	if !ok {
+	c := d.Compiled()
+	if c.Norm == nil {
 		return false, nil
 	}
-	return groundEquals(nd, i), nil
+	return groundEquals(c, i), nil
 }
 
 // certainFactIn reports whether fact u of table t is produced in every

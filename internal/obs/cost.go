@@ -75,11 +75,14 @@ const (
 	// cancelled early (a witness in one shard aborting the rest);
 	// DecideValuations counts valuations visited; DecideWitnessDepth is
 	// the visit count at which the (first) witness was found (max
-	// semantics).
+	// semantics). DecideMatchTests counts the row↔fact tests the
+	// matching builds and the search candidate lists run: the rows a
+	// fact's pattern-index lookup yields, not every (row, fact) pair.
 	DecideShards
 	DecideCancels
 	DecideValuations
 	DecideWitnessDepth
+	DecideMatchTests
 
 	// CacheHits/CacheMisses count answer-cache outcomes for this
 	// request; CoalescedWaits counts evaluations this request
@@ -115,6 +118,7 @@ var costNames = [numCostKinds]string{
 	"decide_cancels",
 	"decide_valuations",
 	"decide_witness_depth",
+	"decide_match_tests",
 	"cache_hits",
 	"cache_misses",
 	"coalesced_waits",

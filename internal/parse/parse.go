@@ -16,11 +16,14 @@ package parse
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"slices"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"pw/internal/cond"
 	"pw/internal/rel"
@@ -84,53 +87,86 @@ func ParseDatabase(r io.Reader) (*table.Database, error) {
 }
 
 // ParseInstance reads a .pw instance (a sequence of @relation blocks).
+// Fact lines are split and interned in place, through buffers reused
+// from line to line; the relation copies each new tuple once.
 func ParseInstance(r io.Reader) (*rel.Instance, error) {
 	inst := rel.NewInstance()
 	var cur *rel.Relation
+	var fields [][]byte
+	var tuple sym.Tuple
 	sc := bufio.NewScanner(r)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		b := bytes.TrimSpace(sc.Bytes())
+		if len(b) == 0 || b[0] == '#' {
 			continue
 		}
-		switch {
-		case strings.HasPrefix(line, "@relation "):
-			name, arity, err := parseHeader(strings.TrimPrefix(line, "@relation "))
-			if err != nil {
-				return nil, fmt.Errorf("line %d: %w", lineNo, err)
-			}
-			// Duplicate names are a data error here, not the programming
-			// error AddRelation panics on.
-			if inst.Relation(name) != nil {
-				return nil, fmt.Errorf("line %d: duplicate relation %s", lineNo, name)
-			}
-			cur = rel.NewRelation(name, arity)
-			inst.AddRelation(cur)
-		case strings.HasPrefix(line, "fact:"):
+		if rest, ok := bytes.CutPrefix(b, []byte("fact:")); ok {
 			if cur == nil {
 				return nil, fmt.Errorf("line %d: fact before @relation", lineNo)
 			}
-			fields := strings.Fields(strings.TrimPrefix(line, "fact:"))
+			fields = appendFields(fields[:0], rest)
 			if len(fields) != cur.Arity {
 				return nil, fmt.Errorf("line %d: fact has %d fields, relation %s expects %d",
 					lineNo, len(fields), cur.Name, cur.Arity)
 			}
+			tuple = tuple[:0]
 			for _, f := range fields {
-				if strings.HasPrefix(f, "?") {
+				if f[0] == '?' {
 					return nil, fmt.Errorf("line %d: facts must be ground, got %s", lineNo, f)
 				}
+				tuple = append(tuple, sym.ConstBytes(f))
 			}
-			cur.Add(rel.Fact(fields))
-		default:
+			cur.Insert(tuple)
+			continue
+		}
+		line := string(b)
+		if !strings.HasPrefix(line, "@relation ") {
 			return nil, fmt.Errorf("line %d: unrecognized directive %q", lineNo, line)
 		}
+		name, arity, err := parseHeader(strings.TrimPrefix(line, "@relation "))
+		if err != nil {
+			return nil, fmt.Errorf("line %d: %w", lineNo, err)
+		}
+		// Duplicate names are a data error here, not the programming
+		// error AddRelation panics on.
+		if inst.Relation(name) != nil {
+			return nil, fmt.Errorf("line %d: duplicate relation %s", lineNo, name)
+		}
+		cur = rel.NewRelation(name, arity)
+		inst.AddRelation(cur)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
 	return inst, nil
+}
+
+// appendFields appends to dst the fields of s: its maximal runs of
+// non-space characters, split exactly as strings.Fields splits (space
+// is unicode.IsSpace; an invalid UTF-8 byte is not space).
+func appendFields(dst [][]byte, s []byte) [][]byte {
+	start := -1
+	for i := 0; i < len(s); {
+		r, size := rune(s[i]), 1
+		if r >= utf8.RuneSelf {
+			r, size = utf8.DecodeRune(s[i:])
+		}
+		if unicode.IsSpace(r) {
+			if start >= 0 {
+				dst = append(dst, s[start:i])
+				start = -1
+			}
+		} else if start < 0 {
+			start = i
+		}
+		i += size
+	}
+	if start >= 0 {
+		dst = append(dst, s[start:])
+	}
+	return dst
 }
 
 func parseHeader(s string) (string, int, error) {

@@ -1070,7 +1070,7 @@ func (s *Server) opWrite(req *Request, rc *reqCtx) (*Response, error) {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
 	db.mu.RLock()
-	base := db.wsd
+	base, baseVersion := db.wsd, db.version
 	db.mu.RUnlock()
 	if base == nil {
 		return nil, &Error{Status: 422, Err: fmt.Errorf(
@@ -1084,7 +1084,15 @@ func (s *Server) opWrite(req *Request, rc *reqCtx) (*Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	count := next.Count().String()
+	// A write that keeps the world count (an insert of a certain fact,
+	// say) reuses the base version's memoized string instead of
+	// formatting a count that may run to hundreds of digits.
+	var count string
+	if c := db.count.Load(); c != nil && c.version == baseVersion && next.Count().Cmp(base.Count()) == 0 {
+		count = c.count
+	} else {
+		count = next.Count().String()
+	}
 	rels, all := u.Footprint()
 	db.mu.Lock()
 	db.wsd = next

@@ -93,6 +93,18 @@ func Const(name string) ID {
 	return ID(id)
 }
 
+// ConstBytes is Const for a name held in a byte slice. Looking up a
+// name already interned does not allocate.
+func ConstBytes(name []byte) ID {
+	mu.RLock()
+	id, ok := consts.ids[string(name)]
+	mu.RUnlock()
+	if ok {
+		return ID(id)
+	}
+	return Const(string(name))
+}
+
 // Var interns name as a variable and returns its ID.
 func Var(name string) ID {
 	mu.RLock()

@@ -6,13 +6,17 @@
 //
 // A Database is an n-vector of tables (the paper's generalization at the
 // end of §2.2); the variables of distinct tables must be pairwise disjoint,
-// with relationships established only through the global condition.
+// with relationships established only through the global condition. Its
+// compiled form (Compiled: normal form, kind, per-table row-pattern
+// index) is built once, on first use by a decision procedure, after which
+// the database is read-only.
 package table
 
 import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"pw/internal/cond"
 	"pw/internal/sym"
@@ -212,14 +216,14 @@ func (t *Table) HasLocalConds() bool {
 
 // varsDistinct reports whether no variable occurs twice among the row
 // values of the table (the Codd property). Conditions are not inspected.
-func (t *Table) varsDistinct(seen map[string]bool) bool {
+func (t *Table) varsDistinct(seen map[sym.ID]struct{}) bool {
 	for _, r := range t.Rows {
 		for _, v := range r.Values {
 			if v.IsVar() {
-				if seen[v.Name()] {
+				if _, dup := seen[v.ID()]; dup {
 					return false
 				}
-				seen[v.Name()] = true
+				seen[v.ID()] = struct{}{}
 			}
 		}
 	}
@@ -234,7 +238,7 @@ func (t *Table) Kind() Kind {
 	if t.HasLocalConds() {
 		return KindC
 	}
-	distinct := t.varsDistinct(map[string]bool{})
+	distinct := t.varsDistinct(map[sym.ID]struct{}{})
 	hasEq, hasNeq := false, false
 	for _, a := range t.Global {
 		if a.TriviallyTrue() {
@@ -297,9 +301,16 @@ func (t *Table) String() string {
 // Database is a vector of conditioned tables over distinct relation names.
 // The paper requires the variables of member tables to be pairwise
 // disjoint; Validate checks this.
+//
+// A database is read-only once a decision procedure has read it: the
+// first decision builds its compiled form (Compiled: the normal form,
+// its kind and per-table row indexes) and every later one reuses it, so
+// a row or condition changed afterwards would go unseen. AddTable drops
+// the compiled form; any other change needs a fresh database.
 type Database struct {
-	tables []*Table
-	index  map[string]int
+	tables   []*Table
+	index    map[string]int
+	compiled atomic.Pointer[Compiled]
 }
 
 // NewDatabase returns an empty database.
@@ -321,6 +332,7 @@ func (d *Database) AddTable(t *Table) *Table {
 	}
 	d.index[t.Name] = len(d.tables)
 	d.tables = append(d.tables, t)
+	d.compiled.Store(nil)
 	return t
 }
 
@@ -369,7 +381,7 @@ func (d *Database) Kind() Kind {
 	}
 	// Cross-table repeated variables act as equalities.
 	if k == KindCodd || k == KindI {
-		seen := map[string]bool{}
+		seen := map[sym.ID]struct{}{}
 		for _, t := range d.tables {
 			if !t.varsDistinct(seen) {
 				join(KindE)
