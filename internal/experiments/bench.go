@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/big"
+	"strings"
 	"testing"
 
 	"pw/internal/algebra"
@@ -10,6 +11,7 @@ import (
 	"pw/internal/decide"
 	"pw/internal/gen"
 	"pw/internal/obs"
+	"pw/internal/parse"
 	"pw/internal/query"
 	"pw/internal/rel"
 	"pw/internal/sym"
@@ -122,6 +124,13 @@ func Probes() []Probe {
 		{"WSDUpdate_Ladder_200", 1, false, func(b *testing.B) { probeWSDUpdateLadder(b, 200) }},
 		{"WSDUpdate_Ladder_2k", 1, false, func(b *testing.B) { probeWSDUpdateLadder(b, 2000) }},
 		{"WSDUpdate_Ladder_20k", 1, false, func(b *testing.B) { probeWSDUpdateLadder(b, 20000) }},
+		// The template ladder: ParseSource of the probe-mix attribute-level
+		// shape (gen.SensorTemplates) at 1000 and 6000 templates. Normalize
+		// finds overlapping templates through a bucket index on one column,
+		// so the rungs should differ by about the template ratio, 6, not
+		// its square.
+		{"WSDParse_TemplateLadder_1k", 1, false, func(b *testing.B) { probeTemplateLadder(b, 1000) }},
+		{"WSDParse_TemplateLadder_6k", 1, false, func(b *testing.B) { probeTemplateLadder(b, 6000) }},
 		// Query server (internal/server) on the million-world WSD: the
 		// answer-cache hit path vs the uncached eval it replaces, and HTTP
 		// fact-probe throughput with an 8-worker pool and a parallel client
@@ -370,6 +379,20 @@ func probeWSDUpdateLadder(b *testing.B, comps int) {
 			b.Fatalf("write %d: posting of %s names %d components, want %d", n, group, len(comps), want)
 		}
 		w = next
+	}
+}
+
+func probeTemplateLadder(b *testing.B, n int) {
+	_, text := gen.SensorTemplates(1, n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src, err := parse.ParseSource(strings.NewReader(text))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got := src.WSD.LiveComponents(); got != n+1 {
+			b.Fatalf("parsed %d components, want %d templates and the certain one", got, n)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ package gen
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"pw/internal/algebra"
 	"pw/internal/cond"
@@ -613,3 +614,40 @@ func GroupedWSD(comps, groups int) *wsd.WSD {
 
 // GroupName is the g column constant of group j in GroupedWSD.
 func GroupName(j int) string { return fmt.Sprintf("g%04d", j) }
+
+// SensorTemplates draws the attribute-level shape of the serving
+// benchmark's probe-mix database over A(s v): one certain component of
+// eight hub facts A(hubNN ok), then per sensor a template
+// A(sNNNNN {v1|v2|v3}), the sensor ids a permutation of 0..n-1 and the
+// three values distinct, drawn from a six-value pool. It returns the
+// decomposition unnormalized and its .pw text, written the way the
+// benchmark writes it; both denote the same 3^n worlds.
+func SensorTemplates(seed int64, n int) (*wsd.WSD, string) {
+	pool := []string{"lo", "hi", "mid", "off", "low", "top"}
+	rng := rand.New(rand.NewSource(seed))
+	w := wsd.New(table.Schema{{Name: "A", Arity: 2}})
+	var hubs wsd.Alt
+	var b strings.Builder
+	b.WriteString("@wsd\n  relation: A(2)\n  component:\n    alt:")
+	for j := 0; j < 8; j++ {
+		hubs = append(hubs, wsd.Fact{Rel: "A", Args: rel.Fact{fmt.Sprintf("hub%02d", j), "ok"}})
+		sep := ","
+		if j == 0 {
+			sep = ""
+		}
+		fmt.Fprintf(&b, "%s A(hub%02d ok)", sep, j)
+	}
+	b.WriteByte('\n')
+	if err := w.AddComponent(hubs); err != nil {
+		panic("gen: " + err.Error())
+	}
+	for _, id := range rng.Perm(n) {
+		p := rng.Perm(len(pool))
+		s, vals := fmt.Sprintf("s%05d", id), []string{pool[p[0]], pool[p[1]], pool[p[2]]}
+		if err := w.AddTemplateComponent("A", []string{s}, vals); err != nil {
+			panic("gen: " + err.Error())
+		}
+		fmt.Fprintf(&b, "  component:\n    tmpl: A(%s {%s})\n", s, strings.Join(vals, "|"))
+	}
+	return w, b.String()
+}

@@ -40,6 +40,10 @@ const (
 	// NormCertainFolds counts single-alternative components folded into
 	// the certain component.
 	NormCertainFolds
+	// NormOverlapTests counts the overlap tests Normalize's closure runs
+	// between a template and a peer sharing its bucket: template pairs
+	// (attrOverlap) and stored facts (contains).
+	NormOverlapTests
 
 	// UpdateTouchedComponents counts components rebuilt by an update's
 	// incremental renormalization (the op's own groups plus the
@@ -106,6 +110,7 @@ var costNames = [numCostKinds]string{
 	"norm_components_merged",
 	"norm_vertical_splits",
 	"norm_certain_folds",
+	"norm_overlap_tests",
 	"update_touched_components",
 	"update_survivor_components",
 	"update_cow_unshares",

@@ -12,6 +12,8 @@ package rel
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -94,17 +96,32 @@ func (f Fact) Compare(g Fact) int {
 }
 
 // Relation is a named finite set of facts of a fixed arity, stored as
-// interned tuples in insertion order with a fingerprint index.
+// interned tuples in insertion order with a fingerprint index. The
+// index is chained through the tuples: it maps a fingerprint to the
+// last tuple inserted with it, and next[i] is the tuple inserted before
+// i with the same fingerprint (-1 ends the chain), so a new fact costs
+// one map entry and no bucket slice of its own.
 type Relation struct {
 	Name   string
 	Arity  int
 	tuples []sym.Tuple
-	index  map[uint64][]int32 // fingerprint -> indices into tuples
+	index  map[uint64]int32 // fingerprint -> last index into tuples
+	next   []int32          // per tuple: the previous index with its fingerprint, or -1
 }
 
 // NewRelation returns an empty relation with the given name and arity.
 func NewRelation(name string, arity int) *Relation {
-	return &Relation{Name: name, Arity: arity, index: make(map[uint64][]int32)}
+	return &Relation{Name: name, Arity: arity, index: make(map[uint64]int32)}
+}
+
+// Grow reserves room for n more facts, so inserting them allocates only
+// their tuple copies.
+func (r *Relation) Grow(n int) {
+	r.tuples = slices.Grow(r.tuples, n)
+	r.next = slices.Grow(r.next, n)
+	index := make(map[uint64]int32, len(r.index)+n)
+	maps.Copy(index, r.index)
+	r.index = index
 }
 
 // Add inserts the fact; it panics on arity mismatch (a programming error,
@@ -130,24 +147,35 @@ func (r *Relation) Insert(t sym.Tuple) bool {
 			len(t), r.Name, r.Arity))
 	}
 	h := tupleHash(t)
-	for _, i := range r.index[h] {
-		if r.tuples[i].Equal(t) {
-			return false
-		}
+	head, found := r.find(t, h)
+	if found {
+		return false
 	}
-	r.index[h] = append(r.index[h], int32(len(r.tuples)))
+	r.index[h] = int32(len(r.tuples))
+	r.next = append(r.next, head)
 	r.tuples = append(r.tuples, t.Clone())
 	return true
 }
 
 // Contains reports membership of an interned tuple.
 func (r *Relation) Contains(t sym.Tuple) bool {
-	for _, i := range r.index[tupleHash(t)] {
+	_, found := r.find(t, tupleHash(t))
+	return found
+}
+
+// find walks the chain of fingerprint h for t. It returns the chain's
+// head (-1 when h is new) and whether t is on it.
+func (r *Relation) find(t sym.Tuple, h uint64) (head int32, found bool) {
+	head, ok := r.index[h]
+	if !ok {
+		return -1, false
+	}
+	for i := head; i >= 0; i = r.next[i] {
 		if r.tuples[i].Equal(t) {
-			return true
+			return head, true
 		}
 	}
-	return false
+	return head, false
 }
 
 // Has reports membership of a boundary fact. Constant names never interned
@@ -187,13 +215,11 @@ func (r *Relation) Clone() *Relation {
 		Name:   r.Name,
 		Arity:  r.Arity,
 		tuples: make([]sym.Tuple, len(r.tuples)),
-		index:  make(map[uint64][]int32, len(r.index)),
+		index:  maps.Clone(r.index),
+		next:   slices.Clone(r.next),
 	}
 	for i, t := range r.tuples {
 		c.tuples[i] = t.Clone()
-	}
-	for h, bucket := range r.index {
-		c.index[h] = append([]int32(nil), bucket...)
 	}
 	return c
 }

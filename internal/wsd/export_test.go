@@ -162,3 +162,18 @@ func DeltaEntries(w *WSD) int {
 	}
 	return n
 }
+
+// OverlapClasses returns the classes of pending component indices that
+// Normalize's overlap closure finds, after canonicalizing the template
+// cells as Normalize's first step does. Every template must have two or
+// more instantiations (Normalize rewrites the others to facts first).
+func (w *WSD) OverlapClasses() [][]int32 {
+	for _, c := range w.pending {
+		if a := c.attr; a != nil {
+			for j := range a.cells {
+				a.cells[j] = sortDedupCell(a.cells[j])
+			}
+		}
+	}
+	return w.overlapClasses()
+}

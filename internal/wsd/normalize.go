@@ -62,29 +62,25 @@ func (w *WSD) Normalize() error {
 	// (1) Deduplicate alternatives within each tuple-level component and
 	// canonicalize attribute-level slot value lists (sorted, distinct —
 	// the template's cross product is then automatically duplicate-free).
+	// A component with no alternatives offers no choice at all — for a
+	// template, an empty slot domain — so the product is empty. A
+	// template with one instantiation (every cell fixed, or no cell) is a
+	// certain fact and continues as one.
 	for i := range w.pending {
-		if a := w.pending[i].attr; a != nil {
+		c := &w.pending[i]
+		n := 0
+		if a := c.attr; a != nil {
 			for j := range a.cells {
 				a.cells[j] = sortDedupCell(a.cells[j])
 			}
-			continue
-		}
-		w.pending[i].alts = dedupAlts(w.pending[i].alts)
-	}
-
-	// A component with no alternatives offers no choice at all: the
-	// product is empty. For a template that means an empty slot domain.
-	for _, c := range w.pending {
-		if c.attr != nil {
-			for _, cell := range c.attr.cells {
-				if len(cell) == 0 {
-					w.clearToEmpty()
-					return nil
-				}
+			if n, _ = a.countInt(); n == 1 {
+				*c = component{alts: [][]int32{{w.intern(a.rel, a.tupleAt(0))}}}
 			}
-			continue
+		} else {
+			c.alts = dedupAlts(c.alts)
+			n = len(c.alts)
 		}
-		if len(c.alts) == 0 {
+		if n == 0 {
 			w.clearToEmpty()
 			return nil
 		}
@@ -119,22 +115,13 @@ func (w *WSD) Normalize() error {
 	w.pending = split
 
 	// (3) Drop trivial {∅} components; (re-)merge all certain components
-	// (single alternative — including all-fixed templates) into one, so
-	// the certain facts live in one place regardless of how the WSD was
-	// built.
+	// (single alternative — including all-fixed templates, rewritten in
+	// (1)) into one, so the certain facts live in one place regardless of
+	// how the WSD was built.
 	var kept []component
 	var certainFacts []int32
 	for _, c := range w.pending {
-		if c.attr != nil {
-			if n, _ := c.attr.countInt(); n == 1 {
-				certainFacts = append(certainFacts, w.intern(c.attr.rel, c.attr.tupleAt(0)))
-				w.obsCost.Add(obs.NormCertainFolds, 1)
-				continue
-			}
-			kept = append(kept, c)
-			continue
-		}
-		if len(c.alts) == 1 {
+		if c.attr == nil && len(c.alts) == 1 {
 			certainFacts = append(certainFacts, c.alts[0]...)
 			w.obsCost.Add(obs.NormCertainFolds, 1)
 			continue
@@ -222,109 +209,175 @@ func dedupAlts(alts [][]int32) [][]int32 {
 	return out
 }
 
-// mergeOverlapping unions components whose supports share a fact, taking
-// the cross product of their alternatives (with dedup). Groups are found
-// with a union–find over component indices keyed by fact ownership;
-// attribute-level components overlap a peer when their template can
-// instantiate one of its facts (tuple peers) or when the two templates
-// share an instantiation (positionwise slot intersection — no product is
-// ever materialized to decide overlap). Attribute-level members of a
-// multi-component group are the degenerate case: they expand to tuple
-// level (bounded by MaxMergeAlts) before the cross product.
+// mergeOverlapping merges each class of components whose supports
+// share a fact (overlapClasses) into one component (mergeClass).
+// Attribute-level members of a multi-component class are the degenerate
+// case: they expand to tuple level (bounded by MaxMergeAlts) before the
+// cross product.
 func (w *WSD) mergeOverlapping() error {
-	uf := unionfind.NewDense(len(w.pending))
-	owner := make(map[int32]int, w.facts.len())
-	var attrIdx []int
-	for ci := range w.pending {
-		c := &w.pending[ci]
-		if c.attr != nil {
-			attrIdx = append(attrIdx, ci)
-			continue
-		}
-		for _, alt := range c.alts {
-			for _, f := range alt {
-				if prev, ok := owner[f]; ok {
-					uf.Union(int32(prev), int32(ci))
-				} else {
-					owner[f] = ci
-				}
-			}
-		}
-	}
-	// Template vs template: shared instantiation.
-	for i, ai := range attrIdx {
-		for _, bi := range attrIdx[i+1:] {
-			if !uf.Same(int32(ai), int32(bi)) && attrOverlap(w.pending[ai].attr, w.pending[bi].attr) {
-				uf.Union(int32(ai), int32(bi))
-			}
-		}
-	}
-	// Template vs tuple-level: a stored fact the template can produce.
-	if len(attrIdx) > 0 {
-		for f, ci := range owner {
-			sf := w.fact(f)
-			for _, ai := range attrIdx {
-				a := w.pending[ai].attr
-				if a.rel == sf.rel && !uf.Same(int32(ai), int32(ci)) && a.contains(sf.tuple) {
-					uf.Union(int32(ai), int32(ci))
-				}
-			}
-		}
-	}
-
-	groups := make(map[int32][]int)
-	order := make([]int32, 0, len(w.pending))
-	for ci := range w.pending {
-		r := uf.Find(int32(ci))
-		if _, seen := groups[r]; !seen {
-			order = append(order, r)
-		}
-		groups[r] = append(groups[r], ci)
-	}
-
-	merged := make([]component, 0, len(order))
-	for _, r := range order {
-		members := groups[r]
+	merged := make([]component, 0, len(w.pending))
+	for _, members := range w.overlapClasses() {
 		if len(members) == 1 {
 			merged = append(merged, w.pending[members[0]])
 			continue
 		}
 		w.obsCost.Add(obs.NormComponentsMerged, int64(len(members)))
-		product := 1
-		memberAlts := make([][][]int32, len(members))
-		for k, ci := range members {
-			alts := w.pending[ci].alts
-			if a := w.pending[ci].attr; a != nil {
-				var err error
-				if alts, err = w.expandAttr(a); err != nil {
-					return err
-				}
+		alts, err := mergeClass(len(members), func(k int) ([][]int32, error) {
+			c := &w.pending[members[k]]
+			if c.attr != nil {
+				return w.expandAttr(c.attr)
 			}
-			memberAlts[k] = alts
-			product *= len(alts)
-			if product > MaxMergeAlts {
-				return fmt.Errorf("wsd: merging %d dependent components needs %d+ alternatives (limit %d); the decomposition is too entangled to normalize",
-					len(members), product, MaxMergeAlts)
-			}
+			return c.alts, nil
+		})
+		if err != nil {
+			return err
 		}
-		// Cross product of alternative unions.
-		acc := [][]int32{nil}
-		for _, alts := range memberAlts {
-			next := make([][]int32, 0, len(acc)*len(alts))
-			for _, base := range acc {
-				for _, alt := range alts {
-					u := make([]int32, 0, len(base)+len(alt))
-					u = append(u, base...)
-					u = append(u, alt...)
-					next = append(next, sortDedupIDs(u))
-				}
-			}
-			acc = next
-		}
-		merged = append(merged, component{alts: dedupAlts(acc)})
+		merged = append(merged, component{alts: alts})
 	}
 	w.pending = merged
 	return nil
+}
+
+// overlapClasses partitions the pending components into the classes of
+// the overlap relation's transitive closure (classesOf order): a
+// union–find over component indices fed by an index built for this
+// pass. A dense fact-owner array unions tuple-level components sharing
+// a fact, and per relation the templates are bucketed by the values of
+// one column (bucketColumn), a template under each value of its cell
+// there. Two templates can share an instantiation only if their cells
+// intersect in every column, so only pairs inside one bucket are tested
+// (attrOverlap, positionwise — no product is materialized); a stored
+// fact is tested (contains) only against the bucket of its own value.
+// Both tests count as norm_overlap_tests.
+func (w *WSD) overlapClasses() [][]int32 {
+	uf := unionfind.NewDense(len(w.pending))
+	owner := slices.Repeat([]int32{-1}, w.facts.len()) // fact ID → first component holding it, -1 for none
+	tmpls := make([][]int32, len(w.schema))            // per relation: its templates' indices
+	for ci := range w.pending {
+		c := &w.pending[ci]
+		if c.attr != nil {
+			tmpls[c.attr.rel] = append(tmpls[c.attr.rel], int32(ci))
+			continue
+		}
+		for _, alt := range c.alts {
+			for _, f := range alt {
+				if owner[f] >= 0 {
+					uf.Union(owner[f], int32(ci))
+				} else {
+					owner[f] = int32(ci)
+				}
+			}
+		}
+	}
+	tests := int64(0)
+	buckets := make([]*colPosting, len(w.schema))
+	cols := make([]int, len(w.schema))
+	bucketed := false
+	for ri, idx := range tmpls {
+		if len(idx) == 0 {
+			continue
+		}
+		j := bucketColumn(w.schema[ri].Arity, len(idx), func(k int) *attrComp { return w.pending[idx[k]].attr })
+		var pairs []uint64
+		for _, ci := range idx {
+			for _, v := range w.pending[ci].attr.cells[j] {
+				pairs = append(pairs, uint64(v)<<32|uint64(ci))
+			}
+		}
+		p := newColPosting(pairs)
+		buckets[ri], cols[ri], bucketed = &p, j, true
+		// Template vs template: a shared instantiation.
+		for g := range p.vals {
+			group := p.group(g)
+			for x, a := range group {
+				for _, b := range group[x+1:] {
+					if uf.Same(a, b) {
+						continue
+					}
+					tests++
+					if attrOverlap(w.pending[a].attr, w.pending[b].attr) {
+						uf.Union(a, b)
+					}
+				}
+			}
+		}
+	}
+	// Template vs tuple-level: a stored fact the template can produce.
+	for f, ci := range owner {
+		if ci < 0 || !bucketed {
+			continue
+		}
+		sf := w.fact(int32(f))
+		if buckets[sf.rel] == nil {
+			continue // no template of the fact's relation
+		}
+		for _, ai := range buckets[sf.rel].lookup(sf.tuple[cols[sf.rel]]) {
+			if uf.Same(ai, ci) {
+				continue
+			}
+			tests++
+			if w.pending[ai].attr.contains(sf.tuple) {
+				uf.Union(ai, ci)
+			}
+		}
+	}
+	w.obsCost.Add(obs.NormOverlapTests, tests)
+	return classesOf(uf)
+}
+
+// classesOf lists the classes of uf, each ascending, ordered by their
+// smallest node.
+func classesOf(uf *unionfind.Dense) [][]int32 {
+	at := slices.Repeat([]int32{-1}, uf.Len()) // class root → its position in out, -1 before it is seen
+	var out [][]int32
+	for i := range int32(uf.Len()) {
+		r := uf.Find(i)
+		if at[r] < 0 {
+			at[r] = int32(len(out))
+			out = append(out, nil)
+		}
+		out[at[r]] = append(out[at[r]], i)
+	}
+	return out
+}
+
+// mergeClass is the local merge step of a class of k dependent
+// components, shared by Normalize and the incremental update: the cross
+// product of the members' alternative lists, each joint alternative the
+// sorted union of one alternative per member, duplicates removed.
+// member(i) supplies the i-th list, expanding a template on demand; the
+// product is checked against MaxMergeAlts before the next member is
+// materialized. A class of one is its deduplicated list, copied.
+func mergeClass(k int, member func(int) ([][]int32, error)) ([][]int32, error) {
+	lists := make([][][]int32, k)
+	product := 1
+	for i := range lists {
+		alts, err := member(i)
+		if err != nil {
+			return nil, err
+		}
+		lists[i] = alts
+		product *= len(alts)
+		if product > MaxMergeAlts {
+			return nil, fmt.Errorf("wsd: merging %d dependent components needs %d+ alternatives (limit %d); the decomposition is too entangled to normalize",
+				k, product, MaxMergeAlts)
+		}
+	}
+	if k == 1 {
+		return dedupAlts(slices.Clone(lists[0])), nil
+	}
+	acc := [][]int32{nil}
+	for _, alts := range lists {
+		next := make([][]int32, 0, len(acc)*len(alts))
+		for _, base := range acc {
+			for _, alt := range alts {
+				u := make([]int32, 0, len(base)+len(alt))
+				next = append(next, sortDedupIDs(append(append(u, base...), alt...)))
+			}
+		}
+		acc = next
+	}
+	return dedupAlts(acc), nil
 }
 
 // tryVerticalSplit is the attribute-level factoring rule: a tuple-level
@@ -465,13 +518,13 @@ func splitAlts(alts [][]int32) [][][]int32 {
 		return [][][]int32{alts}
 	}
 
-	bit := func(bi, j int) byte {
+	bit := func(bi int32, j int) byte {
 		return byte(blocks[bi].bits[j/64] >> (j % 64) & 1)
 	}
 
 	// Pairwise dependence: blocks a and b are independent iff
 	// |{(a_j, b_j)}| = |{a_j}| · |{b_j}| over alternatives j.
-	dependent := func(a, b int) bool {
+	dependent := func(a, b int32) bool {
 		var pairs, aVals, bVals [4]bool
 		for j := 0; j < n; j++ {
 			ab, bb := bit(a, j), bit(b, j)
@@ -493,29 +546,18 @@ func splitAlts(alts [][]int32) [][][]int32 {
 
 	// Connected components of the dependence graph.
 	uf := unionfind.NewDense(len(blocks))
-	for a := 0; a < len(blocks); a++ {
-		for b := a + 1; b < len(blocks); b++ {
-			if !uf.Same(int32(a), int32(b)) && dependent(a, b) {
-				uf.Union(int32(a), int32(b))
+	for a := range int32(len(blocks)) {
+		for b := a + 1; b < int32(len(blocks)); b++ {
+			if !uf.Same(a, b) && dependent(a, b) {
+				uf.Union(a, b)
 			}
 		}
 	}
-	ccIdx := make(map[int32]int)
-	var ccs [][]int
-	for bi := range blocks {
-		r := uf.Find(int32(bi))
-		gi, ok := ccIdx[r]
-		if !ok {
-			gi = len(ccs)
-			ccIdx[r] = gi
-			ccs = append(ccs, nil)
-		}
-		ccs[gi] = append(ccs[gi], bi)
-	}
+	ccs := classesOf(uf)
 
 	// distinctProj counts the distinct alternative signatures restricted
 	// to a set of blocks.
-	distinctProj := func(groups ...[]int) int {
+	distinctProj := func(groups ...[]int32) int {
 		seen := make(map[string]bool, n)
 		key := make([]byte, 0, len(blocks))
 		for j := 0; j < n; j++ {
@@ -534,12 +576,12 @@ func splitAlts(alts [][]int32) [][][]int32 {
 	// each split confirmed by the counting argument. Whatever cannot be
 	// peeled stays one atomic component.
 	remaining := ccs
-	var groups [][]int
+	var groups [][]int32
 	for len(remaining) > 1 {
 		total := distinctProj(remaining...)
 		peeled := false
 		for i, g := range remaining {
-			rest := make([][]int, 0, len(remaining)-1)
+			rest := make([][]int32, 0, len(remaining)-1)
 			rest = append(rest, remaining[:i]...)
 			rest = append(rest, remaining[i+1:]...)
 			if distinctProj(g)*distinctProj(rest...) == total {
@@ -554,7 +596,7 @@ func splitAlts(alts [][]int32) [][][]int32 {
 		}
 	}
 	if len(remaining) > 0 {
-		var flat []int
+		var flat []int32
 		for _, g := range remaining {
 			flat = append(flat, g...)
 		}
@@ -610,10 +652,7 @@ func traceKey(tr []uint64) string {
 func (w *WSD) canonicalize() {
 	// remap is the dense old→new fact ID map; -1 marks a fact no
 	// alternative uses (dropped).
-	remap := make([]int32, w.facts.len())
-	for i := range remap {
-		remap[i] = -1
-	}
+	remap := slices.Repeat([]int32{-1}, w.facts.len())
 	var old []int32
 	for _, c := range w.pending {
 		for _, alt := range c.alts {

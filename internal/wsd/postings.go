@@ -272,20 +272,25 @@ func (w *WSD) buildPostings() *postings {
 	return p
 }
 
-// ownerColumn picks relation ri's owner column: the template column
-// whose postings are shortest on average (entries per distinct
-// constant). It is 0 when the relation has no templates.
+// ownerColumn picks relation ri's owner column (bucketColumn over its
+// templates). It is 0 when the relation has no templates.
 func (w *WSD) ownerColumn(ri int) int {
 	tmpls := w.tmplsOf(int32(ri)).view()
-	if len(tmpls) == 0 {
-		return 0
-	}
+	return bucketColumn(w.schema[ri].Arity, len(tmpls), func(k int) *attrComp { return w.comp(int(tmpls[k])).attr })
+}
+
+// bucketColumn picks, among the arity columns of n templates (tmpl(k)
+// is the k-th), the one whose postings are shortest on average: entries
+// per distinct constant, the first column on ties. Bucketing templates
+// by it keeps a probe's candidate list short — a key column beats a
+// low-cardinality one, whatever their order. It is 0 when n is 0.
+func bucketColumn(arity, n int, tmpl func(k int) *attrComp) int {
 	var vals []sym.ID
 	best, bestEntries, bestDistinct := 0, 0, 0
-	for j := range w.schema[ri].Arity {
+	for j := range arity {
 		vals = vals[:0]
-		for _, ci := range tmpls {
-			vals = append(vals, w.comp(int(ci)).attr.cells[j]...)
+		for k := range n {
+			vals = append(vals, tmpl(k).cells[j]...)
 		}
 		slices.Sort(vals)
 		distinct := len(slices.Compact(vals))

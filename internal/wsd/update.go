@@ -58,6 +58,7 @@ import (
 	"pw/internal/obs"
 	"pw/internal/rel"
 	"pw/internal/sym"
+	"pw/internal/unionfind"
 )
 
 // Wildcard is the pattern slot that matches any constant in delete and
@@ -868,36 +869,19 @@ func (w *WSD) installIncremental(p *opPlan) error {
 	// from everything else — but their facts still register for unions.
 	slots := make([][][]int32, len(p.groups))
 	copy(slots, p.groups)
-	parent := make([]int, len(slots))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[rb] = ra
-		}
-	}
+	uf := unionfind.NewDense(len(slots))
 	pull := func(qi int, ci int32, alts [][]int32) {
 		drop[ci] = true
 		slots = append(slots, alts)
-		parent = append(parent, len(slots)-1)
-		union(qi, len(slots)-1)
+		uf.Grow(len(slots))
+		uf.Union(int32(qi), int32(len(slots)-1))
 	}
 	factGroup := make(map[int32]int)
 	for qi := 0; qi < len(slots); qi++ {
 		for _, alt := range slots[qi] {
 			for _, f := range alt {
 				if g, seen := factGroup[f]; seen {
-					union(qi, g)
+					uf.Union(int32(qi), int32(g))
 				} else {
 					factGroup[f] = qi
 				}
@@ -919,51 +903,14 @@ func (w *WSD) installIncremental(p *opPlan) error {
 		}
 	}
 
-	// Gather the union-find classes in slot order (deterministic).
-	classIdx := make(map[int]int)
-	var classes [][]int
-	for i := range slots {
-		r := find(i)
-		k, ok := classIdx[r]
-		if !ok {
-			k = len(classes)
-			classIdx[r] = k
-			classes = append(classes, nil)
-		}
-		classes[k] = append(classes[k], i)
-	}
-
-	// Merge each class (cross product, bounded like mergeOverlapping)
-	// and re-factor it locally.
+	// Merge each class (mergeClass, the step Normalize runs) and
+	// re-factor it locally.
 	var newComps []component
 	var certainIDs []int32
-	for _, members := range classes {
-		var alts [][]int32
-		if len(members) == 1 {
-			alts = dedupAlts(append([][]int32(nil), slots[members[0]]...))
-		} else {
-			product := 1
-			for _, m := range members {
-				product *= len(slots[m])
-				if product > MaxMergeAlts {
-					return fmt.Errorf("wsd: update merges %d dependent components into %d+ alternatives (limit %d); the decomposition is too entangled to update in place",
-						len(members), product, MaxMergeAlts)
-				}
-			}
-			acc := [][]int32{nil}
-			for _, m := range members {
-				next := make([][]int32, 0, len(acc)*len(slots[m]))
-				for _, base := range acc {
-					for _, alt := range slots[m] {
-						u := make([]int32, 0, len(base)+len(alt))
-						u = append(u, base...)
-						u = append(u, alt...)
-						next = append(next, sortDedupIDs(u))
-					}
-				}
-				acc = next
-			}
-			alts = dedupAlts(acc)
+	for _, members := range classesOf(uf) {
+		alts, err := mergeClass(len(members), func(k int) ([][]int32, error) { return slots[members[k]], nil })
+		if err != nil {
+			return err
 		}
 		if len(alts) == 0 {
 			w.clearToEmpty()

@@ -390,6 +390,7 @@ func (a *Answers) Instance(possible bool) (*rel.Instance, error) {
 				return nil, err
 			}
 		}
+		out.Grow(len(rows))
 		for _, t := range rows {
 			out.Insert(t)
 		}
