@@ -14,7 +14,7 @@
 //	pwq sample   -db tables.pw [-seed 1] [-n 3]
 //	pwq worlds   -db tables.pw [-limit 20]
 //	pwq kind     -db tables.pw
-//	pwq update   -db wsd.pw -update prog.pw [-out result.pw] [-full]
+//	pwq update   -db wsd.pw -update prog.pw [-out result.pw]
 //
 // Files use the .pw format of internal/parse; -db accepts either
 // representation backend — a conditioned-table database (@table blocks)
@@ -39,9 +39,8 @@
 // update applies an @update program (-update, see internal/parse) to a
 // decomposition with the incremental renormalization engine and prints
 // the resulting @wsd block — parsable, Normalize-canonical — to stdout
-// or -out. -full routes every operation through a full renormalization
-// instead (the reference path; the printed result is identical). Update
-// programs apply to decompositions only; a table-backed -db exits 2.
+// or -out. Update programs apply to decompositions only; a table-backed
+// -db exits 2.
 //
 // All commands exit 0 with "yes"/"no" (or the requested output) on
 // stdout; structural problems exit 2. -workers bounds the engine's
@@ -108,7 +107,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	samples := fs.Int("n", 1, "number of worlds for the sample command")
 	updatePath := fs.String("update", "", "update program (.pw, @update block) for the update command")
 	outPath := fs.String("out", "", "output file for the update command (default stdout)")
-	full := fs.Bool("full", false, "update: full renormalization per operation instead of incremental")
 	traced := fs.Bool("trace", false, "print a span tree and engine cost counters to stderr")
 	jsonOut := fs.Bool("json", false, "explain: emit the plan as JSON instead of text")
 	if err := fs.Parse(args[1:]); err != nil {
@@ -338,12 +336,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fatal(stderr, err)
 		}
-		apply := func(u *wsd.Update) (*wsd.WSD, error) { return w.ApplyUpdateObserved(u, cost) }
-		if *full {
-			apply = w.ApplyUpdateFull
-		}
 		sp := tr.Root().StartChild("apply-update")
-		out, err := apply(u)
+		out, err := w.ApplyUpdateObserved(u, cost)
 		sp.End()
 		if err != nil {
 			return fatal(stderr, err)

@@ -71,10 +71,9 @@ func TestGolden(t *testing.T) {
 		{"cert_ans_grid", []string{"cert-ans", "-db", data("grid.pw"), "-query", data("grid_hi.pw")}},
 		// The write path: an @update program applied to a 2^20-world
 		// decomposition, printed back as a parsable canonical @wsd block.
-		// The -full variant must print byte-identical output — the
-		// incremental engine's canonical-form promise, pinned at the CLI.
+		// That the from-scratch route prints the same is
+		// TestIncrementalMatchesFullRenormalization's (internal/wsd).
 		{"update_wsd", []string{"update", "-db", data("sensors.pw"), "-update", data("sensors_patch.pw")}},
-		{"update_wsd", []string{"update", "-db", data("sensors.pw"), "-update", data("sensors_patch.pw"), "-full"}},
 		// Containment on decompositions (and mixed backends): the former
 		// "tables only" exit-2 carve-out is gone.
 		{"cont_wsd_yes", []string{"cont", "-db", data("sensors_pinned.pw"), "-db2", data("sensors.pw")}},
@@ -221,6 +220,11 @@ func TestBadUsageExits2(t *testing.T) {
 	if code := run([]string{"update", "-db", data("sensors.pw"), "-update", data("sensors.pw")},
 		&stdout, &stderr); code != 2 {
 		t.Errorf("@wsd file as -update: exit %d, want 2", code)
+	}
+	stderr.Reset()
+	if code := run([]string{"update", "-db", data("sensors.pw"), "-update", data("sensors_patch.pw"), "-full"},
+		&stdout, &stderr); code != 2 || !strings.Contains(stderr.String(), "flag provided but not defined: -full") {
+		t.Errorf("update -full: exit %d, want 2 naming the unknown flag; stderr: %s", code, stderr.String())
 	}
 	if code := run([]string{"kind", "-db", data("sensors_patch.pw")}, &stdout, &stderr); code != 2 {
 		t.Errorf("@update file as -db: exit %d, want 2", code)

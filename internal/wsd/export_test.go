@@ -177,3 +177,41 @@ func (w *WSD) OverlapClasses() [][]int32 {
 	}
 	return w.overlapClasses()
 }
+
+// scanTargets is rewriteTargets by a scan of every stored fact and
+// every template of the relation, independent of the posting index: the
+// reference the index lookup is checked against.
+func (w *WSD) scanTargets(ri int32, pat symPattern) []int32 {
+	matched := make(map[int32]bool)
+	w.facts.each(func(id int, f *storedFact) bool {
+		if ci := w.compOf(int32(id)); ci >= 0 && f.rel == ri && pat.matches(f.tuple) {
+			matched[ci] = true
+		}
+		return true
+	})
+	for _, ci := range w.tmplsOf(ri).view() {
+		if pat.matchesTemplate(w.comp(int(ci)).attr) {
+			matched[ci] = true
+		}
+	}
+	out := make([]int32, 0, len(matched))
+	for ci := range matched {
+		out = append(out, ci)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// RewriteTargets returns the components a delete or update pattern
+// over relation relName targets, found through the posting index
+// (rewriteTargets) and by a scan (scanTargets); live is false when a
+// constant of the pattern was never interned, so nothing can match.
+func (w *WSD) RewriteTargets(relName string, args []string) (index, scan []int32, live bool) {
+	w.ensure()
+	pat, live := resolveArgsPattern(args)
+	if !live || w.empty {
+		return nil, nil, live
+	}
+	ri := int32(w.schemaIdx[relName])
+	return w.rewriteTargets(ri, pat), w.scanTargets(ri, pat), true
+}

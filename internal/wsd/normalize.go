@@ -6,12 +6,12 @@
 //     (an attribute-level component's support is its template's
 //     instantiation set, never materialized);
 //  3. no component is the trivial {∅} (it contributes nothing);
-//  4. components are maximally factored along both axes: no component
-//     splits horizontally into a product of smaller independent
-//     components (the trace/block splitter), and no tuple-level
-//     component whose alternatives form an exact per-slot product stays
-//     unfactored — the vertical split rewrites it into an
-//     attribute-level template (tryVerticalSplit);
+//  4. components are factored along both axes as far as the splitters
+//     reach: the trace/block splitter peels independent groups off a
+//     component one at a time, and no tuple-level component whose
+//     alternatives form an exact per-slot product stays unfactored —
+//     the vertical split rewrites it into an attribute-level template
+//     (tryVerticalSplit);
 //  5. facts, alternatives and components are in canonical order, so two
 //     normalizations of the same world set print identically.
 //
@@ -22,12 +22,20 @@
 // total, and the vertical splitter factors a component into per-slot
 // alternative lists exactly when Π|slot values| equals the alternative
 // count — either certificate proves the rewrite preserves the
-// represented world set fact-for-fact.
+// represented world set fact-for-fact. The peel is greedy, so (4) is
+// not maximal factoring: a component made of two groups that are
+// independent of each other but each jointly dependent inside (two
+// XOR-like groups) is never split. What holds is that the factoring
+// is a function of each overlap class's merged alternatives, so the two
+// routes into the local step (localStep) — Normalize over every
+// component, an update over the components it touches — print the
+// same bytes per overlap class.
 package wsd
 
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"pw/internal/obs"
@@ -59,16 +67,15 @@ func (w *WSD) Normalize() error {
 	// deep-copy first — the parent must stay a valid snapshot.
 	w.unshareAll()
 
-	// (1) Deduplicate alternatives within each tuple-level component and
-	// canonicalize attribute-level slot value lists (sorted, distinct —
-	// the template's cross product is then automatically duplicate-free).
+	// (1) Canonicalize attribute-level slot value lists (sorted, distinct
+	// — the template's cross product is then automatically duplicate-free).
 	// A component with no alternatives offers no choice at all — for a
 	// template, an empty slot domain — so the product is empty. A
 	// template with one instantiation (every cell fixed, or no cell) is a
 	// certain fact and continues as one.
 	for i := range w.pending {
 		c := &w.pending[i]
-		n := 0
+		n := len(c.alts)
 		if a := c.attr; a != nil {
 			for j := range a.cells {
 				a.cells[j] = sortDedupCell(a.cells[j])
@@ -76,9 +83,6 @@ func (w *WSD) Normalize() error {
 			if n, _ = a.countInt(); n == 1 {
 				*c = component{alts: [][]int32{{w.intern(a.rel, a.tupleAt(0))}}}
 			}
-		} else {
-			c.alts = dedupAlts(c.alts)
-			n = len(c.alts)
 		}
 		if n == 0 {
 			w.clearToEmpty()
@@ -86,52 +90,18 @@ func (w *WSD) Normalize() error {
 		}
 	}
 
-	// (2) Merge components with overlapping supports: they are dependent
-	// (a fact shared between two components breaks the injectivity of the
-	// choice map), so their joint world set is the product of their
-	// alternative unions. Attribute-level members of an overlapping group
-	// are expanded to tuple level first (the degenerate case; bounded).
-	if err := w.mergeOverlapping(); err != nil {
+	// (2)–(4) The local step over every pending component as one batch:
+	// the classes of overlapping supports merged, every result split
+	// horizontally and vertically, and the certain facts folded into one
+	// component, so they live in one place however the WSD was built.
+	comps, certain, err := w.localStep(w.pending, w.overlapClasses())
+	if err != nil {
 		return err
 	}
-
-	// (4) Split each tuple-level component into independent horizontal
-	// factors, then try the vertical split on every tuple-level factor:
-	// a component whose alternatives are singleton same-relation facts
-	// forming an exact per-slot product becomes an attribute-level
-	// template. Templates that arrive here untouched by the merge are
-	// already maximally factored (their alternatives share the
-	// one-fact-per-world structure, so no horizontal split applies).
-	var split []component
-	for _, c := range w.pending {
-		if c.attr != nil {
-			split = append(split, c)
-			continue
-		}
-		for _, alts := range splitAlts(c.alts) {
-			split = append(split, w.tryVerticalSplit(component{alts: alts}))
-		}
+	if len(certain) > 0 {
+		comps = append(comps, component{alts: [][]int32{sortDedupIDs(certain)}})
 	}
-	w.pending = split
-
-	// (3) Drop trivial {∅} components; (re-)merge all certain components
-	// (single alternative — including all-fixed templates, rewritten in
-	// (1)) into one, so the certain facts live in one place regardless of
-	// how the WSD was built.
-	var kept []component
-	var certainFacts []int32
-	for _, c := range w.pending {
-		if c.attr == nil && len(c.alts) == 1 {
-			certainFacts = append(certainFacts, c.alts[0]...)
-			w.obsCost.Add(obs.NormCertainFolds, 1)
-			continue
-		}
-		kept = append(kept, c)
-	}
-	if len(certainFacts) > 0 {
-		kept = append(kept, component{alts: [][]int32{sortDedupIDs(certainFacts)}})
-	}
-	w.pending = kept
+	w.pending = comps
 
 	// (5) Canonical rebuild: fact table in display order, alternatives
 	// sorted, components ordered by smallest support fact.
@@ -141,7 +111,6 @@ func (w *WSD) Normalize() error {
 	// The canonical rebuild dropped unused facts and restored display
 	// order, clearing any incremental-update residue (see update.go).
 	w.dense = true
-	w.factsLoose = false
 	return nil
 }
 
@@ -207,35 +176,6 @@ func dedupAlts(alts [][]int32) [][]int32 {
 		out = append(out, a)
 	}
 	return out
-}
-
-// mergeOverlapping merges each class of components whose supports
-// share a fact (overlapClasses) into one component (mergeClass).
-// Attribute-level members of a multi-component class are the degenerate
-// case: they expand to tuple level (bounded by MaxMergeAlts) before the
-// cross product.
-func (w *WSD) mergeOverlapping() error {
-	merged := make([]component, 0, len(w.pending))
-	for _, members := range w.overlapClasses() {
-		if len(members) == 1 {
-			merged = append(merged, w.pending[members[0]])
-			continue
-		}
-		w.obsCost.Add(obs.NormComponentsMerged, int64(len(members)))
-		alts, err := mergeClass(len(members), func(k int) ([][]int32, error) {
-			c := &w.pending[members[k]]
-			if c.attr != nil {
-				return w.expandAttr(c.attr)
-			}
-			return c.alts, nil
-		})
-		if err != nil {
-			return err
-		}
-		merged = append(merged, component{alts: alts})
-	}
-	w.pending = merged
-	return nil
 }
 
 // overlapClasses partitions the pending components into the classes of
@@ -341,13 +281,67 @@ func classesOf(uf *unionfind.Dense) [][]int32 {
 	return out
 }
 
-// mergeClass is the local merge step of a class of k dependent
-// components, shared by Normalize and the incremental update: the cross
-// product of the members' alternative lists, each joint alternative the
-// sorted union of one alternative per member, duplicates removed.
-// member(i) supplies the i-th list, expanding a template on demand; the
-// product is checked against MaxMergeAlts before the next member is
-// materialized. A class of one is its deduplicated list, copied.
+// localStep is the local normal-form step, the one route by which a
+// batch of components whose overlap classes are known becomes normal
+// form. Normalize runs it over every pending component, the incremental
+// install (installIncremental) over an operation's replacement groups
+// and the survivors they pull in. Each class of two or more is merged
+// (mergeClass; a template in it expands to tuple level), a tuple-level
+// component alone in its class only deduplicated in place, and the
+// result split horizontally (splitAlts) and vertically
+// (tryVerticalSplit); a template alone in its class is already factored
+// and passes as it is. The single-alternative results are not returned
+// as components: their facts are, unsorted, for the caller to fold into
+// the one certain component. A class with no alternative makes the
+// batch denote ∅: the step clears w (clearToEmpty) and returns nothing.
+//
+// A tuple-level component that can be alone in its class must be the
+// caller's own.
+func (w *WSD) localStep(batch []component, classes [][]int32) (comps []component, certain []int32, err error) {
+	comps = make([]component, 0, len(batch))
+	for _, members := range classes {
+		var alts [][]int32
+		if c := batch[members[0]]; len(members) == 1 {
+			if c.attr != nil {
+				comps = append(comps, c)
+				continue
+			}
+			alts = dedupAlts(c.alts)
+		} else {
+			w.obsCost.Add(obs.NormComponentsMerged, int64(len(members)))
+			alts, err = mergeClass(len(members), func(k int) ([][]int32, error) {
+				if a := batch[members[k]].attr; a != nil {
+					return w.expandAttr(a)
+				}
+				return batch[members[k]].alts, nil
+			})
+			if err != nil {
+				return nil, nil, err
+			}
+		}
+		if len(alts) == 0 {
+			w.clearToEmpty()
+			return nil, nil, nil
+		}
+		for _, sub := range splitAlts(alts) {
+			c := w.tryVerticalSplit(component{alts: sub})
+			if c.attr == nil && len(sub) == 1 {
+				certain = append(certain, sub[0]...)
+				w.obsCost.Add(obs.NormCertainFolds, 1)
+				continue
+			}
+			comps = append(comps, c)
+		}
+	}
+	return comps, certain, nil
+}
+
+// mergeClass is the merge of a class of k ≥ 2 dependent components:
+// the cross product of the members' alternative lists, each joint
+// alternative the sorted union of one alternative per member,
+// duplicates removed. member(i) supplies the i-th list, expanding a
+// template on demand; the product is checked against MaxMergeAlts
+// before the next member is materialized.
 func mergeClass(k int, member func(int) ([][]int32, error)) ([][]int32, error) {
 	lists := make([][][]int32, k)
 	product := 1
@@ -362,9 +356,6 @@ func mergeClass(k int, member func(int) ([][]int32, error)) ([][]int32, error) {
 			return nil, fmt.Errorf("wsd: merging %d dependent components needs %d+ alternatives (limit %d); the decomposition is too entangled to normalize",
 				k, product, MaxMergeAlts)
 		}
-	}
-	if k == 1 {
-		return dedupAlts(slices.Clone(lists[0])), nil
 	}
 	acc := [][]int32{nil}
 	for _, alts := range lists {
@@ -677,7 +668,7 @@ func (w *WSD) canonicalize() {
 	w.facts = chunkedOf(facts)
 	w.factIndex = index
 	w.factDelta = factSet{}
-	w.indexShared, w.factsShared = false, false
+	w.indexShared, w.factsShared, w.factsLoose = false, false, false
 
 	for ci := range w.pending {
 		c := &w.pending[ci]
@@ -692,34 +683,13 @@ func (w *WSD) canonicalize() {
 		}
 		slices.SortFunc(c.alts, compareAlts)
 	}
-	// Supports are disjoint, so the smallest support fact of each
-	// component — for a template, its minimal instantiation — is a
-	// unique sort key, computed once per component. Fact IDs are now in
-	// display order, so two tuple-level components compare by ID.
-	type keyed struct {
-		c   component
-		min int32 // smallest fact ID; -1 for a template
-		key dispKey
-	}
-	ks := make([]keyed, len(w.pending))
+	// Supports are disjoint, so each component's display key — its
+	// display-least support fact — is a unique sort key.
+	keys := make([]dispKey, len(w.pending))
 	for i := range w.pending {
-		c := &w.pending[i]
-		ks[i] = keyed{c: *c, min: -1}
-		if c.attr == nil {
-			ks[i].min = minSupport(*c)
-		}
-		rel, t, ok := w.minSupportFact(c)
-		ks[i].key = dispKey{ok: ok, rel: rel, t: t}
+		keys[i] = w.dispKeyOf(&w.pending[i])
 	}
-	slices.SortFunc(ks, func(a, b keyed) int {
-		if a.min >= 0 && b.min >= 0 && a.key.ok && b.key.ok {
-			return cmp.Compare(a.min, b.min)
-		}
-		return a.key.compare(b.key)
-	})
-	for i := range ks {
-		w.pending[i] = ks[i].c
-	}
+	sortByDispKey(w.pending, keys)
 }
 
 // sortDisplay sorts fact IDs into the canonical display order of
@@ -727,7 +697,11 @@ func (w *WSD) canonicalize() {
 // integers only: every distinct symbol of the facts is ranked by name
 // once, and each fact's key is its relation and its symbols' ranks.
 func (w *WSD) sortDisplay(ids []int32) {
-	var syms []sym.ID
+	n := 0
+	for _, id := range ids {
+		n += len(w.fact(id).tuple)
+	}
+	syms := make([]sym.ID, 0, n)
 	for _, id := range ids {
 		syms = append(syms, w.fact(id).tuple...)
 	}
@@ -745,7 +719,7 @@ func (w *WSD) sortDisplay(ids []int32) {
 		key     []int32
 	}
 	rs := make([]ranked, len(ids))
-	var flat []int32
+	flat := make([]int32, 0, n)
 	for i, id := range ids {
 		f := w.fact(id)
 		at := len(flat)
@@ -766,19 +740,92 @@ func (w *WSD) sortDisplay(ids []int32) {
 	}
 }
 
-// minSupportFact returns a component's smallest support fact as a
-// (schema relation, tuple) pair; ok is false when the component has no
-// facts at all.
-func (w *WSD) minSupportFact(c *component) (relIdx int32, t sym.Tuple, ok bool) {
+// dispKey is a position in the canonical display order: a relation and
+// a tuple, compared by schema position, then by symbol name. A
+// component's key is its display-least support fact (dispKeyOf);
+// supports are disjoint, so no two components of one version share one.
+type dispKey struct {
+	ok  bool // false: the component has no facts (sorts last)
+	rel int32
+	t   sym.Tuple
+	id  int32 // t's fact ID while fact IDs are display positions, else -1
+}
+
+// dispKeyOf returns a component's display key: for a template its
+// minimal instantiation, else its display-least fact — the smallest ID
+// while fact IDs are display positions, found by factLess once an
+// update has loosened them.
+func (w *WSD) dispKeyOf(c *component) dispKey {
 	if c.attr != nil {
-		return c.attr.rel, c.attr.minTuple(), true
+		return dispKey{ok: true, rel: c.attr.rel, t: c.attr.minTuple(), id: -1}
 	}
-	id := minSupport(*c)
-	if id == int32(1<<31-1) {
-		return 0, nil, false
+	best := int32(-1)
+	for _, alt := range c.alts {
+		for _, f := range alt {
+			if best < 0 || (w.factsLoose && w.factLess(f, best)) || (!w.factsLoose && f < best) {
+				best = f
+			}
+		}
 	}
-	f := w.fact(id)
-	return f.rel, f.tuple, true
+	if best < 0 {
+		return dispKey{}
+	}
+	f := w.fact(best)
+	k := dispKey{ok: true, rel: f.rel, t: f.tuple, id: -1}
+	if !w.factsLoose {
+		k.id = best
+	}
+	return k
+}
+
+// sortByDispKey sorts xs by their display keys (keys[i] is xs[i]'s):
+// keyless entries last, then by relation, then by tuple name, except
+// that two keys carrying fact IDs compare by ID (IDs that are display
+// positions agree with the name order). The sort moves pointer-free
+// records and compares names resolved once per key symbol, not
+// sym.Compare per comparison. Keys hold constants only (facts are
+// ground), so plain name order is sym.Compare's.
+func sortByDispKey[T any](xs []T, keys []dispKey) {
+	type ranked struct {
+		pos     int32 // relation; math.MaxInt32 for no key
+		id      int32 // the key's fact ID, or -1
+		at, end int32 // the key's names are names[at:end]
+		i       int32 // position in xs
+	}
+	// Names are needed only when some key carries no fact ID.
+	n := 0
+	if slices.ContainsFunc(keys, func(k dispKey) bool { return k.ok && k.id < 0 }) {
+		for _, k := range keys {
+			n += len(k.t)
+		}
+	}
+	names := make([]string, 0, n)
+	rs := make([]ranked, len(xs))
+	for i, k := range keys {
+		rs[i] = ranked{pos: math.MaxInt32, id: -1, i: int32(i)}
+		if !k.ok {
+			continue
+		}
+		rs[i].pos, rs[i].id, rs[i].at = k.rel, k.id, int32(len(names))
+		for j := 0; n > 0 && j < len(k.t); j++ {
+			names = append(names, k.t[j].Name())
+		}
+		rs[i].end = int32(len(names))
+	}
+	slices.SortFunc(rs, func(a, b ranked) int {
+		if a.id >= 0 && b.id >= 0 {
+			return cmp.Compare(a.id, b.id)
+		}
+		if c := cmp.Compare(a.pos, b.pos); c != 0 {
+			return c
+		}
+		return slices.Compare(names[a.at:a.end], names[b.at:b.end])
+	})
+	sorted := make([]T, len(xs))
+	for k, r := range rs {
+		sorted[k] = xs[r.i]
+	}
+	copy(xs, sorted)
 }
 
 // compareAlts orders alternatives by length, then lexicographically by
@@ -788,17 +835,6 @@ func compareAlts(a, b []int32) int {
 		return c
 	}
 	return slices.Compare(a, b)
-}
-
-// minSupport returns the smallest fact ID of a component's support.
-func minSupport(c component) int32 {
-	min := int32(1<<31 - 1)
-	for _, alt := range c.alts {
-		if len(alt) > 0 && alt[0] < min {
-			min = alt[0]
-		}
-	}
-	return min
 }
 
 // buildIndexes moves the canonical pending components into the store —

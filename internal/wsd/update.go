@@ -36,10 +36,11 @@
 // first use.
 //
 // The incremental result satisfies every normalized invariant the query
-// methods rely on (distinct alternatives, disjoint supports, maximal
-// factoring, at most one certain component) and prints identically to a
-// from-scratch Normalize of the same world set; only its internal fact
-// IDs are not display-ordered. Deleted facts leave holes in the shared
+// methods rely on (distinct alternatives, disjoint supports, factoring
+// by the local step Normalize runs, at most one certain component) and
+// prints identically to a from-scratch Normalize of the same
+// components (ApplyUpdateFull); only its internal fact IDs are not
+// display-ordered. Deleted facts leave holes in the shared
 // table (they cannot be removed without breaking the snapshot); the
 // query paths treat a fact without a component as outside the support,
 // and ApplyUpdate compacts the table once holes outnumber live facts —
@@ -47,7 +48,6 @@
 package wsd
 
 import (
-	"cmp"
 	"fmt"
 	"math/big"
 	"math/bits"
@@ -357,24 +357,31 @@ func (w *WSD) ApplyUpdateObserved(u *Update, c *obs.Cost) (*WSD, error) {
 	out := w.snapshotClone()
 	out.obsCost = c
 	for i := range u.Ops {
-		if err := out.applyOp(&u.Ops[i], false); err != nil {
+		if err := out.applyOp(&u.Ops[i]); err != nil {
 			return nil, err
 		}
 	}
 	// Deleted facts accumulate as holes in the shared table and dropped
 	// components as tombstones in the store; once either outnumbers the
 	// live entries, pay for one canonical rebuild so a long-running
-	// update stream cannot leak.
+	// update stream cannot leak. Normalization of an already-valid
+	// decomposition cannot hit the merge guard; if it ever errored the
+	// uncompacted successor is returned.
 	dead := len(out.free)
 	if (out.holes > 64 && out.holes > out.facts.len()-out.holes) || (dead > 64 && dead > out.live) {
-		out = out.compacted()
+		if c := out.Clone(); c.rebuild(nil, nil) == nil {
+			c.count.Store(out.count.Load()) // the same world set
+			out = c
+		}
 	}
 	out.obsCost = nil
 	return out, nil
 }
 
-// ApplyUpdateFull is the reference implementation: a deep clone with a
-// from-scratch Normalize after every operation. It exists for the
+// ApplyUpdateFull is the reference implementation: a deep clone, then
+// for every operation the plan ApplyUpdate makes, installed by a
+// from-scratch Normalize of the whole decomposition (rebuild) instead
+// of the incremental closure and install. It exists for the
 // differential and property tests (the incremental path must produce
 // the identical canonical form) and as the benchmark baseline that the
 // incremental path is measured against.
@@ -384,7 +391,16 @@ func (w *WSD) ApplyUpdateFull(u *Update) (*WSD, error) {
 	}
 	out := w.Clone()
 	for i := range u.Ops {
-		if err := out.applyOp(&u.Ops[i], true); err != nil {
+		var p opPlan
+		err := out.plan(&u.Ops[i], &p)
+		switch {
+		case err != nil:
+		case p.empty:
+			out.clearToEmpty()
+		case !p.noop:
+			err = out.rebuild(p.drop, p.groups)
+		}
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -443,25 +459,9 @@ func (w *WSD) cowFacts() {
 	w.obsCost.Add(obs.UpdateCOWUnshares, 1)
 }
 
-// compacted returns a fully re-canonicalized copy (fact-table holes and
-// tombstones dropped, IDs back in display order). Normalization of an
-// already-valid decomposition cannot hit the merge guard; if it ever
-// errored the un-compacted decomposition is returned unchanged.
-func (w *WSD) compacted() *WSD {
-	c := w.Clone()
-	c.pending = c.liveComponents()
-	c.normalized = false
-	if err := c.Normalize(); err != nil {
-		return w
-	}
-	c.holes, c.factsLoose = 0, false
-	c.count.Store(w.count.Load()) // the same world set
-	return c
-}
-
 // opPlan is the outcome of planning one operation: either a trivial
-// verdict, or a set of components to drop and the raw (pre-renorm)
-// alternative lists replacing them.
+// verdict, or a set of components to drop (ascending) and the raw
+// (pre-renorm) alternative lists replacing them.
 type opPlan struct {
 	noop   bool
 	empty  bool
@@ -469,44 +469,46 @@ type opPlan struct {
 	groups [][][]int32
 }
 
-// applyOp plans one operation and installs it, incrementally or via a
-// full renormalization.
-func (w *WSD) applyOp(op *UpdateOp, full bool) error {
+// applyOp plans one operation and installs it incrementally.
+func (w *WSD) applyOp(op *UpdateOp) error {
+	var p opPlan
+	err := w.plan(op, &p)
+	switch {
+	case err != nil:
+		return err
+	case p.empty:
+		w.clearToEmpty()
+	case !p.noop:
+		err = w.installIncremental(&p)
+	}
+	if err == nil && !w.empty {
+		w.padDerived()
+	}
+	return err
+}
+
+// plan validates one operation and plans it into p; on ∅ every
+// operation is a no-op.
+func (w *WSD) plan(op *UpdateOp, p *opPlan) error {
 	ri, err := w.opRelIndex(op)
 	if err != nil {
 		return err
 	}
 	if w.empty {
-		return nil // every operation maps ∅ to ∅
+		p.noop = true
+		return nil
 	}
-	var p opPlan
 	switch op.Kind {
 	case OpInsert:
-		err = w.planInsert(ri, op, &p)
+		return w.planInsert(ri, op, p)
 	case OpDelete, OpSet:
-		err = w.planRewrite(ri, op, full, &p)
+		return w.planRewrite(ri, op, p)
 	case OpAssume:
-		err = w.planAssume(ri, op, true, &p)
+		return w.planAssume(ri, op, true, p)
 	case OpAssumeNot:
-		err = w.planAssume(ri, op, false, &p)
-	default:
-		err = fmt.Errorf("wsd: unknown update op kind %d", int(op.Kind))
+		return w.planAssume(ri, op, false, p)
 	}
-	if err != nil {
-		return err
-	}
-	switch {
-	case p.empty:
-		w.clearToEmpty()
-	case full && !p.noop:
-		err = w.installFull(&p)
-	case !p.noop:
-		err = w.installIncremental(&p)
-	}
-	if err == nil && !w.empty && !full {
-		w.padDerived()
-	}
-	return err
+	return fmt.Errorf("wsd: unknown update op kind %d", int(op.Kind))
 }
 
 // padDerived extends the per-fact arrays over the facts interned since
@@ -658,12 +660,11 @@ func (w *WSD) planAssume(ri int32, op *UpdateOp, keep bool, p *opPlan) error {
 }
 
 // planRewrite plans delete and conditional update: every component
-// whose support matches the pattern is rewritten alternative-wise.
-// Conditional updates may intern new facts; collisions with other
-// components' supports are resolved by the install's overlap merge.
-// The incremental path finds the matching components through the
-// posting index, the full reference path by a scan.
-func (w *WSD) planRewrite(ri int32, op *UpdateOp, full bool, p *opPlan) error {
+// whose support matches the pattern (rewriteTargets) is rewritten
+// alternative-wise. Conditional updates may intern new facts;
+// collisions with other components' supports are resolved by the
+// install's overlap merge.
+func (w *WSD) planRewrite(ri int32, op *UpdateOp, p *opPlan) error {
 	pat, live := resolveArgsPattern(op.Args)
 	if !live {
 		p.noop = true
@@ -673,12 +674,7 @@ func (w *WSD) planRewrite(ri int32, op *UpdateOp, full bool, p *opPlan) error {
 	if op.Kind == OpSet {
 		assigns = op.Set
 	}
-	var order []int32
-	if full {
-		order = w.scanTargets(ri, pat)
-	} else {
-		order = w.rewriteTargets(ri, pat)
-	}
+	order := w.rewriteTargets(ri, pat)
 	if len(order) == 0 {
 		p.noop = true
 		return nil
@@ -742,31 +738,6 @@ func (w *WSD) rewriteTargets(ri int32, pat symPattern) []int32 {
 	return out
 }
 
-// scanTargets is rewriteTargets by a scan of every stored fact and
-// every template of the relation, independent of the posting index: the
-// reference path (ApplyUpdateFull) finds its targets this way, so the
-// incremental-vs-full differential tests check the index lookups too.
-func (w *WSD) scanTargets(ri int32, pat symPattern) []int32 {
-	matched := make(map[int32]bool)
-	w.facts.each(func(id int, f *storedFact) bool {
-		if ci := w.compOf(int32(id)); ci >= 0 && f.rel == ri && pat.matches(f.tuple) {
-			matched[ci] = true
-		}
-		return true
-	})
-	for _, ci := range w.tmplsOf(ri).view() {
-		if pat.matchesTemplate(w.comp(int(ci)).attr) {
-			matched[ci] = true
-		}
-	}
-	out := make([]int32, 0, len(matched))
-	for ci := range matched {
-		out = append(out, ci)
-	}
-	slices.Sort(out)
-	return out
-}
-
 // holdsMatch reports whether some alternative of a tuple-level
 // component holds a fact of relation ri matching the pattern.
 func (w *WSD) holdsMatch(c *component, ri int32, pat symPattern) bool {
@@ -821,40 +792,45 @@ func insertSorted(alt []int32, id int32) []int32 {
 	return out
 }
 
-// installFull splices the plan's replacement groups in as plain
-// components and runs the from-scratch Normalize — the reference path.
-func (w *WSD) installFull(p *opPlan) error {
-	drop := make(map[int32]bool, len(p.drop))
-	for _, ci := range p.drop {
-		drop[ci] = true
-	}
-	kept := make([]component, 0, w.live+len(p.groups))
+// rebuild replaces the components in drop (ascending) with the added
+// alternative lists and re-normalizes every component from scratch:
+// Normalize over the whole decomposition as one batch. It is the
+// install of the reference path (ApplyUpdateFull) and, with nothing
+// dropped or added, the compaction of ApplyUpdate. Normalize rewrites
+// the components in place, so w must own them (a Clone).
+func (w *WSD) rebuild(drop []int32, added [][][]int32) error {
+	comps := make([]component, 0, w.live+len(added))
 	w.comps.each(func(ci int, c *component) bool {
-		if !c.dead() && !drop[int32(ci)] {
-			kept = append(kept, *c)
+		switch {
+		case len(drop) > 0 && drop[0] == int32(ci):
+			drop = drop[1:]
+		case !c.dead():
+			comps = append(comps, *c)
 		}
 		return true
 	})
-	for _, g := range p.groups {
-		kept = append(kept, component{alts: g})
+	for _, alts := range added {
+		comps = append(comps, component{alts: alts})
 	}
-	w.pending = kept
-	w.compsShared = true
-	w.normalized = false
-	if err := w.Normalize(); err != nil {
-		return err
-	}
-	w.holes, w.factsLoose = 0, false
-	return nil
+	w.pending, w.normalized = comps, false
+	return w.Normalize()
 }
 
 // installIncremental re-establishes the normalized invariants touching
-// only the plan's groups: overlap closure pulls in any component whose
-// support a rewritten fact collided with, each independent class is
-// merged and locally re-factored (dedup, horizontal split, vertical
-// split, certain fold), and the result is installed under fresh IDs
-// while the dropped IDs become tombstones (install). Untouched
+// only the plan's groups. Its overlap closure pulls in any component
+// whose support a rewritten fact collided with; the local step
+// (localStep, the one Normalize runs) merges and re-factors each class;
+// new certain facts join the certain component; and install puts the
+// result in place under stable IDs — a rewritten component keeps its
+// ID — with the dropped IDs nobody takes left as tombstones. Untouched
 // components keep their IDs and their storage.
+//
+// The closure is the write path's own front-end, not Normalize's
+// overlapClasses: that one indexes every component of the batch
+// through a dense array over the whole fact table, while this one
+// walks only the groups' facts and finds their owners in the derived
+// state (compOf) and the owner-column postings (attrOwner), so a write
+// allocates nothing proportional to the decomposition.
 func (w *WSD) installIncremental(p *opPlan) error {
 	drop := make(map[int32]bool, len(p.drop))
 	for _, ci := range p.drop {
@@ -867,18 +843,26 @@ func (w *WSD) installIncremental(p *opPlan) error {
 	// and a fact shared between two groups unions them. Pulled-in
 	// components cannot cascade further — their supports are disjoint
 	// from everything else — but their facts still register for unions.
-	slots := make([][][]int32, len(p.groups))
-	copy(slots, p.groups)
+	slots := make([]component, len(p.groups))
+	for i, g := range p.groups {
+		slots[i].alts = g
+	}
 	uf := unionfind.NewDense(len(slots))
 	pull := func(qi int, ci int32, alts [][]int32) {
 		drop[ci] = true
-		slots = append(slots, alts)
+		slots = append(slots, component{alts: alts})
 		uf.Grow(len(slots))
 		uf.Union(int32(qi), int32(len(slots)-1))
 	}
-	factGroup := make(map[int32]int)
+	n := 0
+	for _, g := range p.groups {
+		for _, alt := range g {
+			n += len(alt)
+		}
+	}
+	factGroup := make(map[int32]int, n) // sized by the groups' fact occurrences: a bound on their distinct facts
 	for qi := 0; qi < len(slots); qi++ {
-		for _, alt := range slots[qi] {
+		for _, alt := range slots[qi].alts {
 			for _, f := range alt {
 				if g, seen := factGroup[f]; seen {
 					uf.Union(int32(qi), int32(g))
@@ -903,42 +887,24 @@ func (w *WSD) installIncremental(p *opPlan) error {
 		}
 	}
 
-	// Merge each class (mergeClass, the step Normalize runs) and
-	// re-factor it locally.
-	var newComps []component
-	var certainIDs []int32
-	for _, members := range classesOf(uf) {
-		alts, err := mergeClass(len(members), func(k int) ([][]int32, error) { return slots[members[k]], nil })
-		if err != nil {
-			return err
-		}
-		if len(alts) == 0 {
-			w.clearToEmpty()
-			return nil
-		}
-		for _, sub := range splitAlts(alts) {
-			c := w.tryVerticalSplit(component{alts: sub})
-			if c.attr != nil {
-				newComps = append(newComps, c)
-				continue
-			}
-			if len(sub) == 1 {
-				certainIDs = append(certainIDs, sub[0]...)
-				continue
-			}
-			newComps = append(newComps, w.finishComponent(sub))
-		}
+	comps, certain, err := w.localStep(slots, classesOf(uf))
+	if err != nil || w.empty {
+		return err
 	}
-
 	// Fold new certain facts into the (single) certain component.
-	if len(certainIDs) > 0 {
+	if len(certain) > 0 {
 		if ci := w.certainComp; ci >= 0 && !drop[ci] {
 			drop[ci] = true
-			certainIDs = append(certainIDs, w.comp(int(ci)).alts[0]...)
+			certain = append(certain, w.comp(int(ci)).alts[0]...)
 		}
-		newComps = append(newComps, w.finishComponent([][]int32{sortDedupIDs(certainIDs)}))
+		comps = append(comps, component{alts: [][]int32{sortDedupIDs(certain)}})
 	}
-	w.install(drop, newComps)
+	for i := range comps {
+		if comps[i].attr == nil {
+			comps[i] = w.finishComponent(comps[i].alts)
+		}
+	}
+	w.install(drop, comps)
 	return nil
 }
 
@@ -946,11 +912,11 @@ func (w *WSD) installIncremental(p *opPlan) error {
 // stable: an added component takes over the ID of the dropped component
 // its first fact came from (a rewritten component keeps its ID), else
 // the smallest spare ID — a dropped one nobody took, or a tombstone —
-// else a fresh one; dropped IDs nobody takes become tombstones. Every piece of derived state takes the
-// delta — the per-fact state of the dropped and added components'
-// facts, the hole count, the certain component, the template lists, the
-// choice-axis and fact totals, the world count and the posting index
-// (carryPostings). Certainty needs no counting: after the local split,
+// else a fresh one; dropped IDs nobody takes become tombstones. Every
+// piece of derived state takes the delta — the per-fact state of the
+// dropped and added components' facts, the hole count, the certain
+// component, the template lists, the choice-axis and fact totals, the
+// world count and the posting index (carryPostings). Certainty needs no counting: after the local split,
 // a multi-alternative component has no all-alternative fact, so the
 // certain facts are exactly the facts of the single-alternative
 // component.
@@ -1137,53 +1103,6 @@ func (w *WSD) carryCount(old *big.Int, drop map[int32]bool, added []component) *
 		d.Mul(d, w.comp(int(ci)).bigCount())
 	}
 	return count.Quo(count, d)
-}
-
-// dispKey is a component's position in the canonical component order:
-// its display-least support fact (see minSupportFact). Supports are
-// disjoint, so no two components of one version share a key.
-type dispKey struct {
-	ok  bool // false: the component has no facts (sorts last)
-	rel int32
-	t   sym.Tuple
-}
-
-// dispKeyOf mirrors minSupportFact under non-canonical fact IDs: the
-// display-least support fact, found by scanning the alternatives.
-func (w *WSD) dispKeyOf(c *component) dispKey {
-	if c.attr != nil {
-		return dispKey{ok: true, rel: c.attr.rel, t: c.attr.minTuple()}
-	}
-	best := int32(-1)
-	for _, alt := range c.alts {
-		for _, f := range alt {
-			if best < 0 || w.factLess(f, best) {
-				best = f
-			}
-		}
-	}
-	if best < 0 {
-		return dispKey{}
-	}
-	f := w.fact(best)
-	return dispKey{ok: true, rel: f.rel, t: f.tuple}
-}
-
-// compare orders display keys: fact-less components last, then by
-// relation, then by tuple name.
-func (a dispKey) compare(b dispKey) int {
-	switch {
-	case a.ok != b.ok:
-		if a.ok {
-			return -1
-		}
-		return 1
-	case !a.ok:
-		return 0
-	case a.rel != b.rel:
-		return cmp.Compare(a.rel, b.rel)
-	}
-	return a.t.Compare(b.t)
 }
 
 // finishComponent builds a fresh tuple-level component: alternatives in

@@ -8,10 +8,13 @@ package wsd_test
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"pw/internal/gen"
+	"pw/internal/parse"
 	"pw/internal/rel"
 	"pw/internal/table"
 	"pw/internal/wsd"
@@ -131,7 +134,46 @@ func TestUpdateAgainstWorldsOracle(t *testing.T) {
 	}
 }
 
+// TestIncrementalMatchesFullRenormalization holds the incremental
+// route to the from-scratch one: seeded updates on bounded random
+// decompositions, and the examples' sensors.pw with its patch
+// sensors_patch.pw (the pair pwq's update golden prints), must print
+// the same canonical form either way.
 func TestIncrementalMatchesFullRenormalization(t *testing.T) {
+	// same applies u both ways and reports whether both succeeded.
+	same := func(tag string, base *wsd.WSD, u *wsd.Update) bool {
+		t.Helper()
+		incr, errI := base.ApplyUpdate(u)
+		full, errF := base.ApplyUpdateFull(u)
+		if (errI == nil) != (errF == nil) {
+			t.Fatalf("%s: incremental err %v, full err %v", tag, errI, errF)
+		}
+		if errI != nil {
+			return false
+		}
+		if incr.Count().Cmp(full.Count()) != 0 {
+			t.Fatalf("%s: update %q: incremental Count %s != full Count %s",
+				tag, u, incr.Count(), full.Count())
+		}
+		if gi, gf := incr.String(), full.String(); gi != gf {
+			t.Fatalf("%s: update %q: incremental form is not Normalize-canonical\nincremental:\n%s\nfull:\n%s\nbase:\n%s",
+				tag, u, gi, gf, base)
+		}
+		return true
+	}
+	sensors, patch := exampleFile(t, "sensors.pw"), exampleFile(t, "sensors_patch.pw")
+	base, err := parse.ParseWSD(strings.NewReader(sensors))
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := parse.ParseUpdate(strings.NewReader(patch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !same("sensors.pw + sensors_patch.pw", base, u) {
+		t.Fatal("sensors.pw + sensors_patch.pw: the patch failed to apply")
+	}
+
 	cases := 0
 	for seed := int64(0); seed < 500 && cases < 250; seed++ {
 		base := boundedBase(t, seed)
@@ -139,28 +181,23 @@ func TestIncrementalMatchesFullRenormalization(t *testing.T) {
 			continue
 		}
 		rng := rand.New(rand.NewSource(seed ^ 0xfade))
-		u := randomUpdate(rng, 2, 5)
-		incr, errI := base.ApplyUpdate(u)
-		full, errF := base.ApplyUpdateFull(u)
-		if (errI == nil) != (errF == nil) {
-			t.Fatalf("seed %d: incremental err %v, full err %v", seed, errI, errF)
+		if same(fmt.Sprintf("seed %d", seed), base, randomUpdate(rng, 2, 5)) {
+			cases++
 		}
-		if errI != nil {
-			continue
-		}
-		if incr.Count().Cmp(full.Count()) != 0 {
-			t.Fatalf("seed %d: update %q: incremental Count %s != full Count %s",
-				seed, u, incr.Count(), full.Count())
-		}
-		if gi, gf := incr.String(), full.String(); gi != gf {
-			t.Fatalf("seed %d: update %q: incremental form is not Normalize-canonical\nincremental:\n%s\nfull:\n%s\nbase:\n%s",
-				seed, u, gi, gf, base)
-		}
-		cases++
 	}
 	if cases < 150 {
 		t.Fatalf("only %d canonical-form cases; want >= 150", cases)
 	}
+}
+
+// exampleFile reads a file of the repository's examples/data.
+func exampleFile(t *testing.T, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("..", "..", "examples", "data", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // constSlotUpdate builds a seeded delete/conditional-update program
@@ -221,6 +258,66 @@ func TestIncrementalMatchesFullConstSlots(t *testing.T) {
 	}
 	if cases < 900 {
 		t.Fatalf("only %d constant-slot cases; want >= 900", cases)
+	}
+}
+
+// TestRewriteTargetsMatchScan checks the posting-index lookup of
+// delete and update targets against a scan of every stored fact and
+// template: random patterns with constant and wildcard slots, probed on
+// every version of update chains over gen.RandomWSD, so later probes
+// read postings carried across earlier installs. The two must agree
+// list for list.
+func TestRewriteTargetsMatchScan(t *testing.T) {
+	var probes, hits, tmplHits int
+	for seed := int64(0); seed < 120; seed++ {
+		arity := 2 + int(seed%2)
+		cur, err := gen.RandomWSD(seed, 6, 3, arity, 5)
+		if err != nil {
+			continue
+		}
+		rng := rand.New(rand.NewSource(seed ^ 0x7a5c))
+		for step := 0; step < 6 && !cur.Empty(); step++ {
+			for k := 0; k < 8; k++ {
+				args := make([]string, arity)
+				for j := range args {
+					args[j] = wsd.Wildcard
+					if rng.Intn(3) > 0 {
+						args[j] = fmt.Sprintf("c%d", rng.Intn(5))
+					}
+				}
+				index, scan, live := cur.RewriteTargets("R", args)
+				if !live {
+					continue
+				}
+				if fmt.Sprint(index) != fmt.Sprint(scan) {
+					t.Fatalf("seed %d step %d: pattern R(%s): index finds %v, scan %v\n%s",
+						seed, step, strings.Join(args, " "), index, scan, cur)
+				}
+				probes++
+				if len(scan) > 0 {
+					hits++
+				}
+				for _, ci := range scan {
+					if cur.IsTemplate(int(ci)) {
+						tmplHits++
+						break
+					}
+				}
+			}
+			u := randomUpdate(rng, arity, 5)
+			if op := templateOp(rng, cur); op != nil && rng.Intn(2) == 0 {
+				u.Ops = append(u.Ops, *op)
+			}
+			next, err := cur.ApplyUpdate(u)
+			if err != nil {
+				break
+			}
+			cur = next
+		}
+	}
+	t.Logf("%d probes, %d with targets, %d reaching a template", probes, hits, tmplHits)
+	if probes < 2000 || hits < 1000 || tmplHits < 200 {
+		t.Fatalf("weak coverage: %d probes, %d with targets, %d reaching a template", probes, hits, tmplHits)
 	}
 }
 

@@ -264,11 +264,11 @@ func (w *WSD) displayOrder() []int32 {
 		return true
 	})
 	if !w.dense {
-		keys := make([]dispKey, w.comps.len())
-		for _, ci := range ids {
-			keys[ci] = w.dispKeyOf(w.comps.ref(int(ci)))
+		keys := make([]dispKey, len(ids))
+		for i, ci := range ids {
+			keys[i] = w.dispKeyOf(w.comps.ref(int(ci)))
 		}
-		slices.SortFunc(ids, func(a, b int32) int { return keys[a].compare(keys[b]) })
+		sortByDispKey(ids, keys)
 	}
 	if w.order.CompareAndSwap(nil, &ids) {
 		return ids

@@ -286,7 +286,7 @@ func TestOrderDroppedByIncrementalInstall(t *testing.T) {
 	}
 	out := w.snapshotClone()
 	before := out.Order()
-	if err := out.applyOp(&UpdateOp{Kind: OpInsert, Rel: "R", Args: []string{"c", "w"}}, false); err != nil {
+	if err := out.applyOp(&UpdateOp{Kind: OpInsert, Rel: "R", Args: []string{"c", "w"}}); err != nil {
 		t.Fatal(err)
 	}
 	after := out.Order()
