@@ -71,9 +71,12 @@ func TestGolden(t *testing.T) {
 		{"cert_ans_grid", []string{"cert-ans", "-db", data("grid.pw"), "-query", data("grid_hi.pw")}},
 		// The write path: an @update program applied to a 2^20-world
 		// decomposition, printed back as a parsable canonical @wsd block.
-		// That the from-scratch route prints the same is
+		// The -trace variant runs the write with a live cost sink and must
+		// print byte-identical output: observing a write does not change
+		// it. That the from-scratch route prints the same is
 		// TestIncrementalMatchesFullRenormalization's (internal/wsd).
 		{"update_wsd", []string{"update", "-db", data("sensors.pw"), "-update", data("sensors_patch.pw")}},
+		{"update_wsd", []string{"update", "-db", data("sensors.pw"), "-update", data("sensors_patch.pw"), "-trace"}},
 		// Containment on decompositions (and mixed backends): the former
 		// "tables only" exit-2 carve-out is gone.
 		{"cont_wsd_yes", []string{"cont", "-db", data("sensors_pinned.pw"), "-db2", data("sensors.pw")}},
