@@ -67,8 +67,9 @@ func (w *WSD) Normalize() error {
 	// deep-copy first — the parent must stay a valid snapshot.
 	w.unshareAll()
 
-	// (1) Canonicalize attribute-level slot value lists (sorted, distinct
-	// — the template's cross product is then automatically duplicate-free).
+	// (1) Deduplicate alternatives within each tuple-level component and
+	// canonicalize attribute-level slot value lists (sorted, distinct —
+	// the template's cross product is then automatically duplicate-free).
 	// A component with no alternatives offers no choice at all — for a
 	// template, an empty slot domain — so the product is empty. A
 	// template with one instantiation (every cell fixed, or no cell) is a
@@ -83,6 +84,8 @@ func (w *WSD) Normalize() error {
 			if n, _ = a.countInt(); n == 1 {
 				*c = component{alts: [][]int32{{w.intern(a.rel, a.tupleAt(0))}}}
 			}
+		} else {
+			c.alts = dedupAlts(c.alts)
 		}
 		if n == 0 {
 			w.clearToEmpty()
@@ -156,23 +159,21 @@ func (w *WSD) unshareAll() {
 }
 
 // dedupAlts removes duplicate alternatives (sorted ID lists) preserving
-// first-occurrence order.
+// first-occurrence order. It allocates one map, not one entry per
+// alternative: a hash maps to the first kept alternative with it, and
+// only a hash collision scans the kept ones.
 func dedupAlts(alts [][]int32) [][]int32 {
-	seen := make(map[uint64][][]int32, len(alts))
+	first := make(map[uint64]int, len(alts))
 	out := alts[:0]
 	for _, a := range alts {
 		h := altHash(a)
-		dup := false
-		for _, prev := range seen[h] {
-			if idsEqual(prev, a) {
-				dup = true
-				break
-			}
-		}
-		if dup {
+		i, seen := first[h]
+		if seen && (idsEqual(out[i], a) || slices.ContainsFunc(out, func(b []int32) bool { return idsEqual(b, a) })) {
 			continue
 		}
-		seen[h] = append(seen[h], a)
+		if !seen {
+			first[h] = len(out)
+		}
 		out = append(out, a)
 	}
 	return out
@@ -286,17 +287,19 @@ func classesOf(uf *unionfind.Dense) [][]int32 {
 // form. Normalize runs it over every pending component, the incremental
 // install (installIncremental) over an operation's replacement groups
 // and the survivors they pull in. Each class of two or more is merged
-// (mergeClass; a template in it expands to tuple level), a tuple-level
-// component alone in its class only deduplicated in place, and the
-// result split horizontally (splitAlts) and vertically
-// (tryVerticalSplit); a template alone in its class is already factored
-// and passes as it is. The single-alternative results are not returned
-// as components: their facts are, unsorted, for the caller to fold into
-// the one certain component. A class with no alternative makes the
-// batch denote ∅: the step clears w (clearToEmpty) and returns nothing.
+// (mergeClass; a template in it expands to tuple level), and the
+// result, or a tuple-level component alone in its class, split
+// horizontally (splitAlts) and vertically (tryVerticalSplit); a
+// template alone in its class is already factored and passes as it is.
+// The single-alternative results are not returned as components: their
+// facts are, unsorted, for the caller to fold into the one certain
+// component. A class with no alternative makes the batch denote ∅: the
+// step clears w (clearToEmpty) and returns nothing.
 //
-// A tuple-level component that can be alone in its class must be the
-// caller's own.
+// Every tuple-level component of the batch must be duplicate-free, so
+// a merge multiplies distinct lists only: the callers deduplicate their
+// own components, and normalized survivors already are. One that can
+// be alone in its class must be the caller's own.
 func (w *WSD) localStep(batch []component, classes [][]int32) (comps []component, certain []int32, err error) {
 	comps = make([]component, 0, len(batch))
 	for _, members := range classes {
@@ -306,7 +309,7 @@ func (w *WSD) localStep(batch []component, classes [][]int32) (comps []component
 				comps = append(comps, c)
 				continue
 			}
-			alts = dedupAlts(c.alts)
+			alts = c.alts
 		} else {
 			w.obsCost.Add(obs.NormComponentsMerged, int64(len(members)))
 			alts, err = mergeClass(len(members), func(k int) ([][]int32, error) {
@@ -693,51 +696,14 @@ func (w *WSD) canonicalize() {
 }
 
 // sortDisplay sorts fact IDs into the canonical display order of
-// factLess — schema position, then tuple by symbol name — comparing
-// integers only: every distinct symbol of the facts is ranked by name
-// once, and each fact's key is its relation and its symbols' ranks.
+// factLess: schema position, then tuple by symbol name.
 func (w *WSD) sortDisplay(ids []int32) {
-	n := 0
-	for _, id := range ids {
-		n += len(w.fact(id).tuple)
-	}
-	syms := make([]sym.ID, 0, n)
-	for _, id := range ids {
-		syms = append(syms, w.fact(id).tuple...)
-	}
-	slices.Sort(syms)
-	syms = slices.Compact(syms)
-	byName := slices.Clone(syms)
-	slices.SortFunc(byName, sym.Compare)
-	rank := make([]int32, len(syms)) // position in syms → name rank
-	for r, s := range byName {
-		i, _ := slices.BinarySearch(syms, s)
-		rank[i] = int32(r)
-	}
-	type ranked struct {
-		id, rel int32
-		key     []int32
-	}
-	rs := make([]ranked, len(ids))
-	flat := make([]int32, 0, n)
+	keys := make([]dispKey, len(ids))
 	for i, id := range ids {
 		f := w.fact(id)
-		at := len(flat)
-		for _, s := range f.tuple {
-			j, _ := slices.BinarySearch(syms, s)
-			flat = append(flat, rank[j])
-		}
-		rs[i] = ranked{id: id, rel: f.rel, key: flat[at:len(flat):len(flat)]}
+		keys[i] = dispKey{ok: true, rel: f.rel, t: f.tuple, id: -1}
 	}
-	slices.SortFunc(rs, func(a, b ranked) int {
-		if c := cmp.Compare(a.rel, b.rel); c != 0 {
-			return c
-		}
-		return slices.Compare(a.key, b.key)
-	})
-	for i := range rs {
-		ids[i] = rs[i].id
-	}
+	sortByDispKey(ids, keys)
 }
 
 // dispKey is a position in the canonical display order: a relation and
@@ -792,12 +758,9 @@ func sortByDispKey[T any](xs []T, keys []dispKey) {
 		at, end int32 // the key's names are names[at:end]
 		i       int32 // position in xs
 	}
-	// Names are needed only when some key carries no fact ID.
 	n := 0
-	if slices.ContainsFunc(keys, func(k dispKey) bool { return k.ok && k.id < 0 }) {
-		for _, k := range keys {
-			n += len(k.t)
-		}
+	for _, k := range keys {
+		n += len(k.t)
 	}
 	names := make([]string, 0, n)
 	rs := make([]ranked, len(xs))
@@ -807,8 +770,8 @@ func sortByDispKey[T any](xs []T, keys []dispKey) {
 			continue
 		}
 		rs[i].pos, rs[i].id, rs[i].at = k.rel, k.id, int32(len(names))
-		for j := 0; n > 0 && j < len(k.t); j++ {
-			names = append(names, k.t[j].Name())
+		for _, s := range k.t {
+			names = append(names, s.Name())
 		}
 		rs[i].end = int32(len(names))
 	}

@@ -844,8 +844,14 @@ func (w *WSD) installIncremental(p *opPlan) error {
 	// components cannot cascade further — their supports are disjoint
 	// from everything else — but their facts still register for unions.
 	slots := make([]component, len(p.groups))
+	hint := 0 // each group's longest alternative: a lower bound on its distinct facts
 	for i, g := range p.groups {
-		slots[i].alts = g
+		slots[i].alts = dedupAlts(g)
+		m := 0
+		for _, alt := range slots[i].alts {
+			m = max(m, len(alt))
+		}
+		hint += m
 	}
 	uf := unionfind.NewDense(len(slots))
 	pull := func(qi int, ci int32, alts [][]int32) {
@@ -854,13 +860,7 @@ func (w *WSD) installIncremental(p *opPlan) error {
 		uf.Grow(len(slots))
 		uf.Union(int32(qi), int32(len(slots)-1))
 	}
-	n := 0
-	for _, g := range p.groups {
-		for _, alt := range g {
-			n += len(alt)
-		}
-	}
-	factGroup := make(map[int32]int, n) // sized by the groups' fact occurrences: a bound on their distinct facts
+	factGroup := make(map[int32]int, hint)
 	for qi := 0; qi < len(slots); qi++ {
 		for _, alt := range slots[qi].alts {
 			for _, f := range alt {
@@ -916,10 +916,10 @@ func (w *WSD) installIncremental(p *opPlan) error {
 // piece of derived state takes the delta — the per-fact state of the
 // dropped and added components' facts, the hole count, the certain
 // component, the template lists, the choice-axis and fact totals, the
-// world count and the posting index (carryPostings). Certainty needs no counting: after the local split,
-// a multi-alternative component has no all-alternative fact, so the
-// certain facts are exactly the facts of the single-alternative
-// component.
+// world count and the posting index (carryPostings). Certainty needs
+// no counting: after the local split, a multi-alternative component
+// has no all-alternative fact, so the certain facts are exactly the
+// facts of the single-alternative component.
 func (w *WSD) install(drop map[int32]bool, added []component) {
 	w.obsCost.Add(obs.UpdateTouchedComponents, int64(len(drop)))
 	w.obsCost.Add(obs.UpdateSurvivorComponents, int64(w.live-len(drop)))

@@ -123,6 +123,76 @@ func TestNormalizeMergesOverlappingComponents(t *testing.T) {
 	}
 }
 
+// repeated lists alts n times over, as a query answer lists one
+// alternative per joint origin choice.
+func repeated(n int, alts ...Alt) []Alt {
+	var out []Alt
+	for range n {
+		out = append(out, alts...)
+	}
+	return out
+}
+
+func TestMergeMultipliesDistinctAlternatives(t *testing.T) {
+	// Each component lists its two alternatives 1100 times. Normalize
+	// deduplicates before the merge, so the product is 2×2; over the
+	// raw lists it would be 2200×2200 and trip the MaxMergeAlts guard.
+	a1, b1, c1 := alt([2]string{"a", "1"}), alt([2]string{"b", "1"}), alt([2]string{"c", "1"})
+	w := New(schemaR())
+	mustAdd(t, w, repeated(1100, a1, b1)...)
+	mustAdd(t, w, repeated(1100, a1, c1)...)
+	if err := w.Normalize(); err != nil {
+		t.Fatalf("Normalize: %v", err)
+	}
+	want := New(schemaR())
+	mustAdd(t, want, a1, b1)
+	mustAdd(t, want, a1, c1)
+	if err := want.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if got, exp := w.String(), want.String(); got != exp {
+		t.Fatalf("repeated alternatives normalize to\n%s\nwant\n%s", got, exp)
+	}
+}
+
+func TestUpdateMergesDistinctAlternatives(t *testing.T) {
+	// A template R(k, 0..1099) and a 1100-alternative component holding
+	// R(k, x). Setting R(k, *) to x rewrites every instantiation onto
+	// R(k, x): a group of 1100 copies of one alternative, which collides
+	// with the other component. Deduplicated, the merge is 1×1100; over
+	// the raw group it would be 1100×1100 and trip the MaxMergeAlts guard.
+	w := New(schemaR())
+	var tmpl, other []Alt
+	for i := range 1100 {
+		tmpl = append(tmpl, alt([2]string{"k", fmt.Sprint(i)}))
+		if i < 1099 {
+			other = append(other, alt([2]string{"m", fmt.Sprint(i)}))
+		}
+	}
+	other = append(other, alt([2]string{"k", "x"}))
+	mustAdd(t, w, tmpl...)
+	mustAdd(t, w, other...)
+	u := &Update{Ops: []UpdateOp{{Kind: OpSet, Rel: "R", Args: []string{"k", Wildcard},
+		Set: []SlotAssign{{Slot: 1, Value: "x"}}}}}
+	inc, err := w.ApplyUpdate(u)
+	if err != nil {
+		t.Fatalf("ApplyUpdate: %v", err)
+	}
+	full, err := w.ApplyUpdateFull(u)
+	if err != nil {
+		t.Fatalf("ApplyUpdateFull: %v", err)
+	}
+	if got, want := inc.String(), full.String(); got != want {
+		t.Fatalf("incremental\n%s\nfrom scratch\n%s", got, want)
+	}
+	if got := inc.Count().Int64(); got != 1100 {
+		t.Fatalf("Count = %d, want 1100", got)
+	}
+	if !inc.CertainFact("R", rel.Fact{"k", "x"}) {
+		t.Fatal("R(k, x) is not certain after the update")
+	}
+}
+
 func TestNormalizeSplitsIndependentComponent(t *testing.T) {
 	// One hand-written component that is secretly a 2×2 product.
 	w := New(schemaR())
