@@ -315,9 +315,19 @@ func PrintRelation(w io.Writer, name string, arity int, rows []sym.Tuple) error 
 	if _, err := fmt.Fprintf(w, "@relation %s(%d)\n", name, arity); err != nil {
 		return err
 	}
+	// Names resolve into one flat array; each fact is a slice of it.
+	n := 0
+	for _, t := range rows {
+		n += len(t)
+	}
+	names := make([]string, 0, n)
 	facts := make([]rel.Fact, len(rows))
 	for i, t := range rows {
-		facts[i] = rel.ResolveFact(t)
+		start := len(names)
+		for _, id := range t {
+			names = append(names, id.Name())
+		}
+		facts[i] = names[start:len(names):len(names)]
 	}
 	slices.SortFunc(facts, rel.Fact.Compare)
 	var line []byte

@@ -157,17 +157,6 @@ type database struct {
 	// database's cache is churning).
 	ansHits   atomic.Int64
 	ansMisses atomic.Int64
-
-	// count memoizes wsd.Count().String() for the installed version so
-	// per-request explain records don't redo the big-int product.
-	count atomic.Pointer[countCache]
-}
-
-// countCache is one memoized world count, valid while the database is
-// still at the version it was computed against.
-type countCache struct {
-	version uint64
-	count   string
 }
 
 // relStamps records, for one installed version, the version that last
@@ -836,25 +825,9 @@ func probePlan(op string, v dbView, dur time.Duration) *wsdalg.Plan {
 	return &wsdalg.Plan{
 		Query:      op,
 		Components: int64(v.wsd.LiveComponents()),
-		WorldCount: v.worldCount(),
+		WorldCount: v.wsd.CountString(),
 		DurUS:      dur.Microseconds(),
 	}
-}
-
-// worldCount is v.wsd.Count().String() memoized per installed version
-// (the decomposition snapshotted by a view never changes, so the count
-// computed once is good for every request until the next install).
-func (v dbView) worldCount() string {
-	if v.db != nil {
-		if c := v.db.count.Load(); c != nil && c.version == v.version {
-			return c.count
-		}
-	}
-	s := v.wsd.Count().String()
-	if v.db != nil {
-		v.db.count.Store(&countCache{version: v.version, count: s})
-	}
-	return s
 }
 
 // acquire blocks until an admission slot frees up. Heavy procedures —
@@ -978,7 +951,7 @@ func (s *Server) opCount(v dbView, resp *Response, rc *reqCtx) (*Response, error
 	if v.wsd != nil {
 		sp := rc.span("probe")
 		defer sp.End()
-		resp.Count = v.worldCount()
+		resp.Count = v.wsd.CountString()
 		return resp, nil
 	}
 	key := cacheKey("count", v.name, v.version, "")
@@ -1070,7 +1043,7 @@ func (s *Server) opWrite(req *Request, rc *reqCtx) (*Response, error) {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
 	db.mu.RLock()
-	base, baseVersion := db.wsd, db.version
+	base := db.wsd
 	db.mu.RUnlock()
 	if base == nil {
 		return nil, &Error{Status: 422, Err: fmt.Errorf(
@@ -1085,14 +1058,8 @@ func (s *Server) opWrite(req *Request, rc *reqCtx) (*Response, error) {
 		return nil, err
 	}
 	// A write that keeps the world count (an insert of a certain fact,
-	// say) reuses the base version's memoized string instead of
-	// formatting a count that may run to hundreds of digits.
-	var count string
-	if c := db.count.Load(); c != nil && c.version == baseVersion && next.Count().Cmp(base.Count()) == 0 {
-		count = c.count
-	} else {
-		count = next.Count().String()
-	}
+	// say) keeps the base version's memoized text (wsd.CountString).
+	count := next.CountString()
 	rels, all := u.Footprint()
 	db.mu.Lock()
 	db.wsd = next
@@ -1101,9 +1068,6 @@ func (s *Server) opWrite(req *Request, rc *reqCtx) (*Response, error) {
 	db.stamps = db.stamps.after(live, rels, all)
 	stamps := db.stamps
 	db.mu.Unlock()
-	// Seed the count memo: the first count read of the new version
-	// finds it instead of redoing the big-int product.
-	db.count.Store(&countCache{version: live, count: count})
 	s.purgeStale(req.DB, live, stamps)
 	return &Response{DB: req.DB, Op: "write", Version: live, Count: count}, nil
 }

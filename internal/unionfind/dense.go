@@ -1,5 +1,7 @@
 package unionfind
 
+import "slices"
+
 // Dense is a disjoint-set forest over dense integer nodes 0..n-1 with path
 // compression and union by rank. It is the allocation-light substrate the
 // interned-symbol condition closure runs on: callers map symbol IDs to
@@ -17,6 +19,15 @@ func NewDense(n int) *Dense {
 	d := &Dense{}
 	d.Grow(n)
 	return d
+}
+
+// Reset makes the forest n singleton classes again, reusing its
+// storage.
+func (d *Dense) Reset(n int) {
+	d.parent, d.rank = slices.Grow(d.parent[:0], n)[:n], slices.Grow(d.rank[:0], n)[:n]
+	for i := range d.parent {
+		d.parent[i], d.rank[i] = int32(i), 0
+	}
 }
 
 // Grow extends the forest to at least n nodes, each new node a singleton.

@@ -113,3 +113,29 @@ func TestAgainstNaivePartition(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDenseReset: a reset forest is n singletons again, whatever it
+// held, and unions after the reset behave as on a fresh forest.
+func TestDenseReset(t *testing.T) {
+	d := NewDense(6)
+	d.Union(0, 1)
+	d.Union(2, 3)
+	d.Union(1, 3)
+	for _, n := range []int{4, 9} {
+		d.Reset(n)
+		if d.Len() != n {
+			t.Fatalf("Reset(%d): Len %d", n, d.Len())
+		}
+		for a := int32(0); a < int32(n); a++ {
+			for b := a + 1; b < int32(n); b++ {
+				if d.Same(a, b) {
+					t.Fatalf("Reset(%d): %d and %d still share a class", n, a, b)
+				}
+			}
+		}
+		d.Union(0, int32(n-1))
+		if !d.Same(0, int32(n-1)) || d.Same(0, 1) {
+			t.Fatalf("Reset(%d): a union after the reset joined the wrong classes", n)
+		}
+	}
+}

@@ -2,7 +2,8 @@
 // count times the added components' alternative counts over the
 // dropped ones' — instead of recomputed over every component. The
 // carried count must equal a from-scratch product on a clone (Clone
-// holds no memo) after every step.
+// holds no memo) after every step, and a count the step left unchanged
+// keeps its memoized decimal text.
 package wsd_test
 
 import (
@@ -10,6 +11,7 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"pw/internal/gen"
 	"pw/internal/rel"
@@ -36,6 +38,20 @@ func checkCarriedCount(t *testing.T, tag string, next *wsd.WSD) {
 	}
 }
 
+// checkCountText asserts next's CountString is its count in decimal,
+// and that an update keeping the count kept the text prev memoized
+// before it (the same string, not a fresh formatting).
+func checkCountText(t *testing.T, tag string, prev, next *wsd.WSD) {
+	t.Helper()
+	s := next.CountString()
+	if want := next.Count().String(); s != want {
+		t.Fatalf("%s: CountString %q, Count %s", tag, s, want)
+	}
+	if next.Count().Cmp(prev.Count()) == 0 && unsafe.StringData(s) != unsafe.StringData(prev.CountString()) {
+		t.Fatalf("%s: the count %s is unchanged but its text was formatted afresh", tag, s)
+	}
+}
+
 // TestCountCarriedByDelta runs random update chains — every op kind,
 // template-aimed ops, assumes down to the empty world set — and checks
 // the carried count after each step.
@@ -54,11 +70,14 @@ func TestCountCarriedByDelta(t *testing.T) {
 				u.Ops = append(u.Ops, *op)
 				templated++
 			}
+			cur.CountString()
 			next, err := cur.ApplyUpdate(u)
 			if err != nil {
 				break // entanglement guard: the chain ends here
 			}
-			checkCarriedCount(t, fmt.Sprintf("seed %d step %d %s", seed, step, u), next)
+			tag := fmt.Sprintf("seed %d step %d %s", seed, step, u)
+			checkCarriedCount(t, tag, next)
+			checkCountText(t, tag, cur, next)
 			if next.Empty() {
 				emptied++
 			}
@@ -71,18 +90,21 @@ func TestCountCarriedByDelta(t *testing.T) {
 	}
 
 	// Past uint64: 2^100 worlds take the big-int path. Pinning one
-	// sensor halves the count; deleting the hub keeps it.
+	// sensor halves the count; deleting the hub keeps it, and with it
+	// the 30-digit text.
 	cur := gen.CenturyWSD()
 	for _, u := range []*wsd.Update{
 		{Ops: []wsd.UpdateOp{{Kind: wsd.OpAssume, Rel: "R", Args: []string{"s007", "hi"}}}},
 		{Ops: []wsd.UpdateOp{{Kind: wsd.OpDelete, Rel: "R", Args: []string{"hub", wsd.Wildcard}}}},
 		{Ops: []wsd.UpdateOp{{Kind: wsd.OpInsert, Rel: "R", Args: []string{"s007", "lo"}}}},
 	} {
+		cur.CountString()
 		next, err := cur.ApplyUpdate(u)
 		if err != nil {
 			t.Fatalf("%s: %v", u, err)
 		}
 		checkCarriedCount(t, "century "+u.String(), next)
+		checkCountText(t, "century "+u.String(), cur, next)
 		cur = next
 	}
 	if want := new(big.Int).Lsh(big.NewInt(1), 99); cur.Count().Cmp(want) != 0 {
@@ -119,6 +141,7 @@ func TestCountCarriedAcrossCompaction(t *testing.T) {
 	cur, compactions := w, 0
 	for i := 0; i < 150; i++ {
 		cur.BuildAllPostings()
+		cur.CountString()
 		next, err := cur.ApplyUpdate(&wsd.Update{Ops: []wsd.UpdateOp{
 			{Kind: wsd.OpDelete, Rel: "R", Args: []string{fmt.Sprintf("k%03d", i), wsd.Wildcard}},
 		}})
@@ -129,6 +152,7 @@ func TestCountCarriedAcrossCompaction(t *testing.T) {
 			compactions++
 		}
 		checkCarriedCount(t, fmt.Sprintf("delete %d", i), next)
+		checkCountText(t, fmt.Sprintf("delete %d", i), cur, next)
 		cur = next
 	}
 	if compactions == 0 {

@@ -472,19 +472,22 @@ func splitAlts(alts [][]int32) [][][]int32 {
 		return [][][]int32{alts}
 	}
 
-	// Block discovery: fact -> trace over alternatives.
+	// Block discovery: fact -> trace over alternatives. The traces are
+	// rows of one flat array, in first-seen fact order.
 	words := (n + 63) / 64
-	traces := make(map[int32][]uint64)
+	row := make(map[int32]int)
+	var traces []uint64
 	var factOrder []int32
 	for j, alt := range alts {
 		for _, f := range alt {
-			tr, ok := traces[f]
+			r, ok := row[f]
 			if !ok {
-				tr = make([]uint64, words)
-				traces[f] = tr
+				r = len(factOrder) * words
+				row[f] = r
 				factOrder = append(factOrder, f)
+				traces = append(traces, make([]uint64, words)...)
 			}
-			tr[j/64] |= 1 << (j % 64)
+			traces[r+j/64] |= 1 << (j % 64)
 		}
 	}
 	if len(factOrder) == 0 {
@@ -498,13 +501,15 @@ func splitAlts(alts [][]int32) [][][]int32 {
 	}
 	blockOf := make(map[string]int)
 	var blocks []block
-	for _, f := range factOrder {
-		key := traceKey(traces[f])
-		bi, ok := blockOf[key]
+	key := make([]byte, 0, words*8)
+	for i, f := range factOrder {
+		tr := traces[i*words : (i+1)*words : (i+1)*words]
+		key = appendTraceKey(key[:0], tr)
+		bi, ok := blockOf[string(key)] // a lookup by converted bytes allocates nothing
 		if !ok {
 			bi = len(blocks)
-			blockOf[key] = bi
-			blocks = append(blocks, block{bits: traces[f]})
+			blockOf[string(key)] = bi
+			blocks = append(blocks, block{bits: tr})
 		}
 		blocks[bi].facts = append(blocks[bi].facts, f)
 	}
@@ -627,15 +632,15 @@ func splitAlts(alts [][]int32) [][][]int32 {
 	return out
 }
 
-// traceKey encodes a trace bit vector as a map key.
-func traceKey(tr []uint64) string {
-	b := make([]byte, 0, len(tr)*8)
+// appendTraceKey appends a trace bit vector's bytes to dst, as a map
+// key.
+func appendTraceKey(dst []byte, tr []uint64) []byte {
 	for _, w := range tr {
 		for s := 0; s < 64; s += 8 {
-			b = append(b, byte(w>>s))
+			dst = append(dst, byte(w>>s))
 		}
 	}
-	return string(b)
+	return dst
 }
 
 // canonicalize rebuilds the fact table in display order and sorts

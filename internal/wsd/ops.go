@@ -44,6 +44,26 @@ func (w *WSD) countMemo() *big.Int {
 	return n
 }
 
+// countText is one memoized decimal world count (see WSD.countText).
+type countText struct {
+	n *big.Int
+	s string
+}
+
+// CountString returns Count in decimal, memoized for this normalized
+// version: a count may run to hundreds of digits, and answering
+// surfaces print it on every request. A write that keeps the count
+// keeps the text (installIncremental).
+func (w *WSD) CountString() string {
+	n := w.countMemo()
+	if t := w.countText.Load(); t != nil && t.n == n {
+		return t.s
+	}
+	s := n.String()
+	w.countText.Store(&countText{n: n, s: s})
+	return s
+}
+
 // bigCount is a component's exact alternative count.
 func (c *component) bigCount() *big.Int {
 	if c.attr != nil {

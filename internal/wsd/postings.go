@@ -561,17 +561,16 @@ func (w *WSD) AltFactCount() int64 {
 	return w.altFacts
 }
 
-// AltTuples returns the tuples of relation ri in alternative ai of
-// tuple-level component ci, in fact-ID order (nil when there are none).
-// The tuples are the decomposition's interned storage, shared, not
-// copied: callers must not mutate them.
-func (w *WSD) AltTuples(ci, ai, ri int) []sym.Tuple {
+// AppendAltTuples appends the tuples of relation ri in alternative ai
+// of tuple-level component ci to dst, in fact-ID order, and returns the
+// extended slice. The tuples are the decomposition's interned storage,
+// shared, not copied: callers must not mutate them.
+func (w *WSD) AppendAltTuples(dst []sym.Tuple, ci, ai, ri int) []sym.Tuple {
 	w.ensure()
-	var out []sym.Tuple
 	for _, id := range w.comp(ci).alts[ai] {
 		if f := w.fact(id); f.rel == int32(ri) {
-			out = append(out, f.tuple)
+			dst = append(dst, f.tuple)
 		}
 	}
-	return out
+	return dst
 }

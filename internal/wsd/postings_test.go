@@ -119,8 +119,11 @@ func checkPostings(t *testing.T, tag string, w *wsd.WSD, consts []string) {
 						want = append(want, f.Args.Intern())
 					}
 				}
-				if got := w.AltTuples(ci, ai, ri); !slices.EqualFunc(got, want, sym.Tuple.Equal) {
-					t.Errorf("%s: AltTuples(%d, %d, %s) = %v, want %v", tag, ci, ai, r.Name, got, want)
+				// Appending keeps what dst already holds.
+				prefix := []sym.Tuple{{sym.None}}
+				want = append(prefix, want...)
+				if got := w.AppendAltTuples(prefix[:1:1], ci, ai, ri); !slices.EqualFunc(got, want, sym.Tuple.Equal) {
+					t.Errorf("%s: AppendAltTuples(dst, %d, %d, %s) = %v, want %v", tag, ci, ai, r.Name, got, want)
 				}
 			}
 		}

@@ -37,7 +37,7 @@ func templateTuples(cells [][]sym.ID) []sym.Tuple {
 }
 
 // rebuildTuples rebuilds w through the interned builders: stored
-// alternatives from AltTuples through AddComponentTuples, and templates
+// alternatives from AppendAltTuples through AddComponentTuples, and templates
 // either through AddTemplateCells or expanded from their slots into
 // AddComponentTuples.
 func rebuildTuples(t *testing.T, w *wsd.WSD, expand bool) *wsd.WSD {
@@ -60,7 +60,7 @@ func rebuildTuples(t *testing.T, w *wsd.WSD, expand bool) *wsd.WSD {
 			for ai := 0; ai < w.AltCount(ci); ai++ {
 				alt := []wsd.TupleFact{}
 				for ri := range w.Schema() {
-					for _, tup := range w.AltTuples(ci, ai, ri) {
+					for _, tup := range w.AppendAltTuples(nil, ci, ai, ri) {
 						alt = append(alt, wsd.TupleFact{Rel: ri, Tuple: tup})
 					}
 				}

@@ -371,6 +371,7 @@ func (w *WSD) ApplyUpdateObserved(u *Update, c *obs.Cost) (*WSD, error) {
 	if (out.holes > 64 && out.holes > out.facts.len()-out.holes) || (dead > 64 && dead > out.live) {
 		if c := out.Clone(); c.rebuild(nil, nil) == nil {
 			c.count.Store(out.count.Load()) // the same world set
+			c.countText.Store(out.countText.Load())
 			out = c
 		}
 	}
@@ -445,6 +446,7 @@ func (w *WSD) snapshotClone() *WSD {
 	c.order.Store(w.order.Load())
 	c.post.Store(w.post.Load())
 	c.count.Store(w.count.Load())
+	c.countText.Store(w.countText.Load())
 	return c
 }
 
@@ -927,10 +929,13 @@ func (w *WSD) install(drop map[int32]bool, added []component) {
 	// Carry the world count by delta: survivors keep their alternative
 	// counts, so the new count is the old one times the added
 	// components' counts over the dropped ones' — exact, since the
-	// dropped counts divide the old product.
+	// dropped counts divide the old product. An unchanged count keeps the
+	// old value itself, so its memoized text (CountString) stays valid.
 	var count *big.Int
 	if old := w.count.Load(); old != nil {
-		count = w.carryCount(old, drop, added)
+		if count = w.carryCount(old, drop, added); count.Cmp(old) == 0 {
+			count = old
+		}
 	}
 	w.padDerived()
 

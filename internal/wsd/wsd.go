@@ -166,6 +166,11 @@ type WSD struct {
 	// (installIncremental), dropped with the other derived state. The
 	// stored value is never mutated.
 	count atomic.Pointer[big.Int]
+	// countText memoizes CountString: the decimal text of one memoized
+	// count. It is valid only while count still holds that very value, so
+	// a new version invalidates it by itself, and it is carried wherever
+	// count is.
+	countText atomic.Pointer[countText]
 
 	// Incremental-update state (see update.go). indexShared marks the
 	// fact index base as shared with a snapshot parent (interns then go

@@ -187,21 +187,32 @@ func (ev *evaluator) readout(schema table.Schema, parts []taggedPart, asm *PlanN
 // template parts whose products complete the possible rows. Groups
 // sweep under the space() guard and accounting assembly uses, so
 // refusals and plan actuals match the assembled path up to its
-// answer-side Normalize.
+// answer-side Normalize. The rows gather in the evaluator's scratch and
+// each set is copied out once, exactly (cutFacts).
 func (ev *evaluator) readRows(parts []taggedPart, nRels int, possible bool, asm *PlanNode) (poss, cert [][]sym.Tuple, tmpls []tmplRows, err error) {
-	groups, merged := originGroups(len(parts), func(i int) []int { return parts[i].p.origins })
+	groups, merged := ev.originGroups(len(parts), func(i int) []int { return parts[i].p.origins })
 	if asm != nil {
 		ev.setEst(ev.groupEst(parts, groups, merged))
 	}
-	poss, cert = make([][]sym.Tuple, nRels), make([][]sym.Tuple, nRels)
+	pf, cf := ev.possFacts[:0], ev.certFacts[:0]
+	if possible {
+		n := 0
+		for i := range parts {
+			if parts[i].p.tmpl == nil {
+				n += int(ev.rowsUB(&parts[i].p))
+			}
+		}
+		pf = slices.Grow(pf, n) // the tabulated rows; swept templates append more
+	}
 	for _, op := range parts {
 		if len(op.p.origins) > 0 {
 			continue
 		}
-		rows := op.p.at(nil, ev) // constant rows: no choice is read
-		cert[op.rel] = append(cert[op.rel], rows...)
-		if possible {
-			poss[op.rel] = append(poss[op.rel], rows...)
+		for _, t := range op.p.at(nil, ev) { // constant rows: no choice is read
+			cf = append(cf, wsd.TupleFact{Rel: op.rel, Tuple: t})
+			if possible {
+				pf = append(pf, wsd.TupleFact{Rel: op.rel, Tuple: t})
+			}
 		}
 		if asm != nil {
 			asm.Act.Parts++
@@ -225,20 +236,41 @@ func (ev *evaluator) readRows(parts []taggedPart, nRels int, possible bool, asm 
 			}
 			if possible {
 				for _, i := range members {
-					ri := parts[i].rel
-					poss[ri] = ev.appendSupport(poss[ri], &parts[i].p)
+					ev.rows = ev.appendSupport(ev.rows[:0], &parts[i].p)
+					for _, t := range ev.rows {
+						pf = append(pf, wsd.TupleFact{Rel: parts[i].rel, Tuple: t})
+					}
 				}
 			}
-			ev.groupCertain(cert, parts, members, origins)
+			cf = ev.groupCertain(cf, parts, members, origins)
 		}
 		if asm != nil {
 			asm.Act.Parts++
 		}
 	}
-	for ri := range cert {
-		poss[ri], cert[ri] = sortDedupTuples(poss[ri]), sortDedupTuples(cert[ri])
+	ev.possFacts, ev.certFacts = pf, cf
+	return cutFacts(pf, nRels), cutFacts(cf, nRels), tmpls, nil
+}
+
+// cutFacts sorts and deduplicates facts of nRels relations and copies
+// their tuples into one exact-size array, cut per relation with
+// three-index slices (nil for a relation without facts).
+func cutFacts(fs []wsd.TupleFact, nRels int) [][]sym.Tuple {
+	fs = sortDedupFacts(fs)
+	out := make([][]sym.Tuple, nRels)
+	rows := make([]sym.Tuple, len(fs))
+	for i, f := range fs {
+		rows[i] = f.Tuple
 	}
-	return poss, cert, tmpls, nil
+	for i := 0; i < len(fs); {
+		j := i + 1
+		for j < len(fs) && fs[j].Rel == fs[i].Rel {
+			j++
+		}
+		out[fs[i].Rel] = rows[i:j:j]
+		i = j
+	}
+	return out
 }
 
 // groupEst is the assembly estimate of a grouping, before any group
@@ -273,12 +305,13 @@ func (ev *evaluator) appendSupport(dst []sym.Tuple, p *part) []sym.Tuple {
 	return dst
 }
 
-// groupCertain appends to cert the rows one group yields under every
-// joint choice of its origins: the candidates are the rows of the first
-// joint choice, each further choice keeps those it yields again, and the
-// sweep stops as soon as none is left. Rows are tagged with their
-// relation (one group may feed several) in the evaluator's scratch.
-func (ev *evaluator) groupCertain(cert [][]sym.Tuple, parts []taggedPart, members, origins []int) {
+// groupCertain appends to cert the facts one group yields under every
+// joint choice of its origins and returns the extended slice: the
+// candidates are the rows of the first joint choice, each further choice
+// keeps those it yields again, and the sweep stops as soon as none is
+// left. Rows are tagged with their relation (one group may feed several)
+// in the evaluator's scratch.
+func (ev *evaluator) groupCertain(cert []wsd.TupleFact, parts []taggedPart, members, origins []int) []wsd.TupleFact {
 	cands, rows := ev.cands[:0], ev.facts[:0]
 	first := true
 	ev.odometer(origins, func(choice []int) bool {
@@ -296,10 +329,8 @@ func (ev *evaluator) groupCertain(cert [][]sym.Tuple, parts []taggedPart, member
 		}
 		return len(cands) > 0
 	})
-	for _, f := range cands {
-		cert[f.Rel] = append(cert[f.Rel], f.Tuple)
-	}
 	ev.cands, ev.facts = cands, rows
+	return append(cert, cands...)
 }
 
 // templateCells recognizes a part that is exactly an answer template —

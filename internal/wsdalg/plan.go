@@ -261,7 +261,7 @@ func (ev *evaluator) rowsBound(d *dRel) int64 {
 // operators can only shrink all three, so the input's stats are the
 // node's estimate.
 func (ev *evaluator) drelStats(d *dRel) PlanStats {
-	return PlanStats{Parts: int64(len(d.parts)), Units: int64(len(d.origins())), Rows: ev.rowsBound(d)}
+	return PlanStats{Parts: int64(len(d.parts)), Units: ev.unitCount(d), Rows: ev.rowsBound(d)}
 }
 
 // sweep accounts one joint-space sweep of the given size: MergeSpace
@@ -276,12 +276,14 @@ func (s *PlanStats) sweep(space int64) {
 // units.
 func (ev *evaluator) spaceEst(sets [][]int) PlanStats {
 	var s PlanStats
-	var units []int
+	units := ev.ints[:0]
 	for _, origins := range sets {
-		units = mergeOrigins(units, origins)
+		units = append(units, origins...)
 		s.sweep(ev.originsProduct(origins))
 	}
-	s.Units = int64(len(units))
+	slices.Sort(units)
+	s.Units = int64(len(slices.Compact(units)))
+	ev.ints = units
 	return s
 }
 
@@ -300,7 +302,7 @@ func (ev *evaluator) scanEst() PlanStats {
 // tabulating nothing) the tuple-level rows.
 func (ev *evaluator) probeScanEst(parts []part) PlanStats {
 	d := dRel{parts: parts}
-	return PlanStats{Parts: int64(len(parts)), Units: int64(len(d.origins())), Rows: actRows(&d)}
+	return PlanStats{Parts: int64(len(parts)), Units: ev.unitCount(&d), Rows: actRows(&d)}
 }
 
 // joinEst predicts a join before tabulation: every part pair tabulates
@@ -309,15 +311,19 @@ func (ev *evaluator) probeScanEst(parts []part) PlanStats {
 // stops early on ErrEntangled — which only makes the actual smaller),
 // and Rows multiplies the operands' row bounds pairwise.
 func (ev *evaluator) joinEst(l, r *dRel) PlanStats {
+	units := r.appendOrigins(l.appendOrigins(ev.ints[:0])) // a unit of both sides twice
+	slices.Sort(units)
 	s := PlanStats{Parts: satMul(int64(len(l.parts)), int64(len(r.parts))),
-		Units: int64(len(mergeOrigins(l.origins(), r.origins())))}
+		Units: int64(len(slices.Compact(units)))}
+	origins := units[:0]
 	for li := range l.parts {
 		for ri := range r.parts {
-			origins := mergeOrigins(append([]int(nil), l.parts[li].origins...), r.parts[ri].origins)
+			origins = mergeOrigins(origins[:0], l.parts[li].origins, r.parts[ri].origins)
 			s.sweep(ev.originsProduct(origins))
 			s.Rows = satAdd(s.Rows, ev.joinRowsUB(&l.parts[li], &r.parts[ri]))
 		}
 	}
+	ev.ints = origins
 	return s
 }
 
@@ -346,7 +352,7 @@ func (ev *evaluator) possibleEst(in *dRel) PlanStats {
 // each group sweeps its merged origin product (the template fast path
 // and the sweep's early stop only make the actual smaller).
 func (ev *evaluator) certainEst(in *dRel) PlanStats {
-	_, merged := originGroups(len(in.parts), func(i int) []int { return in.parts[i].origins })
+	_, merged := ev.originGroups(len(in.parts), func(i int) []int { return in.parts[i].origins })
 	s := ev.spaceEst(merged)
 	s.Parts, s.Units, s.Rows = 1, 0, ev.rowsBound(in)
 	return s
@@ -380,15 +386,13 @@ func (ev *evaluator) diffEst(l, r *dRel) PlanStats {
 	}
 	rOrigins := r.origins()
 	s := PlanStats{Parts: int64(len(l.parts))}
-	var units []int
 	for li := range l.parts {
 		lp := &l.parts[li]
-		origins := mergeOrigins(append([]int(nil), lp.origins...), rOrigins)
-		units = mergeOrigins(units, origins)
-		s.sweep(ev.originsProduct(origins))
+		ev.ints = mergeOrigins(ev.ints[:0], lp.origins, rOrigins)
+		s.sweep(ev.originsProduct(ev.ints))
 		s.Rows = satAdd(s.Rows, ev.diffRowsUB(lp, rOrigins))
 	}
-	s.Units = int64(len(units))
+	s.Units = int64(len(mergeOrigins(nil, l.origins(), rOrigins)))
 	return s
 }
 

@@ -201,11 +201,11 @@ func (ev *evaluator) run(q query.Query, o Options, assemble bool) (result, *Plan
 	switch {
 	case err != nil:
 	case assemble:
-		pl.WorldCount = r.out.Count().String()
+		pl.WorldCount = r.out.CountString()
 	default:
 		// No answer world set is built: the answer sets range over the
 		// input's worlds.
-		pl.WorldCount = ev.w.Count().String()
+		pl.WorldCount = ev.w.CountString()
 	}
 	pl.DurUS = time.Since(start).Microseconds()
 	pl.Cost = ci.Counters()
@@ -363,6 +363,7 @@ func (ev *evaluator) walkOuts(a query.Algebra) ([]taggedPart, error) {
 		if outNode != nil {
 			outNode.Act.Parts = int64(len(d.parts))
 		}
+		parts = slices.Grow(parts, len(d.parts))
 		for _, p := range d.parts {
 			parts = append(parts, taggedPart{rel: ri, p: p})
 		}
@@ -402,7 +403,7 @@ type taggedPart struct {
 // bound reading records the estimate and emits nothing (out may be nil).
 // Normalization is the caller's job.
 func (ev *evaluator) assemble(out *wsd.WSD, parts []taggedPart, asm *PlanNode) error {
-	groups, merged := originGroups(len(parts), func(i int) []int { return parts[i].p.origins })
+	groups, merged := ev.originGroups(len(parts), func(i int) []int { return parts[i].p.origins })
 	if asm != nil || ev.bound {
 		ev.setEst(ev.groupEst(parts, groups, merged))
 		if ev.bound {
@@ -482,11 +483,18 @@ func (ev *evaluator) assemble(out *wsd.WSD, parts []taggedPart, asm *PlanNode) e
 // same input choice, so they must land in one answer component.
 // Origin-free parts join no group. It returns each group's member
 // indices and merged origins, groups in order of first appearance; a
-// single-member group's merged origins are that part's own slice, so
-// callers only read them. The union-find runs over a local index of the
-// touched units only, so the work follows the parts, not the input.
-func originGroups(n int, originsOf func(int) []int) (groups [][]int, merged [][]int) {
-	var touched []int
+// single-member group's merged origins are that part's own slice. The
+// union-find runs over a local index of the touched units only, so the
+// work follows the parts, not the input. Everything returned lives in
+// the evaluator's scratch (groupScratch) and is valid until the next
+// call: callers only read it.
+func (ev *evaluator) originGroups(n int, originsOf func(int) []int) (groups, merged [][]int) {
+	s := &ev.grp
+	total := 0
+	for i := 0; i < n; i++ {
+		total += len(originsOf(i))
+	}
+	touched := slices.Grow(s.touched[:0], total)
 	for i := 0; i < n; i++ {
 		touched = append(touched, originsOf(i)...)
 	}
@@ -496,52 +504,93 @@ func originGroups(n int, originsOf func(int) []int) (groups [][]int, merged [][]
 		i, _ := slices.BinarySearch(touched, u)
 		return int32(i)
 	}
-	uf := unionfind.NewDense(len(touched))
+	s.uf.Reset(len(touched))
 	for i := 0; i < n; i++ {
 		o := originsOf(i)
 		for j := 1; j < len(o); j++ {
-			uf.Union(local(o[0]), local(o[j]))
+			s.uf.Union(local(o[0]), local(o[j]))
 		}
 	}
-	index := make([]int, len(touched)) // union-find root → group number + 1
-	gid := make([]int, n)
-	var size []int
+	index := zeroed(s.index, len(touched)) // union-find root → group number + 1
+	gid := zeroed(s.gid, n)
+	size := slices.Grow(s.size[:0], n) // group sizes; at most one group per part
 	for i := 0; i < n; i++ {
 		o := originsOf(i)
 		if len(o) == 0 {
 			gid[i] = -1
 			continue
 		}
-		r := uf.Find(local(o[0]))
+		r := s.uf.Find(local(o[0]))
 		g := index[r] - 1
-		switch {
-		case g < 0:
-			g = len(merged)
+		if g < 0 {
+			g = len(size)
 			index[r] = g + 1
-			merged = append(merged, o) // shared until a second member merges in
 			size = append(size, 0)
-		case size[g] == 1:
-			merged[g] = mergeOrigins(append([]int(nil), merged[g]...), o)
-		default:
-			merged[g] = mergeOrigins(merged[g], o)
 		}
 		gid[i] = g
 		size[g]++
 	}
 	// Members list group by group in one flat slice.
-	flat := make([]int, n)
-	groups = make([][]int, len(merged))
+	flat := zeroed(s.flat, n)
+	groups = slices.Grow(s.groups[:0], len(size))
 	at := 0
-	for g := range groups {
-		groups[g] = flat[at : at : at+size[g]]
-		at += size[g]
+	for _, k := range size {
+		groups = append(groups, flat[at:at:at+k])
+		at += k
 	}
 	for i, g := range gid {
 		if g >= 0 {
 			groups[g] = append(groups[g], i)
 		}
 	}
+	// A larger group's merged origins are the sorted union of its
+	// members', laid out group by group in one buffer (size[g] becomes
+	// the group's end offset) and cut once the buffer is complete.
+	buf := slices.Grow(s.buf[:0], total)
+	for g, m := range groups {
+		if len(m) == 1 {
+			continue
+		}
+		start := len(buf)
+		for _, i := range m {
+			buf = append(buf, originsOf(i)...)
+		}
+		slices.Sort(buf[start:])
+		buf = buf[:start+len(slices.Compact(buf[start:]))]
+		size[g] = len(buf)
+	}
+	merged = slices.Grow(s.merged[:0], len(groups))
+	start := 0
+	for g, m := range groups {
+		if len(m) == 1 {
+			merged = append(merged, originsOf(m[0]))
+			continue
+		}
+		merged = append(merged, buf[start:size[g]:size[g]])
+		start = size[g]
+	}
+	s.touched, s.index, s.gid, s.size, s.flat, s.buf = touched, index, gid, size, flat, buf
+	s.groups, s.merged = groups, merged
 	return groups, merged
+}
+
+// groupScratch is originGroups' storage, reused by every call of one
+// evaluator.
+type groupScratch struct {
+	touched, index, gid, size, flat, buf []int
+	uf                                   unionfind.Dense
+	groups, merged                       [][]int
+}
+
+// zeroed returns s resized to n zeros, reusing its storage when it is
+// large enough.
+func zeroed(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // part is one factor of a decomposed relation: a deterministic function
@@ -559,8 +608,10 @@ func originGroups(n int, originsOf func(int) []int) (groups [][]int, merged [][]
 //     that was never tabulated — its origins and an upper bound on the
 //     rows it would tabulate.
 //
-// origins is sorted and duplicate-free. An origin-free part (origins
-// nil, one tabulated entry) is a constant row set.
+// origins is sorted and duplicate-free, and so is every tabulated
+// alternative (rows in ID order): a selection that keeps every row of a
+// part returns the part itself. An origin-free part (origins nil, one
+// tabulated entry) is a constant row set.
 type part struct {
 	origins []int
 	alts    [][]sym.Tuple
@@ -629,8 +680,8 @@ func (t *tmplPart) at(choice []int, ev *evaluator) []sym.Tuple {
 func (t *tmplPart) unitsOf() []int {
 	var units []int
 	add := func(c tmplCol) {
-		if c.unit >= 0 {
-			units = mergeOrigins(units, []int{c.unit})
+		if c.unit >= 0 && !slices.Contains(units, c.unit) {
+			units = append(units, c.unit)
 		}
 	}
 	for _, c := range t.out {
@@ -640,6 +691,7 @@ func (t *tmplPart) unitsOf() []int {
 		add(p.l)
 		add(p.r)
 	}
+	slices.Sort(units)
 	return units
 }
 
@@ -652,13 +704,24 @@ type dRel struct {
 }
 
 // origins is the sorted union of the parts' origins: every unit the
-// relation's value depends on.
-func (d *dRel) origins() []int {
-	var units []int
+// relation's value depends on, in a fresh slice.
+func (d *dRel) origins() []int { return d.appendOrigins(nil) }
+
+// appendOrigins appends the sorted union of the parts' origins to dst.
+func (d *dRel) appendOrigins(dst []int) []int {
+	start := len(dst)
 	for i := range d.parts {
-		units = mergeOrigins(units, d.parts[i].origins)
+		dst = append(dst, d.parts[i].origins...)
 	}
-	return units
+	slices.Sort(dst[start:])
+	return dst[:start+len(slices.Compact(dst[start:]))]
+}
+
+// unitCount is the number of distinct units a decomposed relation
+// depends on, counted in the evaluator's origin scratch.
+func (ev *evaluator) unitCount(d *dRel) int64 {
+	ev.ints = d.appendOrigins(ev.ints[:0])
+	return int64(len(ev.ints))
 }
 
 // evaluator carries the per-query state: this query's choice units and
@@ -694,8 +757,24 @@ type evaluator struct {
 	cost      *obs.Cost // per-request sink (nil when untraced)
 	plan      *Plan     // plan under construction (nil when not explaining)
 	cur       *PlanNode // node receiving space() actuals right now
-	// cands and facts are the certain sweep's scratch (groupCertain).
-	cands, facts []wsd.TupleFact
+	// cands and facts are the certain sweep's scratch (groupCertain),
+	// possFacts and certFacts the readout's (readRows).
+	cands, facts, possFacts, certFacts []wsd.TupleFact
+	// Tabulation scratch, reused by every part the evaluator builds and
+	// dead with it (the evaluator lives for one request, so there is
+	// nothing to pool): a part's rows are laid out here — headers in
+	// rows, each alternative's end in ends, projected or joined IDs row
+	// after row in ids — and copied out exactly once deduplicated
+	// (cutPart). ints holds origins being merged or counted; head and
+	// next are the join's hash index over one side's rows, cleared, not
+	// remade, per joint choice (joinRows).
+	rows []sym.Tuple
+	ends []int
+	ids  []sym.ID
+	ints []int
+	head map[uint64]int32
+	next []int32
+	grp  groupScratch
 }
 
 func newEvaluator(w *wsd.WSD) *evaluator {
@@ -843,7 +922,8 @@ type scanned struct {
 // never expanded. The components come from the posting index: all of
 // the relation's, or with a probe only those posted under its constant
 // — one part per component read. Rows are the decomposition's interned
-// tuples, shared, not copied.
+// tuples, shared, not copied; the tuple-level parts cut their
+// alternatives and origins from one array each (scanAlts).
 func (ev *evaluator) scanParts(ri int, probe *scanProbe) []part {
 	key := scanKey{rel: ri, col: -1}
 	if probe != nil {
@@ -864,18 +944,16 @@ func (ev *evaluator) scanParts(ri int, probe *scanProbe) []part {
 	}
 	ev.altCounts = slices.Grow(ev.altCounts, fresh)
 	sc := scanned{comps: comps, tmpls: tmpls, parts: make([]part, 0, len(comps)+len(tmpls))}
+	alts, origins := ev.scanAlts(ri, comps)
 	// Both lists ascend; merging them keeps the parts in component order.
 	for len(comps) > 0 || len(tmpls) > 0 {
 		if len(tmpls) == 0 || (len(comps) > 0 && comps[0] < tmpls[0]) {
 			ci := int(comps[0])
 			comps = comps[1:]
 			n := ev.w.AltCount(ci)
-			u := ev.unitOf(ci, -1, n)
-			alts := make([][]sym.Tuple, n)
-			for ai := range alts {
-				alts[ai] = ev.w.AltTuples(ci, ai, ri)
-			}
-			sc.parts = append(sc.parts, part{origins: []int{u}, alts: alts})
+			origins[0] = ev.unitOf(ci, -1, n)
+			sc.parts = append(sc.parts, part{origins: origins[:1:1], alts: alts[:n:n]})
+			origins, alts = origins[1:], alts[n:]
 			continue
 		}
 		ci := int(tmpls[0])
@@ -893,6 +971,35 @@ func (ev *evaluator) scanParts(ri int, probe *scanProbe) []part {
 	}
 	ev.scans[key] = sc
 	return sc.parts
+}
+
+// scanAlts reads relation ri's rows in every alternative of the
+// tuple-level components comps: one header array holding each
+// component's alternatives in turn, each alternative a sorted slice of
+// one exact-size tuple array, plus one origins array for the parts to
+// cut their single origin from.
+func (ev *evaluator) scanAlts(ri int, comps []int32) (alts [][]sym.Tuple, origins []int) {
+	n := 0
+	for _, ci := range comps {
+		n += ev.w.AltCount(int(ci))
+	}
+	rows, ends := slices.Grow(ev.rows[:0], n), slices.Grow(ev.ends[:0], n)
+	for _, ci := range comps {
+		for ai := range ev.w.AltCount(int(ci)) {
+			start := len(rows)
+			rows = ev.w.AppendAltTuples(rows, int(ci), ai, ri)
+			rows = rows[:start+len(sortDedupTuples(rows[start:]))]
+			ends = append(ends, len(rows))
+		}
+	}
+	ev.rows, ev.ends = rows, ends
+	tuples := slices.Clone(rows)
+	alts = make([][]sym.Tuple, len(ends))
+	start := 0
+	for a, end := range ends {
+		alts[a], start = tuples[start:end:end], end
+	}
+	return alts, make([]int, len(comps))
 }
 
 // unitOf returns the unit of an input (component, slot) pair — slot -1
@@ -976,7 +1083,7 @@ func (ev *evaluator) evalProbed(e algebra.Expr, probe *scanProbe) (dRel, error) 
 		return d, err
 	}
 	node.Act.Parts = int64(len(d.parts))
-	node.Act.Units = int64(len(d.origins()))
+	node.Act.Units = ev.unitCount(&d)
 	node.Act.Rows = actRows(&d)
 	return d, nil
 }
@@ -1048,7 +1155,7 @@ func (ev *evaluator) evalExpr(e algebra.Expr, probe *scanProbe) (dRel, error) {
 		for i, c := range n.Cols {
 			idx[i] = slices.Index(in.cols, c)
 		}
-		out := dRel{cols: n.Cols}
+		out := dRel{cols: n.Cols, parts: make([]part, 0, len(in.parts))}
 		for i := range in.parts {
 			p := &in.parts[i]
 			if t := p.tmpl; t != nil {
@@ -1063,13 +1170,7 @@ func (ev *evaluator) evalExpr(e algebra.Expr, probe *scanProbe) (dRel, error) {
 				out.parts = append(out.parts, part{origins: nt.unitsOf(), tmpl: nt})
 				continue
 			}
-			ev.mapPart(&out, p, func(t sym.Tuple) (sym.Tuple, bool) {
-				g := make(sym.Tuple, len(idx))
-				for i, j := range idx {
-					g[i] = t[j]
-				}
-				return g, true
-			})
+			ev.projectPart(&out, p, idx)
 		}
 		return out, nil
 
@@ -1092,7 +1193,7 @@ func (ev *evaluator) evalExpr(e algebra.Expr, probe *scanProbe) (dRel, error) {
 		if ev.estimating() {
 			ev.setEst(ev.drelStats(&in))
 		}
-		out := dRel{cols: in.cols}
+		out := dRel{cols: in.cols, parts: make([]part, 0, len(in.parts))}
 	selParts:
 		for i := range in.parts {
 			p := &in.parts[i]
@@ -1117,14 +1218,7 @@ func (ev *evaluator) evalExpr(e algebra.Expr, probe *scanProbe) (dRel, error) {
 				out.parts = append(out.parts, part{origins: nt.unitsOf(), tmpl: nt})
 				continue
 			}
-			ev.mapPart(&out, p, func(t sym.Tuple) (sym.Tuple, bool) {
-				for _, p := range preds {
-					if !p.holds(t) {
-						return nil, false
-					}
-				}
-				return t, true
-			})
+			ev.selectPart(&out, p, preds)
 		}
 		return out, nil
 
@@ -1270,7 +1364,7 @@ func (ev *evaluator) supportRows(in *dRel) ([]sym.Tuple, int64, error) {
 	if ev.bound {
 		return nil, ev.rowsBound(in), nil
 	}
-	var rows []sym.Tuple
+	rows := ev.rows[:0]
 	for i := range in.parts {
 		p := &in.parts[i]
 		if p.tmpl != nil {
@@ -1280,7 +1374,8 @@ func (ev *evaluator) supportRows(in *dRel) ([]sym.Tuple, int64, error) {
 		}
 		rows = ev.appendSupport(rows, p)
 	}
-	rows = sortDedupTuples(rows)
+	ev.rows = rows
+	rows = slices.Clone(sortDedupTuples(rows))
 	return rows, int64(len(rows)), nil
 }
 
@@ -1317,7 +1412,7 @@ func (ev *evaluator) choiceRel(in *dRel, support []sym.Tuple, nSupport int) (dRe
 		return dRel{cols: in.cols}, nil
 	}
 	u := ev.addUnit(nSupport)
-	all := mergeOrigins(in.origins(), []int{u})
+	all := append(in.origins(), u) // u is the newest unit, above every origin
 	space, err := ev.space(all)
 	if err != nil {
 		return dRel{}, err
@@ -1359,7 +1454,7 @@ func (ev *evaluator) diffRels(l, r *dRel) (dRel, error) {
 	out := dRel{cols: l.cols}
 	for li := range l.parts {
 		lp := &l.parts[li]
-		origins := mergeOrigins(append([]int(nil), lp.origins...), rOrigins)
+		origins := mergeOrigins(nil, lp.origins, rOrigins)
 		if ev.bound {
 			out.parts = append(out.parts, part{origins: origins, rows: ev.diffRowsUB(lp, rOrigins)})
 			continue
@@ -1423,7 +1518,9 @@ func (ev *evaluator) join(l, r dRel, cols []string) (dRel, error) {
 }
 
 // joinRels distributes the natural join over both unions of parts; each
-// pairwise join tabulates over the merged origin space.
+// pairwise join tabulates over the merged origin space. The joined rows
+// are laid out in the tabulation scratch and a pair that yields none
+// allocates nothing.
 func (ev *evaluator) joinRels(l, r dRel, cols []string) (dRel, error) {
 	var lShared, rShared, rExtra []int
 	for j, c := range r.cols {
@@ -1438,39 +1535,58 @@ func (ev *evaluator) joinRels(l, r dRel, cols []string) (dRel, error) {
 	for li := range l.parts {
 		for ri := range r.parts {
 			lp, rp := &l.parts[li], &r.parts[ri]
-			origins := mergeOrigins(append([]int(nil), lp.origins...), rp.origins)
+			ev.ints = mergeOrigins(ev.ints[:0], lp.origins, rp.origins)
+			origins := ev.ints
 			if ev.bound {
-				out.parts = append(out.parts, part{origins: origins, rows: ev.joinRowsUB(lp, rp)})
+				out.parts = append(out.parts, part{origins: ownOrigins(origins, lp, rp), rows: ev.joinRowsUB(lp, rp)})
 				continue
 			}
 			space, err := ev.space(origins)
 			if err != nil {
 				return dRel{}, err
 			}
-			alts := make([][]sym.Tuple, 0, space)
-			any := false
+			ids, ends, n := ev.ids[:0], slices.Grow(ev.ends[:0], space), 0
 			ev.odometer(origins, func(choice []int) bool {
-				joined := joinTuples(lp.at(choice, ev), rp.at(choice, ev),
-					lShared, rShared, rExtra, len(cols))
-				if len(joined) > 0 {
-					any = true
-				}
-				alts = append(alts, joined)
+				var k int
+				ids, k = ev.joinRows(ids, lp.at(choice, ev), rp.at(choice, ev), lShared, rShared, rExtra)
+				n += k
+				ends = append(ends, n)
 				return true
 			})
-			if any {
-				out.parts = append(out.parts, part{origins: origins, alts: alts})
+			ev.ids, ev.ends = ids, ends
+			if n == 0 {
+				continue
 			}
+			ev.rowsOfIDs(n, len(cols))
+			alts, _ := ev.cutPart(true)
+			out.parts = append(out.parts, part{origins: ownOrigins(origins, lp, rp), alts: alts})
 		}
 	}
 	return out, nil
 }
 
-// joinTuples is the ground natural join of two row sets (hash on the
-// shared columns with exact confirmation, as in algebra.evalInst).
-func joinTuples(ls, rs []sym.Tuple, lShared, rShared, rExtra []int, width int) []sym.Tuple {
+// ownOrigins returns the merged origins of a pairwise join as a slice
+// the joined part may keep: a side's own origins when the merge added
+// nothing to them (the union contains both, so equal length means equal
+// sets), a copy of the scratch otherwise.
+func ownOrigins(merged []int, lp, rp *part) []int {
+	switch len(merged) {
+	case len(lp.origins):
+		return lp.origins
+	case len(rp.origins):
+		return rp.origins
+	}
+	return slices.Clone(merged)
+}
+
+// joinRows appends to ids the rows of the ground natural join of two row
+// sets, column by column, and returns the extended slice with the
+// number of rows appended: a hash on the shared columns with exact
+// confirmation, as in algebra.evalInst, over the evaluator's reused
+// index of rs.
+func (ev *evaluator) joinRows(ids []sym.ID, ls, rs []sym.Tuple, lShared, rShared, rExtra []int) ([]sym.ID, int) {
 	if len(ls) == 0 || len(rs) == 0 {
-		return nil
+		return ids, 0
 	}
 	key := func(t sym.Tuple, at []int) uint64 {
 		h := uint64(1469598103934665603)
@@ -1480,60 +1596,146 @@ func joinTuples(ls, rs []sym.Tuple, lShared, rShared, rExtra []int, width int) [
 		}
 		return h
 	}
-	index := make(map[uint64][]sym.Tuple, len(rs))
-	for _, rt := range rs {
-		index[key(rt, rShared)] = append(index[key(rt, rShared)], rt)
+	// head maps a key to 1 + the last row of rs with it; next chains each
+	// row to the previous one with the same key (0 ends the chain).
+	if ev.head == nil {
+		ev.head = make(map[uint64]int32)
 	}
-	var out []sym.Tuple
+	head := ev.head
+	clear(head)
+	next := ev.next[:0]
+	for j, rt := range rs {
+		h := key(rt, rShared)
+		next = append(next, head[h])
+		head[h] = int32(j) + 1
+	}
+	ev.next = next
+	n := 0
 	for _, lt := range ls {
 	probe:
-		for _, rt := range index[key(lt, lShared)] {
+		for j := head[key(lt, lShared)]; j > 0; j = next[j-1] {
+			rt := rs[j-1]
 			for k := range lShared {
 				if lt[lShared[k]] != rt[rShared[k]] {
 					continue probe
 				}
 			}
-			g := make(sym.Tuple, 0, width)
-			g = append(g, lt...)
-			for _, j := range rExtra {
-				g = append(g, rt[j])
+			ids = append(ids, lt...)
+			for _, e := range rExtra {
+				ids = append(ids, rt[e])
 			}
-			out = append(out, g)
+			n++
 		}
 	}
-	return sortDedupTuples(out)
+	return ids, n
 }
 
-// mapPart applies a tuple-local map (project, select, …) to every
-// alternative of one tabulated part, appending the result to out;
-// tuple-local operators distribute over the union of parts, so origins
-// are untouched. A part whose every alternative maps to the empty set
-// contributes nothing and is dropped. The bound reading keeps the part
-// as it is: a tuple-local map cannot grow it. (Template parts transform
+// selectPart keeps, in every alternative of one tabulated part, the rows
+// satisfying preds, appending the result to out; tuple-local operators
+// distribute over the union of parts, so origins are untouched. A part
+// that keeps every row is itself the result (its alternatives are
+// already sorted and duplicate-free); one whose every alternative
+// empties contributes nothing. The bound reading keeps the part as it
+// is: a tuple-local map cannot grow it. (Template parts transform
 // symbolically at their call sites instead.)
-func (ev *evaluator) mapPart(out *dRel, p *part, f func(sym.Tuple) (sym.Tuple, bool)) {
+func (ev *evaluator) selectPart(out *dRel, p *part, preds []resolvedPred) {
 	if ev.bound {
 		out.parts = append(out.parts, *p)
 		return
 	}
-	alts := make([][]sym.Tuple, len(p.alts))
-	any := false
-	for ai, alt := range p.alts {
-		var rows []sym.Tuple
+	rows, ends := slices.Grow(ev.rows[:0], int(ev.rowsUB(p))), slices.Grow(ev.ends[:0], len(p.alts))
+	all := true
+	for _, alt := range p.alts {
+	row:
 		for _, t := range alt {
-			if g, ok := f(t); ok {
-				rows = append(rows, g)
+			for i := range preds {
+				if !preds[i].holds(t) {
+					all = false
+					continue row
+				}
 			}
+			rows = append(rows, t)
 		}
-		rows = sortDedupTuples(rows)
-		if len(rows) > 0 {
-			any = true
-		}
-		alts[ai] = rows
+		ends = append(ends, len(rows))
 	}
-	if any {
+	ev.rows, ev.ends = rows, ends
+	if all {
+		out.parts = append(out.parts, *p)
+		return
+	}
+	if alts, ok := ev.cutPart(false); ok {
 		out.parts = append(out.parts, part{origins: p.origins, alts: alts})
 	}
+}
+
+// projectPart projects every alternative of one tabulated part onto the
+// columns idx, appending the result to out — origins untouched, as in
+// selectPart. The projected rows are laid out in the tabulation scratch
+// and copied out once deduplicated.
+func (ev *evaluator) projectPart(out *dRel, p *part, idx []int) {
+	if ev.bound {
+		out.parts = append(out.parts, *p)
+		return
+	}
+	total := int(ev.rowsUB(p))
+	ids, ends, n := slices.Grow(ev.ids[:0], total*len(idx)), slices.Grow(ev.ends[:0], len(p.alts)), 0
+	for _, alt := range p.alts {
+		for _, t := range alt {
+			for _, j := range idx {
+				ids = append(ids, t[j])
+			}
+		}
+		n += len(alt)
+		ends = append(ends, n)
+	}
+	ev.ids, ev.ends = ids, ends
+	ev.rowsOfIDs(n, len(idx))
+	if alts, ok := ev.cutPart(true); ok {
+		out.parts = append(out.parts, part{origins: p.origins, alts: alts})
+	}
+}
+
+// rowsOfIDs lays out in ev.rows the headers of the n rows of the given
+// width that ev.ids holds back to back.
+func (ev *evaluator) rowsOfIDs(n, width int) {
+	rows := slices.Grow(ev.rows[:0], n)
+	for i := 0; i < n; i++ {
+		rows = append(rows, ev.ids[i*width:(i+1)*width:(i+1)*width])
+	}
+	ev.rows = rows
+}
+
+// cutPart is the one copy of a part out of the tabulation scratch: it
+// sorts and deduplicates each alternative laid out in ev.rows (cut at
+// ev.ends) and copies the surviving rows into one exact-size row array —
+// and, when own is set, their IDs into one exact-size ID array, for rows
+// whose IDs sit in the scratch (projected or joined). Each alternative
+// is a three-index slice of the row array. ok is false when every
+// alternative is empty: the part contributes nothing.
+func (ev *evaluator) cutPart(own bool) (alts [][]sym.Tuple, ok bool) {
+	n, start := 0, 0
+	for a, end := range ev.ends {
+		n += copy(ev.rows[n:], sortDedupTuples(ev.rows[start:end]))
+		start, ev.ends[a] = end, n
+	}
+	if n == 0 {
+		return nil, false
+	}
+	rows := slices.Clone(ev.rows[:n])
+	if own {
+		width := len(rows[0])
+		ids := make([]sym.ID, n*width)
+		for i, t := range rows {
+			rows[i] = ids[i*width : (i+1)*width : (i+1)*width]
+			copy(rows[i], t)
+		}
+	}
+	alts = make([][]sym.Tuple, len(ev.ends))
+	start = 0
+	for a, end := range ev.ends {
+		alts[a], start = rows[start:end:end], end
+	}
+	return alts, true
 }
 
 // tmplColOf resolves one compiled predicate operand against a template
@@ -1605,13 +1807,21 @@ func sortDedupTuples(ts []sym.Tuple) []sym.Tuple {
 	return slices.CompactFunc(ts, sym.Tuple.Equal)
 }
 
-// mergeOrigins unions a sorted origin list into dst (kept sorted and
-// duplicate-free).
-func mergeOrigins(dst, src []int) []int {
-	for _, o := range src {
-		if i, found := slices.BinarySearch(dst, o); !found {
-			dst = slices.Insert(dst, i, o)
+// mergeOrigins appends the union of the sorted duplicate-free origin
+// lists a and b to dst, by one linear merge, and returns the extended
+// slice (sorted and duplicate-free when dst starts empty). dst must not
+// share storage with a or b.
+func mergeOrigins(dst, a, b []int) []int {
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			dst, a = append(dst, a[0]), a[1:]
+		case a[0] > b[0]:
+			dst, b = append(dst, b[0]), b[1:]
+		default:
+			dst, a, b = append(dst, a[0]), a[1:], b[1:]
 		}
 	}
-	return dst
+	dst = append(dst, a...)
+	return append(dst, b...)
 }
