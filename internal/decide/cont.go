@@ -3,7 +3,6 @@ package decide
 import (
 	"pw/internal/cond"
 	"pw/internal/query"
-	"pw/internal/rel"
 	"pw/internal/sym"
 	"pw/internal/table"
 	"pw/internal/valuation"
@@ -174,35 +173,4 @@ func contDomain(d0 *table.Database, q0 query.Query, d *table.Database, q query.Q
 		}
 	}
 	return consts, table.FreshPrefixIDs(consts)
-}
-
-// ContainmentCounterexample reports a world of q0(rep(d0)) outside
-// q(rep(d)), if any (nil when containment holds). Generic search; for
-// diagnostics on small inputs.
-func ContainmentCounterexample(q0 query.Query, d0 *table.Database, q query.Query, d *table.Database) (*rel.Instance, error) {
-	base, prefix := contDomain(d0, q0, d, q)
-	var witness *rel.Instance
-	var innerErr error
-	valuation.EnumerateCanonical(d0.Universe(), base, prefix, func(v valuation.V) bool {
-		w := applyValuation(v, d0)
-		if w == nil {
-			return false
-		}
-		img, err := q0.Eval(w)
-		if err != nil {
-			innerErr = err
-			return true
-		}
-		in, err := Options{}.Membership(img, q, d)
-		if err != nil {
-			innerErr = err
-			return true
-		}
-		if !in {
-			witness = img
-			return true
-		}
-		return false
-	})
-	return witness, innerErr
 }

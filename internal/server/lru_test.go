@@ -9,7 +9,7 @@ import (
 )
 
 func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
-	c := newLRU(2)
+	c := newLRU[string, int](2)
 	c.add("a", 1)
 	c.add("b", 2)
 	if _, ok := c.get("a"); !ok {
@@ -20,10 +20,10 @@ func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 	if _, ok := c.get("b"); ok {
 		t.Fatal("b survived past capacity despite being least recently used")
 	}
-	if v, ok := c.get("a"); !ok || v.(int) != 1 {
+	if v, ok := c.get("a"); !ok || v != 1 {
 		t.Fatalf("a = %v, %v; want 1, true", v, ok)
 	}
-	if v, ok := c.get("c"); !ok || v.(int) != 3 {
+	if v, ok := c.get("c"); !ok || v != 3 {
 		t.Fatalf("c = %v, %v; want 3, true", v, ok)
 	}
 	if c.len() != 2 {
@@ -32,12 +32,12 @@ func TestLRUEvictsLeastRecentlyUsed(t *testing.T) {
 }
 
 func TestLRUUpdateRefreshesEntry(t *testing.T) {
-	c := newLRU(2)
+	c := newLRU[string, int](2)
 	c.add("a", 1)
 	c.add("b", 2)
 	c.add("a", 10) // refresh, not insert: b stays
 	c.add("c", 3)  // evicts b
-	if v, ok := c.get("a"); !ok || v.(int) != 10 {
+	if v, ok := c.get("a"); !ok || v != 10 {
 		t.Fatalf("a = %v, %v; want 10, true", v, ok)
 	}
 	if _, ok := c.get("b"); ok {
@@ -47,7 +47,7 @@ func TestLRUUpdateRefreshesEntry(t *testing.T) {
 
 func TestLRUDisabled(t *testing.T) {
 	for _, capacity := range []int{0, -1} {
-		c := newLRU(capacity)
+		c := newLRU[string, int](capacity)
 		c.add("a", 1)
 		if _, ok := c.get("a"); ok {
 			t.Fatalf("cap=%d: cache stored an entry while disabled", capacity)
@@ -59,7 +59,7 @@ func TestLRUDisabled(t *testing.T) {
 }
 
 func TestFlightGroupCoalesces(t *testing.T) {
-	var g flightGroup
+	var g flightGroup[string]
 	var calls atomic.Int64
 	gate := make(chan struct{})
 	started := make(chan struct{})
@@ -122,7 +122,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 }
 
 func TestFlightGroupDistinctKeysDoNotCoalesce(t *testing.T) {
-	var g flightGroup
+	var g flightGroup[string]
 	v1, _, _ := g.do("a", func() (any, error) { return 1, nil })
 	v2, _, _ := g.do("b", func() (any, error) { return 2, nil })
 	if v1.(int) != 1 || v2.(int) != 2 {
@@ -131,7 +131,7 @@ func TestFlightGroupDistinctKeysDoNotCoalesce(t *testing.T) {
 }
 
 func TestFlightGroupSequentialCallsRerun(t *testing.T) {
-	var g flightGroup
+	var g flightGroup[string]
 	n := 0
 	for i := 0; i < 3; i++ {
 		v, _, shared := g.do("k", func() (any, error) { n++; return n, nil })

@@ -119,10 +119,10 @@ type Server struct {
 	dbs map[string]*database
 
 	cacheMu  sync.Mutex // guards prepared and answers
-	prepared *lruCache
-	answers  *lruCache
+	prepared *lruCache[string, *preparedQuery]
+	answers  *lruCache[ansKey, any]
 
-	flight flightGroup
+	flight flightGroup[ansKey]
 
 	metrics       *serverMetrics
 	slowThreshold time.Duration
@@ -211,7 +211,7 @@ type dbView struct {
 	stamps  *relStamps
 	wsd     *wsd.WSD
 	tab     *table.Database
-	db      *database // for per-db cache attribution; never nil from view()
+	db      *database // answer-key identity and per-db cache attribution; never nil from view()
 }
 
 // Stats is a point-in-time snapshot of the server counters, including
@@ -270,12 +270,12 @@ func (s *Server) DBStats() []DBStats {
 	}
 	s.mu.RUnlock()
 
-	// Live answer-cache entries per database: the cache key embeds the
-	// database name as its second \x00-separated field.
-	entries := make(map[string]int, len(dbs))
+	// Live answer-cache entries per database (a cont entry counts
+	// under its subset side).
+	entries := make(map[*database]int, len(dbs))
 	s.cacheMu.Lock()
-	s.answers.each(func(key string) {
-		entries[splitKey(key).db]++
+	s.answers.each(func(k ansKey) {
+		entries[k.db]++
 	})
 	s.cacheMu.Unlock()
 
@@ -292,7 +292,7 @@ func (s *Server) DBStats() []DBStats {
 			Kind:          kind,
 			AnswerHits:    db.ansHits.Load(),
 			AnswerMisses:  db.ansMisses.Load(),
-			AnswerEntries: entries[db.name],
+			AnswerEntries: entries[db],
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
@@ -321,8 +321,8 @@ func New(cfg Config) *Server {
 		workers:       workers,
 		sem:           make(chan struct{}, workers),
 		dbs:           make(map[string]*database),
-		prepared:      newLRU(preparedSize),
-		answers:       newLRU(cacheSize),
+		prepared:      newLRU[string, *preparedQuery](preparedSize),
+		answers:       newLRU[ansKey, any](cacheSize),
 		slowThreshold: cfg.SlowQueryThreshold,
 		slowLog:       slowLog,
 		recorder:      newFlightRecorder(cfg.FlightSize),
@@ -402,11 +402,9 @@ var testHookReloadAfterRead func(name string)
 // the opposite order, leaving the older file content live at the
 // higher version.
 func (s *Server) Reload(name string) error {
-	s.mu.RLock()
-	db := s.dbs[name]
-	s.mu.RUnlock()
-	if db == nil {
-		return &Error{Status: 404, Err: fmt.Errorf("unknown database %q", name)}
+	db, err := s.lookup(name)
+	if err != nil {
+		return err
 	}
 	if db.path == "" {
 		return &Error{Status: 400, Err: fmt.Errorf("database %q is in-memory and cannot be reloaded", name)}
@@ -427,54 +425,30 @@ func (s *Server) Reload(name string) error {
 	db.stamps = &relStamps{base: live}
 	stamps := db.stamps
 	db.mu.Unlock()
-	s.purgeStale(name, live, stamps)
+	s.purgeStale(db, live, stamps)
 	return nil
 }
 
-// cacheKeyParts is an answer-cache key split at its first three \x00
-// separators: kind \x00 db \x00 version \x00 rest. The fields alias the
-// key, so splitting allocates nothing.
-type cacheKeyParts struct {
-	kind, db, version, rest string
-}
-
-func splitKey(key string) cacheKeyParts {
-	var p cacheKeyParts
-	p.kind, key, _ = strings.Cut(key, "\x00")
-	p.db, key, _ = strings.Cut(key, "\x00")
-	p.version, p.rest, _ = strings.Cut(key, "\x00")
-	return p
-}
-
-// purgeStale drops every answer-cache entry of database name that no
+// purgeStale drops every answer-cache entry of database db that no
 // request can reach after the install of version live with the given
 // stamps: an eval entry whose key version is no longer its query's
 // effective version (its query reads a relation the install wrote),
 // any other entry keyed on the database at a version other than live,
-// and cont entries embedding the database as the superset side at
+// and cont entries whose superset side (db2) is the database at
 // another version. Callers hold the database's writeMu, so stamps are
 // the latest.
-func (s *Server) purgeStale(name string, live uint64, stamps *relStamps) {
-	current := strconv.FormatUint(live, 10)
+func (s *Server) purgeStale(db *database, live uint64, stamps *relStamps) {
 	s.cacheMu.Lock()
-	purged := s.answers.purge(func(key string, val any) bool {
-		// cont keys embed db2 \x00 version2 at the head of rest.
-		k := splitKey(key)
-		if k.db == name {
+	purged := s.answers.purge(func(k ansKey, val any) bool {
+		if k.db == db {
 			if k.kind == "eval" {
-				v, err := strconv.ParseUint(k.version, 10, 64)
-				return err != nil || v != stamps.effective(val.(*evalEntry).reads, live)
+				return k.version != stamps.effective(val.(*evalEntry).reads, live)
 			}
-			if k.version != current {
+			if k.version != live {
 				return true
 			}
 		}
-		if k.kind == "cont" {
-			db2, rest, _ := strings.Cut(k.rest, "\x00")
-			version2, _, _ := strings.Cut(rest, "\x00")
-			return db2 == name && version2 != current
-		}
-		return false
+		return k.db2 == db && k.version2 != live
 	})
 	s.cacheMu.Unlock()
 	s.metrics.ansPurged.Add(uint64(purged))
@@ -517,13 +491,22 @@ func (s *Server) register(db *database) error {
 	return nil
 }
 
-// view snapshots a database's backend and version under its read lock.
-func (s *Server) view(name string) (dbView, error) {
+// lookup returns the database registered under name, or a 404.
+func (s *Server) lookup(name string) (*database, error) {
 	s.mu.RLock()
 	db := s.dbs[name]
 	s.mu.RUnlock()
 	if db == nil {
-		return dbView{}, &Error{Status: 404, Err: fmt.Errorf("unknown database %q", name)}
+		return nil, &Error{Status: 404, Err: fmt.Errorf("unknown database %q", name)}
+	}
+	return db, nil
+}
+
+// view snapshots a database's backend and version under its read lock.
+func (s *Server) view(name string) (dbView, error) {
+	db, err := s.lookup(name)
+	if err != nil {
+		return dbView{}, err
 	}
 	db.mu.RLock()
 	v := dbView{name: db.name, version: db.version, stamps: db.stamps, wsd: db.wsd, tab: db.tab, db: db}
@@ -954,8 +937,8 @@ func (s *Server) opCount(v dbView, resp *Response, rc *reqCtx) (*Response, error
 		resp.Count = v.wsd.CountString()
 		return resp, nil
 	}
-	key := cacheKey("count", v.name, v.version, "")
-	n, cached, coalesced, err := s.cachedEval(v.db, key, rc, func() (any, error) {
+	key := ansKey{kind: "count", db: v.db, version: v.version}
+	n, cached, coalesced, err := s.cachedEval(key, rc, func() (any, error) {
 		defer s.acquire(rc)()
 		sp := rc.span("count")
 		defer sp.End()
@@ -1034,11 +1017,9 @@ func (s *Server) opWrite(req *Request, rc *reqCtx) (*Response, error) {
 	if err != nil {
 		return nil, badRequest("update: %v", err)
 	}
-	s.mu.RLock()
-	db := s.dbs[req.DB]
-	s.mu.RUnlock()
-	if db == nil {
-		return nil, &Error{Status: 404, Err: fmt.Errorf("unknown database %q", req.DB)}
+	db, err := s.lookup(req.DB)
+	if err != nil {
+		return nil, err
 	}
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
@@ -1068,7 +1049,7 @@ func (s *Server) opWrite(req *Request, rc *reqCtx) (*Response, error) {
 	db.stamps = db.stamps.after(live, rels, all)
 	stamps := db.stamps
 	db.mu.Unlock()
-	s.purgeStale(req.DB, live, stamps)
+	s.purgeStale(db, live, stamps)
 	return &Response{DB: req.DB, Op: "write", Version: live, Count: count}, nil
 }
 
@@ -1181,7 +1162,7 @@ func (s *Server) prepare(text string, rc *reqCtx) (*preparedQuery, error) {
 	if v, ok := s.prepared.get(text); ok {
 		s.cacheMu.Unlock()
 		s.metrics.prepHits.Inc()
-		return v.(*preparedQuery), nil
+		return v, nil
 	}
 	s.cacheMu.Unlock()
 	s.metrics.prepMisses.Inc()
@@ -1215,8 +1196,20 @@ func (s *Server) prepareOrIdentity(text string, rc *reqCtx) (*preparedQuery, err
 	return s.prepare(text, rc)
 }
 
-func cacheKey(kind, db string, version uint64, rest string) string {
-	return kind + "\x00" + db + "\x00" + strconv.FormatUint(version, 10) + "\x00" + rest
+// ansKey is an answer-cache and singleflight key: kind is "eval" (a
+// decomposition readout, at the query's effective version) or the op of
+// a cached table answer or decision (poss-ans, cert-ans, count, cont).
+// The database pointer is its identity, which a reload keeps (it
+// mutates the same struct). Only cont sets the superset side db2, at
+// version2, and the second fingerprint fp2.
+type ansKey struct {
+	kind     string
+	db       *database
+	version  uint64
+	fp       string
+	db2      *database
+	version2 uint64
+	fp2      string
 }
 
 // cachedEval is the answer-cache + singleflight core: a cache hit
@@ -1224,20 +1217,21 @@ func cacheKey(kind, db string, version uint64, rest string) string {
 // share one execution of fn, whose result is cached for the next
 // request. With caching disabled the flight still coalesces identical
 // in-flight work. Outcomes are recorded globally, per database, and in
-// the request's cost counters; coalesced requests correctly lack eval
-// spans — fn ran on the first caller's goroutine.
-func (s *Server) cachedEval(db *database, key string, rc *reqCtx, fn func() (any, error)) (val any, cached, coalesced bool, err error) {
+// the request's cost counters (per database: key.db's); coalesced
+// requests correctly lack eval spans — fn ran on the first caller's
+// goroutine.
+func (s *Server) cachedEval(key ansKey, rc *reqCtx, fn func() (any, error)) (val any, cached, coalesced bool, err error) {
 	s.cacheMu.Lock()
 	if v, ok := s.answers.get(key); ok {
 		s.cacheMu.Unlock()
 		s.metrics.ansHits.Inc()
-		db.ansHits.Add(1)
+		key.db.ansHits.Add(1)
 		rc.cost.Add(obs.CacheHits, 1)
 		return v, true, false, nil
 	}
 	s.cacheMu.Unlock()
 	s.metrics.ansMisses.Inc()
-	db.ansMisses.Add(1)
+	key.db.ansMisses.Add(1)
 	rc.cost.Add(obs.CacheMisses, 1)
 	val, err, coalesced = s.flight.do(key, func() (any, error) {
 		v, err := fn()
@@ -1317,8 +1311,8 @@ func (s *Server) opAnswers(req *Request, v dbView, resp *Response, rc *reqCtx) (
 		// query does not scan share its effective version: the answers
 		// read at any of them are equal.
 		eff := v.stamps.effective(p.reads, v.version)
-		key := cacheKey("eval", v.name, eff, p.fp)
-		val, cached, coalesced, err := s.cachedEval(v.db, key, rc, func() (any, error) {
+		key := ansKey{kind: "eval", db: v.db, version: eff, fp: p.fp}
+		val, cached, coalesced, err := s.cachedEval(key, rc, func() (any, error) {
 			defer s.acquire(rc)()
 			sp := rc.span("eval")
 			defer sp.End()
@@ -1357,8 +1351,8 @@ func (s *Server) opAnswers(req *Request, v dbView, resp *Response, rc *reqCtx) (
 		resp.Cached, resp.Coalesced = cached, coalesced
 		return resp, nil
 	}
-	key := cacheKey("tans:"+req.Op, v.name, v.version, p.fp)
-	val, cached, coalesced, err := s.cachedEval(v.db, key, rc, func() (any, error) {
+	key := ansKey{kind: req.Op, db: v.db, version: v.version, fp: p.fp}
+	val, cached, coalesced, err := s.cachedEval(key, rc, func() (any, error) {
 		defer s.acquire(rc)()
 		sp := rc.span("decide")
 		defer sp.End()
@@ -1403,9 +1397,8 @@ func (s *Server) opCont(req *Request, v dbView, resp *Response, rc *reqCtx) (*Re
 		return nil, err
 	}
 	rc.fp = p0.fp + " ⊆ " + p1.fp
-	rest := v2.name + "\x00" + strconv.FormatUint(v2.version, 10) + "\x00" + p0.fp + "\x00" + p1.fp
-	key := cacheKey("cont", v.name, v.version, rest)
-	val, cached, coalesced, err := s.cachedEval(v.db, key, rc, func() (any, error) {
+	key := ansKey{kind: "cont", db: v.db, version: v.version, fp: p0.fp, db2: v2.db, version2: v2.version, fp2: p1.fp}
+	val, cached, coalesced, err := s.cachedEval(key, rc, func() (any, error) {
 		defer s.acquire(rc)()
 		sp := rc.span("decide")
 		defer sp.End()

@@ -11,9 +11,9 @@ import (
 // identical uncached queries costs one evaluation, not one per client.
 // (A deliberately minimal re-implementation of the x/sync singleflight
 // idea; the repository vendors nothing.)
-type flightGroup struct {
+type flightGroup[K comparable] struct {
 	mu sync.Mutex
-	m  map[string]*flightCall
+	m  map[K]*flightCall
 }
 
 type flightCall struct {
@@ -24,10 +24,10 @@ type flightCall struct {
 
 // do runs fn once per key among concurrent callers. shared reports
 // whether this caller piggybacked on another's execution.
-func (g *flightGroup) do(key string, fn func() (any, error)) (val any, err error, shared bool) {
+func (g *flightGroup[K]) do(key K, fn func() (any, error)) (val any, err error, shared bool) {
 	g.mu.Lock()
 	if g.m == nil {
-		g.m = make(map[string]*flightCall)
+		g.m = make(map[K]*flightCall)
 	}
 	if c, ok := g.m[key]; ok {
 		g.mu.Unlock()

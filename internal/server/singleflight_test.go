@@ -14,7 +14,7 @@ import (
 // caller, concurrent waiters fail with an error, and the key is free
 // for the next call.
 func TestFlightGroupPanicUnwedges(t *testing.T) {
-	var g flightGroup
+	var g flightGroup[string]
 
 	const waiters = 4
 	entered := make(chan struct{})
@@ -74,7 +74,7 @@ func TestFlightGroupPanicUnwedges(t *testing.T) {
 // coalesced eval: a query evaluation that panics must not wedge the
 // next identical request.
 func TestFlightGroupPanicThroughServer(t *testing.T) {
-	var g flightGroup
+	var g flightGroup[string]
 	boom := true
 	call := func() (val any, err error) {
 		defer func() {

@@ -102,12 +102,47 @@ func TestVersionBumpPurgesAnswerCache(t *testing.T) {
 	if err := s.Open("sensors", sensorsPath); err != nil {
 		t.Fatal(err)
 	}
+	// sub holds the one world {R(z)}; its cont entries against db keep
+	// db as the superset side, so only db2's version bumps reach them.
+	subPath := filepath.Join(filepath.Dir(path), "sub.pw")
+	if err := os.WriteFile(subPath, []byte("@wsd\n  relation: R(1)\n  component:\n    alt: R(z)\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Open("sub", subPath); err != nil {
+		t.Fatal(err)
+	}
+	subEntries := func() int {
+		for _, d := range s.Stats().DBs {
+			if d.Name == "sub" {
+				return d.AnswerEntries
+			}
+		}
+		t.Fatal("sub missing from DBStats")
+		return 0
+	}
+	// cont asks sub ⊆ db and wants an evaluated (not cached) answer.
+	cont := func(want bool) {
+		t.Helper()
+		resp := do(t, s, &server.Request{DB: "sub", Op: "cont", DB2: "db"})
+		if resp.Cached {
+			t.Fatal("cont served a cached answer from before db's version bump")
+		}
+		wantYes(t, resp, want)
+	}
+
 	allQ := "@query all\n  out: All = R(x)\n"
 	do(t, s, &server.Request{DB: "db", Op: "poss-ans"})
 	do(t, s, &server.Request{DB: "db", Op: "poss-ans", Query: allQ})
 	do(t, s, &server.Request{DB: "sensors", Op: "poss-ans"})
 	if n := s.Stats().AnswerEntries; n != 3 {
 		t.Fatalf("cache primed with %d entries, want 3", n)
+	}
+	cont(false) // db's worlds are {R(a)} and {R(b)}
+	if !do(t, s, &server.Request{DB: "sub", Op: "cont", DB2: "db"}).Cached {
+		t.Fatal("repeated cont not served from the cache")
+	}
+	if n := subEntries(); n != 1 {
+		t.Fatalf("sub has %d entries after cont, want 1", n)
 	}
 
 	if err := os.WriteFile(path, []byte("@wsd\n  relation: R(1)\n  component:\n    alt: R(z)\n"), 0o644); err != nil {
@@ -119,15 +154,20 @@ func TestVersionBumpPurgesAnswerCache(t *testing.T) {
 	if n := s.Stats().AnswerEntries; n != 1 {
 		t.Fatalf("after reload: %d entries, want 1 (db's dead-version entries purged, sensors' kept)", n)
 	}
+	if n := subEntries(); n != 0 {
+		t.Fatalf("after reload of db2: sub has %d entries, want 0 (cont purged)", n)
+	}
 
 	do(t, s, &server.Request{DB: "db", Op: "poss-ans"})
 	if n := s.Stats().AnswerEntries; n != 2 {
 		t.Fatalf("after re-prime: %d entries, want 2", n)
 	}
+	cont(true) // db is now the one world {R(z)}
 	do(t, s, &server.Request{DB: "db", Op: "write", Update: "@update\n  insert: R(w)\n"})
 	if n := s.Stats().AnswerEntries; n != 1 {
-		t.Fatalf("after write: %d entries, want 1 (write purges like reload)", n)
+		t.Fatalf("after write: %d entries, want 1 (write purges like reload, cont included)", n)
 	}
+	cont(false) // db is now {R(z), R(w)}
 }
 
 // TestConcurrentReloadsNewestContentWins drives rounds of racing

@@ -181,6 +181,3 @@ func SortByName(ids []ID) {
 
 // ConstCount returns the number of interned constants (diagnostics).
 func ConstCount() int { return len(*consts.published.Load()) }
-
-// VarCount returns the number of interned variables (diagnostics).
-func VarCount() int { return len(*vars.published.Load()) }

@@ -87,12 +87,6 @@ type Row struct {
 // NewRow builds an unconditioned row.
 func NewRow(vs ...value.Value) Row { return Row{Values: value.NewTuple(vs...)} }
 
-// WithCond returns a copy of the row carrying the given local condition.
-func (r Row) WithCond(c cond.Conjunction) Row {
-	r.Cond = c
-	return r
-}
-
 // Clone deep-copies the row.
 func (r Row) Clone() Row {
 	return Row{Values: r.Values.Clone(), Cond: r.Cond.Clone()}

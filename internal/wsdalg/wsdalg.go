@@ -1420,22 +1420,30 @@ func (ev *evaluator) choiceRel(in *dRel, support []sym.Tuple, nSupport int) (dRe
 	if ev.bound {
 		return dRel{cols: in.cols, parts: []part{{origins: all, rows: int64(space)}}}, nil
 	}
+	// Every available tuple lies in support, so each one-row alternative
+	// is a capacity-clipped subslice of it: the choice's rows are scanned
+	// in place for the chosen tuple and for the smallest available one.
 	alts := make([][]sym.Tuple, 0, space)
 	ev.odometer(all, func(choice []int) bool {
-		var avail []sym.Tuple
+		c := choice[u]
+		var least sym.Tuple
+		avail, found := false, false
 		for i := range in.parts {
-			avail = append(avail, in.parts[i].at(choice, ev)...)
-		}
-		avail = sortDedupTuples(avail)
-		var rows []sym.Tuple
-		if len(avail) > 0 {
-			if t := support[choice[u]]; containsTuple(avail, t) {
-				rows = []sym.Tuple{t}
-			} else {
-				rows = []sym.Tuple{avail[0]}
+			for _, t := range in.parts[i].at(choice, ev) {
+				found = found || t.Equal(support[c])
+				if !avail || slices.Compare(t, least) < 0 {
+					least, avail = t, true
+				}
 			}
 		}
-		alts = append(alts, rows)
+		switch {
+		case !avail:
+			alts = append(alts, nil)
+			return true
+		case !found:
+			c, _ = slices.BinarySearchFunc(support, least, slices.Compare[sym.Tuple])
+		}
+		alts = append(alts, support[c:c+1:c+1])
 		return true
 	})
 	return dRel{cols: in.cols, parts: []part{{origins: all, alts: alts}}}, nil
