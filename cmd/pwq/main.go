@@ -68,17 +68,16 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math/big"
 	"math/rand"
 	"os"
 	"strings"
 
 	"pw/internal/decide"
-	"pw/internal/gen"
 	"pw/internal/obs"
 	"pw/internal/parse"
 	"pw/internal/query"
 	"pw/internal/rel"
+	"pw/internal/rep"
 	"pw/internal/worlds"
 	"pw/internal/wsd"
 	"pw/internal/wsdalg"
@@ -139,6 +138,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fatal(stderr, fmt.Errorf("%s is an @update file; databases go to -db, update programs to -update", *dbPath))
 	}
 	d, w := src.DB, src.WSD
+	db := rep.DB{WSD: w, Tab: d}
 	switch cmd {
 	case "kind":
 		if w != nil {
@@ -147,13 +147,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, d.Kind())
 		}
 	case "count":
-		if w != nil {
-			fmt.Fprintln(stdout, w.Count())
-		} else {
-			// Enumeration backend: |rep(d)| over the canonical domain,
-			// sharded across -workers (the count is worker-independent).
-			fmt.Fprintln(stdout, worlds.Options{Workers: *workersN}.Count(d))
-		}
+		// A decomposition's exact count; on tables |rep(d)| over the
+		// canonical domain, sharded across -workers (worker-independent).
+		fmt.Fprintln(stdout, db.Count(o))
 	case "worlds":
 		// World listing streams in canonical enumeration order, so it
 		// stays on the sequential enumerator regardless of -workers.
@@ -181,51 +177,35 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rng := rand.New(rand.NewSource(*seed))
 		insts := make([]*rel.Instance, 0, *samples)
 		for k := 0; k < *samples; k++ {
-			var inst *rel.Instance
-			if w != nil {
-				// Uniform over worlds: one independent choice per component;
-				// nil only on the empty world set.
-				inst = w.Sample(rng)
-				if inst == nil {
-					return fatal(stderr, fmt.Errorf("cannot sample from the empty world set"))
-				}
-			} else {
-				// Tables: a sampled member world (not uniform over rep).
-				// MemberInstance's search budget is bounded, so a miss means
-				// "none found", not "none exists".
-				var ok bool
-				inst, ok = gen.MemberInstance(*seed+int64(k), d)
-				if !ok {
-					return fatal(stderr, fmt.Errorf("no member world found within the sampling budget; selective conditions may need a different -seed"))
-				}
+			inst, err := db.Sample(rng, *seed, k)
+			if err != nil {
+				return fatal(stderr, err)
 			}
 			insts = append(insts, inst)
 		}
 		for k, inst := range insts {
 			fmt.Fprintf(stdout, "-- sample %d --\n%s\n", k+1, inst)
 		}
-	case "memb":
-		i, err := loadInstance(*instPath, cost)
+	case "memb", "uniq", "poss", "cert":
+		path := *instPath
+		if cmd == "poss" || cmd == "cert" {
+			path = *factsPath
+		}
+		i, err := loadInstance(path, cost)
 		if err != nil {
 			return fatal(stderr, err)
 		}
-		if w != nil {
-			return answer(stdout, stderr, w.Member(i), nil)
+		var yes bool
+		switch cmd {
+		case "memb":
+			yes, err = db.Member(o, i)
+		case "uniq":
+			yes, err = db.Unique(o, i)
+		case "poss":
+			yes, err = db.Possible(o, i)
+		default:
+			yes, err = db.Certain(o, i)
 		}
-		yes, err := o.Membership(i, query.Identity{}, d)
-		return answer(stdout, stderr, yes, err)
-	case "uniq":
-		i, err := loadInstance(*instPath, cost)
-		if err != nil {
-			return fatal(stderr, err)
-		}
-		if w != nil {
-			// Count is a big.Int: compare against 1 exactly (Int64 is
-			// undefined outside int64 range, the very regime WSDs serve).
-			yes := w.Count().Cmp(big.NewInt(1)) == 0 && w.Member(i)
-			return answer(stdout, stderr, yes, nil)
-		}
-		yes, err := o.Uniqueness(query.Identity{}, d, i)
 		return answer(stdout, stderr, yes, err)
 	case "cont":
 		q0, err := loadQuery(*queryPath, false, cost)
@@ -243,30 +223,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if src2.Query != nil {
 			return fatal(stderr, fmt.Errorf("%s is a @query file; databases go to -db2, queries to -query2", *db2Path))
 		}
-		d2, w2 := src2.DB, src2.WSD
-		if w == nil && w2 == nil {
-			// Both sides tables: the decision engine handles every query
-			// class, Π₂ᵖ generic fallback included.
-			yes, err := o.Containment(q0, d, q1, d2)
-			return answer(stdout, stderr, yes, err)
-		}
-		// At least one decomposition: run the native wsdalg containment,
-		// compiling a table side to its exact decomposition first.
-		if w == nil {
-			if w, err = wsd.ToWSD(d); errors.Is(err, wsd.ErrInfiniteRep) && query.IsIdentity(q0) {
-				// Infinitely many subset worlds cannot fit in a finite
-				// decomposition's world set.
-				return answer(stdout, stderr, false, nil)
-			} else if err != nil {
-				return fatal(stderr, err)
-			}
-		}
-		if w2 == nil {
-			if w2, err = wsd.ToWSD(d2); err != nil {
-				return fatal(stderr, fmt.Errorf("superset side: %w", err))
-			}
-		}
-		yes, err := wsdalg.ContainmentViews(q0, w, q1, w2)
+		yes, err := rep.Contains(o, q0, db, q1, rep.DB{WSD: src2.WSD, Tab: src2.DB})
 		return answer(stdout, stderr, yes, err)
 	case "poss-ans", "cert-ans":
 		q, err := loadQuery(*queryPath, true, cost)
@@ -286,12 +243,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			sp.End()
 		} else {
 			var ans *rel.Instance
-			if cmd == "poss-ans" {
-				ans, err = o.PossibleAnswers(q, d)
-			} else {
-				ans, err = o.CertainAnswers(q, d)
-			}
-			if err == nil {
+			if ans, err = db.Answers(o, q, cmd == "poss-ans"); err == nil {
 				err = parse.PrintInstance(&text, ans)
 			}
 		}
@@ -354,26 +306,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := parse.PrintWSD(dst, out); err != nil {
 			return fatal(stderr, err)
 		}
-	case "poss":
-		p, err := loadInstance(*factsPath, cost)
-		if err != nil {
-			return fatal(stderr, err)
-		}
-		if w != nil {
-			return answer(stdout, stderr, w.Possible(p), nil)
-		}
-		yes, err := o.Possible(p, query.Identity{}, d)
-		return answer(stdout, stderr, yes, err)
-	case "cert":
-		p, err := loadInstance(*factsPath, cost)
-		if err != nil {
-			return fatal(stderr, err)
-		}
-		if w != nil {
-			return answer(stdout, stderr, w.Certain(p), nil)
-		}
-		yes, err := o.Certain(p, query.Identity{}, d)
-		return answer(stdout, stderr, yes, err)
 	default:
 		return usage(stderr)
 	}

@@ -14,6 +14,7 @@ import (
 	"pw/internal/decide"
 	"pw/internal/query"
 	"pw/internal/rel"
+	"pw/internal/rep"
 	"pw/internal/wsd"
 	"pw/internal/wsdalg"
 )
@@ -165,17 +166,10 @@ func PlannedWSDBackend() Backend {
 	}
 }
 
-// answerSet reads one answer set of q as written off the evaluated parts.
-func answerSet(w *wsd.WSD, q query.Query, possible bool) (*rel.Instance, error) {
-	a, _, _, err := wsdalg.Eval(w, q, wsdalg.Options{Decision: wsdalg.Written(q)})
-	if err != nil {
-		return nil, err
-	}
-	return a.Instance(possible)
-}
-
 // wsdOps wires a decomposition (after pushing the case's query through
-// the lifted evaluator) into the full operation set.
+// the lifted evaluator) into the full operation set: the decision
+// problems and the count on the answer world set, the answer sets read
+// off the query's evaluation on w.
 func wsdOps(w *wsd.WSD, q query.Query) (*Ops, error) {
 	res := w
 	if !query.IsIdentity(q) {
@@ -184,16 +178,16 @@ func wsdOps(w *wsd.WSD, q query.Query) (*Ops, error) {
 			return nil, err
 		}
 	}
+	var o decide.Options
+	in, view := rep.DB{WSD: w}, rep.DB{WSD: res}
 	return &Ops{
-		Member:   func(i *rel.Instance) (bool, error) { return res.Member(i), nil },
-		Possible: func(i *rel.Instance) (bool, error) { return res.Possible(i), nil },
-		Certain:  func(i *rel.Instance) (bool, error) { return res.Certain(i), nil },
-		Unique: func(i *rel.Instance) (bool, error) {
-			return res.Count().Cmp(big.NewInt(1)) == 0 && res.Member(i), nil
-		},
-		Count:   func() (*big.Int, error) { return res.Count(), nil },
-		Expand:  func() ([]*rel.Instance, error) { return res.Expand(0), nil },
-		PossAns: func() (*rel.Instance, error) { return answerSet(w, q, true) },
-		CertAns: func() (*rel.Instance, error) { return answerSet(w, q, false) },
+		Member:   func(i *rel.Instance) (bool, error) { return view.Member(o, i) },
+		Possible: func(i *rel.Instance) (bool, error) { return view.Possible(o, i) },
+		Certain:  func(i *rel.Instance) (bool, error) { return view.Certain(o, i) },
+		Unique:   func(i *rel.Instance) (bool, error) { return view.Unique(o, i) },
+		Count:    func() (*big.Int, error) { return res.Count(), nil },
+		Expand:   func() ([]*rel.Instance, error) { return res.Expand(0), nil },
+		PossAns:  func() (*rel.Instance, error) { return in.Answers(o, q, true) },
+		CertAns:  func() (*rel.Instance, error) { return in.Answers(o, q, false) },
 	}, nil
 }

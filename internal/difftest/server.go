@@ -23,25 +23,37 @@ import (
 )
 
 // ServerBackend answers through an in-process query server (one per
-// case) loaded with the case's decomposition. Cases with a query wire
-// only the answer-set operations (the server's decision ops interrogate
-// the stored database, not a view of it); identity cases wire the full
-// set.
+// case) loaded with the case's decomposition or, when the case has
+// none, its table database. Cases with a query wire only the answer-set
+// operations (the server's decision ops interrogate the stored
+// database, not a view of it); identity cases wire the full set. On
+// tables the answer comparisons are domain-restricted as DecideBackend's
+// are: the server runs the same decision engine.
 func ServerBackend(name string, workers int) Backend {
 	return Backend{
 		Name: name,
 		Make: func(c *Case) (*Ops, error) {
-			if c.WSD == nil {
-				return nil, errors.New("case carries no decomposition")
-			}
 			if c.Update != nil {
 				return nil, errors.New("use ServerUpdateBackend for cases that carry an update")
 			}
 			s := server.New(server.Config{Workers: workers})
-			if err := s.AddWSD("case", c.WSD); err != nil {
+			var err error
+			switch {
+			case c.WSD != nil:
+				err = s.AddWSD("case", c.WSD)
+			case c.DB != nil:
+				err = s.AddTables("case", c.DB)
+			default:
+				return nil, errors.New("case carries no database")
+			}
+			if err != nil {
 				return nil, err
 			}
-			return serverOps(s.Handler(), c)
+			ops, err := serverOps(s.Handler(), c)
+			if err == nil && c.WSD == nil {
+				ops.AnswerDomain = answerDomain(c)
+			}
+			return ops, err
 		},
 	}
 }

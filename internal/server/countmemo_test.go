@@ -33,7 +33,7 @@ func installedCount(s *Server) string {
 	db := s.dbs["db"]
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.wsd.CountString()
+	return db.rep.WSD.CountString()
 }
 
 // TestWriteSeedsCountMemo checks that a write leaves the installed
@@ -81,7 +81,7 @@ func TestCountPreservingWriteReusesMemo(t *testing.T) {
 	}
 	db := s.dbs["db"]
 	db.mu.RLock()
-	want := db.wsd.Count().String()
+	want := db.rep.WSD.Count().String()
 	db.mu.RUnlock()
 	if resp.Count != want || want != "16" {
 		t.Errorf("count-changing write replied %q; want the new version's count %q (16)", resp.Count, want)

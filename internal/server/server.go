@@ -48,14 +48,12 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/big"
 	"math/rand"
 	"os"
 	"runtime"
 	"runtime/debug"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -63,13 +61,12 @@ import (
 
 	"pw/internal/algebra"
 	"pw/internal/decide"
-	"pw/internal/gen"
 	"pw/internal/obs"
 	"pw/internal/parse"
 	"pw/internal/query"
 	"pw/internal/rel"
+	"pw/internal/rep"
 	"pw/internal/table"
-	"pw/internal/worlds"
 	"pw/internal/wsd"
 	"pw/internal/wsdalg"
 )
@@ -133,8 +130,8 @@ type Server struct {
 	idSeq         atomic.Uint64
 }
 
-// database is one loaded .pw database. mu guards the {wsd, tab,
-// version} triple; exactly one of wsd/tab is non-nil. writeMu
+// database is one loaded .pw database. mu guards the {rep, version}
+// pair. writeMu
 // serializes the slow half of every mutation (file re-parse, update
 // application) so concurrent reloads and writes cannot interleave their
 // read-compute-install sequences; it is always acquired before mu and
@@ -149,8 +146,7 @@ type database struct {
 	mu      sync.RWMutex
 	version uint64
 	stamps  *relStamps
-	wsd     *wsd.WSD
-	tab     *table.Database
+	rep     rep.DB
 
 	// Per-database answer-cache traffic, surfaced by /stats and the
 	// per-db /metrics families (the aggregate counters hide which
@@ -209,8 +205,7 @@ type dbView struct {
 	name    string
 	version uint64
 	stamps  *relStamps
-	wsd     *wsd.WSD
-	tab     *table.Database
+	rep     rep.DB
 	db      *database // answer-key identity and per-db cache attribution; never nil from view()
 }
 
@@ -245,22 +240,6 @@ type DBStats struct {
 	AnswerEntries int    `json:"answer_entries"`
 }
 
-// backendKind classifies a database's resident representation: "table"
-// for conditioned tables, and for decompositions "attr" when any
-// relation has an attribute-level template, else "tuple" — read off
-// the per-relation template lists, O(relations).
-func backendKind(w *wsd.WSD, tab *table.Database) (backend, kind string) {
-	if w == nil {
-		return "table", "table"
-	}
-	for ri := range w.Schema() {
-		if w.HasTemplates(ri) {
-			return "wsd", "attr"
-		}
-	}
-	return "wsd", "tuple"
-}
-
 // DBStats snapshots the per-database counters, sorted by name.
 func (s *Server) DBStats() []DBStats {
 	s.mu.RLock()
@@ -282,9 +261,9 @@ func (s *Server) DBStats() []DBStats {
 	out := make([]DBStats, 0, len(dbs))
 	for _, db := range dbs {
 		db.mu.RLock()
-		version, w, tab := db.version, db.wsd, db.tab
+		version, r := db.version, db.rep
 		db.mu.RUnlock()
-		backend, kind := backendKind(w, tab)
+		backend, kind := r.Kind()
 		out = append(out, DBStats{
 			Name:          db.name,
 			Version:       version,
@@ -369,13 +348,13 @@ func (s *Server) AddWSD(name string, w *wsd.WSD) error {
 	if err := w.Normalize(); err != nil {
 		return fmt.Errorf("normalize %s: %w", name, err)
 	}
-	return s.register(&database{name: name, version: 1, wsd: w})
+	return s.register(&database{name: name, version: 1, rep: rep.DB{WSD: w}})
 }
 
 // AddTables registers an in-memory conditioned-table database under
 // name. The database must not be mutated by the caller afterwards.
 func (s *Server) AddTables(name string, d *table.Database) error {
-	return s.register(&database{name: name, version: 1, tab: d})
+	return s.register(&database{name: name, version: 1, rep: rep.DB{Tab: d}})
 }
 
 // Open loads a .pw database file (either backend) under name.
@@ -419,7 +398,7 @@ func (s *Server) Reload(name string) error {
 		testHookReloadAfterRead(name)
 	}
 	db.mu.Lock()
-	db.wsd, db.tab = fresh.wsd, fresh.tab
+	db.rep = fresh.rep
 	db.version++
 	live := db.version
 	db.stamps = &relStamps{base: live}
@@ -471,9 +450,9 @@ func loadInto(db *database, path string) error {
 		if err := src.WSD.Normalize(); err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
-		db.wsd = src.WSD
+		db.rep = rep.DB{WSD: src.WSD}
 	case src.DB != nil:
-		db.tab = src.DB
+		db.rep = rep.DB{Tab: src.DB}
 	default:
 		return fmt.Errorf("%s is a @query file, not a database", path)
 	}
@@ -509,7 +488,7 @@ func (s *Server) view(name string) (dbView, error) {
 		return dbView{}, err
 	}
 	db.mu.RLock()
-	v := dbView{name: db.name, version: db.version, stamps: db.stamps, wsd: db.wsd, tab: db.tab, db: db}
+	v := dbView{name: db.name, version: db.version, stamps: db.stamps, rep: db.rep, db: db}
 	db.mu.RUnlock()
 	return v, nil
 }
@@ -532,9 +511,9 @@ func (s *Server) Databases() []DBInfo {
 	for _, db := range s.dbs {
 		db.mu.RLock()
 		info := DBInfo{Name: db.name, Path: db.path, Version: db.version}
-		info.Backend, info.Kind = backendKind(db.wsd, db.tab)
-		if db.wsd != nil {
-			info.Count = db.wsd.Count().String()
+		info.Backend, info.Kind = db.rep.Kind()
+		if db.rep.Native() {
+			info.Count = db.rep.Count(decide.Options{})
 		}
 		db.mu.RUnlock()
 		out = append(out, info)
@@ -773,12 +752,8 @@ func (s *Server) dispatch(req *Request, rc *reqCtx) (*Response, error) {
 	start := time.Now()
 	var out *Response
 	switch req.Op {
-	case "memb":
-		out, err = s.opMemb(req, v, resp, rc)
-	case "uniq":
-		out, err = s.opUniq(req, v, resp, rc)
-	case "poss", "cert":
-		out, err = s.opPossCert(req, v, resp, rc)
+	case "memb", "uniq", "poss", "cert":
+		out, err = s.opDecide(req, v, resp, rc)
 	case "count":
 		out, err = s.opCount(v, resp, rc)
 	case "sample":
@@ -796,7 +771,7 @@ func (s *Server) dispatch(req *Request, rc *reqCtx) (*Response, error) {
 	// get a summary probe plan (input size, exact world count, wall
 	// time) so ?explain=1 is meaningful on every op. Evaluated paths
 	// already filled rc.plan with the real operator tree.
-	if err == nil && rc.explain && rc.plan == nil && v.wsd != nil {
+	if err == nil && rc.explain && rc.plan == nil && v.rep.Native() {
 		rc.plan = probePlan(req.Op, v, time.Since(start))
 	}
 	return out, err
@@ -807,8 +782,8 @@ func (s *Server) dispatch(req *Request, rc *reqCtx) (*Response, error) {
 func probePlan(op string, v dbView, dur time.Duration) *wsdalg.Plan {
 	return &wsdalg.Plan{
 		Query:      op,
-		Components: int64(v.wsd.LiveComponents()),
-		WorldCount: v.wsd.CountString(),
+		Components: int64(v.rep.WSD.LiveComponents()),
+		WorldCount: v.rep.WSD.CountString(),
 		DurUS:      dur.Microseconds(),
 	}
 }
@@ -861,68 +836,42 @@ func printInstance(inst *rel.Instance) (string, error) {
 
 func yes(resp *Response, v bool) *Response { resp.Answer = &v; return resp }
 
-func (s *Server) opMemb(req *Request, v dbView, resp *Response, rc *reqCtx) (*Response, error) {
-	inst, err := parseInstanceText("inst", req.Inst, rc)
-	if err != nil {
-		return nil, err
+// admit acquires an admission slot for work on v's database, or none
+// on a decomposition, whose decision probes and samples need no search.
+// span names the span that work runs under.
+func (s *Server) admit(v dbView, rc *reqCtx) (release func(), span string) {
+	if v.rep.Native() {
+		return func() {}, "probe"
 	}
-	if v.wsd != nil {
-		sp := rc.span("probe")
-		defer sp.End()
-		return yes(resp, v.wsd.Member(inst)), nil
-	}
-	defer s.acquire(rc)()
-	sp := rc.span("decide")
-	defer sp.End()
-	ok, err := s.opts(rc).Membership(inst, query.Identity{}, v.tab)
-	if err != nil {
-		return nil, err
-	}
-	return yes(resp, ok), nil
+	return s.acquire(rc), "decide"
 }
 
-func (s *Server) opUniq(req *Request, v dbView, resp *Response, rc *reqCtx) (*Response, error) {
-	inst, err := parseInstanceText("inst", req.Inst, rc)
+// opDecide answers MEMB (memb), UNIQ (uniq), POSS (poss) and CERT (cert)
+// on the stored database: memb and uniq read the inst field, poss and
+// cert the facts field.
+func (s *Server) opDecide(req *Request, v dbView, resp *Response, rc *reqCtx) (*Response, error) {
+	field, text := "inst", req.Inst
+	if req.Op == "poss" || req.Op == "cert" {
+		field, text = "facts", req.Facts
+	}
+	inst, err := parseInstanceText(field, text, rc)
 	if err != nil {
 		return nil, err
 	}
-	if v.wsd != nil {
-		sp := rc.span("probe")
-		defer sp.End()
-		one := v.wsd.Count().Cmp(big.NewInt(1)) == 0
-		return yes(resp, one && v.wsd.Member(inst)), nil
-	}
-	defer s.acquire(rc)()
-	sp := rc.span("decide")
-	defer sp.End()
-	ok, err := s.opts(rc).Uniqueness(query.Identity{}, v.tab, inst)
-	if err != nil {
-		return nil, err
-	}
-	return yes(resp, ok), nil
-}
-
-func (s *Server) opPossCert(req *Request, v dbView, resp *Response, rc *reqCtx) (*Response, error) {
-	facts, err := parseInstanceText("facts", req.Facts, rc)
-	if err != nil {
-		return nil, err
-	}
-	if v.wsd != nil {
-		sp := rc.span("probe")
-		defer sp.End()
-		if req.Op == "poss" {
-			return yes(resp, v.wsd.Possible(facts)), nil
-		}
-		return yes(resp, v.wsd.Certain(facts)), nil
-	}
-	defer s.acquire(rc)()
-	sp := rc.span("decide")
+	release, span := s.admit(v, rc)
+	defer release()
+	sp := rc.span(span)
 	defer sp.End()
 	var ok bool
-	if req.Op == "poss" {
-		ok, err = s.opts(rc).Possible(facts, query.Identity{}, v.tab)
-	} else {
-		ok, err = s.opts(rc).Certain(facts, query.Identity{}, v.tab)
+	switch o := s.opts(rc); req.Op {
+	case "memb":
+		ok, err = v.rep.Member(o, inst)
+	case "uniq":
+		ok, err = v.rep.Unique(o, inst)
+	case "poss":
+		ok, err = v.rep.Possible(o, inst)
+	default:
+		ok, err = v.rep.Certain(o, inst)
 	}
 	if err != nil {
 		return nil, err
@@ -930,11 +879,14 @@ func (s *Server) opPossCert(req *Request, v dbView, resp *Response, rc *reqCtx) 
 	return yes(resp, ok), nil
 }
 
+// opCount answers a decomposition's count straight off its per-version
+// memo; a table database's count enumerates, so it is cached and
+// admitted like any heavy evaluation.
 func (s *Server) opCount(v dbView, resp *Response, rc *reqCtx) (*Response, error) {
-	if v.wsd != nil {
+	if v.rep.Native() {
 		sp := rc.span("probe")
 		defer sp.End()
-		resp.Count = v.wsd.CountString()
+		resp.Count = v.rep.Count(s.opts(rc))
 		return resp, nil
 	}
 	key := ansKey{kind: "count", db: v.db, version: v.version}
@@ -942,12 +894,12 @@ func (s *Server) opCount(v dbView, resp *Response, rc *reqCtx) (*Response, error
 		defer s.acquire(rc)()
 		sp := rc.span("count")
 		defer sp.End()
-		return worlds.Options{Workers: s.workers}.Count(v.tab), nil
+		return v.rep.Count(s.opts(rc)), nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	resp.Count = strconv.Itoa(n.(int))
+	resp.Count = n.(string)
 	resp.Cached, resp.Coalesced = cached, coalesced
 	return resp, nil
 }
@@ -973,19 +925,11 @@ func (s *Server) opSample(req *Request, v dbView, resp *Response, rc *reqCtx) (*
 	}
 	rng := rand.New(rand.NewSource(seed))
 	for k := 0; k < n; k++ {
-		var inst *rel.Instance
-		if v.wsd != nil {
-			if inst = v.wsd.Sample(rng); inst == nil {
-				return nil, badRequest("cannot sample from the empty world set")
-			}
-		} else {
-			release := s.acquire(rc)
-			var ok bool
-			inst, ok = gen.MemberInstance(seed+int64(k), v.tab)
-			release()
-			if !ok {
-				return nil, badRequest("no member world found within the sampling budget; try a different seed")
-			}
+		release, _ := s.admit(v, rc)
+		inst, err := v.rep.Sample(rng, seed, k)
+		release()
+		if err != nil {
+			return nil, &Error{Status: 400, Err: err}
 		}
 		text, err := printInstance(inst)
 		if err != nil {
@@ -1024,7 +968,7 @@ func (s *Server) opWrite(req *Request, rc *reqCtx) (*Response, error) {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
 	db.mu.RLock()
-	base := db.wsd
+	base := db.rep.WSD
 	db.mu.RUnlock()
 	if base == nil {
 		return nil, &Error{Status: 422, Err: fmt.Errorf(
@@ -1043,7 +987,7 @@ func (s *Server) opWrite(req *Request, rc *reqCtx) (*Response, error) {
 	count := next.CountString()
 	rels, all := u.Footprint()
 	db.mu.Lock()
-	db.wsd = next
+	db.rep = rep.DB{WSD: next}
 	db.version++
 	live := db.version
 	db.stamps = db.stamps.after(live, rels, all)
@@ -1304,7 +1248,7 @@ func (s *Server) opAnswers(req *Request, v dbView, resp *Response, rc *reqCtx) (
 	}
 	q := p.q
 	rc.fp = p.fp
-	if v.wsd != nil {
+	if v.rep.Native() {
 		// One cache line per (db, effective version, fingerprint) holds
 		// the readout of one evaluation; poss-ans and cert-ans on the
 		// same query share it. Versions that wrote only relations the
@@ -1326,7 +1270,7 @@ func (s *Server) opAnswers(req *Request, v dbView, resp *Response, rc *reqCtx) (
 				rc.cost.Add(obs.PlanReused, 1)
 				s.metrics.planReused.Inc()
 			}
-			ans, plan, dec, err := wsdalg.Eval(v.wsd, q, wsdalg.Options{Decision: prior, Cost: rc.cost})
+			ans, plan, dec, err := wsdalg.Eval(v.rep.WSD, q, wsdalg.Options{Decision: prior, Cost: rc.cost})
 			if err != nil {
 				sp.SetError(errorClass(err))
 				rc.plan = plan // partial, error-marked: the request record still sees it
@@ -1356,13 +1300,7 @@ func (s *Server) opAnswers(req *Request, v dbView, resp *Response, rc *reqCtx) (
 		defer s.acquire(rc)()
 		sp := rc.span("decide")
 		defer sp.End()
-		var a *rel.Instance
-		var err error
-		if req.Op == "poss-ans" {
-			a, err = s.opts(rc).PossibleAnswers(q, v.tab)
-		} else {
-			a, err = s.opts(rc).CertainAnswers(q, v.tab)
-		}
+		a, err := v.rep.Answers(s.opts(rc), q, req.Op == "poss-ans")
 		if err != nil {
 			return nil, err
 		}
@@ -1402,38 +1340,11 @@ func (s *Server) opCont(req *Request, v dbView, resp *Response, rc *reqCtx) (*Re
 		defer s.acquire(rc)()
 		sp := rc.span("decide")
 		defer sp.End()
-		return contDecide(p0.q, v, p1.q, v2, s.opts(rc))
+		return rep.Contains(s.opts(rc), p0.q, v.rep, p1.q, v2.rep)
 	})
 	if err != nil {
 		return nil, err
 	}
 	resp.Cached, resp.Coalesced = cached, coalesced
 	return yes(resp, val.(bool)), nil
-}
-
-// contDecide mirrors pwq's cont dispatch: both sides tables → the
-// decision engine (every query class); otherwise the native wsdalg
-// containment, compiling a table side to its exact decomposition first.
-func contDecide(q0 query.Query, v dbView, q1 query.Query, v2 dbView, o decide.Options) (bool, error) {
-	if v.wsd == nil && v2.wsd == nil {
-		return o.Containment(q0, v.tab, q1, v2.tab)
-	}
-	w, w2 := v.wsd, v2.wsd
-	if w == nil {
-		var err error
-		if w, err = wsd.ToWSD(v.tab); errors.Is(err, wsd.ErrInfiniteRep) && query.IsIdentity(q0) {
-			// Infinitely many subset worlds cannot fit in a finite
-			// decomposition's world set.
-			return false, nil
-		} else if err != nil {
-			return false, err
-		}
-	}
-	if w2 == nil {
-		var err error
-		if w2, err = wsd.ToWSD(v2.tab); err != nil {
-			return false, fmt.Errorf("superset side: %w", err)
-		}
-	}
-	return wsdalg.ContainmentViews(q0, w, q1, w2)
 }

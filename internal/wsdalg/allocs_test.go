@@ -45,7 +45,9 @@ func rowsWSD(t *testing.T, comps, rows int) *wsd.WSD {
 }
 
 // allocsQueries are a σ that keeps part of some alternatives, a π that
-// keeps every row, and a ⋈ with a constant relation, each read through
+// keeps every row, a ⋈ with a constant relation, and a difference with
+// a constant relation over the same columns (whose right side has no
+// origins, so each left part keeps its own space), each read through
 // the observed Eval a server runs.
 func allocsQueries() map[string]query.Query {
 	r := algebra.Scan("R", "k", "g", "v")
@@ -54,6 +56,8 @@ func allocsQueries() map[string]query.Query {
 		"project": outA(algebra.Project{E: r, Cols: []string{"k"}}),
 		"join": outA(algebra.Join{L: r, R: algebra.ConstRel{Cols: []string{"v", "w"},
 			Rows: [][]string{{"lo", "x1"}, {"top", "x2"}}}}),
+		"diff": outA(algebra.Diff{L: r, R: algebra.ConstRel{Cols: []string{"k", "g", "v"},
+			Rows: [][]string{{"c0.0", "g0", "lo"}, {"c1.1", "g1", "top"}}}}),
 	}
 }
 

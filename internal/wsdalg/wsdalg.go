@@ -765,11 +765,13 @@ type evaluator struct {
 	// nothing to pool): a part's rows are laid out here — headers in
 	// rows, each alternative's end in ends, projected or joined IDs row
 	// after row in ids — and copied out exactly once deduplicated
-	// (cutPart). ints holds origins being merged or counted; head and
+	// (cutPart). sub gathers a difference's subtrahend per joint choice
+	// (diffRels). ints holds origins being merged or counted; head and
 	// next are the join's hash index over one side's rows, cleared, not
 	// remade, per joint choice (joinRows).
 	rows []sym.Tuple
 	ends []int
+	sub  []sym.Tuple
 	ids  []sym.ID
 	ints []int
 	head map[uint64]int32
@@ -1471,37 +1473,30 @@ func (ev *evaluator) diffRels(l, r *dRel) (dRel, error) {
 		if err != nil {
 			return dRel{}, err
 		}
-		alts := make([][]sym.Tuple, 0, space)
-		any := false
+		// Per joint choice the subtrahend is gathered in ev.sub and the
+		// surviving left rows are laid out in the tabulation scratch; the
+		// part is copied out once (cutPart).
+		rows, ends, sub := ev.rows[:0], slices.Grow(ev.ends[:0], space), ev.sub
 		ev.odometer(origins, func(choice []int) bool {
-			var sub []sym.Tuple
+			sub = sub[:0]
 			for ri := range r.parts {
 				sub = append(sub, r.parts[ri].at(choice, ev)...)
 			}
-			rows := subtractRows(lp.at(choice, ev), sortDedupTuples(sub))
-			if len(rows) > 0 {
-				any = true
+			sub = sortDedupTuples(sub)
+			for _, t := range lp.at(choice, ev) {
+				if !containsTuple(sub, t) {
+					rows = append(rows, t)
+				}
 			}
-			alts = append(alts, rows)
+			ends = append(ends, len(rows))
 			return true
 		})
-		if any {
+		ev.rows, ev.ends, ev.sub = rows, ends, sub
+		if alts, ok := ev.cutPart(false); ok {
 			out.parts = append(out.parts, part{origins: origins, alts: alts})
 		}
 	}
 	return out, nil
-}
-
-// subtractRows returns ls minus the sorted set rs as a fresh sorted
-// duplicate-free slice (ls is shared with its part and never mutated).
-func subtractRows(ls, rs []sym.Tuple) []sym.Tuple {
-	var out []sym.Tuple
-	for _, t := range ls {
-		if !containsTuple(rs, t) {
-			out = append(out, t)
-		}
-	}
-	return sortDedupTuples(out)
 }
 
 // containsTuple reports membership in a sorted duplicate-free row set.

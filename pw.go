@@ -23,6 +23,7 @@ import (
 	"pw/internal/decide"
 	"pw/internal/query"
 	"pw/internal/rel"
+	"pw/internal/rep"
 	"pw/internal/table"
 	"pw/internal/valuation"
 	"pw/internal/value"
@@ -419,21 +420,13 @@ func ApplyWSD(q Query, w *WSD) (*WSD, error) {
 // decomposition — the union of the answer world-set, read off the
 // evaluated parts without assembling it.
 func PossibleAnswersWSD(q Query, w *WSD) (*Instance, error) {
-	return answerSetWSD(q, w, true)
+	return rep.DB{WSD: w}.Answers(decide.Options{}, q, true)
 }
 
 // CertainAnswersWSD computes every certain answer fact of q over the
 // decomposition — the intersection of the answer world-set.
 func CertainAnswersWSD(q Query, w *WSD) (*Instance, error) {
-	return answerSetWSD(q, w, false)
-}
-
-func answerSetWSD(q Query, w *WSD, possible bool) (*Instance, error) {
-	a, _, _, err := wsdalg.Eval(w, q, wsdalg.Options{Decision: wsdalg.Written(q)})
-	if err != nil {
-		return nil, err
-	}
-	return a.Instance(possible)
+	return rep.DB{WSD: w}.Answers(decide.Options{}, q, false)
 }
 
 // ContainedWSD decides CONT(−,−) natively on decompositions:
