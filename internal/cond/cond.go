@@ -10,9 +10,12 @@
 // Satisfiability is over the infinite constant domain 𝒟: a conjunction is
 // satisfiable iff merging its equality classes never identifies two
 // distinct constants and no inequality atom connects two members of one
-// class. This is decided in near-linear time with a dense union–find over
-// interned symbol IDs (Proposition 2.1's "checked in PTIME" for global
-// conditions) — no string keys are built anywhere on this path.
+// class (Proposition 2.1's "checked in PTIME" for global conditions).
+// Every such check runs on a Solver: a union–find over interned symbol
+// IDs with an undo trail, so the backtracking searches of internal/decide
+// and internal/eqlogic push a row's atoms at each search node and pop
+// them on backtrack instead of rebuilding the closure. Each search owns
+// its solver; the one-shot methods below take one from a shared pool.
 package cond
 
 import (
@@ -20,7 +23,6 @@ import (
 	"strings"
 
 	"pw/internal/sym"
-	"pw/internal/unionfind"
 	"pw/internal/value"
 )
 
@@ -267,109 +269,16 @@ func (c Conjunction) Normalize() Conjunction {
 	return out
 }
 
-// closureState is the equality closure of a conjunction: a dense
-// union–find over the values occurring in the atoms, with the constant (if
-// any) of each class tracked at the root. All bookkeeping is in terms of
-// interned IDs; no strings are built.
-type closureState struct {
-	nodes   []value.Value
-	idx     map[value.Value]int32
-	uf      *unionfind.Dense
-	constOf []sym.ID // valid at class roots; sym.None = no constant
-}
-
-func (s *closureState) node(v value.Value) int32 {
-	if i, ok := s.idx[v]; ok {
-		return i
-	}
-	i := int32(len(s.nodes))
-	s.idx[v] = i
-	s.nodes = append(s.nodes, v)
-	s.uf.Grow(len(s.nodes))
-	if v.IsConst() {
-		s.constOf = append(s.constOf, v.ID())
-	} else {
-		s.constOf = append(s.constOf, sym.None)
-	}
-	return i
-}
-
-// buildClosure merges equality classes and checks consistency over the
-// atoms of c followed by extra. It returns nil when the combined
-// conjunction is unsatisfiable. Constant-constant merges of distinct
-// constants and violated inequalities make it false.
-func buildClosure(c Conjunction, extra []Atom) *closureState {
-	n := len(c) + len(extra)
-	s := &closureState{
-		idx: make(map[value.Value]int32, 2*n),
-		uf:  unionfind.NewDense(0),
-	}
-	each := func(fn func(Atom) bool) bool {
-		for _, a := range c {
-			if !fn(a) {
-				return false
-			}
-		}
-		for _, a := range extra {
-			if !fn(a) {
-				return false
-			}
-		}
-		return true
-	}
-	// Merge equality classes, propagating class constants to roots.
-	ok := each(func(a Atom) bool {
-		l, r := s.node(a.L), s.node(a.R)
-		if a.Op != Eq {
-			return true
-		}
-		rl, rr := s.uf.Find(l), s.uf.Find(r)
-		if rl == rr {
-			return true
-		}
-		cl, cr := s.constOf[rl], s.constOf[rr]
-		if cl != sym.None && cr != sym.None && cl != cr {
-			return false // two distinct constants forced equal
-		}
-		root := s.uf.Union(rl, rr)
-		if cl != sym.None {
-			s.constOf[root] = cl
-		} else if cr != sym.None {
-			s.constOf[root] = cr
-		}
-		return true
-	})
-	if !ok {
-		return nil
-	}
-	// Check inequalities: same class, or classes pinned to one constant.
-	ok = each(func(a Atom) bool {
-		if a.Op != Neq {
-			return true
-		}
-		rl, rr := s.uf.Find(s.idx[a.L]), s.uf.Find(s.idx[a.R])
-		if rl == rr {
-			return false
-		}
-		cl, cr := s.constOf[rl], s.constOf[rr]
-		return cl == sym.None || cl != cr
-	})
-	if !ok {
-		return nil
-	}
-	return s
-}
-
 // Satisfiable reports whether some valuation over the infinite constant
 // domain satisfies c. It runs in near-linear time.
-func (c Conjunction) Satisfiable() bool {
-	return buildClosure(c, nil) != nil
-}
+func (c Conjunction) Satisfiable() bool { return c.SatisfiableWith() }
 
 // SatisfiableWith reports whether c ∧ extra is satisfiable without
 // materializing the combined conjunction.
 func (c Conjunction) SatisfiableWith(extra ...Atom) bool {
-	return buildClosure(c, extra) != nil
+	s := GetSolver()
+	defer s.Release()
+	return s.Push(c...) && s.Push(extra...)
 }
 
 // ImpliedBindings returns the substitution forced by the equalities of c:
@@ -382,48 +291,12 @@ func (c Conjunction) SatisfiableWith(extra ...Atom) bool {
 // global condition that a variable equals a constant, then the variable is
 // replaced by that constant in the table".
 func (c Conjunction) ImpliedBindings() (value.Subst, bool) {
-	s := buildClosure(c, nil)
-	if s == nil {
+	s := GetSolver()
+	defer s.Release()
+	if !s.Push(c...) {
 		return nil, false
 	}
-	// Group class members by root.
-	classes := make(map[int32][]value.Value, len(s.nodes))
-	for i, v := range s.nodes {
-		r := s.uf.Find(int32(i))
-		classes[r] = append(classes[r], v)
-	}
-	out := make(value.Subst)
-	for root, members := range classes {
-		varMembers := members[:0:0]
-		for _, m := range members {
-			if m.IsVar() {
-				varMembers = append(varMembers, m)
-			}
-		}
-		if len(varMembers) == 0 {
-			continue
-		}
-		var rep value.Value
-		if cid := s.constOf[root]; cid != sym.None {
-			rep = value.Of(cid)
-		} else {
-			// Lexicographically least variable name, for deterministic
-			// normalized output.
-			rep = varMembers[0]
-			for _, m := range varMembers[1:] {
-				if m.Name() < rep.Name() {
-					rep = m
-				}
-			}
-		}
-		for _, m := range varMembers {
-			if m == rep {
-				continue
-			}
-			out[m] = rep
-		}
-	}
-	return out, true
+	return s.ImpliedBindings(), true
 }
 
 // Residual returns the inequality atoms of c rewritten through the implied

@@ -77,7 +77,7 @@ func (o Options) CertainAnswers(q query.Query, d *table.Database) (*rel.Instance
 	}
 	keep := make([]bool, len(cands))
 	eachIndex(o.workers(), len(cands), func(k int) {
-		keep[k] = certainFactIn(nd, cands[k].t, cands[k].u)
+		keep[k] = !factOmittable(nd, cands[k].t, cands[k].u)
 	})
 	for k, c := range cands {
 		if keep[k] {

@@ -5,7 +5,6 @@ import (
 	"pw/internal/rel"
 	"pw/internal/sym"
 	"pw/internal/table"
-	"pw/internal/valuation"
 )
 
 // Certain decides CERT(∗, q): are all facts of p true in every world of
@@ -108,7 +107,7 @@ func (o Options) certainIdentity(p *rel.Instance, d *table.Database) (bool, erro
 	}
 	refs := factRefs(nd, p)
 	uncertain := anyIndex(o.workers(), len(refs), func(k int) bool {
-		return !certainFactIn(nd, refs[k].t, refs[k].u)
+		return factOmittable(nd, refs[k].t, refs[k].u)
 	})
 	return !uncertain, nil
 }
@@ -116,24 +115,8 @@ func (o Options) certainIdentity(p *rel.Instance, d *table.Database) (bool, erro
 // certainGeneric is the Proposition 2.1(5) search for arbitrary queries:
 // the universal runs as a sharded search for the first violating world.
 func (o Options) certainGeneric(p *rel.Instance, q query.Query, d *table.Database) (bool, error) {
-	base, prefix := genericDomain(d, q, p)
-	var evalErr errOnce
-	violated := o.enumerate(d.Universe(), base, prefix, func(v valuation.V) bool {
-		w := applyValuation(v, d)
-		if w == nil {
-			return false
-		}
-		out, err := q.Eval(w)
-		if err != nil {
-			evalErr.set(err)
-			return true
-		}
-		return !p.SubsetOf(out)
-	})
-	if err := evalErr.get(); err != nil {
-		return false, err
-	}
-	return !violated, nil
+	violated, err := o.anyImage(d, q, p, func(out *rel.Instance) bool { return !p.SubsetOf(out) })
+	return !violated && err == nil, err
 }
 
 // CertainFact decides CERT(1, q) for a single fact (the primitive that

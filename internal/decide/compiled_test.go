@@ -54,9 +54,9 @@ func patternTable(rng *rand.Rand, arity, rows int, consts []string) *table.Table
 	return t
 }
 
-// TestMatcherMatchesSweep: on random tables of arity 1 to 10 (past the
-// 8-variable fast path of rowMatchesFact), the index-fed matcher lists
-// exactly the rows of the full sweep, list for list.
+// TestMatcherMatchesSweep: on random tables of arity 1 to 10 (so rows
+// repeat a variable far apart), the index-fed matcher lists exactly the
+// rows of the full sweep, list for list.
 func TestMatcherMatchesSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	consts := []string{"a", "b", "c"}

@@ -66,7 +66,7 @@ func (o Options) containmentIdentity(d0, d *table.Database) (bool, error) {
 	var memErr errOnce
 	inner := o.inner()
 	counterexample := o.enumerate(nd0.Universe(), base, prefix, func(v valuation.V) bool {
-		w := applyValuation(v, nd0)
+		w := v.Database(nd0)
 		if w == nil {
 			return false
 		}
@@ -130,7 +130,7 @@ func (o Options) containmentGeneric(q0 query.Query, d0 *table.Database, q query.
 	var innerErr errOnce
 	inner := o.inner()
 	counterexample := o.enumerate(d0.Universe(), base, prefix, func(v valuation.V) bool {
-		w := applyValuation(v, d0)
+		w := v.Database(d0)
 		if w == nil {
 			return false
 		}

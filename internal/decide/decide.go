@@ -102,62 +102,37 @@ func genericDomain(d *table.Database, q query.Query, extra ...*rel.Instance) (ba
 	return consts, table.FreshPrefixIDs(consts)
 }
 
-// unifyTuple matches row values against a ground fact under the current
-// bindings, returning the variables newly bound (for undo) and whether the
-// unification succeeds. Constants must match exactly; variables must agree
-// with their binding or become bound. Everything is an ID comparison.
-func unifyTuple(vals value.Tuple, f sym.Tuple, bind map[sym.ID]sym.ID) ([]sym.ID, bool) {
-	var bound []sym.ID
-	for i, v := range vals {
-		id := v.ID()
-		if !id.IsVar() {
-			if id != f[i] {
-				undo(bind, bound)
-				return nil, false
-			}
-			continue
+// anyImage reports whether pred holds of q(σ(d)) for some valuation σ
+// over genericDomain(d, q, inst): the Proposition 2.1 search of the
+// generic cells, sharded across the pool. The first hit, or the first
+// evaluation error, cancels the remaining shards.
+func (o Options) anyImage(d *table.Database, q query.Query, inst *rel.Instance, pred func(*rel.Instance) bool) (bool, error) {
+	base, prefix := genericDomain(d, q, inst)
+	var evalErr errOnce
+	found := o.enumerate(d.Universe(), base, prefix, func(v valuation.V) bool {
+		w := v.Database(d)
+		if w == nil {
+			return false
 		}
-		if c, ok := bind[id]; ok {
-			if c != f[i] {
-				undo(bind, bound)
-				return nil, false
-			}
-			continue
+		out, err := q.Eval(w)
+		if err != nil {
+			evalErr.set(err)
+			return true
 		}
-		bind[id] = f[i]
-		bound = append(bound, id)
+		return pred(out)
+	})
+	if err := evalErr.get(); err != nil {
+		return false, err
 	}
-	return bound, true
+	return found, nil
 }
 
-func undo(bind map[sym.ID]sym.ID, bound []sym.ID) {
-	for _, b := range bound {
-		delete(bind, b)
-	}
-}
-
-// substBindings turns a binding map into a substitution for conditions.
-func substBindings(bind map[sym.ID]sym.ID) value.Subst {
-	s := make(value.Subst, len(bind))
-	for k, v := range bind {
-		s[value.Of(k)] = value.Of(v)
-	}
-	return s
-}
-
-// bindAtoms returns the equality atoms equating row values with the
-// components of a ground fact (used where unification is deferred to the
-// equality-logic solver instead of an eager binding map).
-func bindAtoms(vals value.Tuple, f sym.Tuple) cond.Conjunction {
-	out := make(cond.Conjunction, 0, len(vals))
+// bindAtoms appends to dst the equality atoms equating row values with
+// the components of a ground fact: a row's unification with the fact,
+// pushed onto a search's solver or forbidden in an equality-logic system.
+func bindAtoms(dst cond.Conjunction, vals value.Tuple, f sym.Tuple) cond.Conjunction {
 	for i, v := range vals {
-		out = append(out, cond.EqAtom(v, value.Of(f[i])))
+		dst = append(dst, cond.EqAtom(v, value.Of(f[i])))
 	}
-	return out
-}
-
-// applyValuation produces the world σ(d), or nil when σ violates the
-// global condition.
-func applyValuation(v valuation.V, d *table.Database) *rel.Instance {
-	return v.Database(d)
+	return dst
 }

@@ -2,7 +2,7 @@ package decide
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"pw/internal/cond"
 	"pw/internal/eqlogic"
@@ -79,18 +79,29 @@ func membCodd(i0 *rel.Instance, c *table.Compiled, cost *obs.Cost) bool {
 // buildMatchGraph fills the fact→row candidate graph (and, when deg is
 // non-nil, the per-row candidate counts). Each fact's rows come from the
 // table's pattern index, in row order, so the adjacency lists are those
-// of the full n·m rowMatchesFact sweep at a fraction of the tests.
-func buildMatchGraph(g *matching.Graph, deg []int, facts []sym.Tuple, t *table.Table, c *table.Compiled, cost *obs.Cost) {
+// of the full n·m rowMatchesFact sweep at a fraction of the tests. All
+// lists share one array, cut into capacity-capped windows once every
+// fact is placed. It returns the number of edges.
+func buildMatchGraph(g *matching.Graph, deg []int, facts []sym.Tuple, t *table.Table, c *table.Compiled, cost *obs.Cost) int {
 	m := newMatcher(t, c)
+	var edges []int
+	end := make([]int, len(facts))
 	for ai, u := range facts {
 		for _, bj := range m.rows(u) {
-			g.AddEdge(ai, int(bj))
+			edges = append(edges, int(bj))
 			if deg != nil {
 				deg[bj]++
 			}
 		}
+		end[ai] = len(edges)
+	}
+	start := 0
+	for ai, e := range end {
+		g.Adj[ai] = edges[start:e:e]
+		start = e
 	}
 	m.done(cost)
+	return len(edges)
 }
 
 // matcher lists the rows of one table that match a fact: the candidates
@@ -126,12 +137,11 @@ func (m *matcher) done(cost *obs.Cost) { cost.Add(obs.DecideMatchTests, m.tests)
 
 // rowMatchesFact reports whether some valuation maps the row onto the
 // fact in isolation: constants agree positionally and repeated variables
-// within the row agree. Allocation-free for the common small arities —
-// this is the inner loop of the matching-based MEMB/POSS algorithms,
-// called once per (row, fact) pair; every comparison is an ID compare.
+// within the row agree. Allocation-free — this is the inner loop of the
+// matching-based MEMB/POSS algorithms, called once per (row, fact) pair;
+// every comparison is an ID compare, and a variable is checked against
+// its earlier occurrences, a few at the arities tables have.
 func rowMatchesFact(row table.Row, f sym.Tuple) bool {
-	var names, vals [8]sym.ID
-	n := 0
 	for i, v := range row.Values {
 		id := v.ID()
 		if !id.IsVar() {
@@ -140,28 +150,10 @@ func rowMatchesFact(row table.Row, f sym.Tuple) bool {
 			}
 			continue
 		}
-		seen := false
-		for j := 0; j < n; j++ {
-			if names[j] == id {
-				if vals[j] != f[i] {
-					return false
-				}
-				seen = true
-				break
+		for j, w := range row.Values[:i] {
+			if w.ID() == id && f[j] != f[i] {
+				return false
 			}
-		}
-		if !seen {
-			if n == len(names) {
-				// Arity beyond the fast path: fall back to a map.
-				bind := make(map[sym.ID]sym.ID, len(row.Values))
-				for j := 0; j < n; j++ {
-					bind[names[j]] = vals[j]
-				}
-				_, ok := unifyTuple(row.Values[i:], f[i:], bind)
-				return ok
-			}
-			names[n], vals[n] = id, f[i]
-			n++
 		}
 	}
 	return true
@@ -177,6 +169,7 @@ func membSearch(i0 *rel.Instance, c *table.Compiled, cost *obs.Cost) bool {
 	if s == nil {
 		return false
 	}
+	defer s.eq.Release()
 	return s.search(0)
 }
 
@@ -185,26 +178,27 @@ type membRow struct {
 	relIdx     int
 	candidates []int // facts (indices into facts[relIdx]) the row can unify with
 	canDrop    bool
+	neg        eqlogic.Clause // ¬(local condition), made when the row is first dropped
 }
 
 type membState struct {
-	global    cond.Conjunction
 	rows      []membRow
 	facts     [][]sym.Tuple
 	coverCnt  [][]int // per relation, per fact: mapped rows covering it
 	remaining [][]int // per relation, per fact: unprocessed rows that could cover it
 	uncovered int
-	bind      map[sym.ID]sym.ID
-	mustTrue  []cond.Conjunction
-	mustFalse []cond.Conjunction
+	// eq holds the global condition and, per mapped row, its local
+	// condition and its values' equalities with the fact it maps onto:
+	// one Push per mapped row, popped on backtrack.
+	eq      *cond.Solver
+	atoms   cond.Conjunction // scratch for one row's push
+	dropped []eqlogic.Clause // negated local conditions of the dropped rows
+	nodes   int              // search calls
 }
 
 func newMembState(i0 *rel.Instance, c *table.Compiled, cost *obs.Cost) *membState {
 	d := c.Norm
-	s := &membState{
-		global: d.GlobalConjunction(),
-		bind:   map[sym.ID]sym.ID{},
-	}
+	s := &membState{rows: make([]membRow, 0, d.Size())}
 	for ri, t := range d.Tables() {
 		fs := i0.Relation(t.Name).Tuples()
 		s.facts = append(s.facts, fs)
@@ -215,16 +209,23 @@ func newMembState(i0 *rel.Instance, c *table.Compiled, cost *obs.Cost) *membStat
 		for _, row := range t.Rows {
 			s.rows = append(s.rows, membRow{row: row, relIdx: ri, canDrop: len(row.Cond) > 0})
 		}
-		// Facts in order, so each row's candidates come out in fact order.
-		m := newMatcher(t, c)
-		for fi, f := range fs {
-			for _, r := range m.rows(f) {
-				mr := &s.rows[base+int(r)]
+		// A row's candidates are its edges of the fact→row graph, in
+		// fact order, every row's cut from one array.
+		g := matching.NewGraph(len(fs), len(t.Rows))
+		deg := make([]int, len(t.Rows))
+		flat := make([]int, buildMatchGraph(g, deg, fs, t, c, cost))
+		off := 0
+		for j, n := range deg {
+			s.rows[base+j].candidates = flat[off : off : off+n]
+			off += n
+		}
+		for fi, rows := range g.Adj {
+			s.remaining[ri][fi] = len(rows)
+			for _, r := range rows {
+				mr := &s.rows[base+r]
 				mr.candidates = append(mr.candidates, fi)
-				s.remaining[ri][fi]++
 			}
 		}
-		m.done(cost)
 		for _, mr := range s.rows[base:] {
 			if len(mr.candidates) == 0 && !mr.canDrop {
 				return nil // unconditioned row that fits no fact: immediate no
@@ -234,9 +235,14 @@ func newMembState(i0 *rel.Instance, c *table.Compiled, cost *obs.Cost) *membStat
 	// Most-constrained-first: rows with the fewest options fail fast and
 	// bind variables early, which is what makes the search practical on
 	// the lifted-view workloads.
-	sort.SliceStable(s.rows, func(i, j int) bool {
-		return s.rows[i].options() < s.rows[j].options()
-	})
+	slices.SortStableFunc(s.rows, func(a, b membRow) int { return a.options() - b.options() })
+	s.dropped = make([]eqlogic.Clause, 0, len(s.rows))
+	// The normal form's global condition is satisfiable, so these
+	// pushes succeed; they stay for the whole search.
+	s.eq = cond.GetSolver()
+	for _, t := range d.Tables() {
+		s.eq.Push(t.Global...)
+	}
 	return s
 }
 
@@ -251,13 +257,13 @@ func (r membRow) options() int {
 
 // search processes rows[k:]; rows[0:k] have been assigned.
 func (s *membState) search(k int) bool {
+	s.nodes++
 	if k == len(s.rows) {
-		if s.uncovered > 0 {
-			return false
-		}
-		return s.residualSatisfiable()
+		// eq holds the global condition and the mapped rows' atoms; the
+		// dropped rows' conditions must fail on top of them.
+		return s.uncovered == 0 && eqlogic.SatisfiableOn(s.eq, s.dropped)
 	}
-	r := s.rows[k]
+	r := &s.rows[k]
 	// A fact that only this row can still cover forces pruning bookkeeping:
 	// decrement remaining counts first.
 	for _, fi := range r.candidates {
@@ -270,31 +276,32 @@ func (s *membState) search(k int) bool {
 	}()
 
 	for _, fi := range r.candidates {
-		bound, ok := unifyTuple(r.row.Values, s.facts[r.relIdx][fi], s.bind)
-		if !ok {
+		s.atoms = append(bindAtoms(s.atoms[:0], r.row.Values, s.facts[r.relIdx][fi]), r.row.Cond...)
+		if !s.eq.Push(s.atoms...) {
 			continue
 		}
 		s.coverCnt[r.relIdx][fi]++
 		if s.coverCnt[r.relIdx][fi] == 1 {
 			s.uncovered--
 		}
-		s.mustTrue = append(s.mustTrue, r.row.Cond)
-		if s.quickConsistent() && !s.doomed() && s.search(k+1) {
+		if !s.doomed() && s.search(k+1) {
 			return true
 		}
-		s.mustTrue = s.mustTrue[:len(s.mustTrue)-1]
 		if s.coverCnt[r.relIdx][fi] == 1 {
 			s.uncovered++
 		}
 		s.coverCnt[r.relIdx][fi]--
-		undo(s.bind, bound)
+		s.eq.Pop()
 	}
 	if r.canDrop {
-		s.mustFalse = append(s.mustFalse, r.row.Cond)
+		if r.neg == nil {
+			r.neg = eqlogic.NegationOf(r.row.Cond)
+		}
+		s.dropped = append(s.dropped, r.neg)
 		if !s.doomed() && s.search(k+1) {
 			return true
 		}
-		s.mustFalse = s.mustFalse[:len(s.mustFalse)-1]
+		s.dropped = s.dropped[:len(s.dropped)-1]
 	}
 	return false
 }
@@ -312,53 +319,14 @@ func (s *membState) doomed() bool {
 	return false
 }
 
-// quickConsistent cheaply checks that the global condition plus the chosen
-// local conditions remain satisfiable under the current bindings.
-func (s *membState) quickConsistent() bool {
-	sub := substBindings(s.bind)
-	all := s.global.Subst(sub)
-	for _, c := range s.mustTrue {
-		all = append(all, c.Subst(sub)...)
-	}
-	return all.Satisfiable()
-}
-
-// residualSatisfiable solves the final constraint system: global and
-// selected local conditions must hold, dropped local conditions must fail.
-func (s *membState) residualSatisfiable() bool {
-	sub := substBindings(s.bind)
-	p := &eqlogic.Problem{}
-	p.RequireAll(s.global.Subst(sub))
-	for _, c := range s.mustTrue {
-		p.RequireAll(c.Subst(sub))
-	}
-	for _, c := range s.mustFalse {
-		p.Forbid(c.Subst(sub))
-	}
-	return p.Satisfiable()
-}
-
 // membershipGeneric decides MEMB(q) for arbitrary QPTIME queries by the
 // Proposition 2.1(2) search: guess a valuation over Δ ∪ Δ′ and compare
 // q(σ(d)) with i0. Exponential in the number of variables; the canonical
 // space is sharded across the worker pool, and the first witness (or
 // evaluation error) in any shard cancels the rest.
 func (o Options) membershipGeneric(i0 *rel.Instance, q query.Query, d *table.Database) (bool, error) {
-	base, prefix := genericDomain(d, q, i0)
-	var evalErr errOnce
-	found := o.enumerate(d.Universe(), base, prefix, func(v valuation.V) bool {
-		w := applyValuation(v, d)
-		if w == nil {
-			return false
-		}
-		out, err := q.Eval(w)
-		if err != nil {
-			evalErr.set(err)
-			return true
-		}
-		return out.Equal(i0)
-	})
-	if err := evalErr.get(); err != nil {
+	found, err := o.anyImage(d, q, i0, func(out *rel.Instance) bool { return out.Equal(i0) })
+	if err != nil {
 		return false, fmt.Errorf("membership(%s): %w", q.Label(), err)
 	}
 	return found, nil
@@ -373,7 +341,7 @@ func MembershipWitness(i0 *rel.Instance, q query.Query, d *table.Database) (*rel
 	var witness *rel.Instance
 	var evalErr error
 	found := valuation.EnumerateCanonical(d.Universe(), base, prefix, func(v valuation.V) bool {
-		w := applyValuation(v, d)
+		w := v.Database(d)
 		if w == nil {
 			return false
 		}

@@ -2,17 +2,14 @@ package decide
 
 import (
 	"slices"
-	"sort"
 
 	"pw/internal/cond"
-	"pw/internal/eqlogic"
 	"pw/internal/matching"
 	"pw/internal/obs"
 	"pw/internal/query"
 	"pw/internal/rel"
 	"pw/internal/sym"
 	"pw/internal/table"
-	"pw/internal/valuation"
 )
 
 // Possible decides POSS(∗, q): is there a world I ∈ q(rep(d)) containing
@@ -97,33 +94,24 @@ func possSearch(p *rel.Instance, c *table.Compiled, cost *obs.Cost) bool {
 		m.done(cost)
 	}
 	// Most-constrained-first: facts with the fewest compatible rows first.
-	sort.SliceStable(needs, func(i, j int) bool {
-		return len(needs[i].cand) < len(needs[j].cand)
-	})
-	global := d.GlobalConjunction()
-	bind := map[sym.ID]sym.ID{}
-	used := map[*table.Row]bool{}
-	var must []cond.Conjunction
-
-	consistent := func() bool {
-		sub := substBindings(bind)
-		all := global.Subst(sub)
-		for _, c := range must {
-			all = append(all, c.Subst(sub)...)
-		}
-		return all.Satisfiable()
+	slices.SortStableFunc(needs, func(a, b need) int { return len(a.cand) - len(b.cand) })
+	// eq holds the global condition (satisfiable: d is a normal form)
+	// and, per chosen row, its local condition and its values'
+	// equalities with the fact: one Push per chosen row.
+	eq := cond.GetSolver()
+	defer eq.Release()
+	for _, t := range d.Tables() {
+		eq.Push(t.Global...)
 	}
+	used := map[*table.Row]bool{}
+	var atoms cond.Conjunction
 
 	var try func(k int) bool
 	try = func(k int) bool {
 		if k == len(needs) {
-			sub := substBindings(bind)
-			pr := &eqlogic.Problem{}
-			pr.RequireAll(global.Subst(sub))
-			for _, c := range must {
-				pr.RequireAll(c.Subst(sub))
-			}
-			return pr.Satisfiable()
+			// No row is forbidden, so the residual system is what eq
+			// holds, and every Push that led here succeeded.
+			return true
 		}
 		n := needs[k]
 		for _, ri := range n.cand {
@@ -131,18 +119,16 @@ func possSearch(p *rel.Instance, c *table.Compiled, cost *obs.Cost) bool {
 			if used[row] {
 				continue
 			}
-			bound, ok := unifyTuple(row.Values, n.fact, bind)
-			if !ok {
+			atoms = append(bindAtoms(atoms[:0], row.Values, n.fact), row.Cond...)
+			if !eq.Push(atoms...) {
 				continue
 			}
 			used[row] = true
-			must = append(must, row.Cond)
-			if consistent() && try(k+1) {
+			if try(k + 1) {
 				return true
 			}
-			must = must[:len(must)-1]
 			used[row] = false
-			undo(bind, bound)
+			eq.Pop()
 		}
 		return false
 	}
@@ -152,24 +138,7 @@ func possSearch(p *rel.Instance, c *table.Compiled, cost *obs.Cost) bool {
 // possibleGeneric is the Proposition 2.1(4) search for arbitrary queries:
 // sharded across the pool, first satisfying world cancels the rest.
 func (o Options) possibleGeneric(p *rel.Instance, q query.Query, d *table.Database) (bool, error) {
-	base, prefix := genericDomain(d, q, p)
-	var evalErr errOnce
-	found := o.enumerate(d.Universe(), base, prefix, func(v valuation.V) bool {
-		w := applyValuation(v, d)
-		if w == nil {
-			return false
-		}
-		out, err := q.Eval(w)
-		if err != nil {
-			evalErr.set(err)
-			return true
-		}
-		return p.SubsetOf(out)
-	})
-	if err := evalErr.get(); err != nil {
-		return false, err
-	}
-	return found, nil
+	return o.anyImage(d, q, p, p.SubsetOf)
 }
 
 // PossibleFact decides POSS(1, q) for a single fact.

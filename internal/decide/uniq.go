@@ -9,7 +9,6 @@ import (
 	"pw/internal/rel"
 	"pw/internal/sym"
 	"pw/internal/table"
-	"pw/internal/valuation"
 )
 
 // Uniqueness decides UNIQ(q0): is q0(rep(d0)) the singleton {i}? Dispatch:
@@ -58,7 +57,7 @@ func (o Options) uniqueIdentity(d *table.Database, i *rel.Instance) (bool, error
 	if !c.NormLocal {
 		return groundEquals(c, i), nil
 	}
-	if escapes, _ := rowEscapes(nd, i); escapes {
+	if rowEscapes(nd, i) {
 		return false, nil
 	}
 	// Check (b) is one independent equality-logic refutation per fact of
@@ -141,8 +140,8 @@ func groundEquals(c *table.Compiled, i *rel.Instance) bool {
 // outside i: for a row t with satisfiable φ_G ∧ φ_t, apply the implied
 // bindings; a non-ground result escapes (infinitely many instantiations,
 // finitely many facts in i), a ground result escapes iff it is not in i.
-// This check is polynomial. The second return value names the table.
-func rowEscapes(d *table.Database, i *rel.Instance) (bool, string) {
+// This check is polynomial.
+func rowEscapes(d *table.Database, i *rel.Instance) bool {
 	g := d.GlobalConjunction()
 	var scratch sym.Tuple
 	for _, t := range d.Tables() {
@@ -172,11 +171,11 @@ func rowEscapes(d *table.Database, i *rel.Instance) (bool, string) {
 				f[j] = w.ID()
 			}
 			if !ground || !r.Contains(f) {
-				return true, t.Name
+				return true
 			}
 		}
 	}
-	return false, ""
+	return false
 }
 
 // factOmittable reports whether some valuation satisfying the global
@@ -187,7 +186,8 @@ func factOmittable(d *table.Database, t *table.Table, u sym.Tuple) bool {
 	p := &eqlogic.Problem{}
 	p.RequireAll(d.GlobalConjunction())
 	for _, row := range t.Rows {
-		p.Forbid(row.Cond.And(bindAtoms(row.Values, u)))
+		c := append(make(cond.Conjunction, 0, len(row.Cond)+len(u)), row.Cond...)
+		p.Forbid(bindAtoms(c, row.Values, u))
 	}
 	return p.Satisfiable()
 }
@@ -197,30 +197,13 @@ func factOmittable(d *table.Database, t *table.Table, u sym.Tuple) bool {
 // world — the dual early-exit: a counterexample in any shard cancels all
 // others.
 func (o Options) uniqueGeneric(q0 query.Query, d0 *table.Database, i *rel.Instance) (bool, error) {
-	base, prefix := genericDomain(d0, q0, i)
 	var sawWorld atomic.Bool
-	var evalErr errOnce
-	diff := o.enumerate(d0.Universe(), base, prefix, func(v valuation.V) bool {
-		w := applyValuation(v, d0)
-		if w == nil {
-			return false
-		}
-		out, err := q0.Eval(w)
-		if err != nil {
-			evalErr.set(err)
-			return true
-		}
+	diff, err := o.anyImage(d0, q0, i, func(out *rel.Instance) bool {
 		sawWorld.Store(true)
 		return !out.Equal(i)
 	})
-	if err := evalErr.get(); err != nil {
-		return false, err
-	}
-	if diff {
-		return false, nil
-	}
 	// Every world's image equals i; rep must also be non-empty.
-	return sawWorld.Load(), nil
+	return !diff && err == nil && sawWorld.Load(), err
 }
 
 // UniquenessOfGTable exposes the Theorem 3.2(1) fast path directly: it
@@ -236,13 +219,4 @@ func UniquenessOfGTable(d *table.Database, i *rel.Instance) (bool, error) {
 		return false, nil
 	}
 	return groundEquals(c, i), nil
-}
-
-// certainFactIn reports whether fact u of table t is produced in every
-// world of d (the complement of factOmittable); exported via cert.go.
-func certainFactIn(d *table.Database, t *table.Table, u sym.Tuple) bool {
-	if !cond.Conjunction(d.GlobalConjunction()).Satisfiable() {
-		return true // rep(d) = ∅: vacuously certain
-	}
-	return !factOmittable(d, t, u)
 }

@@ -12,9 +12,12 @@
 //     row (the core of the uniqueness and certainty procedures);
 //   - global and selected local conditions contribute must-literals.
 //
-// Satisfiability is decided by DPLL-style branching over clauses with a
-// union–find consistency check at each node; a model over fresh constants
-// can be extracted from any satisfiable system.
+// Satisfiability is decided by DPLL-style branching over clauses on one
+// cond.Solver: each branch pushes a clause atom and pops it on backtrack,
+// so a node costs the atom's merge, not a fresh closure. A search in
+// internal/decide that has pushed its must-literals as it went hands its
+// live solver over (SatisfiableOn). A model over fresh constants can be
+// extracted from any satisfiable system.
 package eqlogic
 
 import (
@@ -69,59 +72,65 @@ func (p *Problem) Clone() *Problem {
 }
 
 // Satisfiable reports whether some valuation over 𝒟 satisfies the system.
-func (p *Problem) Satisfiable() bool {
-	c, ok := p.solve()
-	_ = c
-	return ok
-}
+func (p *Problem) Satisfiable() bool { return p.solve(nil) }
 
 // Solution returns a satisfying conjunction extension (Must plus one chosen
 // atom per clause, consistent) if one exists.
-func (p *Problem) Solution() (cond.Conjunction, bool) { return p.solve() }
-
-func (p *Problem) solve() (cond.Conjunction, bool) {
-	if !p.Must.Satisfiable() {
+func (p *Problem) Solution() (cond.Conjunction, bool) {
+	var chosen cond.Conjunction
+	if !p.solve(&chosen) {
 		return nil, false
 	}
-	return dpll(p.Must, p.Clauses)
+	return append(p.Must.Clone(), chosen...), true
 }
 
-// dpll branches over the first clause not already entailed; clause atom
-// choices are added to the must-conjunction and consistency is rechecked.
-func dpll(must cond.Conjunction, clauses []Clause) (cond.Conjunction, bool) {
-	// Find the first clause not trivially satisfied by must; branch on it.
+func (p *Problem) solve(chosen *cond.Conjunction) bool {
+	s := cond.GetSolver()
+	defer s.Release()
+	return s.Push(p.Must...) && dpll(s, p.Clauses, chosen)
+}
+
+// SatisfiableOn reports whether the conjunction s holds, extended by one
+// atom of each clause, is satisfiable. It is the residual check of a
+// search that has pushed its must-literals onto s as it went; s is left
+// as it was found.
+func SatisfiableOn(s *cond.Solver, clauses []Clause) bool { return dpll(s, clauses, nil) }
+
+// dpll branches over the first clause s does not already entail, pushing
+// each of its atoms in turn and popping on backtrack; an atom whose push
+// fails is refuted by s and cannot help. s is left as it was found.
+// chosen, when non-nil, receives the atoms of the first satisfying branch.
+func dpll(s *cond.Solver, clauses []Clause, chosen *cond.Conjunction) bool {
 	for i, cl := range clauses {
-		satisfied := false
-		var open []cond.Atom
-		for _, a := range cl {
-			if a.TriviallyTrue() || must.Implies(a) {
-				satisfied = true
-				break
-			}
-			if a.TriviallyFalse() || must.Implies(a.Negate()) {
-				continue // this disjunct cannot help
-			}
-			open = append(open, a)
-		}
-		if satisfied {
+		if entailed(s, cl) {
 			continue
 		}
-		if len(open) == 0 {
-			return nil, false
-		}
-		rest := clauses[i+1:]
-		for _, a := range open {
-			next := append(must.Clone(), a)
-			if !next.Satisfiable() {
+		for _, a := range cl {
+			if !s.Push(a) {
 				continue
 			}
-			if sol, ok := dpll(next, rest); ok {
-				return sol, true
+			ok := dpll(s, clauses[i+1:], chosen)
+			s.Pop()
+			if ok {
+				if chosen != nil {
+					*chosen = append(*chosen, a)
+				}
+				return true
 			}
 		}
-		return nil, false
+		return false
 	}
-	return must, true
+	return true
+}
+
+// entailed reports whether s implies some atom of cl.
+func entailed(s *cond.Solver, cl Clause) bool {
+	for _, a := range cl {
+		if s.Implies(a) {
+			return true
+		}
+	}
+	return false
 }
 
 // Model produces a concrete valuation of vars satisfying the system: the
@@ -130,20 +139,11 @@ func dpll(must cond.Conjunction, clauses []Clause) (cond.Conjunction, bool) {
 // constant prefix0, prefix1, … Choose the prefix outside every relevant
 // active domain (see table.FreshPrefix).
 func (p *Problem) Model(vars []sym.ID, prefix string) (valuation.V, bool) {
-	sol, ok := p.solve()
+	sol, ok := p.Solution()
 	if !ok {
 		return valuation.V{}, false
 	}
-	return ModelOf(sol, vars, prefix)
-}
-
-// ModelOf builds a model of a satisfiable conjunction as described at
-// Model. It returns ok=false when the conjunction is unsatisfiable.
-func ModelOf(sol cond.Conjunction, vars []sym.ID, prefix string) (valuation.V, bool) {
-	sub, ok := sol.ImpliedBindings()
-	if !ok {
-		return valuation.V{}, false
-	}
+	sub, _ := sol.ImpliedBindings()
 	v := valuation.Make(sym.NewUniverse(vars))
 	fresh := make(map[value.Value]sym.ID) // class-representative var -> fresh const
 	n := 0
@@ -173,13 +173,4 @@ func ModelOf(sol cond.Conjunction, vars []sym.ID, prefix string) (valuation.V, b
 	// conjunction. Inequalities against domain constants hold since fresh
 	// constants are outside the domain.
 	return v, true
-}
-
-// Value re-exports the value package's constructor pair for convenience of
-// callers assembling atoms inline.
-func Value(name string, isVar bool) value.Value {
-	if isVar {
-		return value.Var(name)
-	}
-	return value.Const(name)
 }

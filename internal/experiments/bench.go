@@ -70,6 +70,13 @@ func Probes() []Probe {
 		{"Thm41_ContFreeze_64", 1, true, func(b *testing.B) { probeContFreeze(b, 64, seq) }},
 		{"Thm41_ContFreeze_256", 1, false, func(b *testing.B) { probeContFreeze(b, 256, seq) }},
 		{"Thm41_ContFreeze_256_w8", 8, false, func(b *testing.B) { probeContFreeze(b, 256, par) }},
+		// The backtracking MEMB search of Theorem 3.1(2,3) on a c-table
+		// member instance: 16 rows is ctable-decide's c-table size, 64
+		// the next rung. A search node pushes and pops one row's atoms on
+		// one equality solver, so allocations follow the rows set up,
+		// not the nodes visited.
+		{"Thm31_MembCTable_16", 1, true, func(b *testing.B) { probeMembCTable(b, 16) }},
+		{"Thm31_MembCTable_64", 1, false, func(b *testing.B) { probeMembCTable(b, 64) }},
 		{"Thm51_PossCodd_128", 1, false, func(b *testing.B) { ProbePossCodd(b, 128, seq) }},
 		{"Thm51_PossCodd_128_w8", 8, false, func(b *testing.B) { ProbePossCodd(b, 128, par) }},
 		// Decomposition backend: native procedures on a ~10^6-world
@@ -444,6 +451,26 @@ func probeMembCodd(b *testing.B, rows int, o decide.Options) {
 		yes, err := o.Membership(i, query.Identity{}, d)
 		if err != nil || !yes {
 			b.Fatalf("membership failed: %v %v", yes, err)
+		}
+	}
+}
+
+// probeMembCTable decides MEMB of a member world of a c-table with
+// rows rows of arity 3, over rows/2 constants and a pool of 3·rows/8
+// variables, 30% nulls and 30% local conditions: at 16 rows the c-table
+// shape of ctable-decide.
+func probeMembCTable(b *testing.B, rows int) {
+	d := table.DB(gen.CTable(1, "T", rows, 3, rows/2, rows*3/8, 0.3, 0.3))
+	i, ok := gen.MemberInstance(1, d)
+	if !ok {
+		b.Skip("no member instance")
+	}
+	o := decide.Options{Workers: 1}
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		yes, err := o.Membership(i, query.Identity{}, d)
+		if err != nil || !yes {
+			b.Fatalf("sampled world must be a member: %v %v", yes, err)
 		}
 	}
 }
