@@ -77,6 +77,11 @@ func Probes() []Probe {
 		// not the nodes visited.
 		{"Thm31_MembCTable_16", 1, true, func(b *testing.B) { probeMembCTable(b, 16) }},
 		{"Thm31_MembCTable_64", 1, false, func(b *testing.B) { probeMembCTable(b, 64) }},
+		// The request's instance before any decision: ParseInstance of
+		// a printed member world of ctable-decide's Codd table (150 rows
+		// of arity 3 over 40 constants). Its allocations follow the
+		// @relation blocks, not the facts.
+		{"Parse_Instance_150", 1, true, func(b *testing.B) { probeParseInstance(b, 150) }},
 		{"Thm51_PossCodd_128", 1, false, func(b *testing.B) { ProbePossCodd(b, 128, seq) }},
 		{"Thm51_PossCodd_128_w8", 8, false, func(b *testing.B) { ProbePossCodd(b, 128, par) }},
 		// Decomposition backend: native procedures on a ~10^6-world
@@ -451,6 +456,33 @@ func probeMembCodd(b *testing.B, rows int, o decide.Options) {
 		yes, err := o.Membership(i, query.Identity{}, d)
 		if err != nil || !yes {
 			b.Fatalf("membership failed: %v %v", yes, err)
+		}
+	}
+}
+
+// probeParseInstance parses the printed member instance of a Codd
+// table with rows rows of arity 3 over 40 constants and 30% nulls.
+func probeParseInstance(b *testing.B, rows int) {
+	d := table.DB(gen.CoddTable(1, "T", rows, 3, 40, 0.3))
+	i, ok := gen.MemberInstance(1, d)
+	if !ok {
+		b.Skip("no member instance")
+	}
+	var text strings.Builder
+	if err := parse.PrintInstance(&text, i); err != nil {
+		b.Fatal(err)
+	}
+	if got, err := parse.ParseInstance(strings.NewReader(text.String())); err != nil || !got.Equal(i) {
+		b.Fatalf("parsed instance differs from the printed one (error %v)", err)
+	}
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		got, err := parse.ParseInstance(strings.NewReader(text.String()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if got.Size() != i.Size() {
+			b.Fatalf("parsed %d facts, want %d", got.Size(), i.Size())
 		}
 	}
 }

@@ -40,13 +40,25 @@ func FuzzParseDatabase(f *testing.F) {
 	})
 }
 
+// instanceFuzzSeeds are FuzzParseInstance's added seeds.
+var instanceFuzzSeeds = []string{
+	"@relation T(2)\n  fact: a b\n",
+	"@relation Emp(2)\n  fact: alice sales\n  fact: bob eng\n\n@relation Dept(2)\n  fact: sales 1\n",
+	"@relation T(0)\n  fact:\n",
+	"# only a comment\n",
+}
+
 // FuzzParseInstance is the same contract for instance files.
+// Every input must also parse as the reference parser parses it: the
+// same instance with the same tuple order, or the same error text.
 func FuzzParseInstance(f *testing.F) {
-	f.Add("@relation T(2)\n  fact: a b\n")
-	f.Add("@relation Emp(2)\n  fact: alice sales\n  fact: bob eng\n\n@relation Dept(2)\n  fact: sales 1\n")
-	f.Add("@relation T(0)\n  fact:\n")
-	f.Add("# only a comment\n")
+	for _, seed := range instanceFuzzSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, input string) {
+		if diff := diffParseInstance(input); diff != "" {
+			t.Fatalf("ParseInstance disagrees with the reference on %q: %s", input, diff)
+		}
 		inst, err := ParseInstance(strings.NewReader(input))
 		if err != nil {
 			return

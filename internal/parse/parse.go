@@ -87,13 +87,17 @@ func ParseDatabase(r io.Reader) (*table.Database, error) {
 }
 
 // ParseInstance reads a .pw instance (a sequence of @relation blocks).
-// Fact lines are split and interned in place, through buffers reused
-// from line to line; the relation copies each new tuple once.
+// Each fact line is split and its names resolved under one symbol-table
+// read lock into one flat ID buffer, reused from block to block. At a
+// block's end its relation is presized to the block's row count and
+// the rows inserted, so the allocations follow the blocks, not the
+// facts.
 func ParseInstance(r io.Reader) (*rel.Instance, error) {
 	inst := rel.NewInstance()
 	var cur *rel.Relation
 	var fields [][]byte
-	var tuple sym.Tuple
+	var ids []sym.ID // the current block's rows, back to back
+	rows := 0
 	sc := bufio.NewScanner(r)
 	lineNo := 0
 	for sc.Scan() {
@@ -111,14 +115,13 @@ func ParseInstance(r io.Reader) (*rel.Instance, error) {
 				return nil, fmt.Errorf("line %d: fact has %d fields, relation %s expects %d",
 					lineNo, len(fields), cur.Name, cur.Arity)
 			}
-			tuple = tuple[:0]
 			for _, f := range fields {
 				if f[0] == '?' {
 					return nil, fmt.Errorf("line %d: facts must be ground, got %s", lineNo, f)
 				}
-				tuple = append(tuple, sym.ConstBytes(f))
 			}
-			cur.Insert(tuple)
+			ids = sym.AppendConsts(ids, fields)
+			rows++
 			continue
 		}
 		line := string(b)
@@ -134,26 +137,49 @@ func ParseInstance(r io.Reader) (*rel.Instance, error) {
 		if inst.Relation(name) != nil {
 			return nil, fmt.Errorf("line %d: duplicate relation %s", lineNo, name)
 		}
+		insertRows(cur, ids, rows)
+		ids, rows = ids[:0], 0
 		cur = rel.NewRelation(name, arity)
 		inst.AddRelation(cur)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
+	insertRows(cur, ids, rows)
 	return inst, nil
 }
 
+// insertRows presizes r for rows rows and inserts them, each r.Arity
+// IDs of ids. A nil r (no block yet) has no rows.
+func insertRows(r *rel.Relation, ids []sym.ID, rows int) {
+	if r == nil {
+		return
+	}
+	r.Grow(rows)
+	for i := 0; i < rows; i++ {
+		r.Insert(ids[i*r.Arity : (i+1)*r.Arity])
+	}
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace reports as space.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
 // appendFields appends to dst the fields of s: its maximal runs of
 // non-space characters, split exactly as strings.Fields splits (space
-// is unicode.IsSpace; an invalid UTF-8 byte is not space).
+// is unicode.IsSpace; an invalid UTF-8 byte is not space). An ASCII
+// byte is looked up in asciiSpace; only bytes from 0x80 up are decoded.
 func appendFields(dst [][]byte, s []byte) [][]byte {
 	start := -1
 	for i := 0; i < len(s); {
-		r, size := rune(s[i]), 1
-		if r >= utf8.RuneSelf {
+		space, size := false, 1
+		if c := s[i]; c < utf8.RuneSelf {
+			space = asciiSpace[c]
+		} else {
+			var r rune
 			r, size = utf8.DecodeRune(s[i:])
+			space = unicode.IsSpace(r)
 		}
-		if unicode.IsSpace(r) {
+		if space {
 			if start >= 0 {
 				dst = append(dst, s[start:i])
 				start = -1

@@ -101,24 +101,39 @@ func (f Fact) Compare(g Fact) int {
 // last tuple inserted with it, and next[i] is the tuple inserted before
 // i with the same fingerprint (-1 ends the chain), so a new fact costs
 // one map entry and no bucket slice of its own.
+//
+// The tuples' IDs live back to back in an arena owned by the relation;
+// each stored tuple is a window of it whose capacity ends at its last
+// ID, so appending to a tuple Tuples returned copies it rather than
+// overwriting its neighbour. A full arena is never grown in place: the
+// next tuple starts a new, larger chunk, and the windows cut from the
+// old one keep it alive unchanged.
 type Relation struct {
 	Name   string
 	Arity  int
-	tuples []sym.Tuple
+	arena  []sym.ID         // the chunk new tuples are copied into
+	tuples []sym.Tuple      // windows of arena chunks, in insertion order
 	index  map[uint64]int32 // fingerprint -> last index into tuples
 	next   []int32          // per tuple: the previous index with its fingerprint, or -1
 }
 
 // NewRelation returns an empty relation with the given name and arity.
+// Its storage is allocated by the first Insert or Grow.
 func NewRelation(name string, arity int) *Relation {
-	return &Relation{Name: name, Arity: arity, index: make(map[uint64]int32)}
+	return &Relation{Name: name, Arity: arity}
 }
 
-// Grow reserves room for n more facts, so inserting them allocates only
-// their tuple copies.
+// Grow reserves room for n more facts, so inserting them allocates
+// nothing.
 func (r *Relation) Grow(n int) {
+	if n <= 0 {
+		return
+	}
 	r.tuples = slices.Grow(r.tuples, n)
 	r.next = slices.Grow(r.next, n)
+	if need := n * r.Arity; cap(r.arena)-len(r.arena) < need {
+		r.arena = make([]sym.ID, 0, need)
+	}
 	index := make(map[uint64]int32, len(r.index)+n)
 	maps.Copy(index, r.index)
 	r.index = index
@@ -139,8 +154,8 @@ func (r *Relation) Add(f Fact) {
 func (r *Relation) AddRow(vals ...string) { r.Add(Fact(vals)) }
 
 // Insert adds an interned tuple, returning whether it was new. The tuple
-// is copied only when actually inserted, so callers may pass a reused
-// scratch buffer. Arity must match (checked like Add).
+// is copied into the arena only when actually inserted, so callers may
+// pass a reused scratch buffer. Arity must match (checked like Add).
 func (r *Relation) Insert(t sym.Tuple) bool {
 	if len(t) != r.Arity {
 		panic(fmt.Sprintf("rel: tuple of arity %d, relation %s expects %d",
@@ -151,10 +166,25 @@ func (r *Relation) Insert(t sym.Tuple) bool {
 	if found {
 		return false
 	}
+	if r.index == nil {
+		r.index = make(map[uint64]int32)
+	}
 	r.index[h] = int32(len(r.tuples))
 	r.next = append(r.next, head)
-	r.tuples = append(r.tuples, t.Clone())
+	r.tuples = append(r.tuples, r.store(t))
 	return true
+}
+
+// store copies t into the arena and returns its capacity-capped window.
+// A chunk too full for t is left to the windows already cut from it;
+// the new chunk doubles the old one's capacity.
+func (r *Relation) store(t sym.Tuple) sym.Tuple {
+	if cap(r.arena)-len(r.arena) < len(t) {
+		r.arena = make([]sym.ID, 0, max(2*cap(r.arena), 8*len(t)))
+	}
+	start := len(r.arena)
+	r.arena = append(r.arena, t...)
+	return r.arena[start:len(r.arena):len(r.arena)]
 }
 
 // Contains reports membership of an interned tuple.
@@ -209,17 +239,18 @@ func (r *Relation) Facts() []Fact {
 	return out
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy, its tuples in one flat arena.
 func (r *Relation) Clone() *Relation {
 	c := &Relation{
 		Name:   r.Name,
 		Arity:  r.Arity,
+		arena:  make([]sym.ID, 0, len(r.tuples)*r.Arity),
 		tuples: make([]sym.Tuple, len(r.tuples)),
 		index:  maps.Clone(r.index),
 		next:   slices.Clone(r.next),
 	}
 	for i, t := range r.tuples {
-		c.tuples[i] = t.Clone()
+		c.tuples[i] = c.store(t)
 	}
 	return c
 }

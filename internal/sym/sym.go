@@ -93,16 +93,31 @@ func Const(name string) ID {
 	return ID(id)
 }
 
-// ConstBytes is Const for a name held in a byte slice. Looking up a
-// name already interned does not allocate.
-func ConstBytes(name []byte) ID {
+// AppendConsts appends to dst the constant IDs of names, in order,
+// interning those never seen. The names already interned are resolved
+// under one read lock, allocating nothing but dst's growth; each new
+// one is interned through Const as a copy, so the table never holds a
+// slice of the caller's bytes.
+func AppendConsts(dst []ID, names [][]byte) []ID {
+	base := len(dst)
+	missed := false
 	mu.RLock()
-	id, ok := consts.ids[string(name)]
-	mu.RUnlock()
-	if ok {
-		return ID(id)
+	for _, name := range names {
+		id, ok := consts.ids[string(name)]
+		if !ok {
+			id, missed = uint32(None), true
+		}
+		dst = append(dst, ID(id))
 	}
-	return Const(string(name))
+	mu.RUnlock()
+	if missed {
+		for i, name := range names {
+			if dst[base+i] == None {
+				dst[base+i] = Const(string(name))
+			}
+		}
+	}
+	return dst
 }
 
 // Var interns name as a variable and returns its ID.

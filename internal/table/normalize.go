@@ -1,7 +1,8 @@
 package table
 
 import (
-	"fmt"
+	"slices"
+	"strconv"
 
 	"pw/internal/cond"
 	"pw/internal/rel"
@@ -61,14 +62,22 @@ func Normalize(d *Database) (*Database, bool) {
 func Freeze(d *Database, prefix string) *rel.Instance {
 	vars := d.VarIDs(nil, map[sym.ID]bool{})
 	sym.SortByName(vars)
-	sub := make(map[sym.ID]sym.ID, len(vars))
-	for i, v := range vars {
-		sub[v] = sym.Const(fmt.Sprintf("%s%d", prefix, i))
+	// a_x is prefix followed by x's rank in name order. The names are
+	// written back to back into one buffer and resolved in one batch;
+	// fresh[i] is the constant of vars[i].
+	buf := make([]byte, 0, len(vars)*(len(prefix)+4))
+	names := make([][]byte, len(vars))
+	for i := range vars {
+		start := len(buf)
+		buf = strconv.AppendInt(append(buf, prefix...), int64(i), 10)
+		names[i] = buf[start:]
 	}
+	fresh := sym.AppendConsts(make([]sym.ID, 0, len(vars)), names)
 	inst := rel.NewInstance()
 	var scratch sym.Tuple
 	for _, t := range d.tables {
 		r := rel.NewRelation(t.Name, t.Arity)
+		r.Grow(len(t.Rows))
 		for _, row := range t.Rows {
 			if cap(scratch) < len(row.Values) {
 				scratch = make(sym.Tuple, len(row.Values))
@@ -76,7 +85,8 @@ func Freeze(d *Database, prefix string) *rel.Instance {
 			f := scratch[:len(row.Values)]
 			for j, v := range row.Values {
 				if v.IsVar() {
-					f[j] = sub[v.ID()]
+					i, _ := slices.BinarySearchFunc(vars, v.ID(), sym.Compare)
+					f[j] = fresh[i]
 				} else {
 					f[j] = v.ID()
 				}
