@@ -30,6 +30,14 @@
 // the world-set operators are not per-world maps, so on the table
 // backend they exit 2 with a clear message (compile to @wsd first).
 //
+// memb, uniq, poss, cert, count, poss-ans, cert-ans, cont and explain
+// run the server's request path in process: pwq registers -db (and
+// -db2) with an internal/server Server and sends the command as one
+// Request through DoCall, exactly as pwd would answer it over HTTP. The
+// commands with no request form run locally: kind, worlds, sample
+// (which prints the instances, not their .pw text) and update (which
+// prints the successor @wsd block).
+//
 // cont accepts any backend combination: the table side of a mixed pair
 // is compiled to a decomposition first (an infinite-rep subset side is
 // simply "no" against a finite superset). A query whose answer
@@ -49,17 +57,18 @@
 //
 // -trace prints an indented span tree and the engine's nonzero cost
 // counters (parse bytes, components visited, alternatives tabulated,
-// valuations enumerated, …) to stderr after the answer — the offline
-// twin of the server's ?trace=1.
+// valuations enumerated, …) to stderr after the answer: the request's
+// own record, with the spans and counters the server's ?trace=1
+// returns.
 //
-// explain runs a query on a decomposition through the planned evaluator
-// and prints the EXPLAIN/ANALYZE record: the operator tree with
-// per-node estimates (computed before each operator runs) and actuals
-// (measured while it runs), assembly and normalization phases, the
-// world count of the answer and the run's cost counters. -json emits
-// the same record as one JSON object — the offline twin of the server's
-// ?explain=1. A refused query (entanglement, a non-algebra fragment)
-// prints its partial, error-annotated plan and exits 2.
+// explain runs a query on a decomposition as a cert-ans request with
+// the EXPLAIN record attached and prints that record: the operator tree
+// with per-node estimates (computed before each operator runs) and
+// actuals (measured while it runs), the readout phase, the world count
+// of the input and the run's cost counters. -json emits the same record
+// as one JSON object, the plan of the server's ?explain=1. A refused
+// query (entanglement, a non-algebra fragment) prints its partial,
+// error-annotated plan and exits 2.
 package main
 
 import (
@@ -70,17 +79,14 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"strings"
 
-	"pw/internal/decide"
 	"pw/internal/obs"
 	"pw/internal/parse"
-	"pw/internal/query"
 	"pw/internal/rel"
 	"pw/internal/rep"
+	"pw/internal/server"
 	"pw/internal/worlds"
 	"pw/internal/wsd"
-	"pw/internal/wsdalg"
 )
 
 func main() {
@@ -123,22 +129,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 	cost := tr.Cost() // nil when untraced; every sink is nil-safe
-	o := decide.Options{Workers: *workersN, Cost: cost}
 
 	sp := tr.Root().StartChild("parse")
-	src, err := loadSource(*dbPath, cost)
+	src, err := loadDB("-db", *dbPath, cost)
+	var src2 *parse.Source
+	if err == nil && cmd == "cont" {
+		src2, err = loadDB("-db2", *db2Path, cost)
+	}
 	sp.End()
 	if err != nil {
 		return fatal(stderr, err)
 	}
-	if src.Query != nil {
-		return fatal(stderr, fmt.Errorf("%s is a @query file; databases go to -db, queries to -query", *dbPath))
-	}
-	if src.Update != nil {
-		return fatal(stderr, fmt.Errorf("%s is an @update file; databases go to -db, update programs to -update", *dbPath))
-	}
 	d, w := src.DB, src.WSD
-	db := rep.DB{WSD: w, Tab: d}
 	switch cmd {
 	case "kind":
 		if w != nil {
@@ -146,10 +148,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		} else {
 			fmt.Fprintln(stdout, d.Kind())
 		}
-	case "count":
-		// A decomposition's exact count; on tables |rep(d)| over the
-		// canonical domain, sharded across -workers (worker-independent).
-		fmt.Fprintln(stdout, db.Count(o))
 	case "worlds":
 		// World listing streams in canonical enumeration order, so it
 		// stays on the sequential enumerator regardless of -workers.
@@ -174,6 +172,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		// Collect every sample before printing, so a failure cannot abort
 		// the stream after partial output.
+		db := rep.DB{WSD: w, Tab: d}
 		rng := rand.New(rand.NewSource(*seed))
 		insts := make([]*rel.Instance, 0, *samples)
 		for k := 0; k < *samples; k++ {
@@ -185,100 +184,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		for k, inst := range insts {
 			fmt.Fprintf(stdout, "-- sample %d --\n%s\n", k+1, inst)
-		}
-	case "memb", "uniq", "poss", "cert":
-		path := *instPath
-		if cmd == "poss" || cmd == "cert" {
-			path = *factsPath
-		}
-		i, err := loadInstance(path, cost)
-		if err != nil {
-			return fatal(stderr, err)
-		}
-		var yes bool
-		switch cmd {
-		case "memb":
-			yes, err = db.Member(o, i)
-		case "uniq":
-			yes, err = db.Unique(o, i)
-		case "poss":
-			yes, err = db.Possible(o, i)
-		default:
-			yes, err = db.Certain(o, i)
-		}
-		return answer(stdout, stderr, yes, err)
-	case "cont":
-		q0, err := loadQuery(*queryPath, false, cost)
-		if err != nil {
-			return fatal(stderr, err)
-		}
-		q1, err := loadQuery(*query2Path, false, cost)
-		if err != nil {
-			return fatal(stderr, err)
-		}
-		src2, err := loadSource(*db2Path, cost)
-		if err != nil {
-			return fatal(stderr, err)
-		}
-		if src2.Query != nil {
-			return fatal(stderr, fmt.Errorf("%s is a @query file; databases go to -db2, queries to -query2", *db2Path))
-		}
-		yes, err := rep.Contains(o, q0, db, q1, rep.DB{WSD: src2.WSD, Tab: src2.DB})
-		return answer(stdout, stderr, yes, err)
-	case "poss-ans", "cert-ans":
-		q, err := loadQuery(*queryPath, true, cost)
-		if err != nil {
-			return fatal(stderr, err)
-		}
-		var text strings.Builder
-		if w != nil {
-			// Decomposition backend, the server's evaluation path: the
-			// planned evaluator runs once and the possible or certain
-			// answer facts are read straight off its parts.
-			sp := tr.Root().StartChild("eval")
-			var ans *wsdalg.Answers
-			if ans, _, _, err = wsdalg.Eval(w, q, wsdalg.Options{Cost: cost}); err == nil {
-				err = parse.PrintAnswers(&text, ans, cmd == "poss-ans")
-			}
-			sp.End()
-		} else {
-			var ans *rel.Instance
-			if ans, err = db.Answers(o, q, cmd == "poss-ans"); err == nil {
-				err = parse.PrintInstance(&text, ans)
-			}
-		}
-		if err != nil {
-			return fatal(stderr, err)
-		}
-		io.WriteString(stdout, text.String())
-	case "explain":
-		if w == nil {
-			return fatal(stderr, fmt.Errorf("explain applies to decompositions; %s is table-backed (compile with wsd first)", *dbPath))
-		}
-		q, err := loadQuery(*queryPath, true, cost)
-		if err != nil {
-			return fatal(stderr, err)
-		}
-		// An observed run returns the plan; untraced, a private sink
-		// observes it.
-		c := cost
-		if c == nil {
-			c = obs.NewCost()
-		}
-		_, plan, _, evalErr := wsdalg.Eval(w, q, wsdalg.Options{Cost: c})
-		if *jsonOut {
-			enc := json.NewEncoder(stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(plan); err != nil {
-				return fatal(stderr, err)
-			}
-		} else {
-			plan.WriteText(stdout)
-		}
-		if evalErr != nil {
-			// The partial plan above shows where it stopped; the exit code
-			// and message match what cert-ans would have reported.
-			return fatal(stderr, evalErr)
 		}
 	case "update":
 		if w == nil {
@@ -306,32 +211,99 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err := parse.PrintWSD(dst, out); err != nil {
 			return fatal(stderr, err)
 		}
+	case "memb", "uniq", "poss", "cert", "count", "poss-ans", "cert-ans", "cont", "explain":
+		req := server.Request{DB: "db", Op: cmd}
+		if cmd == "explain" {
+			if w == nil {
+				return fatal(stderr, fmt.Errorf("explain applies to decompositions; %s is table-backed (compile with wsd first)", *dbPath))
+			}
+			req.Op = "cert-ans"
+		}
+		// The server reads empty query text as the identity, so the
+		// answer commands, whose query is not optional, check for it here.
+		if (req.Op == "poss-ans" || req.Op == "cert-ans") && *queryPath == "" {
+			return fatal(stderr, fmt.Errorf("missing -query"))
+		}
+		texts := []struct {
+			dst  *string
+			path string
+		}{{&req.Inst, *instPath}, {&req.Facts, *factsPath}, {&req.Query, *queryPath}, {&req.Query2, *query2Path}}
+		for _, t := range texts {
+			if t.path == "" {
+				continue
+			}
+			b, err := os.ReadFile(t.path)
+			if err != nil {
+				return fatal(stderr, err)
+			}
+			*t.dst = string(b)
+		}
+		s := server.New(server.Config{Workers: *workersN})
+		if err := register(s, req.DB, src); err != nil {
+			return fatal(stderr, err)
+		}
+		if src2 != nil {
+			req.DB2 = "db2"
+			if err := register(s, req.DB2, src2); err != nil {
+				return fatal(stderr, err)
+			}
+		}
+		resp, err := s.DoCall(&req, server.CallOptions{Trace: tr, Explain: cmd == "explain"})
+		if cmd == "explain" {
+			return explain(stdout, stderr, resp, err, *jsonOut)
+		}
+		if err != nil {
+			return fatal(stderr, err)
+		}
+		switch {
+		case resp.Answer != nil && *resp.Answer:
+			fmt.Fprintln(stdout, "yes")
+		case resp.Answer != nil:
+			fmt.Fprintln(stdout, "no")
+		case cmd == "count":
+			fmt.Fprintln(stdout, resp.Count)
+		default:
+			io.WriteString(stdout, resp.Facts)
+		}
 	default:
 		return usage(stderr)
 	}
 	return 0
 }
 
-func loadSource(path string, c *obs.Cost) (*parse.Source, error) {
-	if path == "" {
-		return nil, fmt.Errorf("missing -db")
+// explain prints the EXPLAIN record of a cert-ans request: the
+// response's plan, or the partial, error-marked plan a refused query
+// carries in its *server.PlanError.
+func explain(stdout, stderr io.Writer, resp *server.Response, err error, jsonOut bool) int {
+	var pe *server.PlanError
+	switch {
+	case err == nil:
+		pe = &server.PlanError{Plan: resp.Plan}
+	case !errors.As(err, &pe):
+		return fatal(stderr, err)
 	}
-	f, err := os.Open(path)
+	if jsonOut {
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(pe.Plan); err != nil {
+			return fatal(stderr, err)
+		}
+	} else {
+		pe.Plan.WriteText(stdout)
+	}
 	if err != nil {
-		return nil, err
+		// The partial plan above shows where it stopped; the exit code
+		// and message match what cert-ans would have reported.
+		return fatal(stderr, err)
 	}
-	defer f.Close()
-	return parse.ParseSource(c.ParseReader(f))
+	return 0
 }
 
-// loadQuery reads a @query file; with required=false an empty path
-// means the identity query (cont's view-free form).
-func loadQuery(path string, required bool, c *obs.Cost) (query.Query, error) {
+// loadDB reads the database file named by flag name, refusing the
+// @query and @update files that belong to the query and update flags.
+func loadDB(name, path string, c *obs.Cost) (*parse.Source, error) {
 	if path == "" {
-		if required {
-			return nil, fmt.Errorf("missing -query")
-		}
-		return query.Identity{}, nil
+		return nil, fmt.Errorf("missing %s", name)
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -339,13 +311,23 @@ func loadQuery(path string, required bool, c *obs.Cost) (query.Query, error) {
 	}
 	defer f.Close()
 	src, err := parse.ParseSource(c.ParseReader(f))
-	if err != nil {
+	switch {
+	case err != nil:
 		return nil, err
+	case src.Query != nil:
+		return nil, fmt.Errorf("%s is a @query file; databases go to %s, queries to -query or -query2", path, name)
+	case src.Update != nil:
+		return nil, fmt.Errorf("%s is an @update file; databases go to %s, update programs to -update", path, name)
 	}
-	if src.Query == nil {
-		return nil, fmt.Errorf("%s does not contain a @query block", path)
+	return src, nil
+}
+
+// register adds a parsed database to s under name, on its backend.
+func register(s *server.Server, name string, src *parse.Source) error {
+	if src.WSD != nil {
+		return s.AddWSD(name, src.WSD)
 	}
-	return *src.Query, nil
+	return s.AddTables(name, src.DB)
 }
 
 // loadUpdate reads an @update file, rejecting misrouted sources the
@@ -367,30 +349,6 @@ func loadUpdate(path string, c *obs.Cost) (*wsd.Update, error) {
 		return nil, fmt.Errorf("%s does not contain an @update block", path)
 	}
 	return src.Update, nil
-}
-
-func loadInstance(path string, c *obs.Cost) (*rel.Instance, error) {
-	if path == "" {
-		return nil, fmt.Errorf("missing instance/fact file")
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return parse.ParseInstance(c.ParseReader(f))
-}
-
-func answer(stdout, stderr io.Writer, yes bool, err error) int {
-	if err != nil {
-		return fatal(stderr, err)
-	}
-	if yes {
-		fmt.Fprintln(stdout, "yes")
-	} else {
-		fmt.Fprintln(stdout, "no")
-	}
-	return 0
 }
 
 func fatal(stderr io.Writer, err error) int {

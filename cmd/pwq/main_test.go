@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"pw/internal/server"
 	"pw/internal/wsdalg"
 )
 
@@ -232,6 +233,15 @@ func TestBadUsageExits2(t *testing.T) {
 	if code := run([]string{"kind", "-db", data("sensors_patch.pw")}, &stdout, &stderr); code != 2 {
 		t.Errorf("@update file as -db: exit %d, want 2", code)
 	}
+	// An @update file as -db2 is refused before it reaches containment,
+	// whichever backend the -db side has.
+	for _, db := range []string{"personnel.pw", "sensors.pw"} {
+		stderr.Reset()
+		if code := run([]string{"cont", "-db", data(db), "-db2", data("sensors_patch.pw")},
+			&stdout, &stderr); code != 2 || !strings.Contains(stderr.String(), "is an @update file") {
+			t.Errorf("@update file as -db2 against %s: exit %d, want 2 naming the file; stderr: %s", db, code, stderr.String())
+		}
+	}
 	// Malformed tmpl slot syntax is a parse error, not a crash.
 	stderr.Reset()
 	tmp := filepath.Join(t.TempDir(), "bad.pw")
@@ -358,4 +368,74 @@ func TestExplainGolden(t *testing.T) {
 		&stdout, &stderr); code != 2 {
 		t.Errorf("table-backed explain: exit %d, want 2", code)
 	}
+}
+
+// TestSharesServerRecord: pwq answers through the server's request
+// path, so -trace prints the server's spans and cache counters, and
+// explain -json prints the plan DoCall attaches to the same request.
+func TestSharesServerRecord(t *testing.T) {
+	data := func(name string) string { return filepath.Join("..", "..", "examples", "data", name) }
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"cert-ans", "-trace", "-db", data("sensors.pw"), "-query", data("sensors_hi.pw")},
+		&stdout, &stderr); code != 0 {
+		t.Fatalf("cert-ans -trace: exit %d, stderr: %s", code, stderr.String())
+	}
+	for _, want := range []string{"  prepare ", "  eval ", "  answers ", "cache_misses=1"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("trace output missing %q:\n%s", want, stderr.String())
+		}
+	}
+
+	stdout.Reset()
+	stderr.Reset()
+	if code := run([]string{"explain", "-json", "-db", data("sensors.pw"), "-query", data("sensors_hi.pw")},
+		&stdout, &stderr); code != 0 {
+		t.Fatalf("explain -json: exit %d, stderr: %s", code, stderr.String())
+	}
+	s := server.New(server.Config{})
+	if err := s.Open("sensors", data("sensors.pw")); err != nil {
+		t.Fatal(err)
+	}
+	q, err := os.ReadFile(data("sensors_hi.pw"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := s.DoCall(&server.Request{DB: "sensors", Op: "cert-ans", Query: string(q)},
+		server.CallOptions{Explain: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(resp.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := withoutDurations(t, stdout.Bytes()), withoutDurations(t, want); !reflect.DeepEqual(got, want) {
+		t.Errorf("explain -json differs from the server's plan:\n--- pwq ---\n%v\n--- server ---\n%v", got, want)
+	}
+}
+
+// withoutDurations decodes a JSON plan and drops every wall-clock
+// ("us") field, which omitempty also drops when it reads zero.
+func withoutDurations(t *testing.T, b []byte) any {
+	t.Helper()
+	var v any
+	if err := json.Unmarshal(b, &v); err != nil {
+		t.Fatalf("plan does not decode: %v\n%s", err, b)
+	}
+	var strip func(any)
+	strip = func(v any) {
+		switch n := v.(type) {
+		case map[string]any:
+			delete(n, "us")
+			for _, c := range n {
+				strip(c)
+			}
+		case []any:
+			for _, c := range n {
+				strip(c)
+			}
+		}
+	}
+	strip(v)
+	return v
 }

@@ -83,9 +83,6 @@ type Config struct {
 	// negative value disables answer caching (every request evaluates,
 	// though identical in-flight requests still coalesce).
 	CacheSize int
-	// PreparedSize bounds the prepared-query cache (entries). 0 means
-	// 512; a negative value disables it (every request re-parses).
-	PreparedSize int
 	// SlowQueryThreshold enables the slow-query log: every request
 	// taking at least this long is logged as its flight record (op,
 	// database, canonical query fingerprint, outcome, plan summary and
@@ -102,8 +99,8 @@ type Config struct {
 }
 
 const (
-	defaultCacheSize    = 256
-	defaultPreparedSize = 512
+	defaultCacheSize = 256
+	preparedSize     = 512 // prepared-query cache entries
 )
 
 // Server is a resident multi-database query engine. Safe for concurrent
@@ -288,10 +285,6 @@ func New(cfg Config) *Server {
 	if cacheSize == 0 {
 		cacheSize = defaultCacheSize
 	}
-	preparedSize := cfg.PreparedSize
-	if preparedSize == 0 {
-		preparedSize = defaultPreparedSize
-	}
 	slowLog := cfg.SlowQueryLog
 	if slowLog == nil && cfg.SlowQueryThreshold > 0 {
 		slowLog = os.Stderr
@@ -453,6 +446,8 @@ func loadInto(db *database, path string) error {
 		db.rep = rep.DB{WSD: src.WSD}
 	case src.DB != nil:
 		db.rep = rep.DB{Tab: src.DB}
+	case src.Update != nil:
+		return fmt.Errorf("%s is an @update file, not a database", path)
 	default:
 		return fmt.Errorf("%s is a @query file, not a database", path)
 	}

@@ -263,6 +263,24 @@ func TestDuplicateAndReloadErrors(t *testing.T) {
 	}
 }
 
+// TestOpenNamesMisroutedFiles: a @query or @update file opened as a
+// database is refused with an error naming what the file is.
+func TestOpenNamesMisroutedFiles(t *testing.T) {
+	s := server.New(server.Config{})
+	for _, tc := range []struct{ path, want string }{
+		{hiQueryPath, "is a @query file, not a database"},
+		{"../../examples/data/sensors_patch.pw", "is an @update file, not a database"},
+	} {
+		err := s.Open("misrouted", tc.path)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Open(%s): error %v, want one containing %q", tc.path, err, tc.want)
+		}
+	}
+	if len(s.Databases()) != 0 {
+		t.Errorf("a refused Open registered a database: %+v", s.Databases())
+	}
+}
+
 func httpJSON(t *testing.T, s *server.Server, method, target, body string, wantStatus int, out any) {
 	t.Helper()
 	var r *httptest.ResponseRecorder

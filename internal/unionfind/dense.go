@@ -1,12 +1,16 @@
+// Package unionfind provides a disjoint-set forest over dense integer
+// nodes with path compression and union by rank. Decomposition
+// normalization, compilation and updates (internal/wsd) and the lifted
+// evaluator's merges and containment (internal/wsdalg) group components
+// with it.
 package unionfind
 
 import "slices"
 
 // Dense is a disjoint-set forest over dense integer nodes 0..n-1 with path
-// compression and union by rank. It is the allocation-light substrate the
-// interned-symbol condition closure runs on: callers map symbol IDs to
-// dense node indices once and then merge/find in pure integer arithmetic,
-// where the string-keyed UF needed a map probe and a key allocation per
+// compression and union by rank: callers map their keys (symbol IDs,
+// component indices) to dense node indices once and then merge/find in
+// pure integer arithmetic, with no map probe or key allocation per
 // operation.
 type Dense struct {
 	parent []int32

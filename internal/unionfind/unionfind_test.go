@@ -7,91 +7,49 @@ import (
 )
 
 func TestBasicUnionFind(t *testing.T) {
-	u := New()
-	u.Add("a")
-	u.Add("b")
-	u.Add("c")
-	if u.Same("a", "b") {
-		t.Error("fresh keys must be in distinct classes")
+	u := NewDense(3)
+	if u.Same(0, 1) {
+		t.Error("fresh nodes must be in distinct classes")
 	}
-	u.Union("a", "b")
-	if !u.Same("a", "b") {
+	u.Union(0, 1)
+	if !u.Same(0, 1) {
 		t.Error("union failed")
 	}
-	if u.Same("a", "c") {
-		t.Error("unrelated keys merged")
+	if u.Same(0, 2) {
+		t.Error("unrelated nodes merged")
 	}
-	u.Union("b", "c")
-	if !u.Same("a", "c") {
+	u.Union(1, 2)
+	if !u.Same(0, 2) {
 		t.Error("transitivity broken")
 	}
-}
-
-func TestFindAddsKey(t *testing.T) {
-	u := New()
-	if u.Find("ghost") != "ghost" {
-		t.Error("Find of a fresh key should return itself")
-	}
-	if u.Len() != 1 {
-		t.Error("Find must add the key")
+	u.Grow(4)
+	if u.Len() != 4 || u.Find(3) != 3 || u.Same(0, 3) {
+		t.Error("Grow must add singleton nodes")
 	}
 }
 
 func TestUnionIdempotent(t *testing.T) {
-	u := New()
-	u.Union("a", "b")
-	r1 := u.Find("a")
-	u.Union("a", "b")
-	if u.Find("a") != r1 {
+	u := NewDense(2)
+	u.Union(0, 1)
+	r1 := u.Find(0)
+	if u.Union(0, 1) != r1 || u.Find(0) != r1 {
 		t.Error("repeated union changed the representative")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	u := New()
-	u.Union("a", "b")
-	c := u.Clone()
-	c.Union("a", "z")
-	if u.Same("a", "z") {
-		t.Error("clone shares state with original")
-	}
-	if !c.Same("a", "b") {
-		t.Error("clone lost state")
-	}
-}
-
-func TestClasses(t *testing.T) {
-	u := New()
-	u.Union("a", "b")
-	u.Union("c", "d")
-	u.Add("e")
-	cl := u.Classes()
-	if len(cl) != 3 {
-		t.Fatalf("want 3 classes, got %d: %v", len(cl), cl)
-	}
-	sizes := map[int]int{}
-	for _, members := range cl {
-		sizes[len(members)]++
-	}
-	if sizes[2] != 2 || sizes[1] != 1 {
-		t.Errorf("class sizes wrong: %v", cl)
 	}
 }
 
 // TestAgainstNaivePartition drives random unions and compares Same against
 // a naive partition refinement.
 func TestAgainstNaivePartition(t *testing.T) {
+	const n = 8
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-		u := New()
-		naive := map[string]int{}
-		for i, k := range keys {
-			naive[k] = i
+		u := NewDense(n)
+		var naive [n]int
+		for i := range naive {
+			naive[i] = i
 		}
 		for step := 0; step < 12; step++ {
-			x := keys[rng.Intn(len(keys))]
-			y := keys[rng.Intn(len(keys))]
+			x, y := int32(rng.Intn(n)), int32(rng.Intn(n))
 			u.Union(x, y)
 			gx, gy := naive[x], naive[y]
 			for k, g := range naive {
@@ -100,8 +58,8 @@ func TestAgainstNaivePartition(t *testing.T) {
 				}
 			}
 		}
-		for _, x := range keys {
-			for _, y := range keys {
+		for x := int32(0); x < n; x++ {
+			for y := int32(0); y < n; y++ {
 				if u.Same(x, y) != (naive[x] == naive[y]) {
 					return false
 				}

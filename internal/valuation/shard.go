@@ -1,10 +1,12 @@
-// Sharded enumeration: the parallel counterparts of Enumerate and
-// EnumerateCanonical. The d^k odometer space (resp. the restricted-growth
-// canonical space) is split into balanced prefix shards; a worker pool
-// claims shards from an atomic cursor and enumerates each independently,
-// and a shared cancellation flag lets the first witness in any shard abort
-// all others — exactly the structure the decision procedures need for
-// their existential searches (and, negated, for their universal ones).
+// Sharded enumeration: the d^k odometer space (Shards, EnumerateRange —
+// the world materialization of internal/worlds runs on them) and the
+// restricted-growth canonical space (EnumerateCanonicalSharded, the
+// parallel EnumerateCanonical) are split into balanced prefix shards; a
+// worker pool claims shards from an atomic cursor and enumerates each
+// independently, and a shared cancellation flag lets the first witness in
+// any shard abort all others — exactly the structure the decision
+// procedures need for their existential searches (and, negated, for their
+// universal ones).
 //
 // The determinism contract of the engine rests on a genericity argument,
 // not on visit order: every consumer predicate is order-independent (the
@@ -91,13 +93,6 @@ func Shards(u *sym.Universe, domain []sym.ID, n int) ([]Range, bool) {
 func EnumerateRange(u *sym.Universe, domain []sym.ID, r Range, fn func(V) bool) bool {
 	v := Make(u)
 	idx := make([]int, u.Len())
-	return enumerateRange(v, idx, domain, r, nil, fn)
-}
-
-// enumerateRange is the workhorse behind EnumerateRange and the sharded
-// worker loop: it reuses the caller's valuation and digit buffer and
-// checks the shared stop flag (when given) before every candidate.
-func enumerateRange(v V, idx []int, domain []sym.ID, r Range, stop *atomic.Bool, fn func(V) bool) bool {
 	k, d := len(idx), len(domain)
 	x := r.Lo
 	for i := k - 1; i >= 0; i-- {
@@ -105,9 +100,6 @@ func enumerateRange(v V, idx []int, domain []sym.ID, r Range, stop *atomic.Bool,
 		x /= d
 	}
 	for n := r.Lo; n < r.Hi; n++ {
-		if stop != nil && stop.Load() {
-			return false
-		}
 		for i := 0; i < k; i++ {
 			v.Vals[i] = domain[idx[i]]
 		}
@@ -177,26 +169,6 @@ func ParallelAny(workers, n int, task func(i int, stop *atomic.Bool) bool) bool 
 	}
 	wg.Wait()
 	return found.Load()
-}
-
-// EnumerateSharded is the parallel Enumerate: the same space, the same
-// early-exit contract, but visited by workers goroutines over balanced
-// shards, with the first fn returning true cancelling every other shard.
-//
-// fn may be called from multiple goroutines concurrently (each worker owns
-// the valuation it passes); callers guarding shared state must synchronize.
-// Workers <= 1, a zero-variable universe, and spaces below MinShardedSpace
-// all dispatch to the sequential Enumerate, bit-for-bit.
-func EnumerateSharded(u *sym.Universe, domain []sym.ID, workers int, fn func(V) bool) bool {
-	shards, ok := Shards(u, domain, workers*ShardsPerWorker)
-	if workers <= 1 || !ok {
-		return Enumerate(u, domain, fn)
-	}
-	return ParallelAny(workers, len(shards), func(s int, stop *atomic.Bool) bool {
-		v := Make(u)
-		idx := make([]int, u.Len())
-		return enumerateRange(v, idx, domain, shards[s], stop, fn)
-	})
 }
 
 // canonPrefix is a partial canonical valuation: the first len(vals) slots

@@ -79,48 +79,6 @@ func TestShardsPartitionTheSpace(t *testing.T) {
 	}
 }
 
-func TestEnumerateShardedVisitsSameSet(t *testing.T) {
-	lowerThreshold(t)
-	u := varsU("x", "y", "z")
-	domain := ids("a", "b", "c")
-	var seq collect
-	Enumerate(u, domain, seq.add)
-	for _, workers := range []int{1, 2, 8} {
-		var par collect
-		if EnumerateSharded(u, domain, workers, par.add) {
-			t.Fatalf("workers=%d: no-exit enumeration reported found", workers)
-		}
-		s, p := seq.sorted(), par.sorted()
-		if len(s) != len(p) {
-			t.Fatalf("workers=%d: visited %d, want %d", workers, len(p), len(s))
-		}
-		for i := range s {
-			if s[i] != p[i] {
-				t.Fatalf("workers=%d: set diverges at %d: %s vs %s", workers, i, p[i], s[i])
-			}
-		}
-	}
-}
-
-func TestEnumerateShardedEarlyExit(t *testing.T) {
-	lowerThreshold(t)
-	u := varsU("x", "y", "z")
-	domain := ids("a", "b", "c", "d")
-	target := sym.Const("c")
-	for _, workers := range []int{1, 2, 8} {
-		found := EnumerateSharded(u, domain, workers, func(v V) bool {
-			return v.Vals[0] == target && v.Vals[1] == target && v.Vals[2] == target
-		})
-		if !found {
-			t.Fatalf("workers=%d: witness not found", workers)
-		}
-		missed := EnumerateSharded(u, domain, workers, func(v V) bool { return false })
-		if missed {
-			t.Fatalf("workers=%d: found nonexistent witness", workers)
-		}
-	}
-}
-
 func TestEnumerateCanonicalShardedVisitsSameSet(t *testing.T) {
 	lowerThreshold(t)
 	u := varsU("x", "y", "z", "w")

@@ -78,34 +78,3 @@ func (o Options) All(d *table.Database) []*rel.Instance {
 // Count returns |rep(d)| over the canonical domain, materializing shards
 // in parallel.
 func (o Options) Count(d *table.Database) int { return len(o.All(d)) }
-
-// Member is the parallel brute-force MEMB: the valuation space is sharded
-// and the first witness world cancels every other shard.
-func (o Options) Member(i *rel.Instance, d *table.Database) bool {
-	domain := valuation.Domain(d, i)
-	return valuation.EnumerateSharded(d.Universe(), domain, o.workers(), func(v valuation.V) bool {
-		w := v.Database(d)
-		return w != nil && w.Equal(i)
-	})
-}
-
-// Possible is the parallel brute-force POSS(∗,−): first containing world
-// cancels the search.
-func (o Options) Possible(p *rel.Instance, d *table.Database) bool {
-	domain := valuation.Domain(d, p)
-	return valuation.EnumerateSharded(d.Universe(), domain, o.workers(), func(v valuation.V) bool {
-		w := v.Database(d)
-		return w != nil && p.SubsetOf(w)
-	})
-}
-
-// Certain is the parallel brute-force CERT(∗,−): the universal dual —
-// the first violating world cancels everything.
-func (o Options) Certain(p *rel.Instance, d *table.Database) bool {
-	domain := valuation.Domain(d, p)
-	violated := valuation.EnumerateSharded(d.Universe(), domain, o.workers(), func(v valuation.V) bool {
-		w := v.Database(d)
-		return w != nil && !p.SubsetOf(w)
-	})
-	return !violated
-}

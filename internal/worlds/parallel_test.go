@@ -67,34 +67,3 @@ func TestParallelAllMatchesSequential(t *testing.T) {
 		}
 	}
 }
-
-// TestParallelDecisionsMatchSequential checks the sharded brute-force
-// MEMB/POSS/CERT against their sequential counterparts.
-func TestParallelDecisionsMatchSequential(t *testing.T) {
-	forceSharding(t)
-	for seed := int64(0); seed < 6; seed++ {
-		d := table.DB(gen.ITable(seed, "T", 3, 2, 3, 2, 0.5))
-		i, ok := gen.MemberInstance(seed, d)
-		if !ok {
-			continue
-		}
-		pert, _ := gen.PerturbedInstance(seed, i)
-		for _, workers := range []int{1, 2, 8} {
-			o := Options{Workers: workers}
-			if got, want := o.Member(i, d), Member(i, d); got != want {
-				t.Fatalf("seed %d workers %d: Member=%v want %v", seed, workers, got, want)
-			}
-			if pert != nil {
-				if got, want := o.Member(pert, d), Member(pert, d); got != want {
-					t.Fatalf("seed %d workers %d: Member(pert)=%v want %v", seed, workers, got, want)
-				}
-			}
-			if got, want := o.Possible(i, d), Possible(i, d); got != want {
-				t.Fatalf("seed %d workers %d: Possible=%v want %v", seed, workers, got, want)
-			}
-			if got, want := o.Certain(i, d), Certain(i, d); got != want {
-				t.Fatalf("seed %d workers %d: Certain=%v want %v", seed, workers, got, want)
-			}
-		}
-	}
-}

@@ -1,11 +1,11 @@
 // Read-only structural accessors over a normalized decomposition. They
-// expose the component/alternative structure and the support at the
-// boundary-fact level, so consumers outside the package — chiefly the
-// lifted query evaluator of internal/wsdalg — can walk a decomposition
-// without enumerating worlds and without reaching into the interned
-// representation. Attribute-level components answer these queries from
-// their templates; accessors that genuinely enumerate (Support,
-// AltFacts over every index) cost output size, while the template
+// expose the component/alternative structure and the support, so
+// consumers outside the package — chiefly the lifted query evaluator of
+// internal/wsdalg — can walk a decomposition without enumerating worlds
+// and without reaching into its internal layout. Attribute-level
+// components answer these queries from their templates; accessors that
+// genuinely enumerate (SupportTuples, AltFacts over every index) cost
+// output size, while the template
 // accessors (IsTemplate, TemplateSlots) let slot-aware consumers avoid
 // the product entirely. Components are addressed by their stable IDs
 // (see WSD); Order lists the live ones in display order.
@@ -14,31 +14,10 @@ package wsd
 import (
 	"iter"
 	"math"
-	"sort"
 
 	"pw/internal/rel"
 	"pw/internal/sym"
 )
-
-// Support returns every fact in the decomposition's support, in
-// canonical display order. On a normalized decomposition the support is
-// exactly the set of possible facts: every stored fact occurs in some
-// alternative, every template instantiation in some slot choice, and
-// the other components are independent. Attribute-level components
-// contribute their full instantiation sets, so the result is
-// output-sized — Π|slot| facts per template. It is SupportTuples with
-// names resolved.
-func (w *WSD) Support() []Fact {
-	w.ensure()
-	out := make([]Fact, 0, w.facts.len()-w.holes)
-	for f := range w.SupportTuples() {
-		out = append(out, w.boundary(int32(f.Rel), f.Tuple))
-	}
-	if w.hasTemplates() || w.factsLoose {
-		sort.Slice(out, func(i, j int) bool { return factBoundaryLess(out[i], out[j], w.schemaIdx) })
-	}
-	return out
-}
 
 // StoredTuples yields the stored facts of the support — SupportTuples
 // without the template instantiations — in fact-ID order. Stored tuples
@@ -65,10 +44,11 @@ func (w *WSD) eachStored(yield func(TupleFact) bool) bool {
 // SupportTuples yields the support in interned form: the stored facts
 // in fact-ID order, then each template's instantiations in odometer
 // order (display order only when the decomposition has no template and
-// no update reordered its facts; Support sorts). Stored tuples are the
+// no update reordered its facts). On a normalized decomposition the
+// support is exactly the set of possible facts. Stored tuples are the
 // decomposition's own, shared: callers must not mutate them. A
-// template with more instantiations than fit an int panics, as in
-// Support; check SupportSize first.
+// template with more instantiations than fit an int panics; check
+// SupportSize first.
 func (w *WSD) SupportTuples() iter.Seq[TupleFact] {
 	w.ensure()
 	return func(yield func(TupleFact) bool) {
@@ -90,7 +70,7 @@ func (w *WSD) SupportTuples() iter.Seq[TupleFact] {
 func (w *WSD) yieldInstantiations(a *attrComp, yield func(TupleFact) bool) bool {
 	n, ok := a.countInt()
 	if !ok {
-		panic("wsd: Support on a template with more instantiations than fit an int")
+		panic("wsd: SupportTuples on a template with more instantiations than fit an int")
 	}
 	for ai := 0; ai < n; ai++ {
 		if !yield(TupleFact{Rel: int(a.rel), Tuple: a.tupleAt(ai)}) {
@@ -100,9 +80,9 @@ func (w *WSD) yieldInstantiations(a *attrComp, yield func(TupleFact) bool) bool 
 	return true
 }
 
-// SupportSize returns the number of facts Support would enumerate; ok
+// SupportSize returns the number of facts SupportTuples would yield; ok
 // is false when a template's instantiation count overflows int (the
-// regime where Support would panic). Callers that materialize the
+// regime where SupportTuples would panic). Callers that materialize the
 // support check this first and surface an error instead.
 func (w *WSD) SupportSize() (n int, ok bool) {
 	w.ensure()
@@ -119,35 +99,10 @@ func (w *WSD) SupportSize() (n int, ok bool) {
 	return n, true
 }
 
-// factBoundaryLess mirrors factLess on boundary facts: schema position
-// first, then the tuple by symbol name.
-func factBoundaryLess(a, b Fact, schemaIdx map[string]int) bool {
-	if ra, rb := schemaIdx[a.Rel], schemaIdx[b.Rel]; ra != rb {
-		return ra < rb
-	}
-	return a.Args.Compare(b.Args) < 0
-}
-
-// CertainFacts returns the facts present in every world, in canonical
-// display order. Template instantiations are never certain (a
-// normalized template keeps at least two alternatives). On the empty
-// world set it returns nil (there is no canonical certain set; callers
-// that want the vacuous reading check Empty themselves). It is
-// CertainTuples with names resolved.
-func (w *WSD) CertainFacts() []Fact {
-	var out []Fact
-	for f := range w.CertainTuples() {
-		out = append(out, w.boundary(int32(f.Rel), f.Tuple))
-	}
-	if w.factsLoose {
-		sort.Slice(out, func(i, j int) bool { return factBoundaryLess(out[i], out[j], w.schemaIdx) })
-	}
-	return out
-}
-
 // CertainTuples yields the certain facts in interned form, in fact-ID
-// order (display order unless an update reordered the facts;
-// CertainFacts sorts). The tuples are the decomposition's own, shared:
+// order (display order unless an update reordered the facts). Template
+// instantiations are never certain (a normalized template keeps at
+// least two alternatives). The tuples are the decomposition's own, shared:
 // callers must not mutate them.
 func (w *WSD) CertainTuples() iter.Seq[TupleFact] {
 	w.ensure()

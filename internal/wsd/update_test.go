@@ -602,8 +602,8 @@ func TestUpdateCompaction(t *testing.T) {
 			t.Fatalf("after %d deletes: Size = %d, want %d", i+1, got, want)
 		}
 	}
-	if got := len(cur.Support()); got != 52 {
-		t.Fatalf("support enumerates %d facts, want 52", got)
+	if got, ok := cur.SupportSize(); !ok || got != 52 {
+		t.Fatalf("support holds %d facts, want 52", got)
 	}
 	full, err := w.ApplyUpdateFull(&wsd.Update{Ops: func() []wsd.UpdateOp {
 		ops := make([]wsd.UpdateOp, 150)
