@@ -1,6 +1,5 @@
 // Command pwbench regenerates the paper's figures as text reports (the
-// per-experiment index of DESIGN.md; reference output in EXPERIMENTS.md)
-// and runs the tracked perf probes.
+// per-experiment index of DESIGN.md) and runs the tracked perf probes.
 //
 // Usage:
 //
@@ -48,7 +47,7 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("pwbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	full := fs.Bool("full", false, "widen sweeps (slower, used for EXPERIMENTS.md)")
+	full := fs.Bool("full", false, "widen sweeps (slower)")
 	only := fs.String("only", "", "run a single experiment or probe by id (e.g. F3, Fig3_MembMatching_128)")
 	bench := fs.Bool("bench", false, "run perf probes instead of figure reports")
 	asJSON := fs.Bool("json", false, "with -bench: emit machine-readable JSON")

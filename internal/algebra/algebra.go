@@ -75,12 +75,6 @@ type Expr interface {
 	// Schema returns the output column names; column names within one
 	// schema are unique.
 	Schema() ([]string, error)
-	// Positive reports whether the expression uses only the positive
-	// operators (no ≠ in selections); positive expressions are preserved
-	// under homomorphisms, which the certainty algorithms rely on.
-	Positive() bool
-	// Consts returns the constants mentioned in the expression.
-	Consts() []string
 	// String renders the expression.
 	String() string
 }
@@ -100,9 +94,7 @@ func (r Rel) Schema() ([]string, error) {
 	}
 	return r.Cols, nil
 }
-func (r Rel) Positive() bool   { return true }
-func (r Rel) Consts() []string { return nil }
-func (r Rel) String() string   { return fmt.Sprintf("%s(%s)", r.Name, strings.Join(r.Cols, ",")) }
+func (r Rel) String() string { return fmt.Sprintf("%s(%s)", r.Name, strings.Join(r.Cols, ",")) }
 
 // Project keeps the named columns, in the given order.
 type Project struct {
@@ -125,8 +117,6 @@ func (p Project) Schema() ([]string, error) {
 	}
 	return p.Cols, nil
 }
-func (p Project) Positive() bool   { return p.E.Positive() }
-func (p Project) Consts() []string { return p.E.Consts() }
 func (p Project) String() string {
 	return fmt.Sprintf("π[%s](%s)", strings.Join(p.Cols, ","), p.E)
 }
@@ -153,25 +143,6 @@ func (s Select) Schema() ([]string, error) {
 		}
 	}
 	return in, nil
-}
-func (s Select) Positive() bool {
-	for _, p := range s.Preds {
-		if p.Op == cond.Neq {
-			return false
-		}
-	}
-	return s.E.Positive()
-}
-func (s Select) Consts() []string {
-	out := s.E.Consts()
-	for _, p := range s.Preds {
-		for _, o := range []Operand{p.L, p.R} {
-			if o.isConst {
-				out = append(out, o.k)
-			}
-		}
-	}
-	return out
 }
 func (s Select) String() string {
 	parts := make([]string, len(s.Preds))
@@ -208,8 +179,6 @@ func (r Rename) Schema() ([]string, error) {
 	}
 	return out, nil
 }
-func (r Rename) Positive() bool   { return r.E.Positive() }
-func (r Rename) Consts() []string { return r.E.Consts() }
 func (r Rename) String() string {
 	pairs := make([]string, len(r.From))
 	for i := range r.From {
@@ -241,9 +210,7 @@ func (j Join) Schema() ([]string, error) {
 	}
 	return out, nil
 }
-func (j Join) Positive() bool   { return j.L.Positive() && j.R.Positive() }
-func (j Join) Consts() []string { return append(j.L.Consts(), j.R.Consts()...) }
-func (j Join) String() string   { return fmt.Sprintf("(%s ⋈ %s)", j.L, j.R) }
+func (j Join) String() string { return fmt.Sprintf("(%s ⋈ %s)", j.L, j.R) }
 
 // Union is set union; the operands must have identical schemas.
 type Union struct {
@@ -269,9 +236,7 @@ func (u Union) Schema() ([]string, error) {
 	}
 	return ls, nil
 }
-func (u Union) Positive() bool   { return u.L.Positive() && u.R.Positive() }
-func (u Union) Consts() []string { return append(u.L.Consts(), u.R.Consts()...) }
-func (u Union) String() string   { return fmt.Sprintf("(%s ∪ %s)", u.L, u.R) }
+func (u Union) String() string { return fmt.Sprintf("(%s ∪ %s)", u.L, u.R) }
 
 // UnionAll folds a list of expressions into nested unions; it panics on an
 // empty list.
@@ -328,14 +293,6 @@ func (c ConstRel) Schema() ([]string, error) {
 	}
 	return c.Cols, nil
 }
-func (c ConstRel) Positive() bool { return true }
-func (c ConstRel) Consts() []string {
-	var out []string
-	for _, r := range c.Rows {
-		out = append(out, r...)
-	}
-	return out
-}
 func (c ConstRel) String() string {
 	return fmt.Sprintf("values(%s)×%d", strings.Join(c.Cols, ","), len(c.Rows))
 }
@@ -358,21 +315,6 @@ func uniqueCols(cols []string) error {
 		seen[c] = true
 	}
 	return nil
-}
-
-// SortedConsts returns the deduplicated sorted constants of e.
-func SortedConsts(e Expr) []string {
-	cs := e.Consts()
-	sort.Strings(cs)
-	out := cs[:0]
-	var last string
-	for i, c := range cs {
-		if i == 0 || c != last {
-			out = append(out, c)
-		}
-		last = c
-	}
-	return out
 }
 
 // ensure interface satisfaction (compile-time checks).

@@ -1,7 +1,9 @@
 package algebra
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -130,20 +132,59 @@ func TestRename(t *testing.T) {
 }
 
 func TestPositivity(t *testing.T) {
-	if !Where(Scan("R", "a", "b"), EqP(Col("a"), Lit("1"))).Positive() {
+	if !Positive(Where(Scan("R", "a", "b"), EqP(Col("a"), Lit("1")))) {
 		t.Error("equality select is positive")
 	}
-	if Where(Scan("R", "a", "b"), NeqP(Col("a"), Lit("1"))).Positive() {
+	if Positive(Where(Scan("R", "a", "b"), NeqP(Col("a"), Lit("1")))) {
 		t.Error("inequality select is not positive")
 	}
 }
 
 func TestConstsCollected(t *testing.T) {
 	e := Where(Scan("R", "a", "b"), EqP(Col("a"), Lit("7")), NeqP(Col("b"), Lit("8")))
-	cs := SortedConsts(e)
+	cs := Consts(e)
 	if len(cs) != 2 || cs[0] != "7" || cs[1] != "8" {
 		t.Errorf("consts = %v", cs)
 	}
+}
+
+// foreignExpr is an expression type Map has no case for.
+type foreignExpr struct{ Rel }
+
+// TestWalkReachesEveryOperand: Walk visits every node of a tree using
+// each operator, operands before their node and left before right, and
+// Map refuses an expression type it does not know instead of treating
+// it as a leaf.
+func TestWalkReachesEveryOperand(t *testing.T) {
+	r, s := Scan("R", "a"), Scan("S", "a")
+	e := Union{
+		L: Diff{L: Possible{E: Project{E: Where(r, EqP(Col("a"), Lit("1"))), Cols: []string{"a"}}}, R: Certain{E: s}},
+		R: Join{L: ChoiceOf{E: Rename{E: Scan("T", "b"), From: []string{"b"}, To: []string{"a"}}}, R: Values("a", "2")},
+	}
+	var got []string
+	Walk(e, func(n Expr) {
+		if sc, ok := n.(Rel); ok {
+			got = append(got, sc.Name)
+		} else {
+			got = append(got, fmt.Sprintf("%T", n)[len("algebra."):])
+		}
+	})
+	want := "R Select Project Possible S Certain Diff T Rename ChoiceOf ConstRel Join Union"
+	if strings.Join(got, " ") != want {
+		t.Errorf("walk order = %v, want %s", got, want)
+	}
+	if cs := Consts(e); strings.Join(cs, " ") != "1 2" {
+		t.Errorf("consts = %v", cs)
+	}
+	if Positive(e) || !HasWorldSetOps(e) {
+		t.Error("possible, certain, choiceof and diff are not positive")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Map must refuse an expression type it has no case for")
+		}
+	}()
+	Map(foreignExpr{r}, func(c Expr) Expr { return c })
 }
 
 func TestDuplicateColumnRejected(t *testing.T) {
@@ -196,7 +237,7 @@ func directWorlds(t *testing.T, e Expr, d *table.Database) map[string]bool {
 func sharedDomain(d *table.Database, e Expr) []sym.ID {
 	seen := map[sym.ID]bool{}
 	cs := d.ConstIDs(nil, seen)
-	for _, c := range e.Consts() {
+	for _, c := range Consts(e) {
 		id := sym.Const(c)
 		if !seen[id] {
 			seen[id] = true

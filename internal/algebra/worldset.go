@@ -43,8 +43,6 @@ var ErrWorldSetOp = errors.New("algebra: world-set operator outside a world-set 
 type Possible struct{ E Expr }
 
 func (p Possible) Schema() ([]string, error) { return p.E.Schema() }
-func (p Possible) Positive() bool            { return false }
-func (p Possible) Consts() []string          { return p.E.Consts() }
 func (p Possible) String() string            { return fmt.Sprintf("possible(%s)", p.E) }
 
 // Certain is the world-set operator certain(e): the intersection of e's
@@ -52,8 +50,6 @@ func (p Possible) String() string            { return fmt.Sprintf("possible(%s)"
 type Certain struct{ E Expr }
 
 func (c Certain) Schema() ([]string, error) { return c.E.Schema() }
-func (c Certain) Positive() bool            { return false }
-func (c Certain) Consts() []string          { return c.E.Consts() }
 func (c Certain) String() string            { return fmt.Sprintf("certain(%s)", c.E) }
 
 // ChoiceOf is the hypothetical what-if operator choiceof(e): each world
@@ -62,8 +58,6 @@ func (c Certain) String() string            { return fmt.Sprintf("certain(%s)", 
 type ChoiceOf struct{ E Expr }
 
 func (c ChoiceOf) Schema() ([]string, error) { return c.E.Schema() }
-func (c ChoiceOf) Positive() bool            { return false }
-func (c ChoiceOf) Consts() []string          { return c.E.Consts() }
 func (c ChoiceOf) String() string            { return fmt.Sprintf("choiceof(%s)", c.E) }
 
 // Diff is per-world set difference; the operands must have identical
@@ -89,9 +83,7 @@ func (d Diff) Schema() ([]string, error) {
 	}
 	return ls, nil
 }
-func (d Diff) Positive() bool   { return false }
-func (d Diff) Consts() []string { return append(d.L.Consts(), d.R.Consts()...) }
-func (d Diff) String() string   { return fmt.Sprintf("(%s ∖ %s)", d.L, d.R) }
+func (d Diff) String() string { return fmt.Sprintf("(%s ∖ %s)", d.L, d.R) }
 
 // Compile-time interface checks for the world-set nodes.
 var (
@@ -100,49 +92,6 @@ var (
 	_ Expr = ChoiceOf{}
 	_ Expr = Diff{}
 )
-
-// HasWorldSetOps reports whether e contains possible, certain or choiceof
-// anywhere — the operators that only make sense against a world set.
-// (Diff is a per-world map and does not count.)
-func HasWorldSetOps(e Expr) bool {
-	switch n := e.(type) {
-	case Possible, Certain, ChoiceOf:
-		return true
-	case Project:
-		return HasWorldSetOps(n.E)
-	case Select:
-		return HasWorldSetOps(n.E)
-	case Rename:
-		return HasWorldSetOps(n.E)
-	case Join:
-		return HasWorldSetOps(n.L) || HasWorldSetOps(n.R)
-	case Union:
-		return HasWorldSetOps(n.L) || HasWorldSetOps(n.R)
-	case Diff:
-		return HasWorldSetOps(n.L) || HasWorldSetOps(n.R)
-	}
-	return false
-}
-
-// HasExtendedOps reports whether e uses any operator beyond the positive
-// fragment with ≠ selections: the world-set operators or diff.
-func HasExtendedOps(e Expr) bool {
-	switch n := e.(type) {
-	case Diff:
-		return true
-	case Project:
-		return HasExtendedOps(n.E)
-	case Select:
-		return HasExtendedOps(n.E)
-	case Rename:
-		return HasExtendedOps(n.E)
-	case Join:
-		return HasExtendedOps(n.L) || HasExtendedOps(n.R)
-	case Union:
-		return HasExtendedOps(n.L) || HasExtendedOps(n.R)
-	}
-	return HasWorldSetOps(e)
-}
 
 // WorldSetEval evaluates extended expressions over an explicit world set.
 // This is the oracle semantics for the world-set algebra: cost is linear

@@ -346,23 +346,3 @@ func (c Conjunction) IsTrue() bool {
 	}
 	return true
 }
-
-// OnlyEq reports whether every atom is an equality.
-func (c Conjunction) OnlyEq() bool {
-	for _, a := range c {
-		if a.Op != Eq {
-			return false
-		}
-	}
-	return true
-}
-
-// OnlyNeq reports whether every atom is an inequality.
-func (c Conjunction) OnlyNeq() bool {
-	for _, a := range c {
-		if a.Op != Neq {
-			return false
-		}
-	}
-	return true
-}

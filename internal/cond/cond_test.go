@@ -249,18 +249,6 @@ func TestSubst(t *testing.T) {
 	}
 }
 
-func TestOnlyEqOnlyNeq(t *testing.T) {
-	if !Conj(EqAtom(x(), y())).OnlyEq() || Conj(EqAtom(x(), y())).OnlyNeq() {
-		t.Error("OnlyEq/OnlyNeq wrong for equality")
-	}
-	if !Conj(NeqAtom(x(), y())).OnlyNeq() || Conj(NeqAtom(x(), y())).OnlyEq() {
-		t.Error("OnlyEq/OnlyNeq wrong for inequality")
-	}
-	if !Conjunction(nil).OnlyEq() || !Conjunction(nil).OnlyNeq() {
-		t.Error("empty conjunction is vacuously both")
-	}
-}
-
 func TestAndDoesNotAlias(t *testing.T) {
 	a := Conj(EqAtom(x(), c1()))
 	b := Conj(EqAtom(y(), c2()))

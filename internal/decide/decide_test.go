@@ -364,18 +364,20 @@ func TestContainmentNeedsSupersetConstants(t *testing.T) {
 }
 
 func TestUniquenessGTableFastPath(t *testing.T) {
-	// Theorem 3.2(1): g-table forced ground by its equalities.
+	// Theorem 3.2(1): g-table forced ground by its equalities. The
+	// identity query's uniqueness takes the fast path (no local
+	// conditions: compare the normalized matrix, no search).
 	tb := table.New("T", 1)
 	tb.Global = cond.Conj(cond.EqAtom(v("x"), k("1")))
 	tb.AddTuple(v("x"))
-	ok, err := UniquenessOfGTable(table.DB(tb), inst1("1"))
+	ok, err := Options{}.Uniqueness(query.Identity{}, table.DB(tb), inst1("1"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok {
 		t.Error("x=1 forces the unique instance {(1)}")
 	}
-	ok, err = UniquenessOfGTable(table.DB(tb), inst1("2"))
+	ok, err = Options{}.Uniqueness(query.Identity{}, table.DB(tb), inst1("2"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +387,7 @@ func TestUniquenessGTableFastPath(t *testing.T) {
 	// Unbound variable: never unique.
 	tb2 := table.New("T", 1)
 	tb2.AddTuple(v("x"))
-	ok, err = UniquenessOfGTable(table.DB(tb2), inst1("1"))
+	ok, err = Options{}.Uniqueness(query.Identity{}, table.DB(tb2), inst1("1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -447,14 +449,5 @@ func TestCertainOnEmptyRep(t *testing.T) {
 	}
 	if !got {
 		t.Error("certainty over the empty set of worlds is vacuous truth")
-	}
-}
-
-func TestMembershipWitness(t *testing.T) {
-	tb := table.New("T", 1)
-	tb.AddTuple(v("x"))
-	w, ok, err := MembershipWitness(inst1("5"), query.Identity{}, table.DB(tb))
-	if err != nil || !ok || !w.Equal(inst1("5")) {
-		t.Errorf("witness = %v ok=%v err=%v", w, ok, err)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"pw/internal/rel"
 	"pw/internal/sym"
 	"pw/internal/table"
-	"pw/internal/valuation"
 )
 
 // Membership decides MEMB(q): is i0 ∈ q(rep(d))? Dispatch:
@@ -330,34 +329,4 @@ func (o Options) membershipGeneric(i0 *rel.Instance, q query.Query, d *table.Dat
 		return false, fmt.Errorf("membership(%s): %w", q.Label(), err)
 	}
 	return found, nil
-}
-
-// MembershipWitness returns a world of q(rep(d)) equal to i0 together with
-// the verdict; the witness is nil when the answer is no. It always uses
-// the sequential generic search (so the witness is the first in canonical
-// order); reserve it for small inputs and diagnostics.
-func MembershipWitness(i0 *rel.Instance, q query.Query, d *table.Database) (*rel.Instance, bool, error) {
-	base, prefix := genericDomain(d, q, i0)
-	var witness *rel.Instance
-	var evalErr error
-	found := valuation.EnumerateCanonical(d.Universe(), base, prefix, func(v valuation.V) bool {
-		w := v.Database(d)
-		if w == nil {
-			return false
-		}
-		out, err := q.Eval(w)
-		if err != nil {
-			evalErr = err
-			return true
-		}
-		if out.Equal(i0) {
-			witness = out
-			return true
-		}
-		return false
-	})
-	if evalErr != nil {
-		return nil, false, evalErr
-	}
-	return witness, found, nil
 }

@@ -205,18 +205,3 @@ func (o Options) uniqueGeneric(q0 query.Query, d0 *table.Database, i *rel.Instan
 	// Every world's image equals i; rep must also be non-empty.
 	return !diff && err == nil && sawWorld.Load(), err
 }
-
-// UniquenessOfGTable exposes the Theorem 3.2(1) fast path directly: it
-// normalizes d (kind ≤ g-table required by the caller) and compares
-// matrices, never invoking search. Used by benchmarks to isolate the
-// polynomial cell.
-func UniquenessOfGTable(d *table.Database, i *rel.Instance) (bool, error) {
-	if err := SchemaCheck(i, d); err != nil {
-		return false, err
-	}
-	c := d.Compiled()
-	if c.Norm == nil {
-		return false, nil
-	}
-	return groundEquals(c, i), nil
-}

@@ -137,7 +137,7 @@ func entailed(s *cond.Solver, cl Clause) bool {
 // implied bindings of a solution conjunction, with every remaining
 // unconstrained variable (or variable class) mapped to a distinct fresh
 // constant prefix0, prefix1, … Choose the prefix outside every relevant
-// active domain (see table.FreshPrefix).
+// active domain (see table.FreshPrefixIDs).
 func (p *Problem) Model(vars []sym.ID, prefix string) (valuation.V, bool) {
 	sol, ok := p.Solution()
 	if !ok {

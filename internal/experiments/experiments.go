@@ -2,7 +2,7 @@
 // report: the Fig. 1 representation hierarchy, the Fig. 2 complexity grid
 // (measured empirically), the Fig. 3 matching algorithm, the reduction
 // constructions of Figs. 4–12, and per-theorem scaling sweeps. cmd/pwbench
-// prints the full set; EXPERIMENTS.md records a reference run.
+// prints the full set.
 package experiments
 
 import (

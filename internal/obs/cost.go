@@ -1,8 +1,8 @@
 // Package obs is the engine's zero-dependency observability core:
-// per-request cost accounting (Cost), a lightweight span/trace API with
-// context propagation (Trace, Span), and process-wide metrics — atomic
-// counters, gauges and fixed-bucket histograms — exposed in the
-// Prometheus text format (Registry).
+// per-request cost accounting (Cost), a lightweight span/trace API
+// (Trace, Span), and process-wide metrics — atomic counters, gauges
+// and fixed-bucket histograms — exposed in the Prometheus text format
+// (Registry).
 //
 // The design constraint throughout is that instrumentation must be
 // cheap enough to leave compiled into the hot layers: every Cost and

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"sync"
@@ -216,19 +215,4 @@ func (t *Trace) WriteText(w io.Writer) {
 	if s := t.cost.String(); s != "" {
 		fmt.Fprintf(w, "cost: %s\n", s)
 	}
-}
-
-type ctxKey struct{}
-
-// NewContext returns a context carrying the trace; FromContext recovers
-// it (nil when absent). This is the per-query propagation path for
-// layers that already thread a context.
-func NewContext(ctx context.Context, t *Trace) context.Context {
-	return context.WithValue(ctx, ctxKey{}, t)
-}
-
-// FromContext extracts the trace installed by NewContext, or nil.
-func FromContext(ctx context.Context) *Trace {
-	t, _ := ctx.Value(ctxKey{}).(*Trace)
-	return t
 }

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"strings"
 	"testing"
 )
@@ -60,17 +59,6 @@ func TestTraceTree(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("WriteText output missing %q:\n%s", want, out)
 		}
-	}
-}
-
-func TestTraceContext(t *testing.T) {
-	if got := FromContext(context.Background()); got != nil {
-		t.Errorf("FromContext(empty) = %v, want nil", got)
-	}
-	tr := NewTrace("q", "id")
-	ctx := NewContext(context.Background(), tr)
-	if got := FromContext(ctx); got != tr {
-		t.Errorf("FromContext = %v, want the installed trace", got)
 	}
 }
 

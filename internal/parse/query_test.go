@@ -186,9 +186,6 @@ func TestParsedWorldSetQueryFragment(t *testing.T) {
 	if query.HasWorldSetOps(d) {
 		t.Error("diff alone is a per-world map, not a world-set operator")
 	}
-	if !query.HasExtendedOps(d) {
-		t.Error("HasExtendedOps must flag diff")
-	}
 	inst := rel.NewInstance()
 	r := inst.EnsureRelation("R", 1)
 	r.AddRow("x")

@@ -116,7 +116,7 @@ func (a Algebra) Eval(i *rel.Instance) (*rel.Instance, error) {
 func (a Algebra) Consts() []string {
 	var out []string
 	for _, o := range a.Outs {
-		out = append(out, o.Expr.Consts()...)
+		out = append(out, algebra.Consts(o.Expr)...)
 	}
 	return out
 }
@@ -137,10 +137,11 @@ func (a Algebra) EvalLifted(d *table.Database) (*table.Database, error) {
 	return out, nil
 }
 
-// Positive reports whether every output expression avoids ≠.
+// Positive reports whether every output expression is positive
+// (algebra.Positive): no ≠ selection, no diff, no world-set operator.
 func (a Algebra) Positive() bool {
 	for _, o := range a.Outs {
-		if !o.Expr.Positive() {
+		if !algebra.Positive(o.Expr) {
 			return false
 		}
 	}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 
 	"pw/internal/algebra"
 	"pw/internal/rel"
@@ -25,19 +26,25 @@ func HasWorldSetOps(q Query) bool {
 	return false
 }
 
-// HasExtendedOps reports whether q uses any operator beyond the positive
-// fragment with ≠ selections (world-set operators or diff).
-func HasExtendedOps(q Query) bool {
+// Scans names the base relations q reads: the relation of every scan
+// in its algebra, each once, in tree order. all is true for the
+// identity query, FO and Datalog, which may read any relation. It is the
+// read-side twin of wsd.Update.Footprint: a query whose scans are
+// disjoint from an update's footprint answers the same before and after
+// it.
+func Scans(q Query) (rels []string, all bool) {
 	a, ok := q.(Algebra)
 	if !ok {
-		return false
+		return nil, true
 	}
 	for _, o := range a.Outs {
-		if algebra.HasExtendedOps(o.Expr) {
-			return true
-		}
+		algebra.Walk(o.Expr, func(e algebra.Expr) {
+			if r, ok := e.(algebra.Rel); ok && !slices.Contains(rels, r.Name) {
+				rels = append(rels, r.Name)
+			}
+		})
 	}
-	return false
+	return rels, false
 }
 
 // maxAnswerWorlds bounds the explicit answer-world enumeration of

@@ -9,9 +9,9 @@ import (
 	"pw/internal/query"
 )
 
-// TestScannedRels: the read set of a prepared query is the relations
-// its algebra scans, through every operator the parser produces; the
-// identity query reads every relation.
+// TestScannedRels: the read set of a prepared query (query.Scans) is
+// the relations its algebra scans, through every operator the parser
+// produces; the identity query reads every relation.
 func TestScannedRels(t *testing.T) {
 	for _, c := range []struct {
 		expr string
@@ -29,13 +29,13 @@ func TestScannedRels(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.expr, err)
 		}
-		rs := scannedRels(*src.Query)
-		got := slices.Sorted(slices.Values(rs.rels))
-		if rs.all || !slices.Equal(got, c.want) {
-			t.Errorf("%s: reads %v (all=%v), want %v", c.expr, got, rs.all, c.want)
+		rels, all := query.Scans(*src.Query)
+		got := slices.Sorted(slices.Values(rels))
+		if all || !slices.Equal(got, c.want) {
+			t.Errorf("%s: reads %v (all=%v), want %v", c.expr, got, all, c.want)
 		}
 	}
-	if !scannedRels(query.Identity{}).all {
+	if _, all := query.Scans(query.Identity{}); !all {
 		t.Error("the identity query does not read every relation")
 	}
 }

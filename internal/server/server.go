@@ -52,7 +52,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -1009,8 +1008,8 @@ type preparedQuery struct {
 	kept atomic.Pointer[keptDecision]
 }
 
-// readSet is the set of relations a prepared query scans; all marks a
-// query that may read any relation.
+// readSet is the set of relations a prepared query scans
+// (query.Scans); all marks a query that may read any relation.
 type readSet struct {
 	rels []string
 	all  bool
@@ -1018,54 +1017,6 @@ type readSet struct {
 
 // readAll is the read set of the identity query, FO and Datalog.
 var readAll = &readSet{all: true}
-
-// scannedRels walks q's algebra for its base-relation scans. The
-// identity query, FO, Datalog and any algebra node the walk does not
-// know read every relation.
-func scannedRels(q query.Query) *readSet {
-	a, ok := q.(query.Algebra)
-	if !ok {
-		return readAll
-	}
-	rs := &readSet{}
-	var walk func(e algebra.Expr) bool
-	walk = func(e algebra.Expr) bool {
-		switch n := e.(type) {
-		case algebra.Rel:
-			if !slices.Contains(rs.rels, n.Name) {
-				rs.rels = append(rs.rels, n.Name)
-			}
-			return true
-		case algebra.ConstRel:
-			return true
-		case algebra.Project:
-			return walk(n.E)
-		case algebra.Select:
-			return walk(n.E)
-		case algebra.Rename:
-			return walk(n.E)
-		case algebra.Possible:
-			return walk(n.E)
-		case algebra.Certain:
-			return walk(n.E)
-		case algebra.ChoiceOf:
-			return walk(n.E)
-		case algebra.Join:
-			return walk(n.L) && walk(n.R)
-		case algebra.Union:
-			return walk(n.L) && walk(n.R)
-		case algebra.Diff:
-			return walk(n.L) && walk(n.R)
-		}
-		return false
-	}
-	for _, o := range a.Outs {
-		if !walk(o.Expr) {
-			return readAll
-		}
-	}
-	return rs
-}
 
 // keptDecision is a planning decision keyed by the database and the
 // effective version it was made at. The key holds no decomposition: the
@@ -1118,7 +1069,8 @@ func (s *Server) prepare(text string, rc *reqCtx) (*preparedQuery, error) {
 	if err := parse.PrintQuery(&b, *src.Query); err != nil {
 		return nil, badRequest("query: %v", err)
 	}
-	p := &preparedQuery{q: *src.Query, fp: b.String(), reads: scannedRels(*src.Query)}
+	rels, all := query.Scans(*src.Query)
+	p := &preparedQuery{q: *src.Query, fp: b.String(), reads: &readSet{rels: rels, all: all}}
 	s.cacheMu.Lock()
 	s.prepared.add(text, p)
 	s.cacheMu.Unlock()

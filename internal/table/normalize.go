@@ -3,11 +3,10 @@ package table
 import (
 	"slices"
 	"strconv"
+	"strings"
 
-	"pw/internal/cond"
 	"pw/internal/rel"
 	"pw/internal/sym"
-	"pw/internal/value"
 )
 
 // Normalize incorporates the equalities implied by the global condition
@@ -55,7 +54,7 @@ func Normalize(d *Database) (*Database, bool) {
 // Freeze replaces every variable x occurring in the database by a fresh
 // constant a_x (the K₀ construction in the claim of Theorem 4.1). The
 // prefix must be chosen outside the active domains of every database
-// involved in the surrounding decision problem; FreshPrefix does this.
+// involved in the surrounding decision problem; FreshPrefixIDs does this.
 // Freeze ignores conditions: callers normalize first so that all equality
 // information is incorporated and the residual inequalities are satisfied
 // by distinct fresh constants.
@@ -98,74 +97,20 @@ func Freeze(d *Database, prefix string) *rel.Instance {
 	return inst
 }
 
-// freshPrefixOver extends "~z" with "z"s until no name yielded by the
-// iterator starts with the prefix. Constant names produced by the library
-// never start with '~' unless they came from a previous fresh prefix, so
-// one or two rounds suffice. Both pool flavors delegate here so the scheme
-// cannot drift between them.
-func freshPrefixOver(names func(yield func(string) bool)) string {
+// FreshPrefixIDs returns a constant-name prefix that no constant in any
+// of the given pools starts with: "~z" extended with "z"s until nothing
+// clashes. Constant names produced by the library never start with '~'
+// unless they came from a previous fresh prefix, so one or two rounds
+// suffice. It resolves names only for the clash check, never allocating
+// keys per symbol.
+func FreshPrefixIDs(pools ...[]sym.ID) string {
 	prefix := "~z"
-	for {
-		clash := false
-		names(func(c string) bool {
-			if len(c) >= len(prefix) && c[:len(prefix)] == prefix {
-				clash = true
-				return false
-			}
-			return true
-		})
-		if !clash {
-			return prefix
-		}
+	for slices.ContainsFunc(pools, func(pool []sym.ID) bool {
+		return slices.ContainsFunc(pool, func(id sym.ID) bool { return strings.HasPrefix(id.Name(), prefix) })
+	}) {
 		prefix += "z"
 	}
-}
-
-// FreshPrefix returns a constant-name prefix that no constant in any of the
-// given pools starts with.
-func FreshPrefix(pools ...[]string) string {
-	return freshPrefixOver(func(yield func(string) bool) {
-		for _, pool := range pools {
-			for _, c := range pool {
-				if !yield(c) {
-					return
-				}
-			}
-		}
-	})
-}
-
-// FreshPrefixIDs is FreshPrefix over interned constant pools: it resolves
-// names only for the prefix-clash check, never allocating keys per symbol.
-func FreshPrefixIDs(pools ...[]sym.ID) string {
-	return freshPrefixOver(func(yield func(string) bool) {
-		for _, pool := range pools {
-			for _, id := range pool {
-				if !yield(id.Name()) {
-					return
-				}
-			}
-		}
-	})
-}
-
-// FromInstance lifts a complete-information instance to a (ground)
-// database: every fact becomes an unconditioned constant row. rep of the
-// result is the singleton {i}.
-func FromInstance(i *rel.Instance) *Database {
-	d := NewDatabase()
-	for _, r := range i.Relations() {
-		t := New(r.Name, r.Arity)
-		for _, f := range r.Tuples() {
-			vals := make(value.Tuple, len(f))
-			for j, c := range f {
-				vals[j] = value.Of(c)
-			}
-			t.Rows = append(t.Rows, Row{Values: vals})
-		}
-		d.AddTable(t)
-	}
-	return d
+	return prefix
 }
 
 // EmptyInstance returns the instance with the database's schema and no
@@ -177,11 +122,4 @@ func (d *Database) EmptyInstance() *rel.Instance {
 		inst.AddRelation(rel.NewRelation(t.Name, t.Arity))
 	}
 	return inst
-}
-
-// SatisfiableGlobal reports whether the database's combined global
-// condition is satisfiable, i.e. whether rep(d) ≠ ∅ (Definition 2.1's
-// PTIME emptiness check).
-func (d *Database) SatisfiableGlobal() bool {
-	return cond.Conjunction(d.GlobalConjunction()).Satisfiable()
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pw/internal/cond"
+	"pw/internal/sym"
 	"pw/internal/value"
 )
 
@@ -253,28 +254,15 @@ func TestFreezeDistinctFresh(t *testing.T) {
 }
 
 func TestFreshPrefixAvoidsClashes(t *testing.T) {
-	p := FreshPrefix([]string{"a", "~z3", "b"})
+	p := FreshPrefixIDs([]sym.ID{sym.Const("a")}, []sym.ID{sym.Const("~z3"), sym.Const("b")})
 	if p == "~z" {
 		t.Error("prefix ~z clashes with pool entry ~z3")
 	}
 	if !strings.HasPrefix(p, "~z") {
 		t.Errorf("unexpected prefix %q", p)
 	}
-	if FreshPrefix([]string{"plain"}) != "~z" {
+	if FreshPrefixIDs([]sym.ID{sym.Const("plain")}) != "~z" {
 		t.Error("clean pool should give ~z")
-	}
-}
-
-func TestFromInstanceRoundTrip(t *testing.T) {
-	tb := fig1Table()
-	d := DB(tb)
-	inst := Freeze(d, "~f")
-	back := FromInstance(inst)
-	if back.Kind() != KindCodd {
-		t.Error("ground database must be Codd kind")
-	}
-	if got := Freeze(back, "~g"); !got.Equal(inst) {
-		t.Error("freezing a ground database must be the identity")
 	}
 }
 
@@ -327,11 +315,11 @@ func TestDuplicateTablePanics(t *testing.T) {
 func TestSatisfiableGlobal(t *testing.T) {
 	tb := New("T", 1)
 	tb.AddTuple(v("x"))
-	if !DB(tb).SatisfiableGlobal() {
+	if !DB(tb).GlobalConjunction().Satisfiable() {
 		t.Error("no condition must be satisfiable")
 	}
 	tb.Global = cond.Conj(cond.NeqAtom(v("x"), v("x")))
-	if DB(tb).SatisfiableGlobal() {
+	if DB(tb).GlobalConjunction().Satisfiable() {
 		t.Error("x≠x must be unsatisfiable")
 	}
 }

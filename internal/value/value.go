@@ -11,7 +11,6 @@ package value
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"pw/internal/sym"
@@ -157,22 +156,6 @@ func (t Tuple) Compare(u Tuple) int {
 		return 1
 	}
 	return 0
-}
-
-// SortTuples sorts ts in place in the canonical order.
-func SortTuples(ts []Tuple) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Compare(ts[j]) < 0 })
-}
-
-// FreshConsts returns n constants named prefix0..prefix(n-1) guaranteed (by
-// the caller choosing a suitable prefix) to be outside a given active
-// domain. It is the Δ′ of Proposition 2.1.
-func FreshConsts(prefix string, n int) []Value {
-	out := make([]Value, n)
-	for i := range out {
-		out[i] = Const(fmt.Sprintf("%s%d", prefix, i))
-	}
-	return out
 }
 
 // FreshNames returns n constant names with the given prefix.

@@ -1,7 +1,7 @@
 package value
 
 import (
-	"sort"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -99,6 +99,8 @@ func TestTupleVarsDedup(t *testing.T) {
 	}
 }
 
+// TestSortTuples: the canonical tuple order (Tuple.Compare) compares
+// position by position, constants before variables, a prefix first.
 func TestSortTuples(t *testing.T) {
 	ts := []Tuple{
 		NewTuple(Var("x")),
@@ -106,7 +108,7 @@ func TestSortTuples(t *testing.T) {
 		NewTuple(Const("a"), Const("a")),
 		NewTuple(Const("a")),
 	}
-	SortTuples(ts)
+	slices.SortFunc(ts, Tuple.Compare)
 	want := []string{"(a)", "(a, a)", "(b)", "(?x)"}
 	for i, w := range want {
 		if ts[i].String() != w {
@@ -128,22 +130,4 @@ func TestTupleCompareLexicographic(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestFreshConsts(t *testing.T) {
-	fs := FreshConsts("~f", 3)
-	if len(fs) != 3 {
-		t.Fatal("wrong count")
-	}
-	names := map[string]bool{}
-	for _, f := range fs {
-		if !f.IsConst() {
-			t.Error("fresh value is not a constant")
-		}
-		names[f.Name()] = true
-	}
-	if len(names) != 3 {
-		t.Error("fresh constants are not distinct")
-	}
-	sort.Strings(FreshNames("~f", 4))
 }

@@ -96,21 +96,6 @@ func Member(i *rel.Instance, d *table.Database) bool {
 	})
 }
 
-// MemberWorld additionally returns a witness world equal to i, or nil.
-func MemberWorld(i *rel.Instance, d *table.Database) (*rel.Instance, bool) {
-	var witness *rel.Instance
-	domain := valuation.Domain(d, i)
-	ok := valuation.Enumerate(d.Universe(), domain, func(v valuation.V) bool {
-		w := v.Database(d)
-		if w != nil && w.Equal(i) {
-			witness = w
-			return true
-		}
-		return false
-	})
-	return witness, ok
-}
-
 // Possible reports whether some world of d contains every fact of p
 // (the unbounded possibility question POSS(∗,−) by brute force).
 func Possible(p *rel.Instance, d *table.Database) bool {
@@ -131,17 +116,4 @@ func Certain(p *rel.Instance, d *table.Database) bool {
 		return w != nil && !p.SubsetOf(w)
 	})
 	return !violated
-}
-
-// Transform enumerates q(rep(d)) for an arbitrary instance transformer q,
-// deduplicating outputs. It stops early when fn returns true.
-func Transform(d *table.Database, domain []sym.ID, q func(*rel.Instance) *rel.Instance, fn func(*rel.Instance) bool) bool {
-	seen := make(dedup)
-	return Each(d, domain, func(i *rel.Instance) bool {
-		out := q(i)
-		if !seen.add(out) {
-			return false
-		}
-		return fn(out)
-	})
 }

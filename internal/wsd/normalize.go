@@ -473,48 +473,65 @@ func splitAlts(alts [][]int32) [][][]int32 {
 	}
 
 	// Block discovery: fact -> trace over alternatives. The traces are
-	// rows of one flat array, in first-seen fact order.
+	// rows of one flat array, in first-seen fact order; occ holds each
+	// occurrence's row, so the array is made once at its final size.
 	words := (n + 63) / 64
-	row := make(map[int32]int)
-	var traces []uint64
-	var factOrder []int32
-	for j, alt := range alts {
+	total := 0
+	for _, alt := range alts {
+		total += len(alt)
+	}
+	row := make(map[int32]int32, total)
+	factOrder := make([]int32, 0, total)
+	occ := make([]int32, 0, total)
+	for _, alt := range alts {
 		for _, f := range alt {
 			r, ok := row[f]
 			if !ok {
-				r = len(factOrder) * words
+				r = int32(len(factOrder))
 				row[f] = r
 				factOrder = append(factOrder, f)
-				traces = append(traces, make([]uint64, words)...)
 			}
-			traces[r+j/64] |= 1 << (j % 64)
+			occ = append(occ, r)
 		}
+	}
+	traces := make([]uint64, len(factOrder)*words)
+	for j, alt := range alts {
+		for _, r := range occ[:len(alt)] {
+			traces[int(r)*words+j/64] |= 1 << (j % 64)
+		}
+		occ = occ[len(alt):]
 	}
 	if len(factOrder) == 0 {
 		// All alternatives empty; dedup upstream leaves exactly one.
 		return [][][]int32{alts}
 	}
 
+	factBlock, rep := traceBlocks(traces, words)
+	if len(rep) == 1 {
+		return [][][]int32{alts}
+	}
+
+	// Each block's facts, in first-seen order, are a window of one flat
+	// array laid out by counting.
 	type block struct {
 		facts []int32
 		bits  []uint64
 	}
-	blockOf := make(map[string]int)
-	var blocks []block
-	key := make([]byte, 0, words*8)
-	for i, f := range factOrder {
-		tr := traces[i*words : (i+1)*words : (i+1)*words]
-		key = appendTraceKey(key[:0], tr)
-		bi, ok := blockOf[string(key)] // a lookup by converted bytes allocates nothing
-		if !ok {
-			bi = len(blocks)
-			blockOf[string(key)] = bi
-			blocks = append(blocks, block{bits: tr})
-		}
-		blocks[bi].facts = append(blocks[bi].facts, f)
+	blocks := make([]block, len(rep))
+	start := make([]int32, len(rep)+1)
+	for _, bi := range factBlock {
+		start[bi+1]++
 	}
-	if len(blocks) == 1 {
-		return [][][]int32{alts}
+	for bi := range blocks {
+		start[bi+1] += start[bi]
+	}
+	flat := make([]int32, len(factOrder))
+	for bi := range blocks {
+		r := int(rep[bi]) * words
+		blocks[bi] = block{facts: flat[start[bi]:start[bi]:start[bi+1]], bits: traces[r : r+words]}
+	}
+	for i, bi := range factBlock {
+		blocks[bi].facts = append(blocks[bi].facts, factOrder[i])
 	}
 
 	bit := func(bi int32, j int) byte {
@@ -632,15 +649,49 @@ func splitAlts(alts [][]int32) [][][]int32 {
 	return out
 }
 
-// appendTraceKey appends a trace bit vector's bytes to dst, as a map
-// key.
-func appendTraceKey(dst []byte, tr []uint64) []byte {
-	for _, w := range tr {
-		for s := 0; s < 64; s += 8 {
-			dst = append(dst, byte(w>>s))
+// traceBlocks groups facts by equal traces, each trace a row of words
+// words: the block of every fact, numbered in first-seen order, and each
+// block's first fact. A map from a trace's hash finds the newest block
+// with it, chain links each block to the previous one with the same
+// hash (-1 ends), and a candidate is confirmed word by word, so no block
+// needs a key of its own.
+func traceBlocks(traces []uint64, words int) (factBlock, rep []int32) {
+	facts := len(traces) / words
+	trace := func(i int32) []uint64 { return traces[int(i)*words : int(i+1)*words] }
+	blockOf := make(map[uint64]int32, facts)
+	factBlock = make([]int32, facts)
+	rep = make([]int32, 0, facts)
+	chain := make([]int32, 0, facts)
+	for i := range int32(facts) {
+		tr := trace(i)
+		h := hashTrace(tr)
+		head, ok := blockOf[h]
+		if !ok {
+			head = -1
 		}
+		bi := head
+		for bi >= 0 && !slices.Equal(trace(rep[bi]), tr) {
+			bi = chain[bi]
+		}
+		if bi < 0 {
+			bi = int32(len(rep))
+			rep = append(rep, i)
+			chain = append(chain, head)
+			blockOf[h] = bi
+		}
+		factBlock[i] = bi
 	}
-	return dst
+	return factBlock, rep
+}
+
+// hashTrace hashes a trace bit vector. On one word it is a bijection,
+// so blocks of up to 64 alternatives never share a hash.
+func hashTrace(tr []uint64) uint64 {
+	var h uint64
+	for _, w := range tr {
+		h = (h ^ w) * 0x9e3779b97f4a7c15
+	}
+	return h
 }
 
 // canonicalize rebuilds the fact table in display order and sorts

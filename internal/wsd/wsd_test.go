@@ -3,6 +3,7 @@ package wsd
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -194,19 +195,31 @@ func TestUpdateMergesDistinctAlternatives(t *testing.T) {
 }
 
 func TestNormalizeSplitsIndependentComponent(t *testing.T) {
-	// One hand-written component that is secretly a 2×2 product.
-	w := New(schemaR())
-	mustAdd(t, w,
-		alt([2]string{"x", "0"}, [2]string{"y", "0"}),
-		alt([2]string{"x", "0"}, [2]string{"y", "1"}),
-		alt([2]string{"x", "1"}, [2]string{"y", "0"}),
-		alt([2]string{"x", "1"}, [2]string{"y", "1"}),
-	)
-	if got := w.Components(); got != 2 {
-		t.Fatalf("split produced %d components, want 2", got)
-	}
-	if got := w.Count().Int64(); got != 4 {
-		t.Fatalf("Count = %d, want 4", got)
+	// One hand-written component that is secretly an a×b product: 2×2,
+	// and 10×13 — 130 alternatives, three trace words — with each
+	// side's choice naming two facts (a block of two).
+	for _, c := range []struct{ a, b, facts int }{{2, 2, 1}, {10, 13, 2}} {
+		w := New(schemaR())
+		var alts []Alt
+		for i := range c.a {
+			for j := range c.b {
+				var facts [][2]string
+				for _, n := range []string{"x", "x'"}[:c.facts] {
+					facts = append(facts, [2]string{n, fmt.Sprint(i)})
+				}
+				for _, n := range []string{"y", "y'"}[:c.facts] {
+					facts = append(facts, [2]string{n, fmt.Sprint(j)})
+				}
+				alts = append(alts, alt(facts...))
+			}
+		}
+		mustAdd(t, w, alts...)
+		if got := w.Components(); got != 2 {
+			t.Fatalf("%d×%d: split produced %d components, want 2", c.a, c.b, got)
+		}
+		if got := w.Count().Int64(); got != int64(c.a*c.b) {
+			t.Fatalf("%d×%d: Count = %d, want %d", c.a, c.b, got, c.a*c.b)
+		}
 	}
 }
 
@@ -407,5 +420,21 @@ func TestChunkedCopyOnWrite(t *testing.T) {
 	}
 	if shared != len(parent.chunks)-2 {
 		t.Fatalf("fork shares %d of %d chunks, want all but the two it wrote", shared, len(parent.chunks))
+	}
+}
+
+// TestTraceBlocksConfirmsHashes: facts whose traces share a hash but
+// differ stay in separate blocks, and equal traces share one.
+func TestTraceBlocksConfirmsHashes(t *testing.T) {
+	const mix = 0x9e3779b97f4a7c15
+	a := []uint64{0x0123456789abcdef, 0x0f0f0f0f0f0f0f0f}
+	b := []uint64{a[0] + 1, a[1] ^ a[0]*mix ^ (a[0]+1)*mix}
+	if hashTrace(a) != hashTrace(b) || slices.Equal(a, b) {
+		t.Fatal("the two traces must be distinct with one hash")
+	}
+	traces := slices.Concat(a, b, a, b, []uint64{1, 2})
+	factBlock, rep := traceBlocks(traces, 2)
+	if !slices.Equal(factBlock, []int32{0, 1, 0, 1, 2}) || !slices.Equal(rep, []int32{0, 1, 4}) {
+		t.Fatalf("blocks %v, first facts %v; want [0 1 0 1 2], [0 1 4]", factBlock, rep)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"testing"
 
+	"pw/internal/algebra"
 	"pw/internal/difftest"
 	"pw/internal/gen"
 	"pw/internal/query"
@@ -59,6 +60,16 @@ func TestDifferentialWSDAlg(t *testing.T) {
 	})
 }
 
+// extendedOp marks the operators beyond the positive fragment with ≠
+// selections: diff and the world-set operators.
+func extendedOp(e algebra.Expr) bool {
+	switch e.(type) {
+	case algebra.Diff, algebra.Possible, algebra.Certain, algebra.ChoiceOf:
+		return true
+	}
+	return false
+}
+
 // TestDifferentialWSAlgebra is the world-set-algebra suite: seeded
 // decompositions under random queries drawn from the extended pool —
 // nested possible/certain, choiceof (≤2 occurrences), difference and ≠
@@ -86,7 +97,7 @@ func TestDifferentialWSAlgebra(t *testing.T) {
 				return nil, false
 			}
 			q := gen.RandomWSAQuery(seed, schema, consts, 2+int(seed)%2)
-			if !query.HasExtendedOps(q) {
+			if !algebra.Any(q.Outs[0].Expr, extendedOp) {
 				return nil, false // plain positive roll: TestDifferentialWSDAlg's ground
 			}
 			if _, err := apply(w, q); err != nil {

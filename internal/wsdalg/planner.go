@@ -171,33 +171,7 @@ func pushSelections(e algebra.Expr) algebra.Expr {
 		}
 		return algebra.Select{E: child, Preds: kept}
 	}
-	return mapChildren(e, pushSelections)
-}
-
-// mapChildren rebuilds e with f applied to each direct operand — the
-// recursion every rewrite pass shares. Scans and constants have none.
-func mapChildren(e algebra.Expr, f func(algebra.Expr) algebra.Expr) algebra.Expr {
-	switch n := e.(type) {
-	case algebra.Select:
-		return algebra.Select{E: f(n.E), Preds: n.Preds}
-	case algebra.Project:
-		return algebra.Project{E: f(n.E), Cols: n.Cols}
-	case algebra.Rename:
-		return algebra.Rename{E: f(n.E), From: n.From, To: n.To}
-	case algebra.Join:
-		return algebra.Join{L: f(n.L), R: f(n.R)}
-	case algebra.Union:
-		return algebra.Union{L: f(n.L), R: f(n.R)}
-	case algebra.Diff:
-		return algebra.Diff{L: f(n.L), R: f(n.R)}
-	case algebra.Possible:
-		return algebra.Possible{E: f(n.E)}
-	case algebra.Certain:
-		return algebra.Certain{E: f(n.E)}
-	case algebra.ChoiceOf:
-		return algebra.ChoiceOf{E: f(n.E)}
-	}
-	return e
+	return algebra.Map(e, pushSelections)
 }
 
 // pushPred sinks one predicate into e where an equivalence allows it,
@@ -287,7 +261,7 @@ func foldConstRels(e algebra.Expr) algebra.Expr {
 		}
 		return algebra.Select{E: child, Preds: n.Preds}
 	}
-	return mapChildren(e, foldConstRels)
+	return algebra.Map(e, foldConstRels)
 }
 
 // foldSelect filters a constant relation's rows through literal
@@ -538,7 +512,7 @@ func reorderJoins(ev *evaluator, e algebra.Expr) algebra.Expr {
 		}
 		return bestJoinOrder(ev, e, leaves)
 	}
-	return mapChildren(e, func(c algebra.Expr) algebra.Expr { return reorderJoins(ev, c) })
+	return algebra.Map(e, func(c algebra.Expr) algebra.Expr { return reorderJoins(ev, c) })
 }
 
 // flattenJoin collects the leaves of a maximal nested-join tree in
