@@ -1,22 +1,23 @@
 // Package algebra implements the positive existential queries of §2.1:
 // relational expressions over project, natural join, union, renaming and
 // positive select (plus, as an extension used by Theorems 3.2(4) and
-// 5.2(2), selections with ≠). Expressions evaluate two ways:
+// 5.2(2), selections with ≠), with difference and the world-set operators
+// of worldset.go. Expressions evaluate two ways:
 //
-//   - EvalInstance: ordinary evaluation on a complete-information instance,
-//     with PTIME data-complexity;
-//   - EvalTables: the lifted evaluation on conditioned tables following
+//   - WorldSetEval: evaluation on explicit worlds, world by world. A
+//     complete-information instance is the world set of one world
+//     (EvalToRelation), evaluated with PTIME data-complexity;
+//   - EvalToTable: the lifted evaluation on conditioned tables following
 //     Imielinski–Lipski [10], which rewrites a c-table database into a
 //     c-table representing the query's view. This is the "algebraic
 //     completeness of conditioned-tables" that Theorem 5.2(1) builds on:
-//     rep(EvalTables(q, T)) = q(rep(T)), with only polynomial growth.
+//     rep(EvalToTable(q, T)) = q(rep(T)), with only polynomial growth.
 //
 // Columns are named; base relations assign names positionally via Rel.
 package algebra
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"pw/internal/cond"
@@ -328,203 +329,47 @@ var (
 	_ Expr = ConstRel{}
 )
 
-// instRows is the intermediate result of instance evaluation: named columns
-// over a set of interned tuples deduplicated by fingerprint (exact-equality
-// buckets guard against collisions). Tuples added are owned by the result
-// or shared read-only with the input they came from.
-type instRows struct {
-	cols []string
-	rows []sym.Tuple
-	seen map[uint64][]int32
-}
-
-func newInstRows(cols []string) *instRows {
-	return &instRows{cols: cols, seen: make(map[uint64][]int32)}
-}
-
-func (ir *instRows) add(t sym.Tuple) {
-	h := sym.HashIDs(t)
-	for _, i := range ir.seen[h] {
-		if ir.rows[i].Equal(t) {
-			return
-		}
-	}
-	ir.seen[h] = append(ir.seen[h], int32(len(ir.rows)))
-	ir.rows = append(ir.rows, t)
-}
-
-func (ir *instRows) contains(t sym.Tuple) bool {
-	for _, i := range ir.seen[sym.HashIDs(t)] {
-		if ir.rows[i].Equal(t) {
-			return true
-		}
-	}
-	return false
-}
-
-// EvalInstance evaluates e on a complete-information instance, returning
-// the result's column names and facts (resolved to names at this boundary,
-// in canonical order).
-func EvalInstance(e Expr, inst *rel.Instance) ([]string, []rel.Fact, error) {
-	ir, err := evalInst(e, inst)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([]rel.Fact, 0, len(ir.rows))
-	for _, t := range ir.rows {
-		out = append(out, rel.ResolveFact(t))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return ir.cols, out, nil
-}
-
-// EvalToRelation evaluates e and packages the result as a named relation,
-// staying in interned form end to end.
+// EvalToRelation evaluates e on a complete-information instance and
+// returns the result as a relation named name, in interned form end to
+// end. It is WorldSetEval on the one-world set {inst}, where an
+// expression has exactly one branch. That world set is not the set of
+// worlds a database represents, so possible, certain and choiceof are
+// refused (ErrWorldSetOp) before anything is evaluated.
 func EvalToRelation(e Expr, inst *rel.Instance, name string) (*rel.Relation, error) {
-	ir, err := evalInst(e, inst)
+	if op := worldSetOp(e); op != nil {
+		return nil, fmt.Errorf("%w: %s", ErrWorldSetOp, op)
+	}
+	bs, err := NewWorldSetEval([]*rel.Instance{inst}).branches(e, 0)
 	if err != nil {
 		return nil, err
 	}
-	r := rel.NewRelation(name, len(ir.cols))
-	for _, t := range ir.rows {
-		r.Insert(t)
-	}
+	r := bs[0].rows
+	r.Name = name
 	return r, nil
 }
 
-func evalInst(e Expr, inst *rel.Instance) (*instRows, error) {
-	switch n := e.(type) {
-	case ConstRel:
-		cols, err := n.Schema()
-		if err != nil {
-			return nil, err
-		}
-		out := newInstRows(cols)
-		for _, r := range n.Rows {
-			out.add(rel.Fact(r).Intern())
-		}
-		return out, nil
+// Row-level kernels of the world-set evaluator (worldset.go), one branch
+// at a time. Callers have already checked the schema, so column lookups
+// cannot fail. Each returns a new relation; Insert copies a tuple only
+// when it is new, so the kernels build candidates in one reused buffer.
 
-	case Rel:
-		cols, err := n.Schema()
-		if err != nil {
-			return nil, err
-		}
-		base := inst.Relation(n.Name)
-		if base == nil {
-			return nil, fmt.Errorf("algebra: relation %s not in instance", n.Name)
-		}
-		if base.Arity != len(cols) {
-			return nil, fmt.Errorf("algebra: scan %s names %d columns, relation has arity %d",
-				n.Name, len(cols), base.Arity)
-		}
-		out := newInstRows(cols)
-		for _, t := range base.Tuples() {
-			out.add(t)
-		}
-		return out, nil
-
-	case Project:
-		in, err := evalInst(n.E, inst)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := n.Schema(); err != nil {
-			return nil, err
-		}
-		return projectRows(in, n.Cols), nil
-
-	case Select:
-		in, err := evalInst(n.E, inst)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := n.Schema(); err != nil {
-			return nil, err
-		}
-		return selectRows(in, n.Preds), nil
-
-	case Rename:
-		in, err := evalInst(n.E, inst)
-		if err != nil {
-			return nil, err
-		}
-		cols, err := n.Schema()
-		if err != nil {
-			return nil, err
-		}
-		return renameRows(in, cols), nil
-
-	case Join:
-		l, err := evalInst(n.L, inst)
-		if err != nil {
-			return nil, err
-		}
-		r, err := evalInst(n.R, inst)
-		if err != nil {
-			return nil, err
-		}
-		cols, err := n.Schema()
-		if err != nil {
-			return nil, err
-		}
-		return joinRows(l, r, cols), nil
-
-	case Union:
-		l, err := evalInst(n.L, inst)
-		if err != nil {
-			return nil, err
-		}
-		r, err := evalInst(n.R, inst)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := n.Schema(); err != nil {
-			return nil, err
-		}
-		return unionRows(l, r), nil
-
-	case Diff:
-		l, err := evalInst(n.L, inst)
-		if err != nil {
-			return nil, err
-		}
-		r, err := evalInst(n.R, inst)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := n.Schema(); err != nil {
-			return nil, err
-		}
-		return diffRows(l, r), nil
-
-	case Possible, Certain, ChoiceOf:
-		return nil, fmt.Errorf("%w: %s", ErrWorldSetOp, e)
-	}
-	return nil, fmt.Errorf("algebra: unknown expression %T", e)
-}
-
-// Row-level kernels shared by single-instance evaluation and the explicit
-// world-set evaluator (worldset.go). Callers have already checked the
-// schema, so column lookups cannot fail.
-
-func projectRows(in *instRows, cols []string) *instRows {
+func projectRows(in branch, cols []string) branch {
 	idx := make([]int, len(cols))
 	for i, c := range cols {
 		idx[i] = indexOf(in.cols, c)
 	}
-	out := newInstRows(cols)
-	for _, f := range in.rows {
-		g := make(sym.Tuple, len(idx))
+	out := newBranch(cols)
+	g := make(sym.Tuple, len(idx))
+	for _, f := range in.rows.Tuples() {
 		for i, j := range idx {
 			g[i] = f[j]
 		}
-		out.add(g)
+		out.rows.Insert(g)
 	}
 	return out
 }
 
-func selectRows(in *instRows, npreds []Pred) *instRows {
+func selectRows(in branch, npreds []Pred) branch {
 	// Resolve predicate operands once: a column index or an interned
 	// constant, so the row loop is pure ID comparison.
 	type resolved struct {
@@ -546,8 +391,8 @@ func selectRows(in *instRows, npreds []Pred) *instRows {
 			preds[i].rIdx = indexOf(in.cols, p.R.col)
 		}
 	}
-	out := newInstRows(in.cols)
-	for _, f := range in.rows {
+	out := newBranch(in.cols)
+	for _, f := range in.rows.Tuples() {
 		ok := true
 		for _, p := range preds {
 			l, r := p.lConst, p.rCon
@@ -563,21 +408,13 @@ func selectRows(in *instRows, npreds []Pred) *instRows {
 			}
 		}
 		if ok {
-			out.add(f)
+			out.rows.Insert(f)
 		}
 	}
 	return out
 }
 
-func renameRows(in *instRows, cols []string) *instRows {
-	out := newInstRows(cols)
-	for _, f := range in.rows {
-		out.add(f)
-	}
-	return out
-}
-
-func joinRows(l, r *instRows, cols []string) *instRows {
+func joinRows(l, r branch, cols []string) branch {
 	// Positions of shared columns.
 	var lShared, rShared []int
 	var rExtra []int
@@ -599,13 +436,14 @@ func joinRows(l, r *instRows, cols []string) *instRows {
 		}
 		return h
 	}
-	index := make(map[uint64][]sym.Tuple, len(r.rows))
-	for _, rf := range r.rows {
+	index := make(map[uint64][]sym.Tuple, r.rows.Len())
+	for _, rf := range r.rows.Tuples() {
 		k := joinKey(rf, rShared)
 		index[k] = append(index[k], rf)
 	}
-	out := newInstRows(cols)
-	for _, lf := range l.rows {
+	out := newBranch(cols)
+	g := make(sym.Tuple, 0, len(cols))
+	for _, lf := range l.rows.Tuples() {
 	probe:
 		for _, rf := range index[joinKey(lf, lShared)] {
 			for k := range lShared {
@@ -613,43 +451,38 @@ func joinRows(l, r *instRows, cols []string) *instRows {
 					continue probe
 				}
 			}
-			g := make(sym.Tuple, 0, len(cols))
-			g = append(g, lf...)
+			g = append(g[:0], lf...)
 			for _, j := range rExtra {
 				g = append(g, rf[j])
 			}
-			out.add(g)
+			out.rows.Insert(g)
 		}
 	}
 	return out
 }
 
-func unionRows(l, r *instRows) *instRows {
-	out := newInstRows(l.cols)
-	for _, f := range l.rows {
-		out.add(f)
-	}
-	for _, f := range r.rows {
-		out.add(f)
-	}
+func unionRows(l, r branch) branch {
+	out := newBranch(l.cols)
+	out.rows.UnionWith(l.rows)
+	out.rows.UnionWith(r.rows)
 	return out
 }
 
-func diffRows(l, r *instRows) *instRows {
-	out := newInstRows(l.cols)
-	for _, f := range l.rows {
-		if !r.contains(f) {
-			out.add(f)
+func diffRows(l, r branch) branch {
+	out := newBranch(l.cols)
+	for _, f := range l.rows.Tuples() {
+		if !r.rows.Contains(f) {
+			out.rows.Insert(f)
 		}
 	}
 	return out
 }
 
-func intersectRows(l, r *instRows) *instRows {
-	out := newInstRows(l.cols)
-	for _, f := range l.rows {
-		if r.contains(f) {
-			out.add(f)
+func intersectRows(l, r branch) branch {
+	out := newBranch(l.cols)
+	for _, f := range l.rows.Tuples() {
+		if r.rows.Contains(f) {
+			out.rows.Insert(f)
 		}
 	}
 	return out
@@ -662,28 +495,18 @@ type liftRows struct {
 	rows []table.Row
 }
 
-// EvalTables evaluates e on a conditioned-table database, producing the
-// rows and columns of a c-table representing {q(I) : I ∈ rep(d)}; the
-// caller attaches the database's global condition. Rows whose local
-// condition is unsatisfiable are pruned.
-func EvalTables(e Expr, d *table.Database) ([]string, []table.Row, error) {
-	lr, err := evalLift(e, d)
-	if err != nil {
-		return nil, nil, err
-	}
-	return lr.cols, lr.rows, nil
-}
-
-// EvalToTable evaluates e on d and packages the result as a named c-table
-// carrying d's combined global condition.
+// EvalToTable evaluates e on a conditioned-table database d, producing a
+// c-table named name that represents {q(I) : I ∈ rep(d)}: it carries d's
+// combined global condition, and rows whose local condition is
+// unsatisfiable are pruned.
 func EvalToTable(e Expr, d *table.Database, name string) (*table.Table, error) {
-	cols, rows, err := EvalTables(e, d)
+	lr, err := evalLift(e, d)
 	if err != nil {
 		return nil, err
 	}
-	t := table.New(name, len(cols))
+	t := table.New(name, len(lr.cols))
 	t.Global = d.GlobalConjunction().Clone()
-	for _, r := range rows {
+	for _, r := range lr.rows {
 		t.Add(r)
 	}
 	return t, nil

@@ -32,11 +32,11 @@ func sampleInstance() *rel.Instance {
 
 func evalFacts(t *testing.T, e Expr, i *rel.Instance) []rel.Fact {
 	t.Helper()
-	_, fs, err := EvalInstance(e, i)
+	r, err := EvalToRelation(e, i, "Q")
 	if err != nil {
 		t.Fatalf("eval %s: %v", e, err)
 	}
-	return fs
+	return r.Facts()
 }
 
 func TestScan(t *testing.T) {
@@ -47,10 +47,10 @@ func TestScan(t *testing.T) {
 }
 
 func TestScanArityMismatch(t *testing.T) {
-	if _, _, err := EvalInstance(Scan("R", "a"), sampleInstance()); err == nil {
+	if _, err := EvalToRelation(Scan("R", "a"), sampleInstance(), "Q"); err == nil {
 		t.Error("arity mismatch must error")
 	}
-	if _, _, err := EvalInstance(Scan("Z", "a"), sampleInstance()); err == nil {
+	if _, err := EvalToRelation(Scan("Z", "a"), sampleInstance(), "Q"); err == nil {
 		t.Error("unknown relation must error")
 	}
 }
@@ -65,7 +65,7 @@ func TestProject(t *testing.T) {
 	if fs[0][0] != "2" || fs[0][1] != "1" {
 		t.Errorf("column reorder broken: %v", fs)
 	}
-	if _, _, err := EvalInstance(Project{E: Scan("R", "a", "b"), Cols: []string{"zz"}}, sampleInstance()); err == nil {
+	if _, err := EvalToRelation(Project{E: Scan("R", "a", "b"), Cols: []string{"zz"}}, sampleInstance(), "Q"); err == nil {
 		t.Error("unknown projected column must error")
 	}
 }
@@ -108,7 +108,7 @@ func TestUnion(t *testing.T) {
 		t.Errorf("union = %v", fs)
 	}
 	bad := Union{L: Scan("R", "a", "b"), R: Scan("S", "a")}
-	if _, _, err := EvalInstance(bad, sampleInstance()); err == nil {
+	if _, err := EvalToRelation(bad, sampleInstance(), "Q"); err == nil {
 		t.Error("arity mismatch union must error")
 	}
 }
@@ -382,13 +382,13 @@ func TestLiftedJoinPrunesContradictions(t *testing.T) {
 		L: Scan("R", "a", "b"),
 		R: Rename{E: Scan("R", "a", "b"), From: []string{"a", "b"}, To: []string{"b", "c"}},
 	}
-	_, rows, err := EvalTables(e, d)
+	out, err := EvalToTable(e, d, "Q")
 	if err != nil {
 		t.Fatal(err)
 	}
 	// (1,x)⋈(1,x) on b: needs x=1, kept with condition; result rows must
 	// all have satisfiable conditions.
-	for _, row := range rows {
+	for _, row := range out.Rows {
 		if !row.Cond.Satisfiable() {
 			t.Errorf("unsatisfiable row survived: %v", row)
 		}

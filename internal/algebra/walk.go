@@ -108,12 +108,19 @@ func Consts(e Expr) []string {
 // HasWorldSetOps reports whether e contains possible, certain or choiceof
 // anywhere — the operators that only make sense against a world set.
 // (Diff is a per-world map and does not count.)
-func HasWorldSetOps(e Expr) bool {
-	return Any(e, func(n Expr) bool {
+func HasWorldSetOps(e Expr) bool { return worldSetOp(e) != nil }
+
+// worldSetOp returns the first possible, certain or choiceof node of e,
+// a node before its operands and left before right, or nil.
+func worldSetOp(e Expr) Expr {
+	var op Expr
+	Any(e, func(n Expr) bool {
 		switch n.(type) {
 		case Possible, Certain, ChoiceOf:
+			op = n
 			return true
 		}
 		return false
 	})
+	return op
 }

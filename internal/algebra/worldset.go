@@ -28,10 +28,8 @@ package algebra
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"pw/internal/rel"
-	"pw/internal/sym"
 )
 
 // ErrWorldSetOp marks evaluation of a world-set operator in a context
@@ -93,56 +91,93 @@ var (
 	_ Expr = Diff{}
 )
 
-// WorldSetEval evaluates extended expressions over an explicit world set.
-// This is the oracle semantics for the world-set algebra: cost is linear
-// in the number of worlds and exponential in choiceof nesting, so it
-// exists for the differential harness and for small examples; real
-// evaluation runs natively on decompositions in internal/wsdalg.
+// maxBranches bounds the number of choice branches tracked for any
+// single (expression, world) pair before evaluation refuses, as query's
+// maxAnswerWorlds bounds the answer worlds built from them.
+const maxBranches = 1 << 16
+
+// WorldSetEval evaluates expressions over an explicit world set, world by
+// world. It is the one evaluator of an expression on explicit worlds: a
+// complete-information instance is the set of one world (EvalToRelation).
+// As the oracle semantics for the world-set algebra its cost is linear in
+// the number of worlds and exponential in choiceof nesting, so world sets
+// of more than one world come from the differential harness and small
+// examples; real evaluation runs natively on decompositions in
+// internal/wsdalg.
 type WorldSetEval struct {
 	worlds []*rel.Instance
 	// memo caches the world-independent value of possible(e)/certain(e)
-	// subexpressions, keyed by their rendering.
-	memo map[string]*instRows
-	// MaxBranches bounds the number of choice branches tracked for any
-	// single (expression, world) pair before evaluation refuses.
-	MaxBranches int
+	// subexpressions, keyed by their rendering; made on first use.
+	memo map[string]branch
+}
+
+// branch is one possible value of an expression in one world: its rows,
+// an unnamed relation, beside its column names. Kernels never modify a
+// branch's rows after building them, so branches may share them.
+type branch struct {
+	cols []string
+	rows *rel.Relation
+}
+
+func newBranch(cols []string) branch {
+	return branch{cols: cols, rows: rel.NewRelation("", len(cols))}
 }
 
 // NewWorldSetEval builds an evaluator over the given worlds.
 func NewWorldSetEval(worlds []*rel.Instance) *WorldSetEval {
-	return &WorldSetEval{worlds: worlds, memo: map[string]*instRows{}, MaxBranches: 1 << 16}
+	return &WorldSetEval{worlds: worlds}
 }
 
-// Branches returns the possible values of e in world wi: the output
-// columns and one sorted, deduplicated row set per joint choice of the
-// choiceof axes inside e (branches with identical values are merged).
-func (ev *WorldSetEval) Branches(e Expr, wi int) ([]string, [][]sym.Tuple, error) {
-	irs, err := ev.branches(e, wi)
+// Branches returns the possible values of e in world wi: one unnamed
+// relation per joint choice of the choiceof axes inside e (branches with
+// identical values are merged). The relations belong to the evaluator;
+// callers must not modify them.
+func (ev *WorldSetEval) Branches(e Expr, wi int) ([]*rel.Relation, error) {
+	bs, err := ev.branches(e, wi)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	cols, err := e.Schema()
-	if err != nil {
-		return nil, nil, err
+	out := make([]*rel.Relation, len(bs))
+	for i, b := range bs {
+		out[i] = b.rows
 	}
-	out := make([][]sym.Tuple, len(irs))
-	for i, ir := range irs {
-		out[i] = sortedTuples(ir)
-	}
-	return cols, out, nil
+	return out, nil
 }
 
-func (ev *WorldSetEval) branches(e Expr, wi int) ([]*instRows, error) {
-	// Subtrees free of world-set operators are ordinary per-world maps:
-	// a single branch, computed by the plain instance evaluator.
-	if !HasWorldSetOps(e) {
-		ir, err := evalInst(e, ev.worlds[wi])
+// branches evaluates e in world wi. Every node checks its own schema
+// before evaluating its operands, and every result has at least one
+// branch.
+func (ev *WorldSetEval) branches(e Expr, wi int) ([]branch, error) {
+	switch n := e.(type) {
+	case ConstRel:
+		cols, err := n.Schema()
 		if err != nil {
 			return nil, err
 		}
-		return []*instRows{ir}, nil
-	}
-	switch n := e.(type) {
+		out := newBranch(cols)
+		for _, r := range n.Rows {
+			out.rows.Insert(rel.Fact(r).Intern())
+		}
+		return []branch{out}, nil
+
+	case Rel:
+		cols, err := n.Schema()
+		if err != nil {
+			return nil, err
+		}
+		base := ev.worlds[wi].Relation(n.Name)
+		if base == nil {
+			return nil, fmt.Errorf("algebra: relation %s not in instance", n.Name)
+		}
+		if base.Arity != len(cols) {
+			return nil, fmt.Errorf("algebra: scan %s names %d columns, relation has arity %d",
+				n.Name, len(cols), base.Arity)
+		}
+		// A copy, so the result can be named without touching the world.
+		rows := base.Clone()
+		rows.Name = ""
+		return []branch{{cols: cols, rows: rows}}, nil
+
 	case Project:
 		if _, err := n.Schema(); err != nil {
 			return nil, err
@@ -151,11 +186,11 @@ func (ev *WorldSetEval) branches(e Expr, wi int) ([]*instRows, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := make([]*instRows, len(in))
+		out := make([]branch, len(in))
 		for i, b := range in {
 			out[i] = projectRows(b, n.Cols)
 		}
-		return ev.dedupBranches(out)
+		return dedupBranches(out)
 
 	case Select:
 		if _, err := n.Schema(); err != nil {
@@ -165,11 +200,11 @@ func (ev *WorldSetEval) branches(e Expr, wi int) ([]*instRows, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := make([]*instRows, len(in))
+		out := make([]branch, len(in))
 		for i, b := range in {
 			out[i] = selectRows(b, n.Preds)
 		}
-		return ev.dedupBranches(out)
+		return dedupBranches(out)
 
 	case Rename:
 		cols, err := n.Schema()
@@ -180,18 +215,19 @@ func (ev *WorldSetEval) branches(e Expr, wi int) ([]*instRows, error) {
 		if err != nil {
 			return nil, err
 		}
-		out := make([]*instRows, len(in))
-		for i, b := range in {
-			out[i] = renameRows(b, cols)
+		// Renaming changes the columns only: the branches stay distinct
+		// and keep their rows.
+		for i := range in {
+			in[i].cols = cols
 		}
-		return ev.dedupBranches(out)
+		return in, nil
 
 	case Join:
 		cols, err := n.Schema()
 		if err != nil {
 			return nil, err
 		}
-		return ev.crossBranches(n.L, n.R, wi, func(l, r *instRows) *instRows {
+		return ev.crossBranches(n.L, n.R, wi, func(l, r branch) branch {
 			return joinRows(l, r, cols)
 		})
 
@@ -208,44 +244,44 @@ func (ev *WorldSetEval) branches(e Expr, wi int) ([]*instRows, error) {
 		return ev.crossBranches(n.L, n.R, wi, diffRows)
 
 	case Possible:
-		ir, err := ev.collapse(n, n.E, true)
+		b, err := ev.collapse(n, n.E, true)
 		if err != nil {
 			return nil, err
 		}
-		return []*instRows{ir}, nil
+		return []branch{b}, nil
 
 	case Certain:
-		ir, err := ev.collapse(n, n.E, false)
+		b, err := ev.collapse(n, n.E, false)
 		if err != nil {
 			return nil, err
 		}
-		return []*instRows{ir}, nil
+		return []branch{b}, nil
 
 	case ChoiceOf:
 		in, err := ev.branches(n.E, wi)
 		if err != nil {
 			return nil, err
 		}
-		var out []*instRows
+		var out []branch
 		for _, b := range in {
-			if len(b.rows) == 0 {
-				out = append(out, newInstRows(b.cols))
+			if b.rows.Len() == 0 {
+				out = append(out, b)
 				continue
 			}
-			for _, t := range b.rows {
-				ir := newInstRows(b.cols)
-				ir.add(t)
-				out = append(out, ir)
+			for _, t := range b.rows.Tuples() {
+				one := newBranch(b.cols)
+				one.rows.Insert(t)
+				out = append(out, one)
 			}
 		}
-		return ev.dedupBranches(out)
+		return dedupBranches(out)
 	}
 	return nil, fmt.Errorf("algebra: unknown expression %T", e)
 }
 
 // crossBranches combines every branch of l with every branch of r — the
 // choice axes of the two subtrees are independent.
-func (ev *WorldSetEval) crossBranches(l, r Expr, wi int, f func(l, r *instRows) *instRows) ([]*instRows, error) {
+func (ev *WorldSetEval) crossBranches(l, r Expr, wi int, f func(l, r branch) branch) ([]branch, error) {
 	lb, err := ev.branches(l, wi)
 	if err != nil {
 		return nil, err
@@ -254,47 +290,51 @@ func (ev *WorldSetEval) crossBranches(l, r Expr, wi int, f func(l, r *instRows) 
 	if err != nil {
 		return nil, err
 	}
-	if len(lb)*len(rb) > ev.MaxBranches {
-		return nil, fmt.Errorf("algebra: choiceof branch count %d×%d exceeds limit %d", len(lb), len(rb), ev.MaxBranches)
+	if len(lb)*len(rb) > maxBranches {
+		return nil, fmt.Errorf("algebra: choiceof branch count %d×%d exceeds limit %d", len(lb), len(rb), maxBranches)
 	}
-	out := make([]*instRows, 0, len(lb)*len(rb))
+	out := make([]branch, 0, len(lb)*len(rb))
 	for _, bl := range lb {
 		for _, br := range rb {
 			out = append(out, f(bl, br))
 		}
 	}
-	return ev.dedupBranches(out)
+	return dedupBranches(out)
 }
 
 // collapse computes the world-independent value of possible(e) (union
 // over every world and branch) or certain(e) (intersection).
-func (ev *WorldSetEval) collapse(key, e Expr, union bool) (*instRows, error) {
+func (ev *WorldSetEval) collapse(key, e Expr, union bool) (branch, error) {
 	k := key.String()
-	if ir, ok := ev.memo[k]; ok {
-		return ir, nil
+	if b, ok := ev.memo[k]; ok {
+		return b, nil
 	}
-	var acc *instRows
+	var acc branch
 	for wi := range ev.worlds {
 		bs, err := ev.branches(e, wi)
 		if err != nil {
-			return nil, err
+			return branch{}, err
 		}
 		for _, b := range bs {
-			if acc == nil {
-				acc = unionRows(b, b) // copy
-			} else if union {
-				acc = unionRows(acc, b)
-			} else {
+			switch {
+			case acc.rows == nil:
+				acc = branch{cols: b.cols, rows: b.rows.Clone()}
+			case union:
+				acc.rows.UnionWith(b.rows)
+			default:
 				acc = intersectRows(acc, b)
 			}
 		}
 	}
-	if acc == nil {
+	if acc.rows == nil {
 		cols, err := e.Schema()
 		if err != nil {
-			return nil, err
+			return branch{}, err
 		}
-		acc = newInstRows(cols)
+		acc = newBranch(cols)
+	}
+	if ev.memo == nil {
+		ev.memo = map[string]branch{}
 	}
 	ev.memo[k] = acc
 	return acc, nil
@@ -303,60 +343,25 @@ func (ev *WorldSetEval) collapse(key, e Expr, union bool) (*instRows, error) {
 // dedupBranches merges branches with identical row sets: downstream
 // operators are functions of the value, and worlds are deduplicated at
 // the end anyway, so identical branches can never be distinguished.
-func (ev *WorldSetEval) dedupBranches(in []*instRows) ([]*instRows, error) {
-	if len(in) > ev.MaxBranches {
-		return nil, fmt.Errorf("algebra: choiceof branch count %d exceeds limit %d", len(in), ev.MaxBranches)
+func dedupBranches(in []branch) ([]branch, error) {
+	if len(in) > maxBranches {
+		return nil, fmt.Errorf("algebra: choiceof branch count %d exceeds limit %d", len(in), maxBranches)
 	}
-	seen := make(map[uint64][]*instRows, len(in))
+	if len(in) < 2 {
+		return in, nil
+	}
+	seen := make(map[uint64][]*rel.Relation, len(in))
 	out := in[:0]
 next:
 	for _, b := range in {
-		h := branchFingerprint(b)
+		h := b.rows.Fingerprint()
 		for _, prev := range seen[h] {
-			if sameRows(prev, b) {
+			if prev.Equal(b.rows) {
 				continue next
 			}
 		}
-		seen[h] = append(seen[h], b)
+		seen[h] = append(seen[h], b.rows)
 		out = append(out, b)
 	}
 	return out, nil
-}
-
-func sortedTuples(ir *instRows) []sym.Tuple {
-	out := append([]sym.Tuple(nil), ir.rows...)
-	sort.Slice(out, func(i, j int) bool { return tupleLess(out[i], out[j]) })
-	return out
-}
-
-func tupleLess(a, b sym.Tuple) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		if c := sym.Compare(a[i], b[i]); c != 0 {
-			return c < 0
-		}
-	}
-	return len(a) < len(b)
-}
-
-func branchFingerprint(ir *instRows) uint64 {
-	var h uint64
-	for _, t := range ir.rows {
-		h ^= sym.HashIDs(t) // order-independent combine
-	}
-	return h ^ uint64(len(ir.rows))<<32
-}
-
-func sameRows(a, b *instRows) bool {
-	if len(a.rows) != len(b.rows) {
-		return false
-	}
-	for _, t := range a.rows {
-		if !b.contains(t) {
-			return false
-		}
-	}
-	return true
 }

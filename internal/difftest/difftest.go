@@ -155,25 +155,12 @@ func runCase(t *testing.T, cfg Config, c *Case) {
 	q := c.Q()
 	image := newWorldSet(nil)
 	raw := newWorldSet(c.oracleWorlds())
-	if query.HasWorldSetOps(q) {
-		// possible/certain/choiceof map the world set as a whole; the
-		// oracle is the explicit-worlds world-set evaluator, not a
-		// per-world map.
-		answers, err := query.EvalOnWorldSet(q, raw.list)
-		if err != nil {
-			t.Fatalf("%s: oracle EvalOnWorldSet %s: %v", c.Tag, q.Label(), err)
-		}
-		for _, a := range answers {
-			image.add(a)
-		}
-	} else {
-		for _, w := range raw.list {
-			a, err := q.Eval(w)
-			if err != nil {
-				t.Fatalf("%s: oracle eval %s: %v", c.Tag, q.Label(), err)
-			}
-			image.add(a)
-		}
+	answers, err := query.EvalOnWorldSet(q, raw.list)
+	if err != nil {
+		t.Fatalf("%s: oracle EvalOnWorldSet %s: %v", c.Tag, q.Label(), err)
+	}
+	for _, a := range answers {
+		image.add(a)
 	}
 	union, inter := image.unionInter()
 	probes := buildProbes(image.list, cfg.ProbeWorlds, c.Consts)

@@ -1,7 +1,6 @@
 package parse
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -23,7 +22,7 @@ func refParseInstance(r io.Reader) (*rel.Instance, error) {
 	var cur *rel.Relation
 	var fields [][]byte
 	var tuple sym.Tuple
-	sc := bufio.NewScanner(r)
+	sc := newScanner(r)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

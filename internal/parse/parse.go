@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 	"strings"
@@ -33,11 +34,22 @@ import (
 	"pw/internal/wsdalg"
 )
 
+// newScanner returns the line scanner every block parser reads with. A
+// line may be as long as the input: a decomposition's certain
+// component, for one, prints as a single alt: line that grows with its
+// facts. Callers bound the input instead, as the server does a request
+// body.
+func newScanner(r io.Reader) *bufio.Scanner {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, math.MaxInt)
+	return sc
+}
+
 // ParseDatabase reads a .pw database (a sequence of @table blocks).
 func ParseDatabase(r io.Reader) (*table.Database, error) {
 	d := table.NewDatabase()
 	var cur *table.Table
-	sc := bufio.NewScanner(r)
+	sc := newScanner(r)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -98,7 +110,7 @@ func ParseInstance(r io.Reader) (*rel.Instance, error) {
 	var fields [][]byte
 	var ids []sym.ID // the current block's rows, back to back
 	rows := 0
-	sc := bufio.NewScanner(r)
+	sc := newScanner(r)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

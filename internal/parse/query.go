@@ -30,7 +30,6 @@
 package parse
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strings"
@@ -42,7 +41,7 @@ import (
 
 // ParseQuery reads a .pw query (one @query block).
 func ParseQuery(r io.Reader) (query.Algebra, error) {
-	sc := bufio.NewScanner(r)
+	sc := newScanner(r)
 	lineNo := 0
 	seen := false
 	name := ""

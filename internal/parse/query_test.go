@@ -1,6 +1,7 @@
 package parse
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -198,5 +199,29 @@ func TestParsedWorldSetQueryFragment(t *testing.T) {
 	}
 	if a := out.Relation("A"); a == nil || a.Len() != 1 || !a.Has(rel.Fact{"x"}) {
 		t.Fatalf("diff evaluated to %s, want A(x)", out)
+	}
+}
+
+// TestParseQueryLongValuesLine: an out line over 64 KiB, well inside a
+// request body's bound, parses like a short one.
+func TestParseQueryLongValuesLine(t *testing.T) {
+	vals := make([]string, 12000)
+	for i := range vals {
+		vals[i] = fmt.Sprintf("c%d", i)
+	}
+	src := "@query\n  out: A = values[x](" + strings.Join(vals, "; ") + ")\n"
+	if len(src) <= 64<<10 {
+		t.Fatalf("source has %d bytes, want over 64 KiB", len(src))
+	}
+	q, err := ParseQuery(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := q.Eval(rel.NewInstance())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := out.Relation("A"); r.Len() != len(vals) || !r.Has(rel.Fact{"c11999"}) {
+		t.Fatalf("A has %d facts, want %d", r.Len(), len(vals))
 	}
 }

@@ -16,7 +16,6 @@
 package parse
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"strconv"
@@ -40,7 +39,7 @@ var updateKeywords = []struct {
 
 // ParseUpdate reads a .pw update program (one @update block).
 func ParseUpdate(r io.Reader) (*wsd.Update, error) {
-	sc := bufio.NewScanner(r)
+	sc := newScanner(r)
 	lineNo := 0
 	seen := false
 	u := &wsd.Update{}

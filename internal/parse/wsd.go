@@ -25,7 +25,6 @@
 package parse
 
 import (
-	"bufio"
 	"bytes"
 	"fmt"
 	"io"
@@ -39,7 +38,7 @@ import (
 
 // ParseWSD reads a .pw world-set decomposition (one @wsd block).
 func ParseWSD(r io.Reader) (*wsd.WSD, error) {
-	sc := bufio.NewScanner(r)
+	sc := newScanner(r)
 	lineNo := 0
 	seenWSD := false
 	inComponents := false
@@ -258,7 +257,7 @@ func ParseSource(r io.Reader) (*Source, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc := bufio.NewScanner(bytes.NewReader(data))
+	sc := newScanner(bytes.NewReader(data))
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {

@@ -186,3 +186,40 @@ func TestPrintAnswersMatchesPrintInstance(t *testing.T) {
 		t.Errorf("certain set of a wide template: %v", err)
 	}
 }
+
+// TestPrintWSDRoundTripLongLine: 8,000 one-fact components print as one
+// certain component whose alt: line is far past bufio.Scanner's default
+// 64 KiB token, and the printed form must still re-parse to itself.
+func TestPrintWSDRoundTripLongLine(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("@wsd\n  relation: R(2)\n")
+	for i := range 8000 {
+		fmt.Fprintf(&src, "  component:\n    alt: R(k%d v%d)\n", i, i)
+	}
+	w, err := ParseWSD(strings.NewReader(src.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var printed strings.Builder
+	if err := PrintWSD(&printed, w); err != nil {
+		t.Fatal(err)
+	}
+	longest := 0
+	for line := range strings.Lines(printed.String()) {
+		longest = max(longest, len(line))
+	}
+	if longest <= 64<<10 {
+		t.Fatalf("longest printed line has %d bytes, want one over 64 KiB", longest)
+	}
+	w2, err := ParseWSD(strings.NewReader(printed.String()))
+	if err != nil {
+		t.Fatalf("printed form does not re-parse: %v", err)
+	}
+	var printed2 strings.Builder
+	if err := PrintWSD(&printed2, w2); err != nil {
+		t.Fatal(err)
+	}
+	if printed.String() != printed2.String() {
+		t.Fatal("print is not a fixed point")
+	}
+}

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"errors"
 	"testing"
 
 	"pw/internal/algebra"
@@ -178,5 +179,25 @@ func TestDatalogQuery(t *testing.T) {
 	bad := NewDatalog("bad", prog, "Missing")
 	if _, err := bad.Eval(sampleInstance()); err == nil {
 		t.Error("unknown output predicate must error")
+	}
+}
+
+// TestAlgebraEvalRefusesWorldSetOps: a complete instance is one world,
+// not the set of worlds possible, certain and choiceof range over, so
+// Eval refuses them with algebra.ErrWorldSetOp wherever they sit in an
+// output.
+func TestAlgebraEvalRefusesWorldSetOps(t *testing.T) {
+	r := algebra.Scan("R", "a", "b")
+	for _, op := range []algebra.Expr{algebra.Possible{E: r}, algebra.Certain{E: r}, algebra.ChoiceOf{E: r}} {
+		for _, e := range []algebra.Expr{
+			algebra.Project{E: op, Cols: []string{"a"}},
+			algebra.Join{L: r, R: op},
+			algebra.Union{L: op, R: r},
+		} {
+			_, err := NewAlgebra("ws", Out{Name: "Q", Expr: e}).Eval(sampleInstance())
+			if !errors.Is(err, algebra.ErrWorldSetOp) {
+				t.Errorf("Eval(%s) = %v, want ErrWorldSetOp", e, err)
+			}
+		}
 	}
 }

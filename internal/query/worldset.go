@@ -6,7 +6,6 @@ import (
 
 	"pw/internal/algebra"
 	"pw/internal/rel"
-	"pw/internal/sym"
 )
 
 // HasWorldSetOps reports whether q uses the world-set algebra operators
@@ -54,14 +53,14 @@ const maxAnswerWorlds = 1 << 16
 
 // EvalOnWorldSet evaluates q against an explicit world set under the
 // world-set algebra semantics, returning the answer worlds (with
-// duplicates possible; callers deduplicate by fingerprint). For queries
-// without world-set operators this is exactly per-world evaluation. For
-// algebra queries with them, each world contributes the cross product of
-// its outputs' choice branches, with possible/certain collapsed over the
-// whole world set.
+// duplicates possible; callers deduplicate by fingerprint). Algebra
+// queries go through algebra.WorldSetEval: each world contributes the
+// cross product of its outputs' choice branches, with possible/certain
+// collapsed over the whole world set; without world-set operators that is
+// one answer world per input world. Every other query is a per-world map.
 func EvalOnWorldSet(q Query, worlds []*rel.Instance) ([]*rel.Instance, error) {
 	a, ok := q.(Algebra)
-	if !ok || !HasWorldSetOps(q) {
+	if !ok {
 		out := make([]*rel.Instance, 0, len(worlds))
 		for _, w := range worlds {
 			r, err := q.Eval(w)
@@ -74,20 +73,15 @@ func EvalOnWorldSet(q Query, worlds []*rel.Instance) ([]*rel.Instance, error) {
 	}
 	ev := algebra.NewWorldSetEval(worlds)
 	var out []*rel.Instance
+	branches := make([][]*rel.Relation, len(a.Outs))
 	for wi := range worlds {
-		type outBranches struct {
-			name     string
-			cols     []string
-			branches [][]sym.Tuple
-		}
-		obs := make([]outBranches, len(a.Outs))
 		combos := 1
 		for i, o := range a.Outs {
-			cols, bs, err := ev.Branches(o.Expr, wi)
+			bs, err := ev.Branches(o.Expr, wi)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", a.Label(), err)
 			}
-			obs[i] = outBranches{name: o.Name, cols: cols, branches: bs}
+			branches[i] = bs
 			combos *= len(bs)
 			if combos > maxAnswerWorlds {
 				return nil, fmt.Errorf("%s: answer-world count exceeds %d per input world", a.Label(), maxAnswerWorlds)
@@ -95,21 +89,19 @@ func EvalOnWorldSet(q Query, worlds []*rel.Instance) ([]*rel.Instance, error) {
 		}
 		// Odometer over the outputs' independent choice axes: one answer
 		// world per joint branch choice.
-		choice := make([]int, len(obs))
+		choice := make([]int, len(a.Outs))
 		for {
 			inst := rel.NewInstance()
-			for i, ob := range obs {
-				r := rel.NewRelation(ob.name, len(ob.cols))
-				for _, t := range ob.branches[choice[i]] {
-					r.Insert(t)
-				}
+			for i, o := range a.Outs {
+				r := branches[i][choice[i]].Clone()
+				r.Name = o.Name
 				inst.AddRelation(r)
 			}
 			out = append(out, inst)
 			k := len(choice) - 1
 			for k >= 0 {
 				choice[k]++
-				if choice[k] < len(obs[k].branches) {
+				if choice[k] < len(branches[k]) {
 					break
 				}
 				choice[k] = 0

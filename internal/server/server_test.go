@@ -297,6 +297,21 @@ func httpJSON(t *testing.T, s *server.Server, method, target, body string, wantS
 	}
 }
 
+// TestWorldSetOpOnTableIs422: a @table database answers through lifted
+// c-table evaluation, which has no world set for possible to range
+// over. The refusal is algebra.ErrWorldSetOp, a query outside the
+// backend's fragment, so it answers 422 rather than 400.
+func TestWorldSetOpOnTableIs422(t *testing.T) {
+	s := newTestServer(t, server.Config{Workers: 2})
+	var body struct{ Error string }
+	httpJSON(t, s, "POST", "/query",
+		`{"db":"personnel","op":"cert-ans","query":"@query q\n  out: Q = possible(Emp(n d))\n"}`,
+		422, &body)
+	if !strings.Contains(body.Error, "world-set operator outside a world-set context") {
+		t.Fatalf("error = %q, want the world-set refusal", body.Error)
+	}
+}
+
 func TestHTTPEndpoints(t *testing.T) {
 	s := newTestServer(t, server.Config{Workers: 2})
 

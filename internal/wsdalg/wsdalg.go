@@ -1090,8 +1090,8 @@ func (ev *evaluator) evalProbed(e algebra.Expr, probe *scanProbe) (dRel, error) 
 	return d, nil
 }
 
-// evalExpr is the operator dispatch. It mirrors algebra.evalInst case
-// by case, lifted from row sets to parts. Each case records its
+// evalExpr is the operator dispatch. It mirrors the per-world cases of
+// algebra.WorldSetEval one by one, lifted from row sets to parts. Each case records its
 // estimate (via setEst, only when explaining or in the bound reading)
 // from its inputs before its own work runs. probe applies to a scan; a
 // π passes it to the scan below (see probeOf).
@@ -1585,8 +1585,8 @@ func ownOrigins(merged []int, lp, rp *part) []int {
 // joinRows appends to ids the rows of the ground natural join of two row
 // sets, column by column, and returns the extended slice with the
 // number of rows appended: a hash on the shared columns with exact
-// confirmation, as in algebra.evalInst, over the evaluator's reused
-// index of rs.
+// confirmation, as in algebra's per-world joinRows, over the evaluator's
+// reused index of rs.
 func (ev *evaluator) joinRows(ids []sym.ID, ls, rs []sym.Tuple, lShared, rShared, rExtra []int) ([]sym.ID, int) {
 	if len(ls) == 0 || len(rs) == 0 {
 		return ids, 0
