@@ -235,21 +235,8 @@ func directWorlds(t *testing.T, e Expr, d *table.Database) map[string]bool {
 // per database variable (the lifted table mentions no variables beyond
 // d's, so this is the canonical Δ ∪ Δ′ for both).
 func sharedDomain(d *table.Database, e Expr) []sym.ID {
-	seen := map[sym.ID]bool{}
-	cs := d.ConstIDs(nil, seen)
-	for _, c := range Consts(e) {
-		id := sym.Const(c)
-		if !seen[id] {
-			seen[id] = true
-			cs = append(cs, id)
-		}
-	}
-	vars := d.VarNames()
-	prefix := table.FreshPrefixIDs(cs)
-	for _, n := range value.FreshNames(prefix, len(vars)) {
-		cs = append(cs, sym.Const(n))
-	}
-	return cs
+	delta := table.NewDelta(Consts(e), []*table.Database{d})
+	return append(delta.Base, table.FreshConsts(delta.Prefix, len(d.VarNames()))...)
 }
 
 func sampleDatabase() *table.Database {

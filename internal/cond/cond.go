@@ -116,17 +116,6 @@ func (a Atom) Subst(s value.Subst) Atom {
 	return a
 }
 
-// Vars appends the variable names of a to dst (deduplicated via seen).
-func (a Atom) Vars(dst []string, seen map[string]bool) []string {
-	for _, v := range []value.Value{a.L, a.R} {
-		if v.IsVar() && !seen[v.Name()] {
-			seen[v.Name()] = true
-			dst = append(dst, v.Name())
-		}
-	}
-	return dst
-}
-
 // VarIDs appends the variable IDs of a to dst (dedup via seen).
 func (a Atom) VarIDs(dst []sym.ID, seen map[sym.ID]bool) []sym.ID {
 	for _, v := range []value.Value{a.L, a.R} {
@@ -196,14 +185,6 @@ func (c Conjunction) Subst(s value.Subst) Conjunction {
 	return out
 }
 
-// Vars appends the variable names occurring in c to dst (dedup via seen).
-func (c Conjunction) Vars(dst []string, seen map[string]bool) []string {
-	for _, a := range c {
-		dst = a.Vars(dst, seen)
-	}
-	return dst
-}
-
 // VarIDs appends the variable IDs occurring in c to dst (dedup via seen).
 func (c Conjunction) VarIDs(dst []sym.ID, seen map[sym.ID]bool) []sym.ID {
 	for _, a := range c {
@@ -214,22 +195,7 @@ func (c Conjunction) VarIDs(dst []sym.ID, seen map[sym.ID]bool) []sym.ID {
 
 // VarNames returns the set of variable names in c as a fresh sorted slice.
 func (c Conjunction) VarNames() []string {
-	vs := c.Vars(nil, map[string]bool{})
-	sort.Strings(vs)
-	return vs
-}
-
-// Consts appends the constant names occurring in c to dst (dedup via seen).
-func (c Conjunction) Consts(dst []string, seen map[string]bool) []string {
-	for _, a := range c {
-		for _, v := range []value.Value{a.L, a.R} {
-			if v.IsConst() && !seen[v.Name()] {
-				seen[v.Name()] = true
-				dst = append(dst, v.Name())
-			}
-		}
-	}
-	return dst
+	return sym.Names(c.VarIDs(nil, map[sym.ID]bool{}))
 }
 
 // ConstIDs appends the constant IDs occurring in c to dst (dedup via seen).

@@ -1,10 +1,12 @@
 package cond
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"pw/internal/sym"
 	"pw/internal/value"
 )
 
@@ -81,12 +83,10 @@ func TestSatisfiableBasics(t *testing.T) {
 // pairwise distinct and avoid any single mentioned constant... we include
 // all mentioned constants plus n fresh ones, which is complete).
 func brute(c Conjunction) bool {
-	seenV := map[string]bool{}
-	vars := c.Vars(nil, seenV)
-	seenC := map[string]bool{}
-	consts := c.Consts(nil, seenC)
-	for i := 0; i < len(vars); i++ {
-		consts = append(consts, value.FreshNames("~q", len(vars))[i])
+	vars := sym.Names(c.VarIDs(nil, map[sym.ID]bool{}))
+	consts := sym.Names(c.ConstIDs(nil, map[sym.ID]bool{}))
+	for i := range vars {
+		consts = append(consts, fmt.Sprintf("~q%d", i))
 	}
 	if len(vars) == 0 {
 		for _, a := range c {

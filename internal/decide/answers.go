@@ -3,7 +3,6 @@ package decide
 import (
 	"fmt"
 
-	"pw/internal/cond"
 	"pw/internal/query"
 	"pw/internal/rel"
 	"pw/internal/sym"
@@ -46,17 +45,13 @@ func (o Options) CertainAnswers(q query.Query, d *table.Database) (*rel.Instance
 	}
 
 	// Constants allowed in answers: those of the database and the query.
-	allowed := map[sym.ID]bool{}
-	for _, c := range nd.ConstIDs(nil, map[sym.ID]bool{}) {
+	// The frozen world's fresh constants avoid them all.
+	delta := table.NewDelta(q.Consts(), []*table.Database{nd})
+	allowed := make(map[sym.ID]bool, len(delta.Base))
+	for _, c := range delta.Base {
 		allowed[c] = true
 	}
-	for _, c := range q.Consts() {
-		allowed[sym.Const(c)] = true
-	}
-
-	// The frozen world.
-	pool := nd.ConstIDs(nil, map[sym.ID]bool{})
-	w0 := frozenWorld(nd, table.FreshPrefixIDs(pool))
+	w0 := table.Freeze(nd, delta.Prefix)
 
 	// Collect the candidates of every table, confirm them in parallel,
 	// then assemble the answer instance in candidate order.
@@ -117,20 +112,12 @@ func (o Options) PossibleAnswers(q query.Query, d *table.Database) (*rel.Instanc
 		return lifted.EmptyInstance(), nil
 	}
 
-	// Allowed constants, as an ordered list (deterministic candidate
-	// enumeration) and a set. Taken from the *input* database, not the
-	// normalized view: normalization may drop trivially-true residual
-	// atoms and the constants they mention, but facts over those
-	// constants are still possible answers.
-	seen := map[sym.ID]bool{}
-	allowed := d.ConstIDs(nil, seen)
-	for _, c := range q.Consts() {
-		id := sym.Const(c)
-		if !seen[id] {
-			seen[id] = true
-			allowed = append(allowed, id)
-		}
-	}
+	// Allowed constants, in name order (deterministic candidate
+	// enumeration). Taken from the *input* database, not the normalized
+	// view: normalization may drop trivially-true residual atoms and the
+	// constants they mention, but facts over those constants are still
+	// possible answers.
+	allowed := table.NewDelta(q.Consts(), []*table.Database{d}).Base
 
 	// Candidates: per row, the instantiations of its variables into the
 	// allowed pool (constant cells stay fixed; repeated variables stay
@@ -211,47 +198,4 @@ func eachRowInstantiation(vals value.Tuple, allowed []sym.ID, fn func(sym.Tuple)
 			return
 		}
 	}
-}
-
-// frozenWorld applies the all-distinct-fresh valuation to d, keeping only
-// rows whose local condition it satisfies (unlike table.Freeze, which
-// ignores conditions).
-func frozenWorld(d *table.Database, prefix string) *rel.Instance {
-	vars := d.VarIDs(nil, map[sym.ID]bool{})
-	sym.SortByName(vars)
-	v := make(map[sym.ID]sym.ID, len(vars))
-	for i, x := range vars {
-		v[x] = sym.Const(fmt.Sprintf("%s%d", prefix, i))
-	}
-	get := func(x value.Value) sym.ID {
-		id := x.ID()
-		if !id.IsVar() {
-			return id
-		}
-		return v[id]
-	}
-	inst := rel.NewInstance()
-	var scratch sym.Tuple
-	for _, t := range d.Tables() {
-		r := rel.NewRelation(t.Name, t.Arity)
-		inst.AddRelation(r)
-	rows:
-		for _, row := range t.Rows {
-			for _, a := range row.Cond {
-				l, rr := get(a.L), get(a.R)
-				if (a.Op == cond.Eq) != (l == rr) {
-					continue rows
-				}
-			}
-			if cap(scratch) < len(row.Values) {
-				scratch = make(sym.Tuple, len(row.Values))
-			}
-			f := scratch[:len(row.Values)]
-			for j, x := range row.Values {
-				f[j] = get(x)
-			}
-			r.Insert(f)
-		}
-	}
-	return inst
 }

@@ -3,7 +3,6 @@ package decide
 import (
 	"pw/internal/query"
 	"pw/internal/rel"
-	"pw/internal/sym"
 	"pw/internal/table"
 )
 
@@ -53,17 +52,7 @@ func certainFrozen(p *rel.Instance, q query.Query, d *table.Database) (bool, err
 	if query.IsIdentity(q) {
 		return frozenContains(p, c), nil
 	}
-	seen := map[sym.ID]bool{}
-	pool := nd.ConstIDs(nil, seen)
-	pool = p.ConstIDs(pool, seen)
-	for _, c := range q.Consts() {
-		id := sym.Const(c)
-		if !seen[id] {
-			seen[id] = true
-			pool = append(pool, id)
-		}
-	}
-	k0 := table.Freeze(nd, table.FreshPrefixIDs(pool))
+	k0 := table.Freeze(nd, table.NewDelta(q.Consts(), []*table.Database{nd}, p).Prefix)
 	out, err := q.Eval(k0)
 	if err != nil {
 		return false, err

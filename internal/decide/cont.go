@@ -1,9 +1,10 @@
 package decide
 
 import (
+	"slices"
+
 	"pw/internal/cond"
 	"pw/internal/query"
-	"pw/internal/sym"
 	"pw/internal/table"
 	"pw/internal/valuation"
 )
@@ -62,10 +63,10 @@ func (o Options) containmentIdentity(d0, d *table.Database) (bool, error) {
 	// universal runs sharded — first non-member world cancels everything —
 	// while the inner membership tests stay sequential so the outer
 	// fan-out owns the pool.
-	base, prefix := contDomain(nd0, nil, d, nil)
+	delta := table.NewDelta(nil, []*table.Database{nd0, d})
 	var memErr errOnce
 	inner := o.inner()
-	counterexample := o.enumerate(nd0.Universe(), base, prefix, func(v valuation.V) bool {
+	counterexample := o.enumerate(nd0.Universe(), delta, func(v valuation.V) bool {
 		w := v.Database(nd0)
 		if w == nil {
 			return false
@@ -115,21 +116,21 @@ func noInequalities(d *table.Database) bool {
 // K0 ∈ rep(d), where K0 freezes each variable of d0 to a distinct fresh
 // constant.
 func (o Options) freezeContainment(nd0, d *table.Database) (bool, error) {
-	seen := map[sym.ID]bool{}
-	pool := nd0.ConstIDs(nil, seen)
-	pool = d.ConstIDs(pool, seen)
-	k0 := table.Freeze(nd0, table.FreshPrefixIDs(pool))
+	k0 := table.Freeze(nd0, table.NewDelta(nil, []*table.Database{nd0, d}).Prefix)
 	return o.membershipIdentity(k0, d)
 }
 
 // containmentGeneric handles non-liftable queries on either side by the
 // full Π₂ᵖ enumeration (Proposition 2.1(1)): the outer universal is
-// sharded, the inner membership tests run sequentially.
+// sharded, the inner membership tests run sequentially. The domain holds
+// the constants of both databases and both queries; only σ0's variables
+// are enumerated here (the superset side's valuations live inside the
+// membership tests).
 func (o Options) containmentGeneric(q0 query.Query, d0 *table.Database, q query.Query, d *table.Database) (bool, error) {
-	base, prefix := contDomain(d0, q0, d, q)
+	delta := table.NewDelta(slices.Concat(q0.Consts(), q.Consts()), []*table.Database{d0, d})
 	var innerErr errOnce
 	inner := o.inner()
-	counterexample := o.enumerate(d0.Universe(), base, prefix, func(v valuation.V) bool {
+	counterexample := o.enumerate(d0.Universe(), delta, func(v valuation.V) bool {
 		w := v.Database(d0)
 		if w == nil {
 			return false
@@ -150,27 +151,4 @@ func (o Options) containmentGeneric(q0 query.Query, d0 *table.Database, q query.
 		return false, err
 	}
 	return !counterexample, nil
-}
-
-// contDomain is the Δ ∪ Δ′ for containment: constants of both databases
-// and both queries, plus one fresh constant per variable of the subset
-// side (only σ0's variables are enumerated here; the superset side's
-// valuations live inside the membership tests).
-func contDomain(d0 *table.Database, q0 query.Query, d *table.Database, q query.Query) (base []sym.ID, prefix string) {
-	seen := map[sym.ID]bool{}
-	consts := d0.ConstIDs(nil, seen)
-	consts = d.ConstIDs(consts, seen)
-	for _, qq := range []query.Query{q0, q} {
-		if qq == nil {
-			continue
-		}
-		for _, c := range qq.Consts() {
-			id := sym.Const(c)
-			if !seen[id] {
-				seen[id] = true
-				consts = append(consts, id)
-			}
-		}
-	}
-	return consts, table.FreshPrefixIDs(consts)
 }

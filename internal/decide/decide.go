@@ -77,39 +77,14 @@ func factsCheck(p *rel.Instance, d *table.Database) error {
 	return nil
 }
 
-// genericDomain is the Δ of Proposition 2.1 extended with the query's
-// constants (database constants, instance constants, query constants)
-// plus a prefix for the fresh constants Δ′; generic searches pair it with
-// valuation.EnumerateCanonical.
-func genericDomain(d *table.Database, q query.Query, extra ...*rel.Instance) (base []sym.ID, prefix string) {
-	seen := map[sym.ID]bool{}
-	consts := d.ConstIDs(nil, seen)
-	for _, e := range extra {
-		if e != nil {
-			consts = e.ConstIDs(consts, seen)
-		}
-	}
-	if q != nil {
-		for _, c := range q.Consts() {
-			id := sym.Const(c)
-			if !seen[id] {
-				seen[id] = true
-				consts = append(consts, id)
-			}
-		}
-	}
-	sym.SortByName(consts)
-	return consts, table.FreshPrefixIDs(consts)
-}
-
 // anyImage reports whether pred holds of q(σ(d)) for some valuation σ
-// over genericDomain(d, q, inst): the Proposition 2.1 search of the
+// over the Δ ∪ Δ′ of d, q and inst: the Proposition 2.1 search of the
 // generic cells, sharded across the pool. The first hit, or the first
 // evaluation error, cancels the remaining shards.
 func (o Options) anyImage(d *table.Database, q query.Query, inst *rel.Instance, pred func(*rel.Instance) bool) (bool, error) {
-	base, prefix := genericDomain(d, q, inst)
+	delta := table.NewDelta(q.Consts(), []*table.Database{d}, inst)
 	var evalErr errOnce
-	found := o.enumerate(d.Universe(), base, prefix, func(v valuation.V) bool {
+	found := o.enumerate(d.Universe(), delta, func(v valuation.V) bool {
 		w := v.Database(d)
 		if w == nil {
 			return false

@@ -10,6 +10,7 @@ import (
 	"pw/internal/rel"
 	"pw/internal/sym"
 	"pw/internal/table"
+	"pw/internal/valuation"
 	"pw/internal/value"
 	"pw/internal/worlds"
 )
@@ -190,7 +191,7 @@ func TestUniquenessMatchesBruteForce(t *testing.T) {
 func bruteUnique(d *table.Database, i0 *rel.Instance) bool {
 	n := 0
 	same := true
-	worlds.Each(d, worldsDomain(d, i0), func(w *rel.Instance) bool {
+	worlds.Each(d, valuation.Domain(d, i0), func(w *rel.Instance) bool {
 		n++
 		if !w.Equal(i0) {
 			same = false
@@ -201,20 +202,10 @@ func bruteUnique(d *table.Database, i0 *rel.Instance) bool {
 	return n > 0 && same
 }
 
-// worldsDomain matches the Proposition 2.1 domain used by the deciders
-// when an instance is in play.
-func worldsDomain(d *table.Database, extra *rel.Instance) []sym.ID {
-	seen := map[sym.ID]bool{}
-	cs := d.ConstIDs(nil, seen)
-	if extra != nil {
-		cs = extra.ConstIDs(cs, seen)
-	}
-	vars := d.VarNames()
-	prefix := table.FreshPrefixIDs(cs)
-	for i := range vars {
-		cs = append(cs, sym.Const(fmt.Sprintf("%s%d", prefix, i)))
-	}
-	return cs
+// canonDomain materializes Δ ∪ Δ′ for enumerating d's valuations: the
+// base of delta plus one fresh constant per variable of d.
+func canonDomain(delta table.Delta, d *table.Database) []sym.ID {
+	return append(delta.Base, table.FreshConsts(delta.Prefix, len(d.VarNames()))...)
 }
 
 // TestPossibleMatchesBruteForce cross-validates POSS.
@@ -286,14 +277,7 @@ func TestContainmentMatchesBruteForce(t *testing.T) {
 func bruteContained(d0, d *table.Database) bool {
 	// Enumerate d0's worlds over the *combined* constant pool and test
 	// each for brute membership in rep(d).
-	seen := map[sym.ID]bool{}
-	cs := d0.ConstIDs(nil, seen)
-	cs = d.ConstIDs(cs, seen)
-	vars := d0.VarNames()
-	prefix := table.FreshPrefixIDs(cs)
-	for i := range vars {
-		cs = append(cs, sym.Const(fmt.Sprintf("%s%d", prefix, i)))
-	}
+	cs := canonDomain(table.NewDelta(nil, []*table.Database{d0, d}), d0)
 	contained := true
 	worlds.Each(d0, cs, func(w *rel.Instance) bool {
 		if !worlds.Member(w, d) {

@@ -11,7 +11,6 @@
 package decide_test
 
 import (
-	"fmt"
 	"testing"
 
 	"pw/internal/algebra"
@@ -20,7 +19,6 @@ import (
 	"pw/internal/gen"
 	"pw/internal/query"
 	"pw/internal/rel"
-	"pw/internal/sym"
 	"pw/internal/table"
 	"pw/internal/valuation"
 	"pw/internal/value"
@@ -155,24 +153,8 @@ func TestDifferentialDecideContainment(t *testing.T) {
 			d0, d := table.DB(t0.Clone()), table.DB(other)
 
 			// Enumerate the sub side over consts(both) ∪ Δ′(sub vars).
-			seen := map[sym.ID]bool{}
-			var dom []sym.ID
-			for _, id := range d0.ConstIDs(nil, map[sym.ID]bool{}) {
-				if !seen[id] {
-					seen[id] = true
-					dom = append(dom, id)
-				}
-			}
-			for _, id := range d.ConstIDs(nil, map[sym.ID]bool{}) {
-				if !seen[id] {
-					seen[id] = true
-					dom = append(dom, id)
-				}
-			}
-			prefix := table.FreshPrefixIDs(dom)
-			for i := range d0.VarNames() {
-				dom = append(dom, sym.Const(fmt.Sprintf("%s%d", prefix, i)))
-			}
+			delta := table.NewDelta(nil, []*table.Database{d0, d})
+			dom := append(delta.Base, table.FreshConsts(delta.Prefix, len(d0.VarNames()))...)
 			var W []*rel.Instance
 			worlds.Each(d0, dom, func(w *rel.Instance) bool {
 				W = append(W, w)

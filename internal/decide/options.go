@@ -7,6 +7,7 @@ import (
 
 	"pw/internal/obs"
 	"pw/internal/sym"
+	"pw/internal/table"
 	"pw/internal/valuation"
 )
 
@@ -48,7 +49,7 @@ func (o Options) inner() Options { return Options{Workers: 1, Cost: o.Cost} }
 // options' cost sink attached: the enumerator records shards and
 // cancellations, and a wrapper counts valuations visited and the
 // witness depth. Without a sink the predicate runs unwrapped.
-func (o Options) enumerate(u *sym.Universe, base []sym.ID, prefix string, fn func(valuation.V) bool) bool {
+func (o Options) enumerate(u *sym.Universe, delta table.Delta, fn func(valuation.V) bool) bool {
 	if c := o.Cost; c != nil {
 		inner := fn
 		fn = func(v valuation.V) bool {
@@ -60,7 +61,7 @@ func (o Options) enumerate(u *sym.Universe, base []sym.ID, prefix string, fn fun
 			return false
 		}
 	}
-	return valuation.EnumerateCanonicalSharded(u, base, prefix, o.workers(), o.Cost, fn)
+	return valuation.EnumerateCanonicalSharded(u, delta.Base, delta.Prefix, o.workers(), o.Cost, fn)
 }
 
 // errOnce retains the first error any worker reports.

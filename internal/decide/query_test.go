@@ -2,6 +2,7 @@ package decide
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"pw/internal/algebra"
@@ -65,29 +66,19 @@ func dlQuery() query.Query {
 	return query.NewDatalog("tc", prog, "Q")
 }
 
-// bruteViewDomain mirrors the deciders' Δ for view problems.
-func bruteViewDomain(d *table.Database, q query.Query, extra *rel.Instance) []sym.ID {
-	base, prefix := genericDomain(d, q, extra)
-	vars := d.VarNames()
-	out := append([]sym.ID(nil), base...)
-	for i := range vars {
-		out = append(out, sym.Const(prefix+itoa10(i)))
+// viewDelta is the deciders' Δ for a view problem (a nil q mentions no
+// constants).
+func viewDelta(d *table.Database, q query.Query, extra *rel.Instance) table.Delta {
+	var qc []string
+	if q != nil {
+		qc = q.Consts()
 	}
-	return out
+	return table.NewDelta(qc, []*table.Database{d}, extra)
 }
 
-func itoa10(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b [20]byte
-	n := len(b)
-	for i > 0 {
-		n--
-		b[n] = byte('0' + i%10)
-		i /= 10
-	}
-	return string(b[n:])
+// bruteViewDomain materializes the deciders' Δ ∪ Δ′ for view problems.
+func bruteViewDomain(d *table.Database, q query.Query, extra *rel.Instance) []sym.ID {
+	return canonDomain(viewDelta(d, q, extra), d)
 }
 
 func bruteMembView(i0 *rel.Instance, q query.Query, d *table.Database) bool {
@@ -273,10 +264,10 @@ func TestEnumerateCanonicalCoversMembership(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		d := randomDB(rng, 4, 1+rng.Intn(2))
 		i0 := randomInstance2(rng, 2)
-		base, prefix := genericDomain(d, nil, i0)
+		delta := viewDelta(d, nil, i0)
 		full := bruteViewDomain(d, nil, i0)
 		gotCanonical := false
-		valuation.EnumerateCanonical(d.Universe(), base, prefix, func(v valuation.V) bool {
+		valuation.EnumerateCanonical(d.Universe(), delta.Base, delta.Prefix, func(v valuation.V) bool {
 			w := v.Database(d)
 			if w != nil && w.Equal(i0) {
 				gotCanonical = true
@@ -291,6 +282,101 @@ func TestEnumerateCanonicalCoversMembership(t *testing.T) {
 		if gotCanonical != gotFull {
 			t.Fatalf("trial %d: canonical=%v full=%v\nDB:\n%s\nI0:\n%s",
 				trial, gotCanonical, gotFull, d, i0)
+		}
+	}
+}
+
+// zQueries mention the constant ~z0, the first name the fresh-constant
+// prefix "~z" would mint. Q(1) holds in a world when T has a row whose
+// first cell lies outside {1, 2, 3, ~z0} (outside) or when none has
+// (inside): deciding either needs a value that is neither an input
+// constant nor ~z0, so the search's fresh constants must avoid the
+// query's constants too.
+func zQueries() []query.Query {
+	va, z := value.Var, value.Const("~z0")
+	outside := fo.Exists{Vars: []string{"a", "b"}, F: fo.And{
+		fo.At("T", va("a"), va("b")),
+		fo.Neq(va("a"), z),
+		fo.Neq(va("a"), value.Const("1")),
+		fo.Neq(va("a"), value.Const("2")),
+		fo.Neq(va("a"), value.Const("3")),
+	}}
+	one := fo.Equal(va("w"), value.Const("1"))
+	return []query.Query{
+		query.NewFO("outside", query.FOOut{Name: "Q", Q: fo.Query{Head: []string{"w"}, Body: fo.And{one, outside}}}),
+		query.NewFO("inside", query.FOOut{Name: "Q", Q: fo.Query{Head: []string{"w"}, Body: fo.And{one, fo.Not{F: outside}}}}),
+	}
+}
+
+// oracleDomain spells Δ ∪ Δ′ out by hand, independently of table.NewDelta:
+// the constants of d, extra and q, plus one constant per variable of d
+// named "~o0", "~o1", …, which no input of these tests mentions.
+func oracleDomain(d *table.Database, q query.Query, extra *rel.Instance) []sym.ID {
+	seen := map[sym.ID]bool{}
+	dom := d.ConstIDs(nil, seen)
+	dom = extra.ConstIDs(dom, seen)
+	for _, c := range q.Consts() {
+		if id := sym.Const(c); !seen[id] {
+			seen[id] = true
+			dom = append(dom, id)
+		}
+	}
+	for i := range d.VarNames() {
+		dom = append(dom, sym.Const("~o"+strconv.Itoa(i)))
+	}
+	return dom
+}
+
+// TestGenericCellsAvoidQueryConstants: MEMB, POSS and CERT of an FO query
+// mentioning ~z0 agree with the worlds oracle, on T = {(?x, 1)} — where
+// Q(1) is possible for outside and not certain for inside only through
+// a constant outside {1, 2, 3, ~z0} — and on random tables.
+func TestGenericCellsAvoidQueryConstants(t *testing.T) {
+	fixed := table.New("T", 2)
+	fixed.AddTuple(v("x"), k("1"))
+	dbs := []*table.Database{table.DB(fixed)}
+	rng := rand.New(rand.NewSource(1200))
+	for trial := 0; trial < 20; trial++ {
+		dbs = append(dbs, randomDB(rng, rng.Intn(5), 1+rng.Intn(2)))
+	}
+	q1 := rel.NewInstance()
+	q1.EnsureRelation("Q", 1).AddRow("1")
+	for _, q := range zQueries() {
+		for di, d := range dbs {
+			memb, poss, cert := false, false, true
+			worlds.Each(d, oracleDomain(d, q, q1), func(w *rel.Instance) bool {
+				out, err := q.Eval(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				memb = memb || out.Equal(q1)
+				poss = poss || q1.SubsetOf(out)
+				cert = cert && q1.SubsetOf(out)
+				return false
+			})
+			if di == 0 && (!poss || cert) {
+				t.Fatalf("%s on T = {(?x, 1)}: oracle poss=%v cert=%v, want true false", q.Label(), poss, cert)
+			}
+			for _, o := range []Options{{Workers: 1}, {Workers: 4}} {
+				for _, c := range []struct {
+					name string
+					want bool
+					run  func() (bool, error)
+				}{
+					{"MEMB", memb, func() (bool, error) { return o.Membership(q1, q, d) }},
+					{"POSS", poss, func() (bool, error) { return o.Possible(q1, q, d) }},
+					{"CERT", cert, func() (bool, error) { return o.Certain(q1, q, d) }},
+				} {
+					got, err := c.run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != c.want {
+						t.Fatalf("%s %s db %d workers %d: decide=%v oracle=%v\nDB:\n%s",
+							c.name, q.Label(), di, o.Workers, got, c.want, d)
+					}
+				}
+			}
 		}
 	}
 }

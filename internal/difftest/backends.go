@@ -15,6 +15,8 @@ import (
 	"pw/internal/query"
 	"pw/internal/rel"
 	"pw/internal/rep"
+	"pw/internal/sym"
+	"pw/internal/table"
 	"pw/internal/wsd"
 	"pw/internal/wsdalg"
 )
@@ -55,26 +57,9 @@ func DecideBackend(workers int, withAnswers bool) Backend {
 }
 
 // answerDomain is the constant pool the c-table answer engines enumerate
-// over: the database's constants plus the query's.
+// over: the Δ of the database and the query, by name.
 func answerDomain(c *Case) []string {
-	seen := map[string]bool{}
-	var out []string
-	add := func(s string) {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	for _, s := range c.DB.Consts(nil, map[string]bool{}) {
-		add(s)
-	}
-	for _, s := range c.Q().Consts() {
-		add(s)
-	}
-	if out == nil {
-		out = []string{}
-	}
-	return out
+	return sym.Names(table.NewDelta(c.Q().Consts(), []*table.Database{c.DB}).Base)
 }
 
 // WSDBackend answers natively on the case's decomposition. A

@@ -1,12 +1,13 @@
 package eqlogic
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"pw/internal/cond"
-	"pw/internal/sym"
 	"pw/internal/value"
 )
 
@@ -25,6 +26,18 @@ func TestMustOnly(t *testing.T) {
 	p.Require(cond.EqAtom(x(), c2()))
 	if p.Satisfiable() {
 		t.Error("x=1 ∧ x=2 must be unsatisfiable")
+	}
+}
+
+func TestRequireAll(t *testing.T) {
+	p := &Problem{}
+	p.RequireAll(cond.Conj(cond.EqAtom(x(), c1()), cond.NeqAtom(y(), x())))
+	if !p.Satisfiable() {
+		t.Error("x=1 ∧ y≠x must be satisfiable")
+	}
+	p.RequireAll(cond.Conj(cond.EqAtom(y(), c1())))
+	if p.Satisfiable() {
+		t.Error("x=1 ∧ y≠x ∧ y=1 must be unsatisfiable")
 	}
 }
 
@@ -59,12 +72,13 @@ func TestClauseChoice(t *testing.T) {
 	p := &Problem{}
 	p.Require(cond.NeqAtom(x(), c1()))
 	p.AddClause(Clause{cond.EqAtom(x(), c1()), cond.EqAtom(y(), c1())})
-	sol, ok := p.Solution()
-	if !ok {
+	if !p.Satisfiable() {
 		t.Fatal("should be satisfiable")
 	}
-	if !sol.Implies(cond.EqAtom(y(), c1())) {
-		t.Errorf("solution %v must imply y=1", sol)
+	q := p.Clone()
+	q.Require(cond.NeqAtom(y(), c1()))
+	if q.Satisfiable() {
+		t.Error("every solution must imply y=1")
 	}
 }
 
@@ -77,44 +91,6 @@ func TestInterlockedClauses(t *testing.T) {
 	p.Forbid(cond.Conj(cond.NeqAtom(y(), z())))
 	if p.Satisfiable() {
 		t.Error("x=y ∧ y=z ∧ x≠z must be unsatisfiable")
-	}
-}
-
-func TestModelProducesSatisfyingValuation(t *testing.T) {
-	p := &Problem{}
-	p.Require(cond.EqAtom(x(), c1()), cond.NeqAtom(y(), c1()), cond.NeqAtom(y(), z()))
-	v, ok := p.Model([]sym.ID{sym.Var("x"), sym.Var("y"), sym.Var("z")}, "~m")
-	if !ok {
-		t.Fatal("satisfiable problem returned no model")
-	}
-	if got, _ := v.Lookup("x"); got != "1" {
-		t.Errorf("x = %q, want 1", got)
-	}
-	vy, _ := v.Lookup("y")
-	vz, _ := v.Lookup("z")
-	if vy == "1" {
-		t.Error("y must differ from 1")
-	}
-	if vy == vz {
-		t.Error("y must differ from z")
-	}
-}
-
-func TestModelMergesClasses(t *testing.T) {
-	p := &Problem{}
-	p.Require(cond.EqAtom(x(), y()))
-	v, ok := p.Model([]sym.ID{sym.Var("x"), sym.Var("y"), sym.Var("z")}, "~m")
-	if !ok {
-		t.Fatal("unexpected unsat")
-	}
-	vx, _ := v.Lookup("x")
-	vy, _ := v.Lookup("y")
-	vz, _ := v.Lookup("z")
-	if vx != vy {
-		t.Errorf("x and y must coincide: %v", v)
-	}
-	if vz == vx {
-		t.Error("z should get its own fresh constant")
 	}
 }
 
@@ -167,7 +143,7 @@ func bruteProblem(p *Problem) bool {
 	}
 	domain := []string{"1", "2"}
 	for i := range names {
-		domain = append(domain, value.FreshNames("~b", len(names))[i])
+		domain = append(domain, fmt.Sprintf("~b%d", i))
 	}
 	assign := map[string]string{}
 	evalAtom := func(a cond.Atom) bool {
@@ -214,57 +190,23 @@ func bruteProblem(p *Problem) bool {
 }
 
 // TestSolverMatchesBruteForce is the core property test of the package.
+// SatisfiableOn, on a live solver holding Must, must agree too and leave
+// the solver's bindings as it found them.
 func TestSolverMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomProblem(rng)
-		return p.Satisfiable() == bruteProblem(p)
+		want := bruteProblem(p)
+		s := cond.GetSolver()
+		defer s.Release()
+		if !s.Push(p.Must...) {
+			return !want && !p.Satisfiable()
+		}
+		before := s.ImpliedBindings()
+		live := SatisfiableOn(s, p.Clauses)
+		return p.Satisfiable() == want && live == want && maps.Equal(before, s.ImpliedBindings())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestModelSatisfiesSystem: any model returned must satisfy every
-// requirement and every clause.
-func TestModelSatisfiesSystem(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		p := randomProblem(rng)
-		v, ok := p.Model([]sym.ID{sym.Var("x"), sym.Var("y"), sym.Var("z")}, "~m")
-		if !ok {
-			return true // nothing to check; agreement tested elsewhere
-		}
-		get := func(val value.Value) string {
-			if val.IsConst() {
-				return val.Name()
-			}
-			got, _ := v.Lookup(val.Name())
-			return got
-		}
-		evalAtom := func(a cond.Atom) bool {
-			return (a.Op == cond.Eq) == (get(a.L) == get(a.R))
-		}
-		for _, a := range p.Must {
-			if !evalAtom(a) {
-				return false
-			}
-		}
-		for _, cl := range p.Clauses {
-			sat := false
-			for _, a := range cl {
-				if evalAtom(a) {
-					sat = true
-					break
-				}
-			}
-			if !sat {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"pw/internal/rel"
+	"pw/internal/sym"
 	"pw/internal/value"
 )
 
@@ -535,8 +536,11 @@ func (q Query) Eval(inst *rel.Instance, name string) (*rel.Relation, error) {
 	if err := validateAtoms(q.Body, inst); err != nil {
 		return nil, err
 	}
-	seen := map[string]bool{}
-	dom := inst.Consts(nil, seen)
+	dom := sym.Names(inst.ConstIDs(nil, map[sym.ID]bool{}))
+	seen := make(map[string]bool, len(dom))
+	for _, c := range dom {
+		seen[c] = true
+	}
 	dom = q.Body.consts(dom, seen)
 	sort.Strings(dom)
 	out := rel.NewRelation(name, len(q.Head))

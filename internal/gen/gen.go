@@ -128,14 +128,14 @@ func ITable(seed int64, name string, rows, arity, consts, neqAtoms int, nullDens
 	t := g.Table(name)
 	// Rebuild the global over variables that actually occur in rows, so
 	// the inequalities bite.
-	vars := t.Vars(nil, map[string]bool{})
+	vars := t.VarIDs(nil, map[sym.ID]bool{})
 	t.Global = nil
 	rng := rand.New(rand.NewSource(seed + 1))
 	for i := 0; i < neqAtoms && len(vars) > 0; i++ {
-		l := value.Var(vars[rng.Intn(len(vars))])
+		l := value.Of(vars[rng.Intn(len(vars))])
 		var r value.Value
 		if rng.Intn(2) == 0 && len(vars) > 1 {
-			r = value.Var(vars[rng.Intn(len(vars))])
+			r = value.Of(vars[rng.Intn(len(vars))])
 		} else {
 			r = value.Const(fmt.Sprintf("c%d", rng.Intn(consts)))
 		}
@@ -154,15 +154,14 @@ func CTable(seed int64, name string, rows, arity, consts, varPool int, nullDensi
 // MemberInstance samples a world of d (by drawing a random satisfying-ish
 // valuation and retrying) and returns it; ok is false if no world was
 // found within the attempt budget — callers should treat that as "skip".
+// Values are drawn from d's constants in order of first occurrence, then
+// one fresh constant of d's Δ′ per variable.
 func MemberInstance(seed int64, d *table.Database) (*rel.Instance, bool) {
 	rng := rand.New(rand.NewSource(seed))
 	u := d.Universe()
-	consts := d.ConstIDs(nil, map[sym.ID]bool{})
-	prefix := table.FreshPrefixIDs(consts)
-	domain := append([]sym.ID(nil), consts...)
-	for i := 0; i < u.Len(); i++ {
-		domain = append(domain, sym.Const(fmt.Sprintf("%s%d", prefix, i)))
-	}
+	domain := d.ConstIDs(nil, map[sym.ID]bool{})
+	prefix := table.NewDelta(nil, []*table.Database{d}).Prefix
+	domain = append(domain, table.FreshConsts(prefix, u.Len())...)
 	if len(domain) == 0 {
 		domain = []sym.ID{sym.Const("c0")}
 	}

@@ -288,20 +288,6 @@ func (r *Relation) UnionWith(s *Relation) {
 	}
 }
 
-// Consts appends every constant occurring in r to dst (dedup via seen).
-func (r *Relation) Consts(dst []string, seen map[string]bool) []string {
-	for _, t := range r.tuples {
-		for _, id := range t {
-			c := id.Name()
-			if !seen[c] {
-				seen[c] = true
-				dst = append(dst, c)
-			}
-		}
-	}
-	return dst
-}
-
 // ConstIDs appends every constant ID occurring in r to dst (dedup via
 // seen) — the active domain in interned form.
 func (r *Relation) ConstIDs(dst []sym.ID, seen map[sym.ID]bool) []sym.ID {
@@ -431,15 +417,6 @@ func (i *Instance) Size() int {
 		n += r.Len()
 	}
 	return n
-}
-
-// Consts appends every constant occurring in the instance to dst (dedup
-// via seen): the active domain adom(I).
-func (i *Instance) Consts(dst []string, seen map[string]bool) []string {
-	for _, r := range i.rels {
-		dst = r.Consts(dst, seen)
-	}
-	return dst
 }
 
 // ConstIDs appends every constant ID occurring in the instance to dst

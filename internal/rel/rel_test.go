@@ -3,6 +3,8 @@ package rel
 import (
 	"testing"
 	"testing/quick"
+
+	"pw/internal/sym"
 )
 
 func TestFactBasics(t *testing.T) {
@@ -204,7 +206,7 @@ func TestConstsCollection(t *testing.T) {
 	i := NewInstance()
 	i.EnsureRelation("R", 2).AddRow("a", "b")
 	i.EnsureRelation("S", 1).AddRow("a")
-	cs := i.Consts(nil, map[string]bool{})
+	cs := i.ConstIDs(nil, map[sym.ID]bool{})
 	if len(cs) != 2 {
 		t.Errorf("Consts = %v, want a,b deduplicated", cs)
 	}

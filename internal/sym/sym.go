@@ -18,7 +18,7 @@
 package sym
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -190,8 +190,17 @@ func Compare(a, b ID) int {
 }
 
 // SortByName sorts ids in canonical order (constants first, then by name).
-func SortByName(ids []ID) {
-	sort.Slice(ids, func(i, j int) bool { return Compare(ids[i], ids[j]) < 0 })
+func SortByName(ids []ID) { slices.SortFunc(ids, Compare) }
+
+// Names sorts ids by name (SortByName, in place) and returns their names
+// in that order: the display form of a set of symbols collected as IDs.
+func Names(ids []ID) []string {
+	SortByName(ids)
+	out := make([]string, len(ids))
+	for i, id := range ids {
+		out[i] = id.Name()
+	}
+	return out
 }
 
 // ConstCount returns the number of interned constants (diagnostics).

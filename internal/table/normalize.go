@@ -1,13 +1,6 @@
 package table
 
-import (
-	"slices"
-	"strconv"
-	"strings"
-
-	"pw/internal/rel"
-	"pw/internal/sym"
-)
+import "pw/internal/rel"
 
 // Normalize incorporates the equalities implied by the global condition
 // into the rows (the preprocessing step of Theorem 3.2(1): a variable
@@ -49,68 +42,6 @@ func Normalize(d *Database) (*Database, bool) {
 		out.AddTable(nt)
 	}
 	return out, true
-}
-
-// Freeze replaces every variable x occurring in the database by a fresh
-// constant a_x (the K₀ construction in the claim of Theorem 4.1). The
-// prefix must be chosen outside the active domains of every database
-// involved in the surrounding decision problem; FreshPrefixIDs does this.
-// Freeze ignores conditions: callers normalize first so that all equality
-// information is incorporated and the residual inequalities are satisfied
-// by distinct fresh constants.
-func Freeze(d *Database, prefix string) *rel.Instance {
-	vars := d.VarIDs(nil, map[sym.ID]bool{})
-	sym.SortByName(vars)
-	// a_x is prefix followed by x's rank in name order. The names are
-	// written back to back into one buffer and resolved in one batch;
-	// fresh[i] is the constant of vars[i].
-	buf := make([]byte, 0, len(vars)*(len(prefix)+4))
-	names := make([][]byte, len(vars))
-	for i := range vars {
-		start := len(buf)
-		buf = strconv.AppendInt(append(buf, prefix...), int64(i), 10)
-		names[i] = buf[start:]
-	}
-	fresh := sym.AppendConsts(make([]sym.ID, 0, len(vars)), names)
-	inst := rel.NewInstance()
-	var scratch sym.Tuple
-	for _, t := range d.tables {
-		r := rel.NewRelation(t.Name, t.Arity)
-		r.Grow(len(t.Rows))
-		for _, row := range t.Rows {
-			if cap(scratch) < len(row.Values) {
-				scratch = make(sym.Tuple, len(row.Values))
-			}
-			f := scratch[:len(row.Values)]
-			for j, v := range row.Values {
-				if v.IsVar() {
-					i, _ := slices.BinarySearchFunc(vars, v.ID(), sym.Compare)
-					f[j] = fresh[i]
-				} else {
-					f[j] = v.ID()
-				}
-			}
-			r.Insert(f)
-		}
-		inst.AddRelation(r)
-	}
-	return inst
-}
-
-// FreshPrefixIDs returns a constant-name prefix that no constant in any
-// of the given pools starts with: "~z" extended with "z"s until nothing
-// clashes. Constant names produced by the library never start with '~'
-// unless they came from a previous fresh prefix, so one or two rounds
-// suffice. It resolves names only for the clash check, never allocating
-// keys per symbol.
-func FreshPrefixIDs(pools ...[]sym.ID) string {
-	prefix := "~z"
-	for slices.ContainsFunc(pools, func(pool []sym.ID) bool {
-		return slices.ContainsFunc(pool, func(id sym.ID) bool { return strings.HasPrefix(id.Name(), prefix) })
-	}) {
-		prefix += "z"
-	}
-	return prefix
 }
 
 // EmptyInstance returns the instance with the database's schema and no

@@ -14,7 +14,6 @@ package table
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -145,17 +144,6 @@ func (t *Table) Clone() *Table {
 	return c
 }
 
-// Vars appends all variable names of the table (rows, local conditions,
-// global condition) to dst in order of first occurrence (dedup via seen).
-func (t *Table) Vars(dst []string, seen map[string]bool) []string {
-	dst = t.Global.Vars(dst, seen)
-	for _, r := range t.Rows {
-		dst = r.Values.Vars(dst, seen)
-		dst = r.Cond.Vars(dst, seen)
-	}
-	return dst
-}
-
 // VarIDs appends all variable IDs of the table to dst in order of first
 // occurrence (dedup via seen).
 func (t *Table) VarIDs(dst []sym.ID, seen map[sym.ID]bool) []sym.ID {
@@ -178,21 +166,6 @@ func (t *Table) ConstIDs(dst []sym.ID, seen map[sym.ID]bool) []sym.ID {
 			}
 		}
 		dst = r.Cond.ConstIDs(dst, seen)
-	}
-	return dst
-}
-
-// Consts appends all constant names of the table to dst (dedup via seen).
-func (t *Table) Consts(dst []string, seen map[string]bool) []string {
-	dst = t.Global.Consts(dst, seen)
-	for _, r := range t.Rows {
-		for _, v := range r.Values {
-			if v.IsConst() && !seen[v.Name()] {
-				seen[v.Name()] = true
-				dst = append(dst, v.Name())
-			}
-		}
-		dst = r.Cond.Consts(dst, seen)
 	}
 	return dst
 }
@@ -386,19 +359,9 @@ func (d *Database) Kind() Kind {
 	return k
 }
 
-// Vars appends all variable names of the database to dst (dedup via seen).
-func (d *Database) Vars(dst []string, seen map[string]bool) []string {
-	for _, t := range d.tables {
-		dst = t.Vars(dst, seen)
-	}
-	return dst
-}
-
-// VarNames returns the sorted set of variable names.
+// VarNames returns the sorted set of variable names (display form).
 func (d *Database) VarNames() []string {
-	vs := d.Vars(nil, map[string]bool{})
-	sort.Strings(vs)
-	return vs
+	return sym.Names(d.VarIDs(nil, map[sym.ID]bool{}))
 }
 
 // VarIDs appends all variable IDs of the database to dst (dedup via seen).
@@ -418,7 +381,7 @@ func (d *Database) Universe() *sym.Universe {
 }
 
 // ConstIDs appends all constant IDs of the database to dst (dedup via
-// seen): the Δ of Proposition 2.1 in interned form.
+// seen), the database's share of NewDelta's Base.
 func (d *Database) ConstIDs(dst []sym.ID, seen map[sym.ID]bool) []sym.ID {
 	for _, t := range d.tables {
 		dst = t.ConstIDs(dst, seen)
@@ -426,20 +389,9 @@ func (d *Database) ConstIDs(dst []sym.ID, seen map[sym.ID]bool) []sym.ID {
 	return dst
 }
 
-// Consts appends all constant names of the database to dst (dedup via
-// seen): the Δ of Proposition 2.1.
-func (d *Database) Consts(dst []string, seen map[string]bool) []string {
-	for _, t := range d.tables {
-		dst = t.Consts(dst, seen)
-	}
-	return dst
-}
-
-// ConstNames returns the sorted set of constant names.
+// ConstNames returns the sorted set of constant names (display form).
 func (d *Database) ConstNames() []string {
-	cs := d.Consts(nil, map[string]bool{})
-	sort.Strings(cs)
-	return cs
+	return sym.Names(d.ConstIDs(nil, map[sym.ID]bool{}))
 }
 
 // GlobalConjunction returns the conjunction of all member tables' global
@@ -467,22 +419,20 @@ func (d *Database) Size() int {
 // for vectors, with cross-table relationships expressed in conditions.
 // Validate returns an error describing the first violation, or nil.
 func (d *Database) Validate() error {
-	seen := map[string]string{} // var -> first table
+	seen := map[sym.ID]string{} // var -> first table
 	for _, t := range d.tables {
-		local := map[string]bool{}
 		for _, r := range t.Rows {
 			for _, v := range r.Values {
 				if !v.IsVar() {
 					continue
 				}
-				if prev, ok := seen[v.Name()]; ok && prev != t.Name {
+				prev, ok := seen[v.ID()]
+				if !ok {
+					seen[v.ID()] = t.Name
+				} else if prev != t.Name {
 					return fmt.Errorf("table: variable ?%s occurs in both %s and %s rows; vector tables must use disjoint variables (link them via conditions)",
 						v.Name(), prev, t.Name)
 				}
-				if _, ok := seen[v.Name()]; !ok {
-					seen[v.Name()] = t.Name
-				}
-				local[v.Name()] = true
 			}
 		}
 	}

@@ -1,10 +1,12 @@
 package table
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"pw/internal/cond"
+	"pw/internal/rel"
 	"pw/internal/sym"
 	"pw/internal/value"
 )
@@ -157,13 +159,13 @@ func TestDatabaseCrossTableSharedVarsMakeE(t *testing.T) {
 
 func TestVarsAndConsts(t *testing.T) {
 	tb := fig1CTable()
-	vars := tb.Vars(nil, map[string]bool{})
+	vars := tb.VarIDs(nil, map[sym.ID]bool{})
 	if len(vars) != 3 { // x, y, z
-		t.Errorf("Vars = %v", vars)
+		t.Errorf("VarIDs = %v", vars)
 	}
-	consts := tb.Consts(nil, map[string]bool{})
+	consts := tb.ConstIDs(nil, map[sym.ID]bool{})
 	if len(consts) != 3 { // 1, 2, 0
-		t.Errorf("Consts = %v", consts)
+		t.Errorf("ConstIDs = %v", consts)
 	}
 }
 
@@ -253,15 +255,48 @@ func TestFreezeDistinctFresh(t *testing.T) {
 	}
 }
 
+// TestNewDeltaInvariants: Base holds each constant of the databases, the
+// instances and the query once, in name order, and the prefix avoids all
+// of them — including ~z0, which only the query mentions, so the default
+// prefix "~z" would mint it as the first fresh constant.
+func TestNewDeltaInvariants(t *testing.T) {
+	d1 := DB(fig1CTable()) // 0, 1, 2
+	d2 := DB(New("S", 1).AddTuple(k("b")).AddTuple(v("u")))
+	inst := rel.NewInstance()
+	inst.EnsureRelation("S", 1).AddRow("a")
+	inst.EnsureRelation("R", 2).AddRow("1", "b")
+	delta := NewDelta([]string{"~z0", "b", "0"}, []*Database{d1, d2}, nil, inst)
+	got := make([]string, len(delta.Base))
+	for i, id := range delta.Base {
+		got[i] = id.Name()
+	}
+	if want := []string{"0", "1", "2", "a", "b", "~z0"}; !slices.Equal(got, want) {
+		t.Fatalf("Base = %v, want %v", got, want)
+	}
+	if delta.Prefix == "~z" {
+		t.Fatal("prefix ~z mints ~z0, a constant of the query")
+	}
+	for _, c := range got {
+		if strings.HasPrefix(c, delta.Prefix) {
+			t.Errorf("constant %q starts with prefix %q", c, delta.Prefix)
+		}
+	}
+	for _, f := range FreshConsts(delta.Prefix, 12) {
+		if slices.Contains(delta.Base, f) {
+			t.Errorf("fresh constant %s is in Base", f)
+		}
+	}
+}
+
 func TestFreshPrefixAvoidsClashes(t *testing.T) {
-	p := FreshPrefixIDs([]sym.ID{sym.Const("a")}, []sym.ID{sym.Const("~z3"), sym.Const("b")})
+	p := freshPrefix([]sym.ID{sym.Const("a"), sym.Const("~z3"), sym.Const("b")})
 	if p == "~z" {
 		t.Error("prefix ~z clashes with pool entry ~z3")
 	}
 	if !strings.HasPrefix(p, "~z") {
 		t.Errorf("unexpected prefix %q", p)
 	}
-	if FreshPrefixIDs([]sym.ID{sym.Const("plain")}) != "~z" {
+	if freshPrefix([]sym.ID{sym.Const("plain")}) != "~z" {
 		t.Error("clean pool should give ~z")
 	}
 }

@@ -17,12 +17,12 @@
 package valuation
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"pw/internal/obs"
 	"pw/internal/sym"
+	"pw/internal/table"
 )
 
 // MinShardedSpace is the smallest search-space size worth sharding:
@@ -291,10 +291,7 @@ func EnumerateCanonicalSharded(u *sym.Universe, base []sym.ID, prefix string, wo
 		c.Add(obs.DecideShards, 1)
 		return EnumerateCanonical(u, base, prefix, fn)
 	}
-	fresh := make([]sym.ID, k)
-	for j := range fresh {
-		fresh[j] = sym.Const(fmt.Sprintf("%s%d", prefix, j))
-	}
+	fresh := table.FreshConsts(prefix, k)
 	target := workers * ShardsPerWorker
 	prefixes := []canonPrefix{{}}
 	depth := 0

@@ -154,26 +154,17 @@ func (v V) String() string {
 	return "{" + strings.Join(parts, ", ") + "}"
 }
 
-// Domain computes the canonical valuation domain Δ ∪ Δ′ of Proposition
-// 2.1 for the database d, optionally extended by the constants of extra
-// instances (e.g. the I₀ of MEMB or the fact set P of POSS): the constants
-// appearing in the inputs plus one fresh constant per variable, as
+// Domain materializes the canonical valuation domain Δ ∪ Δ′ of
+// Proposition 2.1 for the database d, optionally extended by the
+// constants of extra instances (e.g. the I₀ of MEMB or the fact set P of
+// POSS): table.NewDelta's base plus one fresh constant per variable, as
 // interned IDs in canonical name order.
 func Domain(d *table.Database, extra ...*rel.Instance) []sym.ID {
-	seen := map[sym.ID]bool{}
-	consts := d.ConstIDs(nil, seen)
-	for _, e := range extra {
-		if e != nil {
-			consts = e.ConstIDs(consts, seen)
-		}
-	}
+	delta := table.NewDelta(nil, []*table.Database{d}, extra...)
 	nVars := len(d.VarIDs(nil, map[sym.ID]bool{}))
-	prefix := table.FreshPrefixIDs(consts)
-	for i := 0; i < nVars; i++ {
-		consts = append(consts, sym.Const(fmt.Sprintf("%s%d", prefix, i)))
-	}
-	sym.SortByName(consts)
-	return consts
+	dom := append(delta.Base, table.FreshConsts(delta.Prefix, nVars)...)
+	sym.SortByName(dom)
+	return dom
 }
 
 // Enumerate calls fn for every total valuation of u's variables into
@@ -221,8 +212,9 @@ func Count(u *sym.Universe, domain []sym.ID) int {
 }
 
 // EnumerateCanonical enumerates valuations of u's variables into base ∪ Δ′
-// up to renaming of the fresh constants: fresh constants prefix0, prefix1,
-// … are introduced in first-use order (a restricted-growth constraint), so
+// up to renaming of the fresh constants: the fresh constants prefix0,
+// prefix1, … (table.FreshConsts, minted once per call) are introduced in
+// first-use order (a restricted-growth constraint), so
 // two valuations differing only by a permutation of fresh constants are
 // visited once. All five decision problems are invariant under bijections
 // fixing the input constants (genericity, Proposition 2.1), so the
@@ -233,7 +225,7 @@ func Count(u *sym.Universe, domain []sym.ID) int {
 func EnumerateCanonical(u *sym.Universe, base []sym.ID, prefix string, fn func(V) bool) bool {
 	k := u.Len()
 	v := Make(u)
-	fresh := make([]sym.ID, 0, k)
+	fresh := table.FreshConsts(prefix, k)
 	var rec func(i, used int) bool
 	rec = func(i, used int) bool {
 		if i == k {
@@ -247,9 +239,6 @@ func EnumerateCanonical(u *sym.Universe, base []sym.ID, prefix string, fn func(V
 		}
 		// Reuse fresh constants introduced so far, or introduce the next.
 		for j := 0; j <= used && j < k; j++ {
-			if j == len(fresh) {
-				fresh = append(fresh, sym.Const(fmt.Sprintf("%s%d", prefix, j)))
-			}
 			v.Vals[i] = fresh[j]
 			next := used
 			if j == used {

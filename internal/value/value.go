@@ -10,7 +10,6 @@
 package value
 
 import (
-	"fmt"
 	"strings"
 
 	"pw/internal/sym"
@@ -106,20 +105,6 @@ func (t Tuple) Ground() bool {
 	return true
 }
 
-// Vars appends the names of the variables occurring in t to dst, in order
-// of first occurrence, without duplicates already present in seen. It
-// returns the extended slice. Pass a shared seen map when accumulating over
-// many tuples.
-func (t Tuple) Vars(dst []string, seen map[string]bool) []string {
-	for _, v := range t {
-		if v.IsVar() && !seen[v.Name()] {
-			seen[v.Name()] = true
-			dst = append(dst, v.Name())
-		}
-	}
-	return dst
-}
-
 // VarIDs appends the IDs of the variables occurring in t to dst, in order
 // of first occurrence (dedup via seen).
 func (t Tuple) VarIDs(dst []sym.ID, seen map[sym.ID]bool) []sym.ID {
@@ -156,13 +141,4 @@ func (t Tuple) Compare(u Tuple) int {
 		return 1
 	}
 	return 0
-}
-
-// FreshNames returns n constant names with the given prefix.
-func FreshNames(prefix string, n int) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = fmt.Sprintf("%s%d", prefix, i)
-	}
-	return out
 }

@@ -4,6 +4,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"pw/internal/sym"
 )
 
 func TestConstVarDistinct(t *testing.T) {
@@ -93,8 +95,8 @@ func TestTupleBasics(t *testing.T) {
 
 func TestTupleVarsDedup(t *testing.T) {
 	tp := NewTuple(Var("x"), Var("y"), Var("x"))
-	vs := tp.Vars(nil, map[string]bool{})
-	if len(vs) != 2 || vs[0] != "x" || vs[1] != "y" {
+	vs := tp.VarIDs(nil, map[sym.ID]bool{})
+	if len(vs) != 2 || vs[0] != sym.Var("x") || vs[1] != sym.Var("y") {
 		t.Errorf("Vars = %v", vs)
 	}
 }

@@ -195,29 +195,8 @@ func smallDB(seed int64) *table.Database {
 // (worlds over d's constants alone would miss answers that mention the
 // query's constants).
 func viewDomain(c *difftest.Case) []string {
-	seen := map[string]bool{}
-	var out []string
-	add := func(s string) {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	for _, s := range c.DB.Consts(nil, map[string]bool{}) {
-		add(s)
-	}
-	for _, s := range c.Q().Consts() {
-		add(s)
-	}
-	ids := make([]sym.ID, len(out))
-	for i, s := range out {
-		ids[i] = sym.Const(s)
-	}
-	prefix := table.FreshPrefixIDs(ids)
-	for i := range c.DB.VarNames() {
-		add(fmt.Sprintf("%s%d", prefix, i))
-	}
-	return out
+	delta := table.NewDelta(c.Q().Consts(), []*table.Database{c.DB})
+	return sym.Names(append(delta.Base, table.FreshConsts(delta.Prefix, len(c.DB.VarNames()))...))
 }
 
 // TestDifferentialWSDAlgVsLifted compiles seeded table databases into
