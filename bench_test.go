@@ -29,8 +29,8 @@ import (
 	"pw/internal/reduce"
 	"pw/internal/rel"
 	"pw/internal/sat"
+	"pw/internal/sym"
 	"pw/internal/table"
-	"pw/internal/value"
 	"pw/internal/worlds"
 )
 
@@ -287,19 +287,19 @@ func BenchmarkThm53_CertFO_Tiny(b *testing.B) {
 
 func benchCertFrozen(b *testing.B, rows int) {
 	prog := datalog.Program{Rules: []datalog.Rule{
-		datalog.R(datalog.At("TC", value.Var("x"), value.Var("y")),
-			datalog.At("T", value.Var("x"), value.Var("y"))),
-		datalog.R(datalog.At("TC", value.Var("x"), value.Var("z")),
-			datalog.At("TC", value.Var("x"), value.Var("y")),
-			datalog.At("T", value.Var("y"), value.Var("z"))),
+		datalog.R(datalog.At("TC", sym.Var("x"), sym.Var("y")),
+			datalog.At("T", sym.Var("x"), sym.Var("y"))),
+		datalog.R(datalog.At("TC", sym.Var("x"), sym.Var("z")),
+			datalog.At("TC", sym.Var("x"), sym.Var("y")),
+			datalog.At("T", sym.Var("y"), sym.Var("z"))),
 	}}
 	q := query.NewDatalog("tc", prog, "TC")
 	tb := table.New("T", 2)
 	for i := 0; i < rows; i++ {
-		tb.AddTuple(value.Const(fmt.Sprintf("c%d", i)), value.Const(fmt.Sprintf("c%d", i+1)))
+		tb.AddTuple(sym.Const(fmt.Sprintf("c%d", i)), sym.Const(fmt.Sprintf("c%d", i+1)))
 	}
 	for i := 0; i < rows/4; i++ {
-		tb.AddTuple(value.Const(fmt.Sprintf("c%d", i)), value.Var(fmt.Sprintf("x%d", i)))
+		tb.AddTuple(sym.Const(fmt.Sprintf("c%d", i)), sym.Var(fmt.Sprintf("x%d", i)))
 	}
 	d := table.DB(tb)
 	p := rel.NewInstance()
@@ -429,19 +429,19 @@ func BenchmarkAblation_DatalogNaive(b *testing.B) {
 // A5: frozen CERT vs world-enumeration CERT on a g-table.
 func a5Instance() (*rel.Instance, query.Query, *table.Database) {
 	prog := datalog.Program{Rules: []datalog.Rule{
-		datalog.R(datalog.At("TC", value.Var("x"), value.Var("y")),
-			datalog.At("T", value.Var("x"), value.Var("y"))),
-		datalog.R(datalog.At("TC", value.Var("x"), value.Var("z")),
-			datalog.At("TC", value.Var("x"), value.Var("y")),
-			datalog.At("T", value.Var("y"), value.Var("z"))),
+		datalog.R(datalog.At("TC", sym.Var("x"), sym.Var("y")),
+			datalog.At("T", sym.Var("x"), sym.Var("y"))),
+		datalog.R(datalog.At("TC", sym.Var("x"), sym.Var("z")),
+			datalog.At("TC", sym.Var("x"), sym.Var("y")),
+			datalog.At("T", sym.Var("y"), sym.Var("z"))),
 	}}
 	q := query.NewDatalog("tc", prog, "TC")
 	tb := table.New("T", 2)
 	for i := 0; i < 6; i++ {
-		tb.AddTuple(value.Const(fmt.Sprintf("c%d", i)), value.Const(fmt.Sprintf("c%d", i+1)))
+		tb.AddTuple(sym.Const(fmt.Sprintf("c%d", i)), sym.Const(fmt.Sprintf("c%d", i+1)))
 	}
-	tb.AddTuple(value.Const("c0"), value.Var("x0"))
-	tb.AddTuple(value.Const("c1"), value.Var("x1"))
+	tb.AddTuple(sym.Const("c0"), sym.Var("x0"))
+	tb.AddTuple(sym.Const("c1"), sym.Var("x1"))
 	d := table.DB(tb)
 	p := rel.NewInstance()
 	p.EnsureRelation("TC", 2).AddRow("c0", "c6")

@@ -14,7 +14,7 @@ import (
 	"pw"
 	"pw/internal/datalog"
 	"pw/internal/query"
-	"pw/internal/value"
+	"pw/internal/sym"
 )
 
 func main() {
@@ -50,11 +50,11 @@ func main() {
 	// link turns out to be? DATALOG transitive closure + frozen
 	// evaluation (Theorem 5.3(1)).
 	prog := datalog.Program{Rules: []datalog.Rule{
-		datalog.R(datalog.At("Reach", value.Var("u"), value.Var("v")),
-			datalog.At("Link", value.Var("u"), value.Var("v"))),
-		datalog.R(datalog.At("Reach", value.Var("u"), value.Var("w")),
-			datalog.At("Reach", value.Var("u"), value.Var("v")),
-			datalog.At("Link", value.Var("v"), value.Var("w"))),
+		datalog.R(datalog.At("Reach", sym.Var("u"), sym.Var("v")),
+			datalog.At("Link", sym.Var("u"), sym.Var("v"))),
+		datalog.R(datalog.At("Reach", sym.Var("u"), sym.Var("w")),
+			datalog.At("Reach", sym.Var("u"), sym.Var("v")),
+			datalog.At("Link", sym.Var("v"), sym.Var("w"))),
 	}}
 	reach := query.NewDatalog("reach", prog, "Reach")
 

@@ -24,7 +24,6 @@ import (
 	"pw/internal/rel"
 	"pw/internal/sym"
 	"pw/internal/table"
-	"pw/internal/value"
 )
 
 // Operand is a column reference or a constant in a selection predicate.
@@ -521,9 +520,9 @@ func evalLift(e Expr, d *table.Database) (*liftRows, error) {
 		}
 		out := &liftRows{cols: cols}
 		for _, r := range n.Rows {
-			vals := make(value.Tuple, len(r))
+			vals := make(sym.Tuple, len(r))
 			for i, c := range r {
-				vals[i] = value.Const(c)
+				vals[i] = sym.Const(c)
 			}
 			out.rows = append(out.rows, table.Row{Values: vals})
 		}
@@ -562,7 +561,7 @@ func evalLift(e Expr, d *table.Database) (*liftRows, error) {
 		}
 		out := &liftRows{cols: n.Cols}
 		for _, r := range in.rows {
-			vals := make(value.Tuple, len(idx))
+			vals := make(sym.Tuple, len(idx))
 			for i, j := range idx {
 				vals[i] = r.Values[j]
 			}
@@ -632,7 +631,7 @@ func evalLift(e Expr, d *table.Database) (*liftRows, error) {
 			for _, rr := range r.rows {
 				c := lr.Cond.And(rr.Cond)
 				ok := true
-				vals := make(value.Tuple, 0, len(cols))
+				vals := make(sym.Tuple, 0, len(cols))
 				vals = append(vals, lr.Values...)
 				for k := range lShared {
 					lv, rv := lr.Values[lShared[k]], rr.Values[rShared[k]]
@@ -640,7 +639,7 @@ func evalLift(e Expr, d *table.Database) (*liftRows, error) {
 						continue
 					}
 					// Prefer the constant in the output position.
-					if lv.IsVar() && rv.IsConst() {
+					if lv.IsVar() && !rv.IsVar() {
 						vals[lShared[k]] = rv
 					}
 					c = append(c, cond.EqAtom(lv, rv))
@@ -692,9 +691,9 @@ func evalLift(e Expr, d *table.Database) (*liftRows, error) {
 	return nil, fmt.Errorf("algebra: unknown expression %T", e)
 }
 
-func operandLifted(o Operand, cols []string, r table.Row) value.Value {
+func operandLifted(o Operand, cols []string, r table.Row) sym.ID {
 	if o.isConst {
-		return value.Const(o.k)
+		return sym.Const(o.k)
 	}
 	return r.Values[indexOf(cols, o.col)]
 }

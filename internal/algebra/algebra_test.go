@@ -11,12 +11,11 @@ import (
 	"pw/internal/rel"
 	"pw/internal/sym"
 	"pw/internal/table"
-	"pw/internal/value"
 	"pw/internal/worlds"
 )
 
-func v(n string) value.Value { return value.Var(n) }
-func k(n string) value.Value { return value.Const(n) }
+func v(n string) sym.ID { return sym.Var(n) }
+func k(n string) sym.ID { return sym.Const(n) }
 
 func sampleInstance() *rel.Instance {
 	i := rel.NewInstance()
@@ -304,11 +303,11 @@ func TestLiftedMatchesDirectRandom(t *testing.T) {
 }
 
 func randomCTableDB(rng *rand.Rand) *table.Database {
-	vals := []value.Value{k("1"), k("2"), v("x"), v("y"), v("z")}
-	pick := func() value.Value { return vals[rng.Intn(len(vals))] }
+	vals := []sym.ID{k("1"), k("2"), v("x"), v("y"), v("z")}
+	pick := func() sym.ID { return vals[rng.Intn(len(vals))] }
 	r := table.New("R", 2)
 	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
-		row := table.Row{Values: value.NewTuple(pick(), pick())}
+		row := table.Row{Values: sym.Tuple{pick(), pick()}}
 		if rng.Intn(2) == 0 {
 			op := cond.Eq
 			if rng.Intn(2) == 0 {
@@ -323,7 +322,7 @@ func randomCTableDB(rng *rand.Rand) *table.Database {
 	}
 	s := table.New("S", 1)
 	for i, n := 0, 1+rng.Intn(2); i < n; i++ {
-		s.Add(table.Row{Values: value.NewTuple(pick())})
+		s.Add(table.Row{Values: sym.Tuple{pick()}})
 	}
 	return table.DB(r, s)
 }

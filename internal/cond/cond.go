@@ -23,7 +23,6 @@ import (
 	"strings"
 
 	"pw/internal/sym"
-	"pw/internal/value"
 )
 
 // Op is the comparison operator of an atom.
@@ -44,26 +43,30 @@ func (o Op) String() string {
 	return "!="
 }
 
-// Atom is a single comparison between two values. Either side may be a
+// Subst is a substitution: a map from variables to replacement symbols.
+// Constants are never keys.
+type Subst map[sym.ID]sym.ID
+
+// Atom is a single comparison between two symbols. Either side may be a
 // constant or a variable; const-const atoms are allowed and are immediately
 // true or false.
 type Atom struct {
 	Op   Op
-	L, R value.Value
+	L, R sym.ID
 }
 
 // EqAtom returns the atom l = r.
-func EqAtom(l, r value.Value) Atom { return Atom{Op: Eq, L: l, R: r} }
+func EqAtom(l, r sym.ID) Atom { return Atom{Op: Eq, L: l, R: r} }
 
 // NeqAtom returns the atom l ≠ r.
-func NeqAtom(l, r value.Value) Atom { return Atom{Op: Neq, L: l, R: r} }
+func NeqAtom(l, r sym.ID) Atom { return Atom{Op: Neq, L: l, R: r} }
 
 // True is the canonical true atom (encoded, per the paper, as x = x; we use
 // a constant for ground-ness: "0" = "0").
-func True() Atom { return EqAtom(value.Const("0"), value.Const("0")) }
+func True() Atom { return EqAtom(sym.Const("0"), sym.Const("0")) }
 
 // False is the canonical false atom ("0" ≠ "0").
-func False() Atom { return NeqAtom(value.Const("0"), value.Const("0")) }
+func False() Atom { return NeqAtom(sym.Const("0"), sym.Const("0")) }
 
 // Negate returns the complementary atom.
 func (a Atom) Negate() Atom {
@@ -76,7 +79,7 @@ func (a Atom) Negate() Atom {
 // TriviallyTrue reports whether the atom holds under every valuation
 // (syntactically: u = u, or c = c / c ≠ d on constants).
 func (a Atom) TriviallyTrue() bool {
-	if a.L.IsConst() && a.R.IsConst() {
+	if !a.L.IsVar() && !a.R.IsVar() {
 		return (a.Op == Eq) == (a.L == a.R)
 	}
 	return a.Op == Eq && a.L == a.R
@@ -85,7 +88,7 @@ func (a Atom) TriviallyTrue() bool {
 // TriviallyFalse reports whether the atom fails under every valuation
 // (syntactically: u ≠ u, or c = d / c ≠ c on constants).
 func (a Atom) TriviallyFalse() bool {
-	if a.L.IsConst() && a.R.IsConst() {
+	if !a.L.IsVar() && !a.R.IsVar() {
 		return (a.Op == Eq) == (a.L != a.R)
 	}
 	return a.Op == Neq && a.L == a.R
@@ -94,7 +97,7 @@ func (a Atom) TriviallyFalse() bool {
 // normalize orders the two sides canonically (constants first, then by
 // name) so that syntactic deduplication catches x=y vs y=x.
 func (a Atom) normalize() Atom {
-	if a.L.Compare(a.R) > 0 {
+	if sym.Compare(a.L, a.R) > 0 {
 		a.L, a.R = a.R, a.L
 	}
 	return a
@@ -102,7 +105,7 @@ func (a Atom) normalize() Atom {
 
 // Subst replaces variables according to s. Variables absent from s are left
 // untouched.
-func (a Atom) Subst(s value.Subst) Atom {
+func (a Atom) Subst(s Subst) Atom {
 	if a.L.IsVar() {
 		if v, ok := s[a.L]; ok {
 			a.L = v
@@ -118,13 +121,7 @@ func (a Atom) Subst(s value.Subst) Atom {
 
 // VarIDs appends the variable IDs of a to dst (dedup via seen).
 func (a Atom) VarIDs(dst []sym.ID, seen map[sym.ID]bool) []sym.ID {
-	for _, v := range []value.Value{a.L, a.R} {
-		if v.IsVar() && !seen[v.ID()] {
-			seen[v.ID()] = true
-			dst = append(dst, v.ID())
-		}
-	}
-	return dst
+	return sym.Tuple{a.L, a.R}.VarIDs(dst, seen)
 }
 
 // String renders the atom in .pw syntax, e.g. "?x != 3".
@@ -134,10 +131,10 @@ func (a Atom) String() string {
 
 // Compare gives a total syntactic order on atoms.
 func (a Atom) Compare(b Atom) int {
-	if c := a.L.Compare(b.L); c != 0 {
+	if c := sym.Compare(a.L, b.L); c != 0 {
 		return c
 	}
-	if c := a.R.Compare(b.R); c != 0 {
+	if c := sym.Compare(a.R, b.R); c != 0 {
 		return c
 	}
 	switch {
@@ -177,7 +174,7 @@ func (c Conjunction) And(d Conjunction) Conjunction {
 }
 
 // Subst applies a substitution to every atom.
-func (c Conjunction) Subst(s value.Subst) Conjunction {
+func (c Conjunction) Subst(s Subst) Conjunction {
 	out := make(Conjunction, len(c))
 	for i, a := range c {
 		out[i] = a.Subst(s)
@@ -201,10 +198,10 @@ func (c Conjunction) VarNames() []string {
 // ConstIDs appends the constant IDs occurring in c to dst (dedup via seen).
 func (c Conjunction) ConstIDs(dst []sym.ID, seen map[sym.ID]bool) []sym.ID {
 	for _, a := range c {
-		for _, v := range []value.Value{a.L, a.R} {
-			if v.IsConst() && !seen[v.ID()] {
-				seen[v.ID()] = true
-				dst = append(dst, v.ID())
+		for _, v := range []sym.ID{a.L, a.R} {
+			if !v.IsVar() && !seen[v] {
+				seen[v] = true
+				dst = append(dst, v)
 			}
 		}
 	}
@@ -256,7 +253,7 @@ func (c Conjunction) SatisfiableWith(extra ...Atom) bool {
 // This is the normalization step of Theorem 3.2(1): "if it follows from the
 // global condition that a variable equals a constant, then the variable is
 // replaced by that constant in the table".
-func (c Conjunction) ImpliedBindings() (value.Subst, bool) {
+func (c Conjunction) ImpliedBindings() (Subst, bool) {
 	s := GetSolver()
 	defer s.Release()
 	if !s.Push(c...) {

@@ -7,14 +7,13 @@ import (
 	"testing/quick"
 
 	"pw/internal/sym"
-	"pw/internal/value"
 )
 
-func x() value.Value  { return value.Var("x") }
-func y() value.Value  { return value.Var("y") }
-func z() value.Value  { return value.Var("z") }
-func c1() value.Value { return value.Const("1") }
-func c2() value.Value { return value.Const("2") }
+func x() sym.ID  { return sym.Var("x") }
+func y() sym.ID  { return sym.Var("y") }
+func z() sym.ID  { return sym.Var("z") }
+func c1() sym.ID { return sym.Const("1") }
+func c2() sym.ID { return sym.Const("2") }
 
 func TestAtomTrivial(t *testing.T) {
 	cases := []struct {
@@ -101,8 +100,8 @@ func brute(c Conjunction) bool {
 	rec = func(i int) bool {
 		if i == len(vars) {
 			for _, a := range c {
-				get := func(v value.Value) string {
-					if v.IsConst() {
+				get := func(v sym.ID) string {
+					if !v.IsVar() {
 						return v.Name()
 					}
 					return assign[v.Name()]
@@ -126,7 +125,7 @@ func brute(c Conjunction) bool {
 }
 
 func randomConjunction(rng *rand.Rand) Conjunction {
-	vals := []value.Value{x(), y(), z(), c1(), c2(), value.Var("w")}
+	vals := []sym.ID{x(), y(), z(), c1(), c2(), sym.Var("w")}
 	n := rng.Intn(6)
 	c := make(Conjunction, 0, n)
 	for i := 0; i < n; i++ {
@@ -196,7 +195,7 @@ func TestImpliedBindings(t *testing.T) {
 	if len(sub2) != 1 {
 		t.Fatalf("bindings = %v", sub2)
 	}
-	if b, ok := sub2[y()]; !ok || b != value.Var("x") {
+	if b, ok := sub2[y()]; !ok || b != sym.Var("x") {
 		t.Errorf("want y→?x, got %v", sub2)
 	}
 	if _, ok := Conj(EqAtom(x(), c1()), EqAtom(x(), c2())).ImpliedBindings(); ok {
@@ -239,7 +238,7 @@ func TestImplies(t *testing.T) {
 
 func TestSubst(t *testing.T) {
 	c := Conj(EqAtom(x(), y()), NeqAtom(y(), c1()))
-	s := value.Subst{y(): c2()}
+	s := Subst{y(): c2()}
 	got := c.Subst(s)
 	if got[0].R != c2() || got[1].L != c2() {
 		t.Errorf("Subst = %v", got)

@@ -3,7 +3,6 @@ package cond
 import (
 	"pw/internal/sym"
 	"pw/internal/unionfind"
-	"pw/internal/value"
 )
 
 // closureState is the reference equality closure the Solver replaced:
@@ -11,13 +10,13 @@ import (
 // values occurring in the atoms with the constant (if any) of each class
 // tracked at the root. The solver's tests hold it to this closure.
 type closureState struct {
-	nodes   []value.Value
-	idx     map[value.Value]int32
+	nodes   []sym.ID
+	idx     map[sym.ID]int32
 	uf      *unionfind.Dense
 	constOf []sym.ID // valid at class roots; sym.None = no constant
 }
 
-func (s *closureState) node(v value.Value) int32 {
+func (s *closureState) node(v sym.ID) int32 {
 	if i, ok := s.idx[v]; ok {
 		return i
 	}
@@ -25,8 +24,8 @@ func (s *closureState) node(v value.Value) int32 {
 	s.idx[v] = i
 	s.nodes = append(s.nodes, v)
 	s.uf.Grow(len(s.nodes))
-	if v.IsConst() {
-		s.constOf = append(s.constOf, v.ID())
+	if !v.IsVar() {
+		s.constOf = append(s.constOf, v)
 	} else {
 		s.constOf = append(s.constOf, sym.None)
 	}
@@ -38,7 +37,7 @@ func (s *closureState) node(v value.Value) int32 {
 // merges of distinct constants and violated inequalities make it false.
 func buildClosure(c Conjunction) *closureState {
 	s := &closureState{
-		idx: make(map[value.Value]int32, 2*len(c)),
+		idx: make(map[sym.ID]int32, 2*len(c)),
 		uf:  unionfind.NewDense(0),
 	}
 	// Merge equality classes, propagating class constants to roots.
@@ -82,20 +81,20 @@ func buildClosure(c Conjunction) *closureState {
 func refSatisfiable(c Conjunction) bool { return buildClosure(c) != nil }
 
 // refImpliedBindings is ImpliedBindings by the reference closure.
-func refImpliedBindings(c Conjunction) (value.Subst, bool) {
+func refImpliedBindings(c Conjunction) (Subst, bool) {
 	s := buildClosure(c)
 	if s == nil {
 		return nil, false
 	}
 	// Group class members by root.
-	classes := make(map[int32][]value.Value, len(s.nodes))
+	classes := make(map[int32][]sym.ID, len(s.nodes))
 	for i, v := range s.nodes {
 		r := s.uf.Find(int32(i))
 		classes[r] = append(classes[r], v)
 	}
-	out := make(value.Subst)
+	out := make(Subst)
 	for root, members := range classes {
-		var varMembers []value.Value
+		var varMembers []sym.ID
 		for _, m := range members {
 			if m.IsVar() {
 				varMembers = append(varMembers, m)
@@ -104,9 +103,9 @@ func refImpliedBindings(c Conjunction) (value.Subst, bool) {
 		if len(varMembers) == 0 {
 			continue
 		}
-		var rep value.Value
+		var rep sym.ID
 		if cid := s.constOf[root]; cid != sym.None {
-			rep = value.Of(cid)
+			rep = cid
 		} else {
 			// Lexicographically least variable name.
 			rep = varMembers[0]

@@ -5,13 +5,13 @@ import (
 	"testing"
 	"testing/quick"
 
-	"pw/internal/value"
+	"pw/internal/sym"
 )
 
 // evalConj evaluates a conjunction under a total assignment.
 func evalConj(c Conjunction, assign map[string]string) bool {
-	get := func(v value.Value) string {
-		if v.IsConst() {
+	get := func(v sym.ID) string {
+		if !v.IsVar() {
 			return v.Name()
 		}
 		return assign[v.Name()]
@@ -85,7 +85,7 @@ func formulaVars(f Formula) []string {
 
 func randomFormula(rng *rand.Rand, depth int) Formula {
 	if depth == 0 || rng.Intn(3) == 0 {
-		vals := []value.Value{x(), y(), z(), c1(), c2()}
+		vals := []sym.ID{x(), y(), z(), c1(), c2()}
 		op := Eq
 		if rng.Intn(2) == 0 {
 			op = Neq

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"pw/internal/sym"
-	"pw/internal/value"
 )
 
 // Solver is a backtrackable equality closure: the conjunction of the
@@ -101,7 +100,7 @@ func (s *Solver) Implies(a Atom) bool {
 // Conjunction.ImpliedBindings documents: each variable of a class with a
 // constant maps to it, each other variable of a class with several
 // variables to the class's least-named variable.
-func (s *Solver) ImpliedBindings() value.Subst {
+func (s *Solver) ImpliedBindings() Subst {
 	// Per root: the class's representative. 0 (a constant, so never a
 	// variable's ID) marks a variable-only class with none chosen yet.
 	rep := make([]sym.ID, len(s.nodes))
@@ -113,10 +112,10 @@ func (s *Solver) ImpliedBindings() value.Subst {
 			rep[r] = nd.id
 		}
 	}
-	out := make(value.Subst)
+	out := make(Subst)
 	for n, nd := range s.nodes {
 		if r := rep[s.find(int32(n))]; nd.id.IsVar() && r != nd.id {
-			out[value.Of(nd.id)] = value.Of(r)
+			out[nd.id] = r
 		}
 	}
 	return out
@@ -125,10 +124,10 @@ func (s *Solver) ImpliedBindings() value.Subst {
 // add conjoins one atom, leaving the trail entries it made for the
 // enclosing Push to undo on failure.
 func (s *Solver) add(a Atom) bool {
-	if (a.L.IsConst() && a.R.IsConst()) || a.L == a.R {
+	if (!a.L.IsVar() && !a.R.IsVar()) || a.L == a.R {
 		return !a.TriviallyFalse()
 	}
-	l, r := s.find(s.node(a.L.ID())), s.find(s.node(a.R.ID()))
+	l, r := s.find(s.node(a.L)), s.find(s.node(a.R))
 	if a.Op == Eq {
 		return s.union(l, r)
 	}

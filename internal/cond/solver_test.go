@@ -4,7 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"pw/internal/value"
+	"pw/internal/sym"
 )
 
 // TestSolverMatchesReferenceClosure pushes and pops random atom
@@ -15,7 +15,7 @@ import (
 // and Implies agrees on a random atom. Solvers come from the pool, so
 // later seeds also run on reset storage.
 func TestSolverMatchesReferenceClosure(t *testing.T) {
-	vals := []value.Value{x(), y(), z(), value.Var("w"), c1(), c2(), value.Const("3")}
+	vals := []sym.ID{x(), y(), z(), sym.Var("w"), c1(), c2(), sym.Const("3")}
 	for seed := int64(0); seed < 500; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		atom := func() Atom {
@@ -72,7 +72,7 @@ func TestSolverMatchesReferenceClosure(t *testing.T) {
 	}
 }
 
-func equalSubst(a, b value.Subst) bool {
+func equalSubst(a, b Subst) bool {
 	if len(a) != len(b) {
 		return false
 	}

@@ -15,17 +15,17 @@ import (
 	"strings"
 
 	"pw/internal/rel"
-	"pw/internal/value"
+	"pw/internal/sym"
 )
 
 // Atom is P(t1,…,tk) with variable or constant arguments.
 type Atom struct {
 	Pred string
-	Args []value.Value
+	Args []sym.ID
 }
 
 // At builds an atom.
-func At(pred string, args ...value.Value) Atom { return Atom{Pred: pred, Args: args} }
+func At(pred string, args ...sym.ID) Atom { return Atom{Pred: pred, Args: args} }
 
 // String renders the atom.
 func (a Atom) String() string {
@@ -99,7 +99,7 @@ func (p Program) Consts() []string {
 	for _, r := range p.Rules {
 		for _, a := range append([]Atom{r.Head}, r.Body...) {
 			for _, t := range a.Args {
-				if t.IsConst() && !seen[t.Name()] {
+				if !t.IsVar() && !seen[t.Name()] {
 					seen[t.Name()] = true
 					out = append(out, t.Name())
 				}
@@ -233,7 +233,7 @@ func joinBody(r Rule, lookup func(string) *rel.Relation, delta, out *rel.Instanc
 	if i == len(r.Body) {
 		f := make(rel.Fact, len(r.Head.Args))
 		for j, t := range r.Head.Args {
-			if t.IsConst() {
+			if !t.IsVar() {
 				f[j] = t.Name()
 			} else {
 				f[j] = env[t.Name()]
@@ -259,7 +259,7 @@ nextFact:
 	for _, f := range source.Facts() {
 		bound := []string{}
 		for j, t := range a.Args {
-			if t.IsConst() {
+			if !t.IsVar() {
 				if f[j] != t.Name() {
 					continue nextFact
 				}

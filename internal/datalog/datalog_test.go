@@ -7,11 +7,11 @@ import (
 	"testing/quick"
 
 	"pw/internal/rel"
-	"pw/internal/value"
+	"pw/internal/sym"
 )
 
-func v(n string) value.Value { return value.Var(n) }
-func k(n string) value.Value { return value.Const(n) }
+func v(n string) sym.ID { return sym.Var(n) }
+func k(n string) sym.ID { return sym.Const(n) }
 
 func edgeInstance(pairs ...[2]string) *rel.Instance {
 	i := rel.NewInstance()

@@ -6,8 +6,8 @@ import (
 
 	"pw/internal/cond"
 	"pw/internal/rel"
+	"pw/internal/sym"
 	"pw/internal/table"
-	"pw/internal/value"
 )
 
 // pigeonhole is n variable rows of T(1), pairwise distinct by the global
@@ -16,10 +16,10 @@ import (
 func pigeonhole(n int) (*rel.Instance, *table.Compiled) {
 	tb := table.New("T", 1)
 	for a := 0; a < n; a++ {
-		x := value.Var(fmt.Sprintf("x%d", a))
+		x := sym.Var(fmt.Sprintf("x%d", a))
 		tb.AddTuple(x)
 		for b := 0; b < a; b++ {
-			tb.Global = append(tb.Global, cond.NeqAtom(value.Var(fmt.Sprintf("x%d", b)), x))
+			tb.Global = append(tb.Global, cond.NeqAtom(sym.Var(fmt.Sprintf("x%d", b)), x))
 		}
 	}
 	i := rel.NewInstance()

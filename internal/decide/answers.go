@@ -7,7 +7,6 @@ import (
 	"pw/internal/rel"
 	"pw/internal/sym"
 	"pw/internal/table"
-	"pw/internal/value"
 )
 
 // CertainAnswers computes the set of certain facts of q(rep(d)) — the
@@ -157,16 +156,8 @@ func (o Options) PossibleAnswers(q query.Query, d *table.Database) (*rel.Instanc
 // denote over the allowed constant pool: the row's distinct variables
 // run through the pool in odometer order. A row with variables but an
 // empty pool denotes no candidate.
-func eachRowInstantiation(vals value.Tuple, allowed []sym.ID, fn func(sym.Tuple)) {
-	var vars []sym.ID
-	pos := map[sym.ID]bool{}
-	for _, v := range vals {
-		id := v.ID()
-		if id.IsVar() && !pos[id] {
-			pos[id] = true
-			vars = append(vars, id)
-		}
-	}
+func eachRowInstantiation(vals sym.Tuple, allowed []sym.ID, fn func(sym.Tuple)) {
+	vars := vals.VarIDs(nil, map[sym.ID]bool{})
 	if len(vars) > 0 && len(allowed) == 0 {
 		return
 	}
@@ -177,8 +168,7 @@ func eachRowInstantiation(vals value.Tuple, allowed []sym.ID, fn func(sym.Tuple)
 		for i, x := range vars {
 			assign[x] = allowed[choice[i]]
 		}
-		for j, v := range vals {
-			id := v.ID()
+		for j, id := range vals {
 			if id.IsVar() {
 				u[j] = assign[id]
 			} else {

@@ -14,7 +14,6 @@ import (
 	"pw/internal/rel"
 	"pw/internal/sym"
 	"pw/internal/table"
-	"pw/internal/value"
 )
 
 // sweep is the n·m oracle the indexed matching replaced: the rows of t
@@ -37,16 +36,16 @@ func patternTable(rng *rand.Rand, arity, rows int, consts []string) *table.Table
 	fresh := 0
 	for i := 0; i < rows; i++ {
 		shape := rng.Intn(4)
-		vals := make([]value.Value, arity)
+		vals := make([]sym.ID, arity)
 		for c := range vals {
 			switch {
 			case shape == 0 || (shape >= 2 && rng.Intn(2) == 0): // ground row, or a constant cell
-				vals[c] = value.Const(consts[rng.Intn(len(consts))])
+				vals[c] = sym.Const(consts[rng.Intn(len(consts))])
 			case shape == 3 && rng.Intn(2) == 0: // a repeated variable
-				vals[c] = value.Var(fmt.Sprintf("r%d_%d", i, rng.Intn(2)))
+				vals[c] = sym.Var(fmt.Sprintf("r%d_%d", i, rng.Intn(2)))
 			default:
 				fresh++
-				vals[c] = value.Var(fmt.Sprintf("u%d", fresh))
+				vals[c] = sym.Var(fmt.Sprintf("u%d", fresh))
 			}
 		}
 		t.AddTuple(vals...)
@@ -72,12 +71,12 @@ func TestMatcherMatchesSweep(t *testing.T) {
 				row := tb.Rows[rng.Intn(len(tb.Rows))]
 				bind := map[sym.ID]sym.ID{}
 				for c, v := range row.Values {
-					u[c] = v.ID()
+					u[c] = v
 					if v.IsVar() {
-						if _, ok := bind[v.ID()]; !ok {
-							bind[v.ID()] = sym.Const(consts[rng.Intn(len(consts))])
+						if _, ok := bind[v]; !ok {
+							bind[v] = sym.Const(consts[rng.Intn(len(consts))])
 						}
-						u[c] = bind[v.ID()]
+						u[c] = bind[v]
 					}
 				}
 			} else {
@@ -133,8 +132,8 @@ func TestMatchTestsBelowSweep(t *testing.T) {
 // frozen ones (~z0, ~zz1), which push the fresh prefix further out.
 func TestCertainLookupAgreesWithFreeze(t *testing.T) {
 	copyQ := query.NewDatalog("copy", datalog.Program{Rules: []datalog.Rule{
-		datalog.R(datalog.At("Q", value.Var("x"), value.Var("y")),
-			datalog.At("T", value.Var("x"), value.Var("y"))),
+		datalog.R(datalog.At("Q", sym.Var("x"), sym.Var("y")),
+			datalog.At("T", sym.Var("x"), sym.Var("y"))),
 	}}, "Q")
 	consts := []string{"1", "2", "~z0", "~zz1"}
 	rng := rand.New(rand.NewSource(53))
@@ -142,11 +141,11 @@ func TestCertainLookupAgreesWithFreeze(t *testing.T) {
 	for trial := 0; trial < 150; trial++ {
 		tb := table.New("T", 2)
 		for r, n := 0, 1+rng.Intn(3); r < n; r++ {
-			cell := func(c int) value.Value {
+			cell := func(c int) sym.ID {
 				if rng.Intn(3) == 0 {
-					return value.Var(fmt.Sprintf("x%d_%d", r, c))
+					return sym.Var(fmt.Sprintf("x%d_%d", r, c))
 				}
-				return value.Const(consts[rng.Intn(len(consts))])
+				return sym.Const(consts[rng.Intn(len(consts))])
 			}
 			tb.AddTuple(cell(0), cell(1))
 		}
@@ -158,7 +157,7 @@ func TestCertainLookupAgreesWithFreeze(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				op = cond.Neq
 			}
-			tb.Global = cond.Conj(cond.Atom{Op: op, L: row.Values[0], R: value.Const(consts[rng.Intn(len(consts))])})
+			tb.Global = cond.Conj(cond.Atom{Op: op, L: row.Values[0], R: sym.Const(consts[rng.Intn(len(consts))])})
 		}
 		d := table.DB(tb)
 		pT, pQ := rel.NewInstance(), rel.NewInstance()

@@ -38,7 +38,6 @@ import (
 	"pw/internal/sym"
 	"pw/internal/table"
 	"pw/internal/valuation"
-	"pw/internal/value"
 )
 
 // SchemaCheck verifies that the instance provides exactly one relation per
@@ -105,9 +104,9 @@ func (o Options) anyImage(d *table.Database, q query.Query, inst *rel.Instance, 
 // bindAtoms appends to dst the equality atoms equating row values with
 // the components of a ground fact: a row's unification with the fact,
 // pushed onto a search's solver or forbidden in an equality-logic system.
-func bindAtoms(dst cond.Conjunction, vals value.Tuple, f sym.Tuple) cond.Conjunction {
+func bindAtoms(dst cond.Conjunction, vals sym.Tuple, f sym.Tuple) cond.Conjunction {
 	for i, v := range vals {
-		dst = append(dst, cond.EqAtom(v, value.Of(f[i])))
+		dst = append(dst, cond.EqAtom(v, f[i]))
 	}
 	return dst
 }

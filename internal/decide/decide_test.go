@@ -11,12 +11,11 @@ import (
 	"pw/internal/sym"
 	"pw/internal/table"
 	"pw/internal/valuation"
-	"pw/internal/value"
 	"pw/internal/worlds"
 )
 
-func v(n string) value.Value { return value.Var(n) }
-func k(n string) value.Value { return value.Const(n) }
+func v(n string) sym.ID { return sym.Var(n) }
+func k(n string) sym.ID { return sym.Const(n) }
 
 func inst1(vals ...string) *rel.Instance {
 	i := rel.NewInstance()
@@ -31,10 +30,10 @@ func inst1(vals ...string) *rel.Instance {
 // flavor: 0=Codd, 1=e-table, 2=i-table, 3=g-table, 4=c-table.
 func randomDB(rng *rand.Rand, flavor int, rows int) *table.Database {
 	t := table.New("T", 2)
-	varPool := []value.Value{v("x"), v("y"), v("z"), v("w")}
-	constPool := []value.Value{k("1"), k("2"), k("3")}
+	varPool := []sym.ID{v("x"), v("y"), v("z"), v("w")}
+	constPool := []sym.ID{k("1"), k("2"), k("3")}
 	nextVar := 0
-	pick := func(repeatVarsOK bool) value.Value {
+	pick := func(repeatVarsOK bool) sym.ID {
 		if rng.Intn(2) == 0 {
 			return constPool[rng.Intn(len(constPool))]
 		}
@@ -46,7 +45,7 @@ func randomDB(rng *rand.Rand, flavor int, rows int) *table.Database {
 	}
 	repeats := flavor == 1 || flavor == 3 || flavor == 4
 	for i := 0; i < rows; i++ {
-		row := table.Row{Values: value.NewTuple(pick(repeats), pick(repeats))}
+		row := table.Row{Values: sym.Tuple{pick(repeats), pick(repeats)}}
 		if flavor == 4 && rng.Intn(2) == 0 {
 			op := cond.Eq
 			if rng.Intn(2) == 0 {

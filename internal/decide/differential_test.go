@@ -19,9 +19,9 @@ import (
 	"pw/internal/gen"
 	"pw/internal/query"
 	"pw/internal/rel"
+	"pw/internal/sym"
 	"pw/internal/table"
 	"pw/internal/valuation"
-	"pw/internal/value"
 	"pw/internal/worlds"
 )
 
@@ -95,11 +95,11 @@ func diffNeqQuery() query.Query {
 // diffFOQuery is {w | ∃a,b T(a,b) ∧ ¬T(b,a) ∧ w=1} — genuinely first
 // order.
 func diffFOQuery() query.Query {
-	va := value.Var
+	va := sym.Var
 	return query.NewFO("asym", query.FOOut{Name: "Q", Q: fo.Query{
 		Head: []string{"w"},
 		Body: fo.And{
-			fo.Equal(va("w"), value.Const("1")),
+			fo.Equal(va("w"), sym.Const("1")),
 			fo.Exists{Vars: []string{"a", "b"}, F: fo.And{
 				fo.At("T", va("a"), va("b")),
 				fo.Not{F: fo.At("T", va("b"), va("a"))},
@@ -146,7 +146,7 @@ func TestDifferentialDecideContainment(t *testing.T) {
 			var other *table.Table
 			if seed%2 == 0 {
 				other = t0.Clone()
-				other.AddTuple(value.Var("wild1"), value.Var("wild2"))
+				other.AddTuple(sym.Var("wild1"), sym.Var("wild2"))
 			} else {
 				other = gen.ITable(seed+100, "T", 2, 2, 3, 1, 0.5)
 			}

@@ -141,8 +141,7 @@ func (m *matcher) done(cost *obs.Cost) { cost.Add(obs.DecideMatchTests, m.tests)
 // every comparison is an ID compare, and a variable is checked against
 // its earlier occurrences, a few at the arities tables have.
 func rowMatchesFact(row table.Row, f sym.Tuple) bool {
-	for i, v := range row.Values {
-		id := v.ID()
+	for i, id := range row.Values {
 		if !id.IsVar() {
 			if id != f[i] {
 				return false
@@ -150,7 +149,7 @@ func rowMatchesFact(row table.Row, f sym.Tuple) bool {
 			continue
 		}
 		for j, w := range row.Values[:i] {
-			if w.ID() == id && f[j] != f[i] {
+			if w == id && f[j] != f[i] {
 				return false
 			}
 		}

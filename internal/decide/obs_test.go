@@ -5,9 +5,9 @@ import (
 
 	"pw/internal/obs"
 	"pw/internal/rel"
+	"pw/internal/sym"
 	"pw/internal/table"
 	"pw/internal/valuation"
-	"pw/internal/value"
 )
 
 // qInst builds a one-column Q instance (the FO query's output shape).
@@ -25,7 +25,7 @@ func qInst(vals ...string) *rel.Instance {
 // spawned, valuations visited, and the visit depth of the witness.
 func TestOptionsCostRecordsValuationSearch(t *testing.T) {
 	tb := table.New("T", 2)
-	tb.Add(table.Row{Values: value.NewTuple(v("x"), k("1"))})
+	tb.Add(table.Row{Values: sym.Tuple{v("x"), k("1")}})
 	d := table.DB(tb)
 	p := qInst("1") // Q(1) possible: any world T(a,1) with a≠1 is asymmetric
 
@@ -65,8 +65,8 @@ func TestOptionsCostRecordsSharding(t *testing.T) {
 	defer func() { valuation.MinShardedSpace = old }()
 
 	tb := table.New("T", 2)
-	tb.Add(table.Row{Values: value.NewTuple(v("x"), v("y"))})
-	tb.Add(table.Row{Values: value.NewTuple(v("z"), k("1"))})
+	tb.Add(table.Row{Values: sym.Tuple{v("x"), v("y")}})
+	tb.Add(table.Row{Values: sym.Tuple{v("z"), k("1")}})
 	d := table.DB(tb)
 
 	c := obs.NewCost()

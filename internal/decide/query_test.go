@@ -13,7 +13,6 @@ import (
 	"pw/internal/sym"
 	"pw/internal/table"
 	"pw/internal/valuation"
-	"pw/internal/value"
 	"pw/internal/worlds"
 )
 
@@ -41,11 +40,11 @@ func neqQuery() query.Query {
 
 // foQuery is {w | ∃a,b T(a,b) ∧ ¬T(b,a) ∧ w=1} — genuinely first order.
 func foQuery() query.Query {
-	va := value.Var
+	va := sym.Var
 	return query.NewFO("asym", query.FOOut{Name: "Q", Q: fo.Query{
 		Head: []string{"w"},
 		Body: fo.And{
-			fo.Equal(va("w"), value.Const("1")),
+			fo.Equal(va("w"), sym.Const("1")),
 			fo.Exists{Vars: []string{"a", "b"}, F: fo.And{
 				fo.At("T", va("a"), va("b")),
 				fo.Not{F: fo.At("T", va("b"), va("a"))},
@@ -57,11 +56,11 @@ func foQuery() query.Query {
 // dlQuery is transitive closure — DATALOG.
 func dlQuery() query.Query {
 	prog := datalog.Program{Rules: []datalog.Rule{
-		datalog.R(datalog.At("Q", value.Var("x"), value.Var("y")),
-			datalog.At("T", value.Var("x"), value.Var("y"))),
-		datalog.R(datalog.At("Q", value.Var("x"), value.Var("z")),
-			datalog.At("Q", value.Var("x"), value.Var("y")),
-			datalog.At("T", value.Var("y"), value.Var("z"))),
+		datalog.R(datalog.At("Q", sym.Var("x"), sym.Var("y")),
+			datalog.At("T", sym.Var("x"), sym.Var("y"))),
+		datalog.R(datalog.At("Q", sym.Var("x"), sym.Var("z")),
+			datalog.At("Q", sym.Var("x"), sym.Var("y")),
+			datalog.At("T", sym.Var("y"), sym.Var("z"))),
 	}}
 	return query.NewDatalog("tc", prog, "Q")
 }
@@ -293,15 +292,15 @@ func TestEnumerateCanonicalCoversMembership(t *testing.T) {
 // constant nor ~z0, so the search's fresh constants must avoid the
 // query's constants too.
 func zQueries() []query.Query {
-	va, z := value.Var, value.Const("~z0")
+	va, z := sym.Var, sym.Const("~z0")
 	outside := fo.Exists{Vars: []string{"a", "b"}, F: fo.And{
 		fo.At("T", va("a"), va("b")),
 		fo.Neq(va("a"), z),
-		fo.Neq(va("a"), value.Const("1")),
-		fo.Neq(va("a"), value.Const("2")),
-		fo.Neq(va("a"), value.Const("3")),
+		fo.Neq(va("a"), sym.Const("1")),
+		fo.Neq(va("a"), sym.Const("2")),
+		fo.Neq(va("a"), sym.Const("3")),
 	}}
-	one := fo.Equal(va("w"), value.Const("1"))
+	one := fo.Equal(va("w"), sym.Const("1"))
 	return []query.Query{
 		query.NewFO("outside", query.FOOut{Name: "Q", Q: fo.Query{Head: []string{"w"}, Body: fo.And{one, outside}}}),
 		query.NewFO("inside", query.FOOut{Name: "Q", Q: fo.Query{Head: []string{"w"}, Body: fo.And{one, fo.Not{F: outside}}}}),

@@ -111,7 +111,6 @@ func omittableFact(d *table.Database, i *rel.Instance, workers int) bool {
 // inclusions per table, both lookups: every row is a fact of i, and
 // every fact of i is a row, found through the row index.
 func groundEquals(c *table.Compiled, i *rel.Instance) bool {
-	var f sym.Tuple
 	for _, t := range c.Norm.Tables() {
 		ix := c.Index(t.Name)
 		if !ix.AllGround() {
@@ -119,11 +118,7 @@ func groundEquals(c *table.Compiled, i *rel.Instance) bool {
 		}
 		r := i.Relation(t.Name)
 		for _, row := range t.Rows {
-			f = f[:0]
-			for _, v := range row.Values {
-				f = append(f, v.ID())
-			}
-			if !r.Contains(f) {
+			if !r.Contains(row.Values) {
 				return false
 			}
 		}
@@ -168,7 +163,7 @@ func rowEscapes(d *table.Database, i *rel.Instance) bool {
 					ground = false
 					break
 				}
-				f[j] = w.ID()
+				f[j] = w
 			}
 			if !ground || !r.Contains(f) {
 				return true

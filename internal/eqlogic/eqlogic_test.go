@@ -8,14 +8,14 @@ import (
 	"testing/quick"
 
 	"pw/internal/cond"
-	"pw/internal/value"
+	"pw/internal/sym"
 )
 
-func x() value.Value  { return value.Var("x") }
-func y() value.Value  { return value.Var("y") }
-func z() value.Value  { return value.Var("z") }
-func c1() value.Value { return value.Const("1") }
-func c2() value.Value { return value.Const("2") }
+func x() sym.ID  { return sym.Var("x") }
+func y() sym.ID  { return sym.Var("y") }
+func z() sym.ID  { return sym.Var("z") }
+func c1() sym.ID { return sym.Const("1") }
+func c2() sym.ID { return sym.Const("2") }
 
 func TestMustOnly(t *testing.T) {
 	p := &Problem{}
@@ -96,7 +96,7 @@ func TestInterlockedClauses(t *testing.T) {
 
 // randomProblem builds a small random system.
 func randomProblem(rng *rand.Rand) *Problem {
-	vals := []value.Value{x(), y(), z(), c1(), c2()}
+	vals := []sym.ID{x(), y(), z(), c1(), c2()}
 	atom := func() cond.Atom {
 		op := cond.Eq
 		if rng.Intn(2) == 0 {
@@ -123,7 +123,7 @@ func randomProblem(rng *rand.Rand) *Problem {
 func bruteProblem(p *Problem) bool {
 	vars := map[string]bool{}
 	collect := func(a cond.Atom) {
-		for _, v := range []value.Value{a.L, a.R} {
+		for _, v := range []sym.ID{a.L, a.R} {
 			if v.IsVar() {
 				vars[v.Name()] = true
 			}
@@ -147,8 +147,8 @@ func bruteProblem(p *Problem) bool {
 	}
 	assign := map[string]string{}
 	evalAtom := func(a cond.Atom) bool {
-		get := func(v value.Value) string {
-			if v.IsConst() {
+		get := func(v sym.ID) string {
+			if !v.IsVar() {
 				return v.Name()
 			}
 			return assign[v.Name()]

@@ -16,7 +16,6 @@ import (
 	"pw/internal/rel"
 	"pw/internal/sym"
 	"pw/internal/table"
-	"pw/internal/value"
 	"pw/internal/wsd"
 	"pw/internal/wsdalg"
 )
@@ -513,9 +512,9 @@ func probeUniqGTable(b *testing.B, rows int) {
 	r := i.EnsureRelation("T", 2)
 	for j := 0; j < rows; j++ {
 		c := fmt.Sprintf("c%d", j)
-		x := value.Var(fmt.Sprintf("x%d", j))
-		tb.AddTuple(value.Const(c), x)
-		tb.Global = append(tb.Global, cond.EqAtom(x, value.Const(c)))
+		x := sym.Var(fmt.Sprintf("x%d", j))
+		tb.AddTuple(sym.Const(c), x)
+		tb.Global = append(tb.Global, cond.EqAtom(x, sym.Const(c)))
 		r.AddRow(c, c)
 	}
 	d := table.DB(tb)
@@ -532,7 +531,7 @@ func probeContFreeze(b *testing.B, rows int, o decide.Options) {
 	t0 := gen.CoddTable(int64(rows), "T", rows, 2, rows, 0.4)
 	// Superset: same rows plus a free wildcard row (x, y): always contains.
 	t := t0.Clone()
-	t.AddTuple(value.Var("wild1"), value.Var("wild2"))
+	t.AddTuple(sym.Var("wild1"), sym.Var("wild2"))
 	d0, d := table.DB(t0), table.DB(t)
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {

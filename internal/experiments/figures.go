@@ -12,13 +12,13 @@ import (
 	"pw/internal/reduce"
 	"pw/internal/rel"
 	"pw/internal/sat"
+	"pw/internal/sym"
 	"pw/internal/table"
-	"pw/internal/value"
 	"pw/internal/worlds"
 )
 
-func vv(n string) value.Value { return value.Var(n) }
-func kk(n string) value.Value { return value.Const(n) }
+func vv(n string) sym.ID { return sym.Var(n) }
+func kk(n string) sym.ID { return sym.Const(n) }
 
 // fig1Tables builds the five representations Ta–Te of Fig. 1.
 func fig1Tables() map[string]*table.Table {
@@ -46,9 +46,9 @@ func fig1Tables() map[string]*table.Table {
 
 	te := table.New("T", 2)
 	te.Global = cond.Conj(cond.NeqAtom(vv("x"), kk("1")), cond.NeqAtom(vv("y"), kk("2")))
-	te.Add(table.Row{Values: value.NewTuple(kk("0"), kk("1")), Cond: cond.Conj(cond.EqAtom(vv("z"), vv("z")))})
-	te.Add(table.Row{Values: value.NewTuple(kk("0"), vv("x")), Cond: cond.Conj(cond.EqAtom(vv("y"), kk("0")))})
-	te.Add(table.Row{Values: value.NewTuple(vv("y"), vv("x")), Cond: cond.Conj(cond.NeqAtom(vv("x"), vv("y")))})
+	te.Add(table.Row{Values: sym.Tuple{kk("0"), kk("1")}, Cond: cond.Conj(cond.EqAtom(vv("z"), vv("z")))})
+	te.Add(table.Row{Values: sym.Tuple{kk("0"), vv("x")}, Cond: cond.Conj(cond.EqAtom(vv("y"), kk("0")))})
+	te.Add(table.Row{Values: sym.Tuple{vv("y"), vv("x")}, Cond: cond.Conj(cond.NeqAtom(vv("x"), vv("y")))})
 
 	return map[string]*table.Table{"Ta": ta, "Tb": tb, "Tc": tc, "Td": td, "Te": te}
 }

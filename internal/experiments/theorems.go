@@ -9,8 +9,8 @@ import (
 	"pw/internal/gen"
 	"pw/internal/query"
 	"pw/internal/rel"
+	"pw/internal/sym"
 	"pw/internal/table"
-	"pw/internal/value"
 )
 
 // Thm51Codd sweeps unbounded possibility on Codd-tables (Theorem 5.1(1)):
@@ -80,11 +80,11 @@ func Thm53Frozen(full bool) *Report {
 	r := &Report{ID: "T53", Title: "Thm 5.3(1) — CERT(∗, datalog) on g-tables via frozen evaluation"}
 	r.AddRow("rows", "answer", "time")
 	prog := datalog.Program{Rules: []datalog.Rule{
-		datalog.R(datalog.At("TC", value.Var("x"), value.Var("y")),
-			datalog.At("T", value.Var("x"), value.Var("y"))),
-		datalog.R(datalog.At("TC", value.Var("x"), value.Var("z")),
-			datalog.At("TC", value.Var("x"), value.Var("y")),
-			datalog.At("T", value.Var("y"), value.Var("z"))),
+		datalog.R(datalog.At("TC", sym.Var("x"), sym.Var("y")),
+			datalog.At("T", sym.Var("x"), sym.Var("y"))),
+		datalog.R(datalog.At("TC", sym.Var("x"), sym.Var("z")),
+			datalog.At("TC", sym.Var("x"), sym.Var("y")),
+			datalog.At("T", sym.Var("y"), sym.Var("z"))),
 	}}
 	q := query.NewDatalog("tc", prog, "TC")
 	sizes := []int{16, 32, 64}
@@ -96,10 +96,10 @@ func Thm53Frozen(full bool) *Report {
 		// closure is certain.
 		tb := table.New("T", 2)
 		for i := 0; i < n; i++ {
-			tb.AddTuple(value.Const(fmt.Sprintf("c%d", i)), value.Const(fmt.Sprintf("c%d", i+1)))
+			tb.AddTuple(sym.Const(fmt.Sprintf("c%d", i)), sym.Const(fmt.Sprintf("c%d", i+1)))
 		}
 		for i := 0; i < n/4; i++ {
-			tb.AddTuple(value.Const(fmt.Sprintf("c%d", i)), value.Var(fmt.Sprintf("x%d", i)))
+			tb.AddTuple(sym.Const(fmt.Sprintf("c%d", i)), sym.Var(fmt.Sprintf("x%d", i)))
 		}
 		d := table.DB(tb)
 		p := rel.NewInstance()

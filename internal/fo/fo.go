@@ -18,7 +18,6 @@ import (
 
 	"pw/internal/rel"
 	"pw/internal/sym"
-	"pw/internal/value"
 )
 
 // Formula is a first-order formula over relation atoms and (in)equalities.
@@ -37,11 +36,11 @@ type Formula interface {
 // Atom is R(t1,…,tk); arguments are variables or constants.
 type Atom struct {
 	Rel  string
-	Args []value.Value
+	Args []sym.ID
 }
 
 // At builds an atom.
-func At(rel string, args ...value.Value) Atom { return Atom{Rel: rel, Args: args} }
+func At(rel string, args ...sym.ID) Atom { return Atom{Rel: rel, Args: args} }
 
 func (a Atom) freeVars(dst []string, seen map[string]bool) []string {
 	for _, t := range a.Args {
@@ -55,7 +54,7 @@ func (a Atom) freeVars(dst []string, seen map[string]bool) []string {
 
 func (a Atom) consts(dst []string, seen map[string]bool) []string {
 	for _, t := range a.Args {
-		if t.IsConst() && !seen[t.Name()] {
+		if !t.IsVar() && !seen[t.Name()] {
 			seen[t.Name()] = true
 			dst = append(dst, t.Name())
 		}
@@ -70,7 +69,7 @@ func (a Atom) eval(inst *rel.Instance, env map[string]string, _ []string) (bool,
 	}
 	f := make(rel.Fact, len(a.Args))
 	for i, t := range a.Args {
-		if t.IsConst() {
+		if !t.IsVar() {
 			f[i] = t.Name()
 		} else {
 			v, ok := env[t.Name()]
@@ -92,13 +91,13 @@ func (a Atom) String() string {
 }
 
 // Eq is the formula l = r.
-type Eq struct{ L, R value.Value }
+type Eq struct{ L, R sym.ID }
 
 // Equal builds an equality.
-func Equal(l, r value.Value) Eq { return Eq{L: l, R: r} }
+func Equal(l, r sym.ID) Eq { return Eq{L: l, R: r} }
 
 func (e Eq) freeVars(dst []string, seen map[string]bool) []string {
-	for _, t := range []value.Value{e.L, e.R} {
+	for _, t := range []sym.ID{e.L, e.R} {
 		if t.IsVar() && !seen[t.Name()] {
 			seen[t.Name()] = true
 			dst = append(dst, t.Name())
@@ -108,8 +107,8 @@ func (e Eq) freeVars(dst []string, seen map[string]bool) []string {
 }
 
 func (e Eq) consts(dst []string, seen map[string]bool) []string {
-	for _, t := range []value.Value{e.L, e.R} {
-		if t.IsConst() && !seen[t.Name()] {
+	for _, t := range []sym.ID{e.L, e.R} {
+		if !t.IsVar() && !seen[t.Name()] {
 			seen[t.Name()] = true
 			dst = append(dst, t.Name())
 		}
@@ -118,8 +117,8 @@ func (e Eq) consts(dst []string, seen map[string]bool) []string {
 }
 
 func (e Eq) eval(_ *rel.Instance, env map[string]string, _ []string) (bool, error) {
-	get := func(t value.Value) (string, error) {
-		if t.IsConst() {
+	get := func(t sym.ID) (string, error) {
+		if !t.IsVar() {
 			return t.Name(), nil
 		}
 		v, ok := env[t.Name()]
@@ -142,7 +141,7 @@ func (e Eq) eval(_ *rel.Instance, env map[string]string, _ []string) (bool, erro
 func (e Eq) String() string { return e.L.String() + " = " + e.R.String() }
 
 // Neq builds l ≠ r as ¬(l = r).
-func Neq(l, r value.Value) Formula { return Not{Eq{L: l, R: r}} }
+func Neq(l, r sym.ID) Formula { return Not{Eq{L: l, R: r}} }
 
 // Not is negation.
 type Not struct{ F Formula }
@@ -335,7 +334,7 @@ func bindAtom(a Atom, fact rel.Fact, env map[string]string, bindable map[string]
 		}
 	}
 	for i, t := range a.Args {
-		if t.IsConst() {
+		if !t.IsVar() {
 			if t.Name() != fact[i] {
 				undo()
 				return nil, false

@@ -17,7 +17,6 @@ import (
 	"pw/internal/sym"
 	"pw/internal/table"
 	"pw/internal/valuation"
-	"pw/internal/value"
 	"pw/internal/wsd"
 )
 
@@ -51,19 +50,19 @@ func New(cfg Config) *Generator {
 	return &Generator{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
-func (g *Generator) constant() value.Value {
-	return value.Const(fmt.Sprintf("c%d", g.rng.Intn(g.cfg.Consts)))
+func (g *Generator) constant() sym.ID {
+	return sym.Const(fmt.Sprintf("c%d", g.rng.Intn(g.cfg.Consts)))
 }
 
-func (g *Generator) variable() value.Value {
+func (g *Generator) variable() sym.ID {
 	if g.cfg.VarPool > 0 {
-		return value.Var(fmt.Sprintf("v%d", g.rng.Intn(g.cfg.VarPool)))
+		return sym.Var(fmt.Sprintf("v%d", g.rng.Intn(g.cfg.VarPool)))
 	}
 	g.nv++
-	return value.Var(fmt.Sprintf("v%d", g.nv))
+	return sym.Var(fmt.Sprintf("v%d", g.nv))
 }
 
-func (g *Generator) cell() value.Value {
+func (g *Generator) cell() sym.ID {
 	if g.rng.Float64() < g.cfg.NullDensity {
 		return g.variable()
 	}
@@ -74,7 +73,7 @@ func (g *Generator) cell() value.Value {
 func (g *Generator) Table(name string) *table.Table {
 	t := table.New(name, g.cfg.Arity)
 	for i := 0; i < g.cfg.Rows; i++ {
-		vals := make(value.Tuple, g.cfg.Arity)
+		vals := make(sym.Tuple, g.cfg.Arity)
 		for j := range vals {
 			vals[j] = g.cell()
 		}
@@ -90,7 +89,7 @@ func (g *Generator) Table(name string) *table.Table {
 	return t
 }
 
-func (g *Generator) anyValue() value.Value {
+func (g *Generator) anyValue() sym.ID {
 	if g.rng.Intn(2) == 0 {
 		return g.constant()
 	}
@@ -132,12 +131,12 @@ func ITable(seed int64, name string, rows, arity, consts, neqAtoms int, nullDens
 	t.Global = nil
 	rng := rand.New(rand.NewSource(seed + 1))
 	for i := 0; i < neqAtoms && len(vars) > 0; i++ {
-		l := value.Of(vars[rng.Intn(len(vars))])
-		var r value.Value
+		l := vars[rng.Intn(len(vars))]
+		var r sym.ID
 		if rng.Intn(2) == 0 && len(vars) > 1 {
-			r = value.Of(vars[rng.Intn(len(vars))])
+			r = vars[rng.Intn(len(vars))]
 		} else {
-			r = value.Const(fmt.Sprintf("c%d", rng.Intn(consts)))
+			r = sym.Const(fmt.Sprintf("c%d", rng.Intn(consts)))
 		}
 		t.Global = append(t.Global, cond.NeqAtom(l, r))
 	}

@@ -30,7 +30,6 @@ import (
 	"pw/internal/rel"
 	"pw/internal/sym"
 	"pw/internal/table"
-	"pw/internal/value"
 	"pw/internal/wsdalg"
 )
 
@@ -230,7 +229,7 @@ func parseRow(s string, arity int) (table.Row, error) {
 	if len(fields) != arity {
 		return table.Row{}, fmt.Errorf("row has %d values, want %d", len(fields), arity)
 	}
-	vals := make(value.Tuple, arity)
+	vals := make(sym.Tuple, arity)
 	for i, f := range fields {
 		vals[i] = ParseValue(f)
 	}
@@ -246,11 +245,11 @@ func parseRow(s string, arity int) (table.Row, error) {
 }
 
 // ParseValue parses a bare constant or ?variable.
-func ParseValue(s string) value.Value {
+func ParseValue(s string) sym.ID {
 	if strings.HasPrefix(s, "?") {
-		return value.Var(s[1:])
+		return sym.Var(s[1:])
 	}
-	return value.Const(s)
+	return sym.Const(s)
 }
 
 // ParseConjunction parses a comma-separated conjunction of atoms; the

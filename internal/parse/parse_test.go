@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"pw/internal/cond"
+	"pw/internal/sym"
 	"pw/internal/table"
-	"pw/internal/value"
 )
 
 const sampleDB = `
@@ -34,7 +34,7 @@ func TestParseDatabase(t *testing.T) {
 	if len(tb.Global) != 2 {
 		t.Errorf("global = %v", tb.Global)
 	}
-	if tb.Rows[1].Values[1] != value.Var("x") {
+	if tb.Rows[1].Values[1] != sym.Var("x") {
 		t.Errorf("row value = %v", tb.Rows[1].Values)
 	}
 	if len(tb.Rows[2].Cond) != 1 || tb.Rows[2].Cond[0].Op != cond.Neq {
@@ -132,7 +132,7 @@ func TestParseErrors(t *testing.T) {
 
 func TestParseAtomForms(t *testing.T) {
 	a, err := ParseAtom("?x != c3")
-	if err != nil || a.Op != cond.Neq || a.L != value.Var("x") || a.R != value.Const("c3") {
+	if err != nil || a.Op != cond.Neq || a.L != sym.Var("x") || a.R != sym.Const("c3") {
 		t.Errorf("atom = %v err=%v", a, err)
 	}
 	a, err = ParseAtom("1 = 1")

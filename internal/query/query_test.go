@@ -9,8 +9,8 @@ import (
 	"pw/internal/datalog"
 	"pw/internal/fo"
 	"pw/internal/rel"
+	"pw/internal/sym"
 	"pw/internal/table"
-	"pw/internal/value"
 )
 
 func sampleInstance() *rel.Instance {
@@ -66,7 +66,7 @@ func TestAlgebraQueryEvalAndLift(t *testing.T) {
 
 	// Lift over a table with a variable.
 	tb := table.New("R", 2)
-	tb.AddTuple(value.Const("1"), value.Var("x"))
+	tb.AddTuple(sym.Const("1"), sym.Var("x"))
 	lifted, err := q.EvalLifted(table.DB(tb))
 	if err != nil {
 		t.Fatal(err)
@@ -119,8 +119,8 @@ func TestAlgebraVectorOutput(t *testing.T) {
 	}
 	// Lifted: the global condition must be carried exactly once.
 	tb := table.New("R", 2)
-	tb.AddTuple(value.Var("x"), value.Var("y"))
-	tb.Global = append(tb.Global, cond.NeqAtom(value.Var("x"), value.Var("y")))
+	tb.AddTuple(sym.Var("x"), sym.Var("y"))
+	tb.Global = append(tb.Global, cond.NeqAtom(sym.Var("x"), sym.Var("y")))
 	lifted, err := q.EvalLifted(table.DB(tb))
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestAlgebraVectorOutput(t *testing.T) {
 func TestFOQuery(t *testing.T) {
 	q := NewFO("probe", FOOut{Name: "Q", Q: fo.Query{
 		Head: []string{"x"},
-		Body: fo.Exists{Vars: []string{"y"}, F: fo.At("R", value.Var("x"), value.Var("y"))},
+		Body: fo.Exists{Vars: []string{"y"}, F: fo.At("R", sym.Var("x"), sym.Var("y"))},
 	}})
 	out, err := q.Eval(sampleInstance())
 	if err != nil {
@@ -159,8 +159,8 @@ func TestFOQuery(t *testing.T) {
 
 func TestDatalogQuery(t *testing.T) {
 	prog := datalog.Program{Rules: []datalog.Rule{
-		datalog.R(datalog.At("Q", value.Var("x")),
-			datalog.At("R", value.Var("x"), value.Var("x"))),
+		datalog.R(datalog.At("Q", sym.Var("x")),
+			datalog.At("R", sym.Var("x"), sym.Var("x"))),
 	}}
 	q := NewDatalog("loops", prog, "Q")
 	out, err := q.Eval(sampleInstance())

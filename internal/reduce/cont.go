@@ -7,8 +7,8 @@ import (
 	"pw/internal/cond"
 	"pw/internal/query"
 	"pw/internal/sat"
+	"pw/internal/sym"
 	"pw/internal/table"
-	"pw/internal/value"
 )
 
 // ContInstance bundles a containment question: is Q0(rep(D0)) ⊆ Q(rep(D))?
@@ -20,13 +20,13 @@ type ContInstance struct {
 }
 
 // vn builds the named indexed variable, e.g. vn("u", 3) = ?u3.
-func vn(prefix string, i int) value.Value {
-	return value.Var(fmt.Sprintf("%s%d", prefix, i))
+func vn(prefix string, i int) sym.ID {
+	return sym.Var(fmt.Sprintf("%s%d", prefix, i))
 }
 
 // zkj is the per-clause-member variable z_{k,j} of the ∀∃ reductions.
-func zkj(k, j int) value.Value {
-	return value.Var(fmt.Sprintf("z%d_%d", k, j))
+func zkj(k, j int) sym.ID {
+	return sym.Var(fmt.Sprintf("z%d_%d", k, j))
 }
 
 // bitRows appends the seven rows (a,b,c,0) with a,b,c ∈ {0,1}, a+b+c ≠ 0.

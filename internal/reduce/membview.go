@@ -5,8 +5,8 @@ import (
 	"pw/internal/graph"
 	"pw/internal/query"
 	"pw/internal/rel"
+	"pw/internal/sym"
 	"pw/internal/table"
-	"pw/internal/value"
 )
 
 // MembViewInstance bundles a view-membership question: is I0 ∈ q(rep(D))?
@@ -81,6 +81,6 @@ func MembViewFrom3Col(g *graph.G) MembViewInstance {
 }
 
 // vcolor names the per-edge color variables of MembViewFrom3Col.
-func vcolor(prefix string, edge int) value.Value {
-	return value.Var(prefix + sint(edge+1))
+func vcolor(prefix string, edge int) sym.ID {
+	return sym.Var(prefix + sint(edge+1))
 }

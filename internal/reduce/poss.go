@@ -10,8 +10,8 @@ import (
 	"pw/internal/query"
 	"pw/internal/rel"
 	"pw/internal/sat"
+	"pw/internal/sym"
 	"pw/internal/table"
-	"pw/internal/value"
 )
 
 // PossInstance bundles a possibility question: ∃I ∈ Q(rep(D)) ⊇ P?
@@ -32,8 +32,8 @@ type PossInstance struct {
 func PossETableFrom3SAT(f sat.CNF) PossInstance {
 	m := f.NVars
 	t := table.New("T", 3)
-	u := func(j int) value.Value { return vn("u", j+1) }
-	y := func(j int) value.Value { return vn("y", j+1) }
+	u := func(j int) sym.ID { return vn("u", j+1) }
+	y := func(j int) sym.ID { return vn("y", j+1) }
 	for j := 0; j < m; j++ {
 		t.AddTuple(kint(j+1), u(j), y(j))
 		t.AddTuple(kint(j+1), y(j), u(j))
@@ -67,7 +67,7 @@ func PossETableFrom3SAT(f sat.CNF) PossInstance {
 // each clause to realise (i, 1): H is satisfiable iff P is possible.
 func PossITableFrom3SAT(f sat.CNF) PossInstance {
 	t := table.New("T", 2)
-	xik := func(i, k int) value.Value { return value.Var(fmt.Sprintf("x%d_%d", i+1, k+1)) }
+	xik := func(i, k int) sym.ID { return sym.Var(fmt.Sprintf("x%d_%d", i+1, k+1)) }
 	for i := range f.Clauses {
 		for k := 0; k < 3; k++ {
 			t.AddTuple(kint(i+1), xik(i, k))
@@ -123,7 +123,7 @@ func dnfOccurrenceTable(f sat.DNF) *table.Database {
 			if l.Neg {
 				sign = 0
 			}
-			t.AddTuple(kint(i+1), value.Var(fmt.Sprintf("z%d_%d", i+1, k+1)),
+			t.AddTuple(kint(i+1), sym.Var(fmt.Sprintf("z%d_%d", i+1, k+1)),
 				kint(l.Var+1), kint(sign))
 		}
 	}
@@ -141,11 +141,11 @@ func dnfOccurrenceTable(f sat.DNF) *table.Database {
 // its assignment satisfies H. Hence H is a tautology iff 1 is certain in
 // q'(rep(T)), and H is a non-tautology iff 1 is possible in {1 | ¬ψ}.
 func dnfStatusFormula() fo.Formula {
-	va := value.Var
+	va := sym.Var
 	notBool := fo.Exists{Vars: []string{"c", "m", "j", "s"}, F: fo.And{
 		fo.At("R", va("c"), va("m"), va("j"), va("s")),
-		fo.Neq(va("m"), value.Const("0")),
-		fo.Neq(va("m"), value.Const("1")),
+		fo.Neq(va("m"), sym.Const("0")),
+		fo.Neq(va("m"), sym.Const("1")),
 	}}
 	inconsistent := fo.Exists{Vars: []string{"c", "m", "j", "s", "c2", "m2", "s2"}, F: fo.And{
 		fo.At("R", va("c"), va("m"), va("j"), va("s")),
@@ -159,7 +159,7 @@ func dnfStatusFormula() fo.Formula {
 		fo.At("R", va("c"), va("m"), va("j"), va("s")),
 		fo.Not{F: fo.Exists{Vars: []string{"m2", "j2", "s2"}, F: fo.And{
 			fo.At("R", va("c"), va("m2"), va("j2"), va("s2")),
-			fo.Neq(va("m2"), value.Const("1")),
+			fo.Neq(va("m2"), sym.Const("1")),
 		}}},
 	}}
 	return fo.Or{notBool, inconsistent, clauseSat}
@@ -171,7 +171,7 @@ func dnfStatusFormula() fo.Formula {
 func PossFOFromDNF(f sat.DNF) PossInstance {
 	q := query.NewFO("thm52-2", query.FOOut{Name: "Q", Q: fo.Query{
 		Head: []string{"w"},
-		Body: fo.And{fo.Equal(value.Var("w"), value.Const("1")), fo.Not{F: dnfStatusFormula()}},
+		Body: fo.And{fo.Equal(sym.Var("w"), sym.Const("1")), fo.Not{F: dnfStatusFormula()}},
 	}})
 	p := rel.NewInstance()
 	p.EnsureRelation("Q", 1).AddRow("1")
@@ -191,7 +191,7 @@ type CertInstance struct {
 func CertFOFromDNF(f sat.DNF) CertInstance {
 	q := query.NewFO("thm53-2", query.FOOut{Name: "Q", Q: fo.Query{
 		Head: []string{"w"},
-		Body: fo.And{fo.Equal(value.Var("w"), value.Const("1")), dnfStatusFormula()},
+		Body: fo.And{fo.Equal(sym.Var("w"), sym.Const("1")), dnfStatusFormula()},
 	}})
 	p := rel.NewInstance()
 	p.EnsureRelation("Q", 1).AddRow("1")
@@ -225,8 +225,8 @@ func PossDatalogFrom3SAT(f sat.CNF) PossInstance {
 	aC := func(i int) string { return "a" + sint(i) }
 	bC := func(i int) string { return "b" + sint(i) }
 	hC := func(j int) string { return "h" + sint(j) }
-	xV := func(i int) value.Value { return vn("x", i) }
-	kc := value.Const
+	xV := func(i int) sym.ID { return vn("x", i) }
+	kc := sym.Const
 
 	r0 := table.New("R0", 1)
 	r0.AddTuple(kc("a"))
@@ -265,11 +265,11 @@ func PossDatalogFrom3SAT(f sat.CNF) PossInstance {
 	}
 
 	prog := datalog.Program{Rules: []datalog.Rule{
-		datalog.R(datalog.At("Q", value.Var("qx")), datalog.At("R0", value.Var("qx"))),
-		datalog.R(datalog.At("Q", value.Var("qx")),
-			datalog.At("Q", value.Var("qy")), datalog.At("Q", value.Var("qz")),
-			datalog.At("R1", value.Var("qy"), value.Var("qx")),
-			datalog.At("R2", value.Var("qz"), value.Var("qx"))),
+		datalog.R(datalog.At("Q", sym.Var("qx")), datalog.At("R0", sym.Var("qx"))),
+		datalog.R(datalog.At("Q", sym.Var("qx")),
+			datalog.At("Q", sym.Var("qy")), datalog.At("Q", sym.Var("qz")),
+			datalog.At("R1", sym.Var("qy"), sym.Var("qx")),
+			datalog.At("R2", sym.Var("qz"), sym.Var("qx"))),
 	}}
 	q := query.NewDatalog("fig12", prog, "Q")
 

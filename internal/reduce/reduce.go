@@ -25,15 +25,15 @@ import (
 	"pw/internal/graph"
 	"pw/internal/query"
 	"pw/internal/rel"
+	"pw/internal/sym"
 	"pw/internal/table"
-	"pw/internal/value"
 )
 
 // vx returns the per-vertex variable x_a of the colorability reductions.
-func vx(a int) value.Value { return value.Var(fmt.Sprintf("x%d", a)) }
+func vx(a int) sym.ID { return sym.Var(fmt.Sprintf("x%d", a)) }
 
 // kint returns the integer constant i.
-func kint(i int) value.Value { return value.Const(fmt.Sprintf("%d", i)) }
+func kint(i int) sym.ID { return sym.Const(fmt.Sprintf("%d", i)) }
 
 // sint renders i as the constant name.
 func sint(i int) string { return fmt.Sprintf("%d", i) }

@@ -7,8 +7,8 @@ import (
 	"pw/internal/query"
 	"pw/internal/rel"
 	"pw/internal/sat"
+	"pw/internal/sym"
 	"pw/internal/table"
-	"pw/internal/value"
 )
 
 // UniqInstance bundles a uniqueness question: is Q0(rep(D0)) = {I}?
@@ -31,14 +31,14 @@ func UniqCTableFromDNF(f sat.DNF) UniqInstance {
 	for _, c := range f.Clauses {
 		local := make(cond.Conjunction, 0, 3)
 		for _, l := range c {
-			u := value.Var("u" + sint(l.Var))
+			u := sym.Var("u" + sint(l.Var))
 			if l.Neg {
 				local = append(local, cond.NeqAtom(u, kint(1)))
 			} else {
 				local = append(local, cond.EqAtom(u, kint(1)))
 			}
 		}
-		t.Add(table.Row{Values: value.NewTuple(kint(1)), Cond: local})
+		t.Add(table.Row{Values: sym.Tuple{kint(1)}, Cond: local})
 	}
 	i := rel.NewInstance()
 	i.EnsureRelation("T", 1).AddRow("1")

@@ -13,8 +13,8 @@ import (
 	"pw/internal/query"
 	"pw/internal/rel"
 	"pw/internal/rep"
+	"pw/internal/sym"
 	"pw/internal/table"
-	"pw/internal/value"
 	"pw/internal/worlds"
 	"pw/internal/wsd"
 )
@@ -102,7 +102,7 @@ func TestInfiniteSubsetAgainstFiniteSuperset(t *testing.T) {
 	o := decide.Options{Workers: 1}
 	id := query.Identity{}
 	inf := table.New("T", 1)
-	inf.AddTuple(value.Var("x"))
+	inf.AddTuple(sym.Var("x"))
 	infinite := rep.DB{Tab: table.DB(inf)}
 	for seed := int64(1); seed <= 6; seed++ {
 		finite := pair(t, condOnly(seed))
@@ -203,8 +203,8 @@ func TestRecordAgreesAcrossBackends(t *testing.T) {
 // with its own message, and the count is zero.
 func TestEmptyWorldSet(t *testing.T) {
 	tb := table.New("T", 1)
-	tb.AddTuple(value.Const("a"))
-	tb.Global = append(tb.Global, cond.NeqAtom(value.Var("x"), value.Var("x")))
+	tb.AddTuple(sym.Const("a"))
+	tb.Global = append(tb.Global, cond.NeqAtom(sym.Var("x"), sym.Var("x")))
 	both := pair(t, table.DB(tb))
 	for _, r := range both {
 		if c := r.Count(decide.Options{Workers: 1}); c != "0" {

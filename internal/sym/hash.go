@@ -1,5 +1,7 @@
 package sym
 
+import "strings"
+
 // Fingerprints replace the canonical-string keys ("strings.Join with \x00
 // separators") that the seed engine used to deduplicate facts, relations
 // and whole possible worlds. A fingerprint is not an identity — consumers
@@ -48,9 +50,10 @@ func Mix(h uint64) uint64 {
 	return h
 }
 
-// Tuple is a ground tuple of interned symbols: the engine's working form
-// of a fact. The boundary type rel.Fact ([]string) converts to and from it
-// at the API edge.
+// Tuple is a tuple of interned symbols. A fact's tuple is ground: the
+// engine's working form of a fact, which the boundary type rel.Fact
+// ([]string) converts to and from at the API edge. A table row's tuple
+// may hold variables.
 type Tuple []ID
 
 // Fingerprint returns the tuple's order-sensitive 64-bit fingerprint.
@@ -92,6 +95,27 @@ func (t Tuple) Compare(u Tuple) int {
 		return 1
 	}
 	return 0
+}
+
+// VarIDs appends the variables occurring in t to dst, in order of first
+// occurrence (dedup via seen).
+func (t Tuple) VarIDs(dst []ID, seen map[ID]bool) []ID {
+	for _, id := range t {
+		if id.IsVar() && !seen[id] {
+			seen[id] = true
+			dst = append(dst, id)
+		}
+	}
+	return dst
+}
+
+// String renders the tuple as (v1, v2, ...), variables with a leading '?'.
+func (t Tuple) String() string {
+	parts := make([]string, len(t))
+	for i, id := range t {
+		parts[i] = id.String()
+	}
+	return "(" + strings.Join(parts, ", ") + ")"
 }
 
 // Names resolves the tuple to a fresh slice of names.

@@ -72,9 +72,8 @@ var (
 )
 
 func init() {
-	// Serial 0 of each namespace is the empty name, so the zero values of
-	// ID-backed types denote the empty-named constant, as value.Value
-	// documents.
+	// Serial 0 of each namespace is the empty name, so the zero ID is
+	// the empty-named constant.
 	Const("")
 	Var("")
 }

@@ -3,6 +3,7 @@ package sym
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -51,7 +52,7 @@ func TestNamespacesDisjoint(t *testing.T) {
 }
 
 func TestZeroIDIsEmptyConstant(t *testing.T) {
-	// The zero Value of the value package relies on serial 0 = "".
+	// A zero cell (an unset table value) is the empty-named constant.
 	var zero ID
 	if zero.IsVar() || zero.Name() != "" {
 		t.Errorf("zero ID = %v (%q)", zero, zero.Name())
@@ -87,6 +88,123 @@ func TestCompareOrdersConstantsBeforeVariables(t *testing.T) {
 	}
 	if Compare(Const("x"), Const("x")) != 0 {
 		t.Error("equal IDs compare equal")
+	}
+}
+
+func TestCompareOrdersConstantsFirst(t *testing.T) {
+	if Compare(Const("z"), Var("a")) != -1 {
+		t.Error("constants must sort before variables")
+	}
+	if Compare(Var("a"), Const("z")) != 1 {
+		t.Error("variables must sort after constants")
+	}
+	if Compare(Const("a"), Const("b")) != -1 {
+		t.Error("name order broken")
+	}
+	if Compare(Var("x"), Var("x")) != 0 {
+		t.Error("equal values must compare 0")
+	}
+}
+
+func TestConstVarDistinct(t *testing.T) {
+	c := Const("x")
+	v := Var("x")
+	if c == v {
+		t.Fatal("constant x and variable x must differ")
+	}
+	if c.IsVar() {
+		t.Error("Const kind wrong")
+	}
+	if !v.IsVar() {
+		t.Error("Var kind wrong")
+	}
+	if c.Name() != "x" || v.Name() != "x" {
+		t.Error("names wrong")
+	}
+}
+
+func TestString(t *testing.T) {
+	if got := Const("a").String(); got != "a" {
+		t.Errorf("constant prints as %q", got)
+	}
+	if got := Var("a").String(); got != "?a" {
+		t.Errorf("variable prints as %q", got)
+	}
+}
+
+func TestCompareIsAntisymmetric(t *testing.T) {
+	id := func(name string, isVar bool) ID {
+		if isVar {
+			return Var(name)
+		}
+		return Const(name)
+	}
+	f := func(an, bn string, av, bv bool) bool {
+		a, b := id(an, av), id(bn, bv)
+		return Compare(a, b) == -Compare(b, a)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestTupleBasics(t *testing.T) {
+	tp := Tuple{Const("1"), Var("x"), Const("2")}
+	c := tp.Clone()
+	c[0] = Const("9")
+	if tp[0] != Const("1") {
+		t.Error("Clone aliases the original")
+	}
+	if !tp.Equal(Tuple{Const("1"), Var("x"), Const("2")}) {
+		t.Error("Equal broken")
+	}
+	if tp.Equal(Tuple{Const("1"), Var("y"), Const("2")}) {
+		t.Error("Equal ignores variable names")
+	}
+	if tp.String() != "(1, ?x, 2)" {
+		t.Errorf("String = %q", tp.String())
+	}
+}
+
+func TestTupleVarIDsDedup(t *testing.T) {
+	vs := Tuple{Var("x"), Const("x"), Var("y"), Var("x")}.VarIDs(nil, map[ID]bool{})
+	if !slices.Equal(vs, []ID{Var("x"), Var("y")}) {
+		t.Errorf("VarIDs = %v", vs)
+	}
+}
+
+// TestSortTuples: the canonical tuple order (Tuple.Compare) compares
+// position by position, constants before variables, a prefix first.
+func TestSortTuples(t *testing.T) {
+	ts := []Tuple{
+		{Var("x")},
+		{Const("b")},
+		{Const("a"), Const("a")},
+		{Const("a")},
+	}
+	slices.SortFunc(ts, Tuple.Compare)
+	want := []string{"(a)", "(a, a)", "(b)", "(?x)"}
+	for i, w := range want {
+		if ts[i].String() != w {
+			t.Errorf("position %d = %s, want %s", i, ts[i], w)
+		}
+	}
+}
+
+func TestTupleCompareIsAntisymmetric(t *testing.T) {
+	tuple := func(names []string) Tuple {
+		out := make(Tuple, len(names))
+		for i, n := range names {
+			out[i] = Const(n)
+		}
+		return out
+	}
+	f := func(a, b []string) bool {
+		ta, tb := tuple(a), tuple(b)
+		return ta.Compare(tb) == -tb.Compare(ta)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"slices"
 
 	"pw/internal/sym"
-	"pw/internal/value"
 )
 
 // Compiled is the decision-procedure state that depends on a database
@@ -114,9 +113,9 @@ func newRowIndex(t *Table) RowIndex {
 	for r, row := range t.Rows {
 		h := uint64(hashOffset)
 		for c, v := range row.Values {
-			if v.IsConst() {
+			if !v.IsVar() {
 				masks[r*words+c/64] |= 1 << (c % 64)
-				h = hashStep(h, v.ID())
+				h = hashStep(h, v)
 			}
 		}
 		rowHash[r] = h
@@ -141,7 +140,7 @@ func newRowIndex(t *Table) RowIndex {
 		ix.groups = append(ix.groups, int32(k))
 		ix.colOff = append(ix.colOff, int32(len(ix.cols)))
 		for c, v := range t.Rows[r].Values {
-			if v.IsConst() {
+			if !v.IsVar() {
 				ix.cols = append(ix.cols, int32(c))
 			}
 		}
@@ -196,7 +195,7 @@ func (ix *RowIndex) HasGround(f sym.Tuple) bool {
 	}
 	lo, hi := ix.run(ix.ground, f)
 	for _, r := range ix.rows[lo:hi] {
-		if groundRowEquals(ix.t.Rows[r].Values, f) {
+		if ix.t.Rows[r].Values.Equal(f) {
 			return true
 		}
 	}
@@ -206,13 +205,4 @@ func (ix *RowIndex) HasGround(f sym.Tuple) bool {
 // AllGround reports whether every row of the table is variable-free.
 func (ix *RowIndex) AllGround() bool {
 	return ix.Groups() == 0 || (ix.Groups() == 1 && ix.ground == 0)
-}
-
-func groundRowEquals(vals value.Tuple, f sym.Tuple) bool {
-	for i, v := range vals {
-		if v.ID() != f[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -9,14 +9,13 @@ import (
 
 	"pw/internal/cond"
 	"pw/internal/sym"
-	"pw/internal/value"
 )
 
 // constantsAgree is the brute-force form of a candidate: every constant
 // of the row equals f's value in its column.
 func constantsAgree(row Row, f sym.Tuple) bool {
 	for c, v := range row.Values {
-		if v.IsConst() && v.ID() != f[c] {
+		if !v.IsVar() && v != f[c] {
 			return false
 		}
 	}
@@ -36,7 +35,7 @@ func TestRowIndexMatchesBruteForce(t *testing.T) {
 		tb := New("T", arity)
 		for r, n := 0, rng.Intn(50); r < n; r++ {
 			shape := rng.Intn(4) // 0 ground, 1 all-variable, 2 Codd, 3 repeated variable
-			vals := make([]value.Value, arity)
+			vals := make([]sym.ID, arity)
 			for c := range vals {
 				switch {
 				case shape == 0 || (shape >= 2 && rng.Intn(2) == 0):
@@ -52,7 +51,7 @@ func TestRowIndexMatchesBruteForce(t *testing.T) {
 		ix := newRowIndex(tb)
 		allGround := true
 		for _, row := range tb.Rows {
-			allGround = allGround && row.Values.Ground()
+			allGround = allGround && !slices.ContainsFunc(row.Values, sym.ID.IsVar)
 		}
 		if ix.AllGround() != allGround {
 			t.Fatalf("trial %d: AllGround = %v, want %v", trial, ix.AllGround(), allGround)
@@ -68,7 +67,7 @@ func TestRowIndexMatchesBruteForce(t *testing.T) {
 			for r, row := range tb.Rows {
 				if constantsAgree(row, u) {
 					want = append(want, int32(r))
-					wantGround = wantGround || row.Values.Ground()
+					wantGround = wantGround || !slices.ContainsFunc(row.Values, sym.ID.IsVar)
 				}
 			}
 			buf = ix.Candidates(buf[:0], u)
@@ -100,7 +99,7 @@ func TestCompiledNormalForm(t *testing.T) {
 	if c.Norm == nil || c.Norm == d {
 		t.Fatalf("global equality: Norm = %v, want a fresh database", c.Norm)
 	}
-	if got := c.Norm.Tables()[0].Rows[0].Values; !got.Ground() {
+	if got := c.Norm.Tables()[0].Rows[0].Values; slices.ContainsFunc(got, sym.ID.IsVar) {
 		t.Errorf("normal form row 0 = %v, want x replaced by 0", got)
 	}
 	nc := c.Norm.Compiled()

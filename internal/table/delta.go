@@ -99,7 +99,7 @@ func Freeze(d *Database, prefix string) *rel.Instance {
 	rows:
 		for _, row := range t.Rows {
 			for _, a := range row.Cond {
-				if (a.Op == cond.Eq) != (frozen(a.L.ID()) == frozen(a.R.ID())) {
+				if (a.Op == cond.Eq) != (frozen(a.L) == frozen(a.R)) {
 					continue rows
 				}
 			}
@@ -108,7 +108,7 @@ func Freeze(d *Database, prefix string) *rel.Instance {
 			}
 			f := scratch[:len(row.Values)]
 			for j, v := range row.Values {
-				f[j] = frozen(v.ID())
+				f[j] = frozen(v)
 			}
 			r.Insert(f)
 		}

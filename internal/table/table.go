@@ -19,7 +19,6 @@ import (
 
 	"pw/internal/cond"
 	"pw/internal/sym"
-	"pw/internal/value"
 )
 
 // Kind is the representation class of a table or database, ordered by
@@ -79,12 +78,12 @@ func (k Kind) AtMost(m Kind) bool {
 // Row is one tuple of a table together with its local condition (nil means
 // the atom true, per the paper's convention).
 type Row struct {
-	Values value.Tuple
+	Values sym.Tuple
 	Cond   cond.Conjunction
 }
 
 // NewRow builds an unconditioned row.
-func NewRow(vs ...value.Value) Row { return Row{Values: value.NewTuple(vs...)} }
+func NewRow(vs ...sym.ID) Row { return Row{Values: sym.Tuple(vs).Clone()} }
 
 // Clone deep-copies the row.
 func (r Row) Clone() Row {
@@ -131,7 +130,7 @@ func (t *Table) Add(r Row) *Table {
 }
 
 // AddTuple appends an unconditioned row of the given values.
-func (t *Table) AddTuple(vs ...value.Value) *Table { return t.Add(NewRow(vs...)) }
+func (t *Table) AddTuple(vs ...sym.ID) *Table { return t.Add(NewRow(vs...)) }
 
 // Clone deep-copies the table.
 func (t *Table) Clone() *Table {
@@ -160,9 +159,9 @@ func (t *Table) ConstIDs(dst []sym.ID, seen map[sym.ID]bool) []sym.ID {
 	dst = t.Global.ConstIDs(dst, seen)
 	for _, r := range t.Rows {
 		for _, v := range r.Values {
-			if v.IsConst() && !seen[v.ID()] {
-				seen[v.ID()] = true
-				dst = append(dst, v.ID())
+			if !v.IsVar() && !seen[v] {
+				seen[v] = true
+				dst = append(dst, v)
 			}
 		}
 		dst = r.Cond.ConstIDs(dst, seen)
@@ -187,10 +186,10 @@ func (t *Table) varsDistinct(seen map[sym.ID]struct{}) bool {
 	for _, r := range t.Rows {
 		for _, v := range r.Values {
 			if v.IsVar() {
-				if _, dup := seen[v.ID()]; dup {
+				if _, dup := seen[v]; dup {
 					return false
 				}
-				seen[v.ID()] = struct{}{}
+				seen[v] = struct{}{}
 			}
 		}
 	}
@@ -232,12 +231,12 @@ func (t *Table) Kind() Kind {
 
 // Subst applies a substitution to rows, local conditions and the global
 // condition, returning a new table.
-func (t *Table) Subst(s value.Subst) *Table {
+func (t *Table) Subst(s cond.Subst) *Table {
 	c := New(t.Name, t.Arity)
 	c.Global = t.Global.Subst(s)
 	c.Rows = make([]Row, len(t.Rows))
 	for i, r := range t.Rows {
-		vals := make(value.Tuple, len(r.Values))
+		vals := make(sym.Tuple, len(r.Values))
 		for j, v := range r.Values {
 			if v.IsVar() {
 				if w, ok := s[v]; ok {
@@ -426,9 +425,9 @@ func (d *Database) Validate() error {
 				if !v.IsVar() {
 					continue
 				}
-				prev, ok := seen[v.ID()]
+				prev, ok := seen[v]
 				if !ok {
-					seen[v.ID()] = t.Name
+					seen[v] = t.Name
 				} else if prev != t.Name {
 					return fmt.Errorf("table: variable ?%s occurs in both %s and %s rows; vector tables must use disjoint variables (link them via conditions)",
 						v.Name(), prev, t.Name)

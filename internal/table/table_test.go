@@ -8,11 +8,10 @@ import (
 	"pw/internal/cond"
 	"pw/internal/rel"
 	"pw/internal/sym"
-	"pw/internal/value"
 )
 
-func v(n string) value.Value { return value.Var(n) }
-func k(n string) value.Value { return value.Const(n) }
+func v(n string) sym.ID { return sym.Var(n) }
+func k(n string) sym.ID { return sym.Const(n) }
 
 // fig1 builds the five representations of Fig. 1 of the paper.
 func fig1Table() *Table { // Ta: Codd-table
@@ -59,15 +58,15 @@ func fig1CTable() *Table { // Te: c-table
 		cond.NeqAtom(v("y"), k("2")),
 	)
 	t.Add(Row{
-		Values: value.NewTuple(k("0"), k("1"), v("z")),
+		Values: sym.Tuple{k("0"), k("1"), v("z")},
 		Cond:   cond.Conj(cond.EqAtom(v("z"), v("z"))),
 	})
 	t.Add(Row{
-		Values: value.NewTuple(k("0"), v("x"), v("y")),
+		Values: sym.Tuple{k("0"), v("x"), v("y")},
 		Cond:   cond.Conj(cond.EqAtom(v("y"), k("0"))),
 	})
 	t.Add(Row{
-		Values: value.NewTuple(v("y"), v("x"), v("x")),
+		Values: sym.Tuple{v("y"), v("x"), v("x")},
 		Cond:   cond.Conj(cond.NeqAtom(v("x"), v("y"))),
 	})
 	return t
@@ -136,7 +135,7 @@ func TestDatabaseKindJoins(t *testing.T) {
 	it := fig1ITable()
 	it.Name = "U"
 	// Rename i-table vars so that the vector is well-formed.
-	it2 := it.Subst(value.Subst{v("x"): v("x2"), v("y"): v("y2"), v("z"): v("z2"), v("v"): v("v2")})
+	it2 := it.Subst(cond.Subst{v("x"): v("x2"), v("y"): v("y2"), v("z"): v("z2"), v("v"): v("v2")})
 	d.AddTable(it2)
 	if got := d.Kind(); got != KindG {
 		t.Errorf("e-table + i-table vector must join to g-table, got %v", got)
@@ -171,7 +170,7 @@ func TestVarsAndConsts(t *testing.T) {
 
 func TestSubstDeep(t *testing.T) {
 	tb := fig1GTable()
-	s := value.Subst{v("x"): k("5")}
+	s := cond.Subst{v("x"): k("5")}
 	nt := tb.Subst(s)
 	if nt.Rows[0].Values[2] != k("5") {
 		t.Error("row substitution failed")
@@ -331,11 +330,12 @@ func TestSchemaAndSize(t *testing.T) {
 
 func TestArityPanics(t *testing.T) {
 	defer func() {
-		if recover() == nil {
-			t.Error("arity mismatch must panic")
+		const want = "table: row (1, ?x) has arity 2, table T expects 3"
+		if got := recover(); got != want {
+			t.Errorf("arity mismatch panics with %v, want %q", got, want)
 		}
 	}()
-	New("T", 2).AddTuple(k("1"))
+	New("T", 3).AddTuple(k("1"), v("x"))
 }
 
 func TestDuplicateTablePanics(t *testing.T) {

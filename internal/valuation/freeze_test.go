@@ -5,9 +5,9 @@ import (
 
 	"pw/internal/cond"
 	"pw/internal/gen"
+	"pw/internal/sym"
 	"pw/internal/table"
 	"pw/internal/valuation"
-	"pw/internal/value"
 )
 
 // TestFreezeMatchesDefinition21: table.Freeze is the world of the
@@ -22,7 +22,7 @@ func TestFreezeMatchesDefinition21(t *testing.T) {
 		tb := gen.New(gen.Config{Rows: 6, Arity: 2, Consts: 4, NullDensity: 0.5,
 			VarPool: 4, NeqAtoms: 1, LocalConds: 0.7, Seed: seed}).Table("T")
 		if seed%2 == 0 {
-			tb.Global = append(tb.Global, cond.EqAtom(value.Var("v0"), value.Var("v1")))
+			tb.Global = append(tb.Global, cond.EqAtom(sym.Var("v0"), sym.Var("v1")))
 		}
 		nd, ok := table.Normalize(table.DB(tb))
 		if !ok {

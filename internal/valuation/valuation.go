@@ -18,7 +18,6 @@ import (
 	"pw/internal/rel"
 	"pw/internal/sym"
 	"pw/internal/table"
-	"pw/internal/value"
 )
 
 // V is a valuation: a total assignment of constant IDs to the variable
@@ -55,13 +54,12 @@ func (v V) Set(x, c sym.ID) {
 	v.Vals[s] = c
 }
 
-// Value maps a value through the valuation: constants map to themselves.
-func (v V) Value(x value.Value) sym.ID {
-	id := x.ID()
-	if !id.IsVar() {
-		return id
+// Value maps a symbol through the valuation: constants map to themselves.
+func (v V) Value(x sym.ID) sym.ID {
+	if !x.IsVar() {
+		return x
 	}
-	s := v.U.Slot(id)
+	s := v.U.Slot(x)
 	if s < 0 || v.Vals[s] == sym.None {
 		panic("valuation: unbound variable ?" + x.Name())
 	}
@@ -79,7 +77,7 @@ func (v V) Lookup(name string) (string, bool) {
 }
 
 // Tuple applies v to a tuple, producing a fresh interned fact.
-func (v V) Tuple(t value.Tuple) sym.Tuple {
+func (v V) Tuple(t sym.Tuple) sym.Tuple {
 	f := make(sym.Tuple, len(t))
 	for i, x := range t {
 		f[i] = v.Value(x)

@@ -7,11 +7,10 @@ import (
 	"pw/internal/rel"
 	"pw/internal/sym"
 	"pw/internal/table"
-	"pw/internal/value"
 )
 
-func v(n string) value.Value { return value.Var(n) }
-func k(n string) value.Value { return value.Const(n) }
+func v(n string) sym.ID { return sym.Var(n) }
+func k(n string) sym.ID { return sym.Const(n) }
 
 // mk builds a valuation from name pairs, the way the map-based seed tests
 // wrote literals.
@@ -92,8 +91,8 @@ func TestPaperExample21(t *testing.T) {
 
 func TestTableDropsFailingLocalConds(t *testing.T) {
 	tb := table.New("T", 1)
-	tb.Add(table.Row{Values: value.NewTuple(v("x")), Cond: cond.Conj(cond.EqAtom(v("x"), k("1")))})
-	tb.Add(table.Row{Values: value.NewTuple(k("9")), Cond: cond.Conj(cond.NeqAtom(v("x"), k("1")))})
+	tb.Add(table.Row{Values: sym.Tuple{v("x")}, Cond: cond.Conj(cond.EqAtom(v("x"), k("1")))})
+	tb.Add(table.Row{Values: sym.Tuple{k("9")}, Cond: cond.Conj(cond.NeqAtom(v("x"), k("1")))})
 	sigma := mk("x", "1")
 	got := sigma.Table(tb)
 	if got.Len() != 1 || !got.Has(rel.Fact{"1"}) {

@@ -5,12 +5,12 @@ import (
 
 	"pw/internal/cond"
 	"pw/internal/rel"
+	"pw/internal/sym"
 	"pw/internal/table"
-	"pw/internal/value"
 )
 
-func v(n string) value.Value { return value.Var(n) }
-func k(n string) value.Value { return value.Const(n) }
+func v(n string) sym.ID { return sym.Var(n) }
+func k(n string) sym.ID { return sym.Const(n) }
 
 func inst(vals ...string) *rel.Instance {
 	i := rel.NewInstance()
@@ -67,7 +67,7 @@ func TestWorldsRespectGlobalConditions(t *testing.T) {
 func TestWorldsRespectLocalConditions(t *testing.T) {
 	tb := table.New("T", 1)
 	tb.Add(table.Row{
-		Values: value.NewTuple(k("9")),
+		Values: sym.Tuple{k("9")},
 		Cond:   cond.Conj(cond.EqAtom(v("x"), k("1"))),
 	})
 	tb.AddTuple(v("x"))
@@ -108,7 +108,7 @@ func TestEmptyWorldFromFailingLocals(t *testing.T) {
 	// local condition give the empty relation.
 	tb := table.New("T", 1)
 	tb.Add(table.Row{
-		Values: value.NewTuple(k("1")),
+		Values: sym.Tuple{k("1")},
 		Cond:   cond.Conj(cond.EqAtom(v("x"), k("1"))),
 	})
 	ws := All(table.DB(tb))

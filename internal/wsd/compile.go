@@ -96,7 +96,7 @@ func compile(d *table.Database, dom []sym.ID) (*WSD, error) {
 
 	// Ground global atoms must hold in every world.
 	for _, a := range d.GlobalConjunction() {
-		if a.L.IsConst() && a.R.IsConst() && !a.TriviallyTrue() {
+		if !a.L.IsVar() && !a.R.IsVar() && !a.TriviallyTrue() {
 			w.empty = true
 			return w, nil
 		}
@@ -148,11 +148,7 @@ func compile(d *table.Database, dom []sym.ID) (*WSD, error) {
 			rv := rowVars(r)
 			if len(rv) == 0 {
 				if groundCondHolds(r.Cond) {
-					tup := make(sym.Tuple, len(r.Values))
-					for i, v := range r.Values {
-						tup[i] = v.ID()
-					}
-					certainIDs = append(certainIDs, w.intern(ri, tup))
+					certainIDs = append(certainIDs, w.intern(ri, r.Values.Clone()))
 				}
 				continue
 			}
@@ -230,10 +226,10 @@ func compile(d *table.Database, dom []sym.ID) (*WSD, error) {
 func atomVarIDs(a cond.Atom) []sym.ID {
 	var out []sym.ID
 	if a.L.IsVar() {
-		out = append(out, a.L.ID())
+		out = append(out, a.L)
 	}
-	if a.R.IsVar() && (len(out) == 0 || out[0] != a.R.ID()) {
-		out = append(out, a.R.ID())
+	if a.R.IsVar() && (len(out) == 0 || out[0] != a.R) {
+		out = append(out, a.R)
 	}
 	return out
 }

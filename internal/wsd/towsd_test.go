@@ -12,20 +12,20 @@ import (
 
 	"pw/internal/cond"
 	"pw/internal/rel"
+	"pw/internal/sym"
 	"pw/internal/table"
-	"pw/internal/value"
 	"pw/internal/wsd"
 )
 
-func parseVal(s string) value.Value {
+func parseVal(s string) sym.ID {
 	if strings.HasPrefix(s, "?") {
-		return value.Var(s[1:])
+		return sym.Var(s[1:])
 	}
-	return value.Const(s)
+	return sym.Const(s)
 }
 
-func tupleOf(vals ...string) value.Tuple {
-	t := make(value.Tuple, len(vals))
+func tupleOf(vals ...string) sym.Tuple {
+	t := make(sym.Tuple, len(vals))
 	for i, v := range vals {
 		t[i] = parseVal(v)
 	}

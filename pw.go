@@ -24,9 +24,9 @@ import (
 	"pw/internal/query"
 	"pw/internal/rel"
 	"pw/internal/rep"
+	"pw/internal/sym"
 	"pw/internal/table"
 	"pw/internal/valuation"
-	"pw/internal/value"
 	"pw/internal/worlds"
 	"pw/internal/wsd"
 	"pw/internal/wsdalg"
@@ -34,10 +34,12 @@ import (
 
 // Core value and condition types.
 type (
-	// Value is a constant or a variable (null).
-	Value = value.Value
-	// Tuple is a sequence of values.
-	Tuple = value.Tuple
+	// Value is a constant or a variable (null): an interned symbol whose
+	// kind bit keeps the two namespaces disjoint (§2.2).
+	Value = sym.ID
+	// Tuple is a sequence of values: a table row, which may hold
+	// variables, or a ground fact.
+	Tuple = sym.Tuple
 	// Atom is an equality or inequality between two values.
 	Atom = cond.Atom
 	// Conjunction is a conjunct of atoms (the paper's condition form).
@@ -232,10 +234,10 @@ func (o Options) Worlds(d *Database) []*Instance { return o.worlds().All(d) }
 func (o Options) CountWorlds(d *Database) int { return o.worlds().Count(d) }
 
 // Const returns the constant named name.
-func Const(name string) Value { return value.Const(name) }
+func Const(name string) Value { return sym.Const(name) }
 
 // Var returns the variable (null) named name.
-func Var(name string) Value { return value.Var(name) }
+func Var(name string) Value { return sym.Var(name) }
 
 // Eq returns the atom l = r.
 func Eq(l, r Value) Atom { return cond.EqAtom(l, r) }
